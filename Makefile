@@ -1,6 +1,6 @@
 # Convenience targets for the mobile-object indexing reproduction.
 
-.PHONY: install check test service-smoke chaos-smoke subs-smoke batch-smoke service-tests chaos-tests subs-tests batch-tests batch-baseline durability-tests durability-smoke soak-smoke soak-tests soak-baseline rebalance-smoke rebalance-tests rebalance-baseline update-bench-smoke update-tests update-baseline parallel-smoke parallel-tests parallel-baseline serve-smoke bench figures examples results clean
+.PHONY: install check test service-smoke chaos-smoke subs-smoke batch-smoke service-tests chaos-tests subs-tests batch-tests batch-baseline durability-tests durability-smoke soak-smoke soak-tests soak-baseline rebalance-smoke rebalance-tests rebalance-baseline update-bench-smoke update-tests update-baseline parallel-smoke parallel-tests parallel-baseline serve-smoke perf-smoke perf bench figures examples results clean
 
 install:
 	python setup.py develop
@@ -231,6 +231,20 @@ update-baseline:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python -m repro serve-bench --update-bench --n 10000 \
 		--seed 42 --update-json benchmarks/results/BENCH_update.json
+
+# The perf benchmark's own smoke test: a --scale 0.02 pass of all four
+# workloads, untraced and traced, and a pool run that must leave no
+# process behind (~20 s).  Not collected by tier-1, not part of check.
+perf-smoke:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
+		python -m pytest benchmarks/perf
+
+# The repo's performance benchmark (BENCHMARK.json): four workloads,
+# each in a fresh interpreter, every end-to-end metric by name, answers
+# checked against the benchmark's oracle (non-zero exit on any wrong,
+# shed, failed or lost operation).  A few minutes.
+perf:
+	python3 benchmarks/perf/run.py --seed 42
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -18,12 +18,18 @@ queries with pruning).
 
 Keys may be any totally ordered values (floats, tuples, ...).  All page
 touches go through the :class:`~repro.io_sim.pager.DiskSimulator`.
+
+Batch maintenance (:meth:`BPlusTree.apply_sorted`) is leaf-at-a-time:
+a key-sorted run of deletes and inserts pays one descent and one path
+write-back per *touched leaf* rather than per record, and produces the
+very tree the scalar calls would build from the same sorted sequence.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ObjectNotFoundError
 from repro.io_sim.pager import DiskSimulator, Page
@@ -35,6 +41,20 @@ INTERNAL = "internal"
 LeafEntry = Tuple[Any, Any]
 #: Internal record: (min_key, child_pid, aggregate).
 InternalEntry = Tuple[Any, int, Any]
+
+#: Operation kinds of :meth:`BPlusTree.apply_sorted`.  ``DELETE`` sorts
+#: before ``INSERT`` so a key may be replaced within one batch.
+DELETE = 0
+INSERT = 1
+#: Batch operation: (key, DELETE | INSERT, value); deletes ignore value.
+BatchOp = Tuple[Any, int, Any]
+
+#: Sort key of a batch: by record key, deletes first.
+batch_order = itemgetter(0, 1)
+
+# Leaf records and routing entries both lead with their key, so one
+# accessor lets ``bisect`` search ``page.items`` without copying it.
+_entry_key = itemgetter(0)
 
 
 class BPlusTree:
@@ -154,6 +174,27 @@ class BPlusTree:
             return self._leaf_aggregate(page.items)
         return self._merge_aggregates([agg for (_, _, agg) in page.items])
 
+    # A scalar insert or delete changes one record, so an augmented tree
+    # can usually derive the leaf's new summary from the one its parent
+    # already stores instead of rescanning the page.  ``None`` means
+    # "cannot tell": the caller recomputes with :meth:`_leaf_aggregate`.
+
+    def _aggregate_after_insert(self, aggregate: Any, record: LeafEntry) -> Any:
+        """A leaf's summary once ``record`` has joined it."""
+        return None
+
+    def _aggregate_after_delete(self, aggregate: Any, record: LeafEntry) -> Any:
+        """A leaf's summary once ``record`` has left it."""
+        return None
+
+    @staticmethod
+    def _stored_leaf_aggregate(path: List[Tuple[Page, int]]) -> Any:
+        """The summary the parent holds for the path's leaf."""
+        if len(path) < 2:
+            return None  # a root leaf has no routing entry
+        parent, slot = path[-2]
+        return parent.items[slot][2]
+
     # -- properties ----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -171,14 +212,15 @@ class BPlusTree:
     # -- descent helpers -------------------------------------------------------
 
     @staticmethod
-    def _leaf_keys(page: Page) -> List[Any]:
-        return [key for (key, _) in page.items]
+    def _find(leaf: Page, key: Any) -> Tuple[int, bool]:
+        """Slot of ``key`` in ``leaf`` (or where it belongs), and presence."""
+        idx = bisect.bisect_left(leaf.items, key, key=_entry_key)
+        return idx, idx < len(leaf.items) and leaf.items[idx][0] == key
 
     @staticmethod
     def _route(page: Page, key: Any) -> int:
         """Child slot whose subtree should contain ``key`` (min-key routing)."""
-        keys = [entry[0] for entry in page.items]
-        idx = bisect.bisect_right(keys, key) - 1
+        idx = bisect.bisect_right(page.items, key, key=_entry_key) - 1
         return max(idx, 0)
 
     def _descend(self, key: Any) -> List[Tuple[Page, int]]:
@@ -202,29 +244,42 @@ class BPlusTree:
         """Insert a record; ``key`` must not already be present."""
         path = self._descend(key)
         leaf, _ = path[-1]
-        keys = self._leaf_keys(leaf)
-        idx = bisect.bisect_left(keys, key)
-        if idx < len(keys) and keys[idx] == key:
+        idx, found = self._find(leaf, key)
+        if found:
             raise ValueError(f"duplicate key {key!r}")
-        leaf.items.insert(idx, (key, value))
+        record = (key, value)
+        leaf.items.insert(idx, record)
         self._size += 1
-        self._propagate_after_growth(path)
+        self._propagate_after_growth(
+            path,
+            self._aggregate_after_insert(
+                self._stored_leaf_aggregate(path), record
+            ),
+        )
 
-    def _propagate_after_growth(self, path: List[Tuple[Page, int]]) -> None:
-        """Split overflowing nodes bottom-up and refresh routing entries."""
+    def _propagate_after_growth(
+        self, path: List[Tuple[Page, int]], leaf_aggregate: Any = None
+    ) -> None:
+        """Split overflowing nodes bottom-up and refresh routing entries.
+
+        ``leaf_aggregate``, when given, is the leaf's up-to-date summary
+        (saves rescanning the page); a split voids it.
+        """
         carry: Optional[InternalEntry] = None  # new sibling to add above
         for level in range(len(path) - 1, -1, -1):
             page, _ = path[level]
             if carry is not None:
-                slot = self._route_for_entry(page, carry[0])
+                slot = self._route(page, carry[0])
                 page.items.insert(slot + 1, carry)
                 carry = None
             if len(page.items) > self._capacity_of(page):
                 carry = self._split(page)
+                leaf_aggregate = None
             self.disk.write(page)
             if level > 0:
                 parent, slot = path[level - 1]
-                self._refresh_parent_entry(parent, slot, page)
+                self._refresh_parent_entry(parent, slot, page, leaf_aggregate)
+            leaf_aggregate = None  # describes the leaf level only
         if carry is not None:
             self._grow_root(carry)
 
@@ -234,11 +289,6 @@ class BPlusTree:
             if page.meta["kind"] == LEAF
             else self.internal_capacity
         )
-
-    @staticmethod
-    def _route_for_entry(page: Page, key: Any) -> int:
-        keys = [entry[0] for entry in page.items]
-        return max(bisect.bisect_right(keys, key) - 1, 0)
 
     def _split(self, page: Page) -> InternalEntry:
         """Move the upper half of ``page`` into a new sibling.
@@ -257,10 +307,14 @@ class BPlusTree:
         min_key = sibling.items[0][0]
         return (min_key, sibling.pid, self._node_aggregate(sibling))
 
-    def _refresh_parent_entry(self, parent: Page, slot: int, child: Page) -> None:
+    def _refresh_parent_entry(
+        self, parent: Page, slot: int, child: Page, aggregate: Any = None
+    ) -> None:
         """Keep the parent's (min_key, pid, aggregate) entry accurate."""
         min_key = child.items[0][0]
-        entry = (min_key, child.pid, self._node_aggregate(child))
+        if aggregate is None:
+            aggregate = self._node_aggregate(child)
+        entry = (min_key, child.pid, aggregate)
         if parent.items[slot] != entry:
             parent.items[slot] = entry
 
@@ -286,19 +340,29 @@ class BPlusTree:
         """Remove the record with ``key``; returns its value."""
         path = self._descend(key)
         leaf, _ = path[-1]
-        keys = self._leaf_keys(leaf)
-        idx = bisect.bisect_left(keys, key)
-        if idx >= len(keys) or keys[idx] != key:
+        idx, found = self._find(leaf, key)
+        if not found:
             raise ObjectNotFoundError(f"key {key!r} not found")
-        _, value = leaf.items.pop(idx)
+        record = leaf.items.pop(idx)
         self._size -= 1
-        self._rebalance_after_shrink(path)
-        return value
+        self._rebalance_after_shrink(
+            path,
+            self._aggregate_after_delete(
+                self._stored_leaf_aggregate(path), record
+            ),
+        )
+        return record[1]
 
     def _min_fill(self, page: Page) -> int:
         return self._capacity_of(page) // 2
 
-    def _rebalance_after_shrink(self, path: List[Tuple[Page, int]]) -> None:
+    def _rebalance_after_shrink(
+        self, path: List[Tuple[Page, int]], leaf_aggregate: Any = None
+    ) -> None:
+        """Borrow or merge underfull nodes bottom-up; refresh routing.
+
+        ``leaf_aggregate`` is as in :meth:`_propagate_after_growth`.
+        """
         for level in range(len(path) - 1, -1, -1):
             page, _ = path[level]
             if level == 0:
@@ -310,7 +374,8 @@ class BPlusTree:
                 self._fix_underflow(parent, slot)
             else:
                 self.disk.write(page)
-                self._refresh_parent_entry(parent, slot, page)
+                self._refresh_parent_entry(parent, slot, page, leaf_aggregate)
+            leaf_aggregate = None  # describes the leaf level only
 
     def _shrink_root(self, root: Page) -> None:
         """Collapse a one-child internal root."""
@@ -365,14 +430,107 @@ class BPlusTree:
         absorber_slot = victim_slot - 1 if absorber is left else victim_slot - 1
         self._refresh_parent_entry(parent, absorber_slot, absorber)
 
+    # -- batch maintenance ------------------------------------------------------
+
+    def apply_sorted(self, ops: Sequence[BatchOp]) -> None:
+        """Apply a key-sorted batch of deletes and inserts, leaf at a time.
+
+        ``ops`` are ``(key, DELETE | INSERT, value)`` in
+        :data:`batch_order`.  Every maximal run of operations routing to
+        one leaf shares one descent and one write-back of the path, so
+        the batch costs ``O(touched leaves * log_B n)`` page accesses,
+        not ``O(len(ops) * log_B n)``.
+
+        The tree that results is exactly the one the scalar
+        :meth:`insert` / :meth:`delete` calls would build from the same
+        sequence: an operation that overflows the leaf or takes it below
+        half occupancy ends its run, and the run's write-back is the
+        scalar propagation itself, so splits, borrows, merges and root
+        changes have a single implementation.  A duplicate insert or an
+        absent-key delete raises as the scalar call would, after the
+        operations before it have been applied and written back.
+        """
+        done = 0
+        while done < len(ops):
+            path = self._descend(ops[done][0])
+            done = self._apply_leaf_run(path, ops, done)
+
+    def _apply_leaf_run(
+        self, path: List[Tuple[Page, int]], ops: Sequence[BatchOp], start: int
+    ) -> int:
+        """Apply ``ops[start:]`` while they route to the path's leaf.
+
+        ``path`` is the descent for ``ops[start]``.  Returns the index of
+        the first operation left for the next run.
+        """
+        leaf, _ = path[-1]
+        upper = self._next_separator(path)
+        min_fill = self._min_fill(leaf) if len(path) > 1 else 0
+        # The leaf's summary, carried through the run record by record;
+        # None once an operation cannot tell (or nothing is augmented),
+        # which makes the write-back recompute it from the page — once.
+        aggregate = self._stored_leaf_aggregate(path)
+        error: Optional[Exception] = None
+        underflow = False
+        i = start
+        while i < len(ops):
+            key, kind, value = ops[i]
+            if i > start and (
+                (upper is not None and not key < upper)
+                # The run deleted the leaf's minimum: once the separator
+                # is refreshed a smaller key routes to the leaf before.
+                or (leaf.items and key < leaf.items[0][0])
+            ):
+                break
+            idx, found = self._find(leaf, key)
+            if kind == INSERT:
+                if found:
+                    error = ValueError(f"duplicate key {key!r}")
+                    break
+                leaf.items.insert(idx, (key, value))
+                self._size += 1
+                i += 1
+                if aggregate is not None:
+                    aggregate = self._aggregate_after_insert(
+                        aggregate, leaf.items[idx]
+                    )
+                if len(leaf.items) > self.leaf_capacity:
+                    break  # the write-back splits
+            else:
+                if not found:
+                    error = ObjectNotFoundError(f"key {key!r} not found")
+                    break
+                record = leaf.items.pop(idx)
+                self._size -= 1
+                i += 1
+                if aggregate is not None:
+                    aggregate = self._aggregate_after_delete(aggregate, record)
+                if len(leaf.items) < min_fill:
+                    underflow = True
+                    break
+        if underflow:
+            self._rebalance_after_shrink(path, aggregate)
+        elif i > start:
+            self._propagate_after_growth(path, aggregate)
+        if error is not None:
+            raise error
+        return i
+
+    @staticmethod
+    def _next_separator(path: List[Tuple[Page, int]]) -> Any:
+        """Smallest key routing past the path's leaf (``None``: no bound)."""
+        for page, slot in reversed(path[:-1]):
+            if slot + 1 < len(page.items):
+                return page.items[slot + 1][0]
+        return None
+
     # -- lookups ----------------------------------------------------------------
 
     def get(self, key: Any) -> Any:
         """Value stored under ``key``; raises if absent."""
         leaf, _ = self._descend(key)[-1]
-        keys = self._leaf_keys(leaf)
-        idx = bisect.bisect_left(keys, key)
-        if idx >= len(keys) or keys[idx] != key:
+        idx, found = self._find(leaf, key)
+        if not found:
             raise ObjectNotFoundError(f"key {key!r} not found")
         return leaf.items[idx][1]
 
@@ -464,9 +622,9 @@ def _balanced_chunks(
 ) -> List[List[Any]]:
     """Split ``items`` into runs of ~``chunk``, all at least ``min_fill``.
 
-    A short tail is fixed by spreading the last few chunks evenly —
-    always possible because the chunk size is forced above ``min_fill``
-    whenever more than one chunk exists.
+    A short tail is fixed by spreading the last few chunks evenly; when
+    even all of them together cannot fill that many pages (7 records at
+    ``chunk`` 6 and ``min_fill`` 4), they are spread over fewer.
     """
     if len(items) <= chunk:
         return [list(items)]
@@ -487,6 +645,9 @@ def _balanced_chunks(
         k = min(k, len(chunks))
         spare_items = [item for c in chunks[-k:] for item in c]
         del chunks[-k:]
+        # Parts of at least min_fill are also under 2 * min_fill, so
+        # they fit a page.
+        k = min(k, max(1, len(spare_items) // min_fill))
         base = len(spare_items) // k
         extra = len(spare_items) % k
         start = 0

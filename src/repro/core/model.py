@@ -180,6 +180,22 @@ class MotionModel:
             raise InvalidMotionError(
                 f"speed {motion.v} outside [{self.v_min}, {self.v_max}] band"
             )
+        self._check_on_terrain(motion)
+
+    def check_admissible(self, motion: LinearMotion1D) -> None:
+        """Reject a write no store can hold: over-speed or off-terrain.
+
+        The admission test of the write paths, run before anything is
+        mutated.  Unlike :meth:`validate` it lets slow motions
+        (``|v| < v_min``) through — the hybrid's slow store takes them.
+        """
+        if abs(motion.v) > self.v_max:
+            raise InvalidMotionError(
+                f"speed {motion.v} above v_max {self.v_max}"
+            )
+        self._check_on_terrain(motion)
+
+    def _check_on_terrain(self, motion: LinearMotion1D) -> None:
         if not self.terrain.contains(motion.y0):
             raise InvalidMotionError(
                 f"start location {motion.y0} outside terrain "

@@ -191,16 +191,25 @@ class MotionDatabase:
                 "supersede its motion"
             )
         motion = LinearMotion1D(y0, v, t0)
+        self.model.check_admissible(motion)
         self._index.insert(MobileObject1D(oid, motion))
         self._motions[oid] = motion
         self._now = max(self._now, t0)
         self._notify_update("insert", oid, motion)
 
     def report(self, oid: int, y0: float, v: float, t0: float) -> None:
-        """Process a motion update from object ``oid`` (delete+insert)."""
+        """Process a motion update from object ``oid`` (delete+insert).
+
+        An over-speed or off-terrain report raises
+        :class:`InvalidMotionError` before the index is touched: the
+        update is a delete followed by an insert, and an insert
+        rejected after the delete would leave the object registered
+        but unindexed.
+        """
         if oid not in self._motions:
             raise ObjectNotFoundError(f"object {oid} is not registered")
         motion = LinearMotion1D(y0, v, t0)
+        self.model.check_admissible(motion)
         self._index.update(MobileObject1D(oid, motion))
         self._motions[oid] = motion
         self._now = max(self._now, t0)
@@ -292,22 +301,16 @@ class MotionDatabase:
                             f"object {op.oid} is already registered; use "
                             "report() to supersede its motion"
                         )
-                    if abs(op.v) > self.model.v_max:
-                        raise InvalidMotionError(
-                            f"speed {op.v} above v_max {self.model.v_max}"
-                        )
                     motion = LinearMotion1D(op.y0, op.v, op.t0)
+                    self.model.check_admissible(motion)
                 elif isinstance(op, ReportOp):
                     kind = "update"
                     if op.oid not in self._motions:
                         raise ObjectNotFoundError(
                             f"object {op.oid} is not registered"
                         )
-                    if abs(op.v) > self.model.v_max:
-                        raise InvalidMotionError(
-                            f"speed {op.v} above v_max {self.model.v_max}"
-                        )
                     motion = LinearMotion1D(op.y0, op.v, op.t0)
+                    self.model.check_admissible(motion)
                 elif isinstance(op, DeregisterOp):
                     kind = "delete"
                     if op.oid not in self._motions:
@@ -427,6 +430,7 @@ class MotionDatabase:
                 "supersede its motion"
             )
         motion = LinearMotion1D(y0, v, t0)
+        self.model.check_admissible(motion)
         self._index.restore_insert(  # type: ignore[attr-defined]
             MobileObject1D(oid, motion)
         )

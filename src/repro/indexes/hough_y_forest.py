@@ -27,14 +27,19 @@ Query processing follows the paper's two cases:
     handled as in (i).
 
 Costs match Lemma 1: query ``O(log_B n + (K + K')/B)``, space
-``O(c n)``, update ``O(c log_B n)``.
+``O(c n)``, update ``O(c log_B n)`` per object through the scalar verbs.
+A batch of ``m`` writes is cheaper: grouped into one key-sorted run per
+tree it costs ``O(c * (touched leaves + m/B))`` page accesses
+(:meth:`~repro.bptree.tree.BPlusTree.apply_sorted`), and past
+:data:`HoughYForestIndex.REBUILD_FRACTION` of the population one STR
+sort + pack of everything.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.bptree.tree import BPlusTree
+from repro.bptree.tree import DELETE, INSERT, BatchOp, BPlusTree, batch_order
 from repro.io_sim.extsort import external_sort
 from repro.core.duality import (
     best_observation_horizon,
@@ -68,12 +73,13 @@ class HoughYForestIndex(MobileIndex1D):
 
     name = "hough-y-forest"
 
-    #: ``update_batch`` switches from per-object tree maintenance to a
+    #: ``update_batch`` switches from grouped tree maintenance to a
     #: full STR-style rebuild (sort + pack via :meth:`bulk_build`) once
     #: a batch touches at least this fraction of the population: the
-    #: incremental path costs ``O(m · c log_B n)`` root-to-leaf passes
-    #: while the rebuild costs one ``O(c · n log n)`` sort + linear
-    #: pack, so large update storms amortize strictly better.
+    #: grouped path visits every touched leaf of every tree (all of
+    #: them, for a batch this large) while the rebuild costs one
+    #: ``O(c · n log n)`` sort + linear pack and restores the fill
+    #: factor, so large update storms amortize strictly better.
     REBUILD_FRACTION = 0.3
     #: Never rebuild below this batch size — fixed rebuild overhead
     #: dominates tiny populations.
@@ -242,27 +248,35 @@ class HoughYForestIndex(MobileIndex1D):
             return (1, motion)
         return (-1, reflect_motion(motion, self.model.terrain.y_max))
 
+    def _placement(
+        self, motion: LinearMotion1D
+    ) -> Tuple[int, float, List[float], List[Tuple[int, float, float]]]:
+        """Where a motion is stored: its velocity sign, the speed kept
+        as the record value, the ``b`` key in each observation tree and
+        the ``(subterrain, left, right)`` residence intervals."""
+        sign, oriented = self._oriented(motion)
+        b_keys = [hough_y(oriented, y_r)[1] for y_r in self.horizons]
+        residences: List[Tuple[int, float, float]] = []
+        y_max = self.model.terrain.y_max
+        for i in range(self.c):
+            lo, hi = subterrain_bounds(y_max, self.c, i)
+            interval = residence_interval(motion, lo, hi, t_from=motion.t0)
+            if interval is not None:
+                residences.append((i, *interval))
+        return sign, oriented.v, b_keys, residences
+
     def insert(self, obj: MobileObject1D) -> None:
         if obj.oid in self._catalog:
             raise DuplicateObjectError(f"object {obj.oid} already indexed")
         self.model.validate(obj.motion)
-        sign, oriented = self._oriented(obj.motion)
-        b_keys: List[float] = []
-        for i, y_r in enumerate(self.horizons):
-            _, b = hough_y(oriented, y_r)
-            self._trees[(sign, i)].insert((b, obj.oid), oriented.v)
-            b_keys.append(b)
-        subterrains: List[int] = []
-        y_max = self.model.terrain.y_max
-        for i in range(self.c):
-            lo, hi = subterrain_bounds(y_max, self.c, i)
-            interval = residence_interval(
-                obj.motion, lo, hi, t_from=obj.motion.t0
-            )
-            if interval is not None:
-                self._intervals[i].insert(obj.oid, interval[0], interval[1])
-                subterrains.append(i)
-        self._catalog[obj.oid] = (obj.motion, sign, b_keys, subterrains)
+        sign, speed, b_keys, residences = self._placement(obj.motion)
+        for i, b in enumerate(b_keys):
+            self._trees[(sign, i)].insert((b, obj.oid), speed)
+        for i, left, right in residences:
+            self._intervals[i].insert(obj.oid, left, right)
+        self._catalog[obj.oid] = (
+            obj.motion, sign, b_keys, [i for i, _, _ in residences]
+        )
 
     def delete(self, oid: int) -> None:
         entry = self._catalog.pop(oid, None)
@@ -302,37 +316,102 @@ class HoughYForestIndex(MobileIndex1D):
             )
         )
 
+    def _apply_grouped(
+        self, leaving: Sequence[int], arriving: Sequence[MobileObject1D]
+    ) -> None:
+        """Drop ``leaving`` and index ``arriving`` leaf-at-a-time.
+
+        An oid on both sides is an update.  The whole group is checked
+        first (catalog membership, model band and terrain), so a
+        rejected group leaves the forest untouched.  Then every
+        observation tree and every subterrain interval index receives
+        its share of the group as **one** key-sorted run
+        (:meth:`~repro.bptree.tree.BPlusTree.apply_sorted`): a leaf the
+        batch touches many times is read and written once.
+        """
+        gone = set(leaving)
+        if len(gone) != len(leaving):
+            raise DuplicateObjectError("an object is deleted twice in the batch")
+        for oid in leaving:
+            if oid not in self._catalog:
+                raise ObjectNotFoundError(f"object {oid} is not indexed")
+        seen: Set[int] = set()
+        for obj in arriving:
+            if obj.oid in seen or (
+                obj.oid in self._catalog and obj.oid not in gone
+            ):
+                raise DuplicateObjectError(
+                    f"object {obj.oid} already indexed"
+                )
+            seen.add(obj.oid)
+            self.model.validate(obj.motion)
+
+        tree_ops: Dict[Tuple[int, int], List[BatchOp]] = {
+            key: [] for key in self._trees
+        }
+        interval_deletes: List[List[int]] = [[] for _ in range(self.c)]
+        interval_inserts: List[List[Tuple[int, float, float]]] = [
+            [] for _ in range(self.c)
+        ]
+        for oid in leaving:
+            _, sign, b_keys, subterrains = self._catalog.pop(oid)
+            for i, b in enumerate(b_keys):
+                tree_ops[(sign, i)].append(((b, oid), DELETE, None))
+            for i in subterrains:
+                interval_deletes[i].append(oid)
+        for obj in arriving:
+            sign, speed, b_keys, residences = self._placement(obj.motion)
+            for i, b in enumerate(b_keys):
+                tree_ops[(sign, i)].append(((b, obj.oid), INSERT, speed))
+            for i, left, right in residences:
+                interval_inserts[i].append((obj.oid, left, right))
+            self._catalog[obj.oid] = (
+                obj.motion, sign, b_keys, [i for i, _, _ in residences]
+            )
+        for key, ops in tree_ops.items():
+            ops.sort(key=batch_order)
+            self._trees[key].apply_sorted(ops)
+        for i in range(self.c):
+            self._intervals[i].apply_batch(
+                interval_deletes[i], interval_inserts[i]
+            )
+
     def insert_batch(self, objs: Sequence[MobileObject1D]) -> None:
-        """Bulk-load an empty forest; incremental inserts otherwise."""
+        """Bulk-load an empty forest; one grouped run per tree otherwise."""
         if self._catalog or len(objs) < 2:
-            for obj in objs:
-                self.insert(obj)
+            self._apply_grouped([], objs)
             return
         self._rebuild(list(objs))
+
+    def delete_batch(self, oids: Sequence[int]) -> None:
+        """Remove many objects with one grouped run per tree."""
+        self._apply_grouped(oids, [])
 
     def update_batch(self, objs: Sequence[MobileObject1D]) -> None:
         """Apply an update storm, rebuilding in bulk when it is large.
 
-        Below the :data:`REBUILD_FRACTION` threshold each object takes
-        the scalar delete+insert path (``O(c log_B n)`` apiece, Lemma
-        1).  At or above it, the post-batch population is rebuilt via
-        :meth:`bulk_build` — externally sorted ``(b, oid)`` runs packed
-        bottom-up at :data:`REBUILD_FILL` — which answers every query
-        identically but costs one sort + pack instead of ``m`` tree
-        round-trips.  Callers guarantee oid-uniqueness in ``objs``.
+        Below the :data:`REBUILD_FRACTION` threshold the batch becomes
+        one key-sorted delete+insert run per tree
+        (:meth:`_apply_grouped`): ``O(c · (touched leaves + m/B))``
+        page accesses against the scalar loop's ``O(m · c log_B n)``
+        (Lemma 1), same answers.  At or above it, the post-batch
+        population is rebuilt via :meth:`bulk_build` — externally
+        sorted ``(b, oid)`` runs packed bottom-up at
+        :data:`REBUILD_FILL` — which answers every query identically
+        but costs one sort + pack.  Callers guarantee oid-uniqueness in
+        ``objs``.
         """
+        if (
+            len(objs) < self.REBUILD_MIN_BATCH
+            or len(objs) < self.REBUILD_FRACTION * len(self._catalog)
+        ):
+            self._apply_grouped([obj.oid for obj in objs], objs)
+            return
         for obj in objs:
             if obj.oid not in self._catalog:
                 raise ObjectNotFoundError(
                     f"object {obj.oid} is not indexed"
                 )
-        if (
-            len(objs) < self.REBUILD_MIN_BATCH
-            or len(objs) < self.REBUILD_FRACTION * len(self._catalog)
-        ):
-            for obj in objs:
-                self.update(obj)
-            return
         motions = {oid: entry[0] for oid, entry in self._catalog.items()}
         for obj in objs:
             motions[obj.oid] = obj.motion

@@ -157,10 +157,7 @@ class HybridIndex(MobileIndex1D):
     def insert(self, obj: MobileObject1D) -> None:
         if obj.oid in self._band:
             raise DuplicateObjectError(f"object {obj.oid} already indexed")
-        if abs(obj.motion.v) > self.model.v_max:
-            raise InvalidMotionError(
-                f"speed {obj.motion.v} above v_max {self.model.v_max}"
-            )
+        self.model.check_admissible(obj.motion)
         if self.model.is_moving(obj.motion):
             self._fast.insert(obj)
             self._band[obj.oid] = "fast"
@@ -191,10 +188,7 @@ class HybridIndex(MobileIndex1D):
                 raise DuplicateObjectError(
                     f"object {obj.oid} already indexed"
                 )
-            if abs(obj.motion.v) > self.model.v_max:
-                raise InvalidMotionError(
-                    f"speed {obj.motion.v} above v_max {self.model.v_max}"
-                )
+            self.model.check_admissible(obj.motion)
             (fast if self.model.is_moving(obj.motion) else slow).append(obj)
         if fast:
             self._fast.insert_batch(fast)

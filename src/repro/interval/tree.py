@@ -16,9 +16,16 @@ arise here (residence intervals of uniformly moving objects).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.bptree.tree import INTERNAL, BPlusTree
+from repro.bptree.tree import (
+    DELETE,
+    INSERT,
+    INTERNAL,
+    BatchOp,
+    BPlusTree,
+    batch_order,
+)
 from repro.errors import (
     DuplicateObjectError,
     InvalidQueryError,
@@ -43,6 +50,17 @@ class _MaxRightBPlusTree(BPlusTree):
         if not aggregates:
             return -math.inf
         return max(aggregates)
+
+    def _aggregate_after_insert(self, aggregate: Any, record: Any) -> Any:
+        if aggregate is None:
+            return None
+        return max(aggregate, record[1][0])
+
+    def _aggregate_after_delete(self, aggregate: Any, record: Any) -> Any:
+        # Only losing a maximal right endpoint can lower the max.
+        if aggregate is None or record[1][0] >= aggregate:
+            return None
+        return aggregate
 
 
 class IntervalTree:
@@ -117,6 +135,37 @@ class IntervalTree:
         """Remove a previously inserted interval; returns its payload."""
         _, payload = self._tree.delete(handle)
         return payload
+
+    def apply_batch(
+        self,
+        handles: Sequence[Tuple[Any, int]],
+        intervals: Sequence[Tuple[float, float, Any]],
+    ) -> List[Tuple[Any, int]]:
+        """Delete ``handles`` and store ``intervals`` in one sorted pass.
+
+        Returns the new intervals' deletion handles in input order
+        (sequence numbers are minted in that order, so the result does
+        not depend on how the batch sorts).  The augmented tree takes
+        the whole batch through
+        :meth:`~repro.bptree.tree.BPlusTree.apply_sorted`: the max-right
+        aggregate rides along each leaf run and is rescanned from the
+        page at most once per touched leaf, not once per interval per
+        level.  Empty intervals are rejected before anything is
+        applied.
+        """
+        for left, right, _ in intervals:
+            if left > right:
+                raise InvalidQueryError(f"empty interval [{left}, {right}]")
+        ops: List[BatchOp] = [(handle, DELETE, None) for handle in handles]
+        minted: List[Tuple[Any, int]] = []
+        for left, right, payload in intervals:
+            handle = (left, self._seq)
+            self._seq += 1
+            minted.append(handle)
+            ops.append((handle, INSERT, (right, payload)))
+        ops.sort(key=batch_order)
+        self._tree.apply_sorted(ops)
+        return minted
 
     def overlapping(self, ql: float, qh: float) -> List[Any]:
         """Payloads of all intervals intersecting ``[ql, qh]``.
@@ -233,6 +282,43 @@ class IntervalIndex:
         if handle is None:
             raise ObjectNotFoundError(f"object {oid} has no stored interval")
         self._tree.delete(handle)
+
+    def apply_batch(
+        self,
+        delete_oids: Sequence[int],
+        inserts: Sequence[Tuple[int, float, float]],
+    ) -> None:
+        """Drop the intervals of ``delete_oids`` and store ``inserts``
+        (``(oid, left, right)`` records) in one pass over the tree.
+
+        An object may appear on both sides (its interval is replaced);
+        within each side oids must be distinct.  The whole batch is
+        checked against the handle table first, so a rejected batch
+        leaves the index untouched.
+        """
+        leaving = set(delete_oids)
+        if len(leaving) != len(delete_oids):
+            raise DuplicateObjectError("an object is deleted twice in the batch")
+        for oid in delete_oids:
+            if oid not in self._handles:
+                raise ObjectNotFoundError(
+                    f"object {oid} has no stored interval"
+                )
+        arriving = set()
+        for oid, _, _ in inserts:
+            if oid in arriving or (
+                oid in self._handles and oid not in leaving
+            ):
+                raise DuplicateObjectError(
+                    f"object {oid} already has an interval; delete it first"
+                )
+            arriving.add(oid)
+        handles = self._tree.apply_batch(
+            [self._handles.pop(oid) for oid in delete_oids],
+            [(left, right, oid) for oid, left, right in inserts],
+        )
+        for (oid, _, _), handle in zip(inserts, handles):
+            self._handles[oid] = handle
 
     def overlapping(self, ql: float, qh: float) -> List[int]:
         return self._tree.overlapping(ql, qh)

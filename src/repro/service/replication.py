@@ -632,8 +632,6 @@ class FaultTolerantMotionService(ShardedMotionService):
         exactly.  WAL records accumulate in ``pending`` for the
         caller's grouped append.
         """
-        v_max = self._db_params["v_max"]
-
         def record(shard: int, kind: str, fields: Dict) -> None:
             pending.setdefault(shard, []).append((kind, fields))
 
@@ -645,10 +643,7 @@ class FaultTolerantMotionService(ShardedMotionService):
                 raise InvalidMotionError(
                     f"object {op.oid} is already registered; use report()"
                 )
-            if abs(op.v) > v_max:
-                raise InvalidMotionError(
-                    f"speed {op.v} above v_max {v_max}"
-                )
+            self._model.check_admissible(motion)
             primary = self.router.route(op.oid, motion)
             for shard in sorted(self.replica_group(primary)):
                 self._shards[shard].register(op.oid, op.y0, op.v, op.t0)
@@ -670,10 +665,7 @@ class FaultTolerantMotionService(ShardedMotionService):
                 raise ObjectNotFoundError(
                     f"object {op.oid} is not registered"
                 )
-            if abs(op.v) > v_max:
-                raise InvalidMotionError(
-                    f"speed {op.v} above v_max {v_max}"
-                )
+            self._model.check_admissible(motion)
             if migration is not None:
                 # Fenced double-write; the epoch cannot go stale under
                 # us because commit/abort needs shard locks we hold.

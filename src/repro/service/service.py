@@ -40,7 +40,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.model import LinearMotion1D, MotionModel
+from repro.core.model import LinearMotion1D, MotionModel, Terrain1D
 from repro.engine import MotionDatabase
 from repro.errors import (
     InvalidMotionError,
@@ -187,6 +187,10 @@ class ShardedMotionService:
                     "columns); construct with workers=0 instead"
                 )
             columns_factory = SharedMotionColumns
+        #: The shards' shared motion model: the admission test of the
+        #: write paths (over-speed, off-terrain) runs against it before
+        #: the catalog or any shard is touched.
+        self._model = MotionModel(Terrain1D(y_max), v_min, v_max)
         self._db_params = {
             "y_max": y_max,
             "v_min": v_min,
@@ -426,6 +430,10 @@ class ShardedMotionService:
                     raise ObjectNotFoundError(
                         f"object {oid} is not registered"
                     )
+                # Before any shard is touched: a cross-shard move that
+                # deregistered first and was refused second would lose
+                # the object.
+                self._model.check_admissible(motion)
                 if migration is not None:
                     # Double-write window: the ownership table, not the
                     # router, decides placement — recomputing the route
@@ -656,7 +664,6 @@ class ShardedMotionService:
         events: List[Tuple[str, int, Optional[LinearMotion1D]]] = []
         per_shard: Dict[int, List[WriteOp]] = {}
         origins: Dict[int, List[int]] = {}
-        v_max = self._db_params["v_max"]
         # Residency overlay for sub-ops routed but not yet applied, so
         # a register → deregister pair inside one batch resolves against
         # the state the earlier op *will* have produced.
@@ -676,6 +683,14 @@ class ShardedMotionService:
             elif isinstance(sub_op, DeregisterOp):
                 pending[(shard, sub_op.oid)] = False
 
+        def admitted(index: int, motion: LinearMotion1D) -> bool:
+            try:
+                self._model.check_admissible(motion)
+            except InvalidMotionError as exc:
+                outcomes[index] = exc
+                return False
+            return True
+
         with self._catalog_lock:
             for i, op in enumerate(ops):
                 if isinstance(op, RegisterOp):
@@ -685,12 +700,9 @@ class ShardedMotionService:
                             "use report()"
                         )
                         continue
-                    if abs(op.v) > v_max:
-                        outcomes[i] = InvalidMotionError(
-                            f"speed {op.v} above v_max {v_max}"
-                        )
-                        continue
                     motion = LinearMotion1D(op.y0, op.v, op.t0)
+                    if not admitted(i, motion):
+                        continue
                     target = self.router.route(op.oid, motion)
                     self._owner[op.oid] = target
                     push(target, op, i)
@@ -702,12 +714,9 @@ class ShardedMotionService:
                             f"object {op.oid} is not registered"
                         )
                         continue
-                    if abs(op.v) > v_max:
-                        outcomes[i] = InvalidMotionError(
-                            f"speed {op.v} above v_max {v_max}"
-                        )
-                        continue
                     motion = LinearMotion1D(op.y0, op.v, op.t0)
+                    if not admitted(i, motion):
+                        continue
                     migration = self._ownership.migration_of(op.oid)
                     if migration is not None:
                         # Double-write window: every lock is held, so

@@ -55,3 +55,31 @@ def random_queries(
         t2 = max(t1, t2)
         queries.append(MORQuery1D(y1, y2, t1, t2))
     return queries
+
+
+def tree_structure(tree) -> list:
+    """Preorder dump of a B+-tree's pages: ``(pid, kind, next, items)``.
+
+    Two trees with equal dumps are page-for-page the same structure —
+    the oracle for "the batch path builds what the scalar calls build".
+    """
+    pages = []
+
+    def walk(pid: int) -> None:
+        page = tree.disk.peek(pid)
+        kind = page.meta["kind"]
+        pages.append((pid, kind, page.meta.get("next"), list(page.items)))
+        if kind == "internal":
+            for _, child_pid, _ in page.items:
+                walk(child_pid)
+
+    walk(tree.root_pid)
+    return pages
+
+
+def leaf_pid_of(tree, key) -> int:
+    """Pid of the leaf ``key`` routes to, found without I/O accounting."""
+    page = tree.disk.peek(tree.root_pid)
+    while page.meta["kind"] == "internal":
+        page = tree.disk.peek(page.items[tree._route(page, key)][1])
+    return page.pid

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bptree import BPlusTree
+from repro.bptree.tree import DELETE, INSERT, batch_order
 from repro.errors import ObjectNotFoundError
 from repro.io_sim import DiskSimulator
+
+from .helpers import leaf_pid_of, tree_structure
 
 
 def make_tree(leaf_capacity=4, internal_capacity=None, buffer_pages=4):
@@ -229,3 +232,236 @@ def test_property_range_search(keys, bounds):
         tree.insert(k, k)
     lo, hi = min(bounds), max(bounds)
     assert tree.range_search(lo, hi) == sorted(k for k in keys if lo <= k <= hi)
+
+
+class TestScalarAccounting:
+    """The scalar verbs' page counts are part of the paper's figures
+    (Fig. 9): CPU work on them must not move a single access."""
+
+    #: (reads, writes, buffer_hits, pages_in_use) of the replay below,
+    #: recorded before insert/delete/get stopped copying the leaf's keys.
+    RECORDED = {
+        4: (12120, 13974, 5084, 276),
+        8: (5807, 8872, 5773, 107),
+        341: (0, 3182, 4797, 3),
+    }
+
+    @pytest.mark.parametrize("leaf_capacity", sorted(RECORDED))
+    def test_fixed_replay_matches_recorded_iostats(self, leaf_capacity):
+        rng = random.Random(11)
+        tree, disk = make_tree(leaf_capacity=leaf_capacity)
+        live = []
+        for step in range(3000):
+            roll = rng.random()
+            if live and roll < 0.35:
+                tree.delete(live.pop(rng.randrange(len(live))))
+            elif live and roll < 0.5:
+                tree.get(rng.choice(live))
+            else:
+                key = (round(rng.uniform(0, 1000), 6), step)
+                tree.insert(key, step)
+                live.append(key)
+        stats = disk.stats
+        assert (
+            stats.reads, stats.writes, stats.buffer_hits, disk.pages_in_use
+        ) == self.RECORDED[leaf_capacity]
+        tree.check_invariants()
+
+
+def sorted_batch(deletes, inserts):
+    """``apply_sorted`` input from keys to drop and (key, value) to add."""
+    ops = [(key, DELETE, None) for key in deletes]
+    ops += [(key, INSERT, value) for key, value in inserts]
+    ops.sort(key=batch_order)
+    return ops
+
+
+def apply_scalar(tree, ops):
+    for key, kind, value in ops:
+        if kind == INSERT:
+            tree.insert(key, value)
+        else:
+            tree.delete(key)
+
+
+def twin_trees(keys, leaf_capacity):
+    """Two page-identical trees holding ``keys`` (grouped, scalar)."""
+    twins = []
+    for _ in range(2):
+        tree, _ = make_tree(leaf_capacity=leaf_capacity)
+        for key in keys:
+            tree.insert(key, -key)
+        twins.append(tree)
+    return twins
+
+
+def assert_batch_equals_scalar(grouped, scalar, ops):
+    """Apply ``ops`` both ways; same pages, no more I/O than scalar."""
+    before_grouped = grouped.disk.stats.snapshot()
+    before_scalar = scalar.disk.stats.snapshot()
+    grouped.apply_sorted(ops)
+    apply_scalar(scalar, ops)
+    grouped.check_invariants()
+    assert tree_structure(grouped) == tree_structure(scalar)
+    assert len(grouped) == len(scalar)
+    cost_grouped = (grouped.disk.stats.snapshot() - before_grouped).total
+    cost_scalar = (scalar.disk.stats.snapshot() - before_scalar).total
+    assert cost_grouped <= cost_scalar
+
+
+@pytest.mark.writebatch
+class TestApplySorted:
+    def test_empty_batch_touches_nothing(self):
+        tree, disk = make_tree()
+        tree.insert(1, "a")
+        before = disk.stats.snapshot()
+        tree.apply_sorted([])
+        assert (disk.stats.snapshot() - before).total == 0
+
+    def test_same_key_delete_and_insert_in_one_batch(self):
+        grouped, scalar = twin_trees(range(0, 40, 2), leaf_capacity=4)
+        ops = sorted_batch(
+            deletes=[6, 20], inserts=[(6, "six"), (20, "twenty"), (7, "new")]
+        )
+        assert [kind for key, kind, _ in ops if key == 6] == [DELETE, INSERT]
+        assert_batch_equals_scalar(grouped, scalar, ops)
+        assert grouped.get(6) == "six" and grouped.get(20) == "twenty"
+
+    def test_structure_changes_mid_run_use_the_scalar_machinery(self):
+        """One batch that merges down to a single leaf, one that splits
+        back up: borrow, merge, root shrink and root growth all happen
+        inside runs, and the pages still match the scalar sequence."""
+        keys = list(range(200))
+        grouped, scalar = twin_trees(keys, leaf_capacity=4)
+        assert grouped.height >= 3
+        assert_batch_equals_scalar(
+            grouped, scalar, sorted_batch(deletes=keys[3:], inserts=[])
+        )
+        assert grouped.height == 1
+        assert_batch_equals_scalar(
+            grouped,
+            scalar,
+            sorted_batch(
+                deletes=[0], inserts=[(k, k) for k in range(1000, 1300)]
+            ),
+        )
+        assert grouped.height >= 3
+
+    def test_duplicate_insert_raises_with_prefix_written_back(self):
+        grouped, scalar = twin_trees(range(10, 100, 10), leaf_capacity=4)
+        # 5 becomes the new minimum of the first leaf: a prefix left
+        # unwritten would leave the parent's routing key stale.
+        ops = sorted_batch(deletes=[], inserts=[(5, "a"), (20, "dup"), (95, "z")])
+        with pytest.raises(ValueError, match="duplicate key 20"):
+            grouped.apply_sorted(ops)
+        scalar.insert(5, "a")
+        grouped.check_invariants()
+        assert tree_structure(grouped) == tree_structure(scalar)
+        assert not grouped.contains(95)
+
+    def test_absent_delete_raises_with_prefix_written_back(self):
+        grouped, scalar = twin_trees(range(10, 100, 10), leaf_capacity=4)
+        ops = sorted_batch(deletes=[10, 55, 90], inserts=[(11, "a")])
+        with pytest.raises(ObjectNotFoundError, match="55"):
+            grouped.apply_sorted(ops)
+        scalar.delete(10)
+        scalar.insert(11, "a")
+        grouped.check_invariants()
+        assert tree_structure(grouped) == tree_structure(scalar)
+        assert grouped.contains(90)
+
+    def test_one_descent_and_one_write_back_per_touched_leaf(self):
+        records = [(key, key) for key in range(0, 40000, 2)]
+        grouped = BPlusTree.bulk_load(
+            DiskSimulator(), records, leaf_capacity=341, fill=0.8
+        )
+        scalar = BPlusTree.bulk_load(
+            DiskSimulator(), records, leaf_capacity=341, fill=0.8
+        )
+        rng = random.Random(3)
+        # Odd keys are fresh and never a leaf minimum, and at 0.8 fill a
+        # few records per leaf neither split nor underflow it: every
+        # run is one whole leaf's share of the batch.
+        fresh = rng.sample(range(1, 40000, 2), 400)
+        stale = [key - 1 for key in rng.sample(fresh, 200) if (key - 1) % 544]
+        ops = sorted_batch(deletes=stale, inserts=[(k, k) for k in fresh])
+        leaves = {
+            leaf_pid_of(grouped, key) for key, _, _ in ops
+        }
+        before = grouped.disk.stats.snapshot()
+        pages_before = grouped.disk.pages_in_use
+        assert_batch_equals_scalar(grouped, scalar, ops)
+        assert grouped.disk.pages_in_use == pages_before
+        cost = grouped.disk.stats.snapshot() - before
+        assert cost.writes == grouped.height * len(leaves)
+        assert cost.reads <= grouped.height * len(leaves)
+        assert len(leaves) < len(ops) / 4  # the batch really did group
+
+
+def stored_keys(tree):
+    """Every key in leaf order, read without I/O accounting (a counted
+    scan would warm one twin's buffer and skew the cost comparison)."""
+    return [
+        key
+        for _, kind, _, items in tree_structure(tree)
+        if kind == "leaf"
+        for key, _ in items
+    ]
+
+
+@pytest.mark.writebatch
+@settings(max_examples=60, deadline=None)
+@given(
+    leaf_capacity=st.sampled_from([4, 8]),
+    initial=st.sets(st.integers(min_value=0, max_value=120), max_size=90),
+    batches=st.lists(
+        st.lists(
+            st.tuples(
+                st.sampled_from([DELETE, INSERT]),
+                st.integers(min_value=0, max_value=120),
+            ),
+            max_size=70,
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_property_apply_sorted_equals_scalar_sequence(
+    leaf_capacity, initial, batches
+):
+    """Random trees, random mixed batches: same pages as the scalar
+    calls, invariants after every batch (small leaves make most runs
+    end in a split, borrow, merge or root change)."""
+    grouped, scalar = twin_trees(sorted(initial), leaf_capacity)
+    live = set(initial)
+    for batch in batches:
+        deletes, inserts = set(), {}
+        for kind, key in batch:
+            if kind == DELETE and key in live:
+                deletes.add(key)
+            elif kind == INSERT and (key not in live or key in deletes):
+                inserts[key] = key * 3
+        ops = sorted_batch(deletes, inserts.items())
+        assert_batch_equals_scalar(grouped, scalar, ops)
+        live = (live - deletes) | set(inserts)
+        assert stored_keys(grouped) == sorted(live)
+
+
+@pytest.mark.writebatch
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_property_apply_sorted_paper_sized_leaves(seed):
+    """The paper's B = 341: batches big enough to split and merge."""
+    rng = random.Random(seed)
+    universe = range(6000)
+    initial = rng.sample(universe, rng.randint(0, 2500))
+    grouped, scalar = twin_trees(initial, leaf_capacity=341)
+    live = set(initial)
+    for _ in range(rng.randint(1, 4)):
+        deletes = set(rng.sample(sorted(live), rng.randint(0, len(live))))
+        candidates = sorted(set(universe) - (live - deletes))
+        inserts = rng.sample(candidates, rng.randint(0, 1500))
+        ops = sorted_batch(deletes, [(key, key) for key in inserts])
+        assert_batch_equals_scalar(grouped, scalar, ops)
+        live = (live - deletes) | set(inserts)
+        assert stored_keys(grouped) == sorted(live)

@@ -26,10 +26,16 @@ from repro.core import (
     Terrain1D,
     brute_force_1d,
 )
-from repro.errors import DuplicateObjectError
+from repro.errors import (
+    DuplicateObjectError,
+    InvalidMotionError,
+    ObjectNotFoundError,
+)
 from repro.indexes import DualKDTreeIndex, RotatingIndex
 from repro.indexes.hough_y_forest import HoughYForestIndex
 from repro.indexes.hybrid import HybridIndex
+
+from .helpers import leaf_pid_of
 
 pytestmark = pytest.mark.writebatch
 
@@ -190,6 +196,185 @@ class TestForestBulkBuild:
         for obj in population:
             incremental.insert(obj)
         assert pages[0.8] <= incremental.pages_in_use
+
+
+# -- forest grouped maintenance ------------------------------------------------
+
+
+def random_object(rng, oid, y_max=Y_MAX, t0=None):
+    return MobileObject1D(
+        oid,
+        LinearMotion1D(
+            rng.uniform(0, y_max),
+            rng.choice([1.0, -1.0]) * rng.uniform(V_MIN, V_MAX),
+            rng.uniform(0, 5) if t0 is None else t0,
+        ),
+    )
+
+
+def check_forest_invariants(forest):
+    for tree in forest._trees.values():
+        tree.check_invariants()
+    for intervals in forest._intervals:
+        intervals.check_invariants()
+
+
+class TestForestGroupedMaintenance:
+    """Below the rebuild threshold a write batch is one sorted run per
+    tree: the same index as the scalar loop, for fewer page accesses."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        population=populations(min_size=1, max_size=40),
+        leaf_capacity=st.sampled_from([4, 8, None]),
+        bulk=st.booleans(),
+        churn_seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_grouped_batches_equal_scalar_loops(
+        self, population, leaf_capacity, bulk, churn_seed
+    ):
+        if bulk:
+            grouped = HoughYForestIndex.bulk_build(
+                MODEL, population, c=2, leaf_capacity=leaf_capacity
+            )
+        else:
+            grouped = HoughYForestIndex(
+                MODEL, c=2, leaf_capacity=leaf_capacity
+            )
+            for obj in population:
+                grouped.insert(obj)
+        scalar = HoughYForestIndex(MODEL, c=2, leaf_capacity=leaf_capacity)
+        for obj in population:
+            scalar.insert(obj)
+        rng = random.Random(churn_seed)
+        live = {obj.oid: obj for obj in population}
+        next_oid = len(population)
+        for _ in range(4):
+            moved = [
+                random_object(rng, oid)
+                for oid in rng.sample(sorted(live), rng.randint(0, len(live)))
+            ]
+            grouped.update_batch(moved)
+            for obj in moved:
+                scalar.update(obj)
+                live[obj.oid] = obj
+            fresh = [
+                random_object(rng, next_oid + i)
+                for i in range(rng.randint(0, 12))
+            ]
+            next_oid += len(fresh)
+            grouped.insert_batch(fresh)
+            for obj in fresh:
+                scalar.insert(obj)
+                live[obj.oid] = obj
+            gone = rng.sample(sorted(live), rng.randint(0, len(live) // 2))
+            grouped.delete_batch(gone)
+            for oid in gone:
+                scalar.delete(oid)
+                del live[oid]
+            check_forest_invariants(grouped)
+            assert grouped._catalog == scalar._catalog
+            assert_same_answers(grouped, scalar, list(live.values()))
+
+    def test_a_rejected_group_leaves_the_forest_untouched(self):
+        rng = random.Random(2)
+        population = [random_object(rng, oid) for oid in range(30)]
+        forest = HoughYForestIndex.bulk_build(MODEL, population, c=2)
+        catalog = dict(forest._catalog)
+        before = forest.snapshot()
+        good = random_object(rng, 3)
+        off_terrain = MobileObject1D(4, LinearMotion1D(2 * Y_MAX, 1.0, 0.0))
+        too_slow = MobileObject1D(4, LinearMotion1D(5.0, V_MIN / 2, 0.0))
+        with pytest.raises(InvalidMotionError, match="outside terrain"):
+            forest.update_batch([good, off_terrain])
+        with pytest.raises(InvalidMotionError, match="band"):
+            forest.update_batch([good, too_slow])
+        with pytest.raises(ObjectNotFoundError):
+            forest.update_batch([good, random_object(rng, 99)])
+        with pytest.raises(DuplicateObjectError):
+            forest.insert_batch([random_object(rng, 40), random_object(rng, 3)])
+        with pytest.raises(DuplicateObjectError):
+            forest.insert_batch([random_object(rng, 40), random_object(rng, 40)])
+        with pytest.raises(ObjectNotFoundError):
+            forest.delete_batch([3, 99])
+        with pytest.raises(DuplicateObjectError):
+            forest.delete_batch([3, 3])
+        assert forest._catalog == catalog
+        assert forest.io_cost_since(before) == 0
+        check_forest_invariants(forest)
+
+    def test_grouped_storm_at_paper_leaf_size(self):
+        """The regime the service runs in: B = 341 leaves packed at 0.8,
+        a storm well below the rebuild threshold.  Same catalog, same
+        answers to 1 % and 10 % queries, same space, a fraction of the
+        scalar loop's page accesses — at most one descent and one path
+        write-back per touched leaf of each tree."""
+        y_max = 1000.0
+        model = MotionModel(Terrain1D(y_max), v_min=V_MIN, v_max=V_MAX)
+        rng = random.Random(21)
+        population = [
+            random_object(rng, oid, y_max, t0=0.0) for oid in range(6000)
+        ]
+        grouped = HoughYForestIndex.bulk_build(model, population, c=4)
+        scalar = HoughYForestIndex.bulk_build(model, population, c=4)
+        storm = [
+            random_object(rng, oid, y_max, t0=1.0)
+            for oid in rng.sample(range(6000), 200)
+        ]
+        assert len(storm) < HoughYForestIndex.REBUILD_MIN_BATCH
+
+        touched = {key: set() for key in grouped._trees}
+        for obj in storm:
+            _, sign, old_keys, _ = grouped._catalog[obj.oid]
+            new_sign, _, new_keys, _ = grouped._placement(obj.motion)
+            for i in range(grouped.c):
+                for side, b in ((sign, old_keys[i]), (new_sign, new_keys[i])):
+                    touched[(side, i)].add(
+                        leaf_pid_of(grouped._trees[(side, i)], (b, obj.oid))
+                    )
+
+        since = {
+            key: disk.stats.snapshot()
+            for key, disk in grouped._tree_disks.items()
+        }
+        before_grouped, before_scalar = grouped.snapshot(), scalar.snapshot()
+        grouped.update_batch(storm)
+        for obj in storm:
+            scalar.update(obj)
+        cost_grouped = grouped.io_cost_since(before_grouped)
+        cost_scalar = scalar.io_cost_since(before_scalar)
+        assert cost_grouped * 3 < cost_scalar
+        for key, disk in grouped._tree_disks.items():
+            cost = (disk.stats.snapshot() - since[key]).total
+            height = grouped._trees[key].height
+            assert cost <= 2 * height * len(touched[key]), key
+
+        check_forest_invariants(grouped)
+        assert grouped._catalog == scalar._catalog
+        assert grouped.pages_in_use == scalar.pages_in_use
+        for extent, window in ((10.0, 10.0), (100.0, 60.0)):  # 1 %, 10 %
+            for _ in range(25):
+                y1 = rng.uniform(0, y_max - extent)
+                t1 = rng.uniform(1.0, 40.0)
+                query = MORQuery1D(y1, y1 + extent, t1, t1 + window)
+                assert grouped.query(query) == scalar.query(query)
+
+        fresh = [random_object(rng, 6000 + i, y_max, t0=1.0) for i in range(150)]
+        gone = rng.sample(range(6000), 150)
+        before_grouped, before_scalar = grouped.snapshot(), scalar.snapshot()
+        grouped.insert_batch(fresh)
+        grouped.delete_batch(gone)
+        for obj in fresh:
+            scalar.insert(obj)
+        for oid in gone:
+            scalar.delete(oid)
+        assert (
+            grouped.io_cost_since(before_grouped) * 3
+            < scalar.io_cost_since(before_scalar)
+        )
+        check_forest_invariants(grouped)
+        assert grouped._catalog == scalar._catalog
+        assert grouped.pages_in_use == scalar.pages_in_use
 
 
 # -- rotating generations ------------------------------------------------------

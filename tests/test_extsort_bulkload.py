@@ -153,6 +153,20 @@ class TestBulkLoad:
                 tree.insert(i, i)
             assert tree.height == height
 
+    def test_short_tail_never_leaves_an_underfull_page(self):
+        """7 records at capacity 8, fill 0.8 used to pack as 4 + 3 —
+        one leaf under half full.  Every small shape must come out a
+        valid tree, whatever the tail."""
+        for capacity in range(2, 13):
+            for fill in (0.5, 0.67, 0.8, 1.0):
+                for n in range(0, 8 * capacity):
+                    items = [(i, i) for i in range(n)]
+                    tree = BPlusTree.bulk_load(
+                        DiskSimulator(), items, leaf_capacity=capacity,
+                        fill=fill,
+                    )
+                    tree.check_invariants()
+
     def test_bulk_then_mutate(self):
         items = [(i, i) for i in range(300)]
         tree = BPlusTree.bulk_load(

@@ -14,6 +14,8 @@ from repro.errors import (
 from repro.interval import IntervalIndex, IntervalTree
 from repro.io_sim import DiskSimulator
 
+from .helpers import tree_structure
+
 
 def brute_overlap(intervals, ql, qh):
     return sorted(
@@ -150,3 +152,178 @@ def test_property_overlap_matches_brute_force(intervals, query):
     ql, qh = min(query), max(query)
     assert sorted(tree.overlapping(ql, qh)) == brute_overlap(stored, ql, qh)
     tree.check_invariants()
+
+
+class TestScalarAccounting:
+    """Maintaining max-right incrementally is CPU work only: the page
+    counts of the scalar verbs must not move by a single access."""
+
+    #: (reads, writes, buffer_hits, pages_in_use) of the replay below,
+    #: recorded while every insert/delete still rescanned the leaf.
+    RECORDED = {
+        4: (13069, 16299, 5350, 280),
+        16: (3884, 8234, 6071, 51),
+        255: (0, 4596, 5909, 3),
+    }
+
+    @pytest.mark.parametrize("leaf_capacity", sorted(RECORDED))
+    def test_fixed_replay_matches_recorded_iostats(self, leaf_capacity):
+        rng = random.Random(13)
+        disk = DiskSimulator()
+        tree = IntervalTree(disk, leaf_capacity)
+        live = []
+        for step in range(3000):
+            if live and rng.random() < 0.4:
+                tree.delete(live.pop(rng.randrange(len(live))))
+            else:
+                left = round(rng.uniform(0, 1000), 6)
+                # Few distinct lengths: many deletes remove an interval
+                # whose right endpoint *is* the leaf's aggregate.
+                right = left + rng.choice([1.0, 5.0, 5.0, 50.0, 400.0])
+                live.append(tree.insert(left, right, step))
+            if step % 97 == 0:
+                tree.overlapping(200.0, 260.0)
+                tree.check_invariants()
+        stats = disk.stats
+        assert (
+            stats.reads, stats.writes, stats.buffer_hits, disk.pages_in_use
+        ) == self.RECORDED[leaf_capacity]
+        tree.check_invariants()
+
+
+@pytest.mark.writebatch
+class TestApplyBatch:
+    def test_handles_are_minted_in_submission_order(self):
+        grouped = IntervalTree(DiskSimulator(), leaf_capacity=4)
+        scalar = IntervalTree(DiskSimulator(), leaf_capacity=4)
+        intervals = [(50.0, 60.0, "c"), (10.0, 90.0, "a"), (50.0, 55.0, "b")]
+        handles = grouped.apply_batch([], intervals)
+        assert handles == [scalar.insert(*interval) for interval in intervals]
+        assert grouped.overlapping(52, 53) == scalar.overlapping(52, 53)
+        assert grouped.apply_batch(handles[:2], []) == []
+        assert grouped.overlapping(0, 100) == ["b"]
+        grouped.check_invariants()
+
+    def test_empty_interval_rejected_before_anything_is_applied(self):
+        tree = IntervalTree(DiskSimulator(), leaf_capacity=4)
+        handle = tree.insert(1.0, 2.0, "kept")
+        with pytest.raises(InvalidQueryError):
+            tree.apply_batch([handle], [(3.0, 4.0, "x"), (9.0, 8.0, "bad")])
+        assert tree.overlapping(0, 10) == ["kept"]
+
+    def test_index_replaces_an_objects_interval_in_one_batch(self):
+        index = IntervalIndex(DiskSimulator(), leaf_capacity=4)
+        for oid in range(12):
+            index.insert(oid, float(oid), oid + 5.0)
+        index.apply_batch(
+            delete_oids=[3, 4, 5],
+            inserts=[(3, 100.0, 101.0), (20, 4.5, 4.6), (5, 4.5, 4.7)],
+        )
+        assert 4 not in index and 20 in index and len(index) == 12
+        assert sorted(index.overlapping(100.0, 100.5)) == [3]
+        assert sorted(index.overlapping(4.5, 4.55)) == [0, 1, 2, 5, 20]
+        index.check_invariants()
+        index.delete(20)  # the minted handle is the stored one
+
+    @pytest.mark.parametrize(
+        "deletes, inserts, error",
+        [
+            ([99], [], ObjectNotFoundError),
+            ([1, 1], [], DuplicateObjectError),
+            ([], [(2, 0.0, 1.0)], DuplicateObjectError),
+            ([], [(50, 0.0, 1.0), (50, 2.0, 3.0)], DuplicateObjectError),
+        ],
+    )
+    def test_index_rejects_a_bad_batch_untouched(self, deletes, inserts, error):
+        index = IntervalIndex(DiskSimulator(), leaf_capacity=4)
+        for oid in range(5):
+            index.insert(oid, float(oid), oid + 1.0)
+        with pytest.raises(error):
+            index.apply_batch([0] + deletes, [(40, 7.0, 8.0)] + inserts)
+        assert len(index) == 5 and 0 in index and 40 not in index
+        assert sorted(index.overlapping(0.0, 10.0)) == [0, 1, 2, 3, 4]
+        index.check_invariants()
+
+    def test_augmented_runs_build_the_scalar_pages_and_aggregates(self):
+        """The augmented tree through ``apply_sorted``: same pages —
+        routing keys *and* max-right aggregates — as the scalar calls,
+        whether a run could carry the aggregate record by record or
+        had to rescan the leaf (few distinct lengths: many deletes
+        remove a maximal right endpoint)."""
+        from repro.bptree.tree import DELETE, INSERT, batch_order
+
+        rng = random.Random(8)
+        grouped = IntervalTree(DiskSimulator(), leaf_capacity=8)
+        scalar = IntervalTree(DiskSimulator(), leaf_capacity=8)
+        live = []
+        for i in range(400):
+            left = rng.uniform(0, 1000)
+            right = left + rng.choice([1.0, 30.0, 30.0, 500.0])
+            live.append((grouped.insert(left, right, i), right))
+            scalar.insert(left, right, i)
+        for round_ in range(6):
+            rng.shuffle(live)
+            leaving, live = live[:150], live[150:]
+            ops = [(handle, DELETE, None) for handle, _ in leaving]
+            for i in range(rng.randint(0, 200)):
+                left = rng.uniform(0, 1000)
+                right = left + rng.choice([1.0, 30.0, 30.0, 500.0])
+                handle = (left, 10_000 * (round_ + 1) + i)
+                ops.append((handle, INSERT, (right, i)))
+                live.append((handle, right))
+            ops.sort(key=batch_order)
+            grouped._tree.apply_sorted(ops)
+            for key, kind, value in ops:
+                if kind == INSERT:
+                    scalar._tree.insert(key, value)
+                else:
+                    scalar._tree.delete(key)
+            grouped.check_invariants()
+            assert tree_structure(grouped._tree) == tree_structure(
+                scalar._tree
+            )
+
+
+@pytest.mark.writebatch
+@settings(max_examples=40, deadline=None)
+@given(
+    leaf_capacity=st.sampled_from([4, 8]),
+    batches=st.lists(
+        st.tuples(
+            st.lists(
+                st.tuples(
+                    st.floats(min_value=0, max_value=100, allow_nan=False),
+                    st.floats(min_value=0, max_value=40, allow_nan=False),
+                ),
+                max_size=40,
+            ),
+            st.floats(min_value=0, max_value=1),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_property_apply_batch_equals_scalar_calls(leaf_capacity, batches):
+    """Random interval batches: the same handles, answers and valid
+    aggregates as one insert/delete call per interval."""
+    grouped = IntervalTree(DiskSimulator(), leaf_capacity)
+    scalar = IntervalTree(DiskSimulator(), leaf_capacity)
+    live = {}
+    for intervals, leave_share in batches:
+        leaving = sorted(live)[: int(len(live) * leave_share)]
+        arriving = [
+            (left, left + length, len(live) + i)
+            for i, (left, length) in enumerate(intervals)
+        ]
+        handles = grouped.apply_batch(leaving, arriving)
+        for handle in leaving:
+            scalar.delete(handle)
+            del live[handle]
+        assert handles == [scalar.insert(*interval) for interval in arriving]
+        live.update(zip(handles, arriving))
+        grouped.check_invariants()
+        assert len(grouped) == len(scalar) == len(live)
+        for ql, qh in ((0, 140), (20, 20), (35, 60), (99, 100)):
+            assert sorted(grouped.overlapping(ql, qh)) == brute_overlap(
+                live.values(), ql, qh
+            )

@@ -49,9 +49,9 @@ Y_MAX, V_MIN, V_MAX = 1000.0, 0.16, 1.66
 def build_stream(rng, n, rounds=2, churn=0.1, errors=0.05):
     """Mixed write stream: initial registers, then report rounds with
     deregister/re-register churn and contained-error probes sprinkled
-    in.  Invalid-speed reports are deliberately absent: the scalar
-    path's partial-application quirk for them is documented, not a
-    batch regression."""
+    in — unknown and duplicate oids, and motions no store can hold
+    (over-speed, off-terrain), which every surface must refuse before
+    it mutates anything."""
     stream = [
         RegisterOp(
             oid,
@@ -70,14 +70,20 @@ def build_stream(rng, n, rounds=2, churn=0.1, errors=0.05):
         for oid in order:
             draw = rng.random()
             if draw < errors:
-                probe = rng.randrange(3)
+                probe = rng.randrange(6)
                 unknown = 10_000_000 + len(stream)
                 if probe == 0:
                     stream.append(ReportOp(unknown, 1.0, 1.0, now))
                 elif probe == 1:
                     stream.append(DeregisterOp(unknown))
-                else:
+                elif probe == 2:
                     stream.append(RegisterOp(oid, 1.0, 1.0, now))
+                elif probe == 3:
+                    stream.append(ReportOp(oid, 2 * Y_MAX, 1.0, now))
+                elif probe == 4:
+                    stream.append(ReportOp(oid, 1.0, -2 * V_MAX, now))
+                else:
+                    stream.append(RegisterOp(unknown, -1.0, 1.0, now))
             elif draw < errors + churn:
                 stream.append(DeregisterOp(oid))
                 stream.append(
@@ -223,6 +229,52 @@ class TestBatchedEqualsScalar:
             1: LinearMotion1D(10.0, 1.0, 0.0),
             2: LinearMotion1D(50.0, 1.0, 1.0),
         }
+
+    @pytest.mark.parametrize("surface", ["engine", "sharded", "band", "replicated"])
+    def test_off_terrain_writes_are_refused_before_any_mutation(
+        self, surface, tmp_path
+    ):
+        """A report is a delete followed by an insert: refusing the
+        motion only at the insert left the object registered but
+        unindexed (scalar), or escaped ``apply_batch`` as an uncaught
+        exception with ghost owner entries behind it (batch)."""
+        if surface == "engine":
+            service = MotionDatabase(Y_MAX, V_MIN, V_MAX)
+        elif surface == "replicated":
+            service = make_ft(tmp_path, shards=3, replication=2)
+        else:
+            service = ShardedMotionService(
+                Y_MAX, V_MIN, V_MAX, shards=3,
+                router="band" if surface == "band" else "hash",
+            )
+        service.register(1, 10.0, 1.0, 0.0)
+        service.register(2, 20.0, -0.2, 0.0)
+        message = "start location 2000.0 outside terrain"
+        with pytest.raises(InvalidMotionError, match=message):
+            service.report(1, 2000.0, 1.6, 1.0)
+        with pytest.raises(InvalidMotionError, match=message):
+            service.register(3, 2000.0, 1.0, 1.0)
+        outcomes = service.apply_batch([
+            ReportOp(1, 2000.0, 1.6, 1.0),
+            RegisterOp(3, -5.0, 1.0, 1.0),
+            ReportOp(2, -0.5, 0.01, 1.0),    # slow band, off-terrain
+            ReportOp(2, 30.0, 1.5, 1.0),
+        ])
+        assert [type(o) for o in outcomes] == [
+            InvalidMotionError, InvalidMotionError, InvalidMotionError,
+            type(None),
+        ]
+        assert message in str(outcomes[0])
+        assert 3 not in service
+        assert service.within(0.0, Y_MAX, 1.0, 2.0) == {1, 2}
+        service.report(1, 40.0, -1.0, 2.0)  # still indexed: not "not indexed"
+        assert service.motion_snapshot() == {
+            1: LinearMotion1D(40.0, -1.0, 2.0),
+            2: LinearMotion1D(30.0, 1.5, 1.0),
+        }
+        assert service.within(35.0, 45.0, 2.0, 2.0) == {1}
+        if surface != "engine":
+            service.close()
 
     def test_report_batch_alias(self):
         service = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=2)
