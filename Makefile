@@ -1,30 +1,26 @@
 # Convenience targets for the mobile-object indexing reproduction.
 
-.PHONY: install check test service-smoke chaos-smoke subs-smoke batch-smoke service-tests chaos-tests subs-tests batch-tests batch-baseline durability-tests durability-smoke soak-smoke soak-tests soak-baseline rebalance-smoke rebalance-tests rebalance-baseline update-bench-smoke update-tests update-baseline parallel-smoke parallel-tests parallel-baseline serve-smoke perf-smoke perf bench figures examples results clean
+.PHONY: install check test service-smoke chaos-smoke subs-smoke batch-smoke service-tests chaos-tests batch-baseline durability-smoke soak-smoke soak-baseline rebalance-smoke rebalance-baseline update-bench-smoke update-baseline parallel-smoke parallel-baseline serve-smoke perf-smoke perf bench figures examples results clean
 
 install:
 	python setup.py develop
 
-# Sanity gate: compile + import, then the subscription layer's smoke
-# run and suites (incremental maintenance must match the naive oracle).
+# Sanity gate: compile + import, then every end-to-end smoke run.  The
+# test suites are not repeated here: `make test` (and tier-1) runs
+# `pytest tests/`, which collects all of them; one marker alone is
+# `pytest -m subscription|batch|durability|soak|rebalance|writebatch|parallel`.
 check:
 	python -m compileall -q src
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python -c "import repro, repro.service"
 	$(MAKE) subs-smoke
-	$(MAKE) subs-tests
 	$(MAKE) batch-smoke
-	$(MAKE) batch-tests
-	$(MAKE) durability-tests
 	$(MAKE) durability-smoke
 	$(MAKE) soak-smoke
-	$(MAKE) soak-tests
 	$(MAKE) rebalance-smoke
-	$(MAKE) rebalance-tests
 	$(MAKE) update-bench-smoke
-	$(MAKE) update-tests
 	$(MAKE) parallel-smoke
-	$(MAKE) parallel-tests
+	$(MAKE) perf-smoke
 
 test: check service-smoke
 	pytest tests/
@@ -61,13 +57,6 @@ batch-smoke:
 		python -m repro serve-bench --batch --n 1500 --queries 300 \
 		--shards 3 --batch-size 100 --seed 5
 
-# The vectorized kernel / columnar store / batch-query suites alone
-# (property-based scalar agreement, cache semantics, executor and
-# fault-tolerance integration).
-batch-tests:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		pytest -m batch
-
 # Regenerate the committed batch-throughput baseline at the
 # acceptance scale (10k objects, 1k queries).
 batch-baseline:
@@ -75,12 +64,6 @@ batch-baseline:
 		python -m repro serve-bench --batch --n 10000 --queries 1000 \
 		--shards 4 --batch-size 250 --seed 42 \
 		--batch-json benchmarks/results/BENCH_batch.json
-
-# The continuous-subscription suites alone (units, stateful
-# differential, concurrency churn, chaos recovery).
-subs-tests:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		pytest -m subscription
 
 # The service differential + concurrency + metrics suites alone.
 service-tests:
@@ -95,13 +78,6 @@ chaos-tests:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		pytest tests/test_replication.py tests/test_wal_recovery.py \
 		tests/test_faults.py
-
-# The on-disk durability suites: DurableLog / CheckpointStore units,
-# the crash-point × fsync-policy recovery matrix, hypothesis damage
-# properties, and the SIGKILL smoke drill (all real files).
-durability-tests:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		pytest -m durability
 
 # The SIGKILL drill alone: spawn a WAL-backed service subprocess,
 # kill it mid-write-storm, recover from the directory, and
@@ -121,15 +97,6 @@ soak-smoke:
 		python -m repro serve-bench --soak --scenario city --n 300 \
 		--ticks 6 --shards 3 --replication 2 --subs 8 --queries 24 \
 		--arrivals 3 --departures 2 --crashes 1 --check-every 2 --seed 9
-
-# The scenario-generator + soak-harness suites (seed plumbing,
-# stream legality, hypothesis properties, determinism, concurrency,
-# durable restart convergence).
-soak-tests:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		pytest -m soak
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		pytest tests/test_scenarios.py tests/test_scenarios_properties.py
 
 # Regenerate the committed soak baseline at the acceptance scale:
 # 100k objects, multi-threaded mixed workload over a 4-wide worker
@@ -155,13 +122,6 @@ rebalance-smoke:
 		python -m repro serve-bench --rebalance --n 800 --shards 4 \
 		--updates 200 --seed 5 --verify
 
-# The rebalancing suites alone: router/ownership fencing units, the
-# double-write query window, the crash-at-every-migration-point ×
-# fsync matrix, destination-death aborts, and the mid-soak run.
-rebalance-tests:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		pytest -m rebalance
-
 # Regenerate the committed rebalance baseline at the acceptance scale
 # (10k objects, two controller passes around an update burst).
 rebalance-baseline:
@@ -179,14 +139,6 @@ parallel-smoke:
 		python -m repro serve-bench --parallel --n 2000 --queries 90 \
 		--shards 3 --batch-size 30 --pool-workers 0 2 --clients 6 \
 		--requests 10 --queue-depth 8 --seed 5
-
-# The parallel-tier suites alone: shared-memory column contract +
-# seqlock snapshots, growth-policy regressions, pool byte-identity
-# across widths x shards x seeds, worker-SIGKILL chaos, the asyncio
-# frontend's admission/shed/drain semantics, and segment cleanup.
-parallel-tests:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		pytest -m parallel
 
 # Regenerate the committed worker-pool scaling baseline at the
 # acceptance scale (100k objects; 0 = the in-process oracle leg).
@@ -217,14 +169,6 @@ update-bench-smoke:
 		python -m repro serve-bench --update-bench --n 1500 \
 		--shards 3 --seed 5
 
-# The vectorized write-path suites alone: the differential wall
-# (seeds x shard counts, duplicate-oid ordering, WAL streams,
-# subscription deltas), bulk-build property tests, and the
-# write-batch crash-point chaos matrix.
-update-tests:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		pytest -m writebatch
-
 # Regenerate the committed update-throughput baseline at the
 # acceptance scale (10k objects, two report rounds with churn).
 update-baseline:
@@ -234,7 +178,7 @@ update-baseline:
 
 # The perf benchmark's own smoke test: a --scale 0.02 pass of all four
 # workloads, untraced and traced, and a pool run that must leave no
-# process behind (~20 s).  Not collected by tier-1, not part of check.
+# process behind (~20 s).  Not collected by tier-1; part of check.
 perf-smoke:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python -m pytest benchmarks/perf

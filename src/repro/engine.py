@@ -35,7 +35,6 @@ from repro.indexes.dual_point import DualKDTreeIndex
 from repro.indexes.hough_y_forest import HoughYForestIndex
 from repro.indexes.hybrid import HybridIndex
 from repro.io_sim.stats import IOSnapshot
-from repro.vector import HAVE_NUMPY
 from repro.vector.ops import (
     DeregisterOp,
     Nearest,
@@ -72,9 +71,8 @@ class MotionDatabase:
     vector:
         Maintain a columnar mirror of the population and answer
         :meth:`query_batch` with the vectorized kernels of
-        :mod:`repro.vector` (default).  With ``vector=False`` — or
-        when ``numpy`` is unavailable — batches fall back to the
-        scalar per-query path with identical results.
+        :mod:`repro.vector` (default).  With ``vector=False`` batches
+        fall back to the scalar per-query path with identical results.
     columns_factory:
         Override the mirror implementation (default
         :class:`~repro.vector.columns.MotionColumns`); the service's
@@ -113,7 +111,7 @@ class MotionDatabase:
         ] = []
         self._columns = None
         self._columns_listener = None
-        if vector and HAVE_NUMPY:
+        if vector:
             from repro.vector.columns import MotionColumns
 
             # columns_factory swaps in a different mirror implementation

@@ -4,7 +4,12 @@
 :class:`~repro.service.service.ShardedMotionService` with the fault
 model of distributed moving-object systems (MOIST-style checkpointed
 workers; distributed continuous-range-query processing over fallible
-nodes):
+nodes).  It re-implements no verb: the base class writes every one
+against three seams, and this class overrides the seams —
+``replica_group``; the guarded shard access (``_touch``,
+``_apply_write``, ``_apply_sub_batch``, ``_answerable``); and the
+``_log`` / ``_degrade`` pair — plus the health-gated batch front doors
+and the kill / recover / restore administration:
 
 * **Replication** — every object lives on ``replication_factor``
   consecutive shards: primary ``p = route(oid)`` plus replicas
@@ -49,9 +54,8 @@ from __future__ import annotations
 
 import os
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.model import LinearMotion1D
 from repro.engine import MotionDatabase
@@ -61,23 +65,24 @@ from repro.errors import (
     InvalidMotionError,
     ObjectNotFoundError,
     ShardUnavailableError,
-    SimulatedCrashError,
-    StaleMigrationError,
 )
 from repro.service.faults import FaultInjector
 from repro.service.health import CircuitBreaker, RetryPolicy
 from repro.service.metrics import MetricsRegistry, wal_event_recorder
-from repro.service.service import ShardedMotionService, ShardRouter, _no_hook
-from repro.service.sharding import BandRouter, MigrationState
+from repro.service.service import (
+    ShardedMotionService,
+    ShardRouter,
+    _apply_op,
+    _check_write_ops,
+    _step_record,
+)
+from repro.service.sharding import BandRouter
 from repro.service.wal import ShardWAL
 from repro.storage.backend import FileWALBackend
 from repro.vector.ops import (
-    DeregisterOp,
     Nearest,
     ProximityPairs,
     QueryOp,
-    RegisterOp,
-    ReportOp,
     SnapshotAt,
     Within,
     WriteOp,
@@ -258,8 +263,6 @@ class FaultTolerantMotionService(ShardedMotionService):
         k = self.shard_count
         return [(primary + j) % k for j in range(self.replication_factor)]
 
-    _group = replica_group
-
     def shard_status(self) -> List[Dict[str, object]]:
         return [
             {
@@ -271,17 +274,6 @@ class FaultTolerantMotionService(ShardedMotionService):
             }
             for node in self._nodes
         ]
-
-    @contextmanager
-    def _holding(self, shards) -> Iterator[None]:
-        held = sorted(set(shards))
-        for shard in held:
-            self._locks[shard].acquire()
-        try:
-            yield
-        finally:
-            for shard in reversed(held):
-                self._locks[shard].release()
 
     # -- guarded shard access --------------------------------------------------
 
@@ -347,199 +339,34 @@ class FaultTolerantMotionService(ShardedMotionService):
         node.wal.maybe_checkpoint(self._shards[shard])
         return True
 
+    def _log(self, shard: int, kind: str, **fields: object) -> bool:
+        """Append a protocol marker to a live shard's WAL."""
+        node = self._nodes[shard]
+        if node.up:
+            node.wal.append(kind, **fields)
+        return node.up
+
+    def _answerable(self, shard: int) -> bool:
+        """Queries skip a down shard and an open circuit."""
+        node = self._nodes[shard]
+        return node.up and node.breaker.allow()
+
     # -- updates ----------------------------------------------------------------
 
-    def register(self, oid: int, y0: float, v: float, t0: float) -> None:
-        """Add a new object to every live replica of its group."""
-        with self.metrics.span("register") as span:
-            motion = LinearMotion1D(y0, v, t0)
-            primary = self.router.route(oid, motion)
-            group = self.replica_group(primary)
-            with self._catalog_lock:
-                if oid in self._owner:
-                    raise InvalidMotionError(
-                        f"object {oid} is already registered; use report()"
-                    )
-                self._owner[oid] = primary
-            try:
-                with self._holding(group):
-                    applied = 0
-                    for shard in sorted(group):
-                        if self._apply_write(
-                            shard, "register",
-                            lambda db: db.register(oid, y0, v, t0),
-                            span, "insert",
-                            {"oid": oid, "y0": y0, "v": v, "t0": t0},
-                        ):
-                            applied += 1
-                    if applied == 0:
-                        raise ShardUnavailableError(
-                            f"register({oid}): no live replica in group "
-                            f"{group}"
-                        )
-                    with self._catalog_lock:
-                        self._catalog_motion[oid] = motion
-                    self._notify_update("insert", oid, motion)
-            except Exception:
-                with self._catalog_lock:
-                    self._owner.pop(oid, None)
-                    self._catalog_motion.pop(oid, None)
-                raise
+    def _commit_write(self, oid, owner, event) -> None:
+        """Catalog commit, plus the authoritative motion recovery
+        reconciles against."""
+        super()._commit_write(oid, owner, event)
+        motion = event[2]
+        if motion is None:
+            self._catalog_motion.pop(oid, None)
+        else:
+            self._catalog_motion[oid] = motion
 
-    def report(self, oid: int, y0: float, v: float, t0: float) -> None:
-        """Motion update on every live replica, migrating groups when
-        the router says so (the new group is written before the old
-        copies are dropped, so a failure never loses the object)."""
-        with self.metrics.span("report") as span:
-            motion = LinearMotion1D(y0, v, t0)
-            while True:
-                with self._catalog_lock:
-                    current = self._owner.get(oid)
-                    migration = self._ownership.migration_of(oid)
-                if current is None:
-                    raise ObjectNotFoundError(
-                        f"object {oid} is not registered"
-                    )
-                if migration is not None:
-                    # Double-write window: placement comes from the
-                    # ownership table (never recomputed from motion);
-                    # the write lands on every live replica of both
-                    # participants' groups, carrying the fencing epoch.
-                    if self._report_migrating(
-                        oid, y0, v, t0, motion, migration, span
-                    ):
-                        return
-                    continue  # migration resolved under us; retry
-                target = (
-                    self.router.route(oid, motion)
-                    if self.router.motion_sensitive
-                    else current
-                )
-                old_group = set(self.replica_group(current))
-                new_group = set(self.replica_group(target))
-                with self._holding(old_group | new_group):
-                    with self._catalog_lock:
-                        if self._owner.get(oid) != current:
-                            continue  # lost the race; retry with new owner
-                    applied = 0
-                    for shard in sorted(old_group & new_group):
-                        if self._apply_write(
-                            shard, "report",
-                            lambda db: db.report(oid, y0, v, t0),
-                            span, "update",
-                            {"oid": oid, "y0": y0, "v": v, "t0": t0},
-                        ):
-                            applied += 1
-                    for shard in sorted(new_group - old_group):
-                        if self._apply_write(
-                            shard, "report",
-                            lambda db: db.register(oid, y0, v, t0),
-                            span, "insert",
-                            {"oid": oid, "y0": y0, "v": v, "t0": t0},
-                        ):
-                            applied += 1
-                    if applied == 0:
-                        raise ShardUnavailableError(
-                            f"report({oid}): no live replica in "
-                            f"{sorted(old_group | new_group)}"
-                        )
-                    for shard in sorted(old_group - new_group):
-                        self._apply_write(
-                            shard, "report",
-                            lambda db: db.deregister(oid),
-                            span, "delete", {"oid": oid},
-                        )
-                    with self._catalog_lock:
-                        self._owner[oid] = target
-                        self._catalog_motion[oid] = motion
-                    self._notify_update("update", oid, motion)
-                    return
-
-    def _report_migrating(
-        self, oid, y0, v, t0, motion, migration, span
-    ) -> bool:
-        """Fenced double-write to both participants' replica groups.
-
-        Returns ``False`` (caller retries) when the fencing check
-        fails: the migration resolved between the catalog read and the
-        lock acquisition, and writing with the stale epoch could land
-        an update on a shard that no longer holds the object.
-        """
-        src_group = set(self.replica_group(migration.source))
-        dst_group = set(self.replica_group(migration.dest))
-        with self._holding(src_group | dst_group):
-            with self._catalog_lock:
-                if not self._ownership.admits(oid, migration.epoch):
-                    self.metrics.counter(
-                        "rebalance_fenced_writes"
-                    ).increment()
-                    return False
-            applied = 0
-            for shard in sorted(src_group | dst_group):
-                if self._apply_write(
-                    shard, "report",
-                    lambda db: db.report(oid, y0, v, t0),
-                    span, "update",
-                    {"oid": oid, "y0": y0, "v": v, "t0": t0,
-                     "fence": migration.epoch},
-                ):
-                    applied += 1
-            if applied == 0:
-                raise ShardUnavailableError(
-                    f"report({oid}): no live replica in "
-                    f"{sorted(src_group | dst_group)}"
-                )
-            with self._catalog_lock:
-                self._catalog_motion[oid] = motion
-            self.metrics.counter("rebalance_double_writes").increment()
-            self._notify_update("update", oid, motion)
-            return True
-
-    def deregister(self, oid: int) -> None:
-        """Remove an object from every live replica of its group —
-        both groups, when a migration is in flight."""
-        with self.metrics.span("deregister") as span:
-            while True:
-                with self._catalog_lock:
-                    primary = self._owner.get(oid)
-                    migration = self._ownership.migration_of(oid)
-                if primary is None:
-                    raise ObjectNotFoundError(
-                        f"object {oid} is not registered"
-                    )
-                group = set(self.replica_group(primary))
-                if migration is not None:
-                    group |= set(self.replica_group(migration.dest))
-                with self._holding(group):
-                    with self._catalog_lock:
-                        if (
-                            self._owner.get(oid) != primary
-                            or self._ownership.migration_of(oid)
-                            != migration
-                        ):
-                            continue  # placement changed; retry
-                    applied = 0
-                    for shard in sorted(group):
-                        if oid not in self._shards[shard]:
-                            continue  # copy never landed on this shard
-                        if self._apply_write(
-                            shard, "deregister",
-                            lambda db: db.deregister(oid),
-                            span, "delete", {"oid": oid},
-                        ):
-                            applied += 1
-                    if applied == 0:
-                        raise ShardUnavailableError(
-                            f"deregister({oid}): no live replica in "
-                            f"group {sorted(group)}"
-                        )
-                    with self._catalog_lock:
-                        self._ownership.drop(oid)
-                        self._catalog_motion.pop(oid, None)
-                    self._notify_update("delete", oid, None)
-                    return
-
-    # -- batched writes ----------------------------------------------------------
+    def _current_motion(self, oid: int, shard: int) -> LinearMotion1D:
+        """From the catalog: well-defined even while ``shard`` is down."""
+        with self._catalog_lock:
+            return self._catalog_motion[oid]
 
     def apply_batch(
         self,
@@ -549,16 +376,15 @@ class FaultTolerantMotionService(ShardedMotionService):
         """Batched writes with the grouped-WAL fast path while healthy.
 
         With no fault injector armed and every shard up, the whole
-        batch runs under all shard locks in one pass: each op applies
-        to every replica of its group directly (same placement logic
-        as the scalar writes, including fenced migration double-writes)
-        while its WAL records accumulate per shard; then each touched
-        shard gets **one** grouped log append, **one** ``sync()`` (one
-        fsync under ``batch:N`` policies), and at most one checkpoint —
-        and the update listeners fire **once** for the batch, events in
-        submission order.  Per-op rejections come back in the returned
-        list (``None`` = applied), exactly like
-        :meth:`ShardedMotionService.apply_batch`.
+        batch runs under all shard locks in one pass
+        (:meth:`ShardedMotionService.apply_batch`: same placement plan
+        as the scalar writes, including fenced migration double-writes):
+        each touched shard applies its planned sub-ops, then gets
+        **one** grouped log append, **one** ``sync()`` (one fsync under
+        ``batch:N`` policies), and at most one checkpoint
+        (:meth:`_apply_sub_batch`) — and the update listeners fire
+        **once** for the batch, events in submission order.  Per-op
+        rejections come back in the returned list (``None`` = applied).
 
         With an injector armed or any shard down, every op takes the
         scalar write path — full retry/breaker/mark-down machinery —
@@ -578,156 +404,32 @@ class FaultTolerantMotionService(ShardedMotionService):
         :meth:`restore_from_disk` reconciles them by newest-motion
         election.
         """
-        for op in ops:
-            if not isinstance(op, (RegisterOp, ReportOp, DeregisterOp)):
-                raise TypeError(f"unknown write operation {op!r}")
-        if self._injector is not None or self.down_shards():
-            return self._apply_batch_degraded(ops)
-        hook = crash_hook or _no_hook
-        outcomes: List[Optional[Exception]] = [None] * len(ops)
-        events: List[Tuple[str, int, Optional[LinearMotion1D]]] = []
-        pending: Dict[int, List[Tuple[str, Dict]]] = {}
-        degraded = False
-        with self.metrics.span("apply_batch") as span:
+        if self._injector is None:
+            # kill_shard needs the shard's lock, so with all of them
+            # held the health check cannot be raced.
             with self._holding(range(self.shard_count)):
-                if self.down_shards():
-                    degraded = True  # kill raced the health check
-                else:
-                    befores = [db.io_snapshot() for db in self._shards]
-                    for i, op in enumerate(ops):
-                        try:
-                            self._apply_one_replicated(op, events, pending)
-                        except (
-                            InvalidMotionError,
-                            ObjectNotFoundError,
-                        ) as exc:
-                            outcomes[i] = exc
-                    for shard, db in enumerate(self._shards):
-                        span.add_shard_io(
-                            shard, db.io_delta_since(befores[shard])
-                        )
-                    for shard in sorted(pending):
-                        node = self._nodes[shard]
-                        node.wal.append_batch(pending[shard])
-                        hook("write_batch.pre_fsync")
-                        node.wal.sync()
-                        node.wal.maybe_checkpoint(self._shards[shard])
-                    self._notify_update_batch(events)
-        if degraded:
-            return self._apply_batch_degraded(ops)
-        return outcomes
+                if not self.down_shards():
+                    return super().apply_batch(ops, crash_hook)
+        return self._apply_batch_degraded(ops)
 
-    def _apply_one_replicated(
-        self,
-        op: WriteOp,
-        events: List,
-        pending: Dict[int, List],
-    ) -> None:
-        """Fast-path apply of one write to every replica of its group.
+    def _apply_sub_batch(self, shard, sub_ops, fences, span, hook) -> None:
+        """Apply a shard's sub-ops, then one grouped WAL commit.
 
-        Caller holds all shard locks and guarantees every shard is up
-        and no injector is armed, so the scalar path's retry /
-        mark-down machinery is unnecessary; placement and record kinds
-        mirror :meth:`register` / :meth:`report` / :meth:`deregister`
-        exactly.  WAL records accumulate in ``pending`` for the
-        caller's grouped append.
+        Op by op, not through :meth:`MotionDatabase.apply_batch`: the
+        grouped index load leaves a tree shape that costs later
+        queries ~12 % more pages, over the benchmark's bound (see
+        EXPERIMENTS.md, "insert_batch tree shape").
         """
-        def record(shard: int, kind: str, fields: Dict) -> None:
-            pending.setdefault(shard, []).append((kind, fields))
-
-        if isinstance(op, RegisterOp):
-            motion = LinearMotion1D(op.y0, op.v, op.t0)
-            with self._catalog_lock:
-                duplicate = op.oid in self._owner
-            if duplicate:
-                raise InvalidMotionError(
-                    f"object {op.oid} is already registered; use report()"
-                )
-            self._model.check_admissible(motion)
-            primary = self.router.route(op.oid, motion)
-            for shard in sorted(self.replica_group(primary)):
-                self._shards[shard].register(op.oid, op.y0, op.v, op.t0)
-                record(shard, "insert", {
-                    "oid": op.oid, "y0": op.y0, "v": op.v, "t0": op.t0,
-                })
-            with self._catalog_lock:
-                self._owner[op.oid] = primary
-                self._catalog_motion[op.oid] = motion
-            events.append(("insert", op.oid, motion))
-            return
-
-        if isinstance(op, ReportOp):
-            motion = LinearMotion1D(op.y0, op.v, op.t0)
-            with self._catalog_lock:
-                current = self._owner.get(op.oid)
-                migration = self._ownership.migration_of(op.oid)
-            if current is None:
-                raise ObjectNotFoundError(
-                    f"object {op.oid} is not registered"
-                )
-            self._model.check_admissible(motion)
-            if migration is not None:
-                # Fenced double-write; the epoch cannot go stale under
-                # us because commit/abort needs shard locks we hold.
-                union = set(self.replica_group(migration.source)) | set(
-                    self.replica_group(migration.dest)
-                )
-                for shard in sorted(union):
-                    self._shards[shard].report(op.oid, op.y0, op.v, op.t0)
-                    record(shard, "update", {
-                        "oid": op.oid, "y0": op.y0, "v": op.v,
-                        "t0": op.t0, "fence": migration.epoch,
-                    })
-                with self._catalog_lock:
-                    self._catalog_motion[op.oid] = motion
-                self.metrics.counter("rebalance_double_writes").increment()
-                events.append(("update", op.oid, motion))
-                return
-            target = (
-                self.router.route(op.oid, motion)
-                if self.router.motion_sensitive
-                else current
-            )
-            old_group = set(self.replica_group(current))
-            new_group = set(self.replica_group(target))
-            for shard in sorted(old_group & new_group):
-                self._shards[shard].report(op.oid, op.y0, op.v, op.t0)
-                record(shard, "update", {
-                    "oid": op.oid, "y0": op.y0, "v": op.v, "t0": op.t0,
-                })
-            for shard in sorted(new_group - old_group):
-                self._shards[shard].register(op.oid, op.y0, op.v, op.t0)
-                record(shard, "insert", {
-                    "oid": op.oid, "y0": op.y0, "v": op.v, "t0": op.t0,
-                })
-            for shard in sorted(old_group - new_group):
-                self._shards[shard].deregister(op.oid)
-                record(shard, "delete", {"oid": op.oid})
-            with self._catalog_lock:
-                self._owner[op.oid] = target
-                self._catalog_motion[op.oid] = motion
-            events.append(("update", op.oid, motion))
-            return
-
-        with self._catalog_lock:
-            primary = self._owner.get(op.oid)
-            migration = self._ownership.migration_of(op.oid)
-        if primary is None:
-            raise ObjectNotFoundError(
-                f"object {op.oid} is not registered"
-            )
-        group = set(self.replica_group(primary))
-        if migration is not None:
-            group |= set(self.replica_group(migration.dest))
-        for shard in sorted(group):
-            if op.oid not in self._shards[shard]:
-                continue  # copy never landed on this shard
-            self._shards[shard].deregister(op.oid)
-            record(shard, "delete", {"oid": op.oid})
-        with self._catalog_lock:
-            self._ownership.drop(op.oid)
-            self._catalog_motion.pop(op.oid, None)
-        events.append(("delete", op.oid, None))
+        db = self._shards[shard]
+        before = db.io_snapshot()
+        for sub_op in sub_ops:
+            _apply_op(db, sub_op)
+        span.add_shard_io(shard, db.io_delta_since(before))
+        wal = self._nodes[shard].wal
+        wal.append_batch(list(map(_step_record, sub_ops, fences)))
+        hook("write_batch.pre_fsync")
+        wal.sync()
+        wal.maybe_checkpoint(db)
 
     def _apply_batch_degraded(
         self, ops: List[WriteOp]
@@ -740,15 +442,11 @@ class FaultTolerantMotionService(ShardedMotionService):
         by one; rejections and unavailability land in the outcome list
         instead of raising.
         """
+        _check_write_ops(ops)
         outcomes: List[Optional[Exception]] = []
         for op in ops:
             try:
-                if isinstance(op, RegisterOp):
-                    self.register(op.oid, op.y0, op.v, op.t0)
-                elif isinstance(op, ReportOp):
-                    self.report(op.oid, op.y0, op.v, op.t0)
-                else:
-                    self.deregister(op.oid)
+                self._write(op)
                 outcomes.append(None)
             except (
                 ShardUnavailableError,
@@ -758,252 +456,7 @@ class FaultTolerantMotionService(ShardedMotionService):
                 outcomes.append(exc)
         return outcomes
 
-    def location_of(self, oid: int, t: float) -> float:
-        """Point lookup with replica failover."""
-        with self._catalog_lock:
-            primary = self._owner.get(oid)
-        if primary is None:
-            raise ObjectNotFoundError(f"object {oid} is not registered")
-        with self.metrics.span("location_of") as span:
-            for shard in self.replica_group(primary):
-                if not self._nodes[shard].up:
-                    continue
-                with self._locks[shard]:
-                    try:
-                        return self._touch(
-                            shard, "location_of",
-                            lambda db: db.location_of(oid, t),
-                            span, write=False,
-                        )
-                    except ShardUnavailableError:
-                        continue
-            raise ShardUnavailableError(
-                f"object {oid}: no live replica in group "
-                f"{self.replica_group(primary)}"
-            )
-
-    # -- live rebalancing (durable two-phase migration) --------------------------
-
-    def set_bands(self, edges) -> int:
-        """Install a new band layout and log it to every live shard.
-
-        The epoch-numbered ``bands`` record is what lets
-        :meth:`restore_from_disk` re-elect owners with the same cut
-        the pre-crash service used — any one surviving shard's log is
-        enough.
-        """
-        if not isinstance(self.router, BandRouter):
-            raise ValueError(
-                f"router {getattr(self.router, 'name', self.router)!r} "
-                f"has no mutable bands; use router='velocity' or a "
-                f"BandRouter"
-            )
-        with self._holding(range(self.shard_count)):
-            with self._catalog_lock:
-                epoch = self.router.epoch + 1
-                self.router.set_bands(edges, epoch)
-                self.metrics.counter("rebalance_band_updates").increment()
-            layout = list(self.router.band_edges())
-            for node in self._nodes:
-                if node.up:
-                    node.wal.append("bands", edges=layout, epoch=epoch)
-        return epoch
-
-    def begin_migration(
-        self,
-        oid: int,
-        dest: int,
-        crash_hook: Optional[Callable[[str], None]] = None,
-    ) -> MigrationState:
-        """Copy phase across replica groups.
-
-        Destination-group shards outside the source group receive the
-        snapshot (``migrate_in`` records, motion + §7 history); the
-        source primary logs a ``migrate_begin`` marker.  If no new
-        destination copy can land (the whole destination side is
-        down), the copy rolls back and :class:`ShardUnavailableError`
-        surfaces for the controller's abort accounting.
-        """
-        if not 0 <= dest < self.shard_count:
-            raise ValueError(f"destination shard {dest} out of range")
-        hook = crash_hook or _no_hook
-        with self.metrics.span("migrate_begin") as span:
-            with self._catalog_lock:
-                source = self._owner.get(oid)
-                motion = self._catalog_motion.get(oid)
-            if source is None or motion is None:
-                raise ObjectNotFoundError(f"object {oid} is not registered")
-            src_group = set(self.replica_group(source))
-            dst_group = set(self.replica_group(dest))
-            with self._holding(src_group | dst_group):
-                with self._catalog_lock:
-                    if self._owner.get(oid) != source:
-                        raise StaleMigrationError(
-                            f"object {oid} moved off shard {source} "
-                            f"before migration could begin"
-                        )
-                    state = self._ownership.begin_migration(
-                        oid, source, dest
-                    )
-                try:
-                    new_shards = sorted(dst_group - src_group)
-                    applied = 0
-                    for shard in new_shards:
-                        if self._apply_write(
-                            shard, "migrate_in",
-                            lambda db: self._install_copy(
-                                db, source, oid, motion
-                            ),
-                            span, "migrate_in",
-                            {"oid": oid, "y0": motion.y0, "v": motion.v,
-                             "t0": motion.t0, "epoch": state.epoch,
-                             "source": source},
-                        ):
-                            applied += 1
-                    if new_shards and applied == 0:
-                        raise ShardUnavailableError(
-                            f"migrate({oid}): no live destination in "
-                            f"group {sorted(dst_group)}"
-                        )
-                    src_node = self._nodes[source]
-                    if src_node.up:
-                        src_node.wal.append(
-                            "migrate_begin", oid=oid, epoch=state.epoch,
-                            dest=dest,
-                        )
-                    hook("rebalance.copy_sent")
-                except SimulatedCrashError:
-                    raise
-                except Exception:
-                    self._rollback_copy(state, span)
-                    raise
-                return state
-
-    def _install_copy(
-        self, db: MotionDatabase, source: int, oid: int,
-        motion: LinearMotion1D,
-    ) -> None:
-        """Apply one destination-side copy: register + §7 archive."""
-        db.register(oid, motion.y0, motion.v, motion.t0)
-        src_db = self._shards[source]
-        if db.history_enabled and src_db.history_enabled:
-            versions = src_db.history_of(oid)
-            if versions:
-                db.restore_history(versions)
-
-    def _rollback_copy(self, state: MigrationState, span) -> None:
-        """Undo a failed copy phase: drop landed destination copies,
-        log the abort, release the fencing state.  Best-effort on
-        purpose — dead shards are reconciled at recovery instead."""
-        dst_only = sorted(
-            set(self.replica_group(state.dest))
-            - set(self.replica_group(state.source))
-        )
-        for shard in dst_only:
-            if state.oid in self._shards[shard]:
-                self._apply_write(
-                    shard, "migrate_abort",
-                    lambda db: db.deregister(state.oid),
-                    span, "migrate_abort",
-                    {"oid": state.oid, "epoch": state.epoch,
-                     "role": "dest"},
-                )
-        src_node = self._nodes[state.source]
-        if src_node.up:
-            src_node.wal.append(
-                "migrate_abort", oid=state.oid, epoch=state.epoch,
-                role="source",
-            )
-        with self._catalog_lock:
-            try:
-                self._ownership.abort_migration(state)
-            except StaleMigrationError:
-                pass
-
-    def commit_migration(
-        self,
-        state: MigrationState,
-        crash_hook: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        """Durable cutover: the fenced, epoch-numbered
-        ``migrate_commit`` record lands on *both* participants' WALs
-        (destination first — its presence is what recovery treats as
-        the commit decision), then the source side physically drops
-        its copies under ``migrate_out`` records.
-        """
-        hook = crash_hook or _no_hook
-        with self.metrics.span("migrate_commit") as span:
-            src_group = set(self.replica_group(state.source))
-            dst_group = set(self.replica_group(state.dest))
-            with self._holding(src_group | dst_group):
-                with self._catalog_lock:
-                    if not self._ownership.admits(state.oid, state.epoch):
-                        raise StaleMigrationError(
-                            f"cutover of {state} rejected: epoch is stale"
-                        )
-                dst_node = self._nodes[state.dest]
-                if not dst_node.up:
-                    raise ShardUnavailableError(
-                        f"migrate({state.oid}): destination shard "
-                        f"{state.dest} died before cutover"
-                    )
-                hook("rebalance.pre_commit")
-                dst_node.wal.append(
-                    "migrate_commit", oid=state.oid, epoch=state.epoch,
-                    role="dest", source=state.source,
-                )
-                hook("rebalance.between_commits")
-                src_node = self._nodes[state.source]
-                if src_node.up:
-                    src_node.wal.append(
-                        "migrate_commit", oid=state.oid,
-                        epoch=state.epoch, role="source",
-                        dest=state.dest,
-                    )
-                for shard in sorted(src_group - dst_group):
-                    self._apply_write(
-                        shard, "migrate_out",
-                        lambda db: db.deregister(state.oid),
-                        span, "migrate_out",
-                        {"oid": state.oid, "epoch": state.epoch,
-                         "dest": state.dest},
-                    )
-                hook("rebalance.post_commit")
-                with self._catalog_lock:
-                    self._ownership.commit_migration(state)
-
-    def abort_migration(self, state: MigrationState) -> None:
-        """Fenced abort: destination copies are dropped (with
-        ``migrate_abort`` records), the source keeps serving."""
-        with self.metrics.span("migrate_abort") as span:
-            src_group = set(self.replica_group(state.source))
-            dst_group = set(self.replica_group(state.dest))
-            with self._holding(src_group | dst_group):
-                with self._catalog_lock:
-                    if not self._ownership.admits(state.oid, state.epoch):
-                        raise StaleMigrationError(
-                            f"abort of {state} rejected: epoch is stale"
-                        )
-                self._rollback_copy(state, span)
-
     # -- queries ----------------------------------------------------------------
-
-    def _fanout_union(self, name: str, fn, span) -> Tuple[Set, Set[int]]:
-        """Union a per-shard set query over every answerable shard."""
-        result: Set = set()
-        answered: Set[int] = set()
-        for shard in range(self.shard_count):
-            node = self._nodes[shard]
-            if not node.up or not node.breaker.allow():
-                continue
-            with self._locks[shard]:
-                try:
-                    part = self._touch(shard, name, fn, span, write=False)
-                except ShardUnavailableError:
-                    continue
-            result |= part
-            answered.add(shard)
-        return result, answered
 
     def _uncovered(self, answered: Set[int]) -> Tuple[int, ...]:
         """Primaries whose whole replica group went unanswered (and
@@ -1031,98 +484,6 @@ class FaultTolerantMotionService(ShardedMotionService):
             stacklevel=3,
         )
         return PartialResult(value=value, unavailable_shards=unavailable)
-
-    def within(self, y1, y2, t1, t2):
-        with self.metrics.span("within") as span:
-            result, answered = self._fanout_union(
-                "within", lambda db: db.within(y1, y2, t1, t2), span
-            )
-            return self._degrade("within", result, answered)
-
-    def snapshot_at(self, y1, y2, t):
-        with self.metrics.span("snapshot_at") as span:
-            result, answered = self._fanout_union(
-                "snapshot_at", lambda db: db.snapshot_at(y1, y2, t), span
-            )
-            return self._degrade("snapshot_at", result, answered)
-
-    def query_past(self, y1, y2, t1, t2):
-        with self.metrics.span("query_past") as span:
-            result, answered = self._fanout_union(
-                "query_past", lambda db: db.query_past(y1, y2, t1, t2), span
-            )
-            return self._degrade("query_past", result, answered)
-
-    def nearest(self, y, t, k=1):
-        """Global k-NN over reachable replicas; duplicates from
-        replication collapse by object id before the re-rank."""
-        with self.metrics.span("nearest") as span:
-            best: Dict[int, float] = {}
-            answered: Set[int] = set()
-            for shard in range(self.shard_count):
-                node = self._nodes[shard]
-                if not node.up or not node.breaker.allow():
-                    continue
-                with self._locks[shard]:
-                    try:
-                        part = self._touch(
-                            shard, "nearest",
-                            lambda db: db.nearest(y, t, k),
-                            span, write=False,
-                        )
-                    except ShardUnavailableError:
-                        continue
-                for oid, dist in part:
-                    best[oid] = dist
-                answered.add(shard)
-            ranked = sorted(best.items(), key=lambda p: (p[1], p[0]))[:k]
-            return self._degrade("nearest", ranked, answered)
-
-    def proximity_pairs(self, d, t1, t2):
-        """All-pairs proximity over reachable shards.
-
-        Every answerable shard is locked for the duration (one
-        consistent cross-shard population); replica-induced duplicate
-        pairs and self-pairs collapse during the merge.
-        """
-        with self.metrics.span("proximity_pairs") as span:
-            candidates = [
-                shard
-                for shard in range(self.shard_count)
-                if self._nodes[shard].up
-                and self._nodes[shard].breaker.allow()
-            ]
-            with self._holding(candidates):
-                answered: List[int] = []
-                for shard in candidates:
-                    try:
-                        # The fault gate for this shard's whole share
-                        # of the join (self-join + exchanges below).
-                        self._touch(
-                            shard, "proximity_pairs",
-                            lambda db: None, span, write=False,
-                        )
-                    except ShardUnavailableError:
-                        continue
-                    answered.append(shard)
-                pairs: Set[Tuple[int, int]] = set()
-                for position, i in enumerate(answered):
-                    shard_db = self._shards[i]
-                    before = shard_db.io_snapshot()
-                    pairs |= shard_db.proximity_pairs(d, t1, t2)
-                    outer = shard_db.objects()
-                    span.add_shard_io(i, shard_db.io_delta_since(before))
-                    for j in answered[position + 1:]:
-                        inner = self._shards[j]
-                        before_j = inner.io_snapshot()
-                        directed = inner.join_against(outer, d, t1, t2)
-                        span.add_shard_io(j, inner.io_delta_since(before_j))
-                        pairs |= {
-                            (min(a, b), max(a, b))
-                            for a, b in directed
-                            if a != b
-                        }
-            return self._degrade("proximity_pairs", pairs, set(answered))
 
     def query_batch(self, ops: List[QueryOp]) -> List:
         """Batch reads with the base fast path only while fully healthy.

@@ -30,6 +30,17 @@ shards proceed in parallel with writers of others.  The paper's
 time-moves-forward discipline holds per shard: each shard's ``now``
 only advances.
 
+Every write — scalar verb or batch — is placed by one function,
+:meth:`ShardedMotionService._plan_write`, and every verb is written
+once, here, against three seams whose forms in this class are trivial:
+``replica_group`` (an object lives on its primary only), the guarded
+shard access ``_touch`` / ``_apply_write`` / ``_apply_sub_batch``
+(call the database, record the I/O), and the ``_log`` / ``_degrade``
+pair (no log; answers are always complete).  This class is the
+``replication = 1``, no-log, no-fault-guard case of
+:class:`~repro.service.replication.FaultTolerantMotionService`, which
+overrides exactly those seams.
+
 Every public operation runs inside a metrics span; see
 :meth:`service_stats` for the snapshot format.
 """
@@ -38,13 +49,25 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from contextlib import contextmanager
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.model import LinearMotion1D, MotionModel, Terrain1D
 from repro.engine import MotionDatabase
 from repro.errors import (
     InvalidMotionError,
     ObjectNotFoundError,
+    ShardUnavailableError,
     SimulatedCrashError,
     StaleMigrationError,
 )
@@ -71,6 +94,7 @@ from repro.vector.ops import (
     SnapshotAt,
     Within,
     WriteOp,
+    write_record,
 )
 
 #: Router factories selectable by name (``router="velocity"``).
@@ -81,8 +105,67 @@ ROUTER_FACTORIES: Dict[str, Callable[[int, float], ShardRouter]] = {
 }
 
 
+#: What :meth:`ShardedMotionService._plan_write` returns: ``(claim,
+#: steps, cleanup, owner, event)`` — see its docstring.  One step is
+#: ``(shard, sub-op, fence)``; :func:`_step_record` is its log record.
+_Step = Tuple[int, WriteOp, Optional[int]]
+_WritePlan = Tuple[
+    Tuple[Optional[int], Optional[MigrationState]],
+    List[_Step],
+    List[_Step],
+    Optional[int],
+    Tuple[str, int, Optional[LinearMotion1D]],
+]
+
+#: WriteOp class → the scalar verb (metrics span, fault-injection op
+#: name) that applies it.
+_VERBS: Dict[type, str] = {
+    RegisterOp: "register",
+    ReportOp: "report",
+    DeregisterOp: "deregister",
+}
+
+
 def _no_hook(point: str) -> None:
-    """Default (disarmed) migration crash-point hook."""
+    """Default (disarmed) crash-point hook."""
+
+
+def _check_write_ops(ops: Sequence[WriteOp]) -> None:
+    for op in ops:
+        if type(op) not in _VERBS:
+            raise TypeError(f"unknown write operation {op!r}")
+
+
+def _step_record(sub_op: WriteOp, fence: Optional[int]) -> Tuple[str, Dict]:
+    """The log record ``(kind, fields)`` of one planned step: the
+    sub-op in the trace dialect, plus the fencing epoch when it is a
+    double-write inside a migration window."""
+    kind, fields = write_record(sub_op)
+    if fence is not None:
+        fields["fence"] = fence
+    return kind, fields
+
+
+def _apply_op(db: MotionDatabase, op: WriteOp) -> None:
+    """One planned sub-op through the database's scalar verbs."""
+    if isinstance(op, RegisterOp):
+        db.register(op.oid, op.y0, op.v, op.t0)
+    elif isinstance(op, ReportOp):
+        db.report(op.oid, op.y0, op.v, op.t0)
+    else:
+        db.deregister(op.oid)
+
+
+def _merge_nearest(
+    parts: Iterable[List[Tuple[int, float]]], k: int
+) -> List[Tuple[int, float]]:
+    """Global top-``k`` from per-shard top-``k`` lists: keyed by oid
+    (copies of one object collapse), ranked by ``(distance, oid)``."""
+    best: Dict[int, float] = {}
+    for part in parts:
+        for oid, dist in part:
+            best[oid] = dist
+    return sorted(best.items(), key=lambda pair: (pair[1], pair[0]))[:k]
 
 
 def _empty_answer(op: QueryOp):
@@ -179,13 +262,8 @@ class ShardedMotionService:
             # Shard mirrors move into shared memory so pool workers
             # can attach them by name; contract and answers are
             # unchanged (SharedMotionColumns is a MotionColumns).
-            from repro.vector import HAVE_NUMPY, SharedMotionColumns
+            from repro.vector import SharedMotionColumns
 
-            if not HAVE_NUMPY:
-                raise RuntimeError(
-                    "the worker-process tier needs numpy (shared-memory "
-                    "columns); construct with workers=0 instead"
-                )
             columns_factory = SharedMotionColumns
         #: The shards' shared motion model: the admission test of the
         #: write paths (over-speed, off-terrain) runs against it before
@@ -384,196 +462,309 @@ class ShardedMotionService:
                 for kind, oid, motion in events:
                     listener(kind, oid, motion)
 
-    # -- updates ----------------------------------------------------------------
+    # -- seams (trivial here; the fault-tolerant subclass overrides them) --------
 
-    def register(self, oid: int, y0: float, v: float, t0: float) -> None:
-        """Add a new object; routes to its shard, rejects duplicates."""
-        with self.metrics.span("register") as span:
-            motion = LinearMotion1D(y0, v, t0)
-            target = self.router.route(oid, motion)
-            with self._catalog_lock:
-                if oid in self._owner:
-                    raise InvalidMotionError(
-                        f"object {oid} is already registered; use report()"
-                    )
-                # Reserve ownership so a concurrent duplicate register
-                # fails fast; rolled back if the shard rejects the motion.
-                self._owner[oid] = target
-            try:
-                with self._locks[target]:
-                    before = self._shards[target].io_snapshot()
-                    self._shards[target].register(oid, y0, v, t0)
-                    span.add_shard_io(
-                        target, self._shards[target].io_delta_since(before)
-                    )
-                    self._notify_update("insert", oid, motion)
-            except Exception:
-                with self._catalog_lock:
-                    self._owner.pop(oid, None)
-                raise
+    def replica_group(self, primary: int) -> List[int]:
+        """The shards holding objects whose primary is ``primary``."""
+        return [primary]
 
-    def report(self, oid: int, y0: float, v: float, t0: float) -> None:
-        """Process a motion update, migrating shards when routing says so.
-
-        Ownership can only change while *both* involved shard locks are
-        held, so holding the current owner's lock and re-checking the
-        catalog gives a stable claim; a lost race (another update moved
-        the object first) simply retries with the fresh owner.
-        """
-        with self.metrics.span("report") as span:
-            motion = LinearMotion1D(y0, v, t0)
-            while True:
-                with self._catalog_lock:
-                    current = self._owner.get(oid)
-                    migration = self._ownership.migration_of(oid)
-                if current is None:
-                    raise ObjectNotFoundError(
-                        f"object {oid} is not registered"
-                    )
-                # Before any shard is touched: a cross-shard move that
-                # deregistered first and was refused second would lose
-                # the object.
-                self._model.check_admissible(motion)
-                if migration is not None:
-                    # Double-write window: the ownership table, not the
-                    # router, decides placement — recomputing the route
-                    # from motion here would fork the object onto a
-                    # third shard mid-migration.  The write applies to
-                    # both participants and emits exactly one update
-                    # notification.
-                    if self._report_double_write(
-                        oid, y0, v, t0, motion, migration, span
-                    ):
-                        return
-                    continue  # migration resolved under us; retry
-                target = (
-                    self.router.route(oid, motion)
-                    if self.router.motion_sensitive
-                    else current
-                )
-                held = sorted({current, target})
-                for shard in held:
-                    self._locks[shard].acquire()
-                try:
-                    with self._catalog_lock:
-                        if self._owner.get(oid) != current:
-                            continue  # lost the race; retry with new owner
-                    if target == current:
-                        before = self._shards[current].io_snapshot()
-                        self._shards[current].report(oid, y0, v, t0)
-                        span.add_shard_io(
-                            current,
-                            self._shards[current].io_delta_since(before),
-                        )
-                    else:
-                        before_src = self._shards[current].io_snapshot()
-                        self._shards[current].deregister(oid)
-                        span.add_shard_io(
-                            current,
-                            self._shards[current].io_delta_since(before_src),
-                        )
-                        before_dst = self._shards[target].io_snapshot()
-                        self._shards[target].register(oid, y0, v, t0)
-                        span.add_shard_io(
-                            target,
-                            self._shards[target].io_delta_since(before_dst),
-                        )
-                        with self._catalog_lock:
-                            self._owner[oid] = target
-                    self._notify_update("update", oid, motion)
-                    return
-                finally:
-                    for shard in reversed(held):
-                        self._locks[shard].release()
-
-    def _report_double_write(
-        self,
-        oid: int,
-        y0: float,
-        v: float,
-        t0: float,
-        motion: LinearMotion1D,
-        migration: MigrationState,
-        span,
-    ) -> bool:
-        """Apply one report to both migration participants (fenced).
-
-        Returns ``True`` when the write landed; ``False`` when the
-        fencing check failed — the migration was committed or aborted
-        between the catalog read and the lock acquisition — and the
-        caller must re-resolve ownership and retry.
-        """
-        held = sorted({migration.source, migration.dest})
+    @contextmanager
+    def _holding(self, shards: Iterable[int]) -> Iterator[None]:
+        """Hold the given shards' locks, taken in ascending order."""
+        held = sorted(set(shards))
         for shard in held:
             self._locks[shard].acquire()
         try:
-            with self._catalog_lock:
-                if not self._ownership.admits(oid, migration.epoch):
-                    self.metrics.counter(
-                        "rebalance_fenced_writes"
-                    ).increment()
-                    return False
-            for shard in held:
-                before = self._shards[shard].io_snapshot()
-                self._shards[shard].report(oid, y0, v, t0)
-                span.add_shard_io(
-                    shard, self._shards[shard].io_delta_since(before)
-                )
-            self.metrics.counter("rebalance_double_writes").increment()
-            self._notify_update("update", oid, motion)
-            return True
+            yield
         finally:
             for shard in reversed(held):
                 self._locks[shard].release()
 
-    def deregister(self, oid: int) -> None:
-        """Remove an object; during a migration, from both shards."""
-        with self.metrics.span("deregister") as span:
+    def _answerable(self, shard: int) -> bool:
+        """Whether a query should visit ``shard`` at all."""
+        return True
+
+    def _touch(
+        self,
+        shard: int,
+        op_name: str,
+        fn: Callable[[MotionDatabase], object],
+        span,
+        write: bool,
+    ) -> object:
+        """One shard access (caller holds its lock): ``fn(db)`` plus
+        the I/O span.
+
+        The contract is the fault-tolerant form's: raise
+        :class:`ShardUnavailableError` when the shard cannot serve,
+        let application-level rejections propagate unchanged.
+        """
+        db = self._shards[shard]
+        before = db.io_snapshot()
+        value = fn(db)
+        span.add_shard_io(shard, db.io_delta_since(before))
+        return value
+
+    def _apply_write(
+        self,
+        shard: int,
+        op_name: str,
+        fn: Callable[[MotionDatabase], object],
+        span,
+        record_kind: str,
+        record_fields: Dict,
+    ) -> bool:
+        """Apply one write to one shard; ``True`` iff it landed.
+
+        ``(record_kind, record_fields)`` is the write's log record —
+        dropped here, where there is no log.
+        """
+        self._touch(shard, op_name, fn, span, write=True)
+        return True
+
+    def _apply_sub_batch(
+        self,
+        shard: int,
+        sub_ops: List[WriteOp],
+        fences: List[Optional[int]],
+        span,
+        hook: Callable[[str], None],
+    ) -> None:
+        """Hand one shard its share of a write batch (all locks held):
+        its planned sub-ops and, parallel to them, their fences.
+
+        Here: one grouped :meth:`MotionDatabase.apply_batch`.  ``hook``
+        fires ``write_batch.pre_fsync`` where a log would sit between
+        its grouped append and its sync.
+        """
+        db = self._shards[shard]
+        before = db.io_snapshot()
+        errors = db.apply_batch(sub_ops)
+        span.add_shard_io(shard, db.io_delta_since(before))
+        for sub_op, error in zip(sub_ops, errors):
+            if error is not None:
+                # The catalog admitted the op under every lock, so a
+                # shard-level rejection means catalog/shard
+                # divergence — never mask it.
+                raise RuntimeError(
+                    f"shard {shard} rejected catalog-admitted op "
+                    f"{sub_op!r}"
+                ) from error
+        hook("write_batch.pre_fsync")
+
+    def _log(self, shard: int, kind: str, **fields: object) -> bool:
+        """Log a protocol marker (band change, migration step) on one
+        shard; ``True`` iff the shard is live to take it."""
+        return True
+
+    def _degrade(self, name: str, value, answered: Set[int]):
+        """The answer to return when only ``answered`` shards replied."""
+        return value
+
+    def _commit_write(
+        self,
+        oid: int,
+        owner: Optional[int],
+        event: Tuple[str, int, Optional[LinearMotion1D]],
+    ) -> None:
+        """Catalog commit of one applied write (catalog lock held):
+        ``oid`` now belongs to ``owner``, or to nobody."""
+        if owner is None:
+            self._ownership.drop(oid)
+        else:
+            self._owner[oid] = owner
+
+    def _current_motion(self, oid: int, shard: int) -> LinearMotion1D:
+        """The motion a migration copies: what owner ``shard`` holds."""
+        return self._shards[shard].motion_of(oid)
+
+    # -- updates ----------------------------------------------------------------
+
+    def _claim(
+        self, oid: int
+    ) -> Tuple[Optional[int], Optional[MigrationState]]:
+        """``(owner, in-flight migration)`` of ``oid``: what a write
+        plan is made against, and what must still hold once the plan's
+        shard locks are taken (catalog lock held)."""
+        return self._owner.get(oid), self._ownership.migration_of(oid)
+
+    def _plan_write(self, op: WriteOp) -> _WritePlan:
+        """Decide everything placement means for one write operation.
+
+        The one place an update's "which structure owns this object"
+        decision is made (catalog lock held; nothing is mutated).
+        Raises the contained rejections — duplicate register, unknown
+        object, inadmissible motion — before any shard is touched, and
+        otherwise returns ``(claim, steps, cleanup, owner, event)``:
+
+        * ``claim`` — the :meth:`_claim` the plan was made against;
+        * ``steps`` — ``(shard, sub-op, fence)`` in apply order, over
+          the replica group(s) that must take the write; it succeeds
+          iff at least one lands.  A report inside a migration's
+          double-write window goes to both participants' groups and
+          carries the fencing epoch (:func:`_step_record` turns a
+          step into its log record);
+        * ``cleanup`` — the old copies a cross-group move drops, only
+          after a step landed (insert-new then delete-old, so a
+          failure never loses the object);
+        * ``owner`` — the catalog owner once applied (``None``: gone);
+        * ``event`` — the listener notification.
+
+        Delete sub-ops name every shard that *may* hold a copy; the
+        consumers skip the ones that do not (a migration copy that
+        never landed).
+        """
+        oid = op.oid
+        owner, migration = claim = self._claim(oid)
+        if isinstance(op, RegisterOp):
+            if owner is not None:
+                raise InvalidMotionError(
+                    f"object {oid} is already registered; use report()"
+                )
+        elif owner is None:
+            raise ObjectNotFoundError(f"object {oid} is not registered")
+        if isinstance(op, DeregisterOp):
+            held = set(self.replica_group(owner))
+            if migration is not None:
+                held |= set(self.replica_group(migration.dest))
+            steps = [(shard, op, None) for shard in sorted(held)]
+            return claim, steps, [], None, ("delete", oid, None)
+        motion = LinearMotion1D(op.y0, op.v, op.t0)
+        self._model.check_admissible(motion)
+        if migration is not None:
+            # Double-write window: the ownership table, not the router,
+            # decides placement — recomputing the route from motion
+            # here would fork the object onto a third shard
+            # mid-migration.
+            held = set(self.replica_group(migration.source)) | set(
+                self.replica_group(migration.dest)
+            )
+            steps = [(shard, op, migration.epoch) for shard in sorted(held)]
+            return claim, steps, [], owner, ("update", oid, motion)
+        if owner is None or self.router.motion_sensitive:
+            target = self.router.route(oid, motion)
+        else:
+            target = owner
+        new = set(self.replica_group(target))
+        if owner is None:
+            steps = [(shard, op, None) for shard in sorted(new)]
+            return claim, steps, [], target, ("insert", oid, motion)
+        old = new if target == owner else set(self.replica_group(owner))
+        steps = [(shard, op, None) for shard in sorted(old & new)]
+        steps += [
+            (shard, RegisterOp(oid, op.y0, op.v, op.t0), None)
+            for shard in sorted(new - old)
+        ]
+        cleanup = [
+            (shard, DeregisterOp(oid), None) for shard in sorted(old - new)
+        ]
+        return claim, steps, cleanup, target, ("update", oid, motion)
+
+    def _write(self, op: WriteOp) -> None:
+        """Apply one write: plan, lock the plan's shards, re-validate.
+
+        Placement can only change while the involved shard locks are
+        held, so holding the plan's locks and finding its claim still
+        current gives a stable plan; a lost race (another update moved
+        the object, a migration began or resolved) retries with a
+        fresh one.  The catalog commits only after at least one
+        replica applied the write, and listeners fire before the locks
+        are released.
+        """
+        name = _VERBS[type(op)]
+        oid = op.oid
+        with self.metrics.span(name) as span:
             while True:
                 with self._catalog_lock:
-                    shard = self._owner.get(oid)
-                    migration = self._ownership.migration_of(oid)
-                if shard is None:
-                    raise ObjectNotFoundError(
-                        f"object {oid} is not registered"
-                    )
-                held = (
-                    sorted({migration.source, migration.dest})
-                    if migration is not None
-                    else [shard]
-                )
-                for lock_shard in held:
-                    self._locks[lock_shard].acquire()
-                try:
+                    claim, steps, cleanup, owner, event = self._plan_write(op)
+                registering, fenced = claim[0] is None, claim[1] is not None
+                with self._holding(s for s, _, _ in steps + cleanup):
                     with self._catalog_lock:
-                        if (
-                            self._owner.get(oid) != shard
-                            or self._ownership.migration_of(oid)
-                            != migration
-                        ):
-                            continue  # placement changed; retry
-                    for db_shard in held:
-                        db = self._shards[db_shard]
-                        if oid not in db:
-                            continue  # copy never landed on this side
-                        before = db.io_snapshot()
-                        db.deregister(oid)
-                        span.add_shard_io(
-                            db_shard, db.io_delta_since(before)
-                        )
+                        if self._claim(oid) != claim:
+                            if fenced:
+                                self.metrics.counter(
+                                    "rebalance_fenced_writes"
+                                ).increment()
+                            continue
+                        if registering:
+                            # Reserve ownership so a concurrent duplicate
+                            # register (it may hold other shards' locks)
+                            # fails fast; rolled back if nothing lands.
+                            self._owner[oid] = owner
+                    try:
+                        landed = [
+                            s
+                            for s, sub_op, fence in steps
+                            if self._apply_step(s, name, sub_op, fence, span)
+                        ]
+                        if not landed:
+                            raise ShardUnavailableError(
+                                f"{name}({oid}): no live replica in "
+                                f"{[s for s, _, _ in steps]}"
+                            )
+                    except Exception:
+                        if registering:
+                            with self._catalog_lock:
+                                self._owner.pop(oid, None)
+                        raise
+                    for s, sub_op, fence in cleanup:
+                        self._apply_step(s, name, sub_op, fence, span)
                     with self._catalog_lock:
-                        self._ownership.drop(oid)
-                    self._notify_update("delete", oid, None)
+                        self._commit_write(oid, owner, event)
+                    if fenced and event[0] == "update":
+                        self.metrics.counter(
+                            "rebalance_double_writes"
+                        ).increment()
+                    self._notify_update(*event)
                     return
-                finally:
-                    for lock_shard in reversed(held):
-                        self._locks[lock_shard].release()
+
+    def _apply_step(
+        self, shard: int, name: str, sub_op: WriteOp, fence, span
+    ) -> bool:
+        """Run one planned step through :meth:`_apply_write`."""
+        if (
+            isinstance(sub_op, DeregisterOp)
+            and sub_op.oid not in self._shards[shard]
+        ):
+            return False  # copy never landed on this shard
+        return self._apply_write(
+            shard, name, lambda db: _apply_op(db, sub_op), span,
+            *_step_record(sub_op, fence),
+        )
+
+    def register(self, oid: int, y0: float, v: float, t0: float) -> None:
+        """Add a new object to its replica group; rejects duplicates."""
+        self._write(RegisterOp(oid, y0, v, t0))
+
+    def report(self, oid: int, y0: float, v: float, t0: float) -> None:
+        """Process a motion update, moving the object between replica
+        groups when routing says so (the new group is written before
+        the old copies are dropped, so a failure never loses the
+        object); during a migration, on both participants."""
+        self._write(ReportOp(oid, y0, v, t0))
+
+    def deregister(self, oid: int) -> None:
+        """Remove an object; during a migration, from both sides."""
+        self._write(DeregisterOp(oid))
 
     def location_of(self, oid: int, t: float) -> float:
-        """Extrapolated location of one object at time ``t``."""
-        shard = self.shard_of(oid)
-        with self._locks[shard]:
-            return self._shards[shard].location_of(oid, t)
+        """Extrapolated location of one object at time ``t``, from the
+        first member of its replica group that can serve."""
+        group = self.replica_group(self.shard_of(oid))
+        with self.metrics.span("location_of") as span:
+            for shard in group:
+                with self._locks[shard]:
+                    try:
+                        return self._touch(
+                            shard, "location_of",
+                            lambda db: db.location_of(oid, t),
+                            span, write=False,
+                        )
+                    except ShardUnavailableError:
+                        continue
+            raise ShardUnavailableError(
+                f"object {oid}: no live replica in group {group}"
+            )
 
     # -- batched writes ----------------------------------------------------------
 
@@ -584,7 +775,9 @@ class ShardedMotionService:
         return self.apply_batch(reports)
 
     def apply_batch(
-        self, ops: Sequence[WriteOp]
+        self,
+        ops: Sequence[WriteOp],
+        crash_hook: Optional[Callable[[str], None]] = None,
     ) -> List[Optional[Exception]]:
         """Apply a batch of write operations with one visit per shard.
 
@@ -597,9 +790,10 @@ class ShardedMotionService:
 
         The batch is one critical section: every shard lock is taken
         (ascending, the :meth:`proximity_pairs` discipline), operations
-        are resolved against the catalog **in submission order** and
-        grouped by target shard, then each shard absorbs its group
-        through one :meth:`MotionDatabase.apply_batch` call.  Grouping
+        are planned against the catalog **in submission order**
+        (:meth:`_plan_write`, the scalar methods' plan) and grouped by
+        target shard, then each shard absorbs its group through one
+        :meth:`MotionDatabase.apply_batch` call.  Grouping
         per shard is safe because writes to different objects commute
         and same-object operations always group onto the same shard in
         order (a motion-sensitive cross-shard move splits into a
@@ -610,175 +804,85 @@ class ShardedMotionService:
         batch and subscriptions keep their per-object apply-order
         guarantee.  Final state and answers are identical to calling
         the scalar methods in the same order.
+
+        ``crash_hook`` fires ``write_batch.pre_fsync`` once per touched
+        shard, after its group applied (see :meth:`_apply_sub_batch`).
         """
         with self.metrics.span("apply_batch") as span:
-            for op in ops:
-                if not isinstance(
-                    op, (RegisterOp, ReportOp, DeregisterOp)
-                ):
-                    raise TypeError(f"unknown write operation {op!r}")
-            for lock in self._locks:
-                lock.acquire()
-            try:
-                outcomes, events, per_shard, origins = self._resolve_batch(
-                    ops
-                )
-                for shard in sorted(per_shard):
-                    db = self._shards[shard]
-                    before = db.io_snapshot()
-                    sub_outcomes = db.apply_batch(per_shard[shard])
-                    span.add_shard_io(shard, db.io_delta_since(before))
-                    for pos, error in enumerate(sub_outcomes):
-                        if error is not None:
-                            # The catalog admitted the op under every
-                            # lock, so a shard-level rejection means
-                            # catalog/shard divergence — never mask it.
-                            raise RuntimeError(
-                                f"shard {shard} rejected catalog-admitted "
-                                f"op {per_shard[shard][pos]!r}"
-                            ) from error
-                self._notify_update_batch(events)
-                return outcomes
-            finally:
-                for lock in reversed(self._locks):
-                    lock.release()
+            _check_write_ops(ops)
+            outcomes: List[Optional[Exception]] = [None] * len(ops)
+            events: List[Tuple[str, int, Optional[LinearMotion1D]]] = []
+            # shard -> (its sub-ops, their fences), submission order
+            staged: Dict[int, Tuple[List, List]] = {}
+            # Residency overlay for sub-ops staged but not yet applied,
+            # so a register → deregister pair inside one batch resolves
+            # against the state the earlier op *will* have produced.
+            pending: Dict[Tuple[int, int], bool] = {}
 
-    def _resolve_batch(
-        self, ops: Sequence[WriteOp]
-    ) -> Tuple[
-        List[Optional[Exception]],
-        List[Tuple[str, int, Optional[LinearMotion1D]]],
-        Dict[int, List[WriteOp]],
-        Dict[int, List[int]],
-    ]:
-        """Route one write batch against the catalog, in order.
+            def resident(shard: int, oid: int) -> bool:
+                staged_state = pending.get((shard, oid))
+                if staged_state is None:
+                    return oid in self._shards[shard]
+                return staged_state
 
-        Runs with every shard lock held.  Returns ``(outcomes, events,
-        per_shard, origins)``: contained per-op rejections, the update
-        events to fire, each shard's sub-batch, and the sub-batch's
-        originating op indexes (for error attribution).  The catalog is
-        mutated as ops resolve, so duplicate oids within one batch see
-        each other in submission order.
-        """
-        outcomes: List[Optional[Exception]] = [None] * len(ops)
-        events: List[Tuple[str, int, Optional[LinearMotion1D]]] = []
-        per_shard: Dict[int, List[WriteOp]] = {}
-        origins: Dict[int, List[int]] = {}
-        # Residency overlay for sub-ops routed but not yet applied, so
-        # a register → deregister pair inside one batch resolves against
-        # the state the earlier op *will* have produced.
-        pending: Dict[Tuple[int, int], bool] = {}
-
-        def resident(shard: int, oid: int) -> bool:
-            key = (shard, oid)
-            if key in pending:
-                return pending[key]
-            return oid in self._shards[shard]
-
-        def push(shard: int, sub_op: WriteOp, index: int) -> None:
-            per_shard.setdefault(shard, []).append(sub_op)
-            origins.setdefault(shard, []).append(index)
-            if isinstance(sub_op, RegisterOp):
-                pending[(shard, sub_op.oid)] = True
-            elif isinstance(sub_op, DeregisterOp):
-                pending[(shard, sub_op.oid)] = False
-
-        def admitted(index: int, motion: LinearMotion1D) -> bool:
-            try:
-                self._model.check_admissible(motion)
-            except InvalidMotionError as exc:
-                outcomes[index] = exc
-                return False
-            return True
-
-        with self._catalog_lock:
-            for i, op in enumerate(ops):
-                if isinstance(op, RegisterOp):
-                    if op.oid in self._owner:
-                        outcomes[i] = InvalidMotionError(
-                            f"object {op.oid} is already registered; "
-                            "use report()"
-                        )
-                        continue
-                    motion = LinearMotion1D(op.y0, op.v, op.t0)
-                    if not admitted(i, motion):
-                        continue
-                    target = self.router.route(op.oid, motion)
-                    self._owner[op.oid] = target
-                    push(target, op, i)
-                    events.append(("insert", op.oid, motion))
-                elif isinstance(op, ReportOp):
-                    current = self._owner.get(op.oid)
-                    if current is None:
-                        outcomes[i] = ObjectNotFoundError(
-                            f"object {op.oid} is not registered"
-                        )
-                        continue
-                    motion = LinearMotion1D(op.y0, op.v, op.t0)
-                    if not admitted(i, motion):
-                        continue
-                    migration = self._ownership.migration_of(op.oid)
-                    if migration is not None:
-                        # Double-write window: every lock is held, so
-                        # the migration cannot resolve mid-batch and
-                        # the fencing epoch is necessarily current.
-                        for shard in sorted(
-                            {migration.source, migration.dest}
-                        ):
-                            push(shard, op, i)
-                        self.metrics.counter(
-                            "rebalance_double_writes"
-                        ).increment()
-                    else:
-                        target = (
-                            self.router.route(op.oid, motion)
-                            if self.router.motion_sensitive
-                            else current
-                        )
-                        if target == current:
-                            push(current, op, i)
-                        else:
-                            push(current, DeregisterOp(op.oid), i)
-                            push(
-                                target,
-                                RegisterOp(op.oid, op.y0, op.v, op.t0),
-                                i,
+            with self._holding(range(self.shard_count)):
+                with self._catalog_lock:
+                    # The catalog commits as ops resolve, so duplicate
+                    # oids within one batch see each other in order;
+                    # with every lock held no plan can go stale.
+                    for i, op in enumerate(ops):
+                        try:
+                            (_, migration), steps, cleanup, owner, event = (
+                                self._plan_write(op)
                             )
-                            self._owner[op.oid] = target
-                    events.append(("update", op.oid, motion))
-                else:
-                    current = self._owner.get(op.oid)
-                    if current is None:
-                        outcomes[i] = ObjectNotFoundError(
-                            f"object {op.oid} is not registered"
-                        )
-                        continue
-                    migration = self._ownership.migration_of(op.oid)
-                    held = (
-                        sorted({migration.source, migration.dest})
-                        if migration is not None
-                        else [current]
-                    )
-                    for shard in held:
-                        if resident(shard, op.oid):
-                            push(shard, op, i)
-                    self._ownership.drop(op.oid)
-                    events.append(("delete", op.oid, None))
-        return outcomes, events, per_shard, origins
+                        except (
+                            InvalidMotionError,
+                            ObjectNotFoundError,
+                        ) as exc:
+                            outcomes[i] = exc
+                            continue
+                        for shard, sub_op, fence in steps + cleanup:
+                            if isinstance(sub_op, DeregisterOp):
+                                if not resident(shard, sub_op.oid):
+                                    continue  # copy never landed here
+                                pending[shard, sub_op.oid] = False
+                            elif isinstance(sub_op, RegisterOp):
+                                pending[shard, sub_op.oid] = True
+                            sub_ops, fences = staged.setdefault(
+                                shard, ([], [])
+                            )
+                            sub_ops.append(sub_op)
+                            fences.append(fence)
+                        self._commit_write(op.oid, owner, event)
+                        if migration is not None and event[0] == "update":
+                            self.metrics.counter(
+                                "rebalance_double_writes"
+                            ).increment()
+                        events.append(event)
+                hook = crash_hook or _no_hook
+                for shard in sorted(staged):
+                    self._apply_sub_batch(shard, *staged[shard], span, hook)
+                self._notify_update_batch(events)
+            return outcomes
 
     # -- live rebalancing (two-phase object migration) ---------------------------
     #
     # The protocol (driven by repro.service.rebalance, usable alone):
     #
-    #   begin_migration  COPYING: the destination gets a snapshot of
-    #                    the object's motion + §7 history; from here
-    #                    until resolution, reports double-write to
-    #                    both shards and reads merge over both.
+    #   begin_migration  COPYING: the destination group gets a snapshot
+    #                    of the object's motion + §7 history
+    #                    (`migrate_in`), the source logs `migrate_begin`;
+    #                    from here until resolution, reports double-write
+    #                    to both sides and reads merge over both.
     #   commit_migration CUTOVER → COMMITTED: fenced by the migration
-    #                    epoch; ownership moves to the destination and
-    #                    the source copy is dropped.
-    #   abort_migration  → ABORTED: fenced; the destination copy is
-    #                    dropped and ownership stays with the source.
+    #                    epoch; `migrate_commit` is logged on both
+    #                    participants (destination first — its presence
+    #                    is what recovery treats as the commit decision),
+    #                    the source side drops its copies (`migrate_out`)
+    #                    and ownership moves to the destination.
+    #   abort_migration  → ABORTED: fenced; the destination copies are
+    #                    dropped (`migrate_abort`) and ownership stays
+    #                    with the source.
     #
     # Crash-point hooks fire at the four protocol boundaries
     # (rebalance.copy_sent / .pre_commit / .between_commits /
@@ -788,7 +892,12 @@ class ShardedMotionService:
 
     def set_bands(self, edges) -> int:
         """Install a new band layout on the router (the rebalance
-        controller's split/merge lever); returns the new band epoch.
+        controller's split/merge lever) and log it on every live
+        shard; returns the new band epoch.
+
+        The epoch-numbered ``bands`` record is what lets a restart
+        re-elect owners with the same cut the pre-crash service used —
+        any one surviving shard's log is enough.
         """
         if not isinstance(self.router, BandRouter):
             raise ValueError(
@@ -796,10 +905,14 @@ class ShardedMotionService:
                 f"has no mutable bands; use router='velocity' or a "
                 f"BandRouter"
             )
-        with self._catalog_lock:
-            epoch = self.router.epoch + 1
-            self.router.set_bands(edges, epoch)
-            self.metrics.counter("rebalance_band_updates").increment()
+        with self._holding(range(self.shard_count)):
+            with self._catalog_lock:
+                epoch = self.router.epoch + 1
+                self.router.set_bands(edges, epoch)
+                self.metrics.counter("rebalance_band_updates").increment()
+            layout = list(self.router.band_edges())
+            for shard in range(self.shard_count):
+                self._log(shard, "bands", edges=layout, epoch=epoch)
         return epoch
 
     def begin_migration(
@@ -810,10 +923,12 @@ class ShardedMotionService:
     ) -> MigrationState:
         """Copy phase: open a fenced migration of ``oid`` to ``dest``.
 
-        On return the object is resident on both shards and the
-        returned state is the fencing token for the cutover.  Any
-        failure (other than an injected process crash) rolls the copy
-        back so no partial destination copy survives.
+        Destination-group shards outside the source group receive the
+        snapshot, and the returned state is the fencing token for the
+        cutover.  Any failure (other than an injected process crash) —
+        including no destination copy landing at all, which surfaces
+        as :class:`ShardUnavailableError` — rolls the copy back so no
+        partial destination copy survives.
         """
         if not 0 <= dest < self.shard_count:
             raise ValueError(f"destination shard {dest} out of range")
@@ -823,10 +938,9 @@ class ShardedMotionService:
                 source = self._owner.get(oid)
             if source is None:
                 raise ObjectNotFoundError(f"object {oid} is not registered")
-            held = sorted({source, dest})
-            for shard in held:
-                self._locks[shard].acquire()
-            try:
+            src_group = set(self.replica_group(source))
+            dst_group = set(self.replica_group(dest))
+            with self._holding(src_group | dst_group):
                 with self._catalog_lock:
                     if self._owner.get(oid) != source:
                         raise StaleMigrationError(
@@ -837,135 +951,193 @@ class ShardedMotionService:
                         oid, source, dest
                     )
                 try:
-                    motion = self._shards[source].motion_of(oid)
-                    before = self._shards[dest].io_snapshot()
-                    self._shards[dest].register(
-                        oid, motion.y0, motion.v, motion.t0
+                    motion = self._current_motion(oid, source)
+
+                    def copy_in(db: MotionDatabase) -> None:
+                        db.register(oid, motion.y0, motion.v, motion.t0)
+                        self._copy_history(self._shards[source], db, oid)
+
+                    new_shards = sorted(dst_group - src_group)
+                    landed = [
+                        shard
+                        for shard in new_shards
+                        if self._apply_write(
+                            shard, "migrate_in", copy_in, span, "migrate_in",
+                            {"oid": oid, "y0": motion.y0, "v": motion.v,
+                             "t0": motion.t0, "epoch": state.epoch,
+                             "source": source},
+                        )
+                    ]
+                    if new_shards and not landed:
+                        raise ShardUnavailableError(
+                            f"migrate({oid}): no live destination in "
+                            f"group {sorted(dst_group)}"
+                        )
+                    self._log(
+                        source, "migrate_begin", oid=oid,
+                        epoch=state.epoch, dest=dest,
                     )
-                    span.add_shard_io(
-                        dest, self._shards[dest].io_delta_since(before)
-                    )
-                    self._copy_history(source, dest, oid)
                     hook("rebalance.copy_sent")
                 except SimulatedCrashError:
                     raise
                 except Exception:
-                    with self._catalog_lock:
-                        try:
-                            self._ownership.abort_migration(state)
-                        except StaleMigrationError:
-                            pass
-                    if oid in self._shards[dest]:
-                        self._shards[dest].deregister(oid)
+                    self._rollback_copy(state, span)
                     raise
                 return state
-            finally:
-                for shard in reversed(held):
-                    self._locks[shard].release()
 
-    def commit_migration(
-        self,
-        state: MigrationState,
-        crash_hook: Optional[Callable[[str], None]] = None,
+    @staticmethod
+    def _copy_history(
+        src_db: MotionDatabase, dst_db: MotionDatabase, oid: int
     ) -> None:
-        """Cutover: fenced ownership transfer to the destination."""
-        hook = crash_hook or _no_hook
-        with self.metrics.span("migrate_commit") as span:
-            held = sorted({state.source, state.dest})
-            for shard in held:
-                self._locks[shard].acquire()
-            try:
-                with self._catalog_lock:
-                    if not self._ownership.admits(state.oid, state.epoch):
-                        raise StaleMigrationError(
-                            f"cutover of {state} rejected: epoch is stale"
-                        )
-                hook("rebalance.pre_commit")
-                self._append_commit_records(state, hook)
-                before = self._shards[state.source].io_snapshot()
-                self._shards[state.source].deregister(state.oid)
-                span.add_shard_io(
-                    state.source,
-                    self._shards[state.source].io_delta_since(before),
-                )
-                hook("rebalance.post_commit")
-                with self._catalog_lock:
-                    self._ownership.commit_migration(state)
-            finally:
-                for shard in reversed(held):
-                    self._locks[shard].release()
-
-    def abort_migration(self, state: MigrationState) -> None:
-        """Fenced abort: drop the destination copy, keep the source."""
-        with self.metrics.span("migrate_abort") as span:
-            held = sorted({state.source, state.dest})
-            for shard in held:
-                self._locks[shard].acquire()
-            try:
-                with self._catalog_lock:
-                    if not self._ownership.admits(state.oid, state.epoch):
-                        raise StaleMigrationError(
-                            f"abort of {state} rejected: epoch is stale"
-                        )
-                dst = self._shards[state.dest]
-                if state.oid in dst:
-                    before = dst.io_snapshot()
-                    dst.deregister(state.oid)
-                    span.add_shard_io(
-                        state.dest, dst.io_delta_since(before)
-                    )
-                with self._catalog_lock:
-                    self._ownership.abort_migration(state)
-            finally:
-                for shard in reversed(held):
-                    self._locks[shard].release()
-
-    def _append_commit_records(self, state: MigrationState, hook) -> None:
-        """Durability seam for the cutover's two WAL appends.
-
-        The base service has no WAL, so only the protocol's crash
-        point between the two appends is observed; the fault-tolerant
-        subclass appends the fenced ``migrate_commit`` records to both
-        participants' logs here.
-        """
-        hook("rebalance.between_commits")
-
-    def _copy_history(self, source: int, dest: int, oid: int) -> None:
         """Ship the object's §7 archive with the copy (both ends must
         keep history; otherwise there is nothing to move)."""
-        src_db = self._shards[source]
-        dst_db = self._shards[dest]
         if not (src_db.history_enabled and dst_db.history_enabled):
             return
         versions = src_db.history_of(oid)
         if versions:
             dst_db.restore_history(versions)
 
+    def _rollback_copy(self, state: MigrationState, span) -> None:
+        """Undo a copy phase: drop landed destination copies, log the
+        abort, release the fencing state.  Best-effort on purpose —
+        dead shards are reconciled at recovery instead."""
+        dst_only = sorted(
+            set(self.replica_group(state.dest))
+            - set(self.replica_group(state.source))
+        )
+        for shard in dst_only:
+            if state.oid in self._shards[shard]:
+                self._apply_write(
+                    shard, "migrate_abort",
+                    lambda db: db.deregister(state.oid),
+                    span, "migrate_abort",
+                    {"oid": state.oid, "epoch": state.epoch,
+                     "role": "dest"},
+                )
+        self._log(
+            state.source, "migrate_abort", oid=state.oid,
+            epoch=state.epoch, role="source",
+        )
+        with self._catalog_lock:
+            try:
+                self._ownership.abort_migration(state)
+            except StaleMigrationError:
+                pass
+
+    def commit_migration(
+        self,
+        state: MigrationState,
+        crash_hook: Optional[Callable[[str], None]] = None,
+    ) -> None:
+        """Cutover: fenced ownership transfer to the destination.
+
+        The epoch-numbered ``migrate_commit`` record goes to *both*
+        participants' logs, destination first, then the source side
+        physically drops its copies under ``migrate_out`` records.
+        """
+        hook = crash_hook or _no_hook
+        with self.metrics.span("migrate_commit") as span:
+            src_group = set(self.replica_group(state.source))
+            dst_group = set(self.replica_group(state.dest))
+            with self._holding(src_group | dst_group):
+                with self._catalog_lock:
+                    if not self._ownership.admits(state.oid, state.epoch):
+                        raise StaleMigrationError(
+                            f"cutover of {state} rejected: epoch is stale"
+                        )
+                hook("rebalance.pre_commit")
+                if not self._log(
+                    state.dest, "migrate_commit", oid=state.oid,
+                    epoch=state.epoch, role="dest", source=state.source,
+                ):
+                    raise ShardUnavailableError(
+                        f"migrate({state.oid}): destination shard "
+                        f"{state.dest} died before cutover"
+                    )
+                hook("rebalance.between_commits")
+                self._log(
+                    state.source, "migrate_commit", oid=state.oid,
+                    epoch=state.epoch, role="source", dest=state.dest,
+                )
+                for shard in sorted(src_group - dst_group):
+                    self._apply_write(
+                        shard, "migrate_out",
+                        lambda db: db.deregister(state.oid),
+                        span, "migrate_out",
+                        {"oid": state.oid, "epoch": state.epoch,
+                         "dest": state.dest},
+                    )
+                hook("rebalance.post_commit")
+                with self._catalog_lock:
+                    self._ownership.commit_migration(state)
+
+    def abort_migration(self, state: MigrationState) -> None:
+        """Fenced abort: drop the destination copies, keep the source."""
+        with self.metrics.span("migrate_abort") as span:
+            with self._holding(
+                self.replica_group(state.source)
+                + self.replica_group(state.dest)
+            ):
+                with self._catalog_lock:
+                    if not self._ownership.admits(state.oid, state.epoch):
+                        raise StaleMigrationError(
+                            f"abort of {state} rejected: epoch is stale"
+                        )
+                self._rollback_copy(state, span)
+
     # -- queries ----------------------------------------------------------------
+
+    def _fanout(
+        self, name: str, fn: Callable[[MotionDatabase], object], span
+    ) -> Dict[int, object]:
+        """Each answerable shard's ``fn(db)``, one shard lock at a
+        time, keyed by shard in ascending order."""
+        parts: Dict[int, object] = {}
+        for shard in range(self.shard_count):
+            if not self._answerable(shard):
+                continue
+            with self._locks[shard]:
+                try:
+                    parts[shard] = self._touch(
+                        shard, name, fn, span, write=False
+                    )
+                except ShardUnavailableError:
+                    continue
+        return parts
+
+    def _fanout_union(self, name: str, fn, span) -> Tuple[Set, Set[int]]:
+        """A per-shard set query unioned over every answerable shard
+        (an object's copies collapse in the union), and who answered."""
+        parts = self._fanout(name, fn, span)
+        return set().union(*parts.values()), set(parts)
 
     def within(
         self, y1: float, y2: float, t1: float, t2: float
     ) -> Set[int]:
-        """MOR query, fanned out; per-shard answers union (disjoint)."""
+        """MOR query, fanned out; per-shard answers union."""
         with self.metrics.span("within") as span:
-            result: Set[int] = set()
-            for i, shard in enumerate(self._shards):
-                with self._locks[i]:
-                    before = shard.io_snapshot()
-                    result |= shard.within(y1, y2, t1, t2)
-                    span.add_shard_io(i, shard.io_delta_since(before))
-            return result
+            result, answered = self._fanout_union(
+                "within", lambda db: db.within(y1, y2, t1, t2), span
+            )
+            return self._degrade("within", result, answered)
 
     def snapshot_at(self, y1: float, y2: float, t: float) -> Set[int]:
         """Instant query, fanned out and unioned."""
         with self.metrics.span("snapshot_at") as span:
-            result: Set[int] = set()
-            for i, shard in enumerate(self._shards):
-                with self._locks[i]:
-                    before = shard.io_snapshot()
-                    result |= shard.snapshot_at(y1, y2, t)
-                    span.add_shard_io(i, shard.io_delta_since(before))
-            return result
+            result, answered = self._fanout_union(
+                "snapshot_at", lambda db: db.snapshot_at(y1, y2, t), span
+            )
+            return self._degrade("snapshot_at", result, answered)
+
+    def query_past(
+        self, y1: float, y2: float, t1: float, t2: float
+    ) -> Set[int]:
+        """Historical MOR query (requires ``keep_history=True``)."""
+        with self.metrics.span("query_past") as span:
+            result, answered = self._fanout_union(
+                "query_past", lambda db: db.query_past(y1, y2, t1, t2), span
+            )
+            return self._degrade("query_past", result, answered)
 
     def nearest(
         self, y: float, t: float, k: int = 1
@@ -975,45 +1147,58 @@ class ShardedMotionService:
         Tie-break: equal distances order by ascending object id — the
         same total order :func:`repro.extensions.neighbors.knn_at`
         uses, so results are byte-identical to a single database.  The
-        merge is keyed by oid: an object resident on two shards (a
-        migration's double-write window) contributes one candidate,
-        not two.
+        merge is keyed by oid: an object resident on several shards
+        (replicas, a migration's double-write window) contributes one
+        candidate, not several.
         """
         with self.metrics.span("nearest") as span:
-            best: Dict[int, float] = {}
-            for i, shard in enumerate(self._shards):
-                with self._locks[i]:
-                    before = shard.io_snapshot()
-                    for oid, dist in shard.nearest(y, t, k):
-                        best[oid] = dist
-                    span.add_shard_io(i, shard.io_delta_since(before))
-            ranked = sorted(best.items(), key=lambda pair: (pair[1], pair[0]))
-            return ranked[:k]
+            parts = self._fanout(
+                "nearest", lambda db: db.nearest(y, t, k), span
+            )
+            ranked = _merge_nearest(parts.values(), k)
+            return self._degrade("nearest", ranked, set(parts))
 
     def proximity_pairs(
         self, d: float, t1: float, t2: float
     ) -> Set[Tuple[int, int]]:
         """All unordered pairs coming within ``d`` during the window.
 
-        Locks every shard (ascending) for the duration: the join must
-        see one consistent population across shards.  Within-shard
-        pairs come from each shard's self-join; cross-shard pairs from
-        directed candidate exchange between each shard pair, visited
-        once (``i < j``).  Self-pairs are filtered from the exchange:
-        an object resident on two shards (a migration in flight)
-        would otherwise pair with its own copy.
+        Locks every answerable shard (ascending) for the duration: the
+        join must see one consistent population across shards.
+        Within-shard pairs come from each shard's self-join;
+        cross-shard pairs from directed candidate exchange between
+        each shard pair, visited once (``i < j``).  Duplicate pairs
+        collapse in the merge and self-pairs are filtered from the
+        exchange: an object resident on two shards (a replica, a
+        migration in flight) would otherwise pair with its own copy.
         """
         with self.metrics.span("proximity_pairs") as span:
-            for lock in self._locks:
-                lock.acquire()
-            try:
+            candidates = [
+                shard
+                for shard in range(self.shard_count)
+                if self._answerable(shard)
+            ]
+            with self._holding(candidates):
+                answered: List[int] = []
+                for shard in candidates:
+                    try:
+                        # The fault gate for this shard's whole share
+                        # of the join (self-join + exchanges below).
+                        self._touch(
+                            shard, "proximity_pairs",
+                            lambda db: None, span, write=False,
+                        )
+                    except ShardUnavailableError:
+                        continue
+                    answered.append(shard)
                 pairs: Set[Tuple[int, int]] = set()
-                for i, shard in enumerate(self._shards):
-                    before = shard.io_snapshot()
-                    pairs |= shard.proximity_pairs(d, t1, t2)
-                    outer = shard.objects()
-                    span.add_shard_io(i, shard.io_delta_since(before))
-                    for j in range(i + 1, len(self._shards)):
+                for position, i in enumerate(answered):
+                    db = self._shards[i]
+                    before = db.io_snapshot()
+                    pairs |= db.proximity_pairs(d, t1, t2)
+                    outer = db.objects()
+                    span.add_shard_io(i, db.io_delta_since(before))
+                    for j in answered[position + 1:]:
                         inner = self._shards[j]
                         before_j = inner.io_snapshot()
                         directed = inner.join_against(outer, d, t1, t2)
@@ -1025,23 +1210,7 @@ class ShardedMotionService:
                             for a, b in directed
                             if a != b
                         }
-                return pairs
-            finally:
-                for lock in reversed(self._locks):
-                    lock.release()
-
-    def query_past(
-        self, y1: float, y2: float, t1: float, t2: float
-    ) -> Set[int]:
-        """Historical MOR query (requires ``keep_history=True``)."""
-        with self.metrics.span("query_past") as span:
-            result: Set[int] = set()
-            for i, shard in enumerate(self._shards):
-                with self._locks[i]:
-                    before = shard.io_snapshot()
-                    result |= shard.query_past(y1, y2, t1, t2)
-                    span.add_shard_io(i, shard.io_delta_since(before))
-            return result
+            return self._degrade("proximity_pairs", pairs, set(answered))
 
     # -- batch queries ----------------------------------------------------------
 
@@ -1202,17 +1371,9 @@ class ShardedMotionService:
             per_shard = self._per_shard_answers(batch, span)
             for j, (slot, op) in enumerate(shardable):
                 if isinstance(op, Nearest):
-                    # Keyed merge: replicas (the fault-tolerant
-                    # subclass reuses this path) collapse by oid
-                    # before the global (distance, oid) re-rank.
-                    best: Dict[int, float] = {}
-                    for answers in per_shard:
-                        for oid, dist in answers[j]:
-                            best[oid] = dist
-                    ranked = sorted(
-                        best.items(), key=lambda p: (p[1], p[0])
+                    results[slot] = _merge_nearest(
+                        (answers[j] for answers in per_shard), op.k
                     )
-                    results[slot] = ranked[: op.k]
                 else:
                     merged: Set[int] = set()
                     for answers in per_shard:

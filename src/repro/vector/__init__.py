@@ -11,9 +11,7 @@ wedge / Hough-Y b-range / snapshot / k-NN / proximity predicates
 without pickling (:mod:`repro.vector.shm`).
 
 The vocabulary and the cache are pure Python; the columnar store and
-kernels need ``numpy``.  When the array stack is unavailable the
-package still imports — ``HAVE_NUMPY`` is ``False`` and every consumer
-falls back to the scalar paths.
+kernels need ``numpy``, a declared hard dependency of the package.
 """
 
 from repro.vector.cache import QueryResultCache
@@ -26,27 +24,15 @@ from repro.vector.ops import (
     query_key,
 )
 
-try:  # numpy-dependent fast path
-    from repro.vector.columns import MotionColumns
-    from repro.vector.evaluate import (
-        evaluate_arrays,
-        evaluate_batch,
-        evaluate_query,
-    )
-    from repro.vector.shm import SharedMotionColumns, TornSegmentError
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only without numpy
-    MotionColumns = None  # type: ignore[assignment]
-    SharedMotionColumns = None  # type: ignore[assignment]
-    TornSegmentError = None  # type: ignore[assignment]
-    evaluate_arrays = None  # type: ignore[assignment]
-    evaluate_batch = None  # type: ignore[assignment]
-    evaluate_query = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+from repro.vector.columns import MotionColumns
+from repro.vector.evaluate import (
+    evaluate_arrays,
+    evaluate_batch,
+    evaluate_query,
+)
+from repro.vector.shm import SharedMotionColumns, TornSegmentError
 
 __all__ = [
-    "HAVE_NUMPY",
     "MotionColumns",
     "Nearest",
     "ProximityPairs",

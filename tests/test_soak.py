@@ -17,6 +17,7 @@ that runs in seconds:
 
 import pytest
 
+from repro.errors import DegradedResultWarning
 from repro.soak import SoakConfig, run_soak
 
 pytestmark = pytest.mark.soak
@@ -130,7 +131,8 @@ class TestConcurrency:
     def test_replication_one_degrades_without_diverging(self):
         # r=1 + a crash: writes to the dead shard bounce, reads come
         # back partial — every such check must be skipped, not failed.
-        report = run_soak(small_config(replication=1, crashes=1))
+        with pytest.warns(DegradedResultWarning):
+            report = run_soak(small_config(replication=1, crashes=1))
         assert report.divergences == 0, report.divergence_labels
         assert report.checks["skipped_degraded"] > 0
 

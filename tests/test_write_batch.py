@@ -578,3 +578,156 @@ class TestWriteBatchChaos:
         for y1 in (0.0, 300.0, 600.0):
             window = MORQuery1D(y1, y1 + 350.0, 5.0, 40.0)
             assert forest.query(window) == twin.query(window)
+
+
+# -- one write plan, three seams -----------------------------------------------
+
+
+def seam_phases(rng):
+    """Three write phases around a migration window (oids 5, 6 and 7
+    are mid-migration during the second): duplicate registers, unknown
+    oids, over-speed and off-terrain motions, cross-band reports,
+    double-writes, a deregister that must reach both sides, and one
+    oid's whole register → report → deregister life inside a batch."""
+    def speed(band):
+        return rng.choice([1.0, -1.0]) * rng.uniform(
+            *[(V_MIN, 0.5), (0.6, 1.0), (1.2, V_MAX)][band]
+        )
+
+    before = [
+        RegisterOp(oid, rng.uniform(0, Y_MAX), speed(oid % 3), 0.0)
+        for oid in range(40)
+    ]
+    before += [
+        RegisterOp(3, 1.0, 1.0, 0.5),               # duplicate
+        ReportOp(777, 1.0, 1.0, 0.5),               # unknown
+        DeregisterOp(778),                          # unknown
+        ReportOp(4, 10.0, 2 * V_MAX, 0.5),          # over-speed
+        RegisterOp(900, -5.0, 1.0, 0.5),            # off-terrain
+    ]
+    before += [
+        ReportOp(oid, rng.uniform(0, Y_MAX), speed((oid + 1) % 3), 1.0)
+        for oid in range(0, 40, 3)                  # cross-band
+    ]
+    window = [
+        ReportOp(5, 100.0, speed(0), 2.0),          # double-write
+        ReportOp(5, 200.0, speed(2), 2.5),          # ... never re-routed
+        ReportOp(5, 2 * Y_MAX, 1.0, 2.6),           # refused, fence or not
+        DeregisterOp(6),                            # both sides
+        ReportOp(6, 1.0, 1.0, 2.7),                 # unknown by now
+        RegisterOp(950, 300.0, speed(0), 2.0),
+        ReportOp(950, 310.0, speed(2), 2.5),
+        DeregisterOp(950),
+        ReportOp(7, 400.0, speed(1), 2.8),
+    ]
+    window += [
+        ReportOp(oid, rng.uniform(0, Y_MAX), speed(oid % 3), 2.9)
+        for oid in range(10, 30)
+    ]
+    after = [ReportOp(5, 500.0, speed(1), 3.0), RegisterOp(6, 1.0, 1.0, 3.0)]
+    after += [
+        ReportOp(oid, rng.uniform(0, Y_MAX), speed((oid + 2) % 3), 3.5)
+        for oid in range(0, 40, 2)
+    ]
+    return before, window, after
+
+
+def drive_phases(service, phases, apply):
+    """Run the phases with oids 5–7 migrating during the second; 5 is
+    committed, 7 aborted, 6 deregistered mid-flight."""
+    events = []
+    service.attach_update_listener(lambda *event: events.append(event))
+    before, window, after = phases
+    outcomes = apply(service, before)
+    states = {
+        oid: service.begin_migration(
+            oid, (service.shard_of(oid) + 1) % service.shard_count
+        )
+        for oid in (5, 6, 7)
+    }
+    outcomes += apply(service, window)
+    service.commit_migration(states[5])
+    service.abort_migration(states[7])
+    outcomes += apply(service, after)
+    return outcomes, events
+
+
+def apply_whole(service, ops):
+    return service.apply_batch(ops)
+
+
+class TestOneWritePlan:
+    @pytest.mark.parametrize("router", ["hash", "velocity"])
+    @pytest.mark.parametrize("apply", [apply_scalar, apply_whole])
+    def test_plain_service_is_the_unreplicated_fault_tolerant_one(
+        self, router, apply
+    ):
+        """The base class is the ``replication = 1``, no-log, no-guard
+        case of the fault-tolerant one: same outcomes, catalog,
+        residency, listener events and window counters — and, verb by
+        verb, the same page accesses on every shard."""
+        phases = seam_phases(random.Random(44))
+        plain = ShardedMotionService(
+            Y_MAX, V_MIN, V_MAX, shards=3, router=router
+        )
+        replicated = FaultTolerantMotionService(
+            Y_MAX, V_MIN, V_MAX, shards=3, router=router,
+            replication_factor=1,
+        )
+        want, want_events = drive_phases(plain, phases, apply)
+        got, got_events = drive_phases(replicated, phases, apply)
+        assert [type(o) for o in want].count(type(None)) < len(want)
+        assert_twins_agree(plain, replicated, want, got)
+        assert replicated.shard_populations() == plain.shard_populations()
+        assert got_events == want_events
+        for name in ("rebalance_double_writes", "rebalance_fenced_writes"):
+            assert (replicated.metrics.counter(name).value
+                    == plain.metrics.counter(name).value)
+        assert plain.metrics.counter("rebalance_double_writes").value == 3
+        if apply is apply_scalar:
+            # The batch legs differ here by design: grouped vs
+            # op-by-op shard apply (DESIGN.md, "write plan and seams").
+            assert [
+                state["io"]
+                for state in replicated.service_stats()["shard_state"]
+            ] == [
+                state["io"] for state in plain.service_stats()["shard_state"]
+            ]
+
+    @pytest.mark.parametrize("router", ["hash", "velocity"])
+    def test_scalar_and_batched_logs_agree_through_a_migration(
+        self, tmp_path, router
+    ):
+        """At ``replication = 2`` the scalar verbs and ``apply_batch``
+        write the same per-shard records — kinds, fields, seqs, and
+        the ``fence`` on every double-write of the window."""
+        phases = seam_phases(random.Random(45))
+        scalar = make_ft(tmp_path / "scalar", replication=2, router=router)
+        batched = make_ft(tmp_path / "batched", replication=2, router=router)
+        want, _ = drive_phases(scalar, phases, apply_scalar)
+        got, _ = drive_phases(batched, phases, apply_whole)
+        assert_twins_agree(scalar, batched, want, got)
+        assert wal_tails(batched) == wal_tails(scalar)
+        fenced = [
+            record
+            for tail in wal_tails(batched)
+            for record in tail
+            if "fence" in record
+        ]
+        # 3 double-writes × (2 participants × 2 replicas, overlapping
+        # in one shard of the 3).
+        assert {record["oid"] for record in fenced} == {5, 7}
+        assert all(record["kind"] == "update" for record in fenced)
+        assert len(fenced) == 9
+        scalar.close()
+        batched.close()
+
+    def test_fault_tolerant_service_only_overrides_the_seams(self):
+        """Every verb exists once, in the base class."""
+        inherited = (
+            "register", "report", "deregister", "begin_migration",
+            "commit_migration", "abort_migration", "within", "snapshot_at",
+            "query_past", "nearest", "proximity_pairs",
+            "_report_migrating", "_apply_one_replicated",
+        )
+        assert not set(inherited) & set(vars(FaultTolerantMotionService))
