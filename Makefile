@@ -1,6 +1,6 @@
 # Convenience targets for the mobile-object indexing reproduction.
 
-.PHONY: install check test service-smoke chaos-smoke subs-smoke batch-smoke service-tests chaos-tests batch-baseline durability-smoke soak-smoke soak-baseline rebalance-smoke rebalance-baseline update-bench-smoke update-baseline parallel-smoke parallel-baseline serve-smoke perf-smoke perf bench figures examples results clean
+.PHONY: install check test property-explore service-smoke chaos-smoke subs-smoke batch-smoke service-tests chaos-tests batch-baseline durability-smoke soak-smoke soak-baseline rebalance-smoke rebalance-baseline update-bench-smoke update-baseline parallel-smoke parallel-baseline serve-smoke perf-smoke perf bench figures examples results clean
 
 install:
 	python setup.py develop
@@ -24,6 +24,14 @@ check:
 
 test: check service-smoke
 	pytest tests/
+
+# Counterexample hunt: tier-1 pins hypothesis to examples derived from
+# the test source (tests/conftest.py, profile "tier1"); this runs the
+# property tests under fresh random draws instead.  A failure here is a
+# new finding — pin it on its test with @example.
+property-explore:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
+		python -m pytest tests/ -k propert --hypothesis-profile=explore
 
 # Tiny end-to-end run of the sharded service: catches wiring breakage
 # (routing, batch executor, metrics snapshot) in seconds.

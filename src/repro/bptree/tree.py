@@ -8,7 +8,8 @@ the ``c`` observation indexes is "simply a B+-tree" over the Hough-Y
   scans;
 * internal nodes hold ``(min_key, child_pid, aggregate)`` routing
   entries (min-key routing);
-* nodes split at capacity and borrow/merge at half occupancy.
+* nodes split at capacity (evenly, into as many pages as the records
+  need) and borrow/merge at half occupancy.
 
 The optional *aggregate* slot supports augmented trees: subclasses
 override :meth:`_leaf_aggregate` / :meth:`_merge_aggregates` to maintain
@@ -21,8 +22,11 @@ touches go through the :class:`~repro.io_sim.pager.DiskSimulator`.
 
 Batch maintenance (:meth:`BPlusTree.apply_sorted`) is leaf-at-a-time:
 a key-sorted run of deletes and inserts pays one descent and one path
-write-back per *touched leaf* rather than per record, and produces the
-very tree the scalar calls would build from the same sorted sequence.
+write-back per *touched leaf* rather than per record.  While no leaf
+goes over capacity the result is the very tree the scalar calls would
+build from the same sorted sequence; a leaf that a run overfills is
+packed, once, into evenly filled pages (the scalar sequence would
+split at the median with half the run still to come, and again later).
 """
 
 from __future__ import annotations
@@ -103,11 +107,12 @@ class BPlusTree:
     ) -> "BPlusTree":
         """Build a tree from pre-sorted records in ``O(n)`` I/Os.
 
-        Leaves are packed at ``fill`` occupancy (1.0 = full pages, the
-        classic bulk load; lower values leave room for inserts) and the
+        Each level takes the fewest pages that hold its records at
+        ``fill`` occupancy (1.0 = full pages, the classic bulk load;
+        lower values leave room for inserts) and spreads the records
+        evenly over them, so sibling pages reach capacity together; the
         index levels are stacked bottom-up.  Keys must be strictly
-        increasing.  The tail is rebalanced so the half-full invariant
-        holds everywhere.
+        increasing.
         """
         if not 0.0 < fill <= 1.0:
             raise ValueError(f"fill factor must be in (0, 1], got {fill}")
@@ -265,13 +270,13 @@ class BPlusTree:
         ``leaf_aggregate``, when given, is the leaf's up-to-date summary
         (saves rescanning the page); a split voids it.
         """
-        carry: Optional[InternalEntry] = None  # new sibling to add above
+        carry: List[InternalEntry] = []  # new siblings to add above
         for level in range(len(path) - 1, -1, -1):
             page, _ = path[level]
-            if carry is not None:
-                slot = self._route(page, carry[0])
-                page.items.insert(slot + 1, carry)
-                carry = None
+            if carry:
+                slot = self._route(page, carry[0][0])
+                page.items[slot + 1 : slot + 1] = carry
+                carry = []
             if len(page.items) > self._capacity_of(page):
                 carry = self._split(page)
                 leaf_aggregate = None
@@ -280,7 +285,7 @@ class BPlusTree:
                 parent, slot = path[level - 1]
                 self._refresh_parent_entry(parent, slot, page, leaf_aggregate)
             leaf_aggregate = None  # describes the leaf level only
-        if carry is not None:
+        if carry:
             self._grow_root(carry)
 
     def _capacity_of(self, page: Page) -> int:
@@ -290,22 +295,33 @@ class BPlusTree:
             else self.internal_capacity
         )
 
-    def _split(self, page: Page) -> InternalEntry:
-        """Move the upper half of ``page`` into a new sibling.
+    def _split(self, page: Page) -> List[InternalEntry]:
+        """Spread an overfull ``page`` evenly over itself and new siblings.
 
-        Returns the routing entry for the new sibling.
+        ``n`` records take ``ceil(n / capacity)`` pages whose sizes
+        differ by at most one, smaller first — one record over capacity
+        is the classic median split.  Returns the routing entries of
+        the new siblings, in key order.
         """
-        mid = len(page.items) // 2
-        sibling = self.disk.allocate(page.capacity)
-        sibling.meta.update(page.meta)
-        sibling.items = page.items[mid:]
-        page.items = page.items[:mid]
+        n = len(page.items)
+        parts = -(-n // page.capacity)
+        cuts = [i * n // parts for i in range(1, parts + 1)]
+        siblings = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            sibling = self.disk.allocate(page.capacity)
+            sibling.meta.update(page.meta)  # the last keeps page's "next"
+            sibling.items = page.items[lo:hi]
+            siblings.append(sibling)
+        del page.items[cuts[0] :]
         if page.meta["kind"] == LEAF:
-            sibling.meta["next"] = page.meta["next"]
-            page.meta["next"] = sibling.pid
-        self.disk.write(sibling)
-        min_key = sibling.items[0][0]
-        return (min_key, sibling.pid, self._node_aggregate(sibling))
+            for node, successor in zip([page] + siblings, siblings):
+                node.meta["next"] = successor.pid
+        for sibling in siblings:
+            self.disk.write(sibling)
+        return [
+            (sibling.items[0][0], sibling.pid, self._node_aggregate(sibling))
+            for sibling in siblings
+        ]
 
     def _refresh_parent_entry(
         self, parent: Page, slot: int, child: Page, aggregate: Any = None
@@ -318,21 +334,30 @@ class BPlusTree:
         if parent.items[slot] != entry:
             parent.items[slot] = entry
 
-    def _grow_root(self, sibling_entry: InternalEntry) -> None:
-        old_root = self.disk.read(self._root_pid)
-        new_root = self.disk.allocate(self.internal_capacity)
-        new_root.meta["kind"] = INTERNAL
-        new_root.items = [
-            (
-                old_root.items[0][0],
-                old_root.pid,
-                self._node_aggregate(old_root),
-            ),
-            sibling_entry,
-        ]
-        self.disk.write(new_root)
-        self._root_pid = new_root.pid
-        self._height += 1
+    def _grow_root(self, siblings: List[InternalEntry]) -> None:
+        """Put a new root over the old one and its new ``siblings``; a
+        root that comes out overfull splits in turn and the tree grows
+        again."""
+        while siblings:
+            old_root = self.disk.read(self._root_pid)
+            new_root = self.disk.allocate(self.internal_capacity)
+            new_root.meta["kind"] = INTERNAL
+            new_root.items = [
+                (
+                    old_root.items[0][0],
+                    old_root.pid,
+                    self._node_aggregate(old_root),
+                ),
+                *siblings,
+            ]
+            siblings = (
+                self._split(new_root)
+                if len(new_root.items) > self.internal_capacity
+                else []
+            )
+            self.disk.write(new_root)
+            self._root_pid = new_root.pid
+            self._height += 1
 
     # -- deletion ---------------------------------------------------------------
 
@@ -427,8 +452,7 @@ class BPlusTree:
         self.disk.write(absorber)
         self.disk.free(victim.pid)
         parent.items.pop(victim_slot)
-        absorber_slot = victim_slot - 1 if absorber is left else victim_slot - 1
-        self._refresh_parent_entry(parent, absorber_slot, absorber)
+        self._refresh_parent_entry(parent, victim_slot - 1, absorber)
 
     # -- batch maintenance ------------------------------------------------------
 
@@ -441,14 +465,23 @@ class BPlusTree:
         the batch costs ``O(touched leaves * log_B n)`` page accesses,
         not ``O(len(ops) * log_B n)``.
 
-        The tree that results is exactly the one the scalar
-        :meth:`insert` / :meth:`delete` calls would build from the same
-        sequence: an operation that overflows the leaf or takes it below
-        half occupancy ends its run, and the run's write-back is the
-        scalar propagation itself, so splits, borrows, merges and root
-        changes have a single implementation.  A duplicate insert or an
-        absent-key delete raises as the scalar call would, after the
-        operations before it have been applied and written back.
+        A run absorbs every operation that routes to its leaf, and its
+        write-back is the scalar propagation itself, so splits, borrows,
+        merges and root changes have a single implementation.  While no
+        leaf goes over capacity the tree that results is exactly the
+        one the scalar :meth:`insert` / :meth:`delete` calls would
+        build from the same sequence (an operation that takes the leaf
+        below half occupancy ends its run in the scalar borrow or
+        merge).  A leaf that ends its run over capacity is *packed*:
+        its ``n`` records become ``ceil(n / capacity)`` evenly filled
+        leaves (:meth:`_split`) — fewer and fuller pages than the
+        scalar sequence's median splits, which would cut the leaf while
+        only the low part of an ascending run has arrived — and a
+        parent that receives more siblings than it can hold splits by
+        the same rule, up to a root that may grow more than one level.
+        A duplicate insert or an absent-key delete raises as the scalar
+        call would, after the operations before it have been applied
+        and written back.
         """
         done = 0
         while done < len(ops):
@@ -460,8 +493,9 @@ class BPlusTree:
     ) -> int:
         """Apply ``ops[start:]`` while they route to the path's leaf.
 
-        ``path`` is the descent for ``ops[start]``.  Returns the index of
-        the first operation left for the next run.
+        ``path`` is the descent for ``ops[start]``.  Inserts never end
+        the run: a leaf left over capacity is packed by the write-back.
+        Returns the index of the first operation left for the next run.
         """
         leaf, _ = path[-1]
         upper = self._next_separator(path)
@@ -494,8 +528,6 @@ class BPlusTree:
                     aggregate = self._aggregate_after_insert(
                         aggregate, leaf.items[idx]
                     )
-                if len(leaf.items) > self.leaf_capacity:
-                    break  # the write-back splits
             else:
                 if not found:
                     error = ObjectNotFoundError(f"key {key!r} not found")
@@ -620,39 +652,16 @@ class BPlusTree:
 def _balanced_chunks(
     items: List[Any], chunk: int, min_fill: int
 ) -> List[List[Any]]:
-    """Split ``items`` into runs of ~``chunk``, all at least ``min_fill``.
+    """Spread ``items`` evenly over ``ceil(n / chunk)`` runs.
 
-    A short tail is fixed by spreading the last few chunks evenly; when
-    even all of them together cannot fill that many pages (7 records at
-    ``chunk`` 6 and ``min_fill`` 4), they are spread over fewer.
+    Sizes differ by at most one.  When that many runs could not each
+    hold ``min_fill`` items (7 records at ``chunk`` 6 and ``min_fill``
+    4) the items are spread over fewer, which still fit a page: a run
+    of fewer than ``2 * min_fill`` items does.
     """
-    if len(items) <= chunk:
-        return [list(items)]
-    chunk = max(chunk, min_fill + 1)
-    if len(items) <= chunk:
-        return [list(items)]
-    chunks = [list(items[i : i + chunk]) for i in range(0, len(items), chunk)]
-    tail = len(chunks[-1])
-    if len(chunks) > 1 and tail < min_fill:
-        # Redistribute the last k chunks evenly; k chosen so each part
-        # holds at least min_fill items.
-        k = 2
-        while k <= len(chunks):
-            spare = sum(len(c) for c in chunks[-k:])
-            if spare // k >= min_fill:
-                break
-            k += 1
-        k = min(k, len(chunks))
-        spare_items = [item for c in chunks[-k:] for item in c]
-        del chunks[-k:]
-        # Parts of at least min_fill are also under 2 * min_fill, so
-        # they fit a page.
-        k = min(k, max(1, len(spare_items) // min_fill))
-        base = len(spare_items) // k
-        extra = len(spare_items) % k
-        start = 0
-        for i in range(k):
-            size = base + (1 if i < extra else 0)
-            chunks.append(spare_items[start : start + size])
-            start += size
-    return chunks
+    n = len(items)
+    parts = max(1, min(-(-n // chunk), n // min_fill))
+    return [
+        list(items[i * n // parts : (i + 1) * n // parts])
+        for i in range(parts)
+    ]

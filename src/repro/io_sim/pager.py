@@ -139,6 +139,12 @@ class DiskSimulator:
         return len(self._pages)
 
     @property
+    def pages_allocated(self) -> int:
+        """Pages ever allocated, freed ones included (pids are never
+        reused) — unchanged across an operation iff it split nothing."""
+        return self._next_pid
+
+    @property
     def bytes_in_use(self) -> int:
         return self.pages_in_use * self.page_size
 

@@ -15,8 +15,11 @@ and the kill / recover / restore administration:
   consecutive shards: primary ``p = route(oid)`` plus replicas
   ``(p+1) % k, ...``.  Writes go to every *live* member of the group
   (write-all-live); a write succeeds iff at least one replica applied
-  it.  The catalog additionally remembers each object's authoritative
-  motion, which is what recovery reconciles against.
+  it.  A healthy write batch reaches each shard as the base class's
+  does — one grouped ``MotionDatabase.apply_batch`` — then one log
+  commit; only the degraded fallback walks the scalar verbs.  The
+  catalog additionally remembers each object's authoritative motion,
+  which is what recovery reconciles against.
 * **Fault handling** — every shard touch runs through a bounded
   :class:`~repro.service.health.RetryPolicy` (transient injected
   faults back off and retry).  A crash-kind fault marks the shard
@@ -72,8 +75,8 @@ from repro.service.metrics import MetricsRegistry, wal_event_recorder
 from repro.service.service import (
     ShardedMotionService,
     ShardRouter,
-    _apply_op,
     _check_write_ops,
+    _no_hook,
     _step_record,
 )
 from repro.service.sharding import BandRouter
@@ -379,9 +382,11 @@ class FaultTolerantMotionService(ShardedMotionService):
         batch runs under all shard locks in one pass
         (:meth:`ShardedMotionService.apply_batch`: same placement plan
         as the scalar writes, including fenced migration double-writes):
-        each touched shard applies its planned sub-ops, then gets
-        **one** grouped log append, **one** ``sync()`` (one fsync under
-        ``batch:N`` policies), and at most one checkpoint
+        each touched shard absorbs its planned sub-ops through **one**
+        grouped :meth:`MotionDatabase.apply_batch` — the index's
+        leaf-at-a-time path, exactly as on the plain service — then
+        gets **one** grouped log append, **one** ``sync()`` (one fsync
+        under ``batch:N`` policies), and at most one checkpoint
         (:meth:`_apply_sub_batch`) — and the update listeners fire
         **once** for the batch, events in submission order.  Per-op
         rejections come back in the returned list (``None`` = applied).
@@ -413,23 +418,16 @@ class FaultTolerantMotionService(ShardedMotionService):
         return self._apply_batch_degraded(ops)
 
     def _apply_sub_batch(self, shard, sub_ops, fences, span, hook) -> None:
-        """Apply a shard's sub-ops, then one grouped WAL commit.
-
-        Op by op, not through :meth:`MotionDatabase.apply_batch`: the
-        grouped index load leaves a tree shape that costs later
-        queries ~12 % more pages, over the benchmark's bound (see
-        EXPERIMENTS.md, "insert_batch tree shape").
-        """
-        db = self._shards[shard]
-        before = db.io_snapshot()
-        for sub_op in sub_ops:
-            _apply_op(db, sub_op)
-        span.add_shard_io(shard, db.io_delta_since(before))
+        """The base's one grouped :meth:`MotionDatabase.apply_batch`,
+        then one grouped WAL commit: append, ``write_batch.pre_fsync``
+        (here the log sits where the base only fires the hook), sync
+        and at most one checkpoint."""
+        super()._apply_sub_batch(shard, sub_ops, fences, span, _no_hook)
         wal = self._nodes[shard].wal
         wal.append_batch(list(map(_step_record, sub_ops, fences)))
         hook("write_batch.pre_fsync")
         wal.sync()
-        wal.maybe_checkpoint(db)
+        wal.maybe_checkpoint(self._shards[shard])
 
     def _apply_batch_degraded(
         self, ops: List[WriteOp]

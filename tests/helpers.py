@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from typing import List
 
+from repro.bptree.tree import INSERT
 from repro.core import (
     LinearMotion1D,
     MobileObject1D,
@@ -75,6 +77,76 @@ def tree_structure(tree) -> list:
 
     walk(tree.root_pid)
     return pages
+
+
+def leaf_pages(tree) -> list:
+    """``(pid, records)`` of every leaf in key order, read without I/O
+    accounting (a counted scan would warm the buffer and skew a cost
+    comparison)."""
+    return [
+        (pid, items)
+        for pid, kind, _, items in tree_structure(tree)
+        if kind == "leaf"
+    ]
+
+
+def stored_records(tree) -> list:
+    """Every ``(key, value)`` record in key order, uncounted."""
+    return [record for _, items in leaf_pages(tree) for record in items]
+
+
+def apply_scalar(tree, ops) -> None:
+    """``apply_sorted`` input, one ``insert`` / ``delete`` call per op."""
+    for key, kind, value in ops:
+        if kind == INSERT:
+            tree.insert(key, value)
+        else:
+            tree.delete(key)
+
+
+def same_pages(tree, other) -> bool:
+    """Page for page (pids included) the same structure."""
+    return tree_structure(tree) == tree_structure(other)
+
+
+def apply_sorted_beside_scalar(tree, ops):
+    """``ops`` through ``tree.apply_sorted``, and through the scalar
+    calls on a page-identical copy; holds the batch path to its
+    contract and returns the copy (compare with :func:`same_pages`).
+
+    Always: valid tree, same records, no more page accesses than the
+    scalar sequence.  Where the scalar sequence split nothing (no leaf
+    ever went over capacity, not even for one op: ``pages_allocated``
+    stands still) the pages must be identical.  Otherwise a
+    run packed a leaf the scalar calls split at the median, and for an
+    insert-only batch — no later borrow or merge disturbs the packed
+    leaves — each old leaf and the new leaves chained after it differ
+    in size by at most one, and there are no more leaves than the
+    scalar sequence made.
+    """
+    scalar = copy.deepcopy(tree)
+    old_leaves = {pid for pid, _ in leaf_pages(tree)}
+    allocated = scalar.disk.pages_allocated
+    before_grouped = tree.disk.stats.snapshot()
+    before_scalar = scalar.disk.stats.snapshot()
+    tree.apply_sorted(ops)
+    apply_scalar(scalar, ops)
+    tree.check_invariants()
+    assert stored_records(tree) == stored_records(scalar)
+    cost_grouped = (tree.disk.stats.snapshot() - before_grouped).total
+    cost_scalar = (scalar.disk.stats.snapshot() - before_scalar).total
+    assert cost_grouped <= cost_scalar
+    if scalar.disk.pages_allocated == allocated:
+        assert same_pages(tree, scalar)
+    elif all(kind == INSERT for _, kind, _ in ops):
+        assert len(leaf_pages(tree)) <= len(leaf_pages(scalar))
+        groups: List[List[int]] = []  # an old leaf + the new ones after it
+        for pid, items in leaf_pages(tree):
+            if pid in old_leaves:
+                groups.append([])
+            groups[-1].append(len(items))
+        assert all(max(sizes) - min(sizes) <= 1 for sizes in groups)
+    return scalar
 
 
 def leaf_pid_of(tree, key) -> int:

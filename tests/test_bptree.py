@@ -1,5 +1,6 @@
 """Unit and property tests for the disk-based B+-tree."""
 
+import copy
 import random
 
 import pytest
@@ -11,7 +12,14 @@ from repro.bptree.tree import DELETE, INSERT, batch_order
 from repro.errors import ObjectNotFoundError
 from repro.io_sim import DiskSimulator
 
-from .helpers import leaf_pid_of, tree_structure
+from .helpers import (
+    apply_scalar,
+    apply_sorted_beside_scalar,
+    leaf_pages,
+    leaf_pid_of,
+    same_pages,
+    stored_records,
+)
 
 
 def make_tree(leaf_capacity=4, internal_capacity=None, buffer_pages=4):
@@ -276,37 +284,19 @@ def sorted_batch(deletes, inserts):
     return ops
 
 
-def apply_scalar(tree, ops):
-    for key, kind, value in ops:
-        if kind == INSERT:
-            tree.insert(key, value)
-        else:
-            tree.delete(key)
+def tree_of(keys, leaf_capacity):
+    """A tree holding ``key -> -key``, built by scalar inserts."""
+    tree, _ = make_tree(leaf_capacity=leaf_capacity)
+    for key in keys:
+        tree.insert(key, -key)
+    return tree
 
 
-def twin_trees(keys, leaf_capacity):
-    """Two page-identical trees holding ``keys`` (grouped, scalar)."""
-    twins = []
-    for _ in range(2):
-        tree, _ = make_tree(leaf_capacity=leaf_capacity)
-        for key in keys:
-            tree.insert(key, -key)
-        twins.append(tree)
-    return twins
-
-
-def assert_batch_equals_scalar(grouped, scalar, ops):
-    """Apply ``ops`` both ways; same pages, no more I/O than scalar."""
-    before_grouped = grouped.disk.stats.snapshot()
-    before_scalar = scalar.disk.stats.snapshot()
-    grouped.apply_sorted(ops)
-    apply_scalar(scalar, ops)
-    grouped.check_invariants()
-    assert tree_structure(grouped) == tree_structure(scalar)
-    assert len(grouped) == len(scalar)
-    cost_grouped = (grouped.disk.stats.snapshot() - before_grouped).total
-    cost_scalar = (scalar.disk.stats.snapshot() - before_scalar).total
-    assert cost_grouped <= cost_scalar
+def scalar_twin(tree, ops):
+    """A page-identical copy of ``tree`` with ``ops`` applied one by one."""
+    twin = copy.deepcopy(tree)
+    apply_scalar(twin, ops)
+    return twin
 
 
 @pytest.mark.writebatch
@@ -319,94 +309,132 @@ class TestApplySorted:
         assert (disk.stats.snapshot() - before).total == 0
 
     def test_same_key_delete_and_insert_in_one_batch(self):
-        grouped, scalar = twin_trees(range(0, 40, 2), leaf_capacity=4)
+        tree = tree_of(range(0, 40, 2), leaf_capacity=4)
         ops = sorted_batch(
             deletes=[6, 20], inserts=[(6, "six"), (20, "twenty"), (7, "new")]
         )
         assert [kind for key, kind, _ in ops if key == 6] == [DELETE, INSERT]
-        assert_batch_equals_scalar(grouped, scalar, ops)
-        assert grouped.get(6) == "six" and grouped.get(20) == "twenty"
+        apply_sorted_beside_scalar(tree, ops)
+        assert tree.get(6) == "six" and tree.get(20) == "twenty"
 
     def test_structure_changes_mid_run_use_the_scalar_machinery(self):
-        """One batch that merges down to a single leaf, one that splits
-        back up: borrow, merge, root shrink and root growth all happen
-        inside runs, and the pages still match the scalar sequence."""
+        """One batch that merges down to a single leaf — borrow, merge
+        and root shrink inside runs, page for page the scalar sequence
+        — and one that grows back up by packing: the 300 keys land in
+        one run on the root leaf, which becomes full leaves under full
+        internal nodes where the scalar splits leave them half empty."""
         keys = list(range(200))
-        grouped, scalar = twin_trees(keys, leaf_capacity=4)
-        assert grouped.height >= 3
-        assert_batch_equals_scalar(
-            grouped, scalar, sorted_batch(deletes=keys[3:], inserts=[])
+        tree = tree_of(keys, leaf_capacity=4)
+        assert tree.height >= 3
+        scalar = apply_sorted_beside_scalar(
+            tree, sorted_batch(deletes=keys[3:], inserts=[])
         )
-        assert grouped.height == 1
-        assert_batch_equals_scalar(
-            grouped,
-            scalar,
-            sorted_batch(
-                deletes=[0], inserts=[(k, k) for k in range(1000, 1300)]
-            ),
+        assert same_pages(tree, scalar)
+        assert tree.height == 1
+        ops = sorted_batch(
+            deletes=[0], inserts=[(k, k) for k in range(1000, 1300)]
         )
-        assert grouped.height >= 3
+        scalar = apply_sorted_beside_scalar(tree, ops)
+        assert not same_pages(tree, scalar)
+        assert len(tree) == 302
+        sizes = [len(items) for _, items in leaf_pages(tree)]
+        assert len(sizes) == 76 and set(sizes) == {3, 4}  # ceil(302 / 4)
+        assert len(leaf_pages(scalar)) > 140  # ascending: half-full leaves
+        assert 3 <= tree.height < scalar.height
+
+    def test_overfull_leaf_is_packed_into_evenly_filled_leaves(self):
+        """A 272-record leaf taking an ascending run of 250: the scalar
+        sequence splits at the median when only the first 70 have
+        arrived and again later; the run packs 522 records as 261 +
+        261."""
+        records = [(key, key) for key in range(0, 544, 2)]
+        tree = BPlusTree.bulk_load(
+            DiskSimulator(), records, leaf_capacity=341, fill=0.8
+        )
+        ops = sorted_batch([], [(key, key) for key in range(600, 850)])
+        scalar = apply_sorted_beside_scalar(tree, ops)
+        assert [len(items) for _, items in leaf_pages(tree)] == [261, 261]
+        assert [len(items) for _, items in leaf_pages(scalar)] == [
+            171, 171, 180
+        ]
+
+    def test_one_run_splits_an_internal_node_three_ways(self):
+        """Capacity 4 everywhere, 40 keys into a root leaf of 4: the 11
+        packed leaves overfill the new root, which splits three ways
+        (an internal node splitting by the same even rule), and the
+        tree grows a second level in the same write-back."""
+        tree = tree_of(range(4), leaf_capacity=4)
+        ops = sorted_batch([], [(key, key) for key in range(10, 50)])
+        apply_sorted_beside_scalar(tree, ops)
+        assert tree.height == 3
+        root = tree.disk.peek(tree.root_pid)
+        assert [
+            len(tree.disk.peek(pid).items) for _, pid, _ in root.items
+        ] == [3, 4, 4]
+        assert [len(items) for _, items in leaf_pages(tree)] == [4] * 11
+        # The same rule one level down an existing tree: a full parent
+        # handed six new leaves splits three ways under a new root.
+        tree = BPlusTree.bulk_load(
+            DiskSimulator(), [(key, key) for key in range(0, 160, 10)], 4
+        )
+        assert tree.height == 2
+        fresh = [key for key in range(1, 30) if key % 10][:24]
+        apply_sorted_beside_scalar(
+            tree, sorted_batch([], [(key, key) for key in fresh])
+        )
+        assert tree.height == 3
+        root = tree.disk.peek(tree.root_pid)
+        assert [
+            len(tree.disk.peek(pid).items) for _, pid, _ in root.items
+        ] == [3, 3, 4]
 
     def test_duplicate_insert_raises_with_prefix_written_back(self):
-        grouped, scalar = twin_trees(range(10, 100, 10), leaf_capacity=4)
+        grouped = tree_of(range(10, 100, 10), leaf_capacity=4)
         # 5 becomes the new minimum of the first leaf: a prefix left
         # unwritten would leave the parent's routing key stale.
         ops = sorted_batch(deletes=[], inserts=[(5, "a"), (20, "dup"), (95, "z")])
+        scalar = scalar_twin(grouped, ops[:1])
         with pytest.raises(ValueError, match="duplicate key 20"):
             grouped.apply_sorted(ops)
-        scalar.insert(5, "a")
         grouped.check_invariants()
-        assert tree_structure(grouped) == tree_structure(scalar)
+        assert same_pages(grouped, scalar)
         assert not grouped.contains(95)
 
     def test_absent_delete_raises_with_prefix_written_back(self):
-        grouped, scalar = twin_trees(range(10, 100, 10), leaf_capacity=4)
+        grouped = tree_of(range(10, 100, 10), leaf_capacity=4)
         ops = sorted_batch(deletes=[10, 55, 90], inserts=[(11, "a")])
+        scalar = scalar_twin(grouped, ops[:2])
         with pytest.raises(ObjectNotFoundError, match="55"):
             grouped.apply_sorted(ops)
-        scalar.delete(10)
-        scalar.insert(11, "a")
         grouped.check_invariants()
-        assert tree_structure(grouped) == tree_structure(scalar)
+        assert same_pages(grouped, scalar)
         assert grouped.contains(90)
 
     def test_one_descent_and_one_write_back_per_touched_leaf(self):
         records = [(key, key) for key in range(0, 40000, 2)]
-        grouped = BPlusTree.bulk_load(
+        tree = BPlusTree.bulk_load(
             DiskSimulator(), records, leaf_capacity=341, fill=0.8
         )
-        scalar = BPlusTree.bulk_load(
-            DiskSimulator(), records, leaf_capacity=341, fill=0.8
-        )
+        minima = {items[0][0] for _, items in leaf_pages(tree)}
         rng = random.Random(3)
         # Odd keys are fresh and never a leaf minimum, and at 0.8 fill a
-        # few records per leaf neither split nor underflow it: every
-        # run is one whole leaf's share of the batch.
+        # few records per leaf neither overfill nor underflow it: every
+        # run is one whole leaf's share of the batch, and the pages are
+        # the scalar sequence's.
         fresh = rng.sample(range(1, 40000, 2), 400)
-        stale = [key - 1 for key in rng.sample(fresh, 200) if (key - 1) % 544]
+        stale = [
+            key - 1 for key in rng.sample(fresh, 200) if key - 1 not in minima
+        ]
         ops = sorted_batch(deletes=stale, inserts=[(k, k) for k in fresh])
-        leaves = {
-            leaf_pid_of(grouped, key) for key, _, _ in ops
-        }
-        before = grouped.disk.stats.snapshot()
-        pages_before = grouped.disk.pages_in_use
-        assert_batch_equals_scalar(grouped, scalar, ops)
-        assert grouped.disk.pages_in_use == pages_before
-        cost = grouped.disk.stats.snapshot() - before
-        assert cost.writes == grouped.height * len(leaves)
-        assert cost.reads <= grouped.height * len(leaves)
+        leaves = {leaf_pid_of(tree, key) for key, _, _ in ops}
+        before = tree.disk.stats.snapshot()
+        pages_before = tree.disk.pages_in_use
+        assert same_pages(tree, apply_sorted_beside_scalar(tree, ops))
+        assert tree.disk.pages_in_use == pages_before
+        cost = tree.disk.stats.snapshot() - before
+        assert cost.writes == tree.height * len(leaves)
+        assert cost.reads <= tree.height * len(leaves)
         assert len(leaves) < len(ops) / 4  # the batch really did group
-
-
-def stored_keys(tree):
-    """Every key in leaf order, read without I/O accounting (a counted
-    scan would warm one twin's buffer and skew the cost comparison)."""
-    return [
-        key
-        for _, kind, _, items in tree_structure(tree)
-        if kind == "leaf"
-        for key, _ in items
-    ]
 
 
 @pytest.mark.writebatch
@@ -429,10 +457,12 @@ def stored_keys(tree):
 def test_property_apply_sorted_equals_scalar_sequence(
     leaf_capacity, initial, batches
 ):
-    """Random trees, random mixed batches: same pages as the scalar
-    calls, invariants after every batch (small leaves make most runs
-    end in a split, borrow, merge or root change)."""
-    grouped, scalar = twin_trees(sorted(initial), leaf_capacity)
+    """Random trees, random mixed batches, each beside the scalar calls
+    on a copy: same records and no more I/O always, the same pages
+    whenever the scalar calls split nothing, evenly packed leaves
+    otherwise (small leaves make most runs end in a packing, borrow,
+    merge or root change)."""
+    tree = tree_of(sorted(initial), leaf_capacity)
     live = set(initial)
     for batch in batches:
         deletes, inserts = set(), {}
@@ -441,27 +471,27 @@ def test_property_apply_sorted_equals_scalar_sequence(
                 deletes.add(key)
             elif kind == INSERT and (key not in live or key in deletes):
                 inserts[key] = key * 3
-        ops = sorted_batch(deletes, inserts.items())
-        assert_batch_equals_scalar(grouped, scalar, ops)
+        apply_sorted_beside_scalar(tree, sorted_batch(deletes, inserts.items()))
         live = (live - deletes) | set(inserts)
-        assert stored_keys(grouped) == sorted(live)
+        assert [key for key, _ in stored_records(tree)] == sorted(live)
 
 
 @pytest.mark.writebatch
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_property_apply_sorted_paper_sized_leaves(seed):
-    """The paper's B = 341: batches big enough to split and merge."""
+    """The paper's B = 341: batches big enough to pack and merge."""
     rng = random.Random(seed)
     universe = range(6000)
     initial = rng.sample(universe, rng.randint(0, 2500))
-    grouped, scalar = twin_trees(initial, leaf_capacity=341)
+    tree = tree_of(initial, leaf_capacity=341)
     live = set(initial)
     for _ in range(rng.randint(1, 4)):
         deletes = set(rng.sample(sorted(live), rng.randint(0, len(live))))
         candidates = sorted(set(universe) - (live - deletes))
         inserts = rng.sample(candidates, rng.randint(0, 1500))
-        ops = sorted_batch(deletes, [(key, key) for key in inserts])
-        assert_batch_equals_scalar(grouped, scalar, ops)
+        apply_sorted_beside_scalar(
+            tree, sorted_batch(deletes, [(key, key) for key in inserts])
+        )
         live = (live - deletes) | set(inserts)
-        assert stored_keys(grouped) == sorted(live)
+        assert [key for key, _ in stored_records(tree)] == sorted(live)

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -169,17 +169,31 @@ class TestHoughY:
 
 
 def _near_query_boundary(motion, query, rel_tol=1e-7):
-    """The motion's endpoint positions sit within roundoff of the range."""
+    """The motion's endpoint positions sit within roundoff of the range,
+    or within the slack :func:`hough_y_matches` documents: ``1e-9 * (1 +
+    |lhs| + |t|)`` in time — ``lhs`` is ``t`` there, give or take that
+    slack, hence the doubling — which is ``|v|`` times as much in
+    position."""
     for t in (query.t1, query.t2):
         y = motion.position(t)
+        dual_slack = abs(motion.v) * 2e-9 * (1.0 + 2.0 * abs(t))
         for edge in (query.y1, query.y2):
-            if abs(y - edge) <= rel_tol * (1.0 + abs(y) + abs(edge)):
+            if abs(y - edge) <= (
+                rel_tol * (1.0 + abs(y) + abs(edge)) + dual_slack
+            ):
                 return True
     return False
 
 
 @settings(max_examples=300, deadline=None)
 @given(motion=motions(+1), query=queries(), y_r=st.sampled_from([0.0, 250.0, 500.0]))
+@example(
+    # 1.2e-7 short of the range at t = 500: inside the dual test's
+    # ~1e-6 time slack, outside a 1e-7 position tolerance.
+    motion=LinearMotion1D(y0=0.0, v=1.0, t0=500.0),
+    query=MORQuery1D(1.192092896e-07, 1.192092896e-07, 500.0, 500.0),
+    y_r=0.0,
+)
 def test_property_hough_y_exact_equals_predicate(motion, query, y_r):
     n, b = hough_y(motion, y_r)
     if hough_y_matches(n, b, query, y_r) != matches_1d(motion, query):
