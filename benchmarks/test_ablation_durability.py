@@ -7,7 +7,7 @@ contract — every acknowledged update survives a power cut — at the
 price of one fsync per append; ``batch:8`` amortizes that over eight
 appends; ``never`` rides the page cache and only checkpoints are
 durable.  The table records the contract/throughput trade so the
-serve-bench ``--fsync`` default stays an informed choice.
+``wal_fsync`` / ``soak --fsync`` defaults stay an informed choice.
 """
 
 import random

@@ -6,6 +6,7 @@ Usage::
     python -m repro figures --sizes 500 1000 --ticks 20
     python -m repro csweep             # the eq. (2) c tradeoff
     python -m repro mor1               # Theorem 2 space/query behaviour
+    python -m repro soak --scenario city --crashes 1   # whole-stack oracle
     python -m repro list               # registered index methods
 
 The figure tables match what ``pytest benchmarks/ --benchmark-only``
@@ -15,12 +16,14 @@ writes to ``benchmarks/results/``; the CLI is for interactive poking.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
 from repro.bench import Table, default_methods, run_sweep
 from repro.indexes import INDEX_REGISTRY
-from repro.workloads import LARGE_QUERIES, SMALL_QUERIES
+from repro.soak import SoakConfig, run_soak
+from repro.workloads import LARGE_QUERIES, SCENARIO_NAMES, SMALL_QUERIES
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
@@ -58,8 +61,6 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_csweep(args: argparse.Namespace) -> int:
-    import random
-
     from repro.indexes import HoughYForestIndex
     from repro.workloads import WorkloadGenerator
 
@@ -143,352 +144,27 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.service import ServeBenchConfig, run_serve_bench
-
-    if args.parallel:
-        return _cmd_parallel_bench(args)
-    if args.serve:
-        return _cmd_serve_drill(args)
-    if args.soak:
-        return _cmd_soak_bench(args)
-    if args.subscriptions:
-        return _cmd_subscription_bench(args)
-    if args.batch:
-        return _cmd_batch_bench(args)
-    if args.update_bench:
-        return _cmd_update_bench(args)
-    if args.rebalance:
-        return _cmd_rebalance_bench(args)
-    config = ServeBenchConfig(
-        n=args.n,
-        shards=args.shards,
-        batches=args.batches,
-        updates_per_batch=args.updates,
-        queries_per_batch=args.queries,
-        proximity_every=args.proximity_every,
-        method=args.method,
-        router=args.router,
-        workers=args.workers,
-        seed=args.seed,
-        replication=args.replication,
-        faults=args.faults,
-        verify=args.verify,
-        wal_dir=args.wal_dir,
-        fsync=args.fsync,
-    )
+def _cmd_soak(args: argparse.Namespace) -> int:
+    """``soak``: the full-stack concurrent soak under differential
+    oracles (exit 2 on a bad config, 3 on any divergence)."""
+    fields = {
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(SoakConfig)
+        if hasattr(args, field.name)
+    }
     try:
-        report = run_serve_bench(config)
+        report = run_soak(SoakConfig(**fields))
     except ValueError as error:
-        print(f"serve-bench: {error}", file=sys.stderr)
+        print(f"soak: {error}", file=sys.stderr)
         return 2
     print(report.render())
-    if report.verification is not None and (
-        report.verification["mismatches"] > 0
-        or report.verification["lost_objects"] > 0
-    ):
-        print(
-            "serve-bench: verification FAILED (lost updates or "
-            f"mismatching answers): {report.verification}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
-def _cmd_batch_bench(args: argparse.Namespace) -> int:
-    """``serve-bench --batch``: scalar vs vectorized query throughput,
-    with byte-level differential verification of every answer pair."""
-    from repro.service.batch_bench import BatchBenchConfig, run_batch_bench
-
-    config = BatchBenchConfig(
-        n=args.n,
-        queries=args.queries,
-        shards=args.shards,
-        batch_size=args.batch_size,
-        method=args.method,
-        router=args.router,
-        seed=args.seed,
-        json_path=args.batch_json,
-    )
-    try:
-        report = run_batch_bench(config)
-    except ValueError as error:
-        print(f"serve-bench: {error}", file=sys.stderr)
-        return 2
-    print(report.render())
-    if args.batch_json:
-        print(f"wrote {args.batch_json}")
+    if args.json:
+        report.write_json(args.json)
+        print(f"wrote {args.json}")
     if not report.ok:
         print(
-            "serve-bench: vector results DIVERGED from the scalar path "
-            f"at query indices {report.divergences[:10]}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
-def _cmd_update_bench(args: argparse.Namespace) -> int:
-    """``serve-bench --update-bench``: scalar vs batched write-path
-    throughput, with differential verification of per-op outcomes,
-    shard catalogs, and probe query answers (exit 3 on divergence)."""
-    from repro.service.update_bench import (
-        UpdateBenchConfig,
-        run_update_bench,
-    )
-
-    config = UpdateBenchConfig(
-        n=args.n,
-        shards=args.shards,
-        method=args.method,
-        router=args.router,
-        seed=args.seed,
-        json_path=args.update_json,
-    )
-    try:
-        report = run_update_bench(config)
-    except ValueError as error:
-        print(f"serve-bench: {error}", file=sys.stderr)
-        return 2
-    print(report.render())
-    if args.update_json:
-        print(f"wrote {args.update_json}")
-    if not report.ok:
-        print(
-            "serve-bench: batched write path DIVERGED from the scalar "
-            f"path: {report.divergences[:10]}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
-def _cmd_rebalance_bench(args: argparse.Namespace) -> int:
-    """``serve-bench --rebalance``: live repartitioning under load —
-    skew before/after, migration throughput, optional differential
-    verification (exit 3 on divergence)."""
-    from repro.service.rebalance_bench import (
-        RebalanceBenchConfig,
-        run_rebalance_bench,
-    )
-
-    config = RebalanceBenchConfig(
-        n=args.n,
-        shards=args.shards,
-        updates=args.updates,
-        replication=args.replication,
-        method=args.method,
-        seed=args.seed,
-        verify=args.verify,
-        wal_dir=args.wal_dir,
-        fsync=args.fsync,
-        json_path=args.rebalance_json,
-    )
-    try:
-        report = run_rebalance_bench(config)
-    except ValueError as error:
-        print(f"serve-bench: {error}", file=sys.stderr)
-        return 2
-    print(report.render())
-    if args.rebalance_json:
-        print(f"wrote {args.rebalance_json}")
-    if not report.ok:
-        print(
-            "serve-bench: rebalance run DIVERGED from the oracle: "
-            f"{report.verification}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
-def _cmd_parallel_bench(args: argparse.Namespace) -> int:
-    """``serve-bench --parallel``: the worker-pool scaling curve with
-    differential verification plus the frontend overload drill (exit 3
-    on any divergence)."""
-    from repro.service.parallel_bench import (
-        ParallelBenchConfig,
-        run_parallel_bench,
-    )
-
-    try:
-        config = ParallelBenchConfig(
-            n=args.n,
-            queries=args.queries,
-            shards=args.shards,
-            batch_size=args.batch_size,
-            workers_list=(
-                tuple(args.pool_workers)
-                if args.pool_workers
-                else (0, 1, 2, 4)
-            ),
-            method=args.method,
-            router=args.router,
-            seed=args.seed,
-            serve_clients=args.clients,
-            serve_requests=args.requests,
-            serve_queue_depth=args.queue_depth,
-            json_path=args.parallel_json,
-        )
-        report = run_parallel_bench(config)
-    except ValueError as error:
-        print(f"serve-bench: {error}", file=sys.stderr)
-        return 2
-    print(report.render())
-    if args.parallel_json:
-        print(f"wrote {args.parallel_json}")
-    if not report.ok:
-        print(
-            "serve-bench: pooled answers DIVERGED from the in-process "
-            f"path ({report.divergences} mismatches)",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
-def _cmd_serve_drill(args: argparse.Namespace) -> int:
-    """``serve-bench --serve``: concurrent async clients against the
-    admission-controlled frontend — queued-arrival latency, bounded
-    p99, explicit shed accounting."""
-    import json as _json
-
-    from repro.service.parallel_bench import (
-        ParallelBenchConfig,
-        build_queries,
-        run_overload_drill,
-    )
-    import random as _random
-
-    try:
-        workers = max(args.pool_workers) if args.pool_workers else 0
-        config = ParallelBenchConfig(
-            n=args.n,
-            queries=args.queries,
-            shards=args.shards,
-            batch_size=args.batch_size,
-            workers_list=(0, workers) if workers else (0,),
-            method=args.method,
-            router=args.router,
-            seed=args.seed,
-            serve_clients=args.clients,
-            serve_requests=args.requests,
-            serve_queue_depth=args.queue_depth,
-        )
-        stream = build_queries(_random.Random(config.seed + 1), config)
-        drill = run_overload_drill(config, stream)
-    except ValueError as error:
-        print(f"serve-bench: {error}", file=sys.stderr)
-        return 2
-    print(
-        f"serve-drill: {drill['clients']} clients offered "
-        f"{drill['offered']} requests over {config.n} objects "
-        f"({drill['workers']} pool workers, queue depth "
-        f"{drill['queue_depth']})"
-    )
-    print(
-        f"  accepted {drill['accepted']}, shed {drill['shed']}, "
-        f"completed {drill['completed']} "
-        f"(max observed depth {drill['max_observed_depth']})"
-    )
-    print(
-        f"  accepted latency: p50 {drill['p50_ms']:.1f}ms / "
-        f"p99 {drill['p99_ms']:.1f}ms"
-    )
-    if args.parallel_json:
-        with open(args.parallel_json, "w") as handle:
-            _json.dump(
-                {"name": "serve-drill", "drill": drill},
-                handle, indent=2, sort_keys=True,
-            )
-            handle.write("\n")
-        print(f"wrote {args.parallel_json}")
-    return 0
-
-
-def _cmd_soak_bench(args: argparse.Namespace) -> int:
-    """``serve-bench --soak``: the full-stack concurrent soak under
-    differential oracles (exit 3 on any divergence)."""
-    from repro.soak import SoakConfig, run_soak
-
-    try:
-        config = SoakConfig(
-            scenario=args.scenario,
-            n=args.n,
-            ticks=args.ticks,
-            updates_per_tick=args.updates if args.updates else None,
-            arrivals_per_tick=args.arrivals,
-            departures_per_tick=args.departures,
-            shards=args.shards,
-            replication=args.replication,
-            method=args.method,
-            router=args.router,
-            threads=args.threads,
-            batch_queries_per_tick=args.queries,
-            batch_size=args.batch_size,
-            subscriptions=args.subs,
-            horizon=args.horizon,
-            crashes=args.crashes,
-            restarts=args.restarts,
-            rebalances=args.rebalances,
-            check_every=args.check_every,
-            wal_dir=args.wal_dir,
-            fsync=args.fsync,
-            seed=args.seed,
-            write_batch_size=args.write_batch,
-            workers=max(args.pool_workers) if args.pool_workers else 0,
-        )
-        report = run_soak(config)
-    except ValueError as error:
-        print(f"serve-bench: {error}", file=sys.stderr)
-        return 2
-    print(report.render())
-    if args.soak_json:
-        report.write_json(args.soak_json)
-        print(f"wrote {args.soak_json}")
-    if not report.ok:
-        print(
-            "serve-bench: soak DIVERGED from the differential oracles: "
+            "soak: DIVERGED from the differential oracles: "
             f"{report.divergence_labels[:10]}",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
-def _cmd_subscription_bench(args: argparse.Namespace) -> int:
-    """``serve-bench --subscriptions``: standing queries, incremental
-    maintenance vs naive per-tick re-evaluation, differential-checked."""
-    from repro.service import (
-        SubscriptionBenchConfig,
-        run_subscription_bench,
-    )
-
-    config = SubscriptionBenchConfig(
-        n=args.n,
-        shards=args.shards,
-        subscriptions=args.subs,
-        proximity_subs=min(2, args.subs),
-        ticks=args.ticks,
-        updates_per_tick=args.updates,
-        horizon=args.horizon,
-        method=args.method,
-        router=args.router,
-        seed=args.seed,
-        replication=args.replication,
-        faults=args.faults,
-    )
-    try:
-        report = run_subscription_bench(config)
-    except ValueError as error:
-        print(f"serve-bench: {error}", file=sys.stderr)
-        return 2
-    print(report.render())
-    if not report.ok:
-        print(
-            "serve-bench: subscription results DIVERGED from the naive "
-            f"re-evaluation oracle: {report.mismatches[:10]}",
             file=sys.stderr,
         )
         return 3
@@ -533,156 +209,79 @@ def build_parser() -> argparse.ArgumentParser:
     mor1.add_argument("--seed", type=int, default=29)
     mor1.set_defaults(func=_cmd_mor1)
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="drive the sharded service and report per-shard metrics",
+    # Every flag is one SoakConfig field (dest = field name, default =
+    # the dataclass default), plus --json for the report path.
+    cfg = SoakConfig()
+    soak = sub.add_parser(
+        "soak",
+        help="full-stack soak: scenario-shaped writes, batch queries, "
+             "live subscriptions and injected crashes/restarts, every "
+             "answer differential-checked (exit 3 on divergence)",
     )
-    serve.add_argument("--n", type=int, default=2000,
-                       help="initial object population")
-    serve.add_argument("--shards", type=int, default=4)
-    serve.add_argument("--batches", type=int, default=10)
-    serve.add_argument("--updates", type=int, default=100,
-                       help="motion reports per batch")
-    serve.add_argument("--queries", type=int, default=50,
-                       help="queries per batch")
-    serve.add_argument("--proximity-every", type=int, default=5,
-                       help="run a proximity join every Nth batch "
-                            "(0 disables)")
-    serve.add_argument("--method", default="forest",
-                       choices=["forest", "kdtree"])
-    serve.add_argument("--router", default="hash",
-                       choices=["hash", "velocity"])
-    serve.add_argument("--workers", type=int, default=0,
-                       help="thread-pool width (0 = one per shard)")
-    serve.add_argument("--seed", type=int, default=42)
-    serve.add_argument("--replication", type=int, default=1,
-                       help="copies per object (> 1 enables the "
-                            "fault-tolerant service)")
-    serve.add_argument("--faults", action="store_true",
-                       help="inject seeded faults: transient errors, "
-                            "latency spikes, one victim-shard crash")
-    serve.add_argument("--verify", action="store_true",
-                       help="end with a differential check against a "
-                            "faultless single database (exit 3 on "
-                            "lost updates)")
-    serve.add_argument("--wal-dir", metavar="PATH", default=None,
-                       help="write durable per-shard WALs + checkpoints "
-                            "under PATH (enables the fault-tolerant "
-                            "service; combine with --faults --verify "
-                            "to chaos-test the on-disk backend)")
-    serve.add_argument("--fsync", default="always",
-                       metavar="{always,batch[:N],never}",
-                       help="durable-log fsync policy (with --wal-dir); "
-                            "default: always")
-    serve.add_argument("--batch", action="store_true",
-                       help="run the batch-query bench: scalar vs "
-                            "vectorized kernel throughput on the same "
-                            "query stream, every answer pair compared "
-                            "(exit 3 on divergence); --n/--queries "
-                            "size the workload")
-    serve.add_argument("--batch-size", type=int, default=250,
-                       help="queries per query_batch call "
-                            "(--batch mode)")
-    serve.add_argument("--batch-json", metavar="PATH", default=None,
-                       help="dump the machine-readable batch report "
-                            "to PATH (--batch mode)")
-    serve.add_argument("--update-bench", action="store_true",
-                       help="run the batched write-path bench: scalar "
-                            "register/report/deregister calls vs "
-                            "apply_batch on the same op stream; per-op "
-                            "outcomes, catalogs and probe answers "
-                            "differential-checked (exit 3 on "
-                            "divergence); --n sizes the population")
-    serve.add_argument("--update-json", metavar="PATH", default=None,
-                       help="dump the machine-readable update report "
-                            "to PATH (--update-bench mode)")
-    serve.add_argument("--subscriptions", action="store_true",
-                       help="run the continuous-subscription bench: "
-                            "incremental maintenance vs naive per-tick "
-                            "re-evaluation, differential-checked every "
-                            "tick (exit 3 on divergence); --updates "
-                            "becomes reports per tick")
-    serve.add_argument("--subs", type=int, default=40,
-                       help="standing subscriptions "
-                            "(--subscriptions mode)")
-    serve.add_argument("--ticks", type=int, default=15,
-                       help="clock advances (--subscriptions mode)")
-    serve.add_argument("--horizon", type=float, default=8.0,
-                       help="sliding-window length for 'within' "
-                            "subscriptions (--subscriptions mode)")
-    serve.add_argument("--rebalance", action="store_true",
-                       help="run the live-repartitioning bench: a "
-                            "skewed velocity-routed population is "
-                            "re-cut and migrated by the rebalance "
-                            "controller; reports skew before/after "
-                            "and migration throughput; combine with "
-                            "--verify for the differential check "
-                            "(exit 3 on divergence)")
-    serve.add_argument("--rebalance-json", metavar="PATH", default=None,
-                       help="dump the machine-readable rebalance "
-                            "report to PATH (--rebalance mode)")
-    serve.add_argument("--soak", action="store_true",
-                       help="run the full-stack soak: scenario-shaped "
-                            "writes + batch queries + live subscriptions "
-                            "+ injected crashes/WAL restarts, every "
-                            "answer differential-checked (exit 3 on "
-                            "divergence); --n/--ticks/--updates/"
-                            "--queries/--subs size the workload")
-    serve.add_argument("--scenario", default="uniform",
-                       choices=["uniform", "city", "grid", "convoy",
-                                "adversarial"],
-                       help="workload shape (--soak mode)")
-    serve.add_argument("--threads", type=int, default=1,
-                       help="writer threads; 1 = deterministic trace "
-                            "(--soak mode)")
-    serve.add_argument("--crashes", type=int, default=0,
-                       help="scheduled mid-storm shard kills, each "
-                            "recovered by WAL replay (--soak mode)")
-    serve.add_argument("--restarts", type=int, default=0,
-                       help="graceful shutdown + restore_from_disk "
-                            "cycles; needs --wal-dir (--soak mode)")
-    serve.add_argument("--rebalances", type=int, default=0,
-                       help="live repartitioning passes at scheduled "
-                            "quiescent ticks; needs --router velocity "
-                            "(--soak mode)")
-    serve.add_argument("--check-every", type=int, default=2,
-                       help="differential-oracle round every N ticks "
-                            "(--soak mode)")
-    serve.add_argument("--arrivals", type=int, default=0,
-                       help="open-system arrivals per tick (--soak mode)")
-    serve.add_argument("--departures", type=int, default=0,
-                       help="open-system departures per tick "
-                            "(--soak mode)")
-    serve.add_argument("--soak-json", metavar="PATH", default=None,
-                       help="dump the machine-readable soak report to "
-                            "PATH (--soak mode)")
-    serve.add_argument("--write-batch", type=int, default=1,
-                       help="write ops per apply_batch call; 1 = "
-                            "scalar write path (--soak mode)")
-    serve.add_argument("--parallel", action="store_true",
-                       help="worker-pool scaling curve with "
-                            "differential verification plus the "
-                            "frontend overload drill")
-    serve.add_argument("--serve", action="store_true",
-                       help="concurrent async clients against the "
-                            "admission-controlled frontend (queued-"
-                            "arrival latency, shed accounting)")
-    serve.add_argument("--pool-workers", type=int, nargs="+",
-                       default=None,
-                       help="worker-process pool widths to sweep "
-                            "(--parallel; 0 = in-process oracle leg; "
-                            "default 0 1 2 4). --serve and --soak use "
-                            "the max (their default is 0, in-process)")
-    serve.add_argument("--clients", type=int, default=8,
-                       help="concurrent async clients (--serve / the "
-                            "--parallel drill)")
-    serve.add_argument("--requests", type=int, default=40,
-                       help="requests per client (--serve)")
-    serve.add_argument("--queue-depth", type=int, default=32,
-                       help="frontend admission-queue bound (--serve)")
-    serve.add_argument("--parallel-json", metavar="PATH", default=None,
-                       help="dump the parallel/serve report as JSON")
-    serve.set_defaults(func=_cmd_serve_bench)
+    soak.add_argument("--scenario", default=cfg.scenario,
+                      choices=SCENARIO_NAMES, help="workload shape")
+    soak.add_argument("--n", type=int, default=cfg.n,
+                      help="initial object population")
+    soak.add_argument("--ticks", type=int, default=cfg.ticks,
+                      help="clock advances")
+    soak.add_argument("--updates", dest="updates_per_tick", type=int,
+                      default=cfg.updates_per_tick,
+                      help="motion reports per tick (default: n // 50)")
+    soak.add_argument("--arrivals", dest="arrivals_per_tick", type=int,
+                      default=cfg.arrivals_per_tick,
+                      help="open-system arrivals per tick")
+    soak.add_argument("--departures", dest="departures_per_tick", type=int,
+                      default=cfg.departures_per_tick,
+                      help="open-system departures per tick")
+    soak.add_argument("--shards", type=int, default=cfg.shards)
+    soak.add_argument("--replication", type=int, default=cfg.replication,
+                      help="copies per object")
+    soak.add_argument("--method", default=cfg.method,
+                      choices=["forest", "kdtree"])
+    soak.add_argument("--router", default=cfg.router,
+                      choices=["hash", "velocity"])
+    soak.add_argument("--threads", type=int, default=cfg.threads,
+                      help="writer threads; 1 = deterministic trace")
+    soak.add_argument("--queries", dest="batch_queries_per_tick", type=int,
+                      default=cfg.batch_queries_per_tick,
+                      help="batched queries per tick")
+    soak.add_argument("--batch-size", type=int, default=cfg.batch_size,
+                      help="queries per query_batch call")
+    soak.add_argument("--subs", dest="subscriptions", type=int,
+                      default=cfg.subscriptions,
+                      help="standing subscriptions")
+    soak.add_argument("--horizon", type=float, default=cfg.horizon,
+                      help="sliding-window length of 'within' "
+                           "subscriptions")
+    soak.add_argument("--crashes", type=int, default=cfg.crashes,
+                      help="scheduled mid-storm shard kills, each "
+                           "recovered by WAL replay")
+    soak.add_argument("--restarts", type=int, default=cfg.restarts,
+                      help="graceful shutdown + restore_from_disk "
+                           "cycles; needs --wal-dir")
+    soak.add_argument("--rebalances", type=int, default=cfg.rebalances,
+                      help="live repartitioning passes at scheduled "
+                           "quiescent ticks; needs --router velocity")
+    soak.add_argument("--check-every", type=int, default=cfg.check_every,
+                      help="differential-oracle round every N ticks")
+    soak.add_argument("--wal-dir", metavar="PATH", default=cfg.wal_dir,
+                      help="durable per-shard WALs + checkpoints under "
+                           "PATH")
+    soak.add_argument("--fsync", default=cfg.fsync,
+                      metavar="{always,batch[:N],never}",
+                      help="durable-log fsync policy (with --wal-dir)")
+    soak.add_argument("--write-batch", dest="write_batch_size", type=int,
+                      default=cfg.write_batch_size,
+                      help="write ops per apply_batch call; 1 = scalar "
+                           "write path")
+    soak.add_argument("--pool-workers", dest="workers", type=int,
+                      default=cfg.workers,
+                      help="worker-process pool width (0 = in-process)")
+    soak.add_argument("--seed", type=int, default=cfg.seed)
+    soak.add_argument("--json", metavar="PATH", default=None,
+                      help="also write the machine-readable report to "
+                           "PATH")
+    soak.set_defaults(func=_cmd_soak)
 
     listing = sub.add_parser("list", help="list registered index methods")
     listing.set_defaults(func=_cmd_list)

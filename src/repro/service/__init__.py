@@ -28,25 +28,16 @@
 * :mod:`repro.service.rebalance` — :class:`RebalanceController`,
   live skew detection + band re-cutting + crash-safe two-phase
   object migration;
-* :mod:`repro.service.bench` — the ``python -m repro serve-bench``
-  workload (``--faults --replication --verify`` for chaos runs,
-  ``--rebalance`` for the live-repartitioning benchmark).
+* :mod:`repro.service.parallel` — :class:`WorkerPool`, per-shard
+  query sub-batches on worker processes over shared-memory columns;
+* :mod:`repro.service.frontend` — :class:`AsyncFrontend`, the
+  admission-controlled asyncio front door.
+
+The package holds only the service.  Its numbers come from
+``benchmarks/perf`` (``make perf``), its whole-stack oracle from
+``python -m repro soak`` (:mod:`repro.soak`).
 """
 
-from repro.service.batch_bench import (
-    BatchBenchConfig,
-    BatchBenchReport,
-    run_batch_bench,
-)
-from repro.service.bench import (
-    ServeBenchConfig,
-    ServeBenchReport,
-    SubscriptionBenchConfig,
-    SubscriptionBenchReport,
-    build_service,
-    run_serve_bench,
-    run_subscription_bench,
-)
 from repro.service.continuous import (
     Subscription,
     SubscriptionDelta,
@@ -96,11 +87,6 @@ from repro.service.parallel import (
     WorkerCrashError,
     WorkerPool,
 )
-from repro.service.parallel_bench import (
-    ParallelBenchConfig,
-    ParallelBenchReport,
-    run_parallel_bench,
-)
 from repro.service.rebalance import (
     RebalanceConfig,
     RebalanceController,
@@ -126,8 +112,6 @@ from repro.service.wal import ShardWAL
 __all__ = [
     "AsyncFrontend",
     "BandRouter",
-    "BatchBenchConfig",
-    "BatchBenchReport",
     "BatchExecutor",
     "CircuitBreaker",
     "Counter",
@@ -151,8 +135,6 @@ __all__ = [
     "Overloaded",
     "OwnershipTable",
     "PARALLEL_COUNTERS",
-    "ParallelBenchConfig",
-    "ParallelBenchReport",
     "PartialResult",
     "ProximityPairs",
     "REBALANCE_COUNTERS",
@@ -164,15 +146,11 @@ __all__ = [
     "Register",
     "Report",
     "RetryPolicy",
-    "ServeBenchConfig",
-    "ServeBenchReport",
     "ShardRouter",
     "ShardWAL",
     "ShardedMotionService",
     "SnapshotAt",
     "Subscription",
-    "SubscriptionBenchConfig",
-    "SubscriptionBenchReport",
     "SubscriptionDelta",
     "SubscriptionManager",
     "VelocityRouter",
@@ -180,15 +158,10 @@ __all__ = [
     "Within",
     "WorkerCrashError",
     "WorkerPool",
-    "build_service",
     "flip_bit",
     "mix_oid",
     "op_class_name",
     "replay_deltas",
-    "run_batch_bench",
-    "run_parallel_bench",
-    "run_serve_bench",
-    "run_subscription_bench",
     "truncate_file",
     "wal_event_recorder",
 ]

@@ -117,7 +117,7 @@ def replay_deltas(initial: Iterable, deltas: Iterable[SubscriptionDelta]):
     Raises :class:`ValueError` on an inconsistent stream (an ``enter``
     for a present key or an ``exit`` for an absent one) — the
     "no lost deltas, no double-fires" check the test suites and the
-    subscription bench both lean on.
+    soak oracle both lean on.
     """
     current = set(initial)
     for delta in deltas:
@@ -410,8 +410,8 @@ class SubscriptionManager:
         the service at the current subscription clock.
 
         This is the oracle the incremental result must equal — the
-        differential bench runs it every tick for the "naive" cost
-        column and the divergence check.  May return a
+        soak's check rounds and the stateful tests run it for the
+        divergence check.  May return a
         ``PartialResult`` while shards are down.
         """
         with self._lock:

@@ -1241,8 +1241,8 @@ class ShardedMotionService:
         simulated disk pages, so the ``query_batch`` span's per-shard
         I/O is near zero by construction.  It is **not comparable** to
         the scalar operations' ``shard_io`` — use wall-clock throughput
-        (``serve-bench --batch``) to compare the two legs, not I/O
-        counts.
+        (``read_qps`` / ``scalar_qps`` in ``benchmarks/perf``) to
+        compare the two legs, not I/O counts.
         """
         with self.metrics.span("query_batch") as span:
             for op in ops:

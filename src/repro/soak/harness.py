@@ -118,6 +118,13 @@ class SoakConfig:
     def __post_init__(self) -> None:
         if self.threads < 1:
             raise ValueError(f"need at least 1 thread, got {self.threads}")
+        if self.ticks < 1:
+            raise ValueError(f"need at least 1 tick, got {self.ticks}")
+        if not 1 <= self.check_every <= self.ticks:
+            raise ValueError(
+                f"check_every must be in [1, {self.ticks}] or no "
+                f"differential round runs, got {self.check_every}"
+            )
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.write_batch_size < 1:

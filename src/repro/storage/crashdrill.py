@@ -35,7 +35,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Tuple
 
-#: §5 motion parameters, matching the serve-bench defaults.
+#: §5 motion parameters (the workload generator's defaults).
 Y_MAX = 1000.0
 V_MIN = 0.16
 V_MAX = 1.66

@@ -58,3 +58,22 @@ def test_design_lists_every_bench_file():
     for fig in ("test_fig6_query_large.py", "test_fig7_query_small.py",
                 "test_fig8_space.py", "test_fig9_update.py"):
         assert fig not in missing, f"{fig} absent from DESIGN.md"
+
+
+def test_named_make_targets_and_bench_reports_exist():
+    """Docs may only name `make` targets the Makefile has and
+    ``BENCH_*.json`` reports that sit under ``benchmarks/results/``."""
+    targets = set(re.findall(
+        r"^([a-z][a-z-]*):", (ROOT / "Makefile").read_text(), flags=re.M
+    ))
+    reports = {p.name for p in (ROOT / "benchmarks" / "results").iterdir()}
+    docs = [ROOT / name for name in (
+        "README.md", "DESIGN.md", "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md",
+    )] + sorted((ROOT / "docs").glob("*.md"))
+    for path in docs:
+        text = path.read_text()
+        for target in re.findall(r"`make ([a-z][a-z-]*)", text):
+            assert target in targets, f"{path.name}: `make {target}`"
+        for report in re.findall(r"BENCH_\w+\.json", text):
+            assert report in reports, f"{path.name}: {report}"

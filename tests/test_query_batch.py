@@ -16,13 +16,11 @@ from repro.core import MORQuery1D
 from repro.errors import InvalidQueryError
 from repro.indexes.base import MobileIndex1D
 from repro.service import (
-    BatchBenchConfig,
     BatchExecutor,
     FaultTolerantMotionService,
     Register,
     Report,
     ShardedMotionService,
-    run_batch_bench,
 )
 from repro.vector.cache import QueryResultCache
 from repro.vector.ops import Nearest, ProximityPairs, SnapshotAt, Within
@@ -520,26 +518,3 @@ class TestQueryResultCache:
         cache.put(op, {1}, now=0.0, generation=gen)
         assert not cache.get(op, now=0.0)[0]
         assert cache.stats()["stale_puts"] == 1
-
-
-# -- the benchmark harness -----------------------------------------------------
-
-
-def test_run_batch_bench_small(tmp_path):
-    json_path = tmp_path / "BENCH_batch.json"
-    config = BatchBenchConfig(
-        n=300, queries=60, shards=2, batch_size=20, json_path=str(json_path)
-    )
-    report = run_batch_bench(config)
-    assert report.ok
-    assert report.divergences == []
-    assert report.query_count == 60
-    assert report.speedup > 0
-    assert json_path.exists()
-    rendered = report.render()
-    assert "speedup" in rendered
-
-
-def test_batch_bench_rejects_bad_config():
-    with pytest.raises(ValueError):
-        run_batch_bench(BatchBenchConfig(n=0))

@@ -69,16 +69,26 @@ def seed_population(service, oracle=None, n=60, seed=101):
     return rng
 
 
-@pytest.mark.parametrize("seed", [13, 29])
-def test_chaos_r2_matches_faultless_single_database(seed):
+@pytest.mark.parametrize("seed, fsync", [
+    pytest.param(13, None, id="13"),
+    pytest.param(29, None, id="29"),
+    pytest.param(13, "always", id="13-file-always"),
+    pytest.param(29, "batch:4", id="29-file-batch:4"),
+])
+def test_chaos_r2_matches_faultless_single_database(seed, fsync, tmp_path):
     """Replicated service under injected faults ≡ faultless oracle.
 
     The injector fires transient errors and latency spikes everywhere
     plus one crash on a victim shard mid-trace; ``replication=2``
     means every answer must still come back complete and identical.
     Down shards are recovered at every differential checkpoint, so
-    the crash is also exercised through the recovery path.
+    the crash is also exercised through the recovery path.  The
+    ``file`` legs run the same chaos over the on-disk WAL backend.
     """
+    durable = (
+        {} if fsync is None
+        else {"wal_dir": str(tmp_path), "wal_fsync": fsync}
+    )
     victim = seed % 4
     injector = FaultInjector(
         seed=seed,
@@ -91,7 +101,9 @@ def test_chaos_r2_matches_faultless_single_database(seed):
         sleep=lambda s: None,
     )
     single = MotionDatabase(Y_MAX, V_MIN, V_MAX)
-    service = make_service(shards=4, replication=2, injector=injector)
+    service = make_service(
+        shards=4, replication=2, injector=injector, **durable
+    )
 
     def check(single_db, sharded, rng, now):
         full_menu_check(single_db, sharded, rng, now)
@@ -107,6 +119,16 @@ def test_chaos_r2_matches_faultless_single_database(seed):
     assert service.within(0.0, Y_MAX, single.now, single.now + 1.0) == (
         single.within(0.0, Y_MAX, single.now, single.now + 1.0)
     )
+    if fsync is not None:
+        stats = service.service_stats()
+        backends = [
+            s["wal"]["backend"] for s in stats["fault_tolerance"]["health"]
+        ]
+        assert all(b["kind"] == "file" for b in backends)
+        assert all(b["fsync"] == fsync for b in backends)
+        assert stats["metrics"]["counters"]["wal_append"] > 0
+        assert stats["metrics"]["counters"]["wal_fsync"] > 0
+        service.close()
 
 
 def test_r1_dead_shard_degrades_queries_instead_of_raising():

@@ -1,5 +1,6 @@
-"""Units for the metrics registry, shard routers and serve-bench."""
+"""Units for the metrics registry and shard routers."""
 
+import random
 import threading
 
 import pytest
@@ -11,13 +12,19 @@ from repro.service import (
     MetricsRegistry,
     Register,
     Report,
-    ServeBenchConfig,
     ShardedMotionService,
     VelocityRouter,
     mix_oid,
-    run_serve_bench,
 )
 from repro.core.model import LinearMotion1D
+
+from tests.test_service_differential import (
+    V_MAX,
+    V_MIN,
+    Y_MAX,
+    drive,
+    full_menu_check,
+)
 
 
 class TestHistogram:
@@ -184,38 +191,17 @@ class TestBatchExecutorEpochFailures:
         assert service.metrics.snapshot()["failed_ops"] == {"register": 1}
 
 
-class TestServeBench:
-    def test_tiny_run_reports_all_metrics(self):
-        config = ServeBenchConfig(
-            n=60, shards=3, batches=2, updates_per_batch=10,
-            queries_per_batch=6, proximity_every=2, seed=13,
-        )
-        report = run_serve_bench(config)
-        assert report.operations == 60 + 2 * (10 + 6) + 1
-        assert report.throughput_ops_s > 0
-        rendered = report.render()
-        assert "ops/s" in rendered
-        assert "p50_ms" in rendered and "p99_ms" in rendered
-        assert "avg_io" in rendered
-        op_table = report.operation_table()
-        assert "register" in op_table.column("op")
-        shard_table = report.shard_table()
-        assert shard_table.column("shard") == [0, 1, 2]
-        assert sum(shard_table.column("objects")) == 60
-
-    def test_runs_are_seeded(self):
-        config = ServeBenchConfig(
-            n=40, shards=2, batches=1, updates_per_batch=5,
-            queries_per_batch=3, proximity_every=0, seed=7,
-        )
-        a = run_serve_bench(config)
-        b = run_serve_bench(config)
-        # Same traffic: identical op counts and I/O totals (latency
-        # differs, wall clock is real).
-        ops_a = a.stats["metrics"]["operations"]
-        ops_b = b.stats["metrics"]["operations"]
-        assert set(ops_a) == set(ops_b)
-        for name in ops_a:
-            assert ops_a[name]["calls"] == ops_b[name]["calls"]
-            assert ops_a[name]["reads"] == ops_b[name]["reads"]
-            assert ops_a[name]["writes"] == ops_b[name]["writes"]
+def test_same_op_stream_gives_same_counts():
+    """Traffic is seeded end to end: one op stream into two fresh
+    services gives identical call and page counts per operation class
+    (latency differs, wall clock is real)."""
+    a = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=2)
+    b = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=2)
+    drive(random.Random(7), a, b, steps=60, check=full_menu_check)
+    ops_a = a.metrics.snapshot()["operations"]
+    ops_b = b.metrics.snapshot()["operations"]
+    assert {"register", "report", "within", "nearest"} <= set(ops_a)
+    assert set(ops_a) == set(ops_b)
+    for name in ops_a:
+        for field in ("calls", "reads", "writes"):
+            assert ops_a[name][field] == ops_b[name][field], (name, field)

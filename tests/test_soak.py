@@ -1,12 +1,12 @@
 """The soak harness: determinism, concurrency, chaos, durability.
 
-The acceptance-scale runs live in ``make soak-baseline`` /
-``serve-bench --soak``; these tests keep the harness honest at a size
-that runs in seconds:
+The acceptance-scale run is ``make soak-baseline`` (``python -m repro
+soak``); these tests keep the harness honest at a size that runs in
+seconds:
 
 * determinism — two single-threaded runs from one seed produce
   byte-identical schedule *and* trace digests, with zero divergences
-  (the ``soak-smoke`` gate in ``make check``);
+  (what ``make soak-smoke`` runs from the CLI);
 * the multi-threaded mode survives a mid-storm shard kill with zero
   divergences at the quiescent check rounds;
 * the durable restart cycle (graceful close + ``restore_from_disk``)
@@ -186,3 +186,11 @@ class TestReport:
             SoakConfig(replication=5, shards=4)
         with pytest.raises(ValueError):
             SoakConfig(crashes=1, shards=1)
+        # A run with no differential round checks nothing: refuse it.
+        with pytest.raises(ValueError):
+            SoakConfig(ticks=0)
+        with pytest.raises(ValueError):
+            SoakConfig(check_every=0)
+        with pytest.raises(ValueError):
+            SoakConfig(ticks=3, check_every=5)
+        assert SoakConfig(ticks=3, check_every=3).check_every == 3

@@ -137,4 +137,7 @@ def test_delta_streams_replay_to_naive_oracle(shards, seed):
 
     counters = manager.metrics.snapshot()["counters"]
     assert counters["subscription_anomalies"] == 0
+    # One index evaluation per subscription, at subscribe time; none
+    # per tick — what "incremental" means.
+    assert counters["subscription_index_probes"] == len(subs)
     manager.close()

@@ -15,8 +15,9 @@ principles per policy:
 
 Plus the satellites: history-preserving checkpoints (the fixed
 ``keep_history`` limitation), the soft-degrade path for pre-history
-checkpoints, whole-service :meth:`restore_from_disk`, and the durable
-serve-bench configuration.
+checkpoints, and whole-service :meth:`restore_from_disk`.  Chaos over
+the file backend is a leg of
+``test_replication.py::test_chaos_r2_matches_faultless_single_database``.
 """
 
 import random
@@ -26,7 +27,7 @@ import pytest
 
 from repro.engine import MotionDatabase
 from repro.errors import DegradedResultWarning, SimulatedCrashError
-from repro.service import ServeBenchConfig, ShardWAL, run_serve_bench
+from repro.service import ShardWAL
 from repro.service.faults import CrashPointInjector
 from repro.service.replication import FaultTolerantMotionService
 from repro.storage import ALL_CRASH_POINTS, CheckpointStore, FileWALBackend
@@ -314,6 +315,7 @@ def test_restore_from_disk_reproduces_the_service(tmp_path):
     }
     population = service.motion_snapshot()
     service.close()
+    assert (tmp_path / "shard-00" / "MANIFEST").exists()
 
     restored = build_durable_service(tmp_path)
     summary = restored.restore_from_disk()
@@ -343,42 +345,3 @@ def test_restore_from_disk_on_empty_directory_is_a_noop(tmp_path):
     service.register(1, 10.0, 1.0, 0.0)
     assert len(service) == 1
     service.close()
-
-
-# -- durable serve-bench ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("fsync", ["always", "batch:4"])
-def test_serve_bench_durable_chaos_run_verifies(tmp_path, fsync):
-    """The ``--wal-dir --faults --verify`` path: chaos over the real
-    backend must still lose zero acknowledged updates."""
-    # Unreplicated chaos: reads between the injected crash and the
-    # recovery come back partial, by design.
-    with pytest.warns(DegradedResultWarning):
-        report = run_serve_bench(ServeBenchConfig(
-            n=150, shards=3, batches=3, updates_per_batch=30,
-            queries_per_batch=10, proximity_every=0, seed=9,
-            faults=True, verify=True,
-            wal_dir=str(tmp_path), fsync=fsync,
-        ))
-    assert report.verification is not None
-    assert report.verification["mismatches"] == 0
-    assert report.verification["lost_objects"] == 0
-    ft = report.stats["fault_tolerance"]
-    assert ft["wal_dir"] == str(tmp_path)
-    backends = [s["wal"]["backend"] for s in ft["health"]]
-    assert all(b["kind"] == "file" for b in backends)
-    assert all(b["fsync"] == fsync for b in backends)
-    counters = report.stats["metrics"]["counters"]
-    assert counters.get("wal_append", 0) > 0
-    assert counters.get("wal_fsync", 0) > 0
-
-
-def test_serve_bench_wal_dir_without_faults_uses_durable_service(tmp_path):
-    report = run_serve_bench(ServeBenchConfig(
-        n=50, shards=2, batches=1, updates_per_batch=10,
-        queries_per_batch=5, proximity_every=0, seed=3,
-        wal_dir=str(tmp_path),
-    ))
-    assert "fault_tolerance" in report.stats
-    assert (tmp_path / "shard-00" / "MANIFEST").exists()

@@ -153,6 +153,9 @@ def assert_twins_agree(scalar, batched, want, got):
         assert batched.snapshot_at(
             query.y1, query.y2, query.t1
         ) == scalar.snapshot_at(query.y1, query.y2, query.t1)
+        assert batched.nearest(query.y1, query.t1, 5) == scalar.nearest(
+            query.y1, query.t1, 5
+        )
 
 
 # -- the differential wall -----------------------------------------------------
