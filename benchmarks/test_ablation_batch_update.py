@@ -90,14 +90,10 @@ def rebuild(forest, batch):
 def measure(apply, forest, batch):
     """``(pages/op, ms/op)`` of one strategy absorbing one batch."""
     before = forest.snapshot()
-    disks_before = forest.disks
     started = time.perf_counter()
     apply(forest, batch)
     elapsed = time.perf_counter() - started
-    if forest.disks == disks_before:
-        pages = forest.io_cost_since(before)
-    else:  # a rebuild swaps in fresh disks, counted from zero
-        pages = sum(disk.stats.total for disk in forest.disks)
+    pages = forest.io_cost_since(before)
     return round(pages / len(batch), 2), round(1e3 * elapsed / len(batch), 3)
 
 

@@ -18,10 +18,14 @@ a per-subtree summary (the external interval tree of
 queries with pruning).
 
 Keys may be any totally ordered values (floats, tuples, ...).  All page
-touches go through the :class:`~repro.io_sim.pager.DiskSimulator`.
+touches go through the :class:`~repro.io_sim.pager.DiskSimulator`, and
+a page is written iff its content changed since the descent read it:
+the leaf always, an ancestor only when it took or lost a child or its
+child's ``(min_key, pid, aggregate)`` entry moved — the write-back
+stops climbing at the first ancestor that did neither.
 
 Batch maintenance (:meth:`BPlusTree.apply_sorted`) is leaf-at-a-time:
-a key-sorted run of deletes and inserts pays one descent and one path
+a key-sorted run of deletes and inserts pays one descent and one such
 write-back per *touched leaf* rather than per record.  While no leaf
 goes over capacity the result is the very tree the scalar calls would
 build from the same sorted sequence; a leaf that a run overfills is
@@ -267,6 +271,9 @@ class BPlusTree:
     ) -> None:
         """Split overflowing nodes bottom-up and refresh routing entries.
 
+        Writes the leaf, then each ancestor whose content changed — it
+        took new siblings, was split, or its child's routing entry
+        moved — and stops at the first ancestor that did not.
         ``leaf_aggregate``, when given, is the leaf's up-to-date summary
         (saves rescanning the page); a split voids it.
         """
@@ -283,7 +290,11 @@ class BPlusTree:
             self.disk.write(page)
             if level > 0:
                 parent, slot = path[level - 1]
-                self._refresh_parent_entry(parent, slot, page, leaf_aggregate)
+                changed = self._refresh_parent_entry(
+                    parent, slot, page, leaf_aggregate
+                )
+                if not changed and not carry:
+                    return  # the parent, and so every page above, is clean
             leaf_aggregate = None  # describes the leaf level only
         if carry:
             self._grow_root(carry)
@@ -325,14 +336,17 @@ class BPlusTree:
 
     def _refresh_parent_entry(
         self, parent: Page, slot: int, child: Page, aggregate: Any = None
-    ) -> None:
-        """Keep the parent's (min_key, pid, aggregate) entry accurate."""
+    ) -> bool:
+        """Keep the parent's (min_key, pid, aggregate) entry accurate;
+        returns whether the entry, and with it ``parent``, changed."""
         min_key = child.items[0][0]
         if aggregate is None:
             aggregate = self._node_aggregate(child)
         entry = (min_key, child.pid, aggregate)
-        if parent.items[slot] != entry:
-            parent.items[slot] = entry
+        if parent.items[slot] == entry:
+            return False
+        parent.items[slot] = entry
+        return True
 
     def _grow_root(self, siblings: List[InternalEntry]) -> None:
         """Put a new root over the old one and its new ``siblings``; a
@@ -386,21 +400,29 @@ class BPlusTree:
     ) -> None:
         """Borrow or merge underfull nodes bottom-up; refresh routing.
 
-        ``leaf_aggregate`` is as in :meth:`_propagate_after_growth`.
+        Writes what changed and nothing else, as
+        :meth:`_propagate_after_growth` does: the climb ends at the
+        first clean ancestor, and a root left with a single child is
+        freed, not written.  ``leaf_aggregate`` is as there.
         """
-        for level in range(len(path) - 1, -1, -1):
+        for level in range(len(path) - 1, 0, -1):
             page, _ = path[level]
-            if level == 0:
-                self._shrink_root(page)
-                self.disk.write(self.disk.read(self._root_pid))
-                return
             parent, slot = path[level - 1]
             if len(page.items) < self._min_fill(page):
-                self._fix_underflow(parent, slot)
+                changed = self._fix_underflow(parent, slot)
             else:
                 self.disk.write(page)
-                self._refresh_parent_entry(parent, slot, page, leaf_aggregate)
+                changed = self._refresh_parent_entry(
+                    parent, slot, page, leaf_aggregate
+                )
+            if not changed:
+                return
             leaf_aggregate = None  # describes the leaf level only
+        root, _ = path[0]
+        if root.meta["kind"] == INTERNAL and len(root.items) == 1:
+            self._shrink_root(root)
+        else:
+            self.disk.write(root)
 
     def _shrink_root(self, root: Page) -> None:
         """Collapse a one-child internal root."""
@@ -411,8 +433,10 @@ class BPlusTree:
             self._height -= 1
             root = self.disk.read(child_pid)
 
-    def _fix_underflow(self, parent: Page, slot: int) -> None:
-        """Borrow from a sibling or merge; updates ``parent`` in place."""
+    def _fix_underflow(self, parent: Page, slot: int) -> bool:
+        """Borrow from a sibling or merge; updates ``parent`` in place
+        and returns whether it changed (always, unless the underfull
+        page is an only child)."""
         page = self.disk.read(parent.items[slot][1])
         left = (
             self.disk.read(parent.items[slot - 1][1]) if slot > 0 else None
@@ -428,14 +452,14 @@ class BPlusTree:
             self.disk.write(page)
             self._refresh_parent_entry(parent, slot - 1, left)
             self._refresh_parent_entry(parent, slot, page)
-            return
+            return True
         if right is not None and len(right.items) > self._min_fill(right):
             page.items.append(right.items.pop(0))
             self.disk.write(right)
             self.disk.write(page)
             self._refresh_parent_entry(parent, slot, page)
             self._refresh_parent_entry(parent, slot + 1, right)
-            return
+            return True
         # Merge with a sibling (prefer left so leaf chaining stays simple).
         if left is not None:
             absorber, victim, victim_slot = left, page, slot
@@ -444,8 +468,7 @@ class BPlusTree:
         else:
             # Parent has a single child; the root shrink pass handles it.
             self.disk.write(page)
-            self._refresh_parent_entry(parent, slot, page)
-            return
+            return self._refresh_parent_entry(parent, slot, page)
         absorber.items.extend(victim.items)
         if absorber.meta["kind"] == LEAF:
             absorber.meta["next"] = victim.meta["next"]
@@ -453,6 +476,7 @@ class BPlusTree:
         self.disk.free(victim.pid)
         parent.items.pop(victim_slot)
         self._refresh_parent_entry(parent, victim_slot - 1, absorber)
+        return True
 
     # -- batch maintenance ------------------------------------------------------
 
@@ -461,9 +485,10 @@ class BPlusTree:
 
         ``ops`` are ``(key, DELETE | INSERT, value)`` in
         :data:`batch_order`.  Every maximal run of operations routing to
-        one leaf shares one descent and one write-back of the path, so
-        the batch costs ``O(touched leaves * log_B n)`` page accesses,
-        not ``O(len(ops) * log_B n)``.
+        one leaf shares one descent and one write-back (the leaf, and
+        the ancestors the run changed), so the batch costs
+        ``O(touched leaves * log_B n)`` page accesses, not
+        ``O(len(ops) * log_B n)``.
 
         A run absorbs every operation that routes to its leaf, and its
         write-back is the scalar propagation itself, so splits, borrows,

@@ -126,15 +126,11 @@ class MobileIndex1D(abc.ABC):
         return delta
 
     def attach_io_listener(self, listener: IOStats) -> None:
-        """Mirror every page touch on every disk into ``listener``.
-
-        Indexes that re-create a disk internally (e.g. the slow store's
-        re-anchor rebuild) drop the listener for that disk; callers that
-        need exact per-operation costs should prefer snapshot deltas
-        (:meth:`io_delta_since`) and treat listener totals as live
-        aggregate telemetry.
-        """
+        """Mirror every page touch on every disk into ``listener``,
+        those already counted included: its totals are the sum of the
+        disks' own."""
         for disk in self.disks:
+            listener.absorb(disk.stats)
             disk.stats.set_listener(listener)
 
     @property

@@ -27,7 +27,9 @@ Query processing follows the paper's two cases:
     handled as in (i).
 
 Costs match Lemma 1: query ``O(log_B n + (K + K')/B)``, space
-``O(c n)``, update ``O(c log_B n)`` per object through the scalar verbs.
+``O(c n)``, update ``O(c log_B n)`` per object through the scalar verbs
+— descents, mostly: a tree writes back only the pages a verb changed
+(:mod:`repro.bptree.tree`), typically its one leaf.
 A batch of ``m`` writes is cheaper: grouped into one key-sorted run per
 tree it costs ``O(c * (touched leaves + m/B))`` page accesses
 (:meth:`~repro.bptree.tree.BPlusTree.apply_sorted`), and past
@@ -293,10 +295,14 @@ class HoughYForestIndex(MobileIndex1D):
     def _adopt(self, rebuilt: "HoughYForestIndex") -> None:
         """Swap in the structure of a freshly bulk-built forest.
 
-        The disks are replaced wholesale, so any attached I/O listener
-        is dropped for the new disks — the documented re-create caveat
-        of :meth:`~repro.indexes.base.MobileIndex1D.attach_io_listener`.
+        The disks are replaced wholesale but their counters are not:
+        each old disk's :class:`~repro.io_sim.stats.IOStats` absorbs
+        what the rebuild cost on its successor and moves over to it,
+        so per-disk totals (and an attached listener's) only ever grow.
         """
+        for old, new in zip(self.disks, rebuilt.disks):
+            old.stats.absorb(new.stats)
+            new.stats = old.stats
         self._tree_disks = rebuilt._tree_disks
         self._trees = rebuilt._trees
         self._interval_disks = rebuilt._interval_disks

@@ -229,8 +229,8 @@ class TPRTreeIndex(MobileIndex1D):
                 parent.items.append(sibling_entry)
                 continue
             self._disk.write(node)
-            if i > 0:
-                self._refresh_parent(path, i)
+            if i == 0 or not self._refresh_parent(path, i):
+                return  # a clean parent: nothing above changed either
 
     def _node_mbr(self, node: Page) -> MovingInterval:
         """Tight bound of a node's entries, re-anchored at 'now'-ish.
@@ -246,11 +246,19 @@ class TPRTreeIndex(MobileIndex1D):
         assert mbr is not None
         return mbr
 
-    def _refresh_parent(self, path: List[Tuple[Page, Optional[int]]], i: int) -> None:
+    def _refresh_parent(
+        self, path: List[Tuple[Page, Optional[int]]], i: int
+    ) -> bool:
+        """Re-bound ``path[i]`` in its parent; returns whether the
+        entry, and with it the parent page, changed."""
         node, slot = path[i]
         parent, _ = path[i - 1]
         assert slot is not None
-        parent.items[slot] = (self._node_mbr(node), node.pid)
+        entry = (self._node_mbr(node), node.pid)
+        if parent.items[slot] == entry:
+            return False
+        parent.items[slot] = entry
+        return True
 
     def _split(self, node: Page) -> Entry:
         """Split by position at ``t_ref + H/2`` (the TPR future-sort)."""
@@ -333,9 +341,13 @@ class TPRTreeIndex(MobileIndex1D):
                 parent.items.pop(slot)
                 self._disk.free(node.pid)
             else:
-                self._refresh_parent(path, i)
                 self._disk.write(node)
-        self._disk.write(path[0][0])
+                if not self._refresh_parent(path, i):
+                    break
+        else:  # the change reached the root
+            root, _ = path[0]
+            if root.meta["level"] == 0 or len(root.items) != 1:
+                self._disk.write(root)  # else _shrink_root frees it
         self._shrink_root()
         for entry, level in orphans:
             self._insert_entry(entry, level)

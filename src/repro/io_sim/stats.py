@@ -58,10 +58,9 @@ def combine_snapshots(snapshots: Iterable[IOSnapshot]) -> IOSnapshot:
 class IOStats:
     """Mutable read/write/hit counters for one simulated disk.
 
-    A *listener* — any object with the same ``record_*`` methods,
-    typically another :class:`IOStats` owned by a metrics registry —
-    can be attached to mirror every page touch into an aggregate
-    counter without the owner having to poll each disk.
+    A *listener* — another :class:`IOStats`, typically one owned by a
+    metrics registry — can be attached to mirror every page touch into
+    an aggregate counter without the owner having to poll each disk.
     """
 
     def __init__(self, listener: Optional["IOStats"] = None) -> None:
@@ -73,6 +72,19 @@ class IOStats:
     def set_listener(self, listener: Optional["IOStats"]) -> None:
         """Attach (or detach, with ``None``) a mirroring listener."""
         self._listener = listener
+
+    def absorb(self, other: "IOStats") -> None:
+        """Add ``other``'s counts to this counter and its listener's.
+
+        How a structure that rebuilt itself on fresh disks keeps one
+        monotone series per disk: the old counter absorbs the
+        rebuild's own I/O and moves to the new disk.
+        """
+        self.reads += other.reads
+        self.writes += other.writes
+        self.buffer_hits += other.buffer_hits
+        if self._listener is not None:
+            self._listener.absorb(other)
 
     def record_read(self) -> None:
         self.reads += 1

@@ -164,7 +164,12 @@ class RStarTree:
         return best_slot
 
     def _propagate(self, path: List[Tuple[Page, Optional[int]]]) -> None:
-        """Fix overflows bottom-up and refresh ancestor MBRs."""
+        """Fix overflows bottom-up and refresh ancestor MBRs.
+
+        Writes the node that took the entry and each ancestor whose
+        entries changed; the climb ends at the first child MBR that
+        did not move, since nothing above it can have changed.
+        """
         for i in range(len(path) - 1, -1, -1):
             node, _ = path[i]
             level = node.meta["level"]
@@ -187,15 +192,22 @@ class RStarTree:
                 parent.items.append(sibling_entry)
                 continue
             self.disk.write(node)
-            if i > 0:
-                self._refresh_parent(path, i)
+            if i == 0 or not self._refresh_parent(path, i):
+                return
 
-    def _refresh_parent(self, path: List[Tuple[Page, Optional[int]]], i: int) -> None:
+    def _refresh_parent(
+        self, path: List[Tuple[Page, Optional[int]]], i: int
+    ) -> bool:
+        """Keep the parent's entry for ``path[i]`` tight; returns
+        whether the entry, and with it the parent, changed."""
         node, slot = path[i]
         parent, _ = path[i - 1]
         assert slot is not None
-        mbr = bounding_rect(rect for rect, _ in node.items)
-        parent.items[slot] = (mbr, node.pid)
+        entry = (bounding_rect(rect for rect, _ in node.items), node.pid)
+        if parent.items[slot] == entry:
+            return False
+        parent.items[slot] = entry
+        return True
 
     def _split(self, node: Page) -> Entry:
         """R* topological split; returns the new sibling's parent entry."""
@@ -260,7 +272,8 @@ class RStarTree:
         evicted = by_distance[-count:]
         self.disk.write(node)
         for i in range(len(path) - 1, 0, -1):
-            self._refresh_parent(path, i)
+            if not self._refresh_parent(path, i):
+                break
             self.disk.write(path[i - 1][0])
         # Close-reinsert: nearest evictees first (the R* paper's default).
         evicted.reverse()
@@ -301,6 +314,10 @@ class RStarTree:
         return None
 
     def _condense(self, path: List[Tuple[Page, Optional[int]]]) -> None:
+        """Dissolve underfull nodes bottom-up, then reinsert their
+        entries.  Like :meth:`_propagate` it writes only what changed:
+        the climb ends at the first child MBR that did not move, and a
+        root about to be collapsed is freed unwritten."""
         orphans: List[Tuple[Entry, int]] = []
         for i in range(len(path) - 1, 0, -1):
             node, slot = path[i]
@@ -312,10 +329,13 @@ class RStarTree:
                 parent.items.pop(slot)
                 self.disk.free(node.pid)
             else:
-                self._refresh_parent(path, i)
                 self.disk.write(node)
-        root, _ = path[0]
-        self.disk.write(root)
+                if not self._refresh_parent(path, i):
+                    break
+        else:  # the change reached the root
+            root, _ = path[0]
+            if root.meta["level"] == 0 or len(root.items) != 1:
+                self.disk.write(root)  # else _shrink_root frees it
         self._shrink_root()
         for entry, level in orphans:
             self._reinserted_levels = set()

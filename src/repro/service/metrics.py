@@ -379,17 +379,7 @@ class Span:
         self._closed = False
 
     def add_shard_io(self, shard: int, io: IOSnapshot) -> None:
-        """Attribute ``io`` to ``shard`` and to the operation total.
-
-        Negative deltas (a shard rebuilt a disk mid-operation, zeroing
-        its counters) are clamped to zero rather than corrupting the
-        histograms.
-        """
-        io = IOSnapshot(
-            reads=max(0, io.reads),
-            writes=max(0, io.writes),
-            buffer_hits=max(0, io.buffer_hits),
-        )
+        """Attribute ``io`` to ``shard`` and to the operation total."""
         self._io = self._io + io
         self._registry.record_shard_io(shard, self.name, io)
 

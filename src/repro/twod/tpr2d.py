@@ -199,8 +199,8 @@ class PlanarTPRTreeIndex:
                 parent.items.append(sibling_entry)
                 continue
             self._disk.write(node)
-            if i > 0:
-                self._refresh_parent(path, i)
+            if i == 0 or not self._refresh_parent(path, i):
+                return  # a clean parent: nothing above changed either
 
     def _node_mbr(self, node: Page) -> MovingBox:
         anchor = max(box.t_ref for box, _ in node.items)
@@ -213,11 +213,17 @@ class PlanarTPRTreeIndex:
 
     def _refresh_parent(
         self, path: List[Tuple[Page, Optional[int]]], i: int
-    ) -> None:
+    ) -> bool:
+        """Re-bound ``path[i]`` in its parent; returns whether the
+        entry, and with it the parent page, changed."""
         node, slot = path[i]
         parent, _ = path[i - 1]
         assert slot is not None
-        parent.items[slot] = (self._node_mbr(node), node.pid)
+        entry = (self._node_mbr(node), node.pid)
+        if parent.items[slot] == entry:
+            return False
+        parent.items[slot] = entry
+        return True
 
     def _split(self, node: Page) -> Entry:
         probe = (
@@ -304,9 +310,13 @@ class PlanarTPRTreeIndex:
                 parent.items.pop(slot)
                 self._disk.free(node.pid)
             else:
-                self._refresh_parent(path, i)
                 self._disk.write(node)
-        self._disk.write(path[0][0])
+                if not self._refresh_parent(path, i):
+                    break
+        else:  # the change reached the root
+            root, _ = path[0]
+            if root.meta["level"] == 0 or len(root.items) != 1:
+                self._disk.write(root)  # else _shrink_root frees it
         self._shrink_root()
         for entry, level in orphans:
             self._insert_entry(entry, level)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import copy
 import random
+from contextlib import contextmanager
+from types import SimpleNamespace
 from typing import List
 
 from repro.bptree.tree import INSERT
@@ -155,3 +157,56 @@ def leaf_pid_of(tree, key) -> int:
     while page.meta["kind"] == "internal":
         page = tree.disk.peek(page.items[tree._route(page, key)][1])
     return page.pid
+
+
+@contextmanager
+def written_vs_changed(disk):
+    """Hold a block of work on ``disk`` to "written iff changed".
+
+    Yields an audit whose pid sets are filled in as the block runs and
+    when it ends: ``wasted`` — handed to ``write`` with the
+    ``(items, meta)`` the disk already held for it (what the page had
+    on entry, or at its previous write or allocation inside the
+    block); ``missed`` — live at the end with content that was never
+    written, a lost update on a real disk.
+    """
+
+    def image(page):
+        return (list(page.items), dict(page.meta))
+
+    def write(page):
+        content = image(page)
+        if on_disk.get(page.pid) == content:
+            audit.wasted.add(page.pid)
+        on_disk[page.pid] = content
+        type(disk).write(disk, page)
+
+    def allocate(capacity):
+        page = type(disk).allocate(disk, capacity)
+        on_disk[page.pid] = image(page)
+        return page
+
+    def live_pages():
+        pages = map(disk.peek, range(disk.pages_allocated))
+        return [page for page in pages if page is not None]
+
+    on_disk = {page.pid: image(page) for page in live_pages()}
+    audit = SimpleNamespace(missed=set(), wasted=set())
+    disk.write, disk.allocate = write, allocate
+    try:
+        yield audit
+    finally:
+        del disk.write, disk.allocate
+    audit.missed.update(
+        page.pid for page in live_pages() if on_disk[page.pid] != image(page)
+    )
+
+
+def run_audited(disk, operation, *args):
+    """``operation(*args)`` under :func:`written_vs_changed`: no page
+    may be missed and none wasted."""
+    with written_vs_changed(disk) as audit:
+        result = operation(*args)
+    assert not audit.missed, f"changed but never written: {audit.missed}"
+    assert not audit.wasted, f"written back unchanged: {audit.wasted}"
+    return result

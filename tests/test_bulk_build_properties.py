@@ -35,7 +35,7 @@ from repro.indexes import DualKDTreeIndex, RotatingIndex
 from repro.indexes.hough_y_forest import HoughYForestIndex
 from repro.indexes.hybrid import HybridIndex
 
-from .helpers import leaf_pid_of
+from .helpers import leaf_pages, leaf_pid_of
 
 pytestmark = pytest.mark.writebatch
 
@@ -307,8 +307,9 @@ class TestForestGroupedMaintenance:
         """The regime the service runs in: B = 341 leaves packed at 0.8,
         a storm well below the rebuild threshold.  Same catalog, same
         answers to 1 % and 10 % queries, same space, a fraction of the
-        scalar loop's page accesses — at most one descent and one path
-        write-back per touched leaf of each tree."""
+        scalar loop's page accesses — per touched leaf of each tree at
+        most one descent and one write, plus the ancestors of a leaf
+        whose minimum moved."""
         y_max = 1000.0
         model = MotionModel(Terrain1D(y_max), v_min=V_MIN, v_max=V_MAX)
         rng = random.Random(21)
@@ -337,6 +338,10 @@ class TestForestGroupedMaintenance:
             key: disk.stats.snapshot()
             for key, disk in grouped._tree_disks.items()
         }
+        minima = {
+            key: {pid: items[0][0] for pid, items in leaf_pages(tree)}
+            for key, tree in grouped._trees.items()
+        }
         before_grouped, before_scalar = grouped.snapshot(), scalar.snapshot()
         grouped.update_batch(storm)
         for obj in storm:
@@ -345,9 +350,16 @@ class TestForestGroupedMaintenance:
         cost_scalar = scalar.io_cost_since(before_scalar)
         assert cost_grouped * 3 < cost_scalar
         for key, disk in grouped._tree_disks.items():
-            cost = (disk.stats.snapshot() - since[key]).total
-            height = grouped._trees[key].height
-            assert cost <= 2 * height * len(touched[key]), key
+            cost = disk.stats.snapshot() - since[key]
+            tree = grouped._trees[key]
+            moved = sum(
+                minima[key].get(pid) != items[0][0]
+                for pid, items in leaf_pages(tree)
+            )
+            assert cost.reads <= tree.height * len(touched[key]), key
+            assert (
+                cost.writes <= len(touched[key]) + (tree.height - 1) * moved
+            ), key
 
         check_forest_invariants(grouped)
         assert grouped._catalog == scalar._catalog

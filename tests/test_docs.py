@@ -3,6 +3,8 @@
 import pathlib
 import re
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -40,6 +42,33 @@ def test_experiments_covers_every_figure():
     text = (ROOT / "EXPERIMENTS.md").read_text()
     for figure in ("Figure 6", "Figure 7", "Figure 8", "Figure 9"):
         assert figure in text
+
+
+def _table(lines):
+    """Column names and float rows of a whitespace-separated table,
+    read up to the first blank line; a ruler of dashes is skipped."""
+    rows = []
+    for line in lines:
+        if not line.strip():
+            break
+        if set(line) <= set("- "):
+            continue
+        rows.append(line.split())
+    header, *body = rows
+    return header, [[float(cell) for cell in row] for row in body]
+
+
+@pytest.mark.parametrize("figure", [6, 7, 8, 9])
+def test_experiments_figure_tables_equal_committed_results(figure):
+    """The first fenced table under each ``## Figure N`` heading is,
+    number for number, the committed result file: regenerating one
+    side without the other fails here."""
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    section = text.split(f"\n## Figure {figure}", 1)[1]
+    quoted = re.search(r"```\n(.*?)```", section, flags=re.DOTALL).group(1)
+    (result,) = (ROOT / "benchmarks" / "results").glob(f"fig{figure}_*.txt")
+    committed = result.read_text().splitlines()[1:]  # under the title line
+    assert _table(quoted.splitlines()) == _table(committed)
 
 
 def test_design_lists_every_bench_file():

@@ -84,11 +84,15 @@ class TestSlowObjectIndex:
         for obj in objects:
             index.insert(obj)
         t_ref_before = index.t_ref
+        io_before = index.snapshot()
         # Drift budget is y_max/20 = 50 units at v_slow = 0.16:
         # ~312 time units. Query at t = 5000 forces a re-anchor.
         for query in random_queries(rng, 10, t_now=5000.0):
             assert index.query(query) == brute_force_1d(objects, query)
         assert index.t_ref != t_ref_before
+        # The rebuild moved to a fresh disk; the counters went with it
+        # and booked every page it packed.
+        assert index.io_delta_since(io_before).writes >= index.pages_in_use
         # And churn after the re-anchor still works.
         for oid in list(range(0, 120, 3)):
             index.delete(oid)

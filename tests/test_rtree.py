@@ -11,6 +11,8 @@ from repro.errors import DuplicateObjectError, ObjectNotFoundError
 from repro.io_sim import DiskSimulator
 from repro.rtree import Rect, RStarTree, bounding_rect
 
+from .helpers import written_vs_changed
+
 
 class TestRect:
     def test_validation(self):
@@ -266,3 +268,37 @@ def test_property_window_query_matches_brute_force(coords, query):
     }
     assert set(tree.search_rect(window)) == expected
     tree.check_invariants()
+
+
+@pytest.mark.parametrize("leaf_capacity", [4, 8, 25])
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_property_a_page_is_written_iff_it_changed(leaf_capacity, seed):
+    """Insert and delete under the written ≡ changed audit, through
+    splits, forced reinserts, dissolved nodes and root changes.  One
+    unchanged write has no cheap remedy: a forced reinsert that evicts
+    exactly the entry that had just arrived writes its node back as it
+    was; the entry then returns to that node and splits it, so an
+    operation may waste as many writes as it allocates pages."""
+    rng = random.Random(seed)
+    tree, disk = make_tree(leaf_capacity)
+    live = []
+
+    def audited(operation, *args):
+        allocated = disk.pages_allocated
+        with written_vs_changed(disk) as audit:
+            operation(*args)
+        assert not audit.missed
+        assert len(audit.wasted) <= disk.pages_allocated - allocated
+
+    rects = iter(random_rects(rng, 600))
+    for oid in range(600):
+        if live and (oid > 250 and rng.random() < 0.5):
+            audited(tree.delete, live.pop(rng.randrange(len(live))))
+        else:
+            audited(tree.insert, next(rects), oid)
+            live.append(oid)
+    while live:
+        audited(tree.delete, live.pop(rng.randrange(len(live))))
+    tree.check_invariants()
+    assert disk.pages_in_use == 1

@@ -17,6 +17,7 @@ from repro.service import (
     mix_oid,
 )
 from repro.core.model import LinearMotion1D
+from repro.vector.ops import RegisterOp, ReportOp
 
 from tests.test_service_differential import (
     V_MAX,
@@ -67,14 +68,6 @@ class TestRegistry:
         assert query["p99_ms"] >= query["p50_ms"] >= 0.0
         assert set(snapshot["shards"]) == {0, 2}
         assert snapshot["shards"][0]["query"]["reads"] == 3
-
-    def test_negative_deltas_clamped(self):
-        registry = MetricsRegistry()
-        with registry.span("op") as span:
-            span.add_shard_io(0, IOSnapshot(reads=-5, writes=2))
-        summary = registry.snapshot()["operations"]["op"]
-        assert summary["reads"] == 0
-        assert summary["writes"] == 2
 
     def test_concurrent_spans_count_exactly(self):
         registry = MetricsRegistry()
@@ -205,3 +198,54 @@ def test_same_op_stream_gives_same_counts():
     for name in ops_a:
         for field in ("calls", "reads", "writes"):
             assert ops_a[name][field] == ops_b[name][field], (name, field)
+
+
+def test_io_counters_survive_index_rebuilds():
+    """The first batch into an empty forest and an update storm past
+    ``REBUILD_FRACTION`` both swap every disk under a shard's index.
+    Shard totals must keep growing through them, the registry's live
+    aggregate must stay their sum, and the storm — the most expensive
+    write there is — must be booked at no less than the pages it
+    packed."""
+    service = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=2)
+    rng = random.Random(5)
+
+    def motion(t0):
+        speed = rng.uniform(V_MIN, V_MAX) * rng.choice((-1, 1))
+        return (rng.uniform(0.0, Y_MAX), speed, t0)
+
+    def checked_totals(at_least):
+        state = service.service_stats()["shard_state"]
+        totals = [shard["io"] for shard in state]
+        for now, before in zip(totals, at_least):
+            assert all(now[field] >= before[field] for field in now)
+        live = service.metrics.snapshot()["live_io"]
+        assert live == {
+            field: sum(shard[field] for shard in totals) for field in live
+        }
+        return totals
+
+    def batch_writes():
+        return service.metrics.snapshot()["operations"]["apply_batch"]["writes"]
+
+    zero = dict.fromkeys(("reads", "writes", "buffer_hits"), 0)
+    errors = service.apply_batch(
+        [RegisterOp(oid, *motion(0.0)) for oid in range(1600)]
+    )
+    assert not any(errors)
+    loaded = checked_totals([zero, zero])
+    assert all(shard["writes"] > 0 for shard in loaded)
+    for oid in range(100):
+        service.report(oid, *motion(1.0))
+    reported = checked_totals(loaded)
+    writes_before = batch_writes()
+    errors = service.apply_batch(
+        [ReportOp(oid, *motion(2.0)) for oid in range(800)]
+    )
+    assert not any(errors)
+    checked_totals(reported)
+    packed = sum(
+        shard["pages_in_use"]
+        for shard in service.service_stats()["shard_state"]
+    )
+    assert batch_writes() - writes_before >= packed

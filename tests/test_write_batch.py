@@ -751,7 +751,7 @@ class TestOneWritePlan:
         ]
         before = pages()
         assert not any(service.apply_batch(reports))
-        assert (pages() - before) / len(reports) < 15
+        assert (pages() - before) / len(reports) < 5
 
     def test_fault_tolerant_service_only_overrides_the_seams(self):
         """Every verb exists once, in the base class."""
