@@ -73,8 +73,14 @@ perf-smoke:
 perf:
 	python3 benchmarks/perf/run.py --seed 42
 
+# Every figure and ablation table under benchmarks/results/ (not the
+# perf ledger, which has its own targets, nor the paper-scale run),
+# then the result files that moved.
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
+		python -m pytest benchmarks --ignore=benchmarks/perf \
+		--ignore=benchmarks/test_paper_scale.py
+	git status --short benchmarks/results
 
 figures:
 	python -m repro figures

@@ -37,15 +37,23 @@ SIZES = [1000, 2000, 4000]
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
+class PaperForestIndex(HoughYForestIndex):
+    """The §3.5.2 forest as the paper measures it in Figures 6–9: one
+    speed band, observation trees in ``(b, oid)`` order.  The served
+    forest cuts bands (§7, ``ablation_clustering``)."""
+
+    BAND_RATIO = float("inf")
+
+
 def paper_methods():
     """The §5 method set with scaled capacities."""
     return {
         "segment-rstar": lambda m: SegmentRTreeIndex(m, page_capacity=B_RSTAR),
         "dual-rstar": lambda m: DualRTreeIndex(m, page_capacity=B_RSTAR),
         "dual-kdtree": lambda m: DualKDTreeIndex(m, leaf_capacity=B_BPTREE),
-        "forest-c4": lambda m: HoughYForestIndex(m, c=4, leaf_capacity=B_BPTREE),
-        "forest-c6": lambda m: HoughYForestIndex(m, c=6, leaf_capacity=B_BPTREE),
-        "forest-c8": lambda m: HoughYForestIndex(m, c=8, leaf_capacity=B_BPTREE),
+        "forest-c4": lambda m: PaperForestIndex(m, c=4, leaf_capacity=B_BPTREE),
+        "forest-c6": lambda m: PaperForestIndex(m, c=6, leaf_capacity=B_BPTREE),
+        "forest-c8": lambda m: PaperForestIndex(m, c=8, leaf_capacity=B_BPTREE),
     }
 
 

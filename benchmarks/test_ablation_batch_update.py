@@ -197,8 +197,9 @@ def test_chunked_load_shape_matches_the_scalar_load(benchmark):
         f"inserts, one bulk build, {LOAD_CHUNK:,}-object insert_batch chunks "
         f"— leaves and fill of the observation trees, cold pages per 10 % "
         f"query (mean of {len(LOAD_SEEDS)} seeds x 96).  Under the rule "
-        "before the packing overflow and even bulk spread (commit 243c8b7): "
-        "bulk 80 / 0.733 / 11.51, chunked 89 / 0.659 / 12.59",
+        "before the packing overflow and even bulk spread (commit 243c8b7, "
+        "one speed band per tree then — compare leaves and fill, not "
+        "pages): bulk 80 / 0.733 / 11.51, chunked 89 / 0.659 / 12.59",
     ))
     # The chunked load is the one the packing overflow changed: it must
     # be the scalar load's equal under a query, in no more leaves.

@@ -1,7 +1,7 @@
 """Ablation: bulk construction vs incremental insertion of the forest.
 
 Standing up the §3.5.2 structure over an existing fleet is a bulk job:
-external-sort the ``(b, oid)`` records per observation tree and pack
+external-sort the ``(band, b, oid)`` records per observation tree and pack
 leaves bottom-up, instead of paying ``N`` root-to-leaf inserts per
 tree.  This bench charts total build I/O for both paths across
 population sizes — the bulk path's pass-structured linear I/O versus

@@ -6,7 +6,8 @@ the two triangles of area ``E``.  Given the empirical distribution of
 stored ``b`` values (a histogram per observation tree), the fetched
 count for any narrow query is therefore *predictable* before running
 it: it is the histogram mass inside
-:func:`~repro.core.duality.hough_y_b_range`.
+:func:`~repro.core.duality.hough_y_b_range`, speed band by speed band
+(:meth:`~repro.indexes.hough_y_forest.HoughYForestIndex.narrow_plan`).
 
 :class:`ForestCostPredictor` builds those histograms from a forest and
 predicts per-query fetch volumes; the test suite checks the prediction
@@ -18,11 +19,6 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Tuple
 
-from repro.core.duality import (
-    best_observation_horizon,
-    hough_y_b_range,
-    reflect_query,
-)
 from repro.core.queries import MORQuery1D
 from repro.indexes.hough_y_forest import HoughYForestIndex
 
@@ -31,45 +27,35 @@ class ForestCostPredictor:
     """Predicts fetched-record counts for narrow forest queries."""
 
     def __init__(
-        self, b_values: Dict[Tuple[int, int], List[float]], forest: HoughYForestIndex
+        self, keys: Dict[Tuple[int, int], List[Tuple]], forest: HoughYForestIndex
     ) -> None:
-        self._sorted_b = {
-            key: sorted(values) for key, values in b_values.items()
+        self._sorted_keys = {
+            tree: sorted(values) for tree, values in keys.items()
         }
         self._forest = forest
 
     @classmethod
     def from_index(cls, forest: HoughYForestIndex) -> "ForestCostPredictor":
-        """Snapshot the stored b-distributions of every observation tree.
+        """Snapshot the stored keys of every observation tree.
 
         Building the snapshot scans the trees once (charged I/O); the
         predictions themselves are then free.
         """
-        b_values: Dict[Tuple[int, int], List[float]] = {}
-        for key, tree in forest._trees.items():
-            b_values[key] = [b for (b, _), _ in tree.items()]
-        return cls(b_values, forest)
+        return cls(
+            {
+                tree_key: [key for key, _ in tree.items()]
+                for tree_key, tree in forest._trees.items()
+            },
+            forest,
+        )
 
     def predict_fetched(self, query: MORQuery1D) -> int:
         """Records a narrow query will fetch (both velocity signs)."""
-        model = self._forest.model
         total = 0
-        for sign in (1, -1):
-            oriented = (
-                query
-                if sign == 1
-                else reflect_query(query, model.terrain.y_max)
-            )
-            i = best_observation_horizon(oriented, self._forest.horizons)
-            b_lo, b_hi = hough_y_b_range(
-                oriented,
-                self._forest.horizons[i],
-                model.v_min,
-                model.v_max,
-            )
-            values = self._sorted_b.get((sign, i), [])
-            total += bisect.bisect_right(values, b_hi) - bisect.bisect_left(
-                values, b_lo
+        for tree, _, _, lo, hi in self._forest.narrow_plan(query):
+            keys = self._sorted_keys.get(tree, [])
+            total += bisect.bisect_right(keys, hi) - bisect.bisect_left(
+                keys, lo
             )
         return total
 

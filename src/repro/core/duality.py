@@ -163,6 +163,13 @@ def mor_wedge(
 # ---------------------------------------------------------------------------
 
 
+#: Relative slack of the Hough-Y comparisons, shared by the range scan
+#: (:func:`hough_y_b_range`) and the filter behind it
+#: (:func:`hough_y_matches`): what the filter would keep, the scan must
+#: fetch.
+_SLACK = 1e-9
+
+
 def hough_y(motion: LinearMotion1D, y_r: float = 0.0) -> Tuple[float, float]:
     """Map a motion to its Hough-Y dual point relative to horizon ``y_r``.
 
@@ -191,9 +198,10 @@ def hough_y_b_range(
     bounds are linear in ``n`` the rectangle's ``b``-extent is attained
     at the slab's corners.
 
-    Returns ``(b_lo, b_hi)``; candidates found by a range search on ``b``
-    must still be filtered with their stored speed (the paper keeps the
-    speed in each B+-tree record exactly for this).
+    Returns ``(b_lo, b_hi)``, widened by the relative slack
+    :func:`hough_y_matches` allows; candidates found by a range search
+    on ``b`` must still be filtered with their stored speed (the paper
+    keeps the speed in each B+-tree record exactly for this).
     """
     if not 0 < v_min <= v_max:
         raise InvalidMotionError(
@@ -209,7 +217,13 @@ def hough_y_b_range(
         query.t2 - (query.y1 - y_r) * n_lo,
         query.t2 - (query.y1 - y_r) * n_hi,
     )
-    return (b_lo, b_hi)
+    # The slack of hough_y_matches: a stored b is t0 + (y_r - y0)/v, not
+    # t - (y - y_r)*(1/v), so a record the filter would keep can sit an
+    # ulp outside the exact corner when its speed is v_min or v_max.
+    return (
+        b_lo - _SLACK * (1.0 + abs(b_lo) + abs(query.t1)),
+        b_hi + _SLACK * (1.0 + abs(b_hi) + abs(query.t2)),
+    )
 
 
 def hough_y_matches(
@@ -229,8 +243,8 @@ def hough_y_matches(
     """
     lhs_1 = b + (query.y1 - y_r) * n
     lhs_2 = b + (query.y2 - y_r) * n
-    eps_1 = 1e-9 * (1.0 + abs(lhs_1) + abs(query.t2))
-    eps_2 = 1e-9 * (1.0 + abs(lhs_2) + abs(query.t1))
+    eps_1 = _SLACK * (1.0 + abs(lhs_1) + abs(query.t2))
+    eps_2 = _SLACK * (1.0 + abs(lhs_2) + abs(query.t1))
     return lhs_1 <= query.t2 + eps_1 and lhs_2 >= query.t1 - eps_2
 
 
@@ -307,6 +321,34 @@ def observation_horizons(y_max: float, c: int) -> List[float]:
     if c <= 0:
         raise ValueError(f"need at least one observation index, got c={c}")
     return [(i + 0.5) * y_max / c for i in range(c)]
+
+
+def speed_bands(v_min: float, v_max: float, ratio: float) -> List[float]:
+    """Edges of the fewest geometric speed bands with ``v_hi/v_lo <= ratio``.
+
+    §7's "cluster similarly moving objects", along the one axis the
+    over-fetch of equation (1) depends on: within a band the spread of
+    ``1/v`` — and with it the ``b``-range of :func:`hough_y_b_range` —
+    is that of a model ``ratio`` wide, however wide ``[v_min, v_max]``
+    is.  Returns ``k + 1`` edges from ``v_min`` to ``v_max``; a model no
+    wider than ``ratio`` is one band.
+    """
+    if not 0 < v_min <= v_max:
+        raise InvalidMotionError(
+            f"need 0 < v_min <= v_max, got ({v_min}, {v_max})"
+        )
+    if not ratio > 1:
+        raise ValueError(f"band ratio must exceed 1, got {ratio}")
+    spread = v_max / v_min
+    bands = 1
+    # Not ceil(log(spread, ratio)): that lands one band high at exact powers.
+    while ratio ** bands < spread:
+        bands += 1
+    return (
+        [v_min]
+        + [v_min * spread ** (j / bands) for j in range(1, bands)]
+        + [v_max]
+    )
 
 
 def subterrain_bounds(y_max: float, c: int, i: int) -> Tuple[float, float]:

@@ -2,13 +2,10 @@
 
 * :mod:`repro.extensions.neighbors` — k-nearest-neighbor queries;
 * :mod:`repro.extensions.joins` — distance joins between relations;
-* :mod:`repro.extensions.clustering` — velocity-band clustering of the
-  Hough-Y forest ("cluster similarly moving objects");
 * :mod:`repro.extensions.history` — historical (past-window) queries
   via a partially persistent motion archive.
 """
 
-from repro.extensions.clustering import VelocityBandForestIndex
 from repro.extensions.history import HistoricalIndex
 from repro.extensions.joins import (
     brute_force_distance_join,
@@ -24,7 +21,6 @@ __all__ = [
     "HistoricalIndex",
     "KNNEngine",
     "SpeedZones",
-    "VelocityBandForestIndex",
     "ZonedForestIndex",
     "brute_force_distance_join",
     "brute_force_knn",

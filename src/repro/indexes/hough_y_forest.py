@@ -6,9 +6,10 @@ the terrain midpoint so one positive-velocity code path serves both):
 
 * ``c`` **observation B+-trees**.  Tree ``i`` stores, for every object,
   the time ``b`` its trajectory crosses the observation horizon
-  ``y_r(i) = (i + 1/2) * y_max / c``, keyed ``(b, oid)`` with the speed
-  as the record value (record = b + speed + pointer, the paper's
-  ``B = 341`` layout).
+  ``y_r(i) = (i + 1/2) * y_max / c``, keyed ``(speed band, b, oid)``
+  with the speed as the record value (record = b + speed + pointer,
+  the paper's ``B = 341`` layout: the band is a function of the stored
+  speed, :func:`~repro.core.duality.speed_bands`, not a field).
 * ``c`` **subterrain interval indexes** (shared between signs: residence
   is direction-independent).  Index ``i`` stores the time interval the
   object spends inside subterrain ``i``.
@@ -17,10 +18,12 @@ Query processing follows the paper's two cases:
 
 (i) a query no wider than a subterrain is routed to the observation
     tree minimising ``|y2 - y_r| + |y1 - y_r|``; the wedge is
-    over-approximated by the ``b``-range of
+    over-approximated, band by band, by the ``b``-range of
     :func:`~repro.core.duality.hough_y_b_range` and false positives are
     discarded with the stored speed.  Equation (2) bounds the extra
-    fetched area by ``(1/2) * ((vmax - vmin)/(vmin*vmax))^2 * y_max/c``.
+    fetched area by ``(1/2) * ((vmax - vmin)/(vmin*vmax))^2 * y_max/c``
+    with ``vmin``, ``vmax`` the edges of one band — §7's clustering of
+    similarly moving objects, folded into the sort order.
 
 (ii) a wider query is decomposed: one exact interval-stabbing subquery
     per fully-contained subterrain, plus two narrow endpoint subqueries
@@ -39,7 +42,17 @@ sort + pack of everything.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from bisect import bisect_right
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.bptree.tree import DELETE, INSERT, BatchOp, BPlusTree, batch_order
 from repro.io_sim.extsort import external_sort
@@ -52,6 +65,7 @@ from repro.core.duality import (
     reflect_motion,
     reflect_query,
     residence_interval,
+    speed_bands,
     subterrain_bounds,
 )
 from repro.core.model import LinearMotion1D, MobileObject1D, MotionModel
@@ -88,6 +102,13 @@ class HoughYForestIndex(MobileIndex1D):
     REBUILD_MIN_BATCH = 256
     #: Leaf fill factor used by batch-triggered rebuilds.
     REBUILD_FILL = 0.8
+    #: Widest ``v_hi / v_lo`` of one speed band of the tree keys.  A
+    #: narrow query scans one ``b``-range per band, each as tight as a
+    #: model this wide allows, and pays about one boundary leaf per
+    #: band for it: finer bands only win while a tree has leaves to
+    #: spare (EXPERIMENTS.md, "Speed-banded keys").  A model no wider
+    #: than this is one band — the paper's ``(b, oid)`` order.
+    BAND_RATIO = 4.0
     #: Optional crash-point hook consulted by the bulk machinery (fires
     #: ``"bulk.mid_pack"`` between tree packs); class-level so the
     #: ``bulk_build`` alternate constructor inherits the ``None``
@@ -120,6 +141,9 @@ class HoughYForestIndex(MobileIndex1D):
         self._leaf_capacity = leaf_capacity
         y_max = model.terrain.y_max
         self.horizons = observation_horizons(y_max, c)
+        self.band_edges = speed_bands(
+            model.v_min, model.v_max, self.BAND_RATIO
+        )
         self._tree_disks: Dict[Tuple[int, int], DiskSimulator] = {}
         self._trees: Dict[Tuple[int, int], BPlusTree] = {}
         for sign in (1, -1):
@@ -158,7 +182,7 @@ class HoughYForestIndex(MobileIndex1D):
         """Build the forest from a whole population in ``O(c n log n)``.
 
         Each observation tree is bulk-loaded from externally sorted
-        ``(b, oid)`` runs instead of ``N`` root-to-leaf inserts —
+        ``(band, b, oid)`` runs instead of ``N`` root-to-leaf inserts —
         the classic way to stand up the paper's structure over an
         existing fleet.  ``fill < 1`` leaves slack for later updates.
         ``crash_hook`` (chaos testing) fires ``"bulk.mid_pack"`` after
@@ -175,13 +199,16 @@ class HoughYForestIndex(MobileIndex1D):
         index._leaf_capacity = leaf_capacity
         y_max = model.terrain.y_max
         index.horizons = observation_horizons(y_max, c)
+        index.band_edges = speed_bands(
+            model.v_min, model.v_max, cls.BAND_RATIO
+        )
         index._tree_disks = {}
         index._trees = {}
         index._interval_disks = []
         index._intervals = []
         index._catalog = {}
         # Validate and orient everything once.
-        oriented: List[Tuple[MobileObject1D, int, LinearMotion1D]] = []
+        oriented: List[Tuple[MobileObject1D, int, LinearMotion1D, int]] = []
         for obj in objects:
             if obj.oid in index._catalog:
                 raise DuplicateObjectError(
@@ -189,7 +216,7 @@ class HoughYForestIndex(MobileIndex1D):
                 )
             model.validate(obj.motion)
             sign, view = index._oriented(obj.motion)
-            oriented.append((obj, sign, view))
+            oriented.append((obj, sign, view, index._band(view.v)))
             index._catalog[obj.oid] = (obj.motion, sign, [], [])
         # Observation trees: external sort per (sign, horizon), bulk load.
         for sign in (1, -1):
@@ -199,11 +226,11 @@ class HoughYForestIndex(MobileIndex1D):
                     disk.page_size
                 )
                 records = []
-                for obj, s, view in oriented:
+                for obj, s, view, band in oriented:
                     if s != sign:
                         continue
                     _, b = hough_y(view, y_r)
-                    records.append(((b, obj.oid), view.v))
+                    records.append(((band, b, obj.oid), view.v))
                     index._catalog[obj.oid][2].append(b)
                 run = external_sort(
                     disk, records, page_capacity=capacity,
@@ -221,7 +248,7 @@ class HoughYForestIndex(MobileIndex1D):
         per_subterrain: List[List[Tuple[int, float, float]]] = [
             [] for _ in range(c)
         ]
-        for obj, _, _ in oriented:
+        for obj, _, _, _ in oriented:
             subterrains = index._catalog[obj.oid][3]
             for i in range(c):
                 lo, hi = subterrain_bounds(y_max, c, i)
@@ -250,6 +277,14 @@ class HoughYForestIndex(MobileIndex1D):
             return (1, motion)
         return (-1, reflect_motion(motion, self.model.terrain.y_max))
 
+    def _band(self, speed: float) -> int:
+        """The speed band ``j`` leading a record's tree key:
+        ``band_edges[j] <= speed < band_edges[j + 1]`` (the last band
+        closed).  Derived from the speed the record and the catalogued
+        motion already hold, so it is stored nowhere else."""
+        edges = self.band_edges
+        return bisect_right(edges, speed, 1, len(edges) - 1) - 1
+
     def _placement(
         self, motion: LinearMotion1D
     ) -> Tuple[int, float, List[float], List[Tuple[int, float, float]]]:
@@ -272,8 +307,9 @@ class HoughYForestIndex(MobileIndex1D):
             raise DuplicateObjectError(f"object {obj.oid} already indexed")
         self.model.validate(obj.motion)
         sign, speed, b_keys, residences = self._placement(obj.motion)
+        band = self._band(speed)
         for i, b in enumerate(b_keys):
-            self._trees[(sign, i)].insert((b, obj.oid), speed)
+            self._trees[(sign, i)].insert((band, b, obj.oid), speed)
         for i, left, right in residences:
             self._intervals[i].insert(obj.oid, left, right)
         self._catalog[obj.oid] = (
@@ -284,9 +320,10 @@ class HoughYForestIndex(MobileIndex1D):
         entry = self._catalog.pop(oid, None)
         if entry is None:
             raise ObjectNotFoundError(f"object {oid} is not indexed")
-        _, sign, b_keys, subterrains = entry
+        motion, sign, b_keys, subterrains = entry
+        band = self._band(abs(motion.v))
         for i, b in enumerate(b_keys):
-            self._trees[(sign, i)].delete((b, oid))
+            self._trees[(sign, i)].delete((band, b, oid))
         for i in subterrains:
             self._intervals[i].delete(oid)
 
@@ -311,7 +348,7 @@ class HoughYForestIndex(MobileIndex1D):
 
     def _rebuild(self, objects: List[MobileObject1D]) -> None:
         self._adopt(
-            HoughYForestIndex.bulk_build(
+            type(self).bulk_build(
                 self.model,
                 objects,
                 c=self.c,
@@ -360,15 +397,19 @@ class HoughYForestIndex(MobileIndex1D):
             [] for _ in range(self.c)
         ]
         for oid in leaving:
-            _, sign, b_keys, subterrains = self._catalog.pop(oid)
+            motion, sign, b_keys, subterrains = self._catalog.pop(oid)
+            band = self._band(abs(motion.v))
             for i, b in enumerate(b_keys):
-                tree_ops[(sign, i)].append(((b, oid), DELETE, None))
+                tree_ops[(sign, i)].append(((band, b, oid), DELETE, None))
             for i in subterrains:
                 interval_deletes[i].append(oid)
         for obj in arriving:
             sign, speed, b_keys, residences = self._placement(obj.motion)
+            band = self._band(speed)
             for i, b in enumerate(b_keys):
-                tree_ops[(sign, i)].append(((b, obj.oid), INSERT, speed))
+                tree_ops[(sign, i)].append(
+                    ((band, b, obj.oid), INSERT, speed)
+                )
             for i, left, right in residences:
                 interval_inserts[i].append((obj.oid, left, right))
             self._catalog[obj.oid] = (
@@ -402,7 +443,7 @@ class HoughYForestIndex(MobileIndex1D):
         page accesses against the scalar loop's ``O(m · c log_B n)``
         (Lemma 1), same answers.  At or above it, the post-batch
         population is rebuilt via :meth:`bulk_build` — externally
-        sorted ``(b, oid)`` runs packed bottom-up at
+        sorted ``(band, b, oid)`` runs packed bottom-up at
         :data:`REBUILD_FILL` — which answers every query identically
         but costs one sort + pack.  Callers guarantee oid-uniqueness in
         ``objs``.
@@ -481,27 +522,49 @@ class HoughYForestIndex(MobileIndex1D):
             y = y_next
         return result
 
-    def _narrow_query(self, query: MORQuery1D) -> Set[int]:
-        """Case (i): one observation-tree range scan per velocity sign."""
-        result: Set[int] = set()
+    def narrow_plan(
+        self, query: MORQuery1D
+    ) -> Iterator[
+        Tuple[Tuple[int, int], MORQuery1D, float, Tuple, Tuple]
+    ]:
+        """The case-(i) scans of a narrow query, one per velocity sign
+        and speed band: ``(tree, oriented query, y_r, lo key, hi key)``.
+
+        Each band's ``b``-range is computed from the band's own edges,
+        so it lies inside the whole model's (both bounds are linear in
+        ``1/v``): banding never fetches a record one band would not.
+        """
         for sign in (1, -1):
-            oriented_query = (
+            oriented = (
                 query
                 if sign == 1
                 else reflect_query(query, self.model.terrain.y_max)
             )
-            i = best_observation_horizon(oriented_query, self.horizons)
+            i = best_observation_horizon(oriented, self.horizons)
             y_r = self.horizons[i]
-            b_lo, b_hi = hough_y_b_range(
-                oriented_query, y_r, self.model.v_min, self.model.v_max
-            )
-            tree = self._trees[(sign, i)]
-            for (b, oid), v in tree.range_items(
-                (b_lo, -1), (b_hi, float("inf"))
+            for band, (v_lo, v_hi) in enumerate(
+                zip(self.band_edges, self.band_edges[1:])
             ):
-                if hough_y_matches(1.0 / v, b, oriented_query, y_r):
-                    result.add(oid)
-        return result
+                b_lo, b_hi = hough_y_b_range(oriented, y_r, v_lo, v_hi)
+                yield (
+                    (sign, i),
+                    oriented,
+                    y_r,
+                    (band, b_lo, -1),
+                    (band, b_hi, float("inf")),
+                )
+
+    def _narrow_candidates(
+        self, query: MORQuery1D
+    ) -> Iterator[Tuple[int, bool]]:
+        """Every record a narrow query fetches: ``(oid, is an answer)``."""
+        for key, oriented, y_r, lo, hi in self.narrow_plan(query):
+            for (_, b, oid), v in self._trees[key].range_items(lo, hi):
+                yield oid, hough_y_matches(1.0 / v, b, oriented, y_r)
+
+    def _narrow_query(self, query: MORQuery1D) -> Set[int]:
+        """Case (i): one observation-tree range scan per sign and band."""
+        return {oid for oid, hit in self._narrow_candidates(query) if hit}
 
     def approximation_overhead(self, query: MORQuery1D) -> Tuple[int, int]:
         """Measure ``(fetched, exact)`` record counts for a narrow query.
@@ -509,26 +572,8 @@ class HoughYForestIndex(MobileIndex1D):
         Exposes the paper's ``K + K'`` versus ``K`` so benchmarks can
         chart the approximation error against the equation (2) bound.
         """
-        fetched = 0
-        exact = 0
-        for sign in (1, -1):
-            oriented_query = (
-                query
-                if sign == 1
-                else reflect_query(query, self.model.terrain.y_max)
-            )
-            i = best_observation_horizon(oriented_query, self.horizons)
-            y_r = self.horizons[i]
-            b_lo, b_hi = hough_y_b_range(
-                oriented_query, y_r, self.model.v_min, self.model.v_max
-            )
-            for (b, _), v in self._trees[(sign, i)].range_items(
-                (b_lo, -1), (b_hi, float("inf"))
-            ):
-                fetched += 1
-                if hough_y_matches(1.0 / v, b, oriented_query, y_r):
-                    exact += 1
-        return (fetched, exact)
+        hits = [hit for _, hit in self._narrow_candidates(query)]
+        return (len(hits), sum(hits))
 
     def __len__(self) -> int:
         return len(self._catalog)

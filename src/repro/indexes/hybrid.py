@@ -177,7 +177,13 @@ class HybridIndex(MobileIndex1D):
             self._slow.delete(oid)
 
     def query(self, query: MORQuery1D) -> Set[int]:
-        return self._fast.query(query) | self._slow.query(query)
+        """Union over the stores that hold anything: an empty store
+        (the catalog knows, no I/O needed) is not descended into."""
+        result: Set[int] = set()
+        for store in (self._fast, self._slow):
+            if len(store):
+                result |= store.query(query)
+        return result
 
     # -- batched writes --------------------------------------------------------
 

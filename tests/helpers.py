@@ -16,9 +16,18 @@ from repro.core import (
     MotionModel,
     Terrain1D,
 )
+from repro.indexes import HoughYForestIndex
 
 #: The paper's §5 parameters, scaled down to a 1000-unit terrain.
 PAPER_MODEL = MotionModel(Terrain1D(1000.0), v_min=0.16, v_max=1.66)
+
+
+def banded_forest(ratio: float) -> type:
+    """The forest with its speed bands cut at ``ratio`` (``inf``: the
+    paper's one band; 4 / 2.2 / 2 → 2 / 3 / 4 bands on PAPER_MODEL)."""
+    return type(
+        f"Forest{ratio:g}", (HoughYForestIndex,), {"BAND_RATIO": ratio}
+    )
 
 
 def random_objects(

@@ -326,12 +326,19 @@ class TestForestGroupedMaintenance:
 
         touched = {key: set() for key in grouped._trees}
         for obj in storm:
-            _, sign, old_keys, _ = grouped._catalog[obj.oid]
-            new_sign, _, new_keys, _ = grouped._placement(obj.motion)
+            old_motion, sign, old_keys, _ = grouped._catalog[obj.oid]
+            new_sign, speed, new_keys, _ = grouped._placement(obj.motion)
+            old_band = grouped._band(abs(old_motion.v))
+            new_band = grouped._band(speed)
             for i in range(grouped.c):
-                for side, b in ((sign, old_keys[i]), (new_sign, new_keys[i])):
+                for side, band, b in (
+                    (sign, old_band, old_keys[i]),
+                    (new_sign, new_band, new_keys[i]),
+                ):
                     touched[(side, i)].add(
-                        leaf_pid_of(grouped._trees[(side, i)], (b, obj.oid))
+                        leaf_pid_of(
+                            grouped._trees[(side, i)], (band, b, obj.oid)
+                        )
                     )
 
         since = {

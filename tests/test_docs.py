@@ -58,17 +58,29 @@ def _table(lines):
     return header, [[float(cell) for cell in row] for row in body]
 
 
-@pytest.mark.parametrize("figure", [6, 7, 8, 9])
-def test_experiments_figure_tables_equal_committed_results(figure):
-    """The first fenced table under each ``## Figure N`` heading is,
+def _assert_quoted_table_is_committed(heading, result_glob):
+    """The first fenced table under ``heading`` in EXPERIMENTS.md is,
     number for number, the committed result file: regenerating one
     side without the other fails here."""
     text = (ROOT / "EXPERIMENTS.md").read_text()
-    section = text.split(f"\n## Figure {figure}", 1)[1]
+    section = text.split(f"\n{heading}", 1)[1]
     quoted = re.search(r"```\n(.*?)```", section, flags=re.DOTALL).group(1)
-    (result,) = (ROOT / "benchmarks" / "results").glob(f"fig{figure}_*.txt")
+    (result,) = (ROOT / "benchmarks" / "results").glob(result_glob)
     committed = result.read_text().splitlines()[1:]  # under the title line
     assert _table(quoted.splitlines()) == _table(committed)
+
+
+@pytest.mark.parametrize("figure", [6, 7, 8, 9])
+def test_experiments_figure_tables_equal_committed_results(figure):
+    _assert_quoted_table_is_committed(
+        f"## Figure {figure}", f"fig{figure}_*.txt"
+    )
+
+
+def test_experiments_band_sweep_equals_committed_result():
+    _assert_quoted_table_is_committed(
+        "### Speed-banded keys", "ablation_clustering.txt"
+    )
 
 
 def test_design_lists_every_bench_file():

@@ -11,7 +11,6 @@ from repro.errors import InvalidQueryError, ObjectNotFoundError
 from repro.extensions import (
     HistoricalIndex,
     KNNEngine,
-    VelocityBandForestIndex,
     brute_force_distance_join,
     brute_force_knn,
     index_distance_join,
@@ -22,7 +21,12 @@ from repro.extensions import (
 )
 from repro.indexes import DualKDTreeIndex, HoughYForestIndex
 
-from .helpers import PAPER_MODEL, random_objects, random_queries
+from .helpers import (
+    PAPER_MODEL,
+    banded_forest,
+    random_objects,
+    random_queries,
+)
 
 
 class TestKNN:
@@ -149,12 +153,14 @@ class TestDistanceJoin:
 
 
 class TestVelocityBandForest:
+    """§7's velocity clustering lives in the forest's key order
+    (``HoughYForestIndex.BAND_RATIO``); a subclass varies the ratio."""
+
     def test_matches_brute_force(self):
         rng = random.Random(17)
         objects = random_objects(rng, 250)
-        index = VelocityBandForestIndex(
-            PAPER_MODEL, bands=3, c=2, leaf_capacity=8
-        )
+        index = banded_forest(2.2)(PAPER_MODEL, c=2, leaf_capacity=8)
+        assert len(index.band_edges) - 1 == 3
         for obj in objects:
             index.insert(obj)
         assert len(index) == 250
@@ -167,10 +173,9 @@ class TestVelocityBandForest:
         objects = random_objects(rng, 400)
         queries = random_queries(rng, 40, yq_max=100.0, tw_max=40.0)
         waste = {}
-        for bands in (1, 4):
-            index = VelocityBandForestIndex(
-                PAPER_MODEL, bands=bands, c=4, leaf_capacity=32
-            )
+        for bands, ratio in ((1, float("inf")), (4, 2.0)):
+            index = banded_forest(ratio)(PAPER_MODEL, c=4, leaf_capacity=32)
+            assert len(index.band_edges) - 1 == bands
             for obj in objects:
                 index.insert(obj)
             fetched = exact = 0
@@ -182,13 +187,14 @@ class TestVelocityBandForest:
         assert waste[4] < waste[1] / 2
 
     def test_validation_and_deletes(self):
-        with pytest.raises(ValueError):
-            VelocityBandForestIndex(PAPER_MODEL, bands=0)
-        index = VelocityBandForestIndex(PAPER_MODEL, bands=2, c=2,
-                                        leaf_capacity=8)
-        obj = MobileObject1D(1, LinearMotion1D(10.0, 1.0))
-        index.insert(obj)
-        index.delete(1)
+        for ratio in (1.0, 0.5, float("nan")):
+            with pytest.raises(ValueError):
+                banded_forest(ratio)(PAPER_MODEL)
+        index = banded_forest(4.0)(PAPER_MODEL, c=2, leaf_capacity=8)
+        for oid, speed in enumerate(index.band_edges):  # one per band edge
+            index.insert(MobileObject1D(oid, LinearMotion1D(10.0, speed)))
+        for oid in range(len(index.band_edges)):
+            index.delete(oid)
         assert len(index) == 0
         with pytest.raises(ObjectNotFoundError):
             index.delete(1)

@@ -149,6 +149,41 @@ class TestHybridIndex:
         assert hybrid._band[1] == "slow"
         assert hybrid.query(MORQuery1D(45.0, 55.0, 5.0, 6.0)) == {1}
 
+    def test_empty_store_costs_no_page(self):
+        """A store holding nothing is not descended into; the first
+        object it takes is found."""
+        rng = random.Random(10)
+        hybrid = self.make()
+        movers = random_objects(rng, 60)
+        for obj in movers:
+            hybrid.insert(obj)
+        queries = random_queries(rng, 10, t_now=120.0)
+        (slow_disk,) = hybrid._slow.disks
+        before = slow_disk.stats.snapshot()
+        for query in queries:
+            hybrid.clear_buffers()
+            assert hybrid.query(query) == brute_force_1d(movers, query)
+        assert (slow_disk.stats.snapshot() - before).reads == 0
+
+        parked = MobileObject1D(1000, LinearMotion1D(500.0, 0.0, 100.0))
+        hybrid.insert(parked)
+        for query in queries + [MORQuery1D(499.0, 501.0, 130.0, 140.0)]:
+            hybrid.clear_buffers()
+            assert hybrid.query(query) == brute_force_1d(
+                movers + [parked], query
+            )
+        assert (slow_disk.stats.snapshot() - before).reads > 0
+
+        for obj in movers:
+            hybrid.delete(obj.oid)
+        fast_before = [disk.stats.snapshot() for disk in hybrid._fast.disks]
+        hybrid.clear_buffers()
+        assert hybrid.query(MORQuery1D(499.0, 501.0, 130.0, 140.0)) == {1000}
+        assert all(
+            (disk.stats.snapshot() - was).reads == 0
+            for disk, was in zip(hybrid._fast.disks, fast_before)
+        )
+
     def test_pages_and_buffers(self):
         hybrid = self.make()
         hybrid.insert(MobileObject1D(1, LinearMotion1D(10.0, 1.0)))
