@@ -23,7 +23,7 @@ from repro.bench import Table, run_sweep
 from repro.indexes import (
     DualKDTreeIndex,
     DualRTreeIndex,
-    HoughYForestIndex,
+    PaperForestIndex,
     SegmentRTreeIndex,
 )
 from repro.workloads import LARGE_QUERIES, SMALL_QUERIES
@@ -37,16 +37,9 @@ SIZES = [1000, 2000, 4000]
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
-class PaperForestIndex(HoughYForestIndex):
-    """The §3.5.2 forest as the paper measures it in Figures 6–9: one
-    speed band, observation trees in ``(b, oid)`` order.  The served
-    forest cuts bands (§7, ``ablation_clustering``)."""
-
-    BAND_RATIO = float("inf")
-
-
 def paper_methods():
-    """The §5 method set with scaled capacities."""
+    """The §5 method set with scaled capacities: the forest as
+    published (:class:`~repro.indexes.PaperForestIndex`)."""
     return {
         "segment-rstar": lambda m: SegmentRTreeIndex(m, page_capacity=B_RSTAR),
         "dual-rstar": lambda m: DualRTreeIndex(m, page_capacity=B_RSTAR),

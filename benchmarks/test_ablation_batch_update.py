@@ -16,11 +16,17 @@ can be applied
 population (and below ``REBUILD_MIN_BATCH``) and rebuild above.  This
 bench measures all three on the service's per-shard shape — n = 25,000
 objects per index, the paper's B = 341 leaves packed at 0.8 — across
-batch sizes 1 … 8,192, so where rebuild overtakes grouped is a measured
-row, in pages and in wall-clock, rather than the constants' docstring.
-The three forests absorb the same batches one after another (and the
-bench checks they stay the same index; the pages differ wherever a
-grouped run packed a leaf the scalar loop split at the median).
+batch sizes 1 … 25,000 (the whole population), so where rebuild
+overtakes grouped is a measured row — in pages, in wall-clock and in
+the leaf fill each leaves behind — rather than the constants'
+docstring.  The three forests absorb the same batches one after another
+(and the bench checks they stay the same index; the pages differ
+wherever a grouped run packed a leaf the scalar loop split at the
+median).  Every measurement starts from empty buffers: what the
+previous batch happened to leave in a tree's four-page LRU (the scalar
+loop ends on the leaf of its last insert, a sorted run on its largest
+key) is not a cost of the strategy, and at m = 4 it used to be a whole
+page of difference.
 
 A second table is about the shape a *load* leaves behind, which every
 later query pays for: 5,000 objects (one shard of the 10k services)
@@ -47,7 +53,9 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 from tests.helpers import leaf_pages  # noqa: E402
 
 N = 25_000
-BATCH_SIZES = (1, 4, 16, 64, 256, 1024, 2048, 4096, 8192)
+BATCH_SIZES = (
+    1, 4, 16, 64, 256, 1024, 2048, 4096, 8192, 12288, 16384, 21250, 25000
+)
 
 LOAD_N = 5_000
 LOAD_CHUNK = 1_000
@@ -88,13 +96,21 @@ def rebuild(forest, batch):
 
 
 def measure(apply, forest, batch):
-    """``(pages/op, ms/op)`` of one strategy absorbing one batch."""
+    """``(pages/op, ms/op, leaf fill left behind)`` of one strategy
+    absorbing one batch, from empty buffers."""
+    forest.clear_buffers()
     before = forest.snapshot()
     started = time.perf_counter()
     apply(forest, batch)
     elapsed = time.perf_counter() - started
     pages = forest.io_cost_since(before)
-    return round(pages / len(batch), 2), round(1e3 * elapsed / len(batch), 3)
+    leaves, records = leaf_census(forest)
+    capacity = next(iter(forest._trees.values())).leaf_capacity
+    return (
+        round(pages / len(batch), 2),
+        round(1e3 * elapsed / len(batch), 3),
+        round(records / (leaves * capacity), 3),
+    )
 
 
 def run_batch_update_comparison():
@@ -111,6 +127,7 @@ def run_batch_update_comparison():
         headers=["batch"]
         + [f"{name}_pages" for name in strategies]
         + [f"{name}_ms" for name in strategies]
+        + [f"{name}_fill" for name in strategies]
     )
     rng = random.Random(7)
     for now, size in enumerate(BATCH_SIZES, start=1):
@@ -119,9 +136,7 @@ def run_batch_update_comparison():
             measure(apply, forests[name], batch)
             for name, apply in strategies.items()
         ]
-        table.rows.append(
-            [size] + [pages for pages, _ in cells] + [ms for _, ms in cells]
-        )
+        table.rows.append([size] + [cell[i] for i in range(3) for cell in cells])
         assert forests["grouped"]._catalog == forests["scalar"]._catalog
         assert forests["rebuild"]._catalog == forests["scalar"]._catalog
     return table
@@ -214,27 +229,33 @@ def test_grouped_run_sits_between_scalar_and_rebuild(benchmark):
     print(save_table(
         "ablation_batch_update", table,
         f"Ablation: update batch into a {N:,}-object forest (c=4, B=341) — "
-        "pages/op and ms/op, scalar loop vs grouped run vs STR rebuild",
+        "pages/op, ms/op and the leaf fill left behind, from cold buffers: "
+        "scalar loop vs grouped run vs STR rebuild",
     ))
     sizes = table.column("batch")
     scalar = table.column("scalar_pages")
     grouped = table.column("grouped_pages")
     rebuilt = table.column("rebuild_pages")
     threshold = HoughYForestIndex.REBUILD_FRACTION * N
-    below = [g for size, g in zip(sizes, grouped) if size < threshold]
+    amortizing = [g for size, g in zip(sizes, grouped) if size <= N // 2]
     # Page counts are exact, so these are properties, not tolerances.
     # Grouping never costs more than the loop, and amortizes with m
-    # for as long as update_batch would choose it.  (Past the threshold
-    # a third of every interval leaf leaves at once; the borrows and
-    # merges that follow are scalar work, one run each.)
+    # up to half the population.  (Past that most of a leaf's records
+    # leave in one run; the borrows and merges that follow are scalar
+    # work, and with the whole population reporting they are most of
+    # the bill.)
     assert all(g <= s for g, s in zip(grouped, scalar))
-    assert below == sorted(below, reverse=True)
+    assert amortizing == sorted(amortizing, reverse=True)
     assert grouped[sizes.index(1024)] * 3 < scalar[sizes.index(1024)]
     # Scalar cost per op is flat in m (Lemma 1); rebuild cost per op
-    # falls as 1/m and must have crossed grouped by the threshold.
+    # falls as 1/m and crosses grouped at the threshold, not before:
+    # update_batch picks the cheaper arm on every row.
     assert max(scalar) < 1.5 * min(scalar)
     for size, g, r in zip(sizes, grouped, rebuilt):
-        if size <= 256:
-            assert g < r
-        if size >= threshold:
-            assert r < g
+        assert (r < g) == (size >= threshold), size
+    # The rebuild restores the packing fill; a run that replaces the
+    # whole population leaves the leaves visibly emptier.
+    fills = dict(zip(sizes, zip(
+        table.column("grouped_fill"), table.column("rebuild_fill")
+    )))
+    assert fills[N][0] < fills[N][1]

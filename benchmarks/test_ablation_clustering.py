@@ -6,7 +6,8 @@ sort by ``(speed band, b, oid)`` and a narrow query scans one ``b``-range
 per band, each with the eq.-(1) spread of its band alone
 (``HoughYForestIndex.BAND_RATIO``).  This bench sweeps the band ratio
 through local subclasses and charts fetched-vs-exact records, per-query
-I/O, scalar update I/O and space — at the figure scale of the other
+I/O, scalar update I/O and space (in total and tree by tree) — at the
+figure scale of the other
 ablations and at the leaf size and per-shard populations the service
 runs, where the band count that pays depends on how many leaves a tree
 has to spare.
@@ -33,6 +34,9 @@ UPDATES = 150
 
 
 def run_band_sweep():
+    """The table, and per table row the ``(records, pages)`` of each
+    observation tree."""
+    trees = []
     table = Table(
         headers=[
             "B", "N", "bands", "fetched", "exact", "waste",
@@ -65,6 +69,10 @@ def run_band_sweep():
                 index.query(query)
                 total_io += index.io_cost_since(snap)
             pages = index.pages_in_use
+            trees.append([
+                (len(tree), index._tree_disks[key].pages_in_use)
+                for key, tree in index._trees.items()
+            ])
             snap = index.snapshot()
             for obj in updates:
                 index.update(obj)
@@ -82,32 +90,46 @@ def run_band_sweep():
                     pages,
                 ]
             )
-    return table
+    return table, trees
 
 
 def test_velocity_clustering_tradeoff(benchmark):
-    table = benchmark.pedantic(run_band_sweep, rounds=1, iterations=1)
+    table, trees = benchmark.pedantic(run_band_sweep, rounds=1, iterations=1)
     print(save_table("ablation_clustering", table,
                      "Ablation: speed bands of the forest's tree keys"))
     assert table.column("bands")[: len(RATIOS)] == [1, 2, 3, 4, 6, 8]
     blocks = [
-        table.rows[lo : lo + len(RATIOS)]
+        (table.rows[lo : lo + len(RATIOS)], trees[lo : lo + len(RATIOS)])
         for lo in range(0, len(table.rows), len(RATIOS))
     ]
-    for rows in blocks:
-        _, _, _, _, _, waste, query_io, update_io, pages = zip(*rows)
+    for (b, leaf_capacity, _), (rows, by_ratio) in zip(SCALES, blocks):
+        _, _, _, _, _, waste, query_io, update_io, _ = zip(*rows)
         # More bands -> strictly less approximation waste (the §7
         # clustering payoff), by a large factor across the sweep...
         assert all(b < a for a, b in zip(waste, waste[1:]))
         assert waste[-1] < waste[0] / 4
-        # ...for no extra space or update work: same records, same trees.
-        assert max(pages) <= 1.02 * min(pages)
+        # ...for no extra space or update work.  Space, tree by tree:
+        # a band moves records between leaves, never between trees, so
+        # each tree holds the same records at every ratio; packed by
+        # the bulk rule that is the same pages exactly, and grown by
+        # median splits it is wherever random-order growth leaves a
+        # B+-tree — around ln 2 full, one tree 50 pages and its twin 58
+        # (which is why the forest's total is no 2 % matter now that
+        # the band-blind interval indexes no longer pad it).
+        for per_tree in zip(*by_ratio):
+            records, pages = zip(*per_tree)
+            assert len(set(records)) == 1
+            if leaf_capacity is None:
+                assert len(set(pages)) == 1
+            else:
+                for held in pages:
+                    assert 0.6 <= records[0] / (held * b) <= 0.75
         assert max(update_io) <= 1.05 * min(update_io)
         # Pages are another matter: each band scan pays about one
         # boundary leaf, so eight bands never read fewer than two.
         assert query_io[-1] > query_io[1]
     figure, shard_10k, shard_100k = (
-        [row[6] for row in rows] for rows in blocks
+        [row[6] for row in rows] for rows, _ in blocks
     )
     # Where a tree has leaves to spare the served two bands beat the
     # paper's one by a third or more and sit within 10 % of the best

@@ -4,10 +4,11 @@ The §3.5.2 analysis says the approximation fetches the records whose
 ``b``-coordinate falls in the query rectangle — the exact answer plus
 the two triangles of area ``E``.  Given the empirical distribution of
 stored ``b`` values (a histogram per observation tree), the fetched
-count for any narrow query is therefore *predictable* before running
-it: it is the histogram mass inside
-:func:`~repro.core.duality.hough_y_b_range`, speed band by speed band
-(:meth:`~repro.indexes.hough_y_forest.HoughYForestIndex.narrow_plan`).
+count for any query — the served forest scans every width the same way
+— is therefore *predictable* before running it: it is the histogram
+mass inside :func:`~repro.core.duality.hough_y_b_range`, speed band by
+speed band
+(:meth:`~repro.indexes.hough_y_forest.HoughYForestIndex.scan_plan`).
 
 :class:`ForestCostPredictor` builds those histograms from a forest and
 predicts per-query fetch volumes; the test suite checks the prediction
@@ -24,7 +25,7 @@ from repro.indexes.hough_y_forest import HoughYForestIndex
 
 
 class ForestCostPredictor:
-    """Predicts fetched-record counts for narrow forest queries."""
+    """Predicts fetched-record counts for forest queries of any width."""
 
     def __init__(
         self, keys: Dict[Tuple[int, int], List[Tuple]], forest: HoughYForestIndex
@@ -50,9 +51,9 @@ class ForestCostPredictor:
         )
 
     def predict_fetched(self, query: MORQuery1D) -> int:
-        """Records a narrow query will fetch (both velocity signs)."""
+        """Records a query will fetch (both velocity signs)."""
         total = 0
-        for tree, _, _, lo, hi in self._forest.narrow_plan(query):
+        for tree, _, _, lo, hi in self._forest.scan_plan(query):
             keys = self._sorted_keys.get(tree, [])
             total += bisect.bisect_right(keys, hi) - bisect.bisect_left(
                 keys, lo

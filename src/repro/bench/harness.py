@@ -204,9 +204,10 @@ def default_methods(
     forest_cs: Sequence[int] = (4, 6, 8),
     include_segment_baseline: bool = True,
 ) -> Dict[str, MethodFactory]:
-    """The paper's §5 method set: segments-R*, dual kd-tree, B+-forest."""
+    """The paper's §5 method set: segments-R*, dual kd-tree, B+-forest
+    (as published: one speed band, subterrain interval indexes)."""
     from repro.indexes.dual_point import DualKDTreeIndex
-    from repro.indexes.hough_y_forest import HoughYForestIndex
+    from repro.indexes.hough_y_forest import PaperForestIndex
     from repro.indexes.segment_rtree import SegmentRTreeIndex
 
     methods: Dict[str, MethodFactory] = {}
@@ -215,6 +216,6 @@ def default_methods(
     methods["dual-kdtree"] = lambda m: DualKDTreeIndex(m)
     for c in forest_cs:
         methods[f"forest-c{c}"] = (
-            lambda m, c=c: HoughYForestIndex(m, c=c)
+            lambda m, c=c: PaperForestIndex(m, c=c)
         )
     return methods

@@ -2,7 +2,7 @@
 
 from repro.indexes.base import INDEX_REGISTRY, MobileIndex1D, register_index
 from repro.indexes.dual_point import DualKDTreeIndex, DualRTreeIndex
-from repro.indexes.hough_y_forest import HoughYForestIndex
+from repro.indexes.hough_y_forest import HoughYForestIndex, PaperForestIndex
 from repro.indexes.hybrid import HybridIndex, SlowObjectIndex
 from repro.indexes.mor1_index import MOR1AdapterIndex
 from repro.indexes.naive import NaiveScanIndex
@@ -20,6 +20,7 @@ __all__ = [
     "MOR1AdapterIndex",
     "MobileIndex1D",
     "NaiveScanIndex",
+    "PaperForestIndex",
     "PartitionTreeIndex",
     "RotatingIndex",
     "SlowObjectIndex",

@@ -1,33 +1,38 @@
 """The paper's practical method: the Hough-Y observation B+-tree forest
-with subterrain interval indexes (§3.5.2, Lemma 1).
+(§3.5.2, Lemma 1) — served with one scan plan for every query width,
+and as published (:class:`PaperForestIndex`) with the subterrain
+interval indexes of case (ii).
 
 Structure, per velocity sign (negative velocities are reflected through
 the terrain midpoint so one positive-velocity code path serves both):
+``c`` **observation B+-trees**.  Tree ``i`` stores, for every object,
+the time ``b`` its trajectory crosses the observation horizon
+``y_r(i) = (i + 1/2) * y_max / c``, keyed ``(speed band, b, oid)``
+with the speed as the record value (record = b + speed + pointer,
+the paper's ``B = 341`` layout: the band is a function of the stored
+speed, :func:`~repro.core.duality.speed_bands`, not a field).
 
-* ``c`` **observation B+-trees**.  Tree ``i`` stores, for every object,
-  the time ``b`` its trajectory crosses the observation horizon
-  ``y_r(i) = (i + 1/2) * y_max / c``, keyed ``(speed band, b, oid)``
-  with the speed as the record value (record = b + speed + pointer,
-  the paper's ``B = 341`` layout: the band is a function of the stored
-  speed, :func:`~repro.core.duality.speed_bands`, not a field).
-* ``c`` **subterrain interval indexes** (shared between signs: residence
-  is direction-independent).  Index ``i`` stores the time interval the
-  object spends inside subterrain ``i``.
+Query processing is the paper's case (i) at every width: the query is
+routed to the observation tree minimising ``|y2 - y_r| + |y1 - y_r|``;
+the wedge is over-approximated, band by band, by the ``b``-range of
+:func:`~repro.core.duality.hough_y_b_range` and false positives are
+discarded with the stored speed.  Equation (1) prices the extra fetched
+area at ``(1/2) * ((vmax - vmin)/(vmin*vmax))^2 * (|y2 - y_r| +
+|y1 - y_r|)`` with ``vmin``, ``vmax`` the edges of one band — §7's
+clustering of similarly moving objects, folded into the sort order.
+For a query no wider than a subterrain that distance is at most
+``y_max/c`` (equation (2)); for a wider one some horizon lies *inside*
+the query, the distance is the query's own extent ``W``, and every
+speed's slab ``[t1 - (y2 - y_r)/v, t2 + (y_r - y1)/v]`` nests around
+``[t1, t2]`` (DESIGN.md §4.2).
 
-Query processing follows the paper's two cases:
-
-(i) a query no wider than a subterrain is routed to the observation
-    tree minimising ``|y2 - y_r| + |y1 - y_r|``; the wedge is
-    over-approximated, band by band, by the ``b``-range of
-    :func:`~repro.core.duality.hough_y_b_range` and false positives are
-    discarded with the stored speed.  Equation (2) bounds the extra
-    fetched area by ``(1/2) * ((vmax - vmin)/(vmin*vmax))^2 * y_max/c``
-    with ``vmin``, ``vmax`` the edges of one band — §7's clustering of
-    similarly moving objects, folded into the sort order.
-
-(ii) a wider query is decomposed: one exact interval-stabbing subquery
-    per fully-contained subterrain, plus two narrow endpoint subqueries
-    handled as in (i).
+The paper answers the wider queries differently — case (ii): ``c``
+subterrain interval indexes, one exact stabbing subquery per fully
+contained subterrain plus two narrow endpoint pieces.
+:class:`PaperForestIndex` keeps that structure for Figures 6–9; the
+served :class:`HoughYForestIndex` does not build it, because every
+write pays for it and the scan above reads fewer pages than it on
+every wide query class measured (EXPERIMENTS.md, §3.5.2 case (ii)).
 
 Costs match Lemma 1: query ``O(log_B n + (K + K')/B)``, space
 ``O(c n)``, update ``O(c log_B n)`` per object through the scalar verbs
@@ -79,31 +84,34 @@ from repro.io_sim.pager import DiskSimulator
 
 @register_index
 class HoughYForestIndex(MobileIndex1D):
-    """The §3.5.2 query-approximation index ("B+-forest").
+    """The §3.5.2 query-approximation index ("B+-forest"), as served.
 
-    ``c`` controls the observation-index count: more trees shrink the
-    approximation error ``E`` (equation (2)) at the cost of ``c`` times
-    the space and update work — the tradeoff the paper sweeps with
-    ``c = 4, 6, 8``.
+    Observation trees only, scanned the same way at every query width.
+    ``c`` controls their count: more trees shrink the approximation
+    error ``E`` (equation (2)) at the cost of ``c`` times the space and
+    update work — the tradeoff the paper sweeps with ``c = 4, 6, 8``.
     """
 
     name = "hough-y-forest"
 
     #: ``update_batch`` switches from grouped tree maintenance to a
     #: full STR-style rebuild (sort + pack via :meth:`bulk_build`) once
-    #: a batch touches at least this fraction of the population: the
-    #: grouped path visits every touched leaf of every tree (all of
-    #: them, for a batch this large) while the rebuild costs one
-    #: ``O(c · n log n)`` sort + linear pack and restores the fill
-    #: factor, so large update storms amortize strictly better.
-    REBUILD_FRACTION = 0.3
+    #: a batch touches at least this fraction of the population.  Both
+    #: visit every leaf of every tree by then; what tips it is that a
+    #: run replacing most of a leaf's records at once leaves it
+    #: underfull, and the borrows and merges that follow are scalar
+    #: work (2.8 pages/op when the whole population reports, against
+    #: the rebuild's 0.12).  Measured, not derived: the page crossover
+    #: sits between 0.66 and 0.85 of the population on every shape
+    #: tried (``ablation_batch_update``, DESIGN.md §5.4).
+    REBUILD_FRACTION = 0.75
     #: Never rebuild below this batch size — fixed rebuild overhead
     #: dominates tiny populations.
     REBUILD_MIN_BATCH = 256
     #: Leaf fill factor used by batch-triggered rebuilds.
     REBUILD_FILL = 0.8
     #: Widest ``v_hi / v_lo`` of one speed band of the tree keys.  A
-    #: narrow query scans one ``b``-range per band, each as tight as a
+    #: query scans one ``b``-range per band, each as tight as a
     #: model this wide allows, and pays about one boundary leaf per
     #: band for it: finer bands only win while a tree has leaves to
     #: spare (EXPERIMENTS.md, "Speed-banded keys").  A model no wider
@@ -120,51 +128,40 @@ class HoughYForestIndex(MobileIndex1D):
         model: MotionModel,
         c: int = 4,
         leaf_capacity: int | None = None,
-        wide_strategy: str = "intervals",
     ) -> None:
-        super().__init__(model)
+        self._start_empty(model, c, leaf_capacity)
+        for key in self._tree_keys():
+            disk = DiskSimulator()
+            self._tree_disks[key] = disk
+            self._trees[key] = BPlusTree(disk, self._tree_capacity(disk))
+
+    def _start_empty(
+        self, model: MotionModel, c: int, leaf_capacity: int | None
+    ) -> None:
+        """What :meth:`__init__` and :meth:`bulk_build` share: the
+        checked parameters, the derived geometry and no tree yet."""
+        MobileIndex1D.__init__(self, model)
         if c < 1:
             raise ValueError(f"need at least one observation index, got c={c}")
-        if wide_strategy not in ("intervals", "piecewise"):
-            raise ValueError(
-                f"wide_strategy must be 'intervals' or 'piecewise', "
-                f"got {wide_strategy!r}"
-            )
-        #: How case-(ii) queries (wider than a subterrain) are processed:
-        #: "intervals" is the paper's decomposition (exact subterrain
-        #: interval indexes + two endpoint pieces); "piecewise" splits
-        #: the whole query into subterrain-aligned narrow pieces, each
-        #: answered by an observation tree with bounded E — the paper's
-        #: case (i) applied repeatedly.  The ablation bench compares.
-        self.wide_strategy = wide_strategy
         self.c = c
         self._leaf_capacity = leaf_capacity
-        y_max = model.terrain.y_max
-        self.horizons = observation_horizons(y_max, c)
+        self.horizons = observation_horizons(model.terrain.y_max, c)
         self.band_edges = speed_bands(
             model.v_min, model.v_max, self.BAND_RATIO
         )
         self._tree_disks: Dict[Tuple[int, int], DiskSimulator] = {}
         self._trees: Dict[Tuple[int, int], BPlusTree] = {}
-        for sign in (1, -1):
-            for i in range(c):
-                disk = DiskSimulator()
-                capacity = leaf_capacity or BPTREE_ENTRY.capacity(
-                    disk.page_size
-                )
-                self._tree_disks[(sign, i)] = disk
-                self._trees[(sign, i)] = BPlusTree(disk, capacity)
-        self._interval_disks: List[DiskSimulator] = []
-        self._intervals: List[IntervalIndex] = []
-        for _ in range(c):
-            disk = DiskSimulator()
-            capacity = leaf_capacity or INTERVAL_ENTRY.capacity(disk.page_size)
-            self._interval_disks.append(disk)
-            self._intervals.append(IntervalIndex(disk, capacity))
-        #: oid -> (motion, sign, per-tree b keys, subterrains holding an interval)
+        #: oid -> (motion, sign, per-tree b keys)
         self._catalog: Dict[
-            int, Tuple[LinearMotion1D, int, List[float], List[int]]
+            int, Tuple[LinearMotion1D, int, List[float]]
         ] = {}
+
+    def _tree_keys(self) -> Iterator[Tuple[int, int]]:
+        """``(sign, horizon)`` of every observation tree, in disk order."""
+        return ((sign, i) for sign in (1, -1) for i in range(self.c))
+
+    def _tree_capacity(self, disk: DiskSimulator) -> int:
+        return self._leaf_capacity or BPTREE_ENTRY.capacity(disk.page_size)
 
     # -- bulk construction ---------------------------------------------------------
 
@@ -176,7 +173,6 @@ class HoughYForestIndex(MobileIndex1D):
         c: int = 4,
         leaf_capacity: int | None = None,
         fill: float = 0.8,
-        wide_strategy: str = "intervals",
         crash_hook: Optional[Callable[[str], None]] = None,
     ) -> "HoughYForestIndex":
         """Build the forest from a whole population in ``O(c n log n)``.
@@ -189,26 +185,9 @@ class HoughYForestIndex(MobileIndex1D):
         each observation tree is packed.
         """
         index = cls.__new__(cls)
-        MobileIndex1D.__init__(index, model)
-        if c < 1:
-            raise ValueError(f"need at least one observation index, got c={c}")
-        if wide_strategy not in ("intervals", "piecewise"):
-            raise ValueError(f"bad wide_strategy {wide_strategy!r}")
-        index.wide_strategy = wide_strategy
-        index.c = c
-        index._leaf_capacity = leaf_capacity
-        y_max = model.terrain.y_max
-        index.horizons = observation_horizons(y_max, c)
-        index.band_edges = speed_bands(
-            model.v_min, model.v_max, cls.BAND_RATIO
-        )
-        index._tree_disks = {}
-        index._trees = {}
-        index._interval_disks = []
-        index._intervals = []
-        index._catalog = {}
+        index._start_empty(model, c, leaf_capacity)
         # Validate and orient everything once.
-        oriented: List[Tuple[MobileObject1D, int, LinearMotion1D, int]] = []
+        oriented: List[Tuple[int, int, LinearMotion1D, int]] = []
         for obj in objects:
             if obj.oid in index._catalog:
                 raise DuplicateObjectError(
@@ -216,57 +195,32 @@ class HoughYForestIndex(MobileIndex1D):
                 )
             model.validate(obj.motion)
             sign, view = index._oriented(obj.motion)
-            oriented.append((obj, sign, view, index._band(view.v)))
-            index._catalog[obj.oid] = (obj.motion, sign, [], [])
+            oriented.append((obj.oid, sign, view, index._band(view.v)))
+            index._catalog[obj.oid] = (obj.motion, sign, [])
         # Observation trees: external sort per (sign, horizon), bulk load.
-        for sign in (1, -1):
-            for i, y_r in enumerate(index.horizons):
-                disk = DiskSimulator()
-                capacity = leaf_capacity or BPTREE_ENTRY.capacity(
-                    disk.page_size
-                )
-                records = []
-                for obj, s, view, band in oriented:
-                    if s != sign:
-                        continue
-                    _, b = hough_y(view, y_r)
-                    records.append(((band, b, obj.oid), view.v))
-                    index._catalog[obj.oid][2].append(b)
-                run = external_sort(
-                    disk, records, page_capacity=capacity,
-                    key=lambda record: record[0],
-                )
-                tree = BPlusTree.bulk_load(
-                    disk, list(run.scan()), capacity, fill=fill
-                )
-                run.destroy()
-                index._tree_disks[(sign, i)] = disk
-                index._trees[(sign, i)] = tree
-                if crash_hook is not None:
-                    crash_hook("bulk.mid_pack")
-        # Subterrain interval indexes, also bulk-loaded.
-        per_subterrain: List[List[Tuple[int, float, float]]] = [
-            [] for _ in range(c)
-        ]
-        for obj, _, _, _ in oriented:
-            subterrains = index._catalog[obj.oid][3]
-            for i in range(c):
-                lo, hi = subterrain_bounds(y_max, c, i)
-                interval = residence_interval(
-                    obj.motion, lo, hi, t_from=obj.motion.t0
-                )
-                if interval is not None:
-                    per_subterrain[i].append((obj.oid, *interval))
-                    subterrains.append(i)
-        for i in range(c):
+        for sign, i in index._tree_keys():
+            y_r = index.horizons[i]
             disk = DiskSimulator()
-            capacity = leaf_capacity or INTERVAL_ENTRY.capacity(disk.page_size)
-            index._interval_disks.append(disk)
-            index._intervals.append(
-                IntervalIndex.bulk_build(
-                    disk, per_subterrain[i], capacity, fill=fill
-                )
+            capacity = index._tree_capacity(disk)
+            records = []
+            for oid, s, view, band in oriented:
+                if s != sign:
+                    continue
+                _, b = hough_y(view, y_r)
+                records.append(((band, b, oid), view.v))
+                index._catalog[oid][2].append(b)
+            run = external_sort(
+                disk, records, page_capacity=capacity,
+                key=lambda record: record[0],
             )
+            tree = BPlusTree.bulk_load(
+                disk, list(run.scan()), capacity, fill=fill
+            )
+            run.destroy()
+            index._tree_disks[(sign, i)] = disk
+            index._trees[(sign, i)] = tree
+            if crash_hook is not None:
+                crash_hook("bulk.mid_pack")
         return index
 
     # -- maintenance -------------------------------------------------------------
@@ -287,45 +241,31 @@ class HoughYForestIndex(MobileIndex1D):
 
     def _placement(
         self, motion: LinearMotion1D
-    ) -> Tuple[int, float, List[float], List[Tuple[int, float, float]]]:
+    ) -> Tuple[int, float, List[float]]:
         """Where a motion is stored: its velocity sign, the speed kept
-        as the record value, the ``b`` key in each observation tree and
-        the ``(subterrain, left, right)`` residence intervals."""
+        as the record value and the ``b`` key in each observation tree."""
         sign, oriented = self._oriented(motion)
         b_keys = [hough_y(oriented, y_r)[1] for y_r in self.horizons]
-        residences: List[Tuple[int, float, float]] = []
-        y_max = self.model.terrain.y_max
-        for i in range(self.c):
-            lo, hi = subterrain_bounds(y_max, self.c, i)
-            interval = residence_interval(motion, lo, hi, t_from=motion.t0)
-            if interval is not None:
-                residences.append((i, *interval))
-        return sign, oriented.v, b_keys, residences
+        return sign, oriented.v, b_keys
 
     def insert(self, obj: MobileObject1D) -> None:
         if obj.oid in self._catalog:
             raise DuplicateObjectError(f"object {obj.oid} already indexed")
         self.model.validate(obj.motion)
-        sign, speed, b_keys, residences = self._placement(obj.motion)
+        sign, speed, b_keys = self._placement(obj.motion)
         band = self._band(speed)
         for i, b in enumerate(b_keys):
             self._trees[(sign, i)].insert((band, b, obj.oid), speed)
-        for i, left, right in residences:
-            self._intervals[i].insert(obj.oid, left, right)
-        self._catalog[obj.oid] = (
-            obj.motion, sign, b_keys, [i for i, _, _ in residences]
-        )
+        self._catalog[obj.oid] = (obj.motion, sign, b_keys)
 
     def delete(self, oid: int) -> None:
         entry = self._catalog.pop(oid, None)
         if entry is None:
             raise ObjectNotFoundError(f"object {oid} is not indexed")
-        motion, sign, b_keys, subterrains = entry
+        motion, sign, b_keys = entry
         band = self._band(abs(motion.v))
         for i, b in enumerate(b_keys):
             self._trees[(sign, i)].delete((band, b, oid))
-        for i in subterrains:
-            self._intervals[i].delete(oid)
 
     # -- batched writes ------------------------------------------------------------
 
@@ -342,8 +282,6 @@ class HoughYForestIndex(MobileIndex1D):
             new.stats = old.stats
         self._tree_disks = rebuilt._tree_disks
         self._trees = rebuilt._trees
-        self._interval_disks = rebuilt._interval_disks
-        self._intervals = rebuilt._intervals
         self._catalog = rebuilt._catalog
 
     def _rebuild(self, objects: List[MobileObject1D]) -> None:
@@ -354,7 +292,6 @@ class HoughYForestIndex(MobileIndex1D):
                 c=self.c,
                 leaf_capacity=self._leaf_capacity,
                 fill=self.REBUILD_FILL,
-                wide_strategy=self.wide_strategy,
                 crash_hook=self.crash_hook,
             )
         )
@@ -367,8 +304,8 @@ class HoughYForestIndex(MobileIndex1D):
         An oid on both sides is an update.  The whole group is checked
         first (catalog membership, model band and terrain), so a
         rejected group leaves the forest untouched.  Then every
-        observation tree and every subterrain interval index receives
-        its share of the group as **one** key-sorted run
+        observation tree receives its share of the group as **one**
+        key-sorted run
         (:meth:`~repro.bptree.tree.BPlusTree.apply_sorted`): a leaf the
         batch touches many times is read and written once.
         """
@@ -392,36 +329,22 @@ class HoughYForestIndex(MobileIndex1D):
         tree_ops: Dict[Tuple[int, int], List[BatchOp]] = {
             key: [] for key in self._trees
         }
-        interval_deletes: List[List[int]] = [[] for _ in range(self.c)]
-        interval_inserts: List[List[Tuple[int, float, float]]] = [
-            [] for _ in range(self.c)
-        ]
         for oid in leaving:
-            motion, sign, b_keys, subterrains = self._catalog.pop(oid)
+            motion, sign, b_keys = self._catalog.pop(oid)
             band = self._band(abs(motion.v))
             for i, b in enumerate(b_keys):
                 tree_ops[(sign, i)].append(((band, b, oid), DELETE, None))
-            for i in subterrains:
-                interval_deletes[i].append(oid)
         for obj in arriving:
-            sign, speed, b_keys, residences = self._placement(obj.motion)
+            sign, speed, b_keys = self._placement(obj.motion)
             band = self._band(speed)
             for i, b in enumerate(b_keys):
                 tree_ops[(sign, i)].append(
                     ((band, b, obj.oid), INSERT, speed)
                 )
-            for i, left, right in residences:
-                interval_inserts[i].append((obj.oid, left, right))
-            self._catalog[obj.oid] = (
-                obj.motion, sign, b_keys, [i for i, _, _ in residences]
-            )
+            self._catalog[obj.oid] = (obj.motion, sign, b_keys)
         for key, ops in tree_ops.items():
             ops.sort(key=batch_order)
             self._trees[key].apply_sorted(ops)
-        for i in range(self.c):
-            self._intervals[i].apply_batch(
-                interval_deletes[i], interval_inserts[i]
-            )
 
     def insert_batch(self, objs: Sequence[MobileObject1D]) -> None:
         """Bulk-load an empty forest; one grouped run per tree otherwise."""
@@ -469,66 +392,25 @@ class HoughYForestIndex(MobileIndex1D):
     # -- querying ------------------------------------------------------------------
 
     def query(self, query: MORQuery1D) -> Set[int]:
-        y_max = self.model.terrain.y_max
-        width = y_max / self.c
-        if query.y_extent <= width:
-            return self._narrow_query(query)
-        if self.wide_strategy == "piecewise":
-            return self._piecewise_query(query, width)
-        # Case (ii): decompose around fully-contained subterrains.
-        result: Set[int] = set()
-        contained = [
-            i
-            for i in range(self.c)
-            if query.y1 <= i * width and (i + 1) * width <= query.y2
-        ]
-        if contained:
-            lo_edge = contained[0] * width
-            hi_edge = (contained[-1] + 1) * width
-        else:
-            # The query spans exactly one interior boundary; split there.
-            boundary = width * (int(query.y1 // width) + 1)
-            lo_edge = hi_edge = boundary
-        for i in contained:
-            result.update(self._intervals[i].overlapping(query.t1, query.t2))
-        if query.y1 < lo_edge:
-            result.update(
-                self._narrow_query(
-                    MORQuery1D(query.y1, lo_edge, query.t1, query.t2)
-                )
-            )
-        if hi_edge < query.y2:
-            result.update(
-                self._narrow_query(
-                    MORQuery1D(hi_edge, query.y2, query.t1, query.t2)
-                )
-            )
-        return result
+        """One observation-tree range scan per sign and band, whatever
+        the query's width (:meth:`scan_plan`)."""
+        return {oid for oid, hit in self._candidates(query) if hit}
 
-    def _piecewise_query(self, query: MORQuery1D, width: float) -> Set[int]:
-        """Alternative case (ii): subterrain-aligned narrow pieces only."""
-        result: Set[int] = set()
-        y = query.y1
-        while y < query.y2:
-            # Cut at the next subterrain boundary so every piece stays
-            # within one subterrain (bounded E, eq. 2).
-            boundary = width * (int(y // width) + 1)
-            y_next = min(boundary, query.y2)
-            result.update(
-                self._narrow_query(
-                    MORQuery1D(y, y_next, query.t1, query.t2)
-                )
-            )
-            y = y_next
-        return result
-
-    def narrow_plan(
+    def scan_plan(
         self, query: MORQuery1D
     ) -> Iterator[
         Tuple[Tuple[int, int], MORQuery1D, float, Tuple, Tuple]
     ]:
-        """The case-(i) scans of a narrow query, one per velocity sign
-        and speed band: ``(tree, oriented query, y_r, lo key, hi key)``.
+        """The scans that answer a query, one per velocity sign and
+        speed band: ``(tree, oriented query, y_r, lo key, hi key)``.
+
+        The tree is the one whose horizon minimises ``|y2 - y_r| +
+        |y1 - y_r|``.  Nothing here depends on the query being narrow:
+        :func:`~repro.core.duality.hough_y_b_range` takes the extreme
+        corners of the slab wherever ``y_r`` lies, and once the query is
+        wider than a subterrain some horizon is inside it, every such
+        horizon ties at the query's own extent ``W`` and equation (1)
+        reads ``E = (1/2) * spread^2 * W`` — no distance term.
 
         Each band's ``b``-range is computed from the band's own edges,
         so it lies inside the whole model's (both bounds are linear in
@@ -554,25 +436,22 @@ class HoughYForestIndex(MobileIndex1D):
                     (band, b_hi, float("inf")),
                 )
 
-    def _narrow_candidates(
+    def _candidates(
         self, query: MORQuery1D
     ) -> Iterator[Tuple[int, bool]]:
-        """Every record a narrow query fetches: ``(oid, is an answer)``."""
-        for key, oriented, y_r, lo, hi in self.narrow_plan(query):
+        """Every record the scan plan fetches: ``(oid, is an answer)``."""
+        for key, oriented, y_r, lo, hi in self.scan_plan(query):
             for (_, b, oid), v in self._trees[key].range_items(lo, hi):
                 yield oid, hough_y_matches(1.0 / v, b, oriented, y_r)
 
-    def _narrow_query(self, query: MORQuery1D) -> Set[int]:
-        """Case (i): one observation-tree range scan per sign and band."""
-        return {oid for oid, hit in self._narrow_candidates(query) if hit}
-
     def approximation_overhead(self, query: MORQuery1D) -> Tuple[int, int]:
-        """Measure ``(fetched, exact)`` record counts for a narrow query.
+        """Measure ``(fetched, exact)`` record counts of the scan plan.
 
         Exposes the paper's ``K + K'`` versus ``K`` so benchmarks can
-        chart the approximation error against the equation (2) bound.
+        chart the approximation error against the equation (1)/(2)
+        bounds.
         """
-        hits = [hit for _, hit in self._narrow_candidates(query)]
+        hits = [hit for _, hit in self._candidates(query)]
         return (len(hits), sum(hits))
 
     def __len__(self) -> int:
@@ -580,4 +459,164 @@ class HoughYForestIndex(MobileIndex1D):
 
     @property
     def disks(self) -> Sequence[DiskSimulator]:
-        return tuple(self._tree_disks.values()) + tuple(self._interval_disks)
+        return tuple(self._tree_disks.values())
+
+
+@register_index
+class PaperForestIndex(HoughYForestIndex):
+    """The §3.5.2 forest as published and as Figures 6–9 measure it.
+
+    One speed band (observation trees in the paper's ``(b, oid)``
+    order) plus the ``c`` **subterrain interval indexes** (shared
+    between signs: residence is direction-independent): index ``i``
+    stores the time interval each object spends inside subterrain
+    ``i``.  A query wider than a subterrain is answered by the paper's
+    case (ii): one exact interval-stabbing subquery per fully contained
+    subterrain, plus two narrow endpoint subqueries handled as in case
+    (i).  A residence is kept from the motion's reference time on, so
+    case (ii) answers the MOR model's queries about the future — not one
+    that starts before an object last reported, which the scan answers
+    too.  Everything about the interval indexes lives in this class.
+    """
+
+    name = "hough-y-forest-paper"
+
+    BAND_RATIO = float("inf")
+
+    def __init__(
+        self,
+        model: MotionModel,
+        c: int = 4,
+        leaf_capacity: int | None = None,
+    ) -> None:
+        super().__init__(model, c, leaf_capacity)
+        self._interval_disks = [DiskSimulator() for _ in range(c)]
+        self._intervals = [
+            IntervalIndex(disk, self._interval_capacity(disk))
+            for disk in self._interval_disks
+        ]
+
+    def _interval_capacity(self, disk: DiskSimulator) -> int:
+        return self._leaf_capacity or INTERVAL_ENTRY.capacity(disk.page_size)
+
+    def _residences(
+        self, motion: LinearMotion1D
+    ) -> List[Tuple[int, float, float]]:
+        """``(subterrain, left, right)`` for every subterrain the motion
+        spends time in from its reference time on — a function of the
+        motion alone, so a delete recomputes what the insert stored."""
+        y_max = self.model.terrain.y_max
+        residences: List[Tuple[int, float, float]] = []
+        for i in range(self.c):
+            lo, hi = subterrain_bounds(y_max, self.c, i)
+            interval = residence_interval(motion, lo, hi, t_from=motion.t0)
+            if interval is not None:
+                residences.append((i, *interval))
+        return residences
+
+    @classmethod
+    def bulk_build(
+        cls,
+        model: MotionModel,
+        objects: Sequence[MobileObject1D],
+        c: int = 4,
+        leaf_capacity: int | None = None,
+        fill: float = 0.8,
+        crash_hook: Optional[Callable[[str], None]] = None,
+    ) -> "PaperForestIndex":
+        """The trees as the served forest builds them, then the
+        subterrain interval indexes, also bulk-loaded."""
+        index = super().bulk_build(
+            model, objects, c, leaf_capacity, fill, crash_hook
+        )
+        per_subterrain: List[List[Tuple[int, float, float]]] = [
+            [] for _ in range(c)
+        ]
+        for oid, (motion, _, _) in index._catalog.items():
+            for i, left, right in index._residences(motion):
+                per_subterrain[i].append((oid, left, right))
+        index._interval_disks = [DiskSimulator() for _ in range(c)]
+        index._intervals = [
+            IntervalIndex.bulk_build(
+                disk, residents, index._interval_capacity(disk), fill=fill
+            )
+            for disk, residents in zip(index._interval_disks, per_subterrain)
+        ]
+        return index
+
+    def insert(self, obj: MobileObject1D) -> None:
+        super().insert(obj)
+        for i, left, right in self._residences(obj.motion):
+            self._intervals[i].insert(obj.oid, left, right)
+
+    def delete(self, oid: int) -> None:
+        entry = self._catalog.get(oid)
+        super().delete(oid)
+        for i, _, _ in self._residences(entry[0]):
+            self._intervals[i].delete(oid)
+
+    def _adopt(self, rebuilt: "PaperForestIndex") -> None:
+        super()._adopt(rebuilt)
+        self._interval_disks = rebuilt._interval_disks
+        self._intervals = rebuilt._intervals
+
+    def _apply_grouped(
+        self, leaving: Sequence[int], arriving: Sequence[MobileObject1D]
+    ) -> None:
+        """The trees' grouped runs, then one batch per interval index."""
+        departed = [
+            (oid, self._catalog[oid][0])
+            for oid in leaving
+            if oid in self._catalog
+        ]
+        super()._apply_grouped(leaving, arriving)
+        deletes: List[List[int]] = [[] for _ in range(self.c)]
+        inserts: List[List[Tuple[int, float, float]]] = [
+            [] for _ in range(self.c)
+        ]
+        for oid, motion in departed:
+            for i, _, _ in self._residences(motion):
+                deletes[i].append(oid)
+        for obj in arriving:
+            for i, left, right in self._residences(obj.motion):
+                inserts[i].append((obj.oid, left, right))
+        for i in range(self.c):
+            self._intervals[i].apply_batch(deletes[i], inserts[i])
+
+    def query(self, query: MORQuery1D) -> Set[int]:
+        width = self.model.terrain.y_max / self.c
+        if query.y_extent <= width:
+            return super().query(query)
+        # Case (ii): decompose around fully-contained subterrains.
+        result: Set[int] = set()
+        contained = [
+            i
+            for i in range(self.c)
+            if query.y1 <= i * width and (i + 1) * width <= query.y2
+        ]
+        if contained:
+            lo_edge = contained[0] * width
+            hi_edge = (contained[-1] + 1) * width
+        else:
+            # The query spans exactly one interior boundary; split there.
+            boundary = width * (int(query.y1 // width) + 1)
+            lo_edge = hi_edge = boundary
+        for i in contained:
+            result.update(self._intervals[i].overlapping(query.t1, query.t2))
+        if query.y1 < lo_edge:
+            result.update(
+                super().query(
+                    MORQuery1D(query.y1, lo_edge, query.t1, query.t2)
+                )
+            )
+        if hi_edge < query.y2:
+            result.update(
+                super().query(
+                    MORQuery1D(hi_edge, query.y2, query.t1, query.t2)
+                )
+            )
+        return result
+
+    @property
+    def disks(self) -> Sequence[DiskSimulator]:
+        return super().disks + tuple(self._interval_disks)

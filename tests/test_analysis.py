@@ -86,6 +86,7 @@ class TestForestCostPredictor:
         import random
 
         from repro.analysis import ForestCostPredictor
+        from repro.core import MORQuery1D
         from repro.indexes import HoughYForestIndex
         from repro.workloads import SMALL_QUERIES, WorkloadGenerator
 
@@ -95,12 +96,19 @@ class TestForestCostPredictor:
         for obj in objects:
             forest.insert(obj)
         predictor = ForestCostPredictor.from_index(forest)
-        for _ in range(40):
-            query = gen.query(SMALL_QUERIES, now=40.0)
-            fetched, _ = forest.approximation_overhead(query)
+        queries = [gen.query(SMALL_QUERIES, now=40.0) for _ in range(40)]
+        # Wider than a subterrain: the forest scans those the same way,
+        # so the predictor covers them too.
+        queries += [
+            MORQuery1D(y1, y1 + extent, 40.0, 70.0)
+            for y1, extent in ((0.0, 1000.0), (100.0, 250.5), (310.0, 640.0))
+        ]
+        for query in queries:
+            fetched, exact = forest.approximation_overhead(query)
             # The prediction is exact by construction: the histogram IS
             # the stored distribution and the b-range is the same.
             assert predictor.predict_fetched(query) == fetched
+            assert exact == len(forest.query(query))
 
     def test_prediction_stale_after_updates(self):
         from repro.analysis import ForestCostPredictor

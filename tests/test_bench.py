@@ -1,9 +1,15 @@
 """Tests for the benchmark harness (sweeps, tables, method registry)."""
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from repro.bench import Table, default_methods, run_sweep
-from repro.workloads import SMALL_QUERIES
+from repro.indexes import PaperForestIndex
+from repro.workloads import SMALL_QUERIES, paper_model
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestTable:
@@ -46,6 +52,30 @@ class TestDefaultMethods:
     def test_optional_baseline(self):
         methods = default_methods(forest_cs=(2,), include_segment_baseline=False)
         assert set(methods) == {"dual-kdtree", "forest-c2"}
+
+    def test_forest_factories_build_the_published_structure(self):
+        """`python -m repro figures` (``default_methods``) and `pytest
+        benchmarks/` (``paper_methods``) draw the same forest: the
+        paper's one speed band, ``2c`` observation trees and ``c``
+        subterrain interval indexes — not the served index."""
+        spec = importlib.util.spec_from_file_location(
+            "bench_conftest", ROOT / "benchmarks" / "conftest.py"
+        )
+        bench_conftest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_conftest)
+        model = paper_model()
+        for methods in (default_methods(), bench_conftest.paper_methods()):
+            forests = {
+                name: factory(model)
+                for name, factory in methods.items()
+                if name.startswith("forest-c")
+            }
+            assert set(forests) == {"forest-c4", "forest-c6", "forest-c8"}
+            for name, forest in forests.items():
+                c = int(name.removeprefix("forest-c"))
+                assert type(forest) is PaperForestIndex
+                assert forest.c == c and len(forest.disks) == 3 * c
+                assert forest.band_edges == [model.v_min, model.v_max]
 
 
 class TestRunSweep:

@@ -32,7 +32,7 @@ from repro.errors import (
     ObjectNotFoundError,
 )
 from repro.indexes import DualKDTreeIndex, RotatingIndex
-from repro.indexes.hough_y_forest import HoughYForestIndex
+from repro.indexes.hough_y_forest import HoughYForestIndex, PaperForestIndex
 from repro.indexes.hybrid import HybridIndex
 
 from .helpers import leaf_pages, leaf_pid_of
@@ -215,7 +215,7 @@ def random_object(rng, oid, y_max=Y_MAX, t0=None):
 def check_forest_invariants(forest):
     for tree in forest._trees.values():
         tree.check_invariants()
-    for intervals in forest._intervals:
+    for intervals in getattr(forest, "_intervals", ()):
         intervals.check_invariants()
 
 
@@ -225,25 +225,24 @@ class TestForestGroupedMaintenance:
 
     @settings(max_examples=30, deadline=None)
     @given(
+        cls=st.sampled_from([HoughYForestIndex, PaperForestIndex]),
         population=populations(min_size=1, max_size=40),
         leaf_capacity=st.sampled_from([4, 8, None]),
         bulk=st.booleans(),
         churn_seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_grouped_batches_equal_scalar_loops(
-        self, population, leaf_capacity, bulk, churn_seed
+        self, cls, population, leaf_capacity, bulk, churn_seed
     ):
         if bulk:
-            grouped = HoughYForestIndex.bulk_build(
+            grouped = cls.bulk_build(
                 MODEL, population, c=2, leaf_capacity=leaf_capacity
             )
         else:
-            grouped = HoughYForestIndex(
-                MODEL, c=2, leaf_capacity=leaf_capacity
-            )
+            grouped = cls(MODEL, c=2, leaf_capacity=leaf_capacity)
             for obj in population:
                 grouped.insert(obj)
-        scalar = HoughYForestIndex(MODEL, c=2, leaf_capacity=leaf_capacity)
+        scalar = cls(MODEL, c=2, leaf_capacity=leaf_capacity)
         for obj in population:
             scalar.insert(obj)
         rng = random.Random(churn_seed)
@@ -277,9 +276,13 @@ class TestForestGroupedMaintenance:
             assert_same_answers(grouped, scalar, list(live.values()))
 
     def test_a_rejected_group_leaves_the_forest_untouched(self):
+        for cls in (HoughYForestIndex, PaperForestIndex):
+            self.check_rejected_groups(cls)
+
+    def check_rejected_groups(self, cls):
         rng = random.Random(2)
         population = [random_object(rng, oid) for oid in range(30)]
-        forest = HoughYForestIndex.bulk_build(MODEL, population, c=2)
+        forest = cls.bulk_build(MODEL, population, c=2)
         catalog = dict(forest._catalog)
         before = forest.snapshot()
         good = random_object(rng, 3)
@@ -326,8 +329,8 @@ class TestForestGroupedMaintenance:
 
         touched = {key: set() for key in grouped._trees}
         for obj in storm:
-            old_motion, sign, old_keys, _ = grouped._catalog[obj.oid]
-            new_sign, speed, new_keys, _ = grouped._placement(obj.motion)
+            old_motion, sign, old_keys = grouped._catalog[obj.oid]
+            new_sign, speed, new_keys = grouped._placement(obj.motion)
             old_band = grouped._band(abs(old_motion.v))
             new_band = grouped._band(speed)
             for i in range(grouped.c):

@@ -67,10 +67,6 @@ class TestBulkBuild:
             )
         with pytest.raises(ValueError):
             HoughYForestIndex.bulk_build(PAPER_MODEL, objects, c=0)
-        with pytest.raises(ValueError):
-            HoughYForestIndex.bulk_build(
-                PAPER_MODEL, objects, wide_strategy="nope"
-            )
         bad = [MobileObject1D(99, LinearMotion1D(0.0, 50.0))]
         with pytest.raises(InvalidMotionError):
             HoughYForestIndex.bulk_build(PAPER_MODEL, bad)

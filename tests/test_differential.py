@@ -17,6 +17,7 @@ from repro.indexes import (
     DualRTreeIndex,
     HoughYForestIndex,
     NaiveScanIndex,
+    PaperForestIndex,
     SegmentRTreeIndex,
 )
 from repro.indexes.partition_index import PartitionTreeIndex
@@ -32,9 +33,7 @@ def all_methods():
         "kdtree": DualKDTreeIndex(PAPER_MODEL, leaf_capacity=8),
         "rstar": DualRTreeIndex(PAPER_MODEL, page_capacity=8),
         "forest": HoughYForestIndex(PAPER_MODEL, c=3, leaf_capacity=8),
-        "forest-piecewise": HoughYForestIndex(
-            PAPER_MODEL, c=3, leaf_capacity=8, wide_strategy="piecewise"
-        ),
+        "forest-paper": PaperForestIndex(PAPER_MODEL, c=3, leaf_capacity=8),
         "partition": PartitionTreeIndex(
             PAPER_MODEL, leaf_capacity=8, internal_capacity=16
         ),

@@ -44,9 +44,17 @@ def test_experiments_covers_every_figure():
         assert figure in text
 
 
+def _cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return text  # a label column ("bulk", "300-400")
+
+
 def _table(lines):
-    """Column names and float rows of a whitespace-separated table,
-    read up to the first blank line; a ruler of dashes is skipped."""
+    """Column names and rows (numbers as floats) of a whitespace-
+    separated table, read up to the first blank line; a ruler of dashes
+    is skipped."""
     rows = []
     for line in lines:
         if not line.strip():
@@ -55,7 +63,7 @@ def _table(lines):
             continue
         rows.append(line.split())
     header, *body = rows
-    return header, [[float(cell) for cell in row] for row in body]
+    return header, [[_cell(cell) for cell in row] for row in body]
 
 
 def _assert_quoted_table_is_committed(heading, result_glob):
@@ -81,6 +89,19 @@ def test_experiments_band_sweep_equals_committed_result():
     _assert_quoted_table_is_committed(
         "### Speed-banded keys", "ablation_clustering.txt"
     )
+
+
+@pytest.mark.parametrize(
+    "heading, result",
+    [
+        ("### §3.5.2 case (ii)", "ablation_wide_strategy.txt"),
+        ("#### Width × window", "ablation_wide_sweep.txt"),
+    ],
+)
+def test_experiments_wide_query_tables_equal_committed_results(
+    heading, result
+):
+    _assert_quoted_table_is_committed(heading, result)
 
 
 def test_design_lists_every_bench_file():

@@ -206,7 +206,7 @@ def test_banded_plan_fetches_a_subset_and_answers_the_same(
         banded.insert(obj)
     for query in queries:
         fetched = {
-            forest: [oid for oid, _ in forest._narrow_candidates(query)]
+            forest: [oid for oid, _ in forest._candidates(query)]
             for forest in (one_band, banded)
         }
         assert set(fetched[banded]) <= set(fetched[one_band])

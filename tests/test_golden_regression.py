@@ -72,5 +72,5 @@ def current_fingerprint():
 #: (total query I/O, total update I/O, pages, total answers) per method.
 EXPECTED = {
     "kdtree": (146, 148, 30, 30),
-    "forest": (94, 747, 113, 30),
+    "forest": (94, 328, 62, 30),
 }

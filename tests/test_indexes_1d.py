@@ -28,6 +28,7 @@ from repro.indexes import (
     HoughYForestIndex,
     HybridIndex,
     NaiveScanIndex,
+    PaperForestIndex,
     RotatingIndex,
     SegmentRTreeIndex,
 )
@@ -51,8 +52,8 @@ FACTORIES = {
     "hough-y-forest-c8": lambda: HoughYForestIndex(
         PAPER_MODEL, c=8, leaf_capacity=8
     ),
-    "hough-y-forest-piecewise": lambda: HoughYForestIndex(
-        PAPER_MODEL, c=4, leaf_capacity=8, wide_strategy="piecewise"
+    "hough-y-forest-paper": lambda: PaperForestIndex(
+        PAPER_MODEL, c=4, leaf_capacity=8
     ),
     "partition-tree": lambda: PartitionTreeIndex(
         PAPER_MODEL, leaf_capacity=8, internal_capacity=16

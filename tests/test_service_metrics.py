@@ -240,7 +240,7 @@ def test_io_counters_survive_index_rebuilds():
     reported = checked_totals(loaded)
     writes_before = batch_writes()
     errors = service.apply_batch(
-        [ReportOp(oid, *motion(2.0)) for oid in range(800)]
+        [ReportOp(oid, *motion(2.0)) for oid in range(1600)]
     )
     assert not any(errors)
     checked_totals(reported)

@@ -775,6 +775,22 @@ def cold_query_reads(db, queries):
     return reads
 
 
+def evenly_packed_pages(tree, fill):
+    """Pages of ``tree`` had ``BPlusTree.bulk_load`` just packed its
+    records at ``fill``: every level takes the fewest pages that hold
+    its entries at that occupancy, as long as each stays half full."""
+    pages, entries, capacity = 0, len(tree), tree.leaf_capacity
+    while True:
+        entries = max(
+            1,
+            min(-(-entries // int(capacity * fill)), entries // (capacity // 2)),
+        )
+        pages += entries
+        if entries == 1:
+            return pages
+        capacity = tree.internal_capacity
+
+
 def test_chunked_batch_load_builds_trees_no_worse_than_scalar_registers():
     """The shape a load leaves behind is what later queries pay for.
     5,000 objects into the forest by scalar ``register``, by one
@@ -783,7 +799,8 @@ def test_chunked_batch_load_builds_trees_no_worse_than_scalar_registers():
     every leaf): summed over 10 seeds × 96 cold "10 %"-class queries,
     the chunked load must read within 2 % of the scalar load's pages —
     median splits under half-arrived runs and a lopsided bulk start
-    used to cost it 14 % — and hold no more pages."""
+    used to cost it 14 % — and hold no more pages.  The one bulk build
+    holds exactly what its packing rule says, tree by tree."""
     reads = {"scalar": 0, "bulk": 0, "chunked": 0}
     pages = dict(reads)
     for seed in range(10):
@@ -807,11 +824,18 @@ def test_chunked_batch_load_builds_trees_no_worse_than_scalar_registers():
                 assert not any(apply_batched(db, fleet, chunk))
             reads[load] += cold_query_reads(db, queries)
             pages[load] += db.pages_in_use
+            if load == "bulk":
+                hybrid = db._index
+                assert db.pages_in_use == hybrid._slow.pages_in_use + sum(
+                    evenly_packed_pages(tree, HoughYForestIndex.REBUILD_FILL)
+                    for tree in hybrid._fast._trees.values()
+                )
     assert reads["chunked"] <= 1.02 * reads["scalar"]
     assert pages["chunked"] <= pages["scalar"]
-    # One bulk build leaves every leaf its 20 % slack: fewer pages than
-    # the scalar load, 6.3 % more of them under a query (5.2 % when the
-    # slack sat in each tree's last leaf; the even spread may cost 1.5 %
-    # at most, which is 1.068).
-    assert pages["bulk"] <= pages["scalar"]
+    # One bulk build leaves every leaf its 20 % slack.  Median-split
+    # scalar growth has no such rule — its fill depends on where n sits
+    # in the split cycle (here just above 0.8, 820 pages to 882) — so
+    # the page counts are not ordered; under a query the slack costs
+    # 6.3 % more pages (5.2 % when it sat in each tree's last leaf; the
+    # even spread may cost 1.5 % at most, which is 1.068).
     assert reads["bulk"] <= 1.07 * reads["scalar"]
