@@ -87,7 +87,7 @@ def grouped_run(forest, batch):
 
 
 def rebuild(forest, batch):
-    motions = {oid: entry[0] for oid, entry in forest._catalog.items()}
+    motions = dict(forest._catalog)
     for obj in batch:
         motions[obj.oid] = obj.motion
     forest._rebuild(

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import bisect
 from operator import itemgetter
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ObjectNotFoundError
 from repro.io_sim.pager import DiskSimulator, Page
@@ -78,6 +78,13 @@ class BPlusTree:
         (3 four-byte fields in a 4096-byte page).
     """
 
+    #: What holds a leaf's records: anything that slices, inserts, pops,
+    #: extends and iterates like a list of ``(key, value)``.  The one
+    #: place a tree class that owns a record layout swaps in a packed
+    #: container (:class:`~repro.bptree.packed.PackedRecords`); every
+    #: structural operation below is written against the list protocol.
+    leaf_items: Callable[..., Any] = list
+
     def __init__(
         self,
         disk: DiskSimulator,
@@ -96,6 +103,7 @@ class BPlusTree:
         root = disk.allocate(leaf_capacity)
         root.meta["kind"] = LEAF
         root.meta["next"] = None
+        root.items = self.leaf_items()
         self._root_pid = root.pid
         self._size = 0
         self._height = 1
@@ -136,7 +144,7 @@ class BPlusTree:
             page = disk.allocate(leaf_capacity)
             page.meta["kind"] = LEAF
             page.meta["next"] = None
-            page.items = records
+            page.items = cls.leaf_items(records)
             if prev is not None:
                 prev.meta["next"] = page.pid
                 disk.write(prev)
@@ -687,6 +695,5 @@ def _balanced_chunks(
     n = len(items)
     parts = max(1, min(-(-n // chunk), n // min_fill))
     return [
-        list(items[i * n // parts : (i + 1) * n // parts])
-        for i in range(parts)
+        items[i * n // parts : (i + 1) * n // parts] for i in range(parts)
     ]

@@ -144,6 +144,15 @@ class MobileObject2D:
     motion: LinearMotion2D
 
 
+def check_oid(oid: int) -> None:
+    """Reject an object id the 64-bit signed oid columns (tree leaves,
+    :class:`~repro.vector.columns.MotionColumns`) cannot store."""
+    if not isinstance(oid, int) or not -(2**63) <= oid < 2**63:
+        raise InvalidMotionError(
+            f"object id {oid!r} is not an integer in [-2**63, 2**63)"
+        )
+
+
 @dataclass(frozen=True)
 class MotionModel:
     """Global model parameters shared by the paper's methods.
@@ -175,27 +184,37 @@ class MotionModel:
         return self.v_min <= abs(motion.v) <= self.v_max
 
     def validate(self, motion: LinearMotion1D) -> None:
-        """Reject motions outside the model (wrong band or off-terrain start)."""
+        """Reject motions outside the model (wrong band, off-terrain
+        start, a non-finite field)."""
         if not self.is_moving(motion):
             raise InvalidMotionError(
                 f"speed {motion.v} outside [{self.v_min}, {self.v_max}] band"
             )
-        self._check_on_terrain(motion)
+        self._check_start(motion)
 
-    def check_admissible(self, motion: LinearMotion1D) -> None:
-        """Reject a write no store can hold: over-speed or off-terrain.
+    def check_admissible(self, motion: LinearMotion1D, oid: int) -> None:
+        """Reject a write no store can hold: over-speed, off-terrain,
+        a non-finite field, or an ``oid`` outside the stores' int64
+        columns (:func:`check_oid`).
 
         The admission test of the write paths, run before anything is
         mutated.  Unlike :meth:`validate` it lets slow motions
         (``|v| < v_min``) through — the hybrid's slow store takes them.
         """
-        if abs(motion.v) > self.v_max:
+        check_oid(oid)
+        if not abs(motion.v) <= self.v_max:
             raise InvalidMotionError(
                 f"speed {motion.v} above v_max {self.v_max}"
             )
-        self._check_on_terrain(motion)
+        self._check_start(motion)
 
-    def _check_on_terrain(self, motion: LinearMotion1D) -> None:
+    def _check_start(self, motion: LinearMotion1D) -> None:
+        # NaN compares false with everything, so every test here and in
+        # the callers passes on a true comparison: a NaN speed or start
+        # fails the band and terrain tests, and what is left to rule out
+        # is a reference time no ordered store could place a key from.
+        if not math.isfinite(motion.t0):
+            raise InvalidMotionError(f"non-finite reference time {motion.t0}")
         if not self.terrain.contains(motion.y0):
             raise InvalidMotionError(
                 f"start location {motion.y0} outside terrain "

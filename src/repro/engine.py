@@ -189,7 +189,7 @@ class MotionDatabase:
                 "supersede its motion"
             )
         motion = LinearMotion1D(y0, v, t0)
-        self.model.check_admissible(motion)
+        self.model.check_admissible(motion, oid)
         self._index.insert(MobileObject1D(oid, motion))
         self._motions[oid] = motion
         self._now = max(self._now, t0)
@@ -207,7 +207,7 @@ class MotionDatabase:
         if oid not in self._motions:
             raise ObjectNotFoundError(f"object {oid} is not registered")
         motion = LinearMotion1D(y0, v, t0)
-        self.model.check_admissible(motion)
+        self.model.check_admissible(motion, oid)
         self._index.update(MobileObject1D(oid, motion))
         self._motions[oid] = motion
         self._now = max(self._now, t0)
@@ -300,7 +300,7 @@ class MotionDatabase:
                             "report() to supersede its motion"
                         )
                     motion = LinearMotion1D(op.y0, op.v, op.t0)
-                    self.model.check_admissible(motion)
+                    self.model.check_admissible(motion, op.oid)
                 elif isinstance(op, ReportOp):
                     kind = "update"
                     if op.oid not in self._motions:
@@ -308,7 +308,7 @@ class MotionDatabase:
                             f"object {op.oid} is not registered"
                         )
                     motion = LinearMotion1D(op.y0, op.v, op.t0)
-                    self.model.check_admissible(motion)
+                    self.model.check_admissible(motion, op.oid)
                 elif isinstance(op, DeregisterOp):
                     kind = "delete"
                     if op.oid not in self._motions:
@@ -428,7 +428,7 @@ class MotionDatabase:
                 "supersede its motion"
             )
         motion = LinearMotion1D(y0, v, t0)
-        self.model.check_admissible(motion)
+        self.model.check_admissible(motion, oid)
         self._index.restore_insert(  # type: ignore[attr-defined]
             MobileObject1D(oid, motion)
         )

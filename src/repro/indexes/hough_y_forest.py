@@ -10,7 +10,11 @@ the time ``b`` its trajectory crosses the observation horizon
 ``y_r(i) = (i + 1/2) * y_max / c``, keyed ``(speed band, b, oid)``
 with the speed as the record value (record = b + speed + pointer,
 the paper's ``B = 341`` layout: the band is a function of the stored
-speed, :func:`~repro.core.duality.speed_bands`, not a field).
+speed, :func:`~repro.core.duality.speed_bands`, not a field).  In
+memory a leaf is four typed columns, not a list of tuples
+(:class:`ObservationRecords`), and a query filters each fetched leaf
+slice in one vectorised call; pages, and so every I/O count, are what
+they were (DESIGN.md §5.7).
 
 Query processing is the paper's case (i) at every width: the query is
 routed to the observation tree minimising ``|y2 - y_r| + |y1 - y_r|``;
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterator,
@@ -59,13 +64,14 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
+from repro.bptree.packed import PackedRecords
 from repro.bptree.tree import DELETE, INSERT, BatchOp, BPlusTree, batch_order
 from repro.io_sim.extsort import external_sort
 from repro.core.duality import (
     best_observation_horizon,
-    hough_y,
     hough_y_b_range,
-    hough_y_matches,
     observation_horizons,
     reflect_motion,
     reflect_query,
@@ -73,13 +79,73 @@ from repro.core.duality import (
     speed_bands,
     subterrain_bounds,
 )
-from repro.core.model import LinearMotion1D, MobileObject1D, MotionModel
+from repro.core.model import (
+    LinearMotion1D,
+    MobileObject1D,
+    MotionModel,
+    check_oid,
+)
 from repro.core.queries import MORQuery1D
 from repro.errors import DuplicateObjectError, ObjectNotFoundError
 from repro.indexes.base import MobileIndex1D, register_index
 from repro.interval.tree import IntervalIndex
 from repro.io_sim.layout import BPTREE_ENTRY, INTERVAL_ENTRY
-from repro.io_sim.pager import DiskSimulator
+from repro.io_sim.pager import DiskSimulator, Page
+from repro.vector.kernels import hough_y_exact_mask
+
+
+class ObservationRecords(PackedRecords):
+    """``((band, b, oid), speed)`` as four columns — int8, float64,
+    int64, float64: 25 bytes a record.  The fields are 8 bytes wide
+    where the paper's layout counts 4 (a float32 ``b`` would change
+    answers); the page capacity stays the paper's, see
+    :mod:`repro.io_sim.layout`."""
+
+    __slots__ = ()
+    TYPECODES = ("b", "d", "q", "d")
+
+
+class ObservationTree(BPlusTree):
+    """One observation index: a :class:`~repro.bptree.tree.BPlusTree`
+    whose leaves are :class:`ObservationRecords`.  It owns the record
+    layout and adds the block read; every structural operation is the
+    base class's."""
+
+    leaf_items = ObservationRecords
+
+    @staticmethod
+    def _find(leaf: Page, key: Any) -> Tuple[int, bool]:
+        return leaf.items.find(key)
+
+    def range_columns(
+        self, lo: Tuple, hi: Tuple
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The records with ``lo <= key <= hi``, a leaf at a time, as
+        ``(b, oid, speed)`` arrays — page for page the reads of
+        :meth:`~repro.bptree.tree.BPlusTree.range_items`.
+
+        The arrays view a copy of the leaf's slice, never the leaf's own
+        buffers: an :class:`array.array` that exports its buffer cannot
+        be resized, so a view of the live columns held past its scan
+        step would make the next insert into that leaf raise
+        ``BufferError``.
+        """
+        leaf, _ = self._descend(lo)[-1]
+        while leaf is not None:
+            records = leaf.items
+            start, _ = records.find(lo)
+            stop, found = records.find(hi)
+            stop += found  # keys are unique: at most one record equals hi
+            _, b, oid, speed = records.columns
+            yield (
+                np.frombuffer(b[start:stop], dtype=np.float64),
+                np.frombuffer(oid[start:stop], dtype=np.int64),
+                np.frombuffer(speed[start:stop], dtype=np.float64),
+            )
+            if stop < len(records):
+                return
+            next_pid = leaf.meta["next"]
+            leaf = self.disk.read(next_pid) if next_pid is not None else None
 
 
 @register_index
@@ -133,7 +199,9 @@ class HoughYForestIndex(MobileIndex1D):
         for key in self._tree_keys():
             disk = DiskSimulator()
             self._tree_disks[key] = disk
-            self._trees[key] = BPlusTree(disk, self._tree_capacity(disk))
+            self._trees[key] = ObservationTree(
+                disk, self._tree_capacity(disk)
+            )
 
     def _start_empty(
         self, model: MotionModel, c: int, leaf_capacity: int | None
@@ -150,11 +218,10 @@ class HoughYForestIndex(MobileIndex1D):
             model.v_min, model.v_max, self.BAND_RATIO
         )
         self._tree_disks: Dict[Tuple[int, int], DiskSimulator] = {}
-        self._trees: Dict[Tuple[int, int], BPlusTree] = {}
-        #: oid -> (motion, sign, per-tree b keys)
-        self._catalog: Dict[
-            int, Tuple[LinearMotion1D, int, List[float]]
-        ] = {}
+        self._trees: Dict[Tuple[int, int], ObservationTree] = {}
+        #: oid -> motion; where the motion is stored is a function of
+        #: it (:meth:`_placement`), recomputed when it leaves.
+        self._catalog: Dict[int, LinearMotion1D] = {}
 
     def _tree_keys(self) -> Iterator[Tuple[int, int]]:
         """``(sign, horizon)`` of every observation tree, in disk order."""
@@ -193,10 +260,10 @@ class HoughYForestIndex(MobileIndex1D):
                 raise DuplicateObjectError(
                     f"object {obj.oid} appears twice in the bulk input"
                 )
-            model.validate(obj.motion)
+            index._check(obj)
             sign, view = index._oriented(obj.motion)
             oriented.append((obj.oid, sign, view, index._band(view.v)))
-            index._catalog[obj.oid] = (obj.motion, sign, [])
+            index._catalog[obj.oid] = obj.motion
         # Observation trees: external sort per (sign, horizon), bulk load.
         for sign, i in index._tree_keys():
             y_r = index.horizons[i]
@@ -206,14 +273,13 @@ class HoughYForestIndex(MobileIndex1D):
             for oid, s, view, band in oriented:
                 if s != sign:
                     continue
-                _, b = hough_y(view, y_r)
-                records.append(((band, b, oid), view.v))
-                index._catalog[oid][2].append(b)
+                key = (band, view.time_at(y_r), oid)
+                records.append((key, view.v))
             run = external_sort(
                 disk, records, page_capacity=capacity,
                 key=lambda record: record[0],
             )
-            tree = BPlusTree.bulk_load(
+            tree = ObservationTree.bulk_load(
                 disk, list(run.scan()), capacity, fill=fill
             )
             run.destroy()
@@ -224,6 +290,12 @@ class HoughYForestIndex(MobileIndex1D):
         return index
 
     # -- maintenance -------------------------------------------------------------
+
+    def _check(self, obj: MobileObject1D) -> None:
+        """Reject what the trees cannot hold: a motion outside the
+        model, an oid outside the records' int64 column."""
+        check_oid(obj.oid)
+        self.model.validate(obj.motion)
 
     def _oriented(self, motion: LinearMotion1D) -> Tuple[int, LinearMotion1D]:
         """Velocity sign and the positive-velocity view of the motion."""
@@ -243,28 +315,30 @@ class HoughYForestIndex(MobileIndex1D):
         self, motion: LinearMotion1D
     ) -> Tuple[int, float, List[float]]:
         """Where a motion is stored: its velocity sign, the speed kept
-        as the record value and the ``b`` key in each observation tree."""
+        as the record value and the ``b`` key in each observation tree
+        — a pure function of the motion, so a delete recomputes what
+        the insert stored and the catalog keeps neither."""
         sign, oriented = self._oriented(motion)
-        b_keys = [hough_y(oriented, y_r)[1] for y_r in self.horizons]
-        return sign, oriented.v, b_keys
+        crossings = [oriented.time_at(y_r) for y_r in self.horizons]
+        return sign, oriented.v, crossings
 
     def insert(self, obj: MobileObject1D) -> None:
         if obj.oid in self._catalog:
             raise DuplicateObjectError(f"object {obj.oid} already indexed")
-        self.model.validate(obj.motion)
-        sign, speed, b_keys = self._placement(obj.motion)
+        self._check(obj)
+        sign, speed, crossings = self._placement(obj.motion)
         band = self._band(speed)
-        for i, b in enumerate(b_keys):
+        for i, b in enumerate(crossings):
             self._trees[(sign, i)].insert((band, b, obj.oid), speed)
-        self._catalog[obj.oid] = (obj.motion, sign, b_keys)
+        self._catalog[obj.oid] = obj.motion
 
     def delete(self, oid: int) -> None:
-        entry = self._catalog.pop(oid, None)
-        if entry is None:
+        motion = self._catalog.pop(oid, None)
+        if motion is None:
             raise ObjectNotFoundError(f"object {oid} is not indexed")
-        motion, sign, b_keys = entry
-        band = self._band(abs(motion.v))
-        for i, b in enumerate(b_keys):
+        sign, speed, crossings = self._placement(motion)
+        band = self._band(speed)
+        for i, b in enumerate(crossings):
             self._trees[(sign, i)].delete((band, b, oid))
 
     # -- batched writes ------------------------------------------------------------
@@ -324,24 +398,24 @@ class HoughYForestIndex(MobileIndex1D):
                     f"object {obj.oid} already indexed"
                 )
             seen.add(obj.oid)
-            self.model.validate(obj.motion)
+            self._check(obj)
 
         tree_ops: Dict[Tuple[int, int], List[BatchOp]] = {
             key: [] for key in self._trees
         }
         for oid in leaving:
-            motion, sign, b_keys = self._catalog.pop(oid)
-            band = self._band(abs(motion.v))
-            for i, b in enumerate(b_keys):
+            sign, speed, crossings = self._placement(self._catalog.pop(oid))
+            band = self._band(speed)
+            for i, b in enumerate(crossings):
                 tree_ops[(sign, i)].append(((band, b, oid), DELETE, None))
         for obj in arriving:
-            sign, speed, b_keys = self._placement(obj.motion)
+            sign, speed, crossings = self._placement(obj.motion)
             band = self._band(speed)
-            for i, b in enumerate(b_keys):
+            for i, b in enumerate(crossings):
                 tree_ops[(sign, i)].append(
                     ((band, b, obj.oid), INSERT, speed)
                 )
-            self._catalog[obj.oid] = (obj.motion, sign, b_keys)
+            self._catalog[obj.oid] = obj.motion
         for key, ops in tree_ops.items():
             ops.sort(key=batch_order)
             self._trees[key].apply_sorted(ops)
@@ -382,7 +456,7 @@ class HoughYForestIndex(MobileIndex1D):
                 raise ObjectNotFoundError(
                     f"object {obj.oid} is not indexed"
                 )
-        motions = {oid: entry[0] for oid, entry in self._catalog.items()}
+        motions = dict(self._catalog)
         for obj in objs:
             motions[obj.oid] = obj.motion
         self._rebuild(
@@ -394,7 +468,10 @@ class HoughYForestIndex(MobileIndex1D):
     def query(self, query: MORQuery1D) -> Set[int]:
         """One observation-tree range scan per sign and band, whatever
         the query's width (:meth:`scan_plan`)."""
-        return {oid for oid, hit in self._candidates(query) if hit}
+        result: Set[int] = set()
+        for oid, hit in self._scan(query):
+            result.update(oid[hit].tolist())
+        return result
 
     def scan_plan(
         self, query: MORQuery1D
@@ -432,17 +509,27 @@ class HoughYForestIndex(MobileIndex1D):
                     (sign, i),
                     oriented,
                     y_r,
-                    (band, b_lo, -1),
+                    (band, b_lo, float("-inf")),
                     (band, b_hi, float("inf")),
                 )
+
+    def _scan(
+        self, query: MORQuery1D
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Run the scan plan: per fetched leaf slice, its oids and the
+        mask of the answers among them — one filter call per slice
+        (:func:`~repro.vector.kernels.hough_y_exact_mask`, bit for bit
+        the scalar :func:`~repro.core.duality.hough_y_matches`)."""
+        for key, oriented, y_r, lo, hi in self.scan_plan(query):
+            for b, oid, speed in self._trees[key].range_columns(lo, hi):
+                yield oid, hough_y_exact_mask(1.0 / speed, b, oriented, y_r)
 
     def _candidates(
         self, query: MORQuery1D
     ) -> Iterator[Tuple[int, bool]]:
         """Every record the scan plan fetches: ``(oid, is an answer)``."""
-        for key, oriented, y_r, lo, hi in self.scan_plan(query):
-            for (_, b, oid), v in self._trees[key].range_items(lo, hi):
-                yield oid, hough_y_matches(1.0 / v, b, oriented, y_r)
+        for oid, hit in self._scan(query):
+            yield from zip(oid.tolist(), hit.tolist())
 
     def approximation_overhead(self, query: MORQuery1D) -> Tuple[int, int]:
         """Measure ``(fetched, exact)`` record counts of the scan plan.
@@ -451,8 +538,11 @@ class HoughYForestIndex(MobileIndex1D):
         chart the approximation error against the equation (1)/(2)
         bounds.
         """
-        hits = [hit for _, hit in self._candidates(query)]
-        return (len(hits), sum(hits))
+        fetched = exact = 0
+        for oid, hit in self._scan(query):
+            fetched += len(oid)
+            exact += int(np.count_nonzero(hit))
+        return (fetched, exact)
 
     def __len__(self) -> int:
         return len(self._catalog)
@@ -532,7 +622,7 @@ class PaperForestIndex(HoughYForestIndex):
         per_subterrain: List[List[Tuple[int, float, float]]] = [
             [] for _ in range(c)
         ]
-        for oid, (motion, _, _) in index._catalog.items():
+        for oid, motion in index._catalog.items():
             for i, left, right in index._residences(motion):
                 per_subterrain[i].append((oid, left, right))
         index._interval_disks = [DiskSimulator() for _ in range(c)]
@@ -550,9 +640,9 @@ class PaperForestIndex(HoughYForestIndex):
             self._intervals[i].insert(obj.oid, left, right)
 
     def delete(self, oid: int) -> None:
-        entry = self._catalog.get(oid)
+        motion = self._catalog.get(oid)
         super().delete(oid)
-        for i, _, _ in self._residences(entry[0]):
+        for i, _, _ in self._residences(motion):
             self._intervals[i].delete(oid)
 
     def _adopt(self, rebuilt: "PaperForestIndex") -> None:
@@ -565,7 +655,7 @@ class PaperForestIndex(HoughYForestIndex):
     ) -> None:
         """The trees' grouped runs, then one batch per interval index."""
         departed = [
-            (oid, self._catalog[oid][0])
+            (oid, self._catalog[oid])
             for oid in leaving
             if oid in self._catalog
         ]

@@ -93,7 +93,7 @@ class SlowObjectIndex(MobileIndex1D):
         drift = self.v_slow * max(
             abs(query.t1 - self.t_ref), abs(query.t2 - self.t_ref)
         )
-        lo = (query.y1 - drift, -1)
+        lo = (query.y1 - drift, float("-inf"))
         hi = (query.y2 + drift, float("inf"))
         return {
             oid
@@ -159,7 +159,7 @@ class HybridIndex(MobileIndex1D):
     def insert(self, obj: MobileObject1D) -> None:
         if obj.oid in self._band:
             raise DuplicateObjectError(f"object {obj.oid} already indexed")
-        self.model.check_admissible(obj.motion)
+        self.model.check_admissible(obj.motion, obj.oid)
         if self.model.is_moving(obj.motion):
             self._fast.insert(obj)
             self._band[obj.oid] = "fast"
@@ -196,7 +196,7 @@ class HybridIndex(MobileIndex1D):
                 raise DuplicateObjectError(
                     f"object {obj.oid} already indexed"
                 )
-            self.model.check_admissible(obj.motion)
+            self.model.check_admissible(obj.motion, obj.oid)
             (fast if self.model.is_moving(obj.motion) else slow).append(obj)
         if fast:
             self._fast.insert_batch(fast)

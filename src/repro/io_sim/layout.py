@@ -10,7 +10,11 @@ fan-out from its record size (section 5):
 
 This module encodes those layouts so every structure computes its
 capacity the same way the paper did, and so tests can assert the exact
-published fan-outs.
+published fan-outs.  A layout is the paper's *accounting*, not this
+process's storage: the observation trees keep 8-byte fields in memory
+(25 bytes a record, :mod:`repro.bptree.packed`) and still put
+``BPTREE_ENTRY.capacity(4096) = 341`` records on a page, because the
+page count is what the paper measures.
 """
 
 from __future__ import annotations

@@ -630,7 +630,7 @@ class ShardedMotionService:
             steps = [(shard, op, None) for shard in sorted(held)]
             return claim, steps, [], None, ("delete", oid, None)
         motion = LinearMotion1D(op.y0, op.v, op.t0)
-        self._model.check_admissible(motion)
+        self._model.check_admissible(motion, oid)
         if migration is not None:
             # Double-write window: the ownership table, not the router,
             # decides placement — recomputing the route from motion

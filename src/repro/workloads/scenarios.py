@@ -551,7 +551,7 @@ class GridBucketOracle:
             if lo > hi:
                 continue
             entries = self._intercepts(v)
-            start = bisect.bisect_left(entries, (lo, -1))
+            start = bisect.bisect_left(entries, (lo, float("-inf")))
             stop = bisect.bisect_right(entries, (hi, float("inf")))
             answer.update(oid for _, oid in entries[start:stop])
         return answer

@@ -329,9 +329,11 @@ class TestForestGroupedMaintenance:
 
         touched = {key: set() for key in grouped._trees}
         for obj in storm:
-            old_motion, sign, old_keys = grouped._catalog[obj.oid]
+            sign, old_speed, old_keys = grouped._placement(
+                grouped._catalog[obj.oid]
+            )
             new_sign, speed, new_keys = grouped._placement(obj.motion)
-            old_band = grouped._band(abs(old_motion.v))
+            old_band = grouped._band(old_speed)
             new_band = grouped._band(speed)
             for i in range(grouped.c):
                 for side, band, b in (

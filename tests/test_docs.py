@@ -104,6 +104,12 @@ def test_experiments_wide_query_tables_equal_committed_results(
     _assert_quoted_table_is_committed(heading, result)
 
 
+def test_experiments_memory_table_equals_committed_result():
+    _assert_quoted_table_is_committed(
+        "### A leaf is columns", "ablation_memory.txt"
+    )
+
+
 def test_design_lists_every_bench_file():
     import os
 

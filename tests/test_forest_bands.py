@@ -265,8 +265,8 @@ def test_scalar_grouped_and_bulk_forests_hold_the_same_keys(
     grouped._apply_grouped([obj.oid for obj in moved], moved)
     grouped.delete_batch(gone)
     survivors = [
-        MobileObject1D(oid, entry[0])
-        for oid, entry in scalar._catalog.items()
+        MobileObject1D(oid, motion)
+        for oid, motion in scalar._catalog.items()
     ]
     bulk = cls.bulk_build(PAPER_MODEL, survivors, c=2, leaf_capacity=4)
 

@@ -129,7 +129,7 @@ def test_edge_examples_are_not_vacuous():
 
 def test_served_forest_is_its_observation_trees():
     """``2c`` disks, one per observation tree, and nothing per object
-    beyond ``(motion, sign, b keys)``; the paper class adds ``c``
+    beyond its motion; the paper class adds ``c``
     interval-index disks on the same trees."""
     rng = random.Random(3)
     population = [
@@ -164,8 +164,9 @@ def test_served_forest_is_its_observation_trees():
             )
             assert not hasattr(served, "_intervals")
             assert paper.pages_in_use > served.pages_in_use
-            for motion, sign, b_keys in served._catalog.values():
-                assert len(b_keys) == c and sign in (1, -1)
+            for motion in served._catalog.values():
+                sign, _, crossings = served._placement(motion)
+                assert len(crossings) == c and sign in (1, -1)
     assert len(HoughYForestIndex(PAPER_MODEL).band_edges) == 3
     assert len(PaperForestIndex(PAPER_MODEL).band_edges) == 2
 

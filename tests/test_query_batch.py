@@ -73,6 +73,41 @@ def scalar_answers(target, ops):
     return out
 
 
+# -- negative oids on a query's low edge -----------------------------------------
+
+
+@pytest.mark.parametrize("v", [0.0, 0.1, -0.1, V_MIN, -V_MIN, 1.0, -1.0])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MotionDatabase(Y_MAX, V_MIN, V_MAX),
+        lambda: ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=2),
+        lambda: FaultTolerantMotionService(
+            Y_MAX, V_MIN, V_MAX, shards=2, replication_factor=2
+        ),
+    ],
+    ids=["database", "sharded", "replicated"],
+)
+def test_negative_oids_on_the_low_edge_are_found(make, v):
+    """Range scans used to bound the oid from below with ``-1`` and
+    from above with ``inf``: an object with ``oid < -1`` whose key ties
+    the probe's first field — exactly at ``y1`` in the slow store — was
+    missed by the scalar verbs and found by ``query_batch``."""
+    target = make()
+    oids = {-(2**63), -5, -2, -1, 0, 5}
+    for oid in sorted(oids):
+        target.register(oid, 100.0, v, 0.0)
+    target.register(-7, 99.0, 0.0, 0.0)  # below the edge: never an answer
+    ops = [
+        Within(100.0, 200.0, 0.0, 0.0),
+        Within(0.0, 100.0, 0.0, 0.0),
+        SnapshotAt(100.0, 100.0, 0.0),
+    ]
+    scalar = scalar_answers(target, ops)
+    assert scalar == target.query_batch(ops)
+    assert scalar[0] == scalar[2] == oids and scalar[1] == oids | {-7}
+
+
 # -- MotionDatabase ------------------------------------------------------------
 
 

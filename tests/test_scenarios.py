@@ -220,7 +220,9 @@ class TestGridScenario:
                 float(rng.choice([-3, -2, -1, 1, 2, 3])),
                 float(rng.randint(0, 5)),
             )
-            for oid in range(120)
+            # Negative oids: an intercept exactly on a bucket's low
+            # edge must be found whatever the oid's sign.
+            for oid in range(-60, 60)
         }
         oracle = GridScenario.make_oracle(motions)
         objects = [MobileObject1D(o, m) for o, m in motions.items()]
