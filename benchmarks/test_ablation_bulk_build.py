@@ -19,7 +19,7 @@ def run_build_comparison():
     table = Table(
         headers=["N", "bulk_io", "incremental_io", "ratio", "bulk_pages"]
     )
-    for n in (1000, 2000, 4000):
+    for n in (1000, 2000, 4000, 25000):
         gen = WorkloadGenerator(seed=77)
         objects = gen.initial_population(n)
         bulk = HoughYForestIndex.bulk_build(

@@ -14,7 +14,11 @@ subclass that owns a record layout sets :attr:`PackedRecords.TYPECODES`.
 A record read back (``records[i]``, iteration) is rebuilt as the plain
 ``(key tuple, value)`` it went in as.  The columns themselves are the
 block interface: ``records.columns`` are the live arrays, in field
-order.
+order, and a whole block is built from, ordered by and checked on them
+(:meth:`PackedRecords.from_columns`, ``argsort`` / ``take``,
+``strictly_increasing``) — what a bulk build sorts and packs without a
+tuple per record (DESIGN.md §5.8).  Those calls copy: a container owns
+its arrays, and no numpy view of them outlives the call that made it.
 
 The key has three fields because the per-record operations (``find``,
 ``insert``, ``pop``, ``records[i]``) name the four columns instead of
@@ -26,7 +30,9 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Any, Iterable, Iterator, Tuple
+from typing import Any, Iterable, Iterator, Sequence, Tuple
+
+import numpy as np
 
 Record = Tuple[Tuple[Any, Any, Any], Any]
 
@@ -42,6 +48,41 @@ class PackedRecords:
     def __init__(self, records: Iterable[Record] = ()) -> None:
         self.columns = tuple(array(code) for code in self.TYPECODES)
         self.extend(records)
+
+    @classmethod
+    def from_columns(cls, *fields: np.ndarray) -> "PackedRecords":
+        """The records whose fields are the given arrays, in field
+        order — each copied into an array of its column's type."""
+        records = cls()
+        for col, field in zip(records.columns, fields):
+            col.frombytes(np.asarray(field, dtype=col.typecode).tobytes())
+        return records
+
+    def _views(self) -> Tuple[np.ndarray, ...]:
+        # Views of the live columns: a column cannot be resized while
+        # one exists, so they never leave the method that asked.
+        return tuple(
+            np.frombuffer(col, dtype=col.typecode) for col in self.columns
+        )
+
+    def argsort(self) -> np.ndarray:
+        """The stable permutation that sorts the records by key."""
+        k0, k1, k2, _ = self._views()
+        return np.lexsort((k2, k1, k0))
+
+    def take(self, order: Sequence[int]) -> "PackedRecords":
+        """The records at ``order``'s positions, in its order."""
+        return self.from_columns(*(view[order] for view in self._views()))
+
+    def strictly_increasing(self) -> bool:
+        """Whether every key is below the next, compared as tuples."""
+        k0, k1, k2, _ = self._views()
+        below = k2[:-1] < k2[1:]
+        for field in (k1, k0):
+            below = (field[:-1] < field[1:]) | (
+                (field[:-1] == field[1:]) & below
+            )
+        return bool(below.all())
 
     def __len__(self) -> int:
         return len(self.columns[3])

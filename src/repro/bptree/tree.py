@@ -124,17 +124,19 @@ class BPlusTree:
         lower values leave room for inserts) and spreads the records
         evenly over them, so sibling pages reach capacity together; the
         index levels are stacked bottom-up.  Keys must be strictly
-        increasing.
+        increasing.  ``sorted_items`` is a list of records or already
+        the tree's :attr:`leaf_items` container; either way a leaf gets
+        a slice of it — its own copy.
         """
         if not 0.0 < fill <= 1.0:
             raise ValueError(f"fill factor must be in (0, 1], got {fill}")
         tree = cls(disk, leaf_capacity, internal_capacity)
         if not sorted_items:
             return tree
-        keys = [key for key, _ in sorted_items]
-        for a, b in zip(keys, keys[1:]):
-            if not a < b:
-                raise ValueError("bulk load requires strictly sorted keys")
+        if not isinstance(sorted_items, cls.leaf_items):
+            sorted_items = cls.leaf_items(sorted_items)
+        if not cls._strictly_increasing(sorted_items):
+            raise ValueError("bulk load requires strictly sorted keys")
         disk.free(tree._root_pid)  # replace the empty bootstrap root
         chunk = max(2, min(leaf_capacity, int(leaf_capacity * fill)))
         chunks = _balanced_chunks(sorted_items, chunk, leaf_capacity // 2)
@@ -144,7 +146,7 @@ class BPlusTree:
             page = disk.allocate(leaf_capacity)
             page.meta["kind"] = LEAF
             page.meta["next"] = None
-            page.items = cls.leaf_items(records)
+            page.items = records
             if prev is not None:
                 prev.meta["next"] = page.pid
                 disk.write(prev)
@@ -175,6 +177,12 @@ class BPlusTree:
         tree._root_pid = level[0].pid
         tree._size = len(sorted_items)
         return tree
+
+    @staticmethod
+    def _strictly_increasing(items: Any) -> bool:
+        """Whether a leaf container's keys each sort below the next."""
+        keys = [key for key, _ in items]
+        return all(a < b for a, b in zip(keys, keys[1:]))
 
     # -- aggregation hooks (overridden by augmented trees) ------------------
 

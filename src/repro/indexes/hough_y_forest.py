@@ -52,6 +52,7 @@ sort + pack of everything.
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -86,7 +87,11 @@ from repro.core.model import (
     check_oid,
 )
 from repro.core.queries import MORQuery1D
-from repro.errors import DuplicateObjectError, ObjectNotFoundError
+from repro.errors import (
+    DuplicateObjectError,
+    InvalidMotionError,
+    ObjectNotFoundError,
+)
 from repro.indexes.base import MobileIndex1D, register_index
 from repro.interval.tree import IntervalIndex
 from repro.io_sim.layout import BPTREE_ENTRY, INTERVAL_ENTRY
@@ -112,6 +117,10 @@ class ObservationTree(BPlusTree):
     base class's."""
 
     leaf_items = ObservationRecords
+
+    @staticmethod
+    def _strictly_increasing(items: ObservationRecords) -> bool:
+        return items.strictly_increasing()
 
     @staticmethod
     def _find(leaf: Page, key: Any) -> Tuple[int, bool]:
@@ -250,37 +259,40 @@ class HoughYForestIndex(MobileIndex1D):
         existing fleet.  ``fill < 1`` leaves slack for later updates.
         ``crash_hook`` (chaos testing) fires ``"bulk.mid_pack"`` after
         each observation tree is packed.
+
+        The population is columns throughout — one admission mask, keys
+        by the float expressions of :meth:`_oriented`, ``time_at`` and
+        :meth:`_band`, blocks sorted and packed (DESIGN.md §5.8) — and
+        pages, pids and I/O counts are the record-at-a-time build's.
         """
         index = cls.__new__(cls)
         index._start_empty(model, c, leaf_capacity)
-        # Validate and orient everything once.
-        oriented: List[Tuple[int, int, LinearMotion1D, int]] = []
-        for obj in objects:
-            if obj.oid in index._catalog:
-                raise DuplicateObjectError(
-                    f"object {obj.oid} appears twice in the bulk input"
-                )
-            index._check(obj)
-            sign, view = index._oriented(obj.motion)
-            oriented.append((obj.oid, sign, view, index._band(view.v)))
-            index._catalog[obj.oid] = obj.motion
-        # Observation trees: external sort per (sign, horizon), bulk load.
+        columns = index._admitted_columns(objects)
+        if columns is None:
+            index._raise_first_rejection(objects)
+        oid, y0, v, t0 = columns
+        index._catalog = {obj.oid: obj.motion for obj in objects}
+        # Each sign's objects in their positive-velocity view (input
+        # order kept): band, start, speed, reference time, oid.
+        forward = v > 0
+        views = {}
+        for sign, chosen, start, speed in (
+            (1, forward, y0, v),
+            (-1, ~forward, model.terrain.y_max - y0, -v),
+        ):
+            start, speed = start[chosen], speed[chosen]
+            band = np.searchsorted(index.band_edges[1:-1], speed, "right")
+            views[sign] = (band, start, speed, t0[chosen], oid[chosen])
         for sign, i in index._tree_keys():
-            y_r = index.horizons[i]
+            band, start, speed, since, oids = views[sign]
+            records = ObservationRecords.from_columns(
+                band, since + (index.horizons[i] - start) / speed, oids, speed
+            )
             disk = DiskSimulator()
             capacity = index._tree_capacity(disk)
-            records = []
-            for oid, s, view, band in oriented:
-                if s != sign:
-                    continue
-                key = (band, view.time_at(y_r), oid)
-                records.append((key, view.v))
-            run = external_sort(
-                disk, records, page_capacity=capacity,
-                key=lambda record: record[0],
-            )
+            run = external_sort(disk, records, page_capacity=capacity)
             tree = ObservationTree.bulk_load(
-                disk, list(run.scan()), capacity, fill=fill
+                disk, run.read_block(), capacity, fill=fill
             )
             run.destroy()
             index._tree_disks[(sign, i)] = disk
@@ -288,6 +300,51 @@ class HoughYForestIndex(MobileIndex1D):
             if crash_hook is not None:
                 crash_hook("bulk.mid_pack")
         return index
+
+    def _admitted_columns(
+        self, objects: Sequence[MobileObject1D]
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """``(oid, y0, v, t0)`` of a bulk input as arrays — or ``None``
+        if :meth:`_check` would refuse an object or an oid repeats.
+
+        An oid must *be* an ``int``: ``np.int64(3)`` and ``3.0`` would
+        convert, and :func:`~repro.core.model.check_oid` refuses both.
+        """
+        oids = [obj.oid for obj in objects]
+        if len(set(oids)) != len(oids) or not all(
+            issubclass(kind, int) for kind in set(map(type, oids))
+        ):
+            return None
+        try:
+            oid = np.array(oids, dtype=np.int64)
+            y0, v, t0 = (
+                np.fromiter(map(attrgetter(field), objects), float, len(oids))
+                for field in ("motion.y0", "motion.v", "motion.t0")
+            )
+        except (TypeError, ValueError, OverflowError):
+            return None  # a field no column holds: the scalar check names it
+        speed = np.abs(v)
+        admitted = (
+            (self.model.v_min <= speed)
+            & (speed <= self.model.v_max)
+            & np.isfinite(t0)
+            & (0.0 <= y0)
+            & (y0 <= self.model.terrain.y_max)
+        )
+        return (oid, y0, v, t0) if admitted.all() else None
+
+    def _raise_first_rejection(self, objects: Sequence[MobileObject1D]) -> None:
+        """The scalar admission loop, run once the mask has failed, for
+        its exception: the first offender's, in input order."""
+        seen: Set[int] = set()
+        for obj in objects:
+            if obj.oid in seen:
+                raise DuplicateObjectError(
+                    f"object {obj.oid} appears twice in the bulk input"
+                )
+            self._check(obj)
+            seen.add(obj.oid)
+        raise InvalidMotionError("bulk input holds a field no column can store")
 
     # -- maintenance -------------------------------------------------------------
 

@@ -54,10 +54,14 @@ as working state and writes *through* a persistence backend:
 
 :meth:`recover` rebuilds a fresh database: load the checkpoint
 population (in its serialized order — object registration order is
-part of the byte-identical contract) through the recovery-path
-``restore_object``, restore the clock and — for ``keep_history=True``
-shards — the archived motion versions the checkpoint carries, then
-replay the log tail through :meth:`MotionDatabase.apply_event`.
+part of the byte-identical contract) as one ``apply_batch`` of
+registrations, which an empty index answers with one bulk build
+(``keep_history=True`` shards go object by object through the
+recovery-path ``restore_object``: the archive's restore is
+order-agnostic, its batch path is not), restore the clock and — for
+``keep_history=True`` shards — the archived motion versions the
+checkpoint carries, then replay the log tail through
+:meth:`MotionDatabase.apply_event`.
 
 History-enabled shards are fully recovered: checkpoints written by
 this version embed the §7 archive (``history`` payload key), so the
@@ -80,6 +84,7 @@ from repro.errors import (
     ObjectNotFoundError,
 )
 from repro.storage.backend import MemoryWALBackend
+from repro.vector.ops import RegisterOp
 from repro.workloads.serialization import (
     population_from_json,
     population_to_json,
@@ -246,10 +251,11 @@ class ShardWAL:
         """
         db = factory()
         if self._checkpoint is not None:
-            for obj in population_from_json(self._checkpoint["population"]):
-                db.restore_object(obj.oid, obj.motion.y0, obj.motion.v,
-                                  obj.motion.t0)
+            population = population_from_json(self._checkpoint["population"])
             if db.history_enabled:
+                for obj in population:
+                    db.restore_object(obj.oid, obj.motion.y0, obj.motion.v,
+                                      obj.motion.t0)
                 history = self._checkpoint.get("history")
                 if history is not None:
                     db.restore_history(history)
@@ -262,6 +268,15 @@ class ShardWAL:
                         DegradedResultWarning,
                         stacklevel=2,
                     )
+            else:
+                # One batch into an empty database: the index bulk-builds.
+                for refused in db.apply_batch([
+                    RegisterOp(obj.oid, obj.motion.y0, obj.motion.v,
+                               obj.motion.t0)
+                    for obj in population
+                ]):
+                    if refused is not None:
+                        raise refused
             db.restore_clock(self._checkpoint["now"])
         for record in self._records:
             self._replay(db, record)

@@ -110,6 +110,13 @@ def test_experiments_memory_table_equals_committed_result():
     )
 
 
+def test_experiments_bulk_build_table_equals_committed_result():
+    """Wall-clock lives in prose; the page columns are the result file."""
+    _assert_quoted_table_is_committed(
+        "**Bulk construction**", "ablation_bulk_build.txt"
+    )
+
+
 def test_design_lists_every_bench_file():
     import os
 
