@@ -57,7 +57,6 @@ from repro.indexes import (
 from repro.engine import MotionDatabase
 from repro.kinetic import MOR1Index, StaggeredMOR1Index
 from repro.service import (
-    BatchExecutor,
     MetricsRegistry,
     ShardedMotionService,
     SubscriptionManager,
@@ -73,7 +72,6 @@ from repro.twod import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchExecutor",
     "INDEX_REGISTRY",
     "DualKDTreeIndex",
     "DualRTreeIndex",

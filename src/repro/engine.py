@@ -226,12 +226,6 @@ class MotionDatabase:
 
     # -- batched writes ------------------------------------------------------------
 
-    def report_batch(
-        self, reports: List[ReportOp]
-    ) -> List[Optional[Exception]]:
-        """Apply a batch of motion reports (see :meth:`apply_batch`)."""
-        return self.apply_batch(reports)
-
     def apply_batch(self, ops: List[WriteOp]) -> List[Optional[Exception]]:
         """Apply a batch of write operations in one grouped pass.
 

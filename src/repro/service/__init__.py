@@ -18,8 +18,6 @@
   :class:`RetryPolicy`;
 * :mod:`repro.service.wal` — :class:`ShardWAL`, the per-shard
   write-ahead log + checkpoint used for crash recovery;
-* :mod:`repro.service.executor` — :class:`BatchExecutor`, two-phase
-  (updates, then queries) epoch execution on a thread pool;
 * :mod:`repro.service.metrics` — :class:`MetricsRegistry`, counters +
   latency/I-O histograms per operation and per shard;
 * :mod:`repro.service.sharding` — the routing policies plus
@@ -33,9 +31,12 @@
 * :mod:`repro.service.frontend` — :class:`AsyncFrontend`, the
   admission-controlled asyncio front door.
 
-The package holds only the service.  Its numbers come from
-``benchmarks/perf`` (``make perf``), its whole-stack oracle from
-``python -m repro soak`` (:mod:`repro.soak`).
+Work reaches the service through its scalar verbs or as lists of the
+:mod:`repro.vector.ops` operations (re-exported here) handed to
+``apply_batch`` / ``query_batch``.  The package holds only the
+service.  Its numbers come from ``benchmarks/perf`` (``make perf``),
+its whole-stack oracle from ``python -m repro soak``
+(:mod:`repro.soak`).
 """
 
 from repro.service.continuous import (
@@ -43,19 +44,6 @@ from repro.service.continuous import (
     SubscriptionDelta,
     SubscriptionManager,
     replay_deltas,
-)
-from repro.service.executor import (
-    BatchExecutor,
-    Deregister,
-    Nearest,
-    OpResult,
-    Operation,
-    ProximityPairs,
-    Register,
-    Report,
-    SnapshotAt,
-    Within,
-    op_class_name,
 )
 from repro.service.faults import (
     CrashPointInjector,
@@ -108,17 +96,25 @@ from repro.service.sharding import (
     mix_oid,
 )
 from repro.service.wal import ShardWAL
+from repro.vector.ops import (
+    DeregisterOp,
+    Nearest,
+    ProximityPairs,
+    RegisterOp,
+    ReportOp,
+    SnapshotAt,
+    Within,
+)
 
 __all__ = [
     "AsyncFrontend",
     "BandRouter",
-    "BatchExecutor",
     "CircuitBreaker",
     "Counter",
     "CrashPointInjector",
     "CrashPointSpec",
     "DURABILITY_COUNTERS",
-    "Deregister",
+    "DeregisterOp",
     "FRONTEND_COUNTERS",
     "FaultInjector",
     "FaultSpec",
@@ -130,8 +126,6 @@ __all__ = [
     "MetricsRegistry",
     "MigrationState",
     "Nearest",
-    "OpResult",
-    "Operation",
     "Overloaded",
     "OwnershipTable",
     "PARALLEL_COUNTERS",
@@ -143,8 +137,8 @@ __all__ = [
     "RebalanceController",
     "RebalancePlan",
     "RebalanceReport",
-    "Register",
-    "Report",
+    "RegisterOp",
+    "ReportOp",
     "RetryPolicy",
     "ShardRouter",
     "ShardWAL",
@@ -160,7 +154,6 @@ __all__ = [
     "WorkerPool",
     "flip_bit",
     "mix_oid",
-    "op_class_name",
     "replay_deltas",
     "truncate_file",
     "wal_event_recorder",

@@ -19,6 +19,10 @@ adds the missing front door:
   clump, preserving the batch path's throughput win), via
   :func:`asyncio.to_thread` so the GIL-released kernel work (or the
   worker pool) overlaps the event loop;
+* **per-request containment** — a clump mixes many clients' requests,
+  and ``query_batch`` raises for the whole batch, so when a clump
+  raises each of its requests is answered alone: a bad request gets
+  its own exception and its neighbours still get their answers;
 * **SLO spans** — every request's queue+service latency lands in
   :class:`~repro.service.metrics.MetricsRegistry` under
   ``frontend.<op>`` (p50/p99 per operation class), and the shed /
@@ -41,7 +45,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.io_sim.stats import IOSnapshot
 from repro.vector.ops import Nearest, ProximityPairs, QueryOp, SnapshotAt, Within
@@ -251,34 +255,47 @@ class AsyncFrontend:
                 and not self._queue.empty()
             ):
                 clump.append(self._queue.get_nowait())
-            ops = [r.op for r in clump]
-            try:
-                answers = await asyncio.to_thread(
-                    self.service.query_batch, ops
-                )
-            except Exception as exc:  # noqa: BLE001 - forwarded per-request
-                self.metrics.counter("frontend_failed").increment(
-                    len(clump)
-                )
-                for request in clump:
-                    if not request.future.done():
-                        request.future.set_exception(exc)
-                    self._queue.task_done()
-                continue
+            outcomes = await self._answer([r.op for r in clump])
             done = time.perf_counter()
-            for request, answer in zip(clump, answers):
-                self.metrics.operation(
-                    f"frontend.{_op_label(request.op)}"
-                ).record(
-                    done - request.enqueued_at,
-                    _ZERO_IO,
-                )
-                if not request.future.done():
-                    request.future.set_result(answer)
+            failed = 0
+            for request, (answer, error) in zip(clump, outcomes):
+                if error is not None:
+                    failed += 1
+                    if not request.future.done():
+                        request.future.set_exception(error)
+                else:
+                    self.metrics.operation(
+                        f"frontend.{_op_label(request.op)}"
+                    ).record(
+                        done - request.enqueued_at,
+                        _ZERO_IO,
+                    )
+                    if not request.future.done():
+                        request.future.set_result(answer)
                 self._queue.task_done()
+            if failed:
+                self.metrics.counter("frontend_failed").increment(failed)
             self.metrics.counter("frontend_completed").increment(
-                len(clump)
+                len(clump) - failed
             )
+
+    async def _answer(self, ops: List[QueryOp]) -> List[Tuple]:
+        """One ``(answer, error)`` pair per op, from one ``query_batch``.
+
+        ``query_batch`` raises for the whole batch, and a clump holds
+        many clients' requests: when it raises, each op is answered
+        alone, so a bad request fails only itself.
+        """
+        try:
+            answers = await asyncio.to_thread(self.service.query_batch, ops)
+        except Exception as exc:  # noqa: BLE001 - forwarded per-request
+            if len(ops) == 1:
+                return [(None, exc)]
+            outcomes: List[Tuple] = []
+            for op in ops:
+                outcomes += await self._answer([op])
+            return outcomes
+        return [(answer, None) for answer in answers]
 
     # -- health cadence -------------------------------------------------------
 

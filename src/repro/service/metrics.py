@@ -138,7 +138,6 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._ops: Dict[str, OperationMetrics] = {}
         self._shard_ops: Dict[Tuple[int, str], OperationMetrics] = {}
-        self._failed_ops: Dict[str, int] = {}
         self._counters: Dict[str, Counter] = {}
         self.live_io = IOStats()
         self._started = time.perf_counter()
@@ -216,20 +215,6 @@ class MetricsRegistry:
             if metrics.latency_ms.count
         }
 
-    def record_batch_failure(self, name: str) -> None:
-        """Count one failed batch operation (an ``OpResult`` carrying
-        an error).
-
-        Kept separate from ``operations[op].errors``: that counter
-        only sees exceptions raised *inside* a service span, while
-        this one is the caller-observed total — it also covers
-        failures that never reach the service (routing errors, unknown
-        operation types).  Failed ops must not vanish into throughput
-        numbers.
-        """
-        with self._lock:
-            self._failed_ops[name] = self._failed_ops.get(name, 0) + 1
-
     @contextmanager
     def span(self, name: str) -> Iterator["Span"]:
         """Time one operation; the caller adds per-shard I/O deltas."""
@@ -258,7 +243,6 @@ class MetricsRegistry:
               "live_io": {"reads": R, "writes": W, "buffer_hits": H},
               "operations": {op: {calls, errors, p50_ms, p99_ms,
                                   avg_io, reads, writes, buffer_hits}},
-              "failed_ops": {op: caller-observed failure count},
               "counters": {name: value},     # free-form named counters
               "shards": {shard_id: {op: {...same keys...}}},
             }
@@ -266,7 +250,6 @@ class MetricsRegistry:
         with self._lock:
             ops_view = dict(self._ops)
             shard_ops_view = dict(self._shard_ops)
-            failed_view = dict(self._failed_ops)
             counters_view = {
                 name: counter.value
                 for name, counter in self._counters.items()
@@ -285,7 +268,6 @@ class MetricsRegistry:
                 "buffer_hits": self.live_io.buffer_hits,
             },
             "operations": operations,
-            "failed_ops": failed_view,
             "counters": counters_view,
             "shards": shards,
         }

@@ -395,7 +395,8 @@ class FaultTolerantMotionService(ShardedMotionService):
         scalar write path — full retry/breaker/mark-down machinery —
         and :class:`~repro.errors.ShardUnavailableError` joins the
         contained outcome types, so chaos runs behave per-op exactly
-        like a scalar soak.
+        like a scalar soak; every live shard the batch appended to is
+        still synced before it returns.
 
         ``crash_hook`` fires ``write_batch.pre_fsync`` after a shard's
         grouped records are appended but before its ``sync()`` — the
@@ -438,9 +439,12 @@ class FaultTolerantMotionService(ShardedMotionService):
         per-op WAL append and listener fire) so a chaos run through the
         batch API behaves byte-identically to the same ops issued one
         by one; rejections and unavailability land in the outcome list
-        instead of raising.
+        instead of raising.  The scalar write only appends, so before
+        returning every live shard the batch appended to is synced —
+        the contract of the healthy path.
         """
         _check_write_ops(ops)
+        seqs = [node.wal.seq for node in self._nodes]
         outcomes: List[Optional[Exception]] = []
         for op in ops:
             try:
@@ -452,6 +456,10 @@ class FaultTolerantMotionService(ShardedMotionService):
                 InvalidMotionError,
             ) as exc:
                 outcomes.append(exc)
+        for shard, node in enumerate(self._nodes):
+            with self._locks[shard]:
+                if node.up and node.wal.seq != seqs[shard]:
+                    node.wal.sync()
         return outcomes
 
     # -- queries ----------------------------------------------------------------

@@ -768,12 +768,6 @@ class ShardedMotionService:
 
     # -- batched writes ----------------------------------------------------------
 
-    def report_batch(
-        self, reports: Sequence[ReportOp]
-    ) -> List[Optional[Exception]]:
-        """Apply a batch of motion reports (see :meth:`apply_batch`)."""
-        return self.apply_batch(reports)
-
     def apply_batch(
         self,
         ops: Sequence[WriteOp],

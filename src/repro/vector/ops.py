@@ -1,15 +1,13 @@
 """Query- and write-operation vocabulary shared by the batch paths.
 
 These dataclasses are the wire format of one *read* or *write*
-request: the batch executor groups them into epochs,
-``MotionDatabase.query_batch`` and ``ShardedMotionService.query_batch``
-evaluate lists of query ops in one kernel invocation, the versioned
-result cache keys on them, and ``apply_batch``/``report_batch`` apply
-lists of write ops through one grouped pass per shard.  They live here
-— below both the engine and the service layer — so that
-``repro.engine`` can accept them without importing ``repro.service``
-(which imports the engine).  ``repro.service.executor`` re-exports
-them under their historical names, so existing callers are untouched.
+request: ``MotionDatabase.query_batch`` and
+``ShardedMotionService.query_batch`` evaluate lists of query ops in one
+kernel invocation, the versioned result cache keys on them, and
+``apply_batch`` applies lists of write ops through one grouped pass per
+shard.  They live here — below both the engine and the service layer —
+so that ``repro.engine`` can accept them without importing
+``repro.service`` (which imports the engine).
 
 This module must stay importable without ``numpy``: only the kernels
 need the array stack, the vocabulary does not.

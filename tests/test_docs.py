@@ -14,12 +14,16 @@ def python_blocks(path):
 
 
 def test_readme_quickstart_runs():
+    """Every Python block of the README runs, in one namespace, so a
+    block that names a deleted API fails here."""
     blocks = python_blocks("README.md")
-    assert blocks, "README lost its quickstart block"
+    assert len(blocks) >= 2, "README lost its quickstart or service block"
     namespace = {}
-    exec(blocks[0], namespace)  # noqa: S102 - executing our own docs
-    index = namespace["index"]
-    assert len(index) == 2
+    for block in blocks:
+        exec(block, namespace)  # noqa: S102 - executing our own docs
+    assert len(namespace["index"]) == 2
+    assert namespace["outcomes"] == [None]
+    assert len(namespace["answers"]) == 2
 
 
 def test_api_doc_mentions_every_public_index():

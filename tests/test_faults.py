@@ -1,29 +1,24 @@
-"""Units for the chaos layer: injector, breaker, retries, routing hint.
+"""Units for the chaos layer: injector, breaker, retries, routing.
 
 The fault machinery must itself be deterministic — a chaos run that
 cannot be replayed cannot be debugged — so these tests pin the seeded
 behaviour of :class:`FaultInjector`, the state machine of
 :class:`CircuitBreaker` (driven by a fake clock), the backoff schedule
-of :class:`RetryPolicy` (driven by a fake sleep), and the
-``BatchExecutor._shard_hint`` contract that only *missing-object*
-routing falls back — real routing bugs must propagate.
+of :class:`RetryPolicy` (driven by a fake sleep), and that a write to
+an unknown object is rejected per operation.
 """
 
 import pytest
 
 from repro.errors import InjectedFaultError, ObjectNotFoundError
 from repro.service import (
-    BatchExecutor,
     CircuitBreaker,
-    Deregister,
+    DeregisterOp,
     FaultInjector,
     FaultSpec,
-    Register,
     RetryPolicy,
     ShardedMotionService,
-    op_class_name,
 )
-from repro.service.executor import Nearest, ProximityPairs, SnapshotAt, Within
 
 
 class TestFaultSpec:
@@ -157,52 +152,11 @@ class TestRetryPolicy:
 
 
 class TestShardHint:
-    """Satellite fix: only ObjectNotFoundError falls back in routing."""
-
-    def make_service(self):
-        service = ShardedMotionService(1000.0, 0.16, 1.66, shards=3)
-        service.register(1, 100.0, 1.0, 0.0)
-        return service
+    """An oid no shard holds has nowhere to route: its write is
+    rejected per op, never mis-routed onto some shard."""
 
     def test_unknown_deregister_groups_but_still_errors(self):
-        service = self.make_service()
-        with BatchExecutor(service) as executor:
-            assert executor._shard_hint(Deregister(424242)) == 0
-            (result,) = executor.run([Deregister(424242)])
-        assert not result.ok
-        assert isinstance(result.error, ObjectNotFoundError)
-
-    def test_real_routing_bug_propagates(self):
-        service = self.make_service()
-        original = service.shard_of
-
-        def broken(oid):
-            raise RuntimeError("catalog corrupted")
-
-        service.shard_of = broken
-        try:
-            with BatchExecutor(service) as executor:
-                with pytest.raises(RuntimeError):
-                    executor._shard_hint(Deregister(1))
-        finally:
-            service.shard_of = original
-
-    def test_failed_ops_land_in_metrics(self):
-        service = self.make_service()
-        with BatchExecutor(service) as executor:
-            results = executor.run([
-                Register(1, 100.0, 1.0, 0.0),  # duplicate
-                Deregister(777),               # missing
-            ])
-        assert not any(result.ok for result in results)
-        failed = service.metrics.snapshot()["failed_ops"]
-        assert failed == {"register": 1, "deregister": 1}
-
-
-def test_op_class_names_match_service_spans():
-    assert op_class_name(Register(1, 0.0, 1.0, 0.0)) == "register"
-    assert op_class_name(Deregister(1)) == "deregister"
-    assert op_class_name(SnapshotAt(0.0, 1.0, 2.0)) == "snapshot_at"
-    assert op_class_name(Within(0.0, 1.0, 2.0, 3.0)) == "within"
-    assert op_class_name(Nearest(0.0, 1.0)) == "nearest"
-    assert op_class_name(ProximityPairs(1.0, 0.0, 1.0)) == "proximity_pairs"
+        service = ShardedMotionService(1000.0, 0.16, 1.66, shards=3)
+        service.register(1, 100.0, 1.0, 0.0)
+        (error,) = service.apply_batch([DeregisterOp(424242)])
+        assert isinstance(error, ObjectNotFoundError)

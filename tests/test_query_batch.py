@@ -3,10 +3,11 @@
 The contract under test everywhere: ``query_batch`` changes throughput,
 never semantics.  Batched answers must equal the scalar ones —
 element-for-element — through every layer (index, database, sharded
-service, fault-tolerant service, executor) and across cache hits,
+service, fault-tolerant service, frontend) and across cache hits,
 invalidations, evictions and degraded modes.
 """
 
+import asyncio
 import random
 import threading
 
@@ -16,10 +17,9 @@ from repro.core import MORQuery1D
 from repro.errors import InvalidQueryError
 from repro.indexes.base import MobileIndex1D
 from repro.service import (
-    BatchExecutor,
+    AsyncFrontend,
     FaultTolerantMotionService,
-    Register,
-    Report,
+    FrontendConfig,
     ShardedMotionService,
 )
 from repro.vector.cache import QueryResultCache
@@ -416,45 +416,43 @@ class TestFaultTolerantBatch:
         assert service.query_cache.stats()["entries"] > 0
 
 
-# -- executor ------------------------------------------------------------------
+# -- frontend containment ------------------------------------------------------
 
 
-class TestExecutorBatch:
-    def build(self, **kw):
-        service = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=3)
-        executor = BatchExecutor(service, **kw)
-        return service, executor
-
-    def batch_for(self, rng):
-        batch = [
-            Register(oid, rng.uniform(0, Y_MAX), rng.uniform(V_MIN, V_MAX), 0.0)
-            for oid in range(40)
-        ]
-        batch += mixed_ops(rng, count=15)
-        batch.append(Report(3, 100.0, 1.0, 2.0))
-        return batch
-
-    def test_batched_epoch_matches_per_query_epoch(self):
-        rng1, rng2 = random.Random(3), random.Random(3)
-        s1, e1 = self.build(batch_queries=False)
-        s2, e2 = self.build(batch_queries=True)
-        with e1, e2:
-            r1 = e1.run(self.batch_for(rng1))
-            r2 = e2.run(self.batch_for(rng2))
-        assert [r.value for r in r1] == [r.value for r in r2]
-        assert all(r.ok for r in r2)
-
-    def test_batched_epoch_contains_bad_query(self):
-        service, executor = self.build(batch_queries=True)
-        rng = populate(service)
-        with executor:
-            results = executor.run(
-                [Within(0.0, Y_MAX, 5.0, 10.0), Nearest(0.0, 5.0, k=0)]
+class TestFrontendBatch:
+    @pytest.mark.parametrize("surface", ["sharded", "replicated"])
+    def test_bad_request_fails_only_itself(self, surface):
+        """``query_batch`` raises for the whole batch by contract.  The
+        frontend coalesces many clients' requests into one batch, so
+        when it raises each request is answered alone: the bad one gets
+        its own exception, its neighbour its answer."""
+        if surface == "sharded":
+            service = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=3)
+        else:
+            service = FaultTolerantMotionService(
+                Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=2
             )
-        good, bad = results
-        assert good.ok and good.value == service.within(0.0, Y_MAX, 5.0, 10.0)
-        assert not bad.ok
-        assert isinstance(bad.error, InvalidQueryError)
+        populate(service)
+        good, bad = Within(0.0, Y_MAX, 5.0, 10.0), Nearest(0.0, 5.0, k=0)
+        with pytest.raises(InvalidQueryError):
+            service.query_batch([good, bad])
+
+        async def drive():
+            async with AsyncFrontend(
+                service, FrontendConfig(health_every_s=0.0)
+            ) as frontend:
+                return await asyncio.gather(
+                    frontend.submit(good), frontend.submit(bad),
+                    return_exceptions=True,
+                )
+
+        answer, error = asyncio.run(drive())
+        assert answer == service.within(0.0, Y_MAX, 5.0, 10.0)
+        assert len(answer) == 60
+        assert isinstance(error, InvalidQueryError)
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["frontend_completed"] == 1
+        assert counters["frontend_failed"] == 1
 
 
 # -- cache unit behavior -------------------------------------------------------

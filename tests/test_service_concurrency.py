@@ -21,10 +21,9 @@ import pytest
 
 from repro.errors import InvalidMotionError
 from repro.service import (
-    BatchExecutor,
     Nearest,
-    Register,
-    Report,
+    RegisterOp,
+    ReportOp,
     ShardedMotionService,
     SnapshotAt,
     Within,
@@ -44,10 +43,14 @@ def _motion(rng):
 
 @pytest.mark.parametrize("router", ["hash", "velocity"])
 def test_interleaved_batches_keep_invariants(router):
+    """Writers alternate ``apply_batch`` rounds with rounds of scalar
+    ``report`` calls, so the scalar path's plan → lock → re-validate
+    sequence (a cross-shard move under the velocity router) runs
+    beside batches that hold every shard lock.  Readers alternate
+    ``query_batch`` with the scalar verbs."""
     service = ShardedMotionService(
         Y_MAX, V_MIN, V_MAX, shards=4, router=router
     )
-    executor = BatchExecutor(service, max_workers=8)
     errors = []
     last_reported = [dict() for _ in range(WRITERS)]
     clock_samples = [[] for _ in range(service.shard_count)]
@@ -60,9 +63,9 @@ def test_interleaved_batches_keep_invariants(router):
         for slot in range(OIDS_PER_WRITER):
             oid = writer * OIDS_PER_WRITER + slot
             y0, v = _motion(seed_rng)
-            seed_batch.append(Register(oid, y0, v, 0.0))
+            seed_batch.append(RegisterOp(oid, y0, v, 0.0))
             last_reported[writer][oid] = (y0, v, 0.0)
-    assert all(r.ok for r in executor.run(seed_batch))
+    assert not any(service.apply_batch(seed_batch))
 
     def monitor():
         while not stop_monitor.is_set():
@@ -80,11 +83,15 @@ def test_interleaved_batches_keep_invariants(router):
                     oid = writer * OIDS_PER_WRITER + slot
                     y0, v = _motion(rng)
                     t0 = t_base + slot / (10.0 * OIDS_PER_WRITER)
-                    batch.append(Report(oid, y0, v, t0))
+                    batch.append(ReportOp(oid, y0, v, t0))
                     last_reported[writer][oid] = (y0, v, t0)
-                for result in executor.run(batch):
-                    if not result.ok:
-                        raise result.error
+                if round_no % 2:
+                    for op in batch:
+                        service.report(op.oid, op.y0, op.v, op.t0)
+                else:
+                    for error in service.apply_batch(batch):
+                        if error is not None:
+                            raise error
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
@@ -92,15 +99,19 @@ def test_interleaved_batches_keep_invariants(router):
         rng = random.Random(2000 + reader)
         try:
             for _ in range(ROUNDS * 2):
-                batch = [
-                    Within(rng.uniform(0, 800), 900.0, 1.0, 30.0),
-                    SnapshotAt(0.0, Y_MAX, rng.uniform(1.0, 20.0)),
-                    Nearest(rng.uniform(0, Y_MAX), 10.0, k=3),
+                y1, t = rng.uniform(0, 800), rng.uniform(1.0, 20.0)
+                y = rng.uniform(0, Y_MAX)
+                answers = service.query_batch([
+                    Within(y1, 900.0, 1.0, 30.0),
+                    SnapshotAt(0.0, Y_MAX, t),
+                    Nearest(y, 10.0, k=3),
+                ])
+                answers += [
+                    service.within(y1, 900.0, 1.0, 30.0),
+                    service.snapshot_at(0.0, Y_MAX, t),
+                    service.nearest(y, 10.0, k=3),
                 ]
-                for result in executor.run(batch):
-                    if not result.ok:
-                        raise result.error
-                    assert result.value is not None
+                assert all(answer is not None for answer in answers)
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
 
@@ -119,7 +130,6 @@ def test_interleaved_batches_keep_invariants(router):
         thread.join()
     stop_monitor.set()
     threads[0].join()
-    executor.close()
 
     assert not errors, errors
 
@@ -144,8 +154,11 @@ def test_interleaved_batches_keep_invariants(router):
     # Metrics observed the traffic.
     stats = service.service_stats()
     ops = stats["metrics"]["operations"]
-    assert ops["report"]["calls"] == WRITERS * OIDS_PER_WRITER * ROUNDS
+    half = ROUNDS // 2
+    assert ops["report"]["calls"] == WRITERS * OIDS_PER_WRITER * half
+    assert ops["apply_batch"]["calls"] == 1 + WRITERS * half
     assert ops["within"]["calls"] == 2 * ROUNDS * 2
+    assert ops["query_batch"]["calls"] == 2 * ROUNDS * 2
     assert ops["report"]["p99_ms"] >= ops["report"]["p50_ms"] >= 0.0
 
 

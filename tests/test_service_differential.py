@@ -22,11 +22,10 @@ import pytest
 
 from repro.engine import MotionDatabase
 from repro.service import (
-    BatchExecutor,
     Nearest,
     ProximityPairs,
-    Register,
-    Report,
+    RegisterOp,
+    ReportOp,
     ShardedMotionService,
     SnapshotAt,
     VelocityRouter,
@@ -159,40 +158,37 @@ def test_nearest_tie_break_is_documented_order():
 
 @pytest.mark.parametrize("shards", [2, 4])
 def test_batch_executor_matches_sequential_oracle(shards):
-    """One epoch through the BatchExecutor equals sequential replay:
-    updates land first (time-ordered per shard), queries then see the
-    post-update state."""
+    """The service's batch entry points equal sequential replay:
+    ``apply_batch(updates)`` then ``query_batch(queries)`` answers what
+    one database fed the same updates in submission order answers."""
     rng = random.Random(59)
     single = MotionDatabase(Y_MAX, V_MIN, V_MAX)
     sharded = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=shards)
-    batch = []
+    registers = []
     for oid in range(50):
         y0, v = random_motion(rng)
-        batch.append(Register(oid, y0, v, 0.0))
-    with BatchExecutor(sharded) as executor:
-        results = executor.run(batch)
-        assert all(result.ok for result in results)
-        updates = []
-        for _ in range(30):
-            oid = rng.randrange(50)
-            y0, v = random_motion(rng)
-            updates.append(Report(oid, y0, v, rng.uniform(1.0, 5.0)))
-        queries = [
-            Within(200.0, 450.0, 6.0, 30.0),
-            SnapshotAt(100.0, 300.0, 12.0),
-            Nearest(500.0, 10.0, k=5),
-            ProximityPairs(3.0, 6.0, 20.0),
-        ]
-        results = executor.run(updates + queries)
-    assert all(result.ok for result in results)
-    # Sequential oracle: apply the same updates in per-oid last-write
-    # order (the executor sorts each shard group by timestamp).
-    for op in batch:
+        registers.append(RegisterOp(oid, y0, v, 0.0))
+    assert sharded.apply_batch(registers) == [None] * len(registers)
+    updates = []
+    for _ in range(30):
+        oid = rng.randrange(50)
+        y0, v = random_motion(rng)
+        updates.append(ReportOp(oid, y0, v, rng.uniform(1.0, 5.0)))
+    assert sharded.apply_batch(updates) == [None] * len(updates)
+    queries = [
+        Within(200.0, 450.0, 6.0, 30.0),
+        SnapshotAt(100.0, 300.0, 12.0),
+        Nearest(500.0, 10.0, k=5),
+        ProximityPairs(3.0, 6.0, 20.0),
+    ]
+    values = sharded.query_batch(queries)
+    for op in registers:
         single.register(op.oid, op.y0, op.v, op.t0)
-    for op in sorted(updates, key=lambda op: op.t0):
+    for op in updates:
         single.report(op.oid, op.y0, op.v, op.t0)
-    values = [result.value for result in results[len(updates):]]
-    assert values[0] == single.within(200.0, 450.0, 6.0, 30.0)
-    assert values[1] == single.snapshot_at(100.0, 300.0, 12.0)
-    assert values[2] == single.nearest(500.0, 10.0, k=5)
-    assert values[3] == single.proximity_pairs(3.0, 6.0, 20.0)
+    assert values == [
+        single.within(200.0, 450.0, 6.0, 30.0),
+        single.snapshot_at(100.0, 300.0, 12.0),
+        single.nearest(500.0, 10.0, k=5),
+        single.proximity_pairs(3.0, 6.0, 20.0),
+    ]

@@ -7,11 +7,8 @@ import pytest
 
 from repro.io_sim.stats import IOSnapshot, IOStats, combine_snapshots
 from repro.service import (
-    BatchExecutor,
     HashRouter,
     MetricsRegistry,
-    Register,
-    Report,
     ShardedMotionService,
     VelocityRouter,
     mix_oid,
@@ -158,30 +155,6 @@ class TestRouters:
             HashRouter(0)
         with pytest.raises(ValueError):
             VelocityRouter(2, v_max=0.0)
-
-
-class TestBatchExecutorEpochFailures:
-    def test_failed_op_does_not_leak_into_next_epoch(self):
-        """Regression: a failed op in epoch 1 must not reappear in
-        epoch 2's failure view.  ``last_run_failed_ops`` is rebuilt
-        per epoch; only the registry's ``failed_ops`` is cumulative."""
-        service = ShardedMotionService(1000.0, 0.16, 1.66, shards=2)
-        with BatchExecutor(service) as executor:
-            epoch1 = [
-                Register(0, 100.0, 1.0, 0.0),
-                Register(0, 200.0, 1.0, 0.0),  # duplicate: fails
-            ]
-            results = executor.run(epoch1)
-            assert [result.ok for result in results] == [True, False]
-            assert executor.last_run_failed_ops == {"register": 1}
-
-            epoch2 = [Report(0, 150.0, 1.0, 1.0)]
-            results = executor.run(epoch2)
-            assert all(result.ok for result in results)
-            assert executor.last_run_failed_ops == {}
-
-        # The cumulative caller-observed view still remembers epoch 1.
-        assert service.metrics.snapshot()["failed_ops"] == {"register": 1}
 
 
 def test_same_op_stream_gives_same_counts():

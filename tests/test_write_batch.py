@@ -23,12 +23,9 @@ from repro.errors import (
 )
 from repro.indexes.hough_y_forest import HoughYForestIndex
 from repro.service import (
-    BatchExecutor,
     CrashPointInjector,
-    Deregister,
+    FaultInjector,
     FaultTolerantMotionService,
-    Register,
-    Report,
     RetryPolicy,
     ShardedMotionService,
     SubscriptionManager,
@@ -279,37 +276,6 @@ class TestBatchedEqualsScalar:
         if surface != "engine":
             service.close()
 
-    def test_report_batch_alias(self):
-        service = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=2)
-        service.register(1, 10.0, 1.0, 0.0)
-        outcomes = service.report_batch([ReportOp(1, 20.0, -1.0, 1.0)])
-        assert outcomes == [None]
-        assert service.motion_snapshot()[1] == LinearMotion1D(20.0, -1.0, 1.0)
-
-    def test_executor_batch_updates_mode(self):
-        """The executor's pushed-down update phase produces the same
-        per-op results and final state as its pool path."""
-        rng = random.Random(23)
-        ops = [Register(oid, rng.uniform(0, Y_MAX), 1.0, 0.0)
-               for oid in range(40)]
-        ops += [Report(oid, rng.uniform(0, Y_MAX), -1.0, 1.0)
-                for oid in range(0, 40, 2)]
-        ops += [Deregister(39), Deregister(39), Report(999, 1.0, 1.0, 2.0)]
-        pool_service = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=3)
-        push_service = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=3)
-        with BatchExecutor(pool_service) as pool_side:
-            pool_results = pool_side.run(list(ops))
-        with BatchExecutor(push_service, batch_updates=True) as push_side:
-            push_results = push_side.run(list(ops))
-        assert len(pool_results) == len(push_results)
-        for a, b in zip(pool_results, push_results):
-            assert a.op == b.op
-            assert (a.error is None) == (b.error is None)
-            if a.error is not None:
-                assert type(a.error) is type(b.error)
-        assert (push_service.motion_snapshot()
-                == pool_service.motion_snapshot())
-
 
 # -- WAL streams and fsync grouping --------------------------------------------
 
@@ -384,6 +350,43 @@ class TestWALStreams:
         for node in service._nodes:
             log = node.wal.backend.stats()["log"]
             assert log["synced_bytes"] == log["size_bytes"]
+        service.close()
+
+    @pytest.mark.parametrize("degraded", ["shard-down", "injector"])
+    def test_degraded_batch_syncs_every_touched_shard(self, tmp_path,
+                                                      degraded):
+        """A shard down or an injector armed sends ``apply_batch`` down
+        the per-op scalar path, which only appends; the batch must
+        still sync every live shard it wrote before acknowledging."""
+        kwargs = {}
+        if degraded == "injector":
+            kwargs["fault_injector"] = FaultInjector(seed=5)
+        service = make_ft(tmp_path, shards=4, replication=2,
+                          fsync="batch:32", **kwargs)
+        registers = [
+            RegisterOp(oid, 10.0 * oid + 5.0, 1.0, 0.0) for oid in range(40)
+        ]
+        assert service.apply_batch(registers) == [None] * len(registers)
+        if degraded == "shard-down":
+            service.kill_shard(3)
+
+        def logs():
+            return [node.wal.backend.stats()["log"] for node in service._nodes]
+
+        before = logs()
+        reports = [
+            ReportOp(oid, 10.0 * oid + 8.0, -1.0, 1.0) for oid in range(8)
+        ]
+        assert service.apply_batch(reports) == [None] * len(reports)
+        live = [
+            (shard, was, now)
+            for shard, (was, now) in enumerate(zip(before, logs()))
+            if service._nodes[shard].up
+        ]
+        assert any(now["size_bytes"] > was["size_bytes"]
+                   for _, was, now in live)
+        for shard, _, now in live:
+            assert now["synced_bytes"] == now["size_bytes"], shard
         service.close()
 
 
