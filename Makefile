@@ -29,9 +29,11 @@ property-explore:
 # differential-check that no acknowledged update was lost (exit 1 on
 # any loss or invented state).
 durability-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
+	for fsync in always batch:32; do \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python -m repro.storage.crashdrill --objects 30 \
-		--kill-after-acks 150 --seed 42
+		--kill-after-acks 150 --seed 42 --fsync $$fsync || exit 1; \
+	done
 
 # Soak smoke: a small production-shaped mixed run (city scenario,
 # churn, batched queries, live subscriptions, one crash/recovery)

@@ -12,6 +12,7 @@ database extrapolates along the stored linear motion.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -194,14 +195,26 @@ class MotionModel:
 
     def check_admissible(self, motion: LinearMotion1D, oid: int) -> None:
         """Reject a write no store can hold: over-speed, off-terrain,
-        a non-finite field, or an ``oid`` outside the stores' int64
-        columns (:func:`check_oid`).
+        a field that is not a finite real number (``"500"`` included),
+        or an ``oid`` outside the stores' int64 columns
+        (:func:`check_oid`).
 
         The admission test of the write paths, run before anything is
         mutated.  Unlike :meth:`validate` it lets slow motions
         (``|v| < v_min``) through — the hybrid's slow store takes them.
         """
         check_oid(oid)
+        y0, v, t0 = motion.y0, motion.v, motion.t0
+        # Plain floats at full speed; ints, numpy scalars and the like
+        # by the numeric tower.
+        if not (
+            type(y0) is float and type(v) is float and type(t0) is float
+            or all(isinstance(x, numbers.Real) for x in (y0, v, t0))
+        ):
+            raise InvalidMotionError(
+                f"motion fields must be real numbers, got y0={y0!r}, "
+                f"v={v!r}, t0={t0!r}"
+            )
         if not abs(motion.v) <= self.v_max:
             raise InvalidMotionError(
                 f"speed {motion.v} above v_max {self.v_max}"

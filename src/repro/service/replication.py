@@ -385,8 +385,9 @@ class FaultTolerantMotionService(ShardedMotionService):
         each touched shard absorbs its planned sub-ops through **one**
         grouped :meth:`MotionDatabase.apply_batch` — the index's
         leaf-at-a-time path, exactly as on the plain service — then
-        gets **one** grouped log append, **one** ``sync()`` (one fsync
-        under ``batch:N`` policies), and at most one checkpoint
+        gets **one** grouped log append (one ``write``), **one**
+        ``sync()`` — together one fsync per touched shard under every
+        fsync policy — and at most one checkpoint
         (:meth:`_apply_sub_batch`) — and the update listeners fire
         **once** for the batch, events in submission order.  Per-op
         rejections come back in the returned list (``None`` = applied).

@@ -12,11 +12,12 @@ service.  The protocol (all under the shard's lock):
 3. every ``checkpoint_every`` records, :meth:`maybe_checkpoint`
    serializes the full population and truncates the log.
 
-Records and checkpoints reuse the portable formats of
-:mod:`repro.workloads.serialization`: a record is one trace event
-(``insert``/``update``/``delete`` plus a ``seq``), a checkpoint stores
-the ``population_to_json`` payload, so a WAL dump replays with the
-same tooling as any workload trace.
+A record is one trace event of :mod:`repro.workloads.serialization`
+(``insert``/``update``/``delete`` plus a ``seq``), so a WAL tail
+replays with the same tooling as any workload trace; a checkpoint
+holds the population as four columns
+(:class:`~repro.storage.codec.Population`).  How either is laid out
+in bytes is :mod:`repro.storage.codec`'s decision alone.
 
 The live-rebalancing subsystem adds its own record kinds (all carrying
 the migration's fencing ``epoch``; see ``docs/api.md`` for the frame
@@ -53,9 +54,9 @@ as working state and writes *through* a persistence backend:
   death resumes from the committed prefix.
 
 :meth:`recover` rebuilds a fresh database: load the checkpoint
-population (in its serialized order — object registration order is
-part of the byte-identical contract) as one ``apply_batch`` of
-registrations, which an empty index answers with one bulk build
+columns (in catalog order — object registration order is part of the
+byte-identical contract) as one ``apply_batch`` of registrations,
+which an empty index answers with one bulk build
 (``keep_history=True`` shards go object by object through the
 recovery-path ``restore_object``: the archive's restore is
 order-agnostic, its batch path is not), restore the clock and — for
@@ -84,12 +85,9 @@ from repro.errors import (
     ObjectNotFoundError,
 )
 from repro.storage.backend import MemoryWALBackend
+from repro.storage.codec import population_columns
 from repro.vector.ops import RegisterOp
-from repro.workloads.serialization import (
-    population_from_json,
-    population_to_json,
-    trace_to_json,
-)
+from repro.workloads.serialization import trace_to_json
 
 #: One WAL record: a serialization.py trace event plus a "seq" key.
 WALRecord = Dict
@@ -181,14 +179,28 @@ class ShardWAL:
         ``entries`` is a list of ``(kind, fields)`` pairs.  Each entry
         gets its own sequenced record — the log stream is identical to
         ``len(entries)`` scalar :meth:`append` calls, so recovery
-        replays it with the unchanged :meth:`_replay`; the batching is
-        purely a write-path grouping (the caller follows with a single
-        :meth:`sync`, one fsync for the whole group under ``batch:N``
-        policies).
+        replays it with the unchanged :meth:`_replay` — but the group
+        reaches the backend as one
+        :meth:`~repro.storage.backend.FileWALBackend.append_many`: one
+        ``write``, one fsync-policy check.  With the caller's
+        following :meth:`sync` that is one fsync for the group under
+        every policy (the append's own under ``always`` or a due
+        ``batch:N``, the sync's otherwise).
         """
+        seq = self._seq
         records: List[WALRecord] = []
         for kind, fields in entries:
-            records.append(self.append(kind, **fields))
+            seq += 1
+            record: WALRecord = {"seq": seq, "kind": kind}
+            record.update(fields)
+            records.append(record)
+        self._backend.append_many(records)
+        self._seq = seq
+        self._records.extend(records)
+        for record in records:
+            self._track(record)
+        self._appends += len(records)
+        self._event("wal_append", len(records))
         return records
 
     def _track(self, record: WALRecord) -> None:
@@ -226,7 +238,7 @@ class ShardWAL:
         payload = {
             "seq": self._seq,
             "now": db.now,
-            "population": population_to_json(db.objects()),
+            "population": population_columns(db.motion_snapshot()),
             "history": db.history_snapshot(),
             "bands": self._bands,
             "migrations": list(self._inflight.values()),
@@ -251,11 +263,10 @@ class ShardWAL:
         """
         db = factory()
         if self._checkpoint is not None:
-            population = population_from_json(self._checkpoint["population"])
+            rows = self._checkpoint["population"].rows()
             if db.history_enabled:
-                for obj in population:
-                    db.restore_object(obj.oid, obj.motion.y0, obj.motion.v,
-                                      obj.motion.t0)
+                for oid, y0, v, t0 in rows:
+                    db.restore_object(oid, y0, v, t0)
                 history = self._checkpoint.get("history")
                 if history is not None:
                     db.restore_history(history)
@@ -270,11 +281,9 @@ class ShardWAL:
                     )
             else:
                 # One batch into an empty database: the index bulk-builds.
-                for refused in db.apply_batch([
-                    RegisterOp(obj.oid, obj.motion.y0, obj.motion.v,
-                               obj.motion.t0)
-                    for obj in population
-                ]):
+                for refused in db.apply_batch(
+                    [RegisterOp(*row) for row in rows]
+                ):
                     if refused is not None:
                         raise refused
             db.restore_clock(self._checkpoint["now"])

@@ -6,8 +6,12 @@ recovery — previously simulated with Python lists — survives real
 process death, torn writes and bit rot (ROADMAP item 3; MOIST's
 checkpoint-index-state-across-worker-loss discipline):
 
+* :mod:`repro.storage.codec` — what the bytes are: fixed-width
+  records for plain writes, JSON for the rest, checkpoints as a JSON
+  header plus population columns, old JSON files read unchanged;
 * :mod:`repro.storage.log` — :class:`DurableLog`, the append-only
-  CRC-framed log with fsync policies and torn-tail recovery;
+  CRC-framed log with fsync policies, grouped appends and torn-tail
+  recovery;
 * :mod:`repro.storage.checkpoint` — :class:`CheckpointStore`, atomic
   checkpoints (temp + fsync + rename) behind a superblock manifest;
 * :mod:`repro.storage.backend` — :class:`FileWALBackend` /

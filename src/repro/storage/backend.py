@@ -18,17 +18,20 @@ these backends:
   that is the whole crash-restart story: build a new service over the
   same directory and it continues from the committed prefix.
 
-Records are JSON documents (the portable trace dialect of
-:mod:`repro.workloads.serialization`) framed per
+Records are the trace-dialect dicts of
+:mod:`repro.workloads.serialization`, stored as
+:mod:`repro.storage.codec` payloads (fixed-width structs for plain
+writes, JSON for the rest) framed per
 :data:`repro.io_sim.layout.WAL_FRAME_HEADER`.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import CorruptRecordError
 from repro.storage.checkpoint import CheckpointStore
+from repro.storage.codec import decode_record, encode_record
 from repro.storage.log import DurableLog, FsyncPolicy
 
 CrashHook = Callable[[str], None]
@@ -47,6 +50,9 @@ class MemoryWALBackend:
         return None, []
 
     def append(self, record: Dict) -> None:
+        pass
+
+    def append_many(self, records: Sequence[Dict]) -> None:
         pass
 
     def checkpoint(self, payload: Dict) -> None:
@@ -95,12 +101,16 @@ class FileWALBackend:
         self._store = CheckpointStore(
             directory, crash_hook=crash_hook, on_event=on_event
         )
-        self._checkpoint = self._store.read()
+        checkpoint = self._store.read()
         self._log = self._open_segment(self._store.segment_path())
-        self._tail = [
-            json.loads(payload.decode("utf-8"))
-            for payload in self._log.recovered_payloads
-        ]
+        try:
+            tail = [decode_record(p) for p in self._log.recovered_payloads]
+        except CorruptRecordError:
+            self._log.close()
+            raise
+        self._recovered: Tuple[Optional[Dict], List[Dict]] = (
+            checkpoint, tail
+        )
 
     def _open_segment(self, path: str) -> DurableLog:
         return DurableLog(
@@ -113,16 +123,19 @@ class FileWALBackend:
     # -- the ShardWAL contract ---------------------------------------------------
 
     def load(self) -> Tuple[Optional[Dict], List[Dict]]:
-        """Recovered (checkpoint payload, log tail) — copies."""
-        checkpoint = (
-            dict(self._checkpoint) if self._checkpoint is not None else None
-        )
-        return checkpoint, [dict(record) for record in self._tail]
+        """The (checkpoint payload, log tail) this directory held when
+        the backend opened it.  Handed over once: the ``ShardWAL``
+        that adopts them keeps the only mirror from then on."""
+        recovered, self._recovered = self._recovered, (None, [])
+        return recovered
 
     def append(self, record: Dict) -> None:
-        payload = json.dumps(record, sort_keys=True).encode("utf-8")
-        self._log.append(payload)
-        self._tail.append(dict(record))
+        self._log.append(encode_record(record))
+
+    def append_many(self, records: Sequence[Dict]) -> None:
+        """Log a group of records with one write (see
+        :meth:`~repro.storage.log.DurableLog.append_many`)."""
+        self._log.append_many([encode_record(r) for r in records])
 
     def checkpoint(self, payload: Dict) -> None:
         """Install a checkpoint and roll to a fresh log segment.
@@ -136,8 +149,6 @@ class FileWALBackend:
         new_segment = self._store.write(payload)
         self._log.close()
         self._log = self._open_segment(new_segment)
-        self._checkpoint = dict(payload)
-        self._tail = []
 
     def sync(self) -> None:
         self._log.sync()

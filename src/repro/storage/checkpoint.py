@@ -10,7 +10,9 @@ of one shard WAL:
     ``os.replace``), so at every instant the manifest names exactly
     one consistent (checkpoint, log) pair.
 ``ckpt-<seq>.ckpt``
-    A CRC-framed JSON checkpoint payload, written atomically.
+    A CRC-framed checkpoint payload, written atomically (its bytes are
+    :func:`~repro.storage.codec.encode_checkpoint`'s: a JSON header
+    plus the population as columns).
 ``wal-<seq>.log``
     The log segment that starts at checkpoint ``seq`` (managed by
     :class:`~repro.storage.log.DurableLog`; this module only names and
@@ -47,7 +49,8 @@ import os
 import re
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.errors import SimulatedCrashError
+from repro.errors import CorruptRecordError, SimulatedCrashError
+from repro.storage.codec import decode_checkpoint, encode_checkpoint
 from repro.storage.log import pack_frame, scan_log
 
 MANIFEST_NAME = "MANIFEST"
@@ -255,13 +258,11 @@ class CheckpointStore:
         if payload is None:
             # The manifest validated this file at open; losing it now
             # means concurrent tampering — surface, don't guess.
-            from repro.errors import CorruptRecordError
-
             raise CorruptRecordError(
                 f"checkpoint {self._checkpoint_name} no longer passes "
                 "its CRC"
             )
-        return json.loads(payload.decode("utf-8"))
+        return decode_checkpoint(payload)
 
     def write(self, payload: Dict) -> str:
         """Atomically install ``payload`` as the new checkpoint.
@@ -274,7 +275,7 @@ class CheckpointStore:
         seq = self._seq + 1
         ckpt_name = checkpoint_file_name(seq)
         segment_name = segment_file_name(seq)
-        blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+        blob = encode_checkpoint(payload)
         old_ckpt, old_segment = self._checkpoint_name, self._segment_name
         self._write_atomic(ckpt_name, blob, crash_points=True)
         # The new segment must exist before the manifest names it.

@@ -6,18 +6,22 @@ the end-to-end proof with no simulation in the loop:
 
 1. spawn a child process running a WAL-backed
    :class:`~repro.service.replication.FaultTolerantMotionService`
-   under a write storm, each write announced on stdout as a ``TRY``
-   line before it is applied and an ``ACK`` line once the service
-   acknowledged it (so by the fsync policy's contract it is durable);
+   under a write storm — scalar reports alternating with
+   ``apply_batch`` groups, so the kill can land in a grouped log
+   append too — each write announced on stdout as a ``TRY`` line
+   before it is applied and an ``ACK`` line once the service
+   acknowledged it;
 2. after a configured number of ACKs, SIGKILL the child mid-storm —
-   no atexit, no flushing, exactly a power cut as far as the files
-   are concerned;
+   no atexit, no flushing of the process's own buffers (the kernel's
+   page cache survives, as it would not a power cut);
 3. rebuild a fresh service over the same directory
    (:meth:`restore_from_disk`) and differential-check it against the
-   TRY/ACK record: under ``fsync=always`` every acknowledged update
-   must have survived, every recovered motion must be one the child
-   actually attempted (nothing invented), and per object the
-   recovered version is at least as new as the last acknowledged one.
+   TRY/ACK record: every acknowledged update must have survived (a
+   SIGKILL keeps the kernel's page cache, so this holds under every
+   fsync policy — only a power cut could lose an unsynced write),
+   every recovered motion must be one the child actually attempted
+   (nothing invented), and per object the recovered version is at
+   least as new as the last acknowledged one.
 
 Run it directly (``python -m repro.storage.crashdrill``) or via
 ``make durability-smoke``.  Exit status: 0 = drill passed, 1 = lost
@@ -39,6 +43,9 @@ from typing import Dict, List, Optional, Tuple
 Y_MAX = 1000.0
 V_MIN = 0.16
 V_MAX = 1.66
+
+#: Reports per ``apply_batch`` group in the storm.
+GROUP_OPS = 8
 
 
 def _build_service(directory: str, fsync: str, shards: int,
@@ -70,6 +77,12 @@ def run_child(directory: str, fsync: str, shards: int, objects: int,
     differential check can match versions exactly.  Positions and
     velocities are seeded, so a surviving child is reproducible.
 
+    After the registrations, each round is one scalar ``report`` and
+    one ``apply_batch`` of :data:`GROUP_OPS` reports.  A group's writes
+    are all announced before the call and each applied one is
+    acknowledged when it returns: the fault-tolerant batch path syncs
+    every touched shard before returning.
+
     ``rebalance=True`` switches to a velocity-routed service and
     interleaves the storm with live repartitioning: the band layout
     is toggled between two cuts every few writes, so displaced
@@ -80,6 +93,8 @@ def run_child(directory: str, fsync: str, shards: int, objects: int,
     """
     import itertools
     import random
+
+    from repro.vector.ops import ReportOp
 
     rng = random.Random(seed)
     service = _build_service(
@@ -99,6 +114,14 @@ def run_child(directory: str, fsync: str, shards: int, objects: int,
     def draw_speed() -> float:
         v = rng.uniform(V_MIN, V_MAX)
         return v * (1 if rng.random() < 0.5 else -1)
+
+    def draw_report() -> ReportOp:
+        nonlocal seq
+        seq += 1
+        op = ReportOp(rng.randrange(objects), rng.uniform(0.0, Y_MAX),
+                      draw_speed(), float(seq))
+        announce(op.oid, op.y0, op.v, op.t0)
+        return op
 
     controller = None
     layouts = None
@@ -127,15 +150,15 @@ def run_child(directory: str, fsync: str, shards: int, objects: int,
         announce(oid, y0, v, float(seq))
         service.register(oid, y0, v, float(seq))
         acknowledge(oid, float(seq))
-    while True:  # the parent's SIGKILL is the only exit
-        seq += 1
-        oid = rng.randrange(objects)
-        y0 = rng.uniform(0.0, Y_MAX)
-        v = draw_speed()
-        announce(oid, y0, v, float(seq))
-        service.report(oid, y0, v, float(seq))
-        acknowledge(oid, float(seq))
-        if controller is not None and seq % 20 == 0:
+    for rounds in itertools.count(1):  # the parent's SIGKILL is the exit
+        op = draw_report()
+        service.report(op.oid, op.y0, op.v, op.t0)
+        acknowledge(op.oid, op.t0)
+        group = [draw_report() for _ in range(GROUP_OPS)]
+        for op, refused in zip(group, service.apply_batch(group)):
+            if refused is None:
+                acknowledge(op.oid, op.t0)
+        if controller is not None and rounds % 2 == 0:
             edges = next(layouts)
             if edges != service.router.band_edges():
                 service.set_bands(edges)
@@ -313,8 +336,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "removed on success)")
     parser.add_argument("--fsync", default="always",
                         metavar="{always,batch[:N],never}",
-                        help="log fsync policy; the drill's zero-loss "
-                             "assertion only holds under 'always'")
+                        help="log fsync policy (a SIGKILL keeps the page "
+                             "cache, so the zero-loss check applies to "
+                             "every policy)")
     parser.add_argument("--shards", type=int, default=2)
     parser.add_argument("--objects", type=int, default=40)
     parser.add_argument("--kill-after-acks", type=int, default=200,

@@ -25,12 +25,17 @@ Fsync policy decides what "committed" means (see
 returned is durable), ``batch:N`` fsyncs every N appends (the last
 < N acknowledged appends may vanish in a crash), ``never`` leaves
 durability to checkpoints and explicit :meth:`DurableLog.sync` calls.
+:meth:`DurableLog.append_many` writes a group of frames with one
+``write`` and consults the policy once for the whole group.  What a
+payload holds is :mod:`repro.storage.codec`'s business, not this
+module's.
 
 Crash-point injection: a ``crash_hook`` callable receives boundary
-names (``log.mid_record``, ``log.pre_fsync``, ``log.post_fsync``) and
-may raise :class:`~repro.errors.SimulatedCrashError`; the log then
-dies exactly as a process would — optionally leaving a torn prefix of
-the in-flight frame on disk, optionally dropping everything unsynced.
+names (``log.mid_record``, ``log.pre_fsync``, ``log.post_fsync``) once
+per append or group and may raise
+:class:`~repro.errors.SimulatedCrashError`; the log then dies exactly
+as a process would — optionally leaving a torn prefix of the in-flight
+bytes on disk, optionally dropping everything unsynced.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulatedCrashError
 from repro.io_sim.layout import WAL_FRAME_HEADER
@@ -245,15 +250,28 @@ class DurableLog:
         ``always``, at the next batch boundary under ``batch:N``, at
         the next checkpoint/explicit sync under ``never``.
         """
+        return self.append_many((payload,))
+
+    def append_many(self, payloads: Sequence[bytes]) -> int:
+        """Write a group of framed records with one ``write``; returns
+        the group's starting offset.
+
+        The group is one unit at every durability boundary: each
+        ``log.*`` crash hook fires once for it (a ``log.mid_record``
+        death leaves whole frames plus at most one torn one, which
+        recovery cuts), and the fsync policy is consulted once, after
+        the whole group is written, with every record counting as one
+        append towards ``batch:N``.
+        """
         self._ensure_alive()
-        frame = pack_frame(payload)
-        self._crash("log.mid_record", pending=frame)
+        blob = b"".join(map(pack_frame, payloads))
+        self._crash("log.mid_record", pending=blob)
         offset = self._size
-        self._file.write(frame)
+        self._file.write(blob)
         self._file.flush()
-        self._size += len(frame)
-        self._since_sync += 1
-        self.appends += 1
+        self._size += len(blob)
+        self._since_sync += len(payloads)
+        self.appends += len(payloads)
         self._crash("log.pre_fsync")
         if self.policy.due(self._since_sync):
             self._fsync()

@@ -207,7 +207,16 @@ def knn_select(
     """
     if k <= 0 or oid.size == 0:
         return []
-    k = min(k, oid.size)
+    if k < oid.size:
+        # O(n): the k-th smallest distance bounds the answer.  Keeping
+        # every row at or under it keeps all ties at the cut, so the
+        # oid tie-break below sees the same candidates a full sort
+        # would.  (A NaN cut — fewer than k comparable rows — sorts
+        # everything.)
+        kth = np.partition(dist, k - 1)[k - 1]
+        if kth == kth:
+            keep = dist <= kth
+            oid, dist = oid[keep], dist[keep]
     # lexsort keys are least-significant first: oid breaks dist ties.
     order = np.lexsort((oid, dist))[:k]
     return [(int(oid[i]), float(dist[i])) for i in order]

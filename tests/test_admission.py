@@ -226,3 +226,37 @@ def test_the_forest_refuses_what_its_columns_cannot_hold():
     for oid in range(1, 9):
         forest.delete(oid)
     assert all(len(tree) == 0 for tree in forest._trees.values())
+
+
+@pytest.mark.parametrize(
+    "service_class", [ShardedMotionService, FaultTolerantMotionService]
+)
+@pytest.mark.parametrize("field", ["y0", "v", "t0"])
+def test_a_non_numeric_field_leaves_no_ghost_in_the_catalog(
+    service_class, field
+):
+    """A motion field that is not a real number (``"500"``) is refused
+    before the write plan commits anything.  Batched, the refusal is
+    contained per op and the valid neighbour is fully applied; scalar,
+    the verb raises the same type.  (It used to escape as a bare
+    ``TypeError`` mid-plan, leaving op 1 in the catalog but on no
+    shard: listed, not locatable, and refused as a duplicate.)"""
+    service = service_class(Y_MAX, V_MIN, V_MAX, shards=3)
+    good = {"y0": 5.0, "v": 1.0, "t0": 0.0}
+    bad = dict(good, **{field: "500"})
+    outcomes = service.apply_batch([RegisterOp(1, **good), RegisterOp(2, **bad)])
+    assert outcomes[0] is None
+    assert isinstance(outcomes[1], InvalidMotionError)
+    assert 1 in service and 2 not in service
+    assert service.location_of(1, 0.0) == 5.0
+    with pytest.raises(InvalidMotionError):
+        service.register(3, **bad)
+    with pytest.raises(InvalidMotionError):
+        service.report(1, **bad)
+    service.report(1, 6.0, 1.0, 1.0)
+    service.register(2, **good)
+    assert service.motion_snapshot() == {
+        1: LinearMotion1D(6.0, 1.0, 1.0),
+        2: LinearMotion1D(5.0, 1.0, 0.0),
+    }
+    service.close()

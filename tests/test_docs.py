@@ -114,6 +114,12 @@ def test_experiments_memory_table_equals_committed_result():
     )
 
 
+def test_experiments_durability_table_equals_committed_result():
+    _assert_quoted_table_is_committed(
+        "### A logged update is 41 bytes", "durability.txt"
+    )
+
+
 def test_experiments_bulk_build_table_equals_committed_result():
     """Wall-clock lives in prose; the page columns are the result file."""
     _assert_quoted_table_is_committed(

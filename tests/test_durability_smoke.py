@@ -1,7 +1,8 @@
 """The SIGKILL smoke drill as a pytest (``make durability-smoke``).
 
 Real process death, no simulation: a subprocess service takes a write
-storm, is SIGKILLed mid-write, and a fresh service recovered from the
+storm of scalar reports and ``apply_batch`` groups, is SIGKILLed
+mid-write, and a fresh service recovered from the
 same directory must hold every acknowledged update.  The in-process
 crash matrix (``test_wal_durability.py``) covers the boundary cases;
 this is the end-to-end proof that the pieces compose against a real
@@ -15,10 +16,16 @@ from repro.storage.crashdrill import run_drill
 pytestmark = [pytest.mark.durability, pytest.mark.slow]
 
 
-def test_sigkill_drill_loses_no_acknowledged_update(tmp_path):
+@pytest.mark.parametrize("fsync", ["always", "batch:32"])
+def test_sigkill_drill_loses_no_acknowledged_update(tmp_path, fsync):
+    """The storm alternates scalar reports with ``apply_batch`` groups,
+    so the kill can land in a grouped log append as well as a single
+    one;
+    ``batch:32`` leaves scalar writes unsynced, which a SIGKILL (page
+    cache intact) must still not lose."""
     status = run_drill(
         directory=str(tmp_path),
-        fsync="always",
+        fsync=fsync,
         shards=2,
         objects=30,
         kill_after_acks=150,

@@ -208,6 +208,59 @@ def test_knn_select_matches_scalar_ranking(ms, y, t, k):
     assert got == expected
 
 
+def full_sort_select(oid, dist, k):
+    """``knn_select`` as it was before it partitioned: one lexsort of
+    every row, then the first ``k``."""
+    if k <= 0 or oid.size == 0:
+        return []
+    order = np.lexsort((oid, dist))[:k]
+    return [(int(oid[i]), float(dist[i])) for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dist=st.lists(
+        # A handful of repeated values makes ties at the k-th distance
+        # and duplicates on both sides of the cut the common case.
+        st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+                  st.floats(min_value=0, max_value=3)),
+        max_size=40,
+    ),
+    k=st.integers(min_value=1, max_value=45),
+    data=st.data(),
+)
+def test_knn_select_partition_matches_full_sort(dist, k, data):
+    oid = data.draw(st.lists(
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        min_size=len(dist), max_size=len(dist), unique=True,
+    ))
+    oid, dist = np.array(oid, dtype=np.int64), np.array(dist)
+    assert knn_select(oid, dist, k) == full_sort_select(oid, dist, k)
+
+
+@pytest.mark.parametrize(
+    "dist,k",
+    [
+        ([3.0, 1.0, 2.0, 2.0, 2.0, 5.0], 2),  # three-way tie at the cut
+        ([1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0], 3),  # duplicates both sides
+        ([2.0, 2.0, 2.0, 2.0], 1),  # k = 1, every row tied
+        ([0.5, 0.25, 4.0], 3),  # k = n
+        ([0.5, 0.25, 4.0], 10),  # k > n
+        ([], 3),  # an empty shard
+    ],
+)
+def test_knn_select_edge_cases_match_full_sort(dist, k):
+    oid = np.array([9, 8, 7, 3, 5, 1, 4][:len(dist)], dtype=np.int64)
+    dist = np.array(dist)
+    assert knn_select(oid, dist, k) == full_sort_select(oid, dist, k)
+
+
+def test_knn_select_breaks_a_tie_at_the_cut_by_oid():
+    oid = np.array([9, 8, 7, 3, 5, 1], dtype=np.int64)
+    dist = np.array([3.0, 1.0, 2.0, 2.0, 2.0, 5.0])
+    assert knn_select(oid, dist, 2) == [(8, 1.0), (3, 2.0)]
+
+
 # -- empty stores -------------------------------------------------------------
 
 

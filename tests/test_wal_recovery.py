@@ -9,14 +9,19 @@ never-crashed :class:`MotionDatabase` that executed the same committed
 prefix.
 """
 
-import json
 import random
+import struct
 
 import pytest
 
 from repro.engine import MotionDatabase
 from repro.errors import InvalidMotionError
 from repro.service import ShardWAL
+from repro.storage.codec import (
+    CHECKPOINT_PREFIX,
+    decode_checkpoint,
+    encode_checkpoint,
+)
 from repro.workloads.serialization import population_to_json
 
 Y_MAX, V_MIN, V_MAX = 1000.0, 0.16, 1.66
@@ -189,9 +194,14 @@ def test_recover_raises_the_first_refused_registration():
         db.register(oid, 10.0 * (oid + 1), 1.0, 0.0)
     wal = ShardWAL(checkpoint_every=100)
     wal.checkpoint(db)
-    population = json.loads(wal._checkpoint["population"])
-    population["objects"][1]["v"] = 99.0
-    population["objects"][3]["y0"] = -5.0
-    wal._checkpoint["population"] = json.dumps(population)
+    # Rewrite two cells of the encoded columns (oid, y0, v, t0; 4 rows).
+    blob = bytearray(encode_checkpoint(wal._checkpoint))
+    _, head = CHECKPOINT_PREFIX.unpack_from(blob)
+    y0_at = CHECKPOINT_PREFIX.size + head + 8 * 4
+    v_at = y0_at + 8 * 4
+    struct.pack_into("<d", blob, v_at + 8 * 1, 99.0)
+    struct.pack_into("<d", blob, y0_at + 8 * 3, -5.0)
+    wal._checkpoint = decode_checkpoint(bytes(blob))
+    assert wal._checkpoint["population"].v.tolist() == [1.0, 99.0, 1.0, 1.0]
     with pytest.raises(InvalidMotionError, match="speed 99.0 above v_max"):
         wal.recover(factory)

@@ -324,14 +324,18 @@ class TestWALStreams:
         scalar_restored.close()
         batched_restored.close()
 
-    def test_one_fsync_per_shard_per_batch(self, tmp_path):
-        """Under a deferred policy the batch path buys durability with
-        exactly one fsync per touched shard — the scalar path would
-        need one per record to make the same guarantee."""
-        service = make_ft(tmp_path, shards=3, fsync="never")
+    @pytest.mark.parametrize("fsync", ["never", "batch:8"])
+    def test_one_fsync_per_shard_per_batch(self, tmp_path, fsync):
+        """The batch path buys durability with exactly one fsync per
+        touched shard, whatever the policy — a shard's group is one
+        write and one policy check, so ``batch:8`` does not fsync every
+        8 records of it.  The scalar path would need one per record to
+        make the same guarantee."""
+        service = make_ft(tmp_path, shards=3, fsync=fsync)
+        # 60 registers: about 20 records a shard, over the interval 8.
         stream = [
             RegisterOp(oid, 10.0 * oid + 5.0, 1.0, 0.0)
-            for oid in range(30)
+            for oid in range(60)
         ]
 
         def fsyncs():
@@ -477,15 +481,16 @@ class TestWriteBatchChaos:
         service.close()
 
         restored = make_ft(tmp_path / "crash", fsync=fsync)
+        # What each shard's log held on disk (restore checkpoints it).
+        for shard, tail in enumerate(wal_tails(restored)):
+            assert tail == twin_tails[shard][:len(tail)], (
+                f"shard {shard} log is not a prefix of the twin's"
+            )
         restored.restore_from_disk()
         recovered = restored.motion_snapshot()
         for oid, motion in recovered.items():
             assert motion in (pre.get(oid), post.get(oid)), (
                 f"object {oid} recovered torn motion {motion}"
-            )
-        for shard, tail in enumerate(wal_tails(restored)):
-            assert tail == twin_tails[shard][:len(tail)], (
-                f"shard {shard} log is not a prefix of the twin's"
             )
         restored.close()
 
@@ -493,19 +498,26 @@ class TestWriteBatchChaos:
     @pytest.mark.parametrize(
         "point,spec",
         [
-            ("log.mid_record", {"write_prefix": 7}),
-            ("log.pre_fsync", {"drop_unsynced": True}),
+            # The 40 prologue registers each fire every log hook once;
+            # a shard's grouped append fires each once more.  Arrival
+            # 41 is the first touched shard's group: half its bytes land.
+            ("log.mid_record", {"at": 41, "write_prefix": None}),
+            # Arrival 42 is the second shard's group: written, then the
+            # page cache is lost before its fsync.
+            ("log.pre_fsync", {"at": 42, "drop_unsynced": True}),
         ],
     )
     def test_crash_mid_grouped_append(self, tmp_path, point, spec):
-        """Dying *inside* the grouped append — a torn frame, or losing
-        the page cache — still recovers a clean per-shard prefix."""
+        """Dying *inside* a grouped append — its frames torn mid-group,
+        or written and lost with the page cache — still recovers a
+        clean per-shard prefix."""
         stream = build_stream(random.Random(47), n=40)
         prologue, batch = stream[:40], stream[40:]
-        injector = CrashPointInjector().arm(point, at=60, **spec)
+        injector = CrashPointInjector().arm(point, **spec)
         service = make_ft(tmp_path / "crash", wal_crash_hook=injector)
         apply_scalar(service, prologue)
         pre = service.motion_snapshot()
+        before = [len(tail) for tail in wal_tails(service)]
         twin = make_ft(tmp_path / "twin")
         apply_scalar(twin, prologue)
         twin.apply_batch(batch)
@@ -515,9 +527,27 @@ class TestWriteBatchChaos:
 
         with pytest.raises(SimulatedCrashError):
             service.apply_batch(batch)
+        assert injector.fired == [(point, spec["at"])]
         service.close()
 
         restored = make_ft(tmp_path / "crash")
+        # What each shard's log held on disk (restore checkpoints it).
+        kept = [len(tail) for tail in wal_tails(restored)]
+        for shard, tail in enumerate(wal_tails(restored)):
+            assert tail == twin_tails[shard][:len(tail)], (
+                f"shard {shard} log is not a prefix of the twin's"
+            )
+        # The synced prologue always survives.
+        assert all(k >= b for k, b in zip(kept, before)), (kept, before)
+        touched = [s for s, tail in enumerate(twin_tails)
+                   if len(tail) > before[s]]
+        first, second = touched[0], touched[1]
+        if point == "log.mid_record":
+            # Torn inside the group: some of its frames, not all.
+            assert before[first] < kept[first] < len(twin_tails[first])
+        else:
+            assert kept[first] == len(twin_tails[first])
+            assert kept[second] == before[second]
         summary = restored.restore_from_disk()
         recovered = restored.motion_snapshot()
         assert summary["objects"] == len(recovered)
@@ -525,10 +555,6 @@ class TestWriteBatchChaos:
         for oid, motion in recovered.items():
             assert motion in chains.get(oid, []), (
                 f"object {oid} recovered torn motion {motion}"
-            )
-        for shard, tail in enumerate(wal_tails(restored)):
-            assert tail == twin_tails[shard][:len(tail)], (
-                f"shard {shard} log is not a prefix of the twin's"
             )
         restored.close()
 
