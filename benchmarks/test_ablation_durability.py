@@ -9,8 +9,9 @@ appends; ``never`` rides the page cache and only checkpoints are
 durable.  The table records the contract/throughput trade so the
 ``wal_fsync`` / ``soak --fsync`` defaults stay an informed choice,
 beside the bytes each update costs on disk: its log record (41-byte
-struct + 8-byte frame) and its share of the checkpoints (one every
-``CHECKPOINT_EVERY`` records, 32 bytes an object plus a header).
+struct + 8-byte frame) and its share of the checkpoints (one whenever
+the log tail reaches the shard's ``N`` objects, 32 bytes an object
+plus a header: about 32 bytes an update).
 """
 
 import os
@@ -29,7 +30,6 @@ from conftest import save_table
 Y_MAX, V_MIN, V_MAX = 1000.0, 0.16, 1.66
 N = 400
 UPDATES = 2000
-CHECKPOINT_EVERY = 64
 ROUNDS = 5
 
 REGIMES = [
@@ -46,9 +46,9 @@ class MeteredBackend(FileWALBackend):
     log_bytes = 0
     checkpoint_bytes = 0
 
-    def append(self, record):
+    def append_many(self, payloads):
         before = self._log.size
-        super().append(record)
+        super().append_many(payloads)
         self.log_bytes += self._log.size - before
 
     def checkpoint(self, payload):
@@ -70,7 +70,7 @@ def drive_updates(backend) -> float:
     A metered backend's byte counters cover the storm only."""
     rng = random.Random(13)
     db = MotionDatabase(Y_MAX, V_MIN, V_MAX, method="forest")
-    wal = ShardWAL(checkpoint_every=CHECKPOINT_EVERY, backend=backend)
+    wal = ShardWAL(backend=backend)
     for oid in range(N):
         y0, v = rng.uniform(0, Y_MAX), rng.uniform(V_MIN, V_MAX)
         db.register(oid, y0, v, 0.0)

@@ -251,7 +251,9 @@ class MotionDatabase:
         order (deletes, updates, inserts) lands the same final state
         as the interleaved submission order — while keeping each
         kind's group maximal, which is what lets the §3.5 forest
-        amortize a storm into one bulk rebuild.  The update listeners
+        amortize a storm into one bulk rebuild (with ``keep_history``
+        every op is its own epoch: the §7 archive must be written in
+        time order).  The update listeners
         fire once per batch (:meth:`_notify_update_batch`) with the
         columnar mirror absorbing the whole batch in three vectorized
         passes.  Final state and answers are identical to calling the
@@ -316,7 +318,9 @@ class MotionDatabase:
                 outcomes[i] = exc
                 continue
 
-            if op.oid in epoch_oids:
+            # With history every op is an epoch (see the docstring);
+            # the archive's batch hooks are scalar loops anyway.
+            if op.oid in epoch_oids or self._history_enabled:
                 flush()
             if kind == "delete":
                 epoch_deletes.append((op.oid, self._now))
@@ -361,32 +365,6 @@ class MotionDatabase:
             for version in self._index.closed_versions()  # type: ignore[attr-defined]
             if version[2] == oid
         ]
-
-    def apply_event(self, event: Dict) -> None:
-        """Apply one log/trace event (the WAL-replay hook).
-
-        Accepts the trace-event dialect of
-        :mod:`repro.workloads.serialization` — ``insert``/``update``
-        carry ``oid, y0, v, t0``; ``delete`` carries ``oid`` — so a
-        shard write-ahead log and a portable workload trace replay
-        through the same entry point.  Extra keys (``seq`` etc.) are
-        ignored.
-        """
-        kind = event.get("kind")
-        if kind == "insert":
-            self.register(
-                int(event["oid"]), float(event["y0"]),
-                float(event["v"]), float(event["t0"]),
-            )
-        elif kind == "update":
-            self.report(
-                int(event["oid"]), float(event["y0"]),
-                float(event["v"]), float(event["t0"]),
-            )
-        elif kind == "delete":
-            self.deregister(int(event["oid"]))
-        else:
-            raise InvalidMotionError(f"unknown log event kind {kind!r}")
 
     def restore_clock(self, now: float) -> None:
         """Advance the update clock to at least ``now``.

@@ -58,7 +58,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.model import LinearMotion1D
 from repro.engine import MotionDatabase
@@ -83,9 +83,12 @@ from repro.service.sharding import BandRouter
 from repro.service.wal import ShardWAL
 from repro.storage.backend import FileWALBackend
 from repro.vector.ops import (
+    DeregisterOp,
     Nearest,
     ProximityPairs,
     QueryOp,
+    RegisterOp,
+    ReportOp,
     SnapshotAt,
     Within,
     WriteOp,
@@ -163,8 +166,6 @@ class FaultTolerantMotionService(ShardedMotionService):
     retry:
         :class:`~repro.service.health.RetryPolicy` for transient
         faults.
-    checkpoint_every:
-        WAL records between automatic per-shard checkpoints.
     breaker_threshold / breaker_reset_s:
         Per-shard circuit-breaker tuning (query path).
     wal_dir:
@@ -197,7 +198,6 @@ class FaultTolerantMotionService(ShardedMotionService):
         metrics: Optional[MetricsRegistry] = None,
         fault_injector: Optional[FaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
-        checkpoint_every: int = 64,
         breaker_threshold: int = 5,
         breaker_reset_s: float = 0.05,
         wal_dir: Optional[str] = None,
@@ -239,11 +239,7 @@ class FaultTolerantMotionService(ShardedMotionService):
                     crash_hook=wal_crash_hook,
                     on_event=recorder,
                 )
-            return ShardWAL(
-                checkpoint_every=checkpoint_every,
-                backend=backend,
-                on_event=recorder,
-            )
+            return ShardWAL(backend=backend, on_event=recorder)
 
         self._nodes = [
             _ShardNode(
@@ -598,43 +594,18 @@ class FaultTolerantMotionService(ShardedMotionService):
             raise ValueError(f"shard {shard} is not down")
         with self._locks[shard]:
             db = node.wal.recover(self._build_database)
-            replayed = len(node.wal.tail())
+            replayed = node.wal.snapshot()["tail_records"]
             with self._catalog_lock:
-                expected = {
-                    oid: self._catalog_motion[oid]
-                    for oid, primary in self._owner.items()
-                    if shard in self.replica_group(primary)
-                }
                 # A migration destination legitimately holds a copy
                 # the owner map does not describe yet; dropping it
                 # here would undo the copy phase mid-flight.
-                for state in self._ownership.migrations().values():
-                    if (
-                        shard in self.replica_group(state.dest)
-                        and state.oid in self._catalog_motion
-                    ):
-                        expected[state.oid] = self._catalog_motion[
-                            state.oid
-                        ]
-            current = {obj.oid: obj.motion for obj in db.objects()}
-            dropped = repaired = 0
-            for oid in sorted(set(current) - set(expected)):
-                db.deregister(oid)
-                dropped += 1
-            for oid in sorted(set(expected) - set(current)):
-                m = expected[oid]
-                db.register(oid, m.y0, m.v, m.t0)
-                repaired += 1
-            for oid in sorted(set(expected) & set(current)):
-                m, c = expected[oid], current[oid]
-                if (m.y0, m.v, m.t0) != (c.y0, c.v, c.t0):
-                    db.report(oid, m.y0, m.v, m.t0)
-                    repaired += 1
-            node.wal.checkpoint(db)
-            self._retire_database(self._shards[shard])
-            self._shards[shard] = db
-            node.breaker.reset()
-            node.mark_up()
+                placements = [*self._owner.items(), *(
+                    (state.oid, state.dest)
+                    for state in self._ownership.migrations().values()
+                )]
+                motions = dict(self._catalog_motion)
+            repaired, dropped = self._reinstate(shard, db, placements,
+                                                motions)
             if self._injector is not None:
                 self._injector.clear_crash(shard)
             self._recoveries += 1
@@ -645,6 +616,48 @@ class FaultTolerantMotionService(ShardedMotionService):
             "dropped": dropped,
             "objects": len(db),
         }
+
+    def _reinstate(
+        self,
+        shard: int,
+        db: MotionDatabase,
+        placements: Iterable[Tuple[int, int]],
+        motions: Dict[int, LinearMotion1D],
+    ) -> Tuple[int, int]:
+        """Repair a recovered shard to hold exactly the ``motions`` of
+        the ``(oid, primary)`` placements whose replica group includes
+        it — one ``apply_batch`` of deregisters, registers and reports
+        — then checkpoint it and put it back in service; returns
+        ``(repaired, dropped)``."""
+        primaries = {
+            p for p in range(self.shard_count)
+            if shard in self.replica_group(p)
+        }
+        expected = {
+            oid: motions[oid] for oid, primary in placements
+            if primary in primaries and oid in motions
+        }
+        current = db.motion_snapshot()
+        ops: List[WriteOp] = [
+            DeregisterOp(oid) for oid in sorted(current.keys() - expected)
+        ]
+        dropped = len(ops)
+        for oid in sorted(expected):
+            m, c = expected[oid], current.get(oid)
+            if c is None:
+                ops.append(RegisterOp(oid, m.y0, m.v, m.t0))
+            elif (m.y0, m.v, m.t0) != (c.y0, c.v, c.t0):
+                ops.append(ReportOp(oid, m.y0, m.v, m.t0))
+        for refused in db.apply_batch(ops):
+            if refused is not None:
+                raise refused
+        node = self._nodes[shard]
+        node.wal.checkpoint(db)
+        self._retire_database(self._shards[shard])
+        self._shards[shard] = db
+        node.breaker.reset()
+        node.mark_up()
+        return len(ops) - dropped, dropped
 
     def restore_from_disk(self) -> Dict[str, object]:
         """Rebuild the whole service from its shards' WAL directories.
@@ -678,7 +691,7 @@ class FaultTolerantMotionService(ShardedMotionService):
                 recovered.append(db)
                 per_shard.append({
                     "shard": node.shard_id,
-                    "replayed": len(node.wal.tail()),
+                    "replayed": node.wal.snapshot()["tail_records"],
                     "objects": len(db),
                 })
             # Reinstall the newest band layout any shard's log
@@ -726,35 +739,17 @@ class FaultTolerantMotionService(ShardedMotionService):
             }
             repaired = dropped = 0
             for node, db in zip(self._nodes, recovered):
-                shard = node.shard_id
-                expected = {
-                    oid: elected[oid]
-                    for oid, primary in owners.items()
-                    if shard in self.replica_group(primary)
-                }
-                current = db.motion_snapshot()
-                for oid in sorted(set(current) - set(expected)):
-                    db.deregister(oid)
-                    dropped += 1
-                for oid in sorted(set(expected) - set(current)):
-                    m = expected[oid]
-                    db.register(oid, m.y0, m.v, m.t0)
-                    repaired += 1
-                for oid in sorted(set(expected) & set(current)):
-                    m, c = expected[oid], current[oid]
-                    if (m.y0, m.v, m.t0) != (c.y0, c.v, c.t0):
-                        db.report(oid, m.y0, m.v, m.t0)
-                        repaired += 1
-                node.wal.checkpoint(db)
-                self._retire_database(self._shards[shard])
-                self._shards[shard] = db
-                node.breaker.reset()
-                node.mark_up()
+                fixed, gone = self._reinstate(
+                    node.shard_id, db, owners.items(), elected
+                )
+                repaired += fixed
+                dropped += gone
             with self._catalog_lock:
                 self._owner.update(owners)
                 self._catalog_motion.update(elected)
-            for oid in sorted(elected):
-                self._notify_update("insert", oid, elected[oid])
+            self._notify_update_batch(
+                [("insert", oid, elected[oid]) for oid in sorted(elected)]
+            )
             self._recoveries += 1
         return {
             "objects": len(elected),

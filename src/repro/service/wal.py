@@ -1,4 +1,4 @@
-"""Per-shard write-ahead log + periodic checkpoints (crash recovery).
+"""Per-shard write-ahead log + checkpoints (crash recovery).
 
 MOIST's scaling story checkpoints index state so indexing survives
 worker loss; :class:`ShardWAL` is that idea for one shard of the
@@ -9,15 +9,20 @@ service.  The protocol (all under the shard's lock):
    operations* (append-after-apply, so a crash mid-operation leaves
    the log describing exactly the committed prefix and recovery
    reproduces the pre-crash state byte-for-byte);
-3. every ``checkpoint_every`` records, :meth:`maybe_checkpoint`
-   serializes the full population and truncates the log.
+3. :meth:`maybe_checkpoint` serializes the full population and
+   truncates the log once the tail holds as many records as the shard
+   holds objects (and at least :attr:`ShardWAL.MIN_TAIL`): a record
+   and a checkpoint row cost about the same to write and to recover,
+   so that is about one row written per record, and a recovery of at
+   most about two loads of the shard.
 
 A record is one trace event of :mod:`repro.workloads.serialization`
 (``insert``/``update``/``delete`` plus a ``seq``), so a WAL tail
 replays with the same tooling as any workload trace; a checkpoint
 holds the population as four columns
 (:class:`~repro.storage.codec.Population`).  How either is laid out
-in bytes is :mod:`repro.storage.codec`'s decision alone.
+in bytes is :mod:`repro.storage.codec`'s decision alone; the tail
+mirror holds the encoded payloads, not dicts.
 
 The live-rebalancing subsystem adds its own record kinds (all carrying
 the migration's fencing ``epoch``; see ``docs/api.md`` for the frame
@@ -53,16 +58,12 @@ as working state and writes *through* a persistence backend:
   ``ShardWAL`` opened over the same directory after real process
   death resumes from the committed prefix.
 
-:meth:`recover` rebuilds a fresh database: load the checkpoint
-columns (in catalog order — object registration order is part of the
-byte-identical contract) as one ``apply_batch`` of registrations,
-which an empty index answers with one bulk build
-(``keep_history=True`` shards go object by object through the
-recovery-path ``restore_object``: the archive's restore is
-order-agnostic, its batch path is not), restore the clock and — for
-``keep_history=True`` shards — the archived motion versions the
-checkpoint carries, then replay the log tail through
-:meth:`MotionDatabase.apply_event`.
+:meth:`recover` rebuilds a fresh database: the checkpoint rows (in
+catalog order — object registration order is part of the
+byte-identical contract) and the log tail as one ``apply_batch``,
+which an empty index answers with a bulk build (``keep_history=True``
+shards load the rows through the order-agnostic ``restore_object``
+and the archive the checkpoint carries, then the tail alike).
 
 History-enabled shards are fully recovered: checkpoints written by
 this version embed the §7 archive (``history`` payload key), so the
@@ -79,20 +80,50 @@ import warnings
 from typing import Callable, Dict, List, Optional
 
 from repro.engine import MotionDatabase
-from repro.errors import (
-    DegradedResultWarning,
-    InvalidMotionError,
-    ObjectNotFoundError,
-)
+from repro.errors import CorruptRecordError, DegradedResultWarning
 from repro.storage.backend import MemoryWALBackend
-from repro.storage.codec import population_columns
-from repro.vector.ops import RegisterOp
-from repro.workloads.serialization import trace_to_json
+from repro.storage.codec import decode_record, encode_record, population_columns
+from repro.vector.ops import RegisterOp, WriteOp, record_op
 
 #: One WAL record: a serialization.py trace event plus a "seq" key.
 WALRecord = Dict
 
 EventHook = Callable[[str, int], None]
+
+
+def _replay_op(
+    record: WALRecord, changed: Dict[int, bool], checkpoint_oids
+) -> Optional[WriteOp]:
+    """The write op one log record replays as; ``None`` for a marker.
+
+    Replay is idempotent where the migration protocol needs it: a
+    ``migrate_in`` whose object already arrived becomes a report, and
+    a ``migrate_out`` / destination-side ``migrate_abort`` for an
+    object already gone becomes nothing — recovery after a crash
+    between the two commit appends must redo the cutover tail safely.
+    An oid is present as the tail so far left it (``changed``, updated
+    in place), else as the checkpoint holds it: a column searched only
+    by these rare records costs less than a set of a shard's oids.
+    """
+    kind = record.get("kind")
+    if kind in ("migrate_begin", "migrate_commit", "bands") or (
+        kind == "migrate_abort" and record.get("role") != "dest"
+    ):
+        return None  # protocol markers; a source-side abort keeps it
+    if kind in ("migrate_in", "migrate_out", "migrate_abort"):
+        oid = int(record["oid"])
+        present = changed.get(oid, oid in checkpoint_oids)
+        if kind == "migrate_in":
+            kind = "update" if present else "insert"
+        elif not present:
+            return None
+        else:
+            kind = "delete"
+        record = {**record, "kind": kind}
+    op = record_op(record)
+    if kind != "update":
+        changed[op.oid] = kind == "insert"
+    return op
 
 
 class ShardWAL:
@@ -103,8 +134,6 @@ class ShardWAL:
 
     Parameters
     ----------
-    checkpoint_every:
-        Checkpoint after this many log records.
     backend:
         Persistence seam; default is the null in-memory backend.  A
         backend whose :meth:`load` returns recovered state (an
@@ -116,17 +145,15 @@ class ShardWAL:
         :func:`repro.service.metrics.wal_event_recorder`).
     """
 
+    #: The shortest log tail that triggers a checkpoint; above it the
+    #: tail must reach the shard's population (see the module notes).
+    MIN_TAIL = 64
+
     def __init__(
         self,
-        checkpoint_every: int = 64,
         backend: Optional[object] = None,
         on_event: Optional[EventHook] = None,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        self.checkpoint_every = checkpoint_every
         self._backend = backend if backend is not None else MemoryWALBackend()
         self._on_event = on_event
         self._appends = 0
@@ -134,7 +161,8 @@ class ShardWAL:
         self._recoveries = 0
         checkpoint, tail = self._backend.load()
         self._checkpoint: Optional[Dict] = checkpoint
-        self._records: List[WALRecord] = tail
+        #: The log tail as the codec payloads the backend wrote.
+        self._records: List[bytes] = tail
         self._seq = 0
         self._bands: Optional[Dict] = None
         self._inflight: Dict[int, WALRecord] = {}
@@ -143,10 +171,13 @@ class ShardWAL:
             self._bands = checkpoint.get("bands")
             for record in checkpoint.get("migrations") or []:
                 self._track(record)
-        if tail:
-            self._seq = max(self._seq, int(tail[-1].get("seq", 0)))
-        for record in tail:
-            self._track(record)
+        try:
+            for record in map(decode_record, tail):
+                self._seq = max(self._seq, int(record.get("seq", 0)))
+                self._track(record)
+        except CorruptRecordError:
+            self._backend.close()
+            raise
 
     def _event(self, name: str, delta: int = 1) -> None:
         if self._on_event is not None:
@@ -155,37 +186,27 @@ class ShardWAL:
     # -- logging ---------------------------------------------------------------
 
     def append(self, kind: str, **fields: object) -> WALRecord:
-        """Log one committed operation; returns the record.
-
-        The backend write happens *before* the in-memory mirror is
-        updated: if the backend dies mid-append (simulated crash, real
-        I/O error) the record was never acknowledged and must not
-        appear recovered.
-        """
-        seq = self._seq + 1
-        record: WALRecord = {"seq": seq, "kind": kind}
-        record.update(fields)
-        self._backend.append(record)
-        self._seq = seq
-        self._records.append(record)
-        self._track(record)
-        self._appends += 1
-        self._event("wal_append")
-        return record
+        """Log one committed operation; returns the record.  A
+        one-record :meth:`append_batch`."""
+        return self.append_batch([(kind, fields)])[0]
 
     def append_batch(self, entries: List) -> List[WALRecord]:
         """Log a group of committed operations in submission order.
 
         ``entries`` is a list of ``(kind, fields)`` pairs.  Each entry
-        gets its own sequenced record — the log stream is identical to
-        ``len(entries)`` scalar :meth:`append` calls, so recovery
-        replays it with the unchanged :meth:`_replay` — but the group
-        reaches the backend as one
+        gets its own sequenced record, encoded once — the log stream is
+        identical to ``len(entries)`` one-record appends — but the
+        group reaches the backend as one
         :meth:`~repro.storage.backend.FileWALBackend.append_many`: one
         ``write``, one fsync-policy check.  With the caller's
         following :meth:`sync` that is one fsync for the group under
         every policy (the append's own under ``always`` or a due
         ``batch:N``, the sync's otherwise).
+
+        The backend write happens *before* the in-memory mirror is
+        updated: if the backend dies mid-append (simulated crash, real
+        I/O error) the group was never acknowledged and must not
+        appear recovered.
         """
         seq = self._seq
         records: List[WALRecord] = []
@@ -194,9 +215,10 @@ class ShardWAL:
             record: WALRecord = {"seq": seq, "kind": kind}
             record.update(fields)
             records.append(record)
-        self._backend.append_many(records)
+        payloads = [encode_record(record) for record in records]
+        self._backend.append_many(payloads)
         self._seq = seq
-        self._records.extend(records)
+        self._records.extend(payloads)
         for record in records:
             self._track(record)
         self._appends += len(records)
@@ -223,8 +245,9 @@ class ShardWAL:
             self._inflight.pop(int(record["oid"]), None)
 
     def maybe_checkpoint(self, db: MotionDatabase) -> bool:
-        """Checkpoint when the log tail reached ``checkpoint_every``."""
-        if len(self._records) >= self.checkpoint_every:
+        """Checkpoint once the log tail holds as many records as ``db``
+        holds objects, and at least :attr:`MIN_TAIL`."""
+        if len(self._records) >= max(self.MIN_TAIL, len(db)):
             self.checkpoint(db)
             return True
         return False
@@ -254,19 +277,24 @@ class ShardWAL:
     def recover(
         self, factory: Callable[[], MotionDatabase]
     ) -> MotionDatabase:
-        """Rebuild a fresh database: checkpoint load + log-tail replay.
+        """Rebuild a fresh database: checkpoint rows and log tail as one
+        ``apply_batch``.
 
         The result answers every query byte-identically to the
         database whose committed operations this WAL recorded —
         including historical queries, when the checkpoint carries the
-        archive.
+        archive.  A record the database refuses fails the recovery
+        with the refusal of the earliest such record.
         """
         db = factory()
+        ops: List[WriteOp] = []
+        checkpoint_oids = ()
         if self._checkpoint is not None:
-            rows = self._checkpoint["population"].rows()
+            population = self._checkpoint["population"]
+            checkpoint_oids = population.oid
             if db.history_enabled:
-                for oid, y0, v, t0 in rows:
-                    db.restore_object(oid, y0, v, t0)
+                for row in population.rows():
+                    db.restore_object(*row)
                 history = self._checkpoint.get("history")
                 if history is not None:
                     db.restore_history(history)
@@ -280,54 +308,19 @@ class ShardWAL:
                         stacklevel=2,
                     )
             else:
-                # One batch into an empty database: the index bulk-builds.
-                for refused in db.apply_batch(
-                    [RegisterOp(*row) for row in rows]
-                ):
-                    if refused is not None:
-                        raise refused
+                ops = [RegisterOp(*row) for row in population.rows()]
             db.restore_clock(self._checkpoint["now"])
-        for record in self._records:
-            self._replay(db, record)
+        changed: Dict[int, bool] = {}
+        for record in map(decode_record, self._records):
+            op = _replay_op(record, changed, checkpoint_oids)
+            if op is not None:
+                ops.append(op)
+        for refused in db.apply_batch(ops):
+            if refused is not None:
+                raise refused
         self._recoveries += 1
         self._event("wal_recovery")
         return db
-
-    @staticmethod
-    def _replay(db: MotionDatabase, record: WALRecord) -> None:
-        """Apply one record, including the migration protocol's kinds.
-
-        Replay is idempotent where the protocol needs it: a
-        ``migrate_in`` whose object already arrived (via the
-        checkpoint, or a replicated insert) degrades to a report, and
-        a ``migrate_out`` / ``migrate_abort`` for an object already
-        gone is a no-op — recovery after a crash between the two
-        commit appends must be able to redo the cutover tail safely.
-        """
-        kind = record.get("kind")
-        if kind in ("migrate_begin", "migrate_commit", "bands"):
-            return  # protocol markers: no database effect
-        if kind == "migrate_in":
-            oid = int(record["oid"])
-            y0 = float(record["y0"])
-            v = float(record["v"])
-            t0 = float(record["t0"])
-            try:
-                db.register(oid, y0, v, t0)
-            except InvalidMotionError:
-                db.report(oid, y0, v, t0)
-            return
-        if kind == "migrate_out" or (
-            kind == "migrate_abort" and record.get("role") == "dest"
-        ):
-            try:
-                db.deregister(int(record["oid"]))
-            except ObjectNotFoundError:
-                pass
-            return
-        if kind == "migrate_abort":
-            return  # source-side marker: the source keeps the object
-        db.apply_event(record)
 
     # -- durability pass-through -----------------------------------------------
 
@@ -351,8 +344,8 @@ class ShardWAL:
         return self._backend
 
     def tail(self) -> List[WALRecord]:
-        """Records appended since the last checkpoint (a copy)."""
-        return list(self._records)
+        """Records appended since the last checkpoint (decoded)."""
+        return list(map(decode_record, self._records))
 
     def bands_record(self) -> Optional[Dict]:
         """The newest band-layout record this log retains, if any."""
@@ -362,15 +355,10 @@ class ShardWAL:
         """Open migrations (begin/in without commit/out/abort), by oid."""
         return dict(self._inflight)
 
-    def tail_json(self) -> str:
-        """The log tail in the portable trace format."""
-        return trace_to_json(self._records)
-
     def snapshot(self) -> Dict[str, object]:
         return {
             "seq": self._seq,
             "tail_records": len(self._records),
-            "checkpoint_every": self.checkpoint_every,
             "checkpoint_seq": (
                 self._checkpoint["seq"] if self._checkpoint else None
             ),

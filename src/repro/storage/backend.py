@@ -7,9 +7,9 @@ these backends:
 * :class:`MemoryWALBackend` — the default null sink.  State lives only
   in the ``ShardWAL`` mirrors, exactly the pre-durability behaviour;
   unit tests stay fast and dependency-free.
-* :class:`FileWALBackend` — the real thing: every record is appended
-  to a :class:`~repro.storage.log.DurableLog` segment and every
-  checkpoint goes through the
+* :class:`FileWALBackend` — the real thing: every group of records is
+  appended to a :class:`~repro.storage.log.DurableLog` segment and
+  every checkpoint goes through the
   :class:`~repro.storage.checkpoint.CheckpointStore` atomic protocol.
   Constructing a backend over a directory that already holds a
   previous incarnation's files runs recovery (manifest resolution,
@@ -18,10 +18,7 @@ these backends:
   that is the whole crash-restart story: build a new service over the
   same directory and it continues from the committed prefix.
 
-Records are the trace-dialect dicts of
-:mod:`repro.workloads.serialization`, stored as
-:mod:`repro.storage.codec` payloads (fixed-width structs for plain
-writes, JSON for the rest) framed per
+Records arrive as :mod:`repro.storage.codec` payloads, framed per
 :data:`repro.io_sim.layout.WAL_FRAME_HEADER`.
 """
 
@@ -29,9 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import CorruptRecordError
 from repro.storage.checkpoint import CheckpointStore
-from repro.storage.codec import decode_record, encode_record
 from repro.storage.log import DurableLog, FsyncPolicy
 
 CrashHook = Callable[[str], None]
@@ -46,13 +41,10 @@ class MemoryWALBackend:
     object", which is what the PR-3 chaos suites exercise.
     """
 
-    def load(self) -> Tuple[Optional[Dict], List[Dict]]:
+    def load(self) -> Tuple[Optional[Dict], List[bytes]]:
         return None, []
 
-    def append(self, record: Dict) -> None:
-        pass
-
-    def append_many(self, records: Sequence[Dict]) -> None:
+    def append_many(self, payloads: Sequence[bytes]) -> None:
         pass
 
     def checkpoint(self, payload: Dict) -> None:
@@ -103,13 +95,8 @@ class FileWALBackend:
         )
         checkpoint = self._store.read()
         self._log = self._open_segment(self._store.segment_path())
-        try:
-            tail = [decode_record(p) for p in self._log.recovered_payloads]
-        except CorruptRecordError:
-            self._log.close()
-            raise
-        self._recovered: Tuple[Optional[Dict], List[Dict]] = (
-            checkpoint, tail
+        self._recovered: Tuple[Optional[Dict], List[bytes]] = (
+            checkpoint, self._log.recovered_payloads
         )
 
     def _open_segment(self, path: str) -> DurableLog:
@@ -122,20 +109,17 @@ class FileWALBackend:
 
     # -- the ShardWAL contract ---------------------------------------------------
 
-    def load(self) -> Tuple[Optional[Dict], List[Dict]]:
+    def load(self) -> Tuple[Optional[Dict], List[bytes]]:
         """The (checkpoint payload, log tail) this directory held when
         the backend opened it.  Handed over once: the ``ShardWAL``
         that adopts them keeps the only mirror from then on."""
         recovered, self._recovered = self._recovered, (None, [])
         return recovered
 
-    def append(self, record: Dict) -> None:
-        self._log.append(encode_record(record))
-
-    def append_many(self, records: Sequence[Dict]) -> None:
-        """Log a group of records with one write (see
+    def append_many(self, payloads: Sequence[bytes]) -> None:
+        """Log a group of encoded records with one write (see
         :meth:`~repro.storage.log.DurableLog.append_many`)."""
-        self._log.append_many([encode_record(r) for r in records])
+        self._log.append_many(payloads)
 
     def checkpoint(self, payload: Dict) -> None:
         """Install a checkpoint and roll to a fresh log segment.

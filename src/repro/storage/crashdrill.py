@@ -25,7 +25,8 @@ the end-to-end proof with no simulation in the loop:
 
 Run it directly (``python -m repro.storage.crashdrill``) or via
 ``make durability-smoke``.  Exit status: 0 = drill passed, 1 = lost
-or corrupted committed state, 2 = drill could not run.
+or corrupted committed state, or no shard's ``MANIFEST`` shows a
+checkpoint from before the kill, 2 = drill could not run.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ import sys
 import tempfile
 import time
 from typing import Dict, List, Optional, Tuple
+
+from repro.storage.checkpoint import CheckpointStore
 
 #: §5 motion parameters (the workload generator's defaults).
 Y_MAX = 1000.0
@@ -61,7 +64,6 @@ def _build_service(directory: str, fsync: str, shards: int,
         router=router,
         wal_dir=directory,
         wal_fsync=fsync,
-        checkpoint_every=32,
     )
 
 
@@ -254,6 +256,9 @@ def run_drill(directory: Optional[str], fsync: str, shards: int,
     print(f"crashdrill: killed child after {acks} ACKs "
           f"({sum(len(v) for v in tried.values())} TRYs seen)")
 
+    # Read before the restore, which checkpoints every shard itself.
+    installed = [CheckpointStore(os.path.join(directory, f"shard-{i:02d}")).seq
+                 for i in range(shards)]
     service = _build_service(
         directory, fsync, shards,
         router="velocity" if rebalance else "hash",
@@ -270,8 +275,15 @@ def run_drill(directory: Optional[str], fsync: str, shards: int,
              f" bands_epoch={summary['bands_epoch']}"
              if rebalance else "")
           + ")")
+    for shard, (seq, restored) in enumerate(zip(installed,
+                                                 summary["shards"])):
+        print(f"crashdrill: shard-{shard:02d} manifest_seq={seq} "
+              f"replayed={restored['replayed']}")
 
     failures: List[str] = []
+    if not any(installed):
+        failures.append("no shard installed a checkpoint before the kill: "
+                        "the drill never crossed one")
     if rebalance:
         # Exactly-one-shard: a SIGKILL inside a two-phase migration
         # must never fork ownership (replication_factor is 1 here, so

@@ -235,8 +235,8 @@ class DurableLog:
     def _ensure_alive(self) -> None:
         if self._dead:
             raise ValueError(
-                f"log {self.path} died at an injected crash point; "
-                "reopen it to recover"
+                f"log {self.path} died at an injected crash point or a "
+                "write it could not cut back; reopen it to recover"
             )
 
     # -- appending ---------------------------------------------------------------
@@ -262,13 +262,33 @@ class DurableLog:
         recovery cuts), and the fsync policy is consulted once, after
         the whole group is written, with every record counting as one
         append towards ``batch:N``.
+        A failed ``write`` or ``flush`` (``ENOSPC``) logs none of the
+        group: the file is cut back to the last whole frame.
         """
         self._ensure_alive()
         blob = b"".join(map(pack_frame, payloads))
         self._crash("log.mid_record", pending=blob)
         offset = self._size
-        self._file.write(blob)
-        self._file.flush()
+        try:
+            self._file.write(blob)
+            self._file.flush()
+        except OSError as failure:
+            # Cut back through a fresh handle (the old one's buffer would
+            # re-emit the torn bytes).  If that fails too the log is
+            # dead, and reopening it cuts the torn frame.
+            try:
+                self._file.close()
+            except OSError:
+                pass  # the unflushable buffer is exactly what is dropped
+            try:
+                self._file = open(self.path, "r+b")
+                self._file.truncate(self._size)
+                self._file.seek(self._size)
+            except OSError as repair:
+                self._dead = True
+                self._file.close()
+                failure.add_note(f"cutting {self.path} back failed: {repair}")
+            raise
         self._size += len(blob)
         self._since_sync += len(payloads)
         self.appends += len(payloads)

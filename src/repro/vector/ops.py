@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple, Union
 
+from repro.errors import InvalidMotionError
+
 
 @dataclass(frozen=True)
 class Within:
@@ -89,7 +91,7 @@ class DeregisterOp:
 WriteOp = Union[RegisterOp, ReportOp, DeregisterOp]
 
 #: WriteOp class → WAL/trace-dialect record kind (the same dialect the
-#: update listeners and ``MotionDatabase.apply_event`` speak).
+#: update listeners speak).
 WRITE_KINDS: Dict[type, str] = {
     RegisterOp: "insert",
     ReportOp: "update",
@@ -101,9 +103,9 @@ def write_record(op: WriteOp) -> Tuple[str, Dict]:
     """``(kind, fields)`` of one write op in the portable trace dialect.
 
     The fields are exactly what a WAL record for the op carries (and
-    what :meth:`repro.engine.MotionDatabase.apply_event` replays), so
-    grouped per-shard appends can be built without consulting the op
-    classes again.
+    what :func:`record_op` turns back into the op), so grouped
+    per-shard appends can be built without consulting the op classes
+    again.
     """
     if isinstance(op, (RegisterOp, ReportOp)):
         kind = WRITE_KINDS[type(op)]
@@ -111,6 +113,20 @@ def write_record(op: WriteOp) -> Tuple[str, Dict]:
     if isinstance(op, DeregisterOp):
         return "delete", {"oid": op.oid}
     raise TypeError(f"unknown write operation {op!r}")
+
+
+def record_op(record: Dict) -> WriteOp:
+    """The write op of one trace-dialect record, :func:`write_record`'s
+    inverse (extra keys such as ``seq`` are ignored; an unknown kind
+    raises :class:`~repro.errors.InvalidMotionError`)."""
+    kind = record.get("kind")
+    if kind == "delete":
+        return DeregisterOp(int(record["oid"]))
+    if kind in ("insert", "update"):
+        op = RegisterOp if kind == "insert" else ReportOp
+        return op(int(record["oid"]), float(record["y0"]),
+                  float(record["v"]), float(record["t0"]))
+    raise InvalidMotionError(f"unknown log event kind {kind!r}")
 
 
 def query_key(op: QueryOp, bucket: int = 0) -> Tuple:

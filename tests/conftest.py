@@ -8,9 +8,20 @@ for hunting new counterexamples (``make property-explore``), which
 then get pinned on their test with ``@example``.
 """
 
+import pytest
 from hypothesis import settings
 
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.register_profile("explore", derandomize=False, print_blob=True)
 # ``pytest --hypothesis-profile=explore`` overrides this afterwards.
 settings.load_profile("tier1")
+
+
+@pytest.fixture
+def short_checkpoint_floor(monkeypatch):
+    """Checkpoint at a 16-record floor (``ShardWAL.MIN_TAIL``), so the
+    short chaos runs that ask for it cross checkpoints on their small
+    shards, not only log tails."""
+    from repro.service import ShardWAL
+
+    monkeypatch.setattr(ShardWAL, "MIN_TAIL", 16)

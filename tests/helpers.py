@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import errno
 import random
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from repro.core import (
     Terrain1D,
 )
 from repro.indexes import HoughYForestIndex
+from repro.vector.ops import record_op
 
 #: The paper's §5 parameters, scaled down to a 1000-unit terrain.
 PAPER_MODEL = MotionModel(Terrain1D(1000.0), v_min=0.16, v_max=1.66)
@@ -28,6 +30,32 @@ def banded_forest(ratio: float) -> type:
     return type(
         f"Forest{ratio:g}", (HoughYForestIndex,), {"BAND_RATIO": ratio}
     )
+
+
+def apply_record(db, record) -> None:
+    """One trace/WAL record through ``db.apply_batch``; a refusal raises."""
+    refused, = db.apply_batch([record_op(record)])
+    if refused is not None:
+        raise refused
+
+
+class HalfWriteThenENOSPC:
+    """A file proxy whose first ``write`` lands half its bytes and then
+    fails the way a full disk does; everything else passes through."""
+
+    def __init__(self, real) -> None:
+        self._real = real
+        self._failed = False
+
+    def write(self, data: bytes) -> int:
+        if self._failed:
+            return self._real.write(data)
+        self._failed = True
+        self._real.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._real, name)
 
 
 def random_objects(

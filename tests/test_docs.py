@@ -116,7 +116,7 @@ def test_experiments_memory_table_equals_committed_result():
 
 def test_experiments_durability_table_equals_committed_result():
     _assert_quoted_table_is_committed(
-        "### A logged update is 41 bytes", "durability.txt"
+        "### A checkpoint fires when the tail", "durability.txt"
     )
 
 

@@ -3,11 +3,16 @@
 Real process death, no simulation: a subprocess service takes a write
 storm of scalar reports and ``apply_batch`` groups, is SIGKILLed
 mid-write, and a fresh service recovered from the
-same directory must hold every acknowledged update.  The in-process
+same directory must hold every acknowledged update, and at least one
+shard must have installed a checkpoint before the kill (the drill
+reads each ``MANIFEST`` first), so the drill tests checkpoint plus
+log, not the log alone.  The in-process
 crash matrix (``test_wal_durability.py``) covers the boundary cases;
 this is the end-to-end proof that the pieces compose against a real
 kernel and file system.
 """
+
+import re
 
 import pytest
 
@@ -17,7 +22,8 @@ pytestmark = [pytest.mark.durability, pytest.mark.slow]
 
 
 @pytest.mark.parametrize("fsync", ["always", "batch:32"])
-def test_sigkill_drill_loses_no_acknowledged_update(tmp_path, fsync):
+def test_sigkill_drill_loses_no_acknowledged_update(tmp_path, fsync,
+                                                     capsys):
     """The storm alternates scalar reports with ``apply_batch`` groups,
     so the kill can land in a grouped log append as well as a single
     one;
@@ -33,6 +39,9 @@ def test_sigkill_drill_loses_no_acknowledged_update(tmp_path, fsync):
         timeout_s=120.0,
     )
     assert status == 0
+    installed = re.findall(r"manifest_seq=(\d+) replayed=(\d+)",
+                           capsys.readouterr().out)
+    assert len(installed) == 2 and any(int(seq) for seq, _ in installed)
     # The drill leaves the recovered directory behind for inspection.
     assert (tmp_path / "shard-00" / "MANIFEST").exists()
 

@@ -8,6 +8,7 @@ from repro.core import LinearMotion1D, MobileObject1D, brute_force_1d
 from repro.engine import MotionDatabase
 from repro.errors import InvalidMotionError, ObjectNotFoundError
 from repro.extensions import brute_force_knn
+from repro.vector.ops import DeregisterOp, RegisterOp, ReportOp
 
 
 def populate(db, rng, n=100, t0=0.0):
@@ -174,3 +175,27 @@ class TestCustomFactory:
         assert db.within(200.0, 400.0, 10.0, 40.0) == brute_force_1d(
             objects, query
         )
+
+
+class TestHistoryBatch:
+    def test_apply_batch_writes_the_archive_in_submission_order(self):
+        """An insert, then an update and a delete at later times: the
+        grouped flush (deletes, updates, inserts) once handed the
+        archive the later times first, which its time-order check
+        refused mid-batch.  The batch must equal the scalar calls."""
+        ops = [RegisterOp(2, 300.0, 1.0, 19.0), ReportOp(1, 150.0, -1.0, 20.0),
+               DeregisterOp(3)]
+        batched, scalar = (
+            MotionDatabase(1000.0, 0.16, 1.66, keep_history=True)
+            for _ in range(2)
+        )
+        for db in (batched, scalar):
+            db.register(1, 100.0, 1.0, 0.0)
+            db.register(3, 500.0, 1.0, 5.0)
+        assert batched.apply_batch(ops) == [None] * 3
+        scalar.register(2, 300.0, 1.0, 19.0)
+        scalar.report(1, 150.0, -1.0, 20.0)
+        scalar.deregister(3)
+        assert batched.history_snapshot() == scalar.history_snapshot()
+        assert batched.motion_snapshot() == scalar.motion_snapshot()
+        assert batched.query_past(0.0, 1000.0, 0.0, 20.0) == {1, 2, 3}

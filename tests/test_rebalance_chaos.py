@@ -38,7 +38,8 @@ from repro.storage.crashdrill import run_drill
 
 Y_MAX, V_MIN, V_MAX = 1000.0, 0.16, 1.66
 
-pytestmark = [pytest.mark.rebalance, pytest.mark.chaos]
+pytestmark = [pytest.mark.rebalance, pytest.mark.chaos,
+              pytest.mark.usefixtures("short_checkpoint_floor")]
 
 
 def fast_retry() -> RetryPolicy:
@@ -54,7 +55,6 @@ def make_service(directory, fsync, shards=3, replication=1):
         retry=fast_retry(),
         wal_dir=str(directory),
         wal_fsync=fsync,
-        checkpoint_every=16,
     )
 
 

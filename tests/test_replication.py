@@ -38,7 +38,8 @@ from .test_service_differential import drive, full_menu_check
 
 Y_MAX, V_MIN, V_MAX = 1000.0, 0.16, 1.66
 
-pytestmark = pytest.mark.chaos
+pytestmark = [pytest.mark.chaos,
+              pytest.mark.usefixtures("short_checkpoint_floor")]
 
 
 def fast_retry() -> RetryPolicy:
@@ -53,7 +54,6 @@ def make_service(shards=4, replication=2, injector=None, **kwargs):
         replication_factor=replication,
         fault_injector=injector,
         retry=fast_retry(),
-        checkpoint_every=16,
         **kwargs,
     )
 

@@ -41,6 +41,7 @@ from repro.storage.codec import (
 )
 from repro.workloads.serialization import population_to_json
 
+from tests.helpers import apply_record
 from tests.test_wal_recovery import (
     assert_equivalent,
     factory,
@@ -125,13 +126,13 @@ def test_a_crc_valid_frame_of_unknown_kind_fails_the_open(tmp_path):
     """The frame passes its CRC, so torn-tail truncation does not
     apply: opening the log refuses it instead of guessing."""
     backend = FileWALBackend(str(tmp_path))
-    backend.append_many(PLAIN_RECORDS)
+    backend.append_many([encode_record(r) for r in PLAIN_RECORDS])
     segment = os.path.join(str(tmp_path), backend.stats()["store"]["segment"])
     backend.close()
     with open(segment, "ab") as handle:
         handle.write(pack_frame(b"\x07" + bytes(40)))
     with pytest.raises(CorruptRecordError, match="first byte 7"):
-        FileWALBackend(str(tmp_path))
+        ShardWAL(backend=FileWALBackend(str(tmp_path)))
 
 
 # -- checkpoints -------------------------------------------------------------------
@@ -216,7 +217,7 @@ def write_pre_binary_directory(directory, trace, checkpoint_at):
     record frames in the segment the manifest names."""
     oracle = factory()
     for event in trace[:checkpoint_at]:
-        oracle.apply_event(event)
+        apply_record(oracle, event)
     checkpoint = {
         "seq": checkpoint_at, "now": oracle.now,
         "population": population_to_json(oracle.objects()),
@@ -245,15 +246,14 @@ def write_pre_binary_directory(directory, trace, checkpoint_at):
 def oracle_for(trace):
     oracle = factory()
     for event in trace:
-        oracle.apply_event(event)
+        apply_record(oracle, event)
     return oracle
 
 
 def test_a_pre_binary_directory_recovers_the_same_population(tmp_path):
     trace = seeded_trace(41, events=60)
     write_pre_binary_directory(str(tmp_path), trace, checkpoint_at=35)
-    wal = ShardWAL(checkpoint_every=10_000,
-                   backend=FileWALBackend(str(tmp_path)))
+    wal = ShardWAL(backend=FileWALBackend(str(tmp_path)))
     assert len(wal.tail()) == 25
     assert_equivalent(wal.recover(factory), oracle_for(trace))
     wal.close()
@@ -264,15 +264,13 @@ def test_a_mixed_segment_and_a_columnar_checkpoint_recover(tmp_path):
     then a columnar checkpoint: every step recovers the oracle."""
     trace = seeded_trace(41, events=90)
     write_pre_binary_directory(str(tmp_path), trace[:60], checkpoint_at=35)
-    wal = ShardWAL(checkpoint_every=10_000,
-                   backend=FileWALBackend(str(tmp_path)))
+    wal = ShardWAL(backend=FileWALBackend(str(tmp_path)))
     live = wal.recover(factory)
     for event in trace[60:]:
-        live.apply_event(event)
+        apply_record(live, event)
         wal.append(**event)
     wal.close()
-    reopened = ShardWAL(checkpoint_every=10_000,
-                        backend=FileWALBackend(str(tmp_path)))
+    reopened = ShardWAL(backend=FileWALBackend(str(tmp_path)))
     kinds = {record["kind"] for record in reopened.tail()}
     assert len(reopened.tail()) == 55 and kinds <= {"insert", "update",
                                                      "delete"}

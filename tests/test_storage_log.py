@@ -1,10 +1,12 @@
 """DurableLog unit tests: framing, fsync policies, torn-tail recovery."""
 
+import errno
 import os
 import struct
 
 import pytest
 
+import repro.storage.log as log_module
 from repro.errors import SimulatedCrashError
 from repro.io_sim.layout import WAL_FRAME_HEADER, framed_record_bytes
 from repro.service.faults import CrashPointInjector
@@ -15,6 +17,8 @@ from repro.storage import (
     pack_frame,
     scan_log,
 )
+
+from tests.helpers import HalfWriteThenENOSPC
 
 pytestmark = pytest.mark.durability
 
@@ -145,6 +149,58 @@ def test_open_truncates_torn_tail(tmp_path):
     final = DurableLog(path)
     assert final.recovered_payloads == [b"keep-me", b"after"]
     final.close()
+
+
+def test_a_failed_write_is_cut_before_the_next_append(tmp_path):
+    """A write that half-lands and raises ``ENOSPC`` is cut back to the
+    last whole frame, so the next append — fsynced under ``always`` —
+    is recovered instead of vanishing behind a torn frame."""
+    path = str(tmp_path / "wal.log")
+    log = DurableLog(path, fsync="always")
+    log.append(b"A" * 41)
+    log._file = HalfWriteThenENOSPC(log._file)
+    with pytest.raises(OSError):
+        log.append(b"B" * 41)
+    log.append(b"C" * 41)
+    assert log.synced_size == log.size == os.path.getsize(path)
+    log.close()
+    reopened = DurableLog(path)
+    assert reopened.recovered_payloads == [b"A" * 41, b"C" * 41]
+    assert reopened.truncated_bytes == 0
+    reopened.close()
+
+
+def test_a_failed_cut_back_kills_the_log_and_keeps_the_write_error(
+    tmp_path, monkeypatch
+):
+    """When the cut back itself fails (the reopen raises ``EIO``), the
+    caller still sees the write's ``ENOSPC``, with a note; the log is
+    dead rather than left on a closed handle, and reopening it cuts
+    the torn frame."""
+    path = str(tmp_path / "wal.log")
+    log = DurableLog(path, fsync="always")
+    log.append(b"A" * 41)
+    log._file = HalfWriteThenENOSPC(log._file)
+
+    def unopenable(*args, **kwargs):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(log_module, "open", unopenable, raising=False)
+    with pytest.raises(OSError) as failed:
+        log.append(b"B" * 41)
+    monkeypatch.undo()
+    assert failed.value.errno == errno.ENOSPC
+    assert any("Input/output error" in note
+               for note in failed.value.__notes__)
+    with pytest.raises(ValueError, match="reopen it to recover"):
+        log.append(b"C" * 41)
+    with pytest.raises(ValueError, match="reopen it to recover"):
+        log.sync()
+    log.close()  # a dead log closes quietly
+    reopened = DurableLog(path)
+    assert reopened.recovered_payloads == [b"A" * 41]
+    assert reopened.truncated_bytes > 0
+    reopened.close()
 
 
 # -- crash-point injection -------------------------------------------------------

@@ -119,18 +119,19 @@ def test_torn_grouped_append_reopens_as_a_prefix(tmp_path_factory, cut):
     to a record prefix and the log keeps taking appends."""
     directory = tmp_path_factory.mktemp("torn")
     backend = FileWALBackend(str(directory), fsync="never")
-    backend.append_many(MIXED_RECORDS)
+    backend.append_many([encode_record(r) for r in MIXED_RECORDS])
     segment = directory / backend.stats()["store"]["segment"]
     backend.close()
     data = segment.read_bytes()
     segment.write_bytes(data[:min(cut, len(data))])
     reopened = FileWALBackend(str(directory), fsync="never")
     _, tail = reopened.load()
-    assert tail == MIXED_RECORDS[:len(tail)]
-    reopened.append_many(PLAIN_RECORDS)
+    assert list(map(decode_record, tail)) == MIXED_RECORDS[:len(tail)]
+    reopened.append_many([encode_record(r) for r in PLAIN_RECORDS])
     reopened.close()
     final = FileWALBackend(str(directory))
-    assert final.load()[1] == tail + PLAIN_RECORDS
+    assert list(map(decode_record, final.load()[1])) == (
+        MIXED_RECORDS[:len(tail)] + PLAIN_RECORDS)
     final.close()
 
 

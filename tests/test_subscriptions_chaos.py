@@ -22,7 +22,8 @@ from repro.service import (
     replay_deltas,
 )
 
-pytestmark = [pytest.mark.subscription, pytest.mark.chaos]
+pytestmark = [pytest.mark.subscription, pytest.mark.chaos,
+              pytest.mark.usefixtures("short_checkpoint_floor")]
 
 Y_MAX, V_MIN, V_MAX = 1000.0, 0.16, 1.66
 N_OBJECTS = 60
@@ -78,7 +79,7 @@ def test_injected_crash_then_wal_recovery_reconciles_with_oracle():
     )
     service = FaultTolerantMotionService(
         Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=2,
-        fault_injector=injector, checkpoint_every=16,
+        fault_injector=injector,
     )
     rng = random.Random(31)
     for oid in range(N_OBJECTS):
@@ -131,7 +132,6 @@ def test_unreplicated_crash_degrades_then_reconciles():
     subset — and still match the oracle after recovery."""
     service = FaultTolerantMotionService(
         Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=1,
-        checkpoint_every=16,
     )
     rng = random.Random(77)
     for oid in range(N_OBJECTS):
@@ -225,7 +225,7 @@ def test_crash_mid_delivery_then_cold_restart_converges(tmp_path):
     def build():
         return FaultTolerantMotionService(
             Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=2,
-            checkpoint_every=8, wal_dir=str(tmp_path), wal_fsync="batch:4",
+            wal_dir=str(tmp_path), wal_fsync="batch:4",
         )
 
     service = build()

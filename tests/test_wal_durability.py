@@ -33,6 +33,7 @@ from repro.service.replication import FaultTolerantMotionService
 from repro.storage import ALL_CRASH_POINTS, CheckpointStore, FileWALBackend
 from repro.workloads.serialization import population_to_json
 
+from tests.helpers import HalfWriteThenENOSPC, apply_record
 from tests.test_wal_recovery import (
     V_MAX,
     V_MIN,
@@ -45,7 +46,8 @@ from tests.test_wal_recovery import (
 pytestmark = pytest.mark.durability
 
 POLICIES = ("always", "batch:3", "never")
-CHECKPOINT_EVERY = 8
+#: The drivers below checkpoint explicitly, every this many records.
+RECORDS_PER_CHECKPOINT = 8
 EVENTS = 60
 
 
@@ -75,16 +77,17 @@ def drive_until_crash(directory, policy, injector, trace, hooks=None):
         str(directory), fsync=policy, crash_hook=injector,
         on_event=on_event,
     )
-    wal = ShardWAL(checkpoint_every=CHECKPOINT_EVERY, backend=backend)
+    wal = ShardWAL(backend=backend)
     live = factory()
     crashed = False
     for i, event in enumerate(trace, start=1):
-        live.apply_event(event)
+        apply_record(live, event)
         state["attempt"] = i
         try:
             wal.append(**event)
             state["acked"] = i
-            wal.maybe_checkpoint(live)
+            if i % RECORDS_PER_CHECKPOINT == 0:
+                wal.checkpoint(live)
         except SimulatedCrashError:
             crashed = True
             break
@@ -95,7 +98,7 @@ def drive_until_crash(directory, policy, injector, trace, hooks=None):
 
 def recover_from(directory, policy):
     backend = FileWALBackend(str(directory), fsync=policy)
-    wal = ShardWAL(checkpoint_every=CHECKPOINT_EVERY, backend=backend)
+    wal = ShardWAL(backend=backend)
     recovered = wal.recover(factory)
     wal.close()
     return recovered
@@ -104,7 +107,7 @@ def recover_from(directory, policy):
 def oracle_for(trace, prefix):
     oracle = factory()
     for event in trace[:prefix]:
-        oracle.apply_event(event)
+        apply_record(oracle, event)
     return oracle
 
 
@@ -122,6 +125,10 @@ def test_crash_matrix_recovers_expected_prefix(
     acked, floor, crashed = drive_until_crash(
         tmp_path, policy, injector, trace
     )
+    if point != "log.post_fsync":
+        # Every other boundary is on the driver's path under every
+        # policy: the checkpoint points through its own checkpoints.
+        assert injector.hits(point) > 0
     if not crashed:
         # e.g. log.post_fsync under fsync=never: the boundary is
         # never reached, so this cell of the matrix is vacuous.
@@ -163,12 +170,36 @@ def test_double_crash_during_recovery_checkpoint(tmp_path):
     second = CrashPointInjector().arm("checkpoint.pre_fsync")
     backend = FileWALBackend(str(tmp_path), fsync="always",
                              crash_hook=second)
-    wal = ShardWAL(checkpoint_every=CHECKPOINT_EVERY, backend=backend)
+    wal = ShardWAL(backend=backend)
     db = wal.recover(factory)
     with pytest.raises(SimulatedCrashError):
         wal.checkpoint(db)
     assert_equivalent(recover_from(tmp_path, "always"),
                       oracle_for(trace, acked))
+
+
+def test_a_failed_group_is_cut_and_the_next_group_survives(tmp_path):
+    """A group whose write half-lands and fails (``ENOSPC``) leaves no
+    trace: the next group, appended and fsynced, reopens intact right
+    after the records before it."""
+    wal = ShardWAL(backend=FileWALBackend(str(tmp_path), fsync="always"))
+    wal.append("insert", oid=0, y0=5.0, v=1.0, t0=0.0)
+    log = wal.backend._log
+    log._file = HalfWriteThenENOSPC(log._file)
+    with pytest.raises(OSError):
+        wal.append_batch([("insert", {"oid": oid, "y0": 10.0 * oid,
+                                      "v": 1.0, "t0": 0.0})
+                          for oid in (1, 2, 3)])
+    wal.append_batch([("insert", {"oid": oid, "y0": 10.0 * oid,
+                                  "v": -1.0, "t0": 1.0})
+                      for oid in (4, 5)])
+    wal.close()
+    reopened = ShardWAL(backend=FileWALBackend(str(tmp_path)))
+    assert [(r["seq"], r["oid"]) for r in reopened.tail()] == [
+        (1, 0), (2, 4), (3, 5),
+    ]
+    assert set(reopened.recover(factory).motion_snapshot()) == {0, 4, 5}
+    reopened.close()
 
 
 # -- history preservation (the fixed keep_history limitation) --------------------
@@ -214,14 +245,15 @@ def test_history_survives_checkpointed_recovery(tmp_path, durable):
     queries answer identically after recovery — through checkpoints,
     with the in-memory and the on-disk backend alike."""
     backend = FileWALBackend(str(tmp_path)) if durable else None
-    wal = ShardWAL(checkpoint_every=6, backend=backend)
+    wal = ShardWAL(backend=backend)
     live = history_factory()
     oracle = history_factory()
-    for event in history_trace():
-        live.apply_event(event)
-        oracle.apply_event(event)
+    for i, event in enumerate(history_trace(), start=1):
+        apply_record(live, event)
+        apply_record(oracle, event)
         wal.append(**event)
-        wal.maybe_checkpoint(live)
+        if i % 6 == 0:
+            wal.checkpoint(live)
     assert wal.snapshot()["checkpoints"] >= 2
     recovered = wal.recover(history_factory)
     assert_history_equivalent(recovered, oracle)
@@ -229,7 +261,7 @@ def test_history_survives_checkpointed_recovery(tmp_path, durable):
         wal.close()
         # Full cold restart: a fresh WAL over the same directory.
         cold_backend = FileWALBackend(str(tmp_path))
-        cold = ShardWAL(checkpoint_every=6, backend=cold_backend)
+        cold = ShardWAL(backend=cold_backend)
         assert_history_equivalent(cold.recover(history_factory), oracle)
         cold.close()
 
@@ -238,18 +270,16 @@ def test_registration_order_restore_does_not_trip_time_check():
     """Checkpoint populations serialize in registration order; after
     updates that order is not timestamp order, which used to raise
     InvalidQueryError("history must be written in time order")."""
-    wal = ShardWAL(checkpoint_every=100)
+    wal = ShardWAL()
     live = history_factory()
-    live.apply_event({"kind": "insert", "oid": 0, "y0": 1.0, "v": 0.5,
-                      "t0": 0.0})
-    wal.append(kind="insert", oid=0, y0=1.0, v=0.5, t0=0.0)
-    live.apply_event({"kind": "insert", "oid": 1, "y0": 2.0, "v": 0.5,
-                      "t0": 1.0})
-    wal.append(kind="insert", oid=1, y0=2.0, v=0.5, t0=1.0)
-    # oid 0 now carries t0=5.0 but still serializes first.
-    live.apply_event({"kind": "update", "oid": 0, "y0": 9.0, "v": -0.5,
-                      "t0": 5.0})
-    wal.append(kind="update", oid=0, y0=9.0, v=-0.5, t0=5.0)
+    for event in (
+        {"kind": "insert", "oid": 0, "y0": 1.0, "v": 0.5, "t0": 0.0},
+        {"kind": "insert", "oid": 1, "y0": 2.0, "v": 0.5, "t0": 1.0},
+        # oid 0 now carries t0=5.0 but still serializes first.
+        {"kind": "update", "oid": 0, "y0": 9.0, "v": -0.5, "t0": 5.0},
+    ):
+        apply_record(live, event)
+        wal.append(**event)
     wal.checkpoint(live)
     recovered = wal.recover(history_factory)
     assert_history_equivalent(recovered, live)
@@ -260,10 +290,10 @@ def test_pre_history_checkpoint_degrades_softly(tmp_path):
     """An old-format checkpoint (no ``history`` payload) must recover
     current state, warn, and count the loss — never crash."""
     live = history_factory()
-    live.apply_event({"kind": "insert", "oid": 0, "y0": 1.0, "v": 0.5,
-                      "t0": 0.0})
-    live.apply_event({"kind": "update", "oid": 0, "y0": 4.0, "v": 0.5,
-                      "t0": 2.0})
+    apply_record(live, {"kind": "insert", "oid": 0, "y0": 1.0, "v": 0.5,
+                        "t0": 0.0})
+    apply_record(live, {"kind": "update", "oid": 0, "y0": 4.0, "v": 0.5,
+                        "t0": 2.0})
     store = CheckpointStore(str(tmp_path))
     store.write({
         "seq": 2,
@@ -290,7 +320,7 @@ def test_pre_history_checkpoint_degrades_softly(tmp_path):
 
 def build_durable_service(wal_dir, **kwargs):
     params = dict(shards=3, replication_factor=2, wal_dir=str(wal_dir),
-                  wal_fsync="always", checkpoint_every=16)
+                  wal_fsync="always")
     params.update(kwargs)
     return FaultTolerantMotionService(Y_MAX, V_MIN, V_MAX, **params)
 

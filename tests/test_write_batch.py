@@ -28,6 +28,7 @@ from repro.service import (
     FaultTolerantMotionService,
     RetryPolicy,
     ShardedMotionService,
+    ShardWAL,
     SubscriptionManager,
     WRITE_BATCH_CRASH_POINTS,
 )
@@ -38,6 +39,15 @@ from .helpers import PAPER_MODEL
 pytestmark = pytest.mark.writebatch
 
 Y_MAX, V_MIN, V_MAX = 1000.0, 0.16, 1.66
+
+
+@pytest.fixture(autouse=True)
+def whole_logs(monkeypatch):
+    """No automatic checkpoints: the WAL-stream walls compare whole
+    per-shard logs, and the scalar verbs and ``apply_batch`` consult
+    the checkpoint trigger at different points (per record, per
+    group)."""
+    monkeypatch.setattr(ShardWAL, "MIN_TAIL", 10**9)
 
 
 # -- workload ------------------------------------------------------------------
@@ -280,8 +290,7 @@ class TestBatchedEqualsScalar:
 # -- WAL streams and fsync grouping --------------------------------------------
 
 
-def make_ft(directory, shards=3, replication=1, fsync="always",
-            checkpoint_every=10_000, **kwargs):
+def make_ft(directory, shards=3, replication=1, fsync="always", **kwargs):
     return FaultTolerantMotionService(
         Y_MAX, V_MIN, V_MAX,
         shards=shards,
@@ -289,7 +298,6 @@ def make_ft(directory, shards=3, replication=1, fsync="always",
         retry=RetryPolicy(attempts=3, backoff_s=0.001, sleep=lambda s: None),
         wal_dir=str(directory),
         wal_fsync=fsync,
-        checkpoint_every=checkpoint_every,
         **kwargs,
     )
 
