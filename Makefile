@@ -38,13 +38,18 @@ durability-smoke:
 # Soak smoke: a small production-shaped mixed run (city scenario,
 # churn, batched queries, live subscriptions, one crash/recovery)
 # cross-checked against the naive oracle every other tick.  Exit 3 on
-# any divergence; deterministic schedule digest for a fixed seed.
+# any divergence; deterministic schedule digest for a fixed seed.  Runs
+# twice: scalar writes, then 16-op apply_batch groups, so the crash and
+# the degraded service it leaves are crossed with batched writes too.
 soak-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
+	for batch in 1 16; do \
+		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		python -m repro soak --scenario city --n 300 --ticks 6 \
 		--updates 100 --horizon 8 --shards 3 --replication 2 --subs 8 \
 		--queries 24 --batch-size 250 --arrivals 3 --departures 2 \
-		--crashes 1 --check-every 2 --seed 9
+		--crashes 1 --check-every 2 --seed 9 --write-batch $$batch \
+		|| exit 1; \
+	done
 
 # Regenerate the committed soak baseline at the acceptance scale:
 # 100k objects, multi-threaded mixed workload over a 4-wide worker

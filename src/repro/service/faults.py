@@ -305,7 +305,7 @@ MIGRATION_CRASH_POINTS = (
 
 #: Crash points of the batched write path, in protocol order.  Pass a
 #: :class:`CrashPointInjector` as the ``crash_hook`` of
-#: ``FaultTolerantMotionService.apply_batch`` (or of
+#: ``FaultTolerantMotionService.apply_batch``, healthy or degraded (or of
 #: ``HoughYForestIndex.bulk_build``) to die at the boundary:
 #:
 #: * ``write_batch.pre_fsync`` — a shard's grouped WAL records are

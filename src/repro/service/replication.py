@@ -4,20 +4,20 @@
 :class:`~repro.service.service.ShardedMotionService` with the fault
 model of distributed moving-object systems (MOIST-style checkpointed
 workers; distributed continuous-range-query processing over fallible
-nodes).  It re-implements no verb: the base class writes every one
-against three seams, and this class overrides the seams —
-``replica_group``; the guarded shard access (``_touch``,
+nodes).  It re-implements no verb and no batch: the base class writes
+every one against three seams, and this class overrides the seams —
+``replica_group``; the guarded shard access (``_guard``,
 ``_apply_write``, ``_apply_sub_batch``, ``_answerable``); and the
-``_log`` / ``_degrade`` pair — plus the health-gated batch front doors
-and the kill / recover / restore administration:
+``_log`` / ``_degrade`` pair — plus the kill / recover / restore
+administration:
 
 * **Replication** — every object lives on ``replication_factor``
   consecutive shards: primary ``p = route(oid)`` plus replicas
   ``(p+1) % k, ...``.  Writes go to every *live* member of the group
   (write-all-live); a write succeeds iff at least one replica applied
-  it.  A healthy write batch reaches each shard as the base class's
-  does — one grouped ``MotionDatabase.apply_batch`` — then one log
-  commit; only the degraded fallback walks the scalar verbs.  The
+  it.  A write batch, healthy or not, reaches each shard as the base
+  class's does — the planned steps ``_guard`` admitted, through one
+  grouped ``MotionDatabase.apply_batch`` — then one log commit.  The
   catalog additionally remembers each object's authoritative motion,
   which is what recovery reconciles against.
 * **Fault handling** — every shard touch runs through a bounded
@@ -65,8 +65,6 @@ from repro.engine import MotionDatabase
 from repro.errors import (
     DegradedResultWarning,
     InjectedFaultError,
-    InvalidMotionError,
-    ObjectNotFoundError,
     ShardUnavailableError,
 )
 from repro.service.faults import FaultInjector
@@ -75,24 +73,13 @@ from repro.service.metrics import MetricsRegistry, wal_event_recorder
 from repro.service.service import (
     ShardedMotionService,
     ShardRouter,
-    _check_write_ops,
     _no_hook,
     _step_record,
 )
 from repro.service.sharding import BandRouter
 from repro.service.wal import ShardWAL
 from repro.storage.backend import FileWALBackend
-from repro.vector.ops import (
-    DeregisterOp,
-    Nearest,
-    ProximityPairs,
-    QueryOp,
-    RegisterOp,
-    ReportOp,
-    SnapshotAt,
-    Within,
-    WriteOp,
-)
+from repro.vector.ops import DeregisterOp, RegisterOp, ReportOp, WriteOp
 
 UP = "up"
 DOWN = "down"
@@ -166,8 +153,6 @@ class FaultTolerantMotionService(ShardedMotionService):
     retry:
         :class:`~repro.service.health.RetryPolicy` for transient
         faults.
-    breaker_threshold / breaker_reset_s:
-        Per-shard circuit-breaker tuning (query path).
     wal_dir:
         When set, each shard's WAL writes through a durable
         :class:`~repro.storage.backend.FileWALBackend` rooted at
@@ -198,8 +183,6 @@ class FaultTolerantMotionService(ShardedMotionService):
         metrics: Optional[MetricsRegistry] = None,
         fault_injector: Optional[FaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
-        breaker_threshold: int = 5,
-        breaker_reset_s: float = 0.05,
         wal_dir: Optional[str] = None,
         wal_fsync: str = "always",
         wal_crash_hook: Optional[Callable[[str], None]] = None,
@@ -242,14 +225,7 @@ class FaultTolerantMotionService(ShardedMotionService):
             return ShardWAL(backend=backend, on_event=recorder)
 
         self._nodes = [
-            _ShardNode(
-                shard_id=i,
-                wal=build_wal(i),
-                breaker=CircuitBreaker(
-                    failure_threshold=breaker_threshold,
-                    reset_after_s=breaker_reset_s,
-                ),
-            )
+            _ShardNode(shard_id=i, wal=build_wal(i), breaker=CircuitBreaker())
             for i in range(shards)
         ]
         self._catalog_motion: Dict[int, LinearMotion1D] = {}
@@ -276,34 +252,27 @@ class FaultTolerantMotionService(ShardedMotionService):
 
     # -- guarded shard access --------------------------------------------------
 
-    def _touch(self, shard: int, op_name: str, fn: Callable[[MotionDatabase], object],
-               span, write: bool) -> object:
-        """One guarded shard access: injection, retry, breaker, I/O span.
+    def _guard(self, shard: int, op_name: str, write: bool) -> None:
+        """Admit one shard access: down check, injection, retry,
+        breaker bookkeeping.
 
         Raises :class:`ShardUnavailableError` when the shard cannot
-        serve (injected crash, or transient faults exhausted retries);
-        for writes both cases mark the shard down — a shard that
-        missed a write is stale and must recover before serving
-        again.  Application-level rejections (``InvalidMotionError``
-        etc.) propagate unchanged.
+        serve (down, injected crash, or transient faults exhausted
+        retries); for writes the last two mark the shard down — a
+        shard that missed a write is stale and must recover before
+        serving again.  Without an injector this is the down check
+        alone.
         """
         node = self._nodes[shard]
         if not node.up:
             raise ShardUnavailableError(
                 f"shard {shard} is down ({node.down_reason})"
             )
-        db = self._shards[shard]
-
-        def attempt() -> object:
-            if self._injector is not None:
-                self._injector.on_op(shard, op_name)
-            return fn(db)
-
-        before = db.io_snapshot()
+        if self._injector is None:
+            return
         try:
-            value = self._retry.run(attempt)
+            self._retry.run(lambda: self._injector.on_op(shard, op_name))
         except InjectedFaultError as exc:
-            span.add_shard_io(shard, db.io_delta_since(before))
             if exc.kind == "crash":
                 node.mark_down(f"injected crash during {op_name}")
             else:
@@ -316,19 +285,15 @@ class FaultTolerantMotionService(ShardedMotionService):
             raise ShardUnavailableError(
                 f"shard {shard} failed {op_name}: {exc}"
             ) from exc
-        span.add_shard_io(shard, db.io_delta_since(before))
         node.breaker.record_success()
-        return value
 
     def _apply_write(self, shard: int, op_name: str, fn, span,
                      record_kind: str, record_fields: Dict) -> bool:
         """Apply one write to one shard; ``True`` iff it landed.
 
-        Skips shards that are already down; on success appends the WAL
-        record (append-after-apply) and maybe checkpoints.
+        On success appends the WAL record (append-after-apply) and
+        maybe checkpoints.
         """
-        if not self._nodes[shard].up:
-            return False
         try:
             self._touch(shard, op_name, fn, span, write=True)
         except ShardUnavailableError:
@@ -367,54 +332,6 @@ class FaultTolerantMotionService(ShardedMotionService):
         with self._catalog_lock:
             return self._catalog_motion[oid]
 
-    def apply_batch(
-        self,
-        ops: List[WriteOp],
-        crash_hook: Optional[Callable[[str], None]] = None,
-    ) -> List[Optional[Exception]]:
-        """Batched writes with the grouped-WAL fast path while healthy.
-
-        With no fault injector armed and every shard up, the whole
-        batch runs under all shard locks in one pass
-        (:meth:`ShardedMotionService.apply_batch`: same placement plan
-        as the scalar writes, including fenced migration double-writes):
-        each touched shard absorbs its planned sub-ops through **one**
-        grouped :meth:`MotionDatabase.apply_batch` — the index's
-        leaf-at-a-time path, exactly as on the plain service — then
-        gets **one** grouped log append (one ``write``), **one**
-        ``sync()`` — together one fsync per touched shard under every
-        fsync policy — and at most one checkpoint
-        (:meth:`_apply_sub_batch`) — and the update listeners fire
-        **once** for the batch, events in submission order.  Per-op
-        rejections come back in the returned list (``None`` = applied).
-
-        With an injector armed or any shard down, every op takes the
-        scalar write path — full retry/breaker/mark-down machinery —
-        and :class:`~repro.errors.ShardUnavailableError` joins the
-        contained outcome types, so chaos runs behave per-op exactly
-        like a scalar soak; every live shard the batch appended to is
-        still synced before it returns.
-
-        ``crash_hook`` fires ``write_batch.pre_fsync`` after a shard's
-        grouped records are appended but before its ``sync()`` — the
-        window where a crash with page-cache loss must recover an
-        all-or-prefix cut of that shard's sub-batch.
-
-        Crash atomicity is per shard and per object (all-or-prefix of
-        each shard's record stream), not a global cut across shards:
-        replicas of one group may retain different committed prefixes,
-        exactly as under relaxed fsync policies, and
-        :meth:`restore_from_disk` reconciles them by newest-motion
-        election.
-        """
-        if self._injector is None:
-            # kill_shard needs the shard's lock, so with all of them
-            # held the health check cannot be raced.
-            with self._holding(range(self.shard_count)):
-                if not self.down_shards():
-                    return super().apply_batch(ops, crash_hook)
-        return self._apply_batch_degraded(ops)
-
     def _apply_sub_batch(self, shard, sub_ops, fences, span, hook) -> None:
         """The base's one grouped :meth:`MotionDatabase.apply_batch`,
         then one grouped WAL commit: append, ``write_batch.pre_fsync``
@@ -427,52 +344,29 @@ class FaultTolerantMotionService(ShardedMotionService):
         wal.sync()
         wal.maybe_checkpoint(self._shards[shard])
 
-    def _apply_batch_degraded(
-        self, ops: List[WriteOp]
-    ) -> List[Optional[Exception]]:
-        """Per-op scalar fallback with full fault machinery.
-
-        Each op runs the scalar write (retry, breaker, mark-down,
-        per-op WAL append and listener fire) so a chaos run through the
-        batch API behaves byte-identically to the same ops issued one
-        by one; rejections and unavailability land in the outcome list
-        instead of raising.  The scalar write only appends, so before
-        returning every live shard the batch appended to is synced —
-        the contract of the healthy path.
-        """
-        _check_write_ops(ops)
-        seqs = [node.wal.seq for node in self._nodes]
-        outcomes: List[Optional[Exception]] = []
-        for op in ops:
-            try:
-                self._write(op)
-                outcomes.append(None)
-            except (
-                ShardUnavailableError,
-                ObjectNotFoundError,
-                InvalidMotionError,
-            ) as exc:
-                outcomes.append(exc)
-        for shard, node in enumerate(self._nodes):
-            with self._locks[shard]:
-                if node.up and node.wal.seq != seqs[shard]:
-                    node.wal.sync()
-        return outcomes
-
     # -- queries ----------------------------------------------------------------
 
     def _uncovered(self, answered: Set[int]) -> Tuple[int, ...]:
         """Primaries whose whole replica group went unanswered (and
-        that actually own objects — an empty dead group is no loss)."""
+        that actually own objects — an empty dead group is no loss).
+
+        The dark groups come first, from the topology alone; the owner
+        map is read only when one exists, and only until each dark
+        primary has shown an object."""
+        dark = {
+            p for p in range(self.shard_count)
+            if answered.isdisjoint(self.replica_group(p))
+        }
+        if not dark:
+            return ()
+        owning: Set[int] = set()
         with self._catalog_lock:
-            primaries = set(self._owner.values())
-        return tuple(
-            sorted(
-                p
-                for p in primaries
-                if not (set(self.replica_group(p)) & answered)
-            )
-        )
+            for p in self._owner.values():
+                if p in dark:
+                    owning.add(p)
+                    if len(owning) == len(dark):
+                        break
+        return tuple(sorted(owning))
 
     def _degrade(self, name: str, value, answered: Set[int]):
         unavailable = self._uncovered(answered)
@@ -488,51 +382,6 @@ class FaultTolerantMotionService(ShardedMotionService):
         )
         return PartialResult(value=value, unavailable_shards=unavailable)
 
-    def query_batch(self, ops: List[QueryOp]) -> List:
-        """Batch reads with the base fast path only while fully healthy.
-
-        With no fault injector armed and every shard up, the base
-        implementation (one kernel invocation per shard, result cache
-        in front) is used as-is — its keyed k-NN merge already
-        collapses replica duplicates.  Otherwise each operation takes
-        the scalar query path, which carries the full fault machinery
-        (retries, breakers, failover, :class:`PartialResult`
-        degradation); degraded answers bypass the result cache so a
-        partial answer is never replayed after recovery.
-
-        A concurrent :meth:`kill_shard` can land *mid*-fast-path, in
-        which case the just-computed answers may include reads from a
-        shard already marked down.  Two guards keep the documented
-        cache property — degraded answers never reach the result
-        cache — intact: ``kill_shard`` bumps the cache's generation
-        floor, so every put in flight at the kill is discarded rather
-        than stored; and health is re-checked after the fast path
-        returns, falling back to the per-operation degraded path (with
-        its :class:`PartialResult` accounting) when it changed.  A
-        kill that lands strictly after the re-check only invalidates
-        answers that were computed wholly while the shard was still
-        up, which is a legal pre-crash linearization.  (The injector
-        is fixed at construction, so only shard health can change
-        mid-batch.)
-        """
-        if self._injector is None and not self.down_shards():
-            results = super().query_batch(ops)
-            if not self.down_shards():
-                return results
-        results = []
-        for op in ops:
-            if isinstance(op, Within):
-                results.append(self.within(op.y1, op.y2, op.t1, op.t2))
-            elif isinstance(op, SnapshotAt):
-                results.append(self.snapshot_at(op.y1, op.y2, op.t))
-            elif isinstance(op, Nearest):
-                results.append(self.nearest(op.y, op.t, op.k))
-            elif isinstance(op, ProximityPairs):
-                results.append(self.proximity_pairs(op.d, op.t1, op.t2))
-            else:
-                raise TypeError(f"unknown query operation {op!r}")
-        return results
-
     # -- failure administration --------------------------------------------------
 
     def _handle_worker_death(self, shards: List[int]) -> bool:
@@ -542,12 +391,11 @@ class FaultTolerantMotionService(ShardedMotionService):
         instead of recomputing inline: each lost lane's shard is
         marked down (cache generation floored, exactly like an
         operator :meth:`kill_shard`), and returning ``False`` tells
-        the base fan-out to fill placeholders — the fast path's
-        post-batch health re-check then discards the whole batch and
-        re-answers it on the degraded per-operation path, surfacing
-        :class:`~repro.service.faults.PartialResult` where coverage
-        was genuinely lost.  :meth:`recover_shard` brings the shard
-        back exactly as after any other crash.
+        the base fan-out to leave those lanes unanswered — the batch
+        merges the lanes that did answer and :meth:`_degrade` surfaces
+        :class:`PartialResult` where coverage was genuinely lost.
+        :meth:`recover_shard` brings the shard back exactly as after
+        any other crash.
         """
         self.metrics.counter("parallel_worker_deaths").increment(
             len(shards)

@@ -34,9 +34,12 @@ Every write — scalar verb or batch — is placed by one function,
 :meth:`ShardedMotionService._plan_write`, and every verb is written
 once, here, against three seams whose forms in this class are trivial:
 ``replica_group`` (an object lives on its primary only), the guarded
-shard access ``_touch`` / ``_apply_write`` / ``_apply_sub_batch``
-(call the database, record the I/O), and the ``_log`` / ``_degrade``
-pair (no log; answers are always complete).  This class is the
+shard access ``_guard`` / ``_touch`` / ``_apply_write`` /
+``_apply_sub_batch`` (admit everything, call the database, record the
+I/O), and the ``_log`` / ``_degrade`` pair (no log; answers are always
+complete).  Scalar verbs and batches alike pass every shard access
+through ``_guard``, so a batch under faults runs the same plan as a
+healthy one, minus the shards the guard refused.  This class is the
 ``replication = 1``, no-log, no-fault-guard case of
 :class:`~repro.service.replication.FaultTolerantMotionService`, which
 overrides exactly those seams.
@@ -125,6 +128,15 @@ _VERBS: Dict[type, str] = {
     DeregisterOp: "deregister",
 }
 
+#: QueryOp class → the scalar verb answering it (metrics span, the name
+#: a degraded answer's warning carries).
+_QUERY_VERBS: Dict[type, str] = {
+    Within: "within",
+    SnapshotAt: "snapshot_at",
+    Nearest: "nearest",
+    ProximityPairs: "proximity_pairs",
+}
+
 
 def _no_hook(point: str) -> None:
     """Default (disarmed) crash-point hook."""
@@ -144,6 +156,15 @@ def _step_record(sub_op: WriteOp, fence: Optional[int]) -> Tuple[str, Dict]:
     if fence is not None:
         fields["fence"] = fence
     return kind, fields
+
+
+def _no_live_replica(
+    name: str, oid: int, steps: List[_Step]
+) -> ShardUnavailableError:
+    """What a write none of whose planned steps landed fails with."""
+    return ShardUnavailableError(
+        f"{name}({oid}): no live replica in {[s for s, _, _ in steps]}"
+    )
 
 
 def _apply_op(db: MotionDatabase, op: WriteOp) -> None:
@@ -166,16 +187,6 @@ def _merge_nearest(
         for oid, dist in part:
             best[oid] = dist
     return sorted(best.items(), key=lambda pair: (pair[1], pair[0]))[:k]
-
-
-def _empty_answer(op: QueryOp):
-    """The empty per-shard answer for one shardable operation.
-
-    Used as a placeholder for lanes lost to a worker death when the
-    fault-tolerant policy discards the batch anyway — an empty set /
-    list merges as a no-op and can never invent an object.
-    """
-    return [] if isinstance(op, Nearest) else set()
 
 
 class ShardedMotionService:
@@ -484,6 +495,12 @@ class ShardedMotionService:
         """Whether a query should visit ``shard`` at all."""
         return True
 
+    def _guard(self, shard: int, op_name: str, write: bool) -> None:
+        """Admit one access to ``shard`` before it happens, or raise
+        :class:`ShardUnavailableError`.  Every shard access of every
+        verb and batch passes here; in this class every one is
+        admitted."""
+
     def _touch(
         self,
         shard: int,
@@ -492,13 +509,11 @@ class ShardedMotionService:
         span,
         write: bool,
     ) -> object:
-        """One shard access (caller holds its lock): ``fn(db)`` plus
-        the I/O span.
-
-        The contract is the fault-tolerant form's: raise
-        :class:`ShardUnavailableError` when the shard cannot serve,
-        let application-level rejections propagate unchanged.
+        """One guarded shard access (caller holds its lock):
+        :meth:`_guard`, then ``fn(db)`` plus the I/O span.
+        Application-level rejections propagate unchanged.
         """
+        self._guard(shard, op_name, write)
         db = self._shards[shard]
         before = db.io_snapshot()
         value = fn(db)
@@ -531,7 +546,8 @@ class ShardedMotionService:
         hook: Callable[[str], None],
     ) -> None:
         """Hand one shard its share of a write batch (all locks held):
-        its planned sub-ops and, parallel to them, their fences.
+        the planned sub-ops :meth:`_guard` admitted and, parallel to
+        them, their fences.
 
         Here: one grouped :meth:`MotionDatabase.apply_batch`.  ``hook``
         fires ``write_batch.pre_fsync`` where a log would sit between
@@ -698,10 +714,7 @@ class ShardedMotionService:
                             if self._apply_step(s, name, sub_op, fence, span)
                         ]
                         if not landed:
-                            raise ShardUnavailableError(
-                                f"{name}({oid}): no live replica in "
-                                f"{[s for s, _, _ in steps]}"
-                            )
+                            raise _no_live_replica(name, oid, steps)
                     except Exception:
                         if registering:
                             with self._catalog_lock:
@@ -799,6 +812,16 @@ class ShardedMotionService:
         guarantee.  Final state and answers are identical to calling
         the scalar methods in the same order.
 
+        Each planned step is admitted as the scalar write admits it —
+        a delete of a copy that never landed is skipped, then
+        :meth:`_guard` decides — in submission order, cleanups after
+        the op's steps.  An op none of whose steps is admitted commits
+        nothing and gets the scalar verb's
+        :class:`ShardUnavailableError`; each shard then applies exactly
+        the sub-ops it admitted, even if a later op's guard marked it
+        down, which is the record sequence the scalar loop leaves in
+        its log.
+
         ``crash_hook`` fires ``write_batch.pre_fsync`` once per touched
         shard, after its group applied (see :meth:`_apply_sub_batch`).
         """
@@ -819,6 +842,23 @@ class ShardedMotionService:
                     return oid in self._shards[shard]
                 return staged_state
 
+            def admit(step: _Step, name: str) -> bool:
+                """Stage one planned step iff it lands."""
+                shard, sub_op, fence = step
+                deleting = isinstance(sub_op, DeregisterOp)
+                if deleting and not resident(shard, sub_op.oid):
+                    return False  # copy never landed here
+                try:
+                    self._guard(shard, name, write=True)
+                except ShardUnavailableError:
+                    return False
+                if deleting or isinstance(sub_op, RegisterOp):
+                    pending[shard, sub_op.oid] = not deleting
+                sub_ops, fences = staged.setdefault(shard, ([], []))
+                sub_ops.append(sub_op)
+                fences.append(fence)
+                return True
+
             with self._holding(range(self.shard_count)):
                 with self._catalog_lock:
                     # The catalog commits as ops resolve, so duplicate
@@ -835,18 +875,12 @@ class ShardedMotionService:
                         ) as exc:
                             outcomes[i] = exc
                             continue
-                        for shard, sub_op, fence in steps + cleanup:
-                            if isinstance(sub_op, DeregisterOp):
-                                if not resident(shard, sub_op.oid):
-                                    continue  # copy never landed here
-                                pending[shard, sub_op.oid] = False
-                            elif isinstance(sub_op, RegisterOp):
-                                pending[shard, sub_op.oid] = True
-                            sub_ops, fences = staged.setdefault(
-                                shard, ([], [])
-                            )
-                            sub_ops.append(sub_op)
-                            fences.append(fence)
+                        name = _VERBS[type(op)]
+                        if not [step for step in steps if admit(step, name)]:
+                            outcomes[i] = _no_live_replica(name, op.oid, steps)
+                            continue
+                        for step in cleanup:
+                            admit(step, name)
                         self._commit_write(op.oid, owner, event)
                         if migration is not None and event[0] == "update":
                             self.metrics.counter(
@@ -1166,6 +1200,14 @@ class ShardedMotionService:
         exchange: an object resident on two shards (a replica, a
         migration in flight) would otherwise pair with its own copy.
         """
+        pairs, answered = self._proximity_join(d, t1, t2)
+        return self._degrade("proximity_pairs", pairs, answered)
+
+    def _proximity_join(
+        self, d: float, t1: float, t2: float
+    ) -> Tuple[Set[Tuple[int, int]], Set[int]]:
+        """:meth:`proximity_pairs` before degradation: the pairs among
+        the shards that answered, and who answered."""
         with self.metrics.span("proximity_pairs") as span:
             candidates = [
                 shard
@@ -1178,10 +1220,7 @@ class ShardedMotionService:
                     try:
                         # The fault gate for this shard's whole share
                         # of the join (self-join + exchanges below).
-                        self._touch(
-                            shard, "proximity_pairs",
-                            lambda db: None, span, write=False,
-                        )
+                        self._guard(shard, "proximity_pairs", write=False)
                     except ShardUnavailableError:
                         continue
                     answered.append(shard)
@@ -1204,7 +1243,7 @@ class ShardedMotionService:
                             for a, b in directed
                             if a != b
                         }
-            return self._degrade("proximity_pairs", pairs, set(answered))
+            return pairs, set(answered)
 
     # -- batch queries ----------------------------------------------------------
 
@@ -1227,8 +1266,17 @@ class ShardedMotionService:
           entirely.
 
         ``ProximityPairs`` operations need cross-shard candidate
-        exchange and are delegated to :meth:`proximity_pairs`; they
-        still participate in the cache.
+        exchange and run :meth:`proximity_pairs`' join; they still
+        participate in the cache.
+
+        The same plan serves a degraded service: the shards answerable
+        on entry (:meth:`_answerable`) are the candidates,
+        :meth:`_guard` may refuse some of them, and the lanes that
+        answered are merged — each answer missing a shard goes through
+        :meth:`_degrade`, as the scalar verb's would.  The cache only
+        ever holds complete answers: a batch that starts with a shard
+        unanswerable neither reads nor writes it, and an answer some
+        shard did not contribute to is never stored.
 
         Metrics caveat: with the columnar mirror active the pushed-down
         batch is answered by in-memory kernels that never touch the
@@ -1240,16 +1288,17 @@ class ShardedMotionService:
         """
         with self.metrics.span("query_batch") as span:
             for op in ops:
-                if not isinstance(
-                    op, (Within, SnapshotAt, Nearest, ProximityPairs)
-                ):
+                if type(op) not in _QUERY_VERBS:
                     raise TypeError(f"unknown query operation {op!r}")
+            k = self.shard_count
+            live = [s for s in range(k) if self._answerable(s)]
+            cache = self.query_cache if len(live) == k else None
             now = self.now
             results: List = [None] * len(ops)
             misses: "Dict[QueryOp, List[int]]" = {}
             for i, op in enumerate(ops):
-                if self.query_cache is not None:
-                    hit, value = self.query_cache.get(op, now)
+                if cache is not None:
+                    hit, value = cache.get(op, now)
                     if hit:
                         results[i] = value
                         continue
@@ -1261,21 +1310,20 @@ class ShardedMotionService:
                 # an entry that is not resident yet, so put() replays
                 # the writes since this point against each computed
                 # answer and drops the ones they could have changed.
-                generation = (
-                    self.query_cache.generation()
-                    if self.query_cache is not None
-                    else 0
-                )
-                computed = self._compute_batch(pending, span)
-                for op, value in zip(pending, computed):
-                    if self.query_cache is not None:
-                        self.query_cache.put(
-                            op, value, now, generation=generation
-                        )
-                    slots = misses[op]
-                    results[slots[0]] = value
-                    for slot in slots[1:]:  # duplicates get fresh copies
-                        results[slot] = copy_result(value)
+                generation = cache.generation() if cache is not None else 0
+                computed, answered = self._compute_batch(pending, live, span)
+                for op, value, who in zip(pending, computed, answered):
+                    complete = len(who) == k
+                    if cache is not None and complete:
+                        cache.put(op, value, now, generation=generation)
+                    for n, slot in enumerate(misses[op]):
+                        # duplicates get fresh copies
+                        answer = copy_result(value) if n else value
+                        if not complete:
+                            answer = self._degrade(
+                                _QUERY_VERBS[type(op)], answer, who
+                            )
+                        results[slot] = answer
             return results
 
     def _inline_shard_answers(self, s: int, batch: List[QueryOp], span) -> List:
@@ -1296,10 +1344,10 @@ class ShardedMotionService:
 
         Returns ``True`` to recompute the lost shards inline (the
         plain service: answers stay complete, just slower this batch).
-        The fault-tolerant subclass overrides this to route the dead
-        lanes through its ``kill_shard`` / degraded-result machinery
-        instead.  Either way the pool has already respawned the
-        worker, so the next batch runs at full width.
+        The fault-tolerant subclass overrides this to mark the dead
+        lanes' shards down and leave them unanswered instead.  Either
+        way the pool has already respawned the worker, so the next
+        batch runs at full width.
         """
         self.metrics.counter("parallel_worker_deaths").increment(len(shards))
         self.metrics.counter("parallel_inline_fallbacks").increment(
@@ -1307,23 +1355,32 @@ class ShardedMotionService:
         )
         return True
 
-    def _per_shard_answers(self, batch: List[QueryOp], span) -> List[List]:
-        """Each shard's answers to ``batch``: pooled when possible.
+    def _per_shard_answers(
+        self, batch: List[QueryOp], live: List[int], span
+    ) -> Dict[int, List]:
+        """The answers to ``batch`` of each ``live`` shard that
+        :meth:`_guard` admits, keyed by shard: pooled when possible.
 
-        With a worker pool, every shard whose mirror is a shared
-        segment is dispatched as one pool task (the worker snapshots
-        the segment under its seqlock and runs the same
+        With a worker pool, every admitted shard whose mirror is a
+        shared segment is dispatched as one pool task (the worker
+        snapshots the segment under its seqlock and runs the same
         ``evaluate_arrays`` dispatch as the inline leg); the rest —
         and any lane lost to a worker death, when
         :meth:`_handle_worker_death` says so — are computed inline
-        under the shard lock.  ``workers=0`` is exactly the old
-        sequential loop.
+        under the shard lock.  A refused shard, or a lost lane the
+        policy leaves, is simply absent.
         """
-        n = len(self._shards)
-        per_shard: List[Optional[List]] = [None] * n
+        admitted = []
+        for s in live:
+            try:
+                self._guard(s, "query_batch", write=False)
+            except ShardUnavailableError:
+                continue
+            admitted.append(s)
+        answers: Dict[int, List] = {}
         tasks = []
         if self._pool is not None:
-            for s in range(n):
+            for s in admitted:
                 name = getattr(
                     self._shards[s].columns, "segment_name", None
                 )
@@ -1336,25 +1393,24 @@ class ShardedMotionService:
             except WorkerCrashError as exc:
                 answers, elapsed = exc.partial, {}
                 if not self._handle_worker_death(exc.shards):
-                    # Placeholder answers: the fault-tolerant caller
-                    # has marked these shards down and will discard
-                    # the whole batch for its degraded path.
-                    for s in exc.shards:
-                        answers[s] = [_empty_answer(op) for op in batch]
-            for s, shard_answers in answers.items():
-                per_shard[s] = shard_answers
-                if s in elapsed:
-                    self.metrics.record_shard_latency(
-                        s, "query_batch.compute", elapsed[s]
-                    )
-        for s in range(n):
-            if per_shard[s] is None:
-                per_shard[s] = self._inline_shard_answers(s, batch, span)
-        return per_shard
+                    admitted = [s for s in admitted if s not in exc.shards]
+            for s, seconds in elapsed.items():
+                self.metrics.record_shard_latency(
+                    s, "query_batch.compute", seconds
+                )
+        for s in admitted:
+            if s not in answers:
+                answers[s] = self._inline_shard_answers(s, batch, span)
+        return answers
 
-    def _compute_batch(self, ops: List[QueryOp], span) -> List:
-        """Evaluate cache-missed operations: shard push-down + merge."""
+    def _compute_batch(
+        self, ops: List[QueryOp], live: List[int], span
+    ) -> Tuple[List, List[Set[int]]]:
+        """Evaluate cache-missed operations over the ``live`` shards:
+        shard push-down + merge of the lanes that answered.  Returns
+        the merged answers and, parallel to them, who answered each."""
         results: List = [None] * len(ops)
+        answered: List[Set[int]] = [set()] * len(ops)
         shardable = [
             (i, op)
             for i, op in enumerate(ops)
@@ -1362,21 +1418,25 @@ class ShardedMotionService:
         ]
         if shardable:
             batch = [op for _, op in shardable]
-            per_shard = self._per_shard_answers(batch, span)
+            per_shard = self._per_shard_answers(batch, live, span)
+            who = set(per_shard)
             for j, (slot, op) in enumerate(shardable):
                 if isinstance(op, Nearest):
                     results[slot] = _merge_nearest(
-                        (answers[j] for answers in per_shard), op.k
+                        (answers[j] for answers in per_shard.values()), op.k
                     )
                 else:
                     merged: Set[int] = set()
-                    for answers in per_shard:
+                    for answers in per_shard.values():
                         merged |= answers[j]
                     results[slot] = merged
+                answered[slot] = who
         for i, op in enumerate(ops):
             if isinstance(op, ProximityPairs):
-                results[i] = self.proximity_pairs(op.d, op.t1, op.t2)
-        return results
+                results[i], answered[i] = self._proximity_join(
+                    op.d, op.t1, op.t2
+                )
+        return results, answered
 
     # -- accounting -------------------------------------------------------------
 

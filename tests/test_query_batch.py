@@ -14,12 +14,15 @@ import threading
 import pytest
 
 from repro.core import MORQuery1D
-from repro.errors import InvalidQueryError
+from repro.errors import DegradedResultWarning, InvalidQueryError
 from repro.indexes.base import MobileIndex1D
 from repro.service import (
     AsyncFrontend,
+    FaultInjector,
+    FaultSpec,
     FaultTolerantMotionService,
     FrontendConfig,
+    PartialResult,
     ShardedMotionService,
 )
 from repro.vector.cache import QueryResultCache
@@ -406,6 +409,63 @@ class TestFaultTolerantBatch:
         service.query_batch([op])
         stats = service.query_cache.stats()
         assert stats["hits"] == 0 and stats["entries"] == 0
+
+    @pytest.mark.parametrize(
+        "fault", ["shard-down", "injector-armed", "injected-crash"]
+    )
+    def test_degraded_batch_runs_on_the_kernels(self, monkeypatch, fault):
+        """A degraded batch is the healthy plan minus the shard that
+        cannot answer: one ``MotionDatabase.query_batch`` per answering
+        shard, no scalar per-shard query, and the scalar verbs' answers
+        — ``PartialResult`` and its unavailable primaries included."""
+
+        def build(injector=None):
+            service = FaultTolerantMotionService(
+                Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=1,
+                fault_injector=injector,
+            )
+            return service, populate(service)
+
+        injector = None
+        if fault == "injector-armed":
+            injector = FaultInjector(seed=4)
+        elif fault == "injected-crash":
+            # Shard 1 crashes on its first read: the one after its
+            # population's registers.
+            probe, _ = build()
+            registers = len(probe.shard_populations()[1])
+            injector = FaultInjector(
+                seed=4, per_shard={1: FaultSpec(crash_on_op=registers + 1)}
+            )
+        service, rng = build(injector)
+        if fault != "injected-crash":
+            service.kill_shard(1)
+        ops = mixed_ops(rng)
+        kernels, scalars = [], []
+        query_batch = MotionDatabase.query_batch
+
+        def counted(db, batch):
+            kernels.append(db)
+            return query_batch(db, batch)
+
+        monkeypatch.setattr(MotionDatabase, "query_batch", counted)
+        for verb in ("within", "snapshot_at", "nearest"):
+            monkeypatch.setattr(
+                MotionDatabase, verb,
+                lambda db, *args, verb=verb, scalar=getattr(
+                    MotionDatabase, verb
+                ): scalars.append(verb) or scalar(db, *args),
+            )
+        with pytest.warns(DegradedResultWarning):
+            got = service.query_batch(ops)
+        assert service.down_shards() == [1]
+        assert kernels == [service._shards[0], service._shards[2]]
+        assert scalars == []
+        with pytest.warns(DegradedResultWarning):
+            want = scalar_answers(service, ops)
+        assert got == want
+        assert all(isinstance(answer, PartialResult) for answer in got)
+        assert {answer.unavailable_shards for answer in got} == {(1,)}
 
     def test_recovery_restores_fast_path(self):
         service, rng = self.make()

@@ -310,6 +310,38 @@ def test_whole_group_dead_write_raises_and_rolls_back():
     assert service.location_of(doomed, 0.0) == 50.0
 
 
+def test_uncovered_reads_the_owner_map_only_for_a_dark_group():
+    """Degradation is decided from the topology first: while every
+    replica group has a member that answered, the owner map is not
+    read at all.  A dark group that owns objects is reported; one that
+    owns none is no loss."""
+    service = make_service(shards=4, replication=2)
+    seed_population(service, n=40)
+
+    class Spy(dict):
+        reads = 0
+
+        def values(self):
+            Spy.reads += 1
+            return super().values()
+
+    service._owner = Spy(service._ownership.owner)
+    assert service._uncovered({0, 1, 2, 3}) == ()
+    assert service._uncovered({0, 2}) == ()  # every group keeps one
+    assert Spy.reads == 0
+    # Groups are {p, p + 1}: with 1 and 2 dark, primary 1's is gone,
+    # and with only 0 answering, primaries 1 and 2's.
+    assert service._uncovered({0, 3}) == (1,)
+    assert service._uncovered({0}) == (1, 2)
+    assert Spy.reads == 2
+    service._owner = service._ownership.owner
+    for oid in range(40):
+        if service.shard_of(oid) == 1:
+            service.deregister(oid)
+    assert service._uncovered({0, 3}) == ()
+    assert service._uncovered({0}) == (2,)
+
+
 def test_replication_factor_validation_and_stats():
     with pytest.raises(ValueError):
         make_service(shards=2, replication=3)

@@ -11,6 +11,7 @@ batch, and recovery after a crash at either write-batch boundary
 """
 
 import random
+import shutil
 
 import pytest
 
@@ -19,12 +20,14 @@ from repro.engine import MotionDatabase
 from repro.errors import (
     InvalidMotionError,
     ObjectNotFoundError,
+    ShardUnavailableError,
     SimulatedCrashError,
 )
 from repro.indexes.hough_y_forest import HoughYForestIndex
 from repro.service import (
     CrashPointInjector,
     FaultInjector,
+    FaultSpec,
     FaultTolerantMotionService,
     RetryPolicy,
     ShardedMotionService,
@@ -126,7 +129,9 @@ def apply_scalar(service, stream):
             else:
                 service.deregister(op.oid)
             outcomes.append(None)
-        except (InvalidMotionError, ObjectNotFoundError) as exc:
+        except (
+            InvalidMotionError, ObjectNotFoundError, ShardUnavailableError
+        ) as exc:
             outcomes.append(exc)
     return outcomes
 
@@ -501,6 +506,115 @@ class TestWriteBatchChaos:
                 f"object {oid} recovered torn motion {motion}"
             )
         restored.close()
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("fsync", ["always", "never"])
+    def test_degraded_batch_fires_its_crash_hook(self, tmp_path, fsync):
+        """A shard down changes which steps a batch admits, not how it
+        commits them: the batch still dies at ``write_batch.pre_fsync``,
+        and every shard's log recovers a prefix of the crash-free
+        twin's, with no motion outside the pre- or post-batch state."""
+        stream = build_stream(random.Random(31), n=40)
+        prologue, batch = stream[:40], stream[40:]
+        legs = []
+        for name in ("crash", "twin"):
+            service = make_ft(tmp_path / name, shards=4, replication=2,
+                              fsync=fsync)
+            apply_scalar(service, prologue)
+            service.kill_shard(3)
+            legs.append(service)
+        service, twin = legs
+        pre = service.motion_snapshot()
+        twin.apply_batch(batch)
+        post = twin.motion_snapshot()
+        twin_tails = wal_tails(twin)
+        twin.close()
+
+        injector = CrashPointInjector().arm("write_batch.pre_fsync")
+        with pytest.raises(SimulatedCrashError):
+            service.apply_batch(batch, crash_hook=injector)
+        assert injector.fired == [("write_batch.pre_fsync", 1)]
+        service.close()
+
+        shutil.copytree(tmp_path / "crash", tmp_path / "copy")
+        restored = make_ft(tmp_path / "copy", shards=4, replication=2,
+                           fsync=fsync)
+        for shard, tail in enumerate(wal_tails(restored)):
+            assert tail == twin_tails[shard][:len(tail)], (
+                f"shard {shard} log is not a prefix of the twin's"
+            )
+        restored.restore_from_disk()
+        for oid, motion in restored.motion_snapshot().items():
+            assert motion in (pre.get(oid), post.get(oid)), (
+                f"object {oid} recovered torn motion {motion}"
+            )
+        restored.close()
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("router", ["hash", "velocity"])
+    @pytest.mark.parametrize("seed", [2, 19])
+    def test_injector_armed_batches_equal_the_scalar_loop(
+        self, tmp_path, router, seed
+    ):
+        """Under injected transient faults and two shard crashes the
+        batch admits each planned step through the same guard as the
+        scalar verbs: same outcomes (``ShardUnavailableError`` for a
+        write whose whole group is down), catalog, down shards, fault
+        counts and shard contents — and the same state after
+        ``recover_shard`` and after a cold restore of the directory."""
+        stream = build_stream(random.Random(seed), n=80, rounds=3)
+
+        def build(name, directory, injector):
+            return make_ft(
+                directory / name, shards=4, replication=2, router=router,
+                fault_injector=injector,
+            )
+
+        def injector():
+            return FaultInjector(
+                seed=seed,
+                default=FaultSpec(error_rate=0.1),
+                per_shard={
+                    1: FaultSpec(error_rate=0.1, crash_on_op=60),
+                    2: FaultSpec(error_rate=0.1, crash_on_op=110),
+                },
+            )
+
+        def contents(service):
+            return [db.motion_snapshot() for db in service._shards]
+
+        scalar = build("scalar", tmp_path, injector())
+        batched = build("batched", tmp_path, injector())
+        want = apply_scalar(scalar, stream)
+        got = apply_batched(batched, stream, batch_size=16)
+        assert [(type(o), str(o)) for o in got] == [
+            (type(o), str(o)) for o in want
+        ]
+        assert ShardUnavailableError in map(type, want)
+        assert {1, 2} <= set(scalar.down_shards())
+        assert batched.down_shards() == scalar.down_shards()
+        assert batched.motion_snapshot() == scalar.motion_snapshot()
+        assert (batched._injector.snapshot()
+                == scalar._injector.snapshot())
+        assert contents(batched) == contents(scalar)
+        for service in (scalar, batched):
+            for shard in service.down_shards():
+                service.recover_shard(shard)
+        assert batched.down_shards() == []
+        assert contents(batched) == contents(scalar)
+        scalar.close()
+        batched.close()
+
+        restored = []
+        for name in ("scalar", "batched"):
+            shutil.copytree(tmp_path / name, tmp_path / "copy" / name)
+            service = build(name, tmp_path / "copy", None)
+            service.restore_from_disk()
+            restored.append(service)
+        assert restored[1].motion_snapshot() == restored[0].motion_snapshot()
+        assert contents(restored[1]) == contents(restored[0])
+        for service in restored:
+            service.close()
 
     @pytest.mark.chaos
     @pytest.mark.parametrize(
