@@ -87,7 +87,7 @@ def grouped_run(forest, batch):
 
 
 def rebuild(forest, batch):
-    motions = dict(forest._catalog)
+    motions = forest.motion_snapshot()
     for obj in batch:
         motions[obj.oid] = obj.motion
     forest._rebuild(
@@ -137,8 +137,9 @@ def run_batch_update_comparison():
             for name, apply in strategies.items()
         ]
         table.rows.append([size] + [cell[i] for i in range(3) for cell in cells])
-        assert forests["grouped"]._catalog == forests["scalar"]._catalog
-        assert forests["rebuild"]._catalog == forests["scalar"]._catalog
+        catalog = forests["scalar"].motion_snapshot()
+        assert forests["grouped"].motion_snapshot() == catalog
+        assert forests["rebuild"].motion_snapshot() == catalog
     return table
 
 

@@ -6,28 +6,32 @@ forest, the ledger's ``scan_100k`` shape) is loaded with 25,000 and
 
 * ``packed`` — as served: observation-tree leaves are
   :class:`~repro.indexes.hough_y_forest.ObservationRecords` (four typed
-  columns, 25 bytes a record) and the forest catalog is ``{oid:
-  motion}``.
+  columns, 25 bytes a record), and each shard keeps its objects once,
+  as rows of its object table (:class:`~repro.vector.columns.
+  MotionColumns`), which the forest reads its motions from.
 * ``list`` — the same service with every observation tree rebuilt, page
   for page, as a generic :class:`~repro.bptree.BPlusTree` whose leaves
-  are lists of ``((band, b, oid), speed)`` tuples, and the catalog in
-  the shape it had while the leaves were lists: ``{oid: (motion, sign,
-  [b per tree])}``, the ``b`` floats shared with the tree keys.  Built
-  here, from the classes that still exist — there is no switch in
-  ``src/`` to flip.
+  are lists of ``((band, b, oid), speed)`` tuples.  Built here, from
+  the classes that still exist — there is no switch in ``src/`` to
+  flip.
 
 Every figure is ``tracemalloc``'s own: the heap is measured with the
 service loaded, then the owners are released one at a time, in the
 order of the columns, and each is charged what the traced heap fell by.
-An object reachable from two owners (the oid ``int`` is a key in five
-dicts, the motion a value in two) is therefore paid for by the last —
-the engine, released last; ``other`` is what is left (locks, metrics,
-the query cache, the objects of the service itself).  The
-registrations are built before the trace starts: the three floats and
-the oid each one carries are the caller's (about 100 bytes that any
-representation keeps alive) and are in no figure.  Rounded to a byte
-per object the counts repeat from run to run (what moves is a few
-hundred bytes of interpreter caches in ``other``).
+The owners are the maps that still exist: the trees' records and pages,
+each shard's object table (four arrays and the oid → row ``_slots``
+dict) and the service's ``_owner`` dict; ``other`` is what is left
+(locks, metrics, the query cache, the objects of the service itself).
+``peak`` is the traced high-water mark of the load itself — one
+``apply_batch`` of every registration, the ledger's set-up — which is
+what ``peak_rss_mb`` reads (the list side is rebuilt after the load, so
+its peak is the same load's; it runs first, and the caches a process
+fills once add a byte an object at 25,000).  The registrations are built before the
+trace starts: the three floats and the oid each one carries are the
+caller's (about 100 bytes that any representation keeps alive) and are
+in no figure.  Rounded to a byte per object the counts repeat from run
+to run (what moves is a few hundred bytes of interpreter caches in
+``other``).
 
 The last two columns are the read side on a forest of one shard's size
 (a quarter of the objects), built outside the trace: 300 cold 1 %-class
@@ -56,10 +60,7 @@ from conftest import save_table
 SHARDS = 4
 SIZES = (25_000, 100_000)
 QUERIES = 300
-OWNERS = [
-    "tree_records", "tree_pages", "forest_catalog", "hybrid", "columns",
-    "service", "engine",
-]
+OWNERS = ["tree_records", "tree_pages", "object_table", "service"]
 
 
 def registrations(n):
@@ -84,21 +85,15 @@ def forests_of(service):
 
 
 def unpack(forests):
-    """Rebuild every observation tree with list leaves and give the
-    forest catalog back its ``(motion, sign, [b...])`` entries."""
+    """Rebuild every observation tree with list leaves."""
     for forest in forests:
-        catalog = {
-            oid: (motion, forest._oriented(motion)[0], [])
-            for oid, motion in forest._catalog.items()
-        }
-        oids = {oid: oid for oid in catalog}  # the objects the dicts share
+        oids = {}  # the oid objects the records share
         speeds = {}
         for key, tree in forest._trees.items():
             records = []
             for (band, b, oid), speed in tree.items():
                 speed = speeds.setdefault(oid, speed)
-                records.append(((band, b, oids[oid]), speed))
-                catalog[oid][2].append(b)
+                records.append(((band, b, oids.setdefault(oid, oid)), speed))
             disk = DiskSimulator()
             plain = BPlusTree.bulk_load(
                 disk, records, tree.leaf_capacity, fill=forest.REBUILD_FILL
@@ -106,7 +101,6 @@ def unpack(forests):
             assert plain.disk.pages_in_use == tree.disk.pages_in_use
             forest._trees[key] = plain
             forest._tree_disks[key] = disk
-        forest._catalog = catalog
 
 
 def release(service, owner):
@@ -122,23 +116,13 @@ def release(service, owner):
         for disk in disks:
             disk._pages.clear()
             disk.clear_buffer()
-    elif owner == "forest_catalog":
-        for hybrid in hybrids:
-            hybrid._fast._catalog = None
-            hybrid._slow._motions = None
-    elif owner == "hybrid":
-        for hybrid in hybrids:
-            hybrid._band = None
-    elif owner == "columns":
+    elif owner == "object_table":
         for db in service._shards:
-            columns = db._columns
-            columns._slots = None
-            columns._oid = columns._y0 = columns._v = columns._t0 = None
+            table = db.columns
+            table._slots = None
+            table._oid = table._y0 = table._v = table._t0 = None
     elif owner == "service":
         service._owner.clear()
-    elif owner == "engine":
-        for db in service._shards:
-            db._motions = None
 
 
 def by_owner(service):
@@ -194,6 +178,7 @@ def heap_by_owner(n, leaves):
     tracemalloc.start()
     try:
         service = load(model, ops)
+        _, peak = tracemalloc.get_traced_memory()
         forests = forests_of(service)
         if leaves == "list":
             unpack(forests)
@@ -205,25 +190,26 @@ def heap_by_owner(n, leaves):
             if page.meta["kind"] == "leaf"
         )
         assert packed == (leaves == "packed")
-        return by_owner(service)
+        return (*by_owner(service), peak)
     finally:
         tracemalloc.stop()
 
 
 def run_memory_bench():
     table = Table(headers=[
-        "objects", "leaves", *OWNERS, "other", "total",
+        "objects", "leaves", *OWNERS, "other", "total", "peak",
         "pages_per_query", "query_ms",
     ])
     for n in SIZES:
         answers = {}
         for leaves in ("list", "packed"):
-            sizes, total = heap_by_owner(n, leaves)
+            sizes, total, peak = heap_by_owner(n, leaves)
             answers[leaves], pages, query_ms = read_side(n, leaves)
             table.rows.append([
                 n, leaves,
                 *(round(sizes[o] / n) for o in (*OWNERS, "other")),
-                round(total / n), round(pages, 2), round(query_ms, 3),
+                round(total / n), round(peak / n),
+                round(pages, 2), round(query_ms, 3),
             ])
         assert answers["list"] == answers["packed"]
     return table
@@ -233,8 +219,9 @@ def test_bytes_per_object_by_owner(benchmark):
     table = benchmark.pedantic(run_memory_bench, rounds=1, iterations=1)
     print(save_table(
         "ablation_memory", table,
-        "Ablation: service heap in bytes per object, by owner "
-        "(4 shards; list-leaf vs packed; query_ms indicative)",
+        "Ablation: service heap in bytes per object, by owner, and the "
+        "load's traced peak (4 shards; list-leaf vs packed; query_ms "
+        "indicative)",
     ))
     rows = {(row[0], row[1]): dict(zip(table.headers, row))
             for row in table.rows}
@@ -242,7 +229,7 @@ def test_bytes_per_object_by_owner(benchmark):
         before, after = rows[(n, "list")], rows[(n, "packed")]
         assert after["pages_per_query"] == before["pages_per_query"]
         assert after["tree_records"] * 4 < before["tree_records"]
-        assert after["forest_catalog"] * 2 < before["forest_catalog"]
-        assert after["total"] <= 650
-        for owner in ("hybrid", "service", "engine"):
+        assert after["total"] <= 400
+        assert after["peak"] <= 650
+        for owner in ("object_table", "service"):
             assert after[owner] == before[owner], owner

@@ -50,7 +50,7 @@ class Terrain2D:
         return 0.0 <= x <= self.x_max and 0.0 <= y <= self.y_max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearMotion1D:
     """Constant-velocity 1-D motion: ``y(t) = y0 + v * (t - t0)``.
 
@@ -129,7 +129,7 @@ class LinearMotion2D:
         return math.hypot(self.vx, self.vy)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MobileObject1D:
     """An identified object with its current 1-D motion information."""
 

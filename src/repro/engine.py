@@ -17,7 +17,7 @@ accounting of everything underneath.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.model import (
     LinearMotion1D,
@@ -35,13 +35,12 @@ from repro.indexes.dual_point import DualKDTreeIndex
 from repro.indexes.hough_y_forest import HoughYForestIndex
 from repro.indexes.hybrid import HybridIndex
 from repro.io_sim.stats import IOSnapshot
+from repro.vector.columns import MotionColumns
 from repro.vector.ops import (
-    DeregisterOp,
+    WRITE_KINDS,
     Nearest,
     ProximityPairs,
     QueryOp,
-    RegisterOp,
-    ReportOp,
     SnapshotAt,
     Within,
     WriteOp,
@@ -69,16 +68,16 @@ class MotionDatabase:
     keep_history:
         Archive superseded motions and enable :meth:`query_past`.
     vector:
-        Maintain a columnar mirror of the population and answer
-        :meth:`query_batch` with the vectorized kernels of
-        :mod:`repro.vector` (default).  With ``vector=False`` batches
-        fall back to the scalar per-query path with identical results.
+        Answer :meth:`query_batch` with the vectorized kernels of
+        :mod:`repro.vector` over the object table (default).  With
+        ``vector=False`` batches take the scalar per-query path, with
+        identical results.
     columns_factory:
-        Override the mirror implementation (default
+        Override the object table's implementation (default
         :class:`~repro.vector.columns.MotionColumns`); the service's
         worker-process tier passes
         :class:`~repro.vector.shm.SharedMotionColumns` here so other
-        processes can read the rows.  Ignored when ``vector`` is off.
+        processes can read the rows.
     """
 
     def __init__(
@@ -90,7 +89,7 @@ class MotionDatabase:
         index_factory: Optional[Callable[[MotionModel], MobileIndex1D]] = None,
         keep_history: bool = False,
         vector: bool = True,
-        columns_factory: Optional[Callable[[], object]] = None,
+        columns_factory: Optional[Callable[[], MotionColumns]] = None,
     ) -> None:
         self.model = MotionModel(Terrain1D(y_max), v_min, v_max)
         factory = index_factory or METHOD_FACTORIES.get(method)
@@ -99,27 +98,22 @@ class MotionDatabase:
                 f"unknown method {method!r}; pick from "
                 f"{sorted(METHOD_FACTORIES)} or pass index_factory"
             )
+        #: The object table: each object once, as a row.  The index
+        #: reads it (the served forest keeps no motions of its own) and
+        #: the database writes a row after the index call that changed
+        #: the object, so during the call the row is the old motion.
+        self._columns = (columns_factory or MotionColumns)()
         base: MobileIndex1D = HybridIndex(self.model, fast_factory=factory)
+        base.share_motions(self._columns)
         if keep_history:
             base = HistoricalIndex(self.model, base)
         self._index = base
         self._history_enabled = keep_history
-        self._motions: Dict[int, LinearMotion1D] = {}
+        self._vector = vector
         self._now = 0.0
         self._update_listeners: List[
             Callable[[str, int, Optional[LinearMotion1D]], None]
         ] = []
-        self._columns = None
-        self._columns_listener = None
-        if vector:
-            from repro.vector.columns import MotionColumns
-
-            # columns_factory swaps in a different mirror implementation
-            # (e.g. SharedMotionColumns for the worker-process tier)
-            # with the same contract.
-            self._columns = (columns_factory or MotionColumns)()
-            self._columns_listener = self._columns.as_listener()
-            self.attach_update_listener(self._columns_listener)
 
     # -- registration and updates -------------------------------------------------
 
@@ -147,31 +141,11 @@ class MotionDatabase:
         for listener in list(self._update_listeners):
             listener(kind, oid, motion)
 
-    def _notify_update_batch(
-        self, events: List[Tuple[str, int, Optional[LinearMotion1D]]]
-    ) -> None:
-        """One listener pass for a whole batch of applied writes.
-
-        Every listener sees the events in per-object apply order (in
-        fact in global apply order); the columnar mirror is the one
-        batch-aware listener and absorbs the whole batch through its
-        vectorized :meth:`~repro.vector.columns.MotionColumns.apply_events`
-        instead of n scalar calls.
-        """
-        if not events:
-            return
-        for listener in list(self._update_listeners):
-            if listener is self._columns_listener:
-                self._columns.apply_events(events)
-            else:
-                for kind, oid, motion in events:
-                    listener(kind, oid, motion)
-
     def __len__(self) -> int:
-        return len(self._motions)
+        return len(self._columns)
 
     def __contains__(self, oid: int) -> bool:
-        return oid in self._motions
+        return oid in self._columns
 
     def register(self, oid: int, y0: float, v: float, t0: float) -> None:
         """Add a new object with its initial motion information.
@@ -183,16 +157,19 @@ class MotionDatabase:
         ``DuplicateObjectError`` escaped from inside the index, after
         the history clock had already advanced).
         """
-        if oid in self._motions:
+        self._insert(self._index.insert, oid, LinearMotion1D(y0, v, t0))
+
+    def _insert(self, insert, oid: int, motion: LinearMotion1D) -> None:
+        """Admit a new object through ``insert``, the index's insert."""
+        if oid in self._columns:
             raise InvalidMotionError(
                 f"object {oid} is already registered; use report() to "
                 "supersede its motion"
             )
-        motion = LinearMotion1D(y0, v, t0)
         self.model.check_admissible(motion, oid)
-        self._index.insert(MobileObject1D(oid, motion))
-        self._motions[oid] = motion
-        self._now = max(self._now, t0)
+        insert(MobileObject1D(oid, motion))
+        self._columns.upsert(oid, motion)
+        self._now = max(self._now, motion.t0)
         self._notify_update("insert", oid, motion)
 
     def report(self, oid: int, y0: float, v: float, t0: float) -> None:
@@ -204,29 +181,33 @@ class MotionDatabase:
         rejected after the delete would leave the object registered
         but unindexed.
         """
-        if oid not in self._motions:
+        if oid not in self._columns:
             raise ObjectNotFoundError(f"object {oid} is not registered")
         motion = LinearMotion1D(y0, v, t0)
         self.model.check_admissible(motion, oid)
         self._index.update(MobileObject1D(oid, motion))
-        self._motions[oid] = motion
+        self._columns.upsert(oid, motion)
         self._now = max(self._now, t0)
         self._notify_update("update", oid, motion)
 
     def deregister(self, oid: int) -> None:
         """Remove an object (it left the system)."""
-        if oid not in self._motions:
+        if oid not in self._columns:
             raise ObjectNotFoundError(f"object {oid} is not registered")
         if self._history_enabled:
             self._index.delete(oid, now=self._now)  # type: ignore[call-arg]
         else:
             self._index.delete(oid)
-        del self._motions[oid]
+        self._columns.delete(oid)
         self._notify_update("delete", oid, None)
 
     # -- batched writes ------------------------------------------------------------
 
-    def apply_batch(self, ops: List[WriteOp]) -> List[Optional[Exception]]:
+    def apply_batch(
+        self,
+        ops: Sequence[WriteOp],
+        motions: Optional[Sequence[Optional[LinearMotion1D]]] = None,
+    ) -> List[Optional[Exception]]:
         """Apply a batch of write operations in one grouped pass.
 
         Accepts the :mod:`repro.vector.ops` write vocabulary
@@ -239,26 +220,35 @@ class MotionDatabase:
         rejected operation leaves no partial state — operations are
         validated against the evolving catalog before the index is
         touched, so duplicate oids *within* one batch see each other in
-        apply order (register a, report a, deregister a is legal).
+        apply order (register a, report a, deregister a is legal).  An
+        object that is not a write operation raises ``TypeError``
+        before anything is applied.  ``motions``, when given, is
+        parallel to ``ops``: the motion each register or report
+        carries, already built by the caller, which the batch indexes
+        instead of building its own (the entry of a deregister is
+        ignored).
 
         Throughput comes from grouping: accepted operations accumulate
         into per-kind groups (one *epoch* holds at most one op per
         oid — a repeated oid closes the epoch, preserving per-object
         apply order), and each epoch flushes through the index batch
         hooks (:meth:`~repro.indexes.base.MobileIndex1D.insert_batch`
-        / ``update_batch`` / ``delete_batch``).  Within an epoch all
+        / ``update_batch`` / ``delete_batch``), then into the object
+        table in one :meth:`~repro.vector.columns.MotionColumns.apply_events`.
+        Within an epoch all
         oids are distinct, so the ops commute and the fixed flush
         order (deletes, updates, inserts) lands the same final state
         as the interleaved submission order — while keeping each
         kind's group maximal, which is what lets the §3.5 forest
         amortize a storm into one bulk rebuild (with ``keep_history``
         every op is its own epoch: the §7 archive must be written in
-        time order).  The update listeners
-        fire once per batch (:meth:`_notify_update_batch`) with the
-        columnar mirror absorbing the whole batch in three vectorized
-        passes.  Final state and answers are identical to calling the
+        time order).  The update listeners, if any, fire once per
+        batch.  Final state and answers are identical to calling the
         scalar methods in the same order.
         """
+        for op in ops:
+            if type(op) not in WRITE_KINDS:
+                raise TypeError(f"unknown write operation {op!r}")
         outcomes: List[Optional[Exception]] = [None] * len(ops)
         events: List[Tuple[str, int, Optional[LinearMotion1D]]] = []
         epoch_inserts: List[MobileObject1D] = []
@@ -266,89 +256,87 @@ class MotionDatabase:
         # (oid, clock) pairs: history-enabled deletes must archive at
         # the clock the scalar call would have seen, not flush time.
         epoch_deletes: List[Tuple[int, float]] = []
-        epoch_oids: Set[int] = set()
+        # oid -> registered once the open epoch lands; an oid outside
+        # it is registered iff the table holds it.
+        epoch: Dict[int, bool] = {}
 
         def flush() -> None:
+            # Each group's rows land right after the index call that
+            # applied it, so during every call a row is the motion the
+            # index holds (a rebuild reads all of them).
             if epoch_deletes:
+                gone = [oid for oid, _ in epoch_deletes]
                 if self._history_enabled:
                     for oid, at in epoch_deletes:
                         self._index.delete(oid, now=at)  # type: ignore[call-arg]
                 else:
-                    self._index.delete_batch(
-                        [oid for oid, _ in epoch_deletes]
-                    )
+                    self._index.delete_batch(gone)
+                self._columns.apply_events(gone, ())
             if epoch_updates:
                 self._index.update_batch(epoch_updates)
+                self._columns.apply_events((), epoch_updates)
             if epoch_inserts:
                 self._index.insert_batch(epoch_inserts)
+                self._columns.apply_events((), epoch_inserts)
             epoch_inserts.clear()
             epoch_updates.clear()
             epoch_deletes.clear()
-            epoch_oids.clear()
+            epoch.clear()
 
         for i, op in enumerate(ops):
+            kind = WRITE_KINDS[type(op)]
+            registered = epoch.get(op.oid)
+            if registered is None:
+                registered = op.oid in self._columns
+            motion = None
             try:
-                if isinstance(op, RegisterOp):
-                    kind = "insert"
-                    if op.oid in self._motions:
-                        raise InvalidMotionError(
-                            f"object {op.oid} is already registered; use "
-                            "report() to supersede its motion"
-                        )
-                    motion = LinearMotion1D(op.y0, op.v, op.t0)
+                if kind == "insert" and registered:
+                    raise InvalidMotionError(
+                        f"object {op.oid} is already registered; use "
+                        "report() to supersede its motion"
+                    )
+                if kind != "insert" and not registered:
+                    raise ObjectNotFoundError(
+                        f"object {op.oid} is not registered"
+                    )
+                if kind != "delete":
+                    motion = (
+                        motions[i]
+                        if motions is not None
+                        else LinearMotion1D(op.y0, op.v, op.t0)
+                    )
                     self.model.check_admissible(motion, op.oid)
-                elif isinstance(op, ReportOp):
-                    kind = "update"
-                    if op.oid not in self._motions:
-                        raise ObjectNotFoundError(
-                            f"object {op.oid} is not registered"
-                        )
-                    motion = LinearMotion1D(op.y0, op.v, op.t0)
-                    self.model.check_admissible(motion, op.oid)
-                elif isinstance(op, DeregisterOp):
-                    kind = "delete"
-                    if op.oid not in self._motions:
-                        raise ObjectNotFoundError(
-                            f"object {op.oid} is not registered"
-                        )
-                    motion = None
-                else:
-                    raise TypeError(f"unknown write operation {op!r}")
             except (InvalidMotionError, ObjectNotFoundError) as exc:
                 outcomes[i] = exc
                 continue
 
             # With history every op is an epoch (see the docstring);
             # the archive's batch hooks are scalar loops anyway.
-            if op.oid in epoch_oids or self._history_enabled:
+            if op.oid in epoch or self._history_enabled:
                 flush()
+            epoch[op.oid] = kind != "delete"
             if kind == "delete":
                 epoch_deletes.append((op.oid, self._now))
-                del self._motions[op.oid]
-            elif kind == "update":
-                epoch_updates.append(MobileObject1D(op.oid, motion))
-                self._motions[op.oid] = motion
-                self._now = max(self._now, op.t0)
             else:
-                epoch_inserts.append(MobileObject1D(op.oid, motion))
-                self._motions[op.oid] = motion
+                group = epoch_inserts if kind == "insert" else epoch_updates
+                group.append(MobileObject1D(op.oid, motion))
                 self._now = max(self._now, op.t0)
-            epoch_oids.add(op.oid)
-            events.append((kind, op.oid, motion))
+            if self._update_listeners:
+                events.append((kind, op.oid, motion))
         flush()
-        self._notify_update_batch(events)
+        for listener in list(self._update_listeners):
+            for event in events:
+                listener(*event)
         return outcomes
 
     def location_of(self, oid: int, t: float) -> float:
         """Extrapolated location of one object at time ``t``."""
-        motion = self._motions.get(oid)
-        if motion is None:
-            raise ObjectNotFoundError(f"object {oid} is not registered")
-        return motion.position(t)
+        return self.motion_of(oid).position(t)
 
     def motion_of(self, oid: int) -> LinearMotion1D:
-        """The current motion of one object (no extrapolation)."""
-        motion = self._motions.get(oid)
+        """The current motion of one object (no extrapolation), as the
+        object table stores it: float64 fields."""
+        motion = self._columns.get(oid)
         if motion is None:
             raise ObjectNotFoundError(f"object {oid} is not registered")
         return motion
@@ -386,27 +374,16 @@ class MotionDatabase:
 
         Identical to ``register`` except that a history-enabled index
         opens the version through its order-agnostic restore path:
-        checkpoint populations are serialized in registration order
-        (part of the byte-identical contract), which is not timestamp
-        order once objects have been updated, and the archive's
-        append-only time check must not reject a legal checkpoint.
+        checkpoint populations are serialized in oid order, which is
+        not timestamp order, and the archive's append-only time check
+        must not reject a legal checkpoint.
         """
-        if not self._history_enabled:
-            self.register(oid, y0, v, t0)
-            return
-        if oid in self._motions:
-            raise InvalidMotionError(
-                f"object {oid} is already registered; use report() to "
-                "supersede its motion"
-            )
-        motion = LinearMotion1D(y0, v, t0)
-        self.model.check_admissible(motion, oid)
-        self._index.restore_insert(  # type: ignore[attr-defined]
-            MobileObject1D(oid, motion)
+        insert = (
+            self._index.restore_insert  # type: ignore[attr-defined]
+            if self._history_enabled
+            else self._index.insert
         )
-        self._motions[oid] = motion
-        self._now = max(self._now, t0)
-        self._notify_update("insert", oid, motion)
+        self._insert(insert, oid, LinearMotion1D(y0, v, t0))
 
     def history_snapshot(self) -> Optional[list]:
         """Archived (pre-checkpoint) motion versions, or ``None`` when
@@ -425,15 +402,16 @@ class MotionDatabase:
         self._index.restore_archive(versions)  # type: ignore[attr-defined]
 
     def objects(self) -> List[MobileObject1D]:
-        """The current population as mobile objects (a fresh list)."""
+        """The current population as mobile objects (a fresh list, in
+        oid order)."""
         return [
             MobileObject1D(oid, motion)
-            for oid, motion in self._motions.items()
+            for oid, motion in self._columns.items()
         ]
 
     def motion_snapshot(self) -> Dict[int, LinearMotion1D]:
-        """The current oid → motion map (a fresh dict)."""
-        return dict(self._motions)
+        """The current oid → motion map (a fresh dict, in oid order)."""
+        return dict(self._columns.items())
 
     # -- queries --------------------------------------------------------------------
 
@@ -449,18 +427,14 @@ class MotionDatabase:
 
     def nearest(self, y: float, t: float, k: int = 1) -> List[Tuple[int, float]]:
         """The ``k`` objects nearest to ``y`` at time ``t``."""
-        return knn_at(self._index, self._motions.__getitem__, y, t, k)
+        return knn_at(self._index, self._columns.motion_of, y, t, k)
 
     def proximity_pairs(
         self, d: float, t1: float, t2: float
     ) -> Set[Tuple[int, int]]:
         """Unordered object pairs coming within ``d`` during the window."""
-        objects = [
-            MobileObject1D(oid, motion)
-            for oid, motion in self._motions.items()
-        ]
         directed = index_distance_join(
-            objects, self._index, self._motions.__getitem__, d, t1, t2
+            self.objects(), self._index, self._columns.motion_of, d, t1, t2
         )
         return {(min(a, b), max(a, b)) for a, b in directed}
 
@@ -481,19 +455,19 @@ class MotionDatabase:
         other shard answers with one indexed MOR probe per outer object.
         """
         return index_distance_join(
-            outer, self._index, self._motions.__getitem__, d, t1, t2
+            outer, self._index, self._columns.motion_of, d, t1, t2
         )
 
     # -- batch queries --------------------------------------------------------------
 
     @property
     def vector_enabled(self) -> bool:
-        """Whether the columnar fast path is active."""
-        return self._columns is not None
+        """Whether :meth:`query_batch` runs the vectorized kernels."""
+        return self._vector
 
     @property
-    def columns(self):
-        """The live columnar mirror (``None`` when vector is off)."""
+    def columns(self) -> MotionColumns:
+        """The object table (treat as read-only)."""
         return self._columns
 
     def query_batch(self, queries: List[QueryOp]) -> List:
@@ -502,13 +476,13 @@ class MotionDatabase:
         Accepts the :mod:`repro.vector.ops` vocabulary (``Within`` /
         ``SnapshotAt`` / ``Nearest`` / ``ProximityPairs``) and returns
         one result per operation, in order, with the same container
-        conventions as the scalar methods.  With the columnar mirror
-        active the whole batch is answered by vectorized kernels over
-        one consistent view of the population; otherwise each
-        operation takes the scalar path.  Either way the answers are
-        identical — the batch API changes throughput, not semantics.
+        conventions as the scalar methods.  With ``vector`` on the
+        whole batch is answered by vectorized kernels over the object
+        table; otherwise each operation takes the scalar path.  Either
+        way the answers are identical — the batch API changes
+        throughput, not semantics.
         """
-        if self._columns is not None:
+        if self._vector:
             from repro.vector.evaluate import evaluate_batch
 
             return evaluate_batch(self._columns, queries)

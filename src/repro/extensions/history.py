@@ -106,10 +106,9 @@ class HistoricalIndex(MobileIndex1D):
         """Recovery-path insert: open a version without the time-order
         check.
 
-        Checkpoint populations are serialized in *registration* order
-        (part of the byte-identical recovery contract), which is not
-        timestamp order once objects have been updated; replaying them
-        through :meth:`insert` would trip ``_advance``.  The archive
+        Checkpoint populations are serialized in oid order, which is
+        not timestamp order; replaying them through :meth:`insert`
+        would trip ``_advance``.  The archive
         itself has no ordering requirement, so recovery opens versions
         directly and only ratchets the clock forward.
         """

@@ -58,8 +58,8 @@ class MobileIndex1D(abc.ABC):
         """Answer many MOR queries in one call.
 
         The default is the scalar loop, so every index participates in
-        the batch API; implementations with a columnar mirror override
-        this with a kernel invocation.  Answers must be elementwise
+        the batch API; an implementation may override this with one
+        grouped pass.  Answers must be elementwise
         identical to :meth:`query` — the batch paths are differential-
         tested against the scalar paths.
         """
@@ -96,6 +96,12 @@ class MobileIndex1D(abc.ABC):
     @abc.abstractmethod
     def __len__(self) -> int:
         """Number of objects currently indexed."""
+
+    def share_motions(self, table) -> None:
+        """Read object motions from ``table``, the owner's object table
+        (:class:`~repro.vector.columns.MotionColumns`), instead of
+        keeping a map of one's own.  By default nothing changes: only
+        an index that maps oids to motions has a map to give up."""
 
     # -- I/O accounting --------------------------------------------------------
 

@@ -70,6 +70,9 @@ class _DualPointIndex(MobileIndex1D):
     def __len__(self) -> int:
         return len(self._signs)
 
+    def __contains__(self, oid: int) -> bool:
+        return oid in self._signs
+
     # Subclass hooks -----------------------------------------------------------
 
     def _store(self, sign: int, point: Tuple[float, float], oid: int) -> None:

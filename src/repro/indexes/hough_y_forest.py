@@ -228,9 +228,12 @@ class HoughYForestIndex(MobileIndex1D):
         )
         self._tree_disks: Dict[Tuple[int, int], DiskSimulator] = {}
         self._trees: Dict[Tuple[int, int], ObservationTree] = {}
-        #: oid -> motion; where the motion is stored is a function of
-        #: it (:meth:`_placement`), recomputed when it leaves.
-        self._catalog: Dict[int, LinearMotion1D] = {}
+        #: oid -> motion of every object the trees hold; where a motion
+        #: is stored is a function of it (:meth:`_placement`),
+        #: recomputed when it leaves.  The forest's own map, until a
+        #: shard shares its object table (:meth:`share_motions`).
+        self._motions = {}
+        self._shared = False
 
     def _tree_keys(self) -> Iterator[Tuple[int, int]]:
         """``(sign, horizon)`` of every observation tree, in disk order."""
@@ -271,7 +274,7 @@ class HoughYForestIndex(MobileIndex1D):
         if columns is None:
             index._raise_first_rejection(objects)
         oid, y0, v, t0 = columns
-        index._catalog = {obj.oid: obj.motion for obj in objects}
+        index._motions = {obj.oid: obj.motion for obj in objects}
         # Each sign's objects in their positive-velocity view (input
         # order kept): band, start, speed, reference time, oid.
         forward = v > 0
@@ -311,9 +314,7 @@ class HoughYForestIndex(MobileIndex1D):
         convert, and :func:`~repro.core.model.check_oid` refuses both.
         """
         oids = [obj.oid for obj in objects]
-        if len(set(oids)) != len(oids) or not all(
-            issubclass(kind, int) for kind in set(map(type, oids))
-        ):
+        if not all(issubclass(kind, int) for kind in set(map(type, oids))):
             return None
         try:
             oid = np.array(oids, dtype=np.int64)
@@ -323,6 +324,9 @@ class HoughYForestIndex(MobileIndex1D):
             )
         except (TypeError, ValueError, OverflowError):
             return None  # a field no column holds: the scalar check names it
+        ordered = np.sort(oid)
+        if (ordered[1:] == ordered[:-1]).any():
+            return None
         speed = np.abs(v)
         admitted = (
             (self.model.v_min <= speed)
@@ -363,8 +367,8 @@ class HoughYForestIndex(MobileIndex1D):
     def _band(self, speed: float) -> int:
         """The speed band ``j`` leading a record's tree key:
         ``band_edges[j] <= speed < band_edges[j + 1]`` (the last band
-        closed).  Derived from the speed the record and the catalogued
-        motion already hold, so it is stored nowhere else."""
+        closed).  Derived from the speed the record and the stored motion
+        already hold, so it is stored nowhere else."""
         edges = self.band_edges
         return bisect_right(edges, speed, 1, len(edges) - 1) - 1
 
@@ -374,29 +378,90 @@ class HoughYForestIndex(MobileIndex1D):
         """Where a motion is stored: its velocity sign, the speed kept
         as the record value and the ``b`` key in each observation tree
         — a pure function of the motion, so a delete recomputes what
-        the insert stored and the catalog keeps neither."""
+        the insert stored and no map keeps either."""
         sign, oriented = self._oriented(motion)
         crossings = [oriented.time_at(y_r) for y_r in self.horizons]
         return sign, oriented.v, crossings
 
-    def insert(self, obj: MobileObject1D) -> None:
-        if obj.oid in self._catalog:
-            raise DuplicateObjectError(f"object {obj.oid} already indexed")
-        self._check(obj)
+    def _put(self, obj: MobileObject1D) -> None:
+        """Index an admitted object: its records into every tree of its
+        sign."""
         sign, speed, crossings = self._placement(obj.motion)
         band = self._band(speed)
         for i, b in enumerate(crossings):
             self._trees[(sign, i)].insert((band, b, obj.oid), speed)
-        self._catalog[obj.oid] = obj.motion
+        if not self._shared:
+            self._motions[obj.oid] = obj.motion
 
-    def delete(self, oid: int) -> None:
-        motion = self._catalog.pop(oid, None)
-        if motion is None:
-            raise ObjectNotFoundError(f"object {oid} is not indexed")
+    def _drop(self, oid: int, motion: LinearMotion1D) -> None:
+        """Remove an indexed object whose stored motion is ``motion``."""
         sign, speed, crossings = self._placement(motion)
         band = self._band(speed)
         for i, b in enumerate(crossings):
             self._trees[(sign, i)].delete((band, b, oid))
+        if not self._shared:
+            del self._motions[oid]
+
+    def insert(self, obj: MobileObject1D) -> None:
+        if obj.oid in self:
+            raise DuplicateObjectError(f"object {obj.oid} already indexed")
+        self._check(obj)
+        self._put(obj)
+
+    def delete(self, oid: int) -> None:
+        self._drop(oid, self._held(oid))
+
+    def update(self, obj: MobileObject1D) -> None:
+        """Delete + insert (paper §3), both checked first: a refused
+        motion leaves the object where it was."""
+        motion = self._held(obj.oid)
+        self._check(obj)
+        self._drop(obj.oid, motion)
+        self._put(obj)
+
+    # -- the motions the trees hold ------------------------------------------------
+
+    def share_motions(self, table: Any) -> None:
+        """Read motions from ``table`` — the owning shard's object table
+        (:class:`~repro.vector.columns.MotionColumns`) — instead of
+        keeping a map of the forest's own.
+
+        The table holds every object of the shard, slow ones too; the
+        forest's are those whose motion the model calls moving.  The
+        shard admits a write before the index sees it and writes the
+        row after the index call, so during a call a row still holds
+        the motion the trees hold — what a delete recomputes its keys
+        from — and recording the new one is the shard's job.
+        """
+        if len(self):
+            raise ValueError("only an empty forest can share a table")
+        self._motions = table
+        self._shared = True
+
+    def _motion(self, oid: int) -> Optional[LinearMotion1D]:
+        """The motion the trees hold for ``oid``, or ``None``."""
+        motion = self._motions.get(oid)
+        if motion is None or not self.model.is_moving(motion):
+            return None
+        return motion
+
+    def _held(self, oid: int) -> LinearMotion1D:
+        motion = self._motion(oid)
+        if motion is None:
+            raise ObjectNotFoundError(f"object {oid} is not indexed")
+        return motion
+
+    def __contains__(self, oid: int) -> bool:
+        return self._motion(oid) is not None
+
+    def motion_snapshot(self) -> Dict[int, LinearMotion1D]:
+        """The oid → motion map of the objects the trees hold (a fresh
+        dict)."""
+        return {
+            oid: motion
+            for oid, motion in self._motions.items()
+            if self.model.is_moving(motion)
+        }
 
     # -- batched writes ------------------------------------------------------------
 
@@ -413,7 +478,8 @@ class HoughYForestIndex(MobileIndex1D):
             new.stats = old.stats
         self._tree_disks = rebuilt._tree_disks
         self._trees = rebuilt._trees
-        self._catalog = rebuilt._catalog
+        if not self._shared:
+            self._motions = rebuilt._motions
 
     def _rebuild(self, objects: List[MobileObject1D]) -> None:
         self._adopt(
@@ -433,24 +499,19 @@ class HoughYForestIndex(MobileIndex1D):
         """Drop ``leaving`` and index ``arriving`` leaf-at-a-time.
 
         An oid on both sides is an update.  The whole group is checked
-        first (catalog membership, model band and terrain), so a
-        rejected group leaves the forest untouched.  Then every
-        observation tree receives its share of the group as **one**
-        key-sorted run
+        first (membership, model band and terrain), so a rejected group
+        leaves the forest untouched.  Then every observation tree
+        receives its share of the group as **one** key-sorted run
         (:meth:`~repro.bptree.tree.BPlusTree.apply_sorted`): a leaf the
         batch touches many times is read and written once.
         """
         gone = set(leaving)
         if len(gone) != len(leaving):
             raise DuplicateObjectError("an object is deleted twice in the batch")
-        for oid in leaving:
-            if oid not in self._catalog:
-                raise ObjectNotFoundError(f"object {oid} is not indexed")
+        departed = [self._held(oid) for oid in leaving]
         seen: Set[int] = set()
         for obj in arriving:
-            if obj.oid in seen or (
-                obj.oid in self._catalog and obj.oid not in gone
-            ):
+            if obj.oid in seen or (obj.oid not in gone and obj.oid in self):
                 raise DuplicateObjectError(
                     f"object {obj.oid} already indexed"
                 )
@@ -460,8 +521,8 @@ class HoughYForestIndex(MobileIndex1D):
         tree_ops: Dict[Tuple[int, int], List[BatchOp]] = {
             key: [] for key in self._trees
         }
-        for oid in leaving:
-            sign, speed, crossings = self._placement(self._catalog.pop(oid))
+        for oid, motion in zip(leaving, departed):
+            sign, speed, crossings = self._placement(motion)
             band = self._band(speed)
             for i, b in enumerate(crossings):
                 tree_ops[(sign, i)].append(((band, b, oid), DELETE, None))
@@ -472,14 +533,18 @@ class HoughYForestIndex(MobileIndex1D):
                 tree_ops[(sign, i)].append(
                     ((band, b, obj.oid), INSERT, speed)
                 )
-            self._catalog[obj.oid] = obj.motion
+        if not self._shared:
+            for oid in leaving:
+                del self._motions[oid]
+            for obj in arriving:
+                self._motions[obj.oid] = obj.motion
         for key, ops in tree_ops.items():
             ops.sort(key=batch_order)
             self._trees[key].apply_sorted(ops)
 
     def insert_batch(self, objs: Sequence[MobileObject1D]) -> None:
         """Bulk-load an empty forest; one grouped run per tree otherwise."""
-        if self._catalog or len(objs) < 2:
+        if len(self) or len(objs) < 2:
             self._apply_grouped([], objs)
             return
         self._rebuild(list(objs))
@@ -504,17 +569,16 @@ class HoughYForestIndex(MobileIndex1D):
         """
         if (
             len(objs) < self.REBUILD_MIN_BATCH
-            or len(objs) < self.REBUILD_FRACTION * len(self._catalog)
+            or len(objs) < self.REBUILD_FRACTION * len(self)
         ):
             self._apply_grouped([obj.oid for obj in objs], objs)
             return
+        motions = self.motion_snapshot()
         for obj in objs:
-            if obj.oid not in self._catalog:
+            if obj.oid not in motions:
                 raise ObjectNotFoundError(
                     f"object {obj.oid} is not indexed"
                 )
-        motions = dict(self._catalog)
-        for obj in objs:
             motions[obj.oid] = obj.motion
         self._rebuild(
             [MobileObject1D(oid, motion) for oid, motion in motions.items()]
@@ -602,7 +666,8 @@ class HoughYForestIndex(MobileIndex1D):
         return (fetched, exact)
 
     def __len__(self) -> int:
-        return len(self._catalog)
+        """Every object has one record in each tree of its sign."""
+        return len(self._trees[(1, 0)]) + len(self._trees[(-1, 0)])
 
     @property
     def disks(self) -> Sequence[DiskSimulator]:
@@ -679,9 +744,9 @@ class PaperForestIndex(HoughYForestIndex):
         per_subterrain: List[List[Tuple[int, float, float]]] = [
             [] for _ in range(c)
         ]
-        for oid, motion in index._catalog.items():
-            for i, left, right in index._residences(motion):
-                per_subterrain[i].append((oid, left, right))
+        for obj in objects:
+            for i, left, right in index._residences(obj.motion):
+                per_subterrain[i].append((obj.oid, left, right))
         index._interval_disks = [DiskSimulator() for _ in range(c)]
         index._intervals = [
             IntervalIndex.bulk_build(
@@ -691,14 +756,13 @@ class PaperForestIndex(HoughYForestIndex):
         ]
         return index
 
-    def insert(self, obj: MobileObject1D) -> None:
-        super().insert(obj)
+    def _put(self, obj: MobileObject1D) -> None:
+        super()._put(obj)
         for i, left, right in self._residences(obj.motion):
             self._intervals[i].insert(obj.oid, left, right)
 
-    def delete(self, oid: int) -> None:
-        motion = self._catalog.get(oid)
-        super().delete(oid)
+    def _drop(self, oid: int, motion: LinearMotion1D) -> None:
+        super()._drop(oid, motion)
         for i, _, _ in self._residences(motion):
             self._intervals[i].delete(oid)
 
@@ -711,17 +775,13 @@ class PaperForestIndex(HoughYForestIndex):
         self, leaving: Sequence[int], arriving: Sequence[MobileObject1D]
     ) -> None:
         """The trees' grouped runs, then one batch per interval index."""
-        departed = [
-            (oid, self._catalog[oid])
-            for oid in leaving
-            if oid in self._catalog
-        ]
+        departed = [self._motion(oid) for oid in leaving]
         super()._apply_grouped(leaving, arriving)
         deletes: List[List[int]] = [[] for _ in range(self.c)]
         inserts: List[List[Tuple[int, float, float]]] = [
             [] for _ in range(self.c)
         ]
-        for oid, motion in departed:
+        for oid, motion in zip(leaving, departed):
             for i, _, _ in self._residences(motion):
                 deletes[i].append(oid)
         for obj in arriving:

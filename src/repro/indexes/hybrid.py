@@ -131,6 +131,9 @@ class SlowObjectIndex(MobileIndex1D):
     def __len__(self) -> int:
         return len(self._motions)
 
+    def __contains__(self, oid: int) -> bool:
+        return oid in self._motions
+
     @property
     def disks(self) -> Sequence[DiskSimulator]:
         return (self._disk,)
@@ -141,7 +144,14 @@ FastFactory = Callable[[MotionModel], MobileIndex1D]
 
 
 class HybridIndex(MobileIndex1D):
-    """Route objects by speed band: §3's moving/slow population split."""
+    """Route objects by speed band: §3's moving/slow population split.
+
+    Which store holds an object is a function of its motion — the slow
+    store takes what the model does not call moving — so the hybrid
+    keeps no per-object state: the slow store's own map answers
+    :meth:`store_of`, and a band change is a delete from one store and
+    an insert into the other.
+    """
 
     name = "hybrid"
 
@@ -154,31 +164,47 @@ class HybridIndex(MobileIndex1D):
         super().__init__(model)
         self._fast = fast_factory(model)
         self._slow = slow_index or SlowObjectIndex(model)
-        self._band: Dict[int, str] = {}
+
+    def store_of(self, oid: int) -> MobileIndex1D:
+        """The store holding ``oid`` (the fast one for an unknown oid,
+        whose own delete then refuses it)."""
+        return self._slow if oid in self._slow else self._fast
+
+    def _store_for(self, motion: LinearMotion1D) -> MobileIndex1D:
+        return self._fast if self.model.is_moving(motion) else self._slow
+
+    def __contains__(self, oid: int) -> bool:
+        return oid in self._slow or oid in self._fast
+
+    def share_motions(self, table) -> None:
+        """The fast store reads the owner's table; the slow store keeps
+        its own map (empty unless objects park)."""
+        self._fast.share_motions(table)
 
     def insert(self, obj: MobileObject1D) -> None:
-        if obj.oid in self._band:
+        if obj.oid in self:
             raise DuplicateObjectError(f"object {obj.oid} already indexed")
         self.model.check_admissible(obj.motion, obj.oid)
-        if self.model.is_moving(obj.motion):
-            self._fast.insert(obj)
-            self._band[obj.oid] = "fast"
-        else:
-            self._slow.insert(obj)
-            self._band[obj.oid] = "slow"
+        self._store_for(obj.motion).insert(obj)
 
     def delete(self, oid: int) -> None:
-        band = self._band.pop(oid, None)
-        if band is None:
-            raise ObjectNotFoundError(f"object {oid} is not indexed")
-        if band == "fast":
-            self._fast.delete(oid)
+        self.store_of(oid).delete(oid)
+
+    def update(self, obj: MobileObject1D) -> None:
+        """Replace the motion in place, or move the object to the other
+        store when its band changes; refused before anything moves."""
+        self.model.check_admissible(obj.motion, obj.oid)
+        source = self.store_of(obj.oid)
+        target = self._store_for(obj.motion)
+        if source is target:
+            source.update(obj)
         else:
-            self._slow.delete(oid)
+            source.delete(obj.oid)
+            target.insert(obj)
 
     def query(self, query: MORQuery1D) -> Set[int]:
         """Union over the stores that hold anything: an empty store
-        (the catalog knows, no I/O needed) is not descended into."""
+        (its count knows, no I/O needed) is not descended into."""
         result: Set[int] = set()
         for store in (self._fast, self._slow):
             if len(store):
@@ -192,7 +218,7 @@ class HybridIndex(MobileIndex1D):
         fast: list = []
         slow: list = []
         for obj in objs:
-            if obj.oid in self._band:
+            if obj.oid in self:
                 raise DuplicateObjectError(
                     f"object {obj.oid} already indexed"
                 )
@@ -200,12 +226,8 @@ class HybridIndex(MobileIndex1D):
             (fast if self.model.is_moving(obj.motion) else slow).append(obj)
         if fast:
             self._fast.insert_batch(fast)
-            for obj in fast:
-                self._band[obj.oid] = "fast"
         if slow:
             self._slow.insert_batch(slow)
-            for obj in slow:
-                self._band[obj.oid] = "slow"
 
     def update_batch(self, objs: Sequence[MobileObject1D]) -> None:
         """Group the fast-band bulk of a batch into one grouped update.
@@ -214,18 +236,14 @@ class HybridIndex(MobileIndex1D):
         paper's update storms) forward as one
         :meth:`~repro.indexes.base.MobileIndex1D.update_batch` to the
         fast method, which may rebuild in bulk; band transitions and
-        slow-band updates take the scalar route-and-reinsert path.
-        Callers guarantee oid-uniqueness within the batch, so the two
-        groups commute.
+        slow-band updates take the scalar :meth:`update`.  Callers
+        guarantee oid-uniqueness within the batch, so the two groups
+        commute.
         """
         stay_fast: list = []
         rest: list = []
         for obj in objs:
-            if (
-                self._band.get(obj.oid) == "fast"
-                and abs(obj.motion.v) <= self.model.v_max
-                and self.model.is_moving(obj.motion)
-            ):
+            if obj.oid not in self._slow and self.model.is_moving(obj.motion):
                 stay_fast.append(obj)
             else:
                 rest.append(obj)
@@ -239,17 +257,14 @@ class HybridIndex(MobileIndex1D):
         fast: list = []
         slow: list = []
         for oid in oids:
-            band = self._band.pop(oid, None)
-            if band is None:
-                raise ObjectNotFoundError(f"object {oid} is not indexed")
-            (fast if band == "fast" else slow).append(oid)
+            (slow if oid in self._slow else fast).append(oid)
         if fast:
             self._fast.delete_batch(fast)
         if slow:
             self._slow.delete_batch(slow)
 
     def __len__(self) -> int:
-        return len(self._band)
+        return len(self._fast) + len(self._slow)
 
     @property
     def disks(self) -> Sequence[DiskSimulator]:

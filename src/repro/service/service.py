@@ -211,7 +211,7 @@ class ShardedMotionService:
         spawns a service-owned :class:`~repro.service.parallel.
         WorkerPool` of N processes; alternatively pass an existing
         ``pool`` to share one across services (the caller keeps
-        ownership).  Either way each shard's columnar mirror moves
+        ownership).  Either way each shard's object table moves
         into shared memory (:class:`~repro.vector.shm.
         SharedMotionColumns`) so workers read rows without pickling,
         and :meth:`query_batch` fans per-shard sub-batches over the
@@ -270,7 +270,7 @@ class ShardedMotionService:
             self._owns_pool = True
         columns_factory = None
         if self._pool is not None:
-            # Shard mirrors move into shared memory so pool workers
+            # Shard tables move into shared memory so pool workers
             # can attach them by name; contract and answers are
             # unchanged (SharedMotionColumns is a MotionColumns).
             from repro.vector import SharedMotionColumns
@@ -335,7 +335,7 @@ class ShardedMotionService:
     def _retire_database(db: Optional[MotionDatabase]) -> None:
         """Release a replaced shard database's shared-memory segments.
 
-        A no-op for plain in-process mirrors; for shared columns this
+        A no-op for plain in-process tables; for shared columns this
         unlinks eagerly instead of waiting for GC/atexit, so crash
         drills that rebuild shards repeatedly don't pile up segments.
         """
@@ -542,12 +542,13 @@ class ShardedMotionService:
         shard: int,
         sub_ops: List[WriteOp],
         fences: List[Optional[int]],
+        motions: List[Optional[LinearMotion1D]],
         span,
         hook: Callable[[str], None],
     ) -> None:
         """Hand one shard its share of a write batch (all locks held):
         the planned sub-ops :meth:`_guard` admitted and, parallel to
-        them, their fences.
+        them, their fences and the motions the plan built for them.
 
         Here: one grouped :meth:`MotionDatabase.apply_batch`.  ``hook``
         fires ``write_batch.pre_fsync`` where a log would sit between
@@ -555,7 +556,7 @@ class ShardedMotionService:
         """
         db = self._shards[shard]
         before = db.io_snapshot()
-        errors = db.apply_batch(sub_ops)
+        errors = db.apply_batch(sub_ops, motions)
         span.add_shard_io(shard, db.io_delta_since(before))
         for sub_op, error in zip(sub_ops, errors):
             if error is not None:
@@ -829,69 +830,79 @@ class ShardedMotionService:
             _check_write_ops(ops)
             outcomes: List[Optional[Exception]] = [None] * len(ops)
             events: List[Tuple[str, int, Optional[LinearMotion1D]]] = []
-            # shard -> (its sub-ops, their fences), submission order
-            staged: Dict[int, Tuple[List, List]] = {}
-            # Residency overlay for sub-ops staged but not yet applied,
-            # so a register → deregister pair inside one batch resolves
-            # against the state the earlier op *will* have produced.
-            pending: Dict[Tuple[int, int], bool] = {}
-
-            def resident(shard: int, oid: int) -> bool:
-                staged_state = pending.get((shard, oid))
-                if staged_state is None:
-                    return oid in self._shards[shard]
-                return staged_state
-
-            def admit(step: _Step, name: str) -> bool:
-                """Stage one planned step iff it lands."""
-                shard, sub_op, fence = step
-                deleting = isinstance(sub_op, DeregisterOp)
-                if deleting and not resident(shard, sub_op.oid):
-                    return False  # copy never landed here
-                try:
-                    self._guard(shard, name, write=True)
-                except ShardUnavailableError:
-                    return False
-                if deleting or isinstance(sub_op, RegisterOp):
-                    pending[shard, sub_op.oid] = not deleting
-                sub_ops, fences = staged.setdefault(shard, ([], []))
-                sub_ops.append(sub_op)
-                fences.append(fence)
-                return True
-
             with self._holding(range(self.shard_count)):
                 with self._catalog_lock:
-                    # The catalog commits as ops resolve, so duplicate
-                    # oids within one batch see each other in order;
-                    # with every lock held no plan can go stale.
-                    for i, op in enumerate(ops):
-                        try:
-                            (_, migration), steps, cleanup, owner, event = (
-                                self._plan_write(op)
-                            )
-                        except (
-                            InvalidMotionError,
-                            ObjectNotFoundError,
-                        ) as exc:
-                            outcomes[i] = exc
-                            continue
-                        name = _VERBS[type(op)]
-                        if not [step for step in steps if admit(step, name)]:
-                            outcomes[i] = _no_live_replica(name, op.oid, steps)
-                            continue
-                        for step in cleanup:
-                            admit(step, name)
-                        self._commit_write(op.oid, owner, event)
-                        if migration is not None and event[0] == "update":
-                            self.metrics.counter(
-                                "rebalance_double_writes"
-                            ).increment()
-                        events.append(event)
+                    staged = self._stage_batch(ops, outcomes, events)
                 hook = crash_hook or _no_hook
                 for shard in sorted(staged):
-                    self._apply_sub_batch(shard, *staged[shard], span, hook)
+                    # Popped, so a group is released once it applied.
+                    self._apply_sub_batch(
+                        shard, *staged.pop(shard), span, hook
+                    )
                 self._notify_update_batch(events)
             return outcomes
+
+    def _stage_batch(
+        self,
+        ops: Sequence[WriteOp],
+        outcomes: List[Optional[Exception]],
+        events: List[Tuple[str, int, Optional[LinearMotion1D]]],
+    ) -> Dict[int, Tuple[List, List, List]]:
+        """Plan a batch (every lock held): each op through
+        :meth:`_plan_write` in submission order, its steps admitted,
+        the catalog committed as it resolves — so duplicate oids within
+        one batch see each other in order.  Fills ``outcomes`` and
+        ``events``; returns, per shard, the admitted sub-ops, their
+        fences and their motions (the event's, so a shard indexes the
+        object the listeners get), in submission order.
+        """
+        staged: Dict[int, Tuple[List, List, List]] = {}
+        # Per shard, residency of the oids a staged sub-op registers or
+        # deregisters, so a register → deregister pair inside one batch
+        # resolves against the state the earlier op *will* have
+        # produced.  It lives only while the batch is planned.
+        pending: List[Dict[int, bool]] = [{} for _ in self._shards]
+
+        def admit(step: _Step, name: str, motion) -> bool:
+            """Stage one planned step iff it lands."""
+            shard, sub_op, fence = step
+            deleting = isinstance(sub_op, DeregisterOp)
+            if deleting and not pending[shard].get(
+                sub_op.oid, sub_op.oid in self._shards[shard]
+            ):
+                return False  # copy never landed here
+            try:
+                self._guard(shard, name, write=True)
+            except ShardUnavailableError:
+                return False
+            if deleting or isinstance(sub_op, RegisterOp):
+                pending[shard][sub_op.oid] = not deleting
+            sub_ops, fences, motions = staged.setdefault(shard, ([], [], []))
+            sub_ops.append(sub_op)
+            fences.append(fence)
+            motions.append(None if deleting else motion)
+            return True
+
+        for i, op in enumerate(ops):
+            try:
+                (_, migration), steps, cleanup, owner, event = (
+                    self._plan_write(op)
+                )
+            except (InvalidMotionError, ObjectNotFoundError) as exc:
+                outcomes[i] = exc
+                continue
+            name = _VERBS[type(op)]
+            motion = event[2]
+            if not [step for step in steps if admit(step, name, motion)]:
+                outcomes[i] = _no_live_replica(name, op.oid, steps)
+                continue
+            for step in cleanup:
+                admit(step, name, motion)
+            self._commit_write(op.oid, owner, event)
+            if migration is not None and event[0] == "update":
+                self.metrics.counter("rebalance_double_writes").increment()
+            events.append(event)
+        return staged
 
     # -- live rebalancing (two-phase object migration) ---------------------------
     #
@@ -1278,7 +1289,7 @@ class ShardedMotionService:
         unanswerable neither reads nor writes it, and an answer some
         shard did not contribute to is never stored.
 
-        Metrics caveat: with the columnar mirror active the pushed-down
+        Metrics caveat: with the vector path on, the pushed-down
         batch is answered by in-memory kernels that never touch the
         simulated disk pages, so the ``query_batch`` span's per-shard
         I/O is near zero by construction.  It is **not comparable** to
@@ -1361,7 +1372,7 @@ class ShardedMotionService:
         """The answers to ``batch`` of each ``live`` shard that
         :meth:`_guard` admits, keyed by shard: pooled when possible.
 
-        With a worker pool, every admitted shard whose mirror is a
+        With a worker pool, every admitted shard whose table is a
         shared segment is dispatched as one pool task (the worker
         snapshots the segment under its seqlock and runs the same
         ``evaluate_arrays`` dispatch as the inline leg); the rest —
@@ -1464,7 +1475,7 @@ class ShardedMotionService:
         pool passed in by the caller is left running) and unlinks
         every shard's shared-memory segments.  Idempotent; a no-op for
         a ``workers=0`` service.  The service must not be used after
-        close when the parallel tier was active — the shard mirrors'
+        close when the parallel tier was active — the shard tables'
         buffers are gone.
         """
         if self._owns_pool and self._pool is not None:

@@ -59,8 +59,7 @@ as working state and writes *through* a persistence backend:
   death resumes from the committed prefix.
 
 :meth:`recover` rebuilds a fresh database: the checkpoint rows (in
-catalog order — object registration order is part of the
-byte-identical contract) and the log tail as one ``apply_batch``,
+oid order, whatever order the writes came in) and the log tail as one ``apply_batch``,
 which an empty index answers with a bulk build (``keep_history=True``
 shards load the rows through the order-agnostic ``restore_object``
 and the archive the checkpoint carries, then the tail alike).
@@ -82,7 +81,7 @@ from typing import Callable, Dict, List, Optional
 from repro.engine import MotionDatabase
 from repro.errors import CorruptRecordError, DegradedResultWarning
 from repro.storage.backend import MemoryWALBackend
-from repro.storage.codec import decode_record, encode_record, population_columns
+from repro.storage.codec import Population, decode_record, encode_record
 from repro.vector.ops import RegisterOp, WriteOp, record_op
 
 #: One WAL record: a serialization.py trace event plus a "seq" key.
@@ -261,7 +260,7 @@ class ShardWAL:
         payload = {
             "seq": self._seq,
             "now": db.now,
-            "population": population_columns(db.motion_snapshot()),
+            "population": Population(*db.columns.ordered()),
             "history": db.history_snapshot(),
             "bands": self._bands,
             "migrations": list(self._inflight.values()),

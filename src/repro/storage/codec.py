@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, Iterator, Mapping, NamedTuple, Tuple
+from typing import Dict, Iterator, NamedTuple, Tuple
 
 import numpy as np
 
-from repro.core.model import LinearMotion1D
 from repro.errors import CorruptRecordError
 
 _INSERT, _UPDATE, _DELETE, _CHECKPOINT = 1, 2, 3, 4
@@ -66,7 +65,7 @@ _COLUMNS = (("oid", "<i8"), ("y0", "<f8"), ("v", "<f8"), ("t0", "<f8"))
 
 
 class Population(NamedTuple):
-    """A shard's objects as four aligned columns, in catalog order."""
+    """A shard's objects as four aligned columns, in oid order."""
 
     oid: np.ndarray
     y0: np.ndarray
@@ -76,15 +75,6 @@ class Population(NamedTuple):
     def rows(self) -> Iterator[Tuple[int, float, float, float]]:
         """``(oid, y0, v, t0)`` per object, as Python numbers."""
         return zip(*(column.tolist() for column in self))
-
-
-def population_columns(motions: Mapping[int, LinearMotion1D]) -> Population:
-    """The columns of an ``oid -> motion`` map, in its iteration order."""
-    n = len(motions)
-    fields = np.array(
-        [(m.y0, m.v, m.t0) for m in motions.values()], dtype=np.float64
-    ).reshape(n, 3)
-    return Population(np.fromiter(motions, np.int64, n), *fields.T)
 
 
 def _json(document: Dict) -> bytes:

@@ -1,9 +1,10 @@
 """Vectorized batch query evaluation (``repro.vector``).
 
 The columnar fast path for the paper's dual-space predicates: a
-structure-of-arrays mirror of the live population
-(:class:`MotionColumns`), whole-population kernels for the Hough-X
-wedge / Hough-Y b-range / snapshot / k-NN / proximity predicates
+structure-of-arrays table of the live population, one row an object
+(:class:`MotionColumns`, each shard's one object store),
+whole-population kernels for the Hough-X wedge / Hough-Y b-range /
+snapshot / k-NN / proximity predicates
 (:mod:`repro.vector.kernels`), a shared batch-query vocabulary
 (:mod:`repro.vector.ops`), a versioned memoizing result cache
 (:class:`QueryResultCache`), and a shared-memory variant of the store

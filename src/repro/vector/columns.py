@@ -1,40 +1,59 @@
-"""Structure-of-arrays columnar store for motion populations.
+"""The object table: a shard's population, one row per object.
 
-Every dual-space predicate of the paper's practical methods (§3.5) is
-a few arithmetic comparisons per object, so evaluating them one object
-at a time in Python spends almost all of its cycles on interpreter
-overhead.  :class:`MotionColumns` keeps the live population as four
-contiguous ``numpy`` arrays — ``oid``/``y0``/``v``/``t0``, one row per
-object — so the kernels in :mod:`repro.vector.kernels` can answer a
-query over the whole population with a handful of vectorized passes.
+A :class:`~repro.engine.MotionDatabase` — one shard — keeps each of its
+objects exactly once, as a row ``(oid, y0, v, t0)`` of four contiguous
+``numpy`` arrays.  Whatever asks for an object's motion reads its row:
+the shard's membership, ``len``, ``motion_of`` and snapshots, and the
+served Hough-Y forest when it deletes or rebuilds (where a motion sits
+in the forest's trees is a function of it).  A
+:class:`~repro.core.model.LinearMotion1D` is built only where a caller
+asks for one.  The same arrays are what the kernels in
+:mod:`repro.vector.kernels` scan, so a batch query reads the whole
+population in a handful of vectorised passes.
 
-The store is a *mirror*, not an index: it is kept in sync with a
-:class:`~repro.engine.MotionDatabase` through the update-listener
-write hook (``attach_update_listener``), never queried for exact
-per-object state the owner already has.  Deletes swap the last row
-into the hole so the arrays stay dense (kernels never see tombstones);
-row order is therefore arbitrary, which is fine because every batch
-result is a set or an explicitly re-ranked list.
+The shard writes a row *after* the index call that changed the object
+(:meth:`MotionColumns.apply_events` takes one group of writes at a
+time), so while an index call runs the row still holds the motion the
+index holds.  Rows are ``float64``: a motion read back is the float the
+kernels see, so an ``int`` or ``numpy.float64`` field comes back as the
+equal ``float``.  Deletes swap the last row into the hole so the arrays
+stay dense (kernels never see tombstones); row order is therefore
+arbitrary, which is fine because every batch result is a set or an
+explicitly re-ranked list.
 
-``version`` increments on every mutation — the invalidation signal
-the versioned query cache (:mod:`repro.vector.cache`) listens to.
+``version`` increments on every mutation; the shared-memory twin
+(:mod:`repro.vector.shm`) publishes it with every snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.model import LinearMotion1D
-from repro.vector import kernels
+from repro.core.model import LinearMotion1D, MobileObject1D
 
 #: Initial array capacity (doubles on overflow).
 _MIN_CAPACITY = 16
 
+_MOTION_FIELDS = tuple(
+    attrgetter(f"motion.{field}") for field in ("y0", "v", "t0")
+)
+
+
+def _motion_columns(
+    objs: Sequence[MobileObject1D],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(y0, v, t0)`` of the objects' motions as float64 arrays."""
+    return tuple(
+        np.fromiter(map(field, objs), np.float64, len(objs))
+        for field in _MOTION_FIELDS
+    )
+
 
 class MotionColumns:
-    """Dense columnar ``(oid, y0, v, t0)`` mirror of a population."""
+    """Dense columnar ``(oid, y0, v, t0)`` rows, one per object."""
 
     __slots__ = ("_oid", "_y0", "_v", "_t0", "_n", "_slots", "version")
 
@@ -60,7 +79,7 @@ class MotionColumns:
             columns.upsert(oid, motion)
         return columns
 
-    # -- introspection --------------------------------------------------------
+    # -- reads ------------------------------------------------------------------
 
     def __len__(self) -> int:
         return self._n
@@ -73,17 +92,34 @@ class MotionColumns:
     def __contains__(self, oid: int) -> bool:
         return oid in self._slots
 
-    def motion_of(self, oid: int) -> LinearMotion1D:
-        """The stored motion of one object (KeyError when absent)."""
-        slot = self._slots[oid]
+    def get(self, oid: int) -> Optional[LinearMotion1D]:
+        """The stored motion of one object, or ``None``."""
+        slot = self._slots.get(oid)
+        if slot is None:
+            return None
         return LinearMotion1D(
-            float(self._y0[slot]), float(self._v[slot]), float(self._t0[slot])
+            self._y0.item(slot), self._v.item(slot), self._t0.item(slot)
         )
 
-    def motions(self) -> Iterator[Tuple[int, LinearMotion1D]]:
-        """Iterate ``(oid, motion)`` in (arbitrary) row order."""
-        for oid in list(self._slots):
-            yield oid, self.motion_of(oid)
+    def motion_of(self, oid: int) -> LinearMotion1D:
+        """The stored motion of one object (KeyError when absent)."""
+        motion = self.get(oid)
+        if motion is None:
+            raise KeyError(oid)
+        return motion
+
+    def ordered(self) -> Tuple[np.ndarray, ...]:
+        """Copies of ``(oid, y0, v, t0)`` with the rows in oid order —
+        whatever order the writes came in, however deletes moved them."""
+        columns = self.arrays()
+        order = np.argsort(columns[0])
+        return tuple(column[order] for column in columns)
+
+    def items(self) -> Iterator[Tuple[int, LinearMotion1D]]:
+        """Iterate ``(oid, motion)`` in oid order."""
+        oid, y0, v, t0 = (column.tolist() for column in self.ordered())
+        for row in zip(oid, y0, v, t0):
+            yield row[0], LinearMotion1D(*row[1:])
 
     def arrays(
         self,
@@ -112,10 +148,8 @@ class MotionColumns:
         """
         return max(_MIN_CAPACITY, 2 * needed)
 
-    def _grow(self, needed: Optional[int] = None) -> None:
+    def _grow(self, needed: int) -> None:
         """Reallocate the buffers so at least ``needed`` rows fit."""
-        if needed is None:
-            needed = self._n + 1
         capacity = self._next_capacity(needed)
         for name in ("_oid", "_y0", "_v", "_t0"):
             old = getattr(self, name)
@@ -123,12 +157,18 @@ class MotionColumns:
             fresh[: self._n] = old[: self._n]
             setattr(self, name, fresh)
 
+    def _reserve(self, extra: int) -> None:
+        """Grow the buffers (one doubling allocation) so ``extra``
+        additional rows fit."""
+        needed = self._n + extra
+        if needed > self._oid.shape[0]:
+            self._grow(needed)
+
     def upsert(self, oid: int, motion: LinearMotion1D) -> None:
         """Insert a new row or overwrite the existing one for ``oid``."""
         slot = self._slots.get(oid)
         if slot is None:
-            if self._n == self._oid.shape[0]:
-                self._grow()
+            self._reserve(1)
             slot = self._n
             self._n += 1
             self._slots[oid] = slot
@@ -159,113 +199,58 @@ class MotionColumns:
         self._n = 0
         self.version += 1
 
-    def _reserve(self, extra: int) -> None:
-        """Grow the buffers (one doubling allocation) so ``extra``
-        additional rows fit."""
-        needed = self._n + extra
-        if needed > self._oid.shape[0]:
-            self._grow(needed)
-
     def apply_events(
-        self, events: List[Tuple[str, int, Optional[LinearMotion1D]]]
+        self, gone: Sequence[int], written: Sequence[MobileObject1D]
     ) -> None:
-        """Apply one batch of update-listener events in vectorized passes.
+        """Apply one group of writes in a few array passes.
 
-        ``events`` is the trace dialect the scalar listener speaks —
-        ``(kind, oid, motion)`` in apply order.  Because the mirror
-        keys on oid alone, only the *last* event per oid matters; the
-        net effect is split into one patch scatter (existing rows),
-        one append slice (new rows) and one delete compaction
-        (:func:`repro.vector.kernels.patch_rows` /
-        :func:`~repro.vector.kernels.append_rows` /
-        :func:`~repro.vector.kernels.delete_rows`), so a batch of n
-        writes costs three array passes instead of n interpreter
-        round-trips.  Equivalent to replaying the events through
-        :meth:`as_listener` up to row order, which is documented as
-        arbitrary; ``version`` advances once per batch.
+        ``gone`` are the oids whose rows are dropped (an absent one is
+        skipped, as :meth:`delete` skips it), ``written`` the objects
+        whose rows are set — overwritten in place when the oid has a
+        row, appended otherwise.  No oid appears twice across the two
+        (the group is one epoch of
+        :meth:`~repro.engine.MotionDatabase.apply_batch`).  The dropped
+        rows are filled from the live tail in one compaction, the
+        overwrites are one scatter and the appends one slice; the result
+        equals :meth:`delete` and :meth:`upsert` once per write up to
+        row order, and ``version`` advances once.
         """
-        if not events:
+        if not gone and not written:
             return
-        last: Dict[int, Optional[LinearMotion1D]] = {}
-        for kind, oid, motion in events:
-            last[oid] = None if (kind == "delete" or motion is None) else motion
-
-        patch_slots: List[int] = []
-        patch_motions: List[LinearMotion1D] = []
-        fresh_oids: List[int] = []
-        fresh_motions: List[LinearMotion1D] = []
-        doomed: List[int] = []
-        for oid, motion in last.items():
-            slot = self._slots.get(oid)
-            if motion is None:
-                if slot is not None:
-                    doomed.append(slot)
-                    del self._slots[oid]
-            elif slot is not None:
-                patch_slots.append(slot)
-                patch_motions.append(motion)
-            else:
-                fresh_oids.append(oid)
-                fresh_motions.append(motion)
-
-        if patch_slots:
-            kernels.patch_rows(
-                self._y0,
-                self._v,
-                self._t0,
-                np.asarray(patch_slots, dtype=np.int64),
-                np.asarray([m.y0 for m in patch_motions], dtype=np.float64),
-                np.asarray([m.v for m in patch_motions], dtype=np.float64),
-                np.asarray([m.t0 for m in patch_motions], dtype=np.float64),
-            )
+        doomed = [self._slots.pop(oid) for oid in gone if oid in self._slots]
         if doomed:
-            new_n, moved_oids, moved_to = kernels.delete_rows(
-                self._oid,
-                self._y0,
-                self._v,
-                self._t0,
-                self._n,
-                np.asarray(doomed, dtype=np.int64),
+            doomed = np.asarray(doomed, dtype=np.int64)
+            n = self._n - len(doomed)
+            holes = doomed[doomed < n]
+            tail = np.arange(n, self._n, dtype=np.int64)
+            # As many live rows past the new end as holes before it.
+            survivors = tail[~np.isin(tail, doomed)]
+            for column in (self._oid, self._y0, self._v, self._t0):
+                column[holes] = column[survivors]
+            self._n = n
+            for oid, slot in zip(self._oid[holes].tolist(), holes.tolist()):
+                self._slots[oid] = slot
+        patched, fresh = [], []
+        for obj in written:
+            (patched if obj.oid in self._slots else fresh).append(obj)
+        if patched:
+            slots = np.fromiter(
+                (self._slots[obj.oid] for obj in patched), np.int64,
+                len(patched),
             )
-            self._n = new_n
-            for moved, slot in zip(moved_oids, moved_to):
-                self._slots[int(moved)] = int(slot)
-        if fresh_oids:
-            self._reserve(len(fresh_oids))
-            start = self._n
-            self._n = kernels.append_rows(
-                self._oid,
-                self._y0,
-                self._v,
-                self._t0,
-                self._n,
-                np.asarray(fresh_oids, dtype=np.int64),
-                np.asarray([m.y0 for m in fresh_motions], dtype=np.float64),
-                np.asarray([m.v for m in fresh_motions], dtype=np.float64),
-                np.asarray([m.t0 for m in fresh_motions], dtype=np.float64),
+            self._y0[slots], self._v[slots], self._t0[slots] = (
+                _motion_columns(patched)
             )
-            for offset, oid in enumerate(fresh_oids):
-                self._slots[oid] = start + offset
+        if fresh:
+            self._reserve(len(fresh))
+            rows = slice(self._n, self._n + len(fresh))
+            self._oid[rows] = np.fromiter(
+                (obj.oid for obj in fresh), np.int64, len(fresh)
+            )
+            self._y0[rows], self._v[rows], self._t0[rows] = (
+                _motion_columns(fresh)
+            )
+            for slot, obj in enumerate(fresh, self._n):
+                self._slots[obj.oid] = slot
+            self._n += len(fresh)
         self.version += 1
-
-    # -- write-hook integration ----------------------------------------------
-
-    def as_listener(
-        self,
-    ) -> Callable[[str, int, Optional[LinearMotion1D]], None]:
-        """An ``attach_update_listener``-compatible sync hook.
-
-        Handles the trace dialect (``"insert"``/``"update"`` carry the
-        new motion, ``"delete"`` carries ``None``) and never raises —
-        the listener contract of the write path.
-        """
-
-        def listener(
-            kind: str, oid: int, motion: Optional[LinearMotion1D]
-        ) -> None:
-            if kind == "delete" or motion is None:
-                self.delete(oid)
-            else:
-                self.upsert(oid, motion)
-
-        return listener

@@ -1,8 +1,8 @@
 """Dispatch batch query operations onto the vectorized kernels.
 
 :func:`evaluate_batch` is the single entry point the engine's and the
-service's batch paths share: it unpacks a :class:`MotionColumns`
-mirror once, then answers every operation in the batch with whole-
+service's batch paths share: it unpacks a shard's :class:`MotionColumns`
+table once, then answers every operation in the batch with whole-
 array kernel passes.  Results use the exact container conventions of
 the scalar API — ``set`` of python ints for range queries, ranked
 ``[(oid, distance), ...]`` for k-NN, a ``set`` of unordered int pairs
@@ -75,7 +75,7 @@ def evaluate_arrays(
 
 
 def evaluate_query(columns: MotionColumns, op: QueryOp):
-    """Answer one query operation against the columnar mirror."""
+    """Answer one query operation against the object table."""
     oid, y0, v, t0 = columns.arrays()
     return evaluate_arrays(oid, y0, v, t0, op)
 

@@ -241,86 +241,6 @@ def proximity_pair_mask(
     return gap <= d
 
 
-# -- columnar write kernels ---------------------------------------------------
-#
-# The write-path mirror of the query kernels above: one vectorized
-# pass over the (oid, y0, v, t0) columns per *batch* of writes instead
-# of one interpreter round-trip per object.  All three are pure array
-# transforms — slot-map bookkeeping stays with the MotionColumns owner.
-
-
-def patch_rows(
-    y0: np.ndarray,
-    v: np.ndarray,
-    t0: np.ndarray,
-    slots: np.ndarray,
-    y0_new: np.ndarray,
-    v_new: np.ndarray,
-    t0_new: np.ndarray,
-) -> None:
-    """Scatter replacement motions into existing rows in one pass.
-
-    ``slots`` indexes the rows to overwrite; the three value arrays are
-    parallel to it.  Duplicate slots are legal — numpy fancy-index
-    assignment applies them left-to-right, so the last write for a row
-    wins, matching per-op apply order.
-    """
-    y0[slots] = y0_new
-    v[slots] = v_new
-    t0[slots] = t0_new
-
-
-def append_rows(
-    oid: np.ndarray,
-    y0: np.ndarray,
-    v: np.ndarray,
-    t0: np.ndarray,
-    n: int,
-    oid_new: np.ndarray,
-    y0_new: np.ndarray,
-    v_new: np.ndarray,
-    t0_new: np.ndarray,
-) -> int:
-    """Append new rows after row ``n`` in one slice assignment.
-
-    The caller guarantees capacity (``oid.shape[0] >= n + m``) and
-    oid-uniqueness; returns the new live-row count.
-    """
-    m = oid_new.shape[0]
-    oid[n : n + m] = oid_new
-    y0[n : n + m] = y0_new
-    v[n : n + m] = v_new
-    t0[n : n + m] = t0_new
-    return n + m
-
-
-def delete_rows(
-    oid: np.ndarray,
-    y0: np.ndarray,
-    v: np.ndarray,
-    t0: np.ndarray,
-    n: int,
-    doomed: np.ndarray,
-) -> Tuple[int, np.ndarray, np.ndarray]:
-    """Compact ``doomed`` rows out of the live prefix in one pass.
-
-    ``doomed`` holds unique row indices (< ``n``).  The batched
-    generalization of the scalar swap-with-last delete: surviving rows
-    from the tail move down into the holes so the live prefix stays
-    dense.  Returns ``(new_n, moved_oids, moved_to)`` — the rows that
-    changed slot, for the owner's slot-map maintenance.
-    """
-    k = doomed.shape[0]
-    new_n = n - k
-    holes = doomed[doomed < new_n]
-    tail = np.arange(new_n, n, dtype=np.int64)
-    survivors = tail[~np.isin(tail, doomed)]
-    # len(survivors) == len(holes): both count live-tail rows.
-    for col in (oid, y0, v, t0):
-        col[holes] = col[survivors]
-    return new_n, oid[holes].copy(), holes
-
-
 def proximity_pairs_blocked(
     oid: np.ndarray,
     y0: np.ndarray,

@@ -57,7 +57,7 @@ import time
 import weakref
 from contextlib import contextmanager
 from multiprocessing import shared_memory
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -206,7 +206,7 @@ class SharedMotionColumns(MotionColumns):
         """Live segments owned by this store (current + retired)."""
         return len(self._segments)
 
-    def _grow(self, needed: Optional[int] = None) -> None:
+    def _grow(self, needed: int) -> None:
         """Growth = a fresh, larger segment (the name changes).
 
         Runs inside a write window, so the retired segment's ``seq``
@@ -215,8 +215,6 @@ class SharedMotionColumns(MotionColumns):
         segment starts with the same odd ``seq`` and is published by
         the enclosing window's exit.
         """
-        if needed is None:
-            needed = self._n + 1
         capacity = self._next_capacity(needed)
         n = self._n
         old = (self._oid, self._y0, self._v, self._t0)
@@ -259,11 +257,9 @@ class SharedMotionColumns(MotionColumns):
         with self._write():
             super().clear()
 
-    def apply_events(self, events) -> None:
-        if not events:
-            return
+    def apply_events(self, gone, written) -> None:
         with self._write():
-            super().apply_events(events)
+            super().apply_events(gone, written)
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -272,7 +272,7 @@ class TestForestGroupedMaintenance:
                 scalar.delete(oid)
                 del live[oid]
             check_forest_invariants(grouped)
-            assert grouped._catalog == scalar._catalog
+            assert grouped.motion_snapshot() == scalar.motion_snapshot()
             assert_same_answers(grouped, scalar, list(live.values()))
 
     def test_a_rejected_group_leaves_the_forest_untouched(self):
@@ -283,7 +283,7 @@ class TestForestGroupedMaintenance:
         rng = random.Random(2)
         population = [random_object(rng, oid) for oid in range(30)]
         forest = cls.bulk_build(MODEL, population, c=2)
-        catalog = dict(forest._catalog)
+        catalog = forest.motion_snapshot()
         before = forest.snapshot()
         good = random_object(rng, 3)
         off_terrain = MobileObject1D(4, LinearMotion1D(2 * Y_MAX, 1.0, 0.0))
@@ -302,7 +302,7 @@ class TestForestGroupedMaintenance:
             forest.delete_batch([3, 99])
         with pytest.raises(DuplicateObjectError):
             forest.delete_batch([3, 3])
-        assert forest._catalog == catalog
+        assert forest.motion_snapshot() == catalog
         assert forest.io_cost_since(before) == 0
         check_forest_invariants(forest)
 
@@ -328,10 +328,9 @@ class TestForestGroupedMaintenance:
         assert len(storm) < HoughYForestIndex.REBUILD_MIN_BATCH
 
         touched = {key: set() for key in grouped._trees}
+        held = grouped.motion_snapshot()
         for obj in storm:
-            sign, old_speed, old_keys = grouped._placement(
-                grouped._catalog[obj.oid]
-            )
+            sign, old_speed, old_keys = grouped._placement(held[obj.oid])
             new_sign, speed, new_keys = grouped._placement(obj.motion)
             old_band = grouped._band(old_speed)
             new_band = grouped._band(speed)
@@ -374,7 +373,7 @@ class TestForestGroupedMaintenance:
             ), key
 
         check_forest_invariants(grouped)
-        assert grouped._catalog == scalar._catalog
+        assert grouped.motion_snapshot() == scalar.motion_snapshot()
         assert grouped.pages_in_use == scalar.pages_in_use
         for extent, window in ((10.0, 10.0), (100.0, 60.0)):  # 1 %, 10 %
             for _ in range(25):
@@ -397,7 +396,7 @@ class TestForestGroupedMaintenance:
             < scalar.io_cost_since(before_scalar)
         )
         check_forest_invariants(grouped)
-        assert grouped._catalog == scalar._catalog
+        assert grouped.motion_snapshot() == scalar.motion_snapshot()
         assert grouped.pages_in_use == scalar.pages_in_use
 
 

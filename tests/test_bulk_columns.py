@@ -240,7 +240,7 @@ def forest_digest(index):
                 feed(page.items)
     for key, tree in index._trees.items():
         feed(key, tree.root_pid, tree.height, len(tree))
-    for oid, motion in index._catalog.items():
+    for oid, motion in index.motion_snapshot().items():
         feed(oid, motion.y0, motion.v, motion.t0)
     return digest.hexdigest()[:16]
 
@@ -375,7 +375,7 @@ def assert_refused(objects, kind, message):
         disks, trees = forest.disks, dict(forest._trees)
         with pytest.raises(kind):
             forest.insert_batch(objects)
-        assert len(forest) == 0 and forest._catalog == {}
+        assert len(forest) == 0 and forest.motion_snapshot() == {}
         assert forest.disks == disks and forest._trees == trees
         assert all(len(tree) == 0 for tree in trees.values())
 
@@ -426,7 +426,7 @@ def test_two_bad_objects_raise_for_the_earlier_one():
 
 def test_a_bool_oid_is_an_int_as_the_scalar_check_has_it():
     index = HoughYForestIndex.bulk_build(PAPER_MODEL, [obj(True), obj(2)])
-    assert set(index._catalog) == {1, 2}
+    assert set(index.motion_snapshot()) == {1, 2}
     assert index.query(hough_y_forest.MORQuery1D(0.0, Y_MAX, 0.0, 1.0)) == {1, 2}
 
 
@@ -508,7 +508,10 @@ def test_every_built_leaf_can_be_resized():
         )
         twin = HoughYForestIndex.bulk_build(
             PAPER_MODEL,
-            [MobileObject1D(oid, m) for oid, m in index._catalog.items()],
+            [
+                MobileObject1D(oid, m)
+                for oid, m in index.motion_snapshot().items()
+            ],
             c=2,
         )
         query = hough_y_forest.MORQuery1D(100.0, 400.0, 5.0, 40.0)

@@ -110,7 +110,7 @@ def test_experiments_wide_query_tables_equal_committed_results(
 
 def test_experiments_memory_table_equals_committed_result():
     _assert_quoted_table_is_committed(
-        "### A leaf is columns", "ablation_memory.txt"
+        "### One object table", "ablation_memory.txt"
     )
 
 

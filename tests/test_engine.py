@@ -8,7 +8,7 @@ from repro.core import LinearMotion1D, MobileObject1D, brute_force_1d
 from repro.engine import MotionDatabase
 from repro.errors import InvalidMotionError, ObjectNotFoundError
 from repro.extensions import brute_force_knn
-from repro.vector.ops import DeregisterOp, RegisterOp, ReportOp
+from repro.vector.ops import DeregisterOp, RegisterOp, ReportOp, Within
 
 
 def populate(db, rng, n=100, t0=0.0):
@@ -199,3 +199,31 @@ class TestHistoryBatch:
         assert batched.history_snapshot() == scalar.history_snapshot()
         assert batched.motion_snapshot() == scalar.motion_snapshot()
         assert batched.query_past(0.0, 1000.0, 0.0, 20.0) == {1, 2, 3}
+
+
+class TestBatchRefusals:
+    @pytest.mark.parametrize("keep_history", [False, True])
+    def test_an_unknown_op_applies_nothing(self, keep_history):
+        """A batch holding something that is not a write op raises
+        TypeError before any op of it lands.  Finding it mid-loop would
+        leave the ops ahead of it in the catalog but never flushed: two
+        ghosts the index did not hold, which the next register calls
+        duplicates and the next deregister cannot find."""
+        db = MotionDatabase(1000.0, 0.16, 1.66, keep_history=keep_history)
+        db.register(7, 500.0, -1.0, 0.0)
+        snapshot, io = db.motion_snapshot(), db.io_snapshot()
+        with pytest.raises(TypeError, match="unknown write operation"):
+            db.apply_batch([
+                RegisterOp(1, 10.0, 1.0, 0.0),
+                RegisterOp(2, 20.0, 1.0, 0.0),
+                "bogus",
+            ])
+        assert len(db) == 1 and 1 not in db and 2 not in db
+        assert db.motion_snapshot() == snapshot
+        assert db.io_cost_since(io) == 0
+        assert db.within(0.0, 1000.0, 0.0, 0.0) == {7}
+        assert db.query_batch([Within(0.0, 1000.0, 0.0, 0.0)]) == [{7}]
+        db.register(1, 10.0, 1.0, 0.0)
+        db.deregister(1)
+        assert db.apply_batch([RegisterOp(2, 20.0, 1.0, 0.0)]) == [None]
+        assert db.within(0.0, 1000.0, 0.0, 0.0) == {2, 7}

@@ -266,12 +266,16 @@ def test_scalar_grouped_and_bulk_forests_hold_the_same_keys(
     grouped.delete_batch(gone)
     survivors = [
         MobileObject1D(oid, motion)
-        for oid, motion in scalar._catalog.items()
+        for oid, motion in scalar.motion_snapshot().items()
     ]
     bulk = cls.bulk_build(PAPER_MODEL, survivors, c=2, leaf_capacity=4)
 
     assert tree_keys(scalar) == tree_keys(grouped) == tree_keys(bulk)
-    assert scalar._catalog == grouped._catalog == bulk._catalog
+    assert (
+        scalar.motion_snapshot()
+        == grouped.motion_snapshot()
+        == bulk.motion_snapshot()
+    )
     for tree in scalar._trees.values():
         tree.check_invariants()
         for (band, _, _), speed in stored_records(tree):

@@ -164,7 +164,7 @@ def test_served_forest_is_its_observation_trees():
             )
             assert not hasattr(served, "_intervals")
             assert paper.pages_in_use > served.pages_in_use
-            for motion in served._catalog.values():
+            for motion in served.motion_snapshot().values():
                 sign, _, crossings = served._placement(motion)
                 assert len(crossings) == c and sign in (1, -1)
     assert len(HoughYForestIndex(PAPER_MODEL).band_edges) == 3

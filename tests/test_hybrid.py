@@ -127,7 +127,8 @@ class TestHybridIndex:
         hybrid = self.make()
         hybrid.insert(MobileObject1D(1, LinearMotion1D(10.0, 1.0)))
         hybrid.insert(MobileObject1D(2, LinearMotion1D(20.0, 0.0)))
-        assert hybrid._band == {1: "fast", 2: "slow"}
+        assert isinstance(hybrid.store_of(1), DualKDTreeIndex)
+        assert isinstance(hybrid.store_of(2), SlowObjectIndex)
         hybrid.delete(1)
         hybrid.delete(2)
         assert len(hybrid) == 0
@@ -146,7 +147,8 @@ class TestHybridIndex:
         hybrid = self.make()
         hybrid.insert(MobileObject1D(1, LinearMotion1D(10.0, 1.0)))
         hybrid.update(MobileObject1D(1, LinearMotion1D(50.0, 0.01, 5.0)))
-        assert hybrid._band[1] == "slow"
+        assert isinstance(hybrid.store_of(1), SlowObjectIndex)
+        assert len(hybrid) == 1
         assert hybrid.query(MORQuery1D(45.0, 55.0, 5.0, 6.0)) == {1}
 
     def test_empty_store_costs_no_page(self):

@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.core.model import LinearMotion1D
+from repro.core.model import LinearMotion1D, MobileObject1D
 from repro.service import (
     FaultTolerantMotionService,
     ShardedMotionService,
@@ -96,18 +96,17 @@ def test_shared_columns_match_plain_columns_under_churn():
                 plain.delete(oid)
                 shared.delete(oid)
             else:
-                events = []
-                for _ in range(rng.randrange(1, 8)):
-                    oid = rng.randrange(200)
+                gone, written = [], []
+                for oid in rng.sample(range(200), rng.randrange(1, 8)):
                     if rng.random() < 0.3 and oid in live:
-                        events.append(("delete", oid, None))
+                        gone.append(oid)
                         live.remove(oid)
                     else:
-                        events.append(("update", oid, random_motion(rng)))
+                        written.append(MobileObject1D(oid, random_motion(rng)))
                         if oid not in live:
                             live.append(oid)
-                plain.apply_events(events)
-                shared.apply_events(events)
+                plain.apply_events(gone, written)
+                shared.apply_events(gone, written)
             assert len(shared) == len(plain)
             assert shared.version == plain.version
         assert rows_by_oid(shared) == rows_by_oid(plain)
@@ -179,7 +178,7 @@ def test_batch_is_one_publication_window():
     shared = SharedMotionColumns()
     try:
         shared.apply_events(
-            [("insert", oid, random_motion(rng)) for oid in range(50)]
+            [], [MobileObject1D(oid, random_motion(rng)) for oid in range(50)]
         )
         shm = attach_segment(shared.segment_name)
         try:
@@ -188,8 +187,11 @@ def test_batch_is_one_publication_window():
         finally:
             shm.close()
         shared.apply_events(
-            [("delete", oid, None) for oid in range(25)]
-            + [("insert", 100 + oid, random_motion(rng)) for oid in range(10)]
+            list(range(25)),
+            [
+                MobileObject1D(100 + oid, random_motion(rng))
+                for oid in range(10)
+            ],
         )
         shm = attach_segment(shared.segment_name)
         try:
@@ -226,14 +228,13 @@ def test_churn_at_fixed_population_never_grows(factory):
         assert columns.capacity == settled
         # Batch churn through apply_events (_reserve) holds too.
         for _ in range(50):
-            events = [
-                ("delete", oid, None)
-                for oid in range(next_oid - 20, next_oid)
-            ] + [
-                ("insert", next_oid + i, random_motion(rng))
-                for i in range(20)
-            ]
-            columns.apply_events(events)
+            columns.apply_events(
+                list(range(next_oid - 20, next_oid)),
+                [
+                    MobileObject1D(next_oid + i, random_motion(rng))
+                    for i in range(20)
+                ],
+            )
             next_oid += 20
         assert columns.capacity == settled
     finally:

@@ -185,7 +185,7 @@ def test_r1_dead_shard_degrades_queries_instead_of_raising():
     doomed = next(
         oid for oid in range(1000, 1100)
         if service.router.route(
-            oid, oracle._motions[survivor]
+            oid, oracle.motion_of(survivor)
         ) == victim
     )
     with pytest.raises(ShardUnavailableError):
@@ -279,7 +279,7 @@ def test_recovery_reconciles_writes_that_landed_on_survivors():
                 oid, 20.0
             )
     must_serve = {
-        oid for oid in oracle._motions
+        oid for oid in oracle.motion_snapshot()
         if victim in service.replica_group(service.shard_of(oid))
     }
     served = service.within(0.0, Y_MAX, 12.0, 30.0)

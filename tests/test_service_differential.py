@@ -124,9 +124,9 @@ def test_velocity_sharding_matches_single_database(seed):
     for i, population in enumerate(populations):
         for oid in population:
             shard_db = sharded._shards[i]
-            v = shard_db._motions[oid].v
-            assert router.route(oid, shard_db._motions[oid]) == i, (
-                f"oid {oid} with |v|={abs(v)} misplaced on shard {i}"
+            motion = shard_db.motion_of(oid)
+            assert router.route(oid, motion) == i, (
+                f"oid {oid} with |v|={abs(motion.v)} misplaced on shard {i}"
             )
 
 

@@ -37,7 +37,6 @@ from repro.storage.codec import (
     decode_record,
     encode_checkpoint,
     encode_record,
-    population_columns,
 )
 from repro.workloads.serialization import population_to_json
 
@@ -140,13 +139,14 @@ def test_a_crc_valid_frame_of_unknown_kind_fails_the_open(tmp_path):
 
 def sample_population(n, seed=3):
     rng = random.Random(seed)
-    return population_columns({
-        rng.randrange(-(2**40), 2**40): LinearMotion1D(
-            rng.uniform(0, 1000), rng.uniform(-1.66, 1.66),
-            rng.uniform(0, 50),
-        )
-        for _ in range(n)
-    })
+    oids = sorted({rng.randrange(-(2**40), 2**40) for _ in range(n)})
+    return Population(
+        np.array(oids, dtype=np.int64),
+        *(
+            np.array([rng.uniform(lo, hi) for _ in oids], dtype=np.float64)
+            for lo, hi in ((0, 1000), (-1.66, 1.66), (0, 50))
+        ),
+    )
 
 
 @pytest.mark.parametrize("n", [0, 1, 257])

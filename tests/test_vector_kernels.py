@@ -2,7 +2,7 @@
 
 The property suite (test_vector_properties) covers random agreement
 with the scalar predicates; here the deterministic corners live — the
-swap-with-last delete bookkeeping, capacity growth, listener dialect,
+swap-with-last delete bookkeeping, capacity growth, one-epoch writes,
 k-NN tie-breaks and the blocked pairwise proximity kernel against the
 brute-force join oracle.
 """
@@ -88,20 +88,28 @@ class TestMotionColumns:
         columns.clear()
         assert columns.version == v0 + 4
 
-    def test_listener_speaks_the_trace_dialect(self):
+    def test_apply_events_takes_one_epoch(self):
+        """Drops, overwrites and appends in one version step; an absent
+        oid among the drops is skipped, as ``delete`` skips it."""
         columns = MotionColumns()
-        listener = columns.as_listener()
-        listener("insert", 1, motion(1.0))
-        listener("update", 1, motion(2.0))
-        listener("delete", 1, None)
-        assert len(columns) == 0
-        listener("insert", 2, motion(3.0))
-        assert columns.motion_of(2).y0 == 3.0
+        for oid in range(4):
+            columns.upsert(oid, motion(float(oid)))
+        version = columns.version
+        columns.apply_events(
+            [0, 99],
+            [MobileObject1D(1, motion(10.0)), MobileObject1D(7, motion(70.0))],
+        )
+        assert columns.version == version + 1
+        assert 0 not in columns and len(columns) == 4
+        assert [columns.motion_of(oid).y0 for oid in (1, 2, 3, 7)] == [
+            10.0, 2.0, 3.0, 70.0,
+        ]
+        assert columns.get(0) is None
 
     def test_from_motions_round_trips(self):
         source = {oid: motion(float(oid), 1.0, 0.0) for oid in range(10)}
         columns = MotionColumns.from_motions(source)
-        assert dict(columns.motions()).keys() == source.keys()
+        assert dict(columns.items()).keys() == source.keys()
         assert all(
             columns.motion_of(oid).y0 == m.y0 for oid, m in source.items()
         )
