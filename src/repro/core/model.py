@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NoReturn, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import InvalidMotionError
 
@@ -145,13 +147,93 @@ class MobileObject2D:
     motion: LinearMotion2D
 
 
+def _oid_fits(oid: object) -> bool:
+    return isinstance(oid, int) and -(2**63) <= oid < 2**63
+
+
 def check_oid(oid: int) -> None:
     """Reject an object id the 64-bit signed oid columns (tree leaves,
     :class:`~repro.vector.columns.MotionColumns`) cannot store."""
-    if not isinstance(oid, int) or not -(2**63) <= oid < 2**63:
+    if not _oid_fits(oid):
         raise InvalidMotionError(
             f"object id {oid!r} is not an integer in [-2**63, 2**63)"
         )
+
+
+def _as_float(x: numbers.Real) -> float:
+    """The float64 a column stores for a real number: ``±inf`` for one
+    beyond float64's range (a huge ``int`` or ``Fraction``), which every
+    admission test refuses like the infinity it rounds to."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _field_value(x: object) -> float:
+    """One motion field as a column holds it; NaN for a field that is
+    not a real number (``"500"``, ``None``), which admission refuses."""
+    if type(x) is float:
+        return x
+    return _as_float(x) if isinstance(x, numbers.Real) else math.nan
+
+
+def _real_fields(motion: "LinearMotion1D") -> Tuple[float, float, float]:
+    """``(y0, v, t0)`` as float64 values, or :class:`InvalidMotionError`
+    for a field that is not a real number."""
+    y0, v, t0 = motion.y0, motion.v, motion.t0
+    # Plain floats at full speed; ints, numpy scalars and the like by
+    # the numeric tower.
+    if type(y0) is float and type(v) is float and type(t0) is float:
+        return y0, v, t0
+    if not all(isinstance(x, numbers.Real) for x in (y0, v, t0)):
+        raise InvalidMotionError(
+            f"motion fields must be real numbers, got y0={y0!r}, "
+            f"v={v!r}, t0={t0!r}"
+        )
+    return _as_float(y0), _as_float(v), _as_float(t0)
+
+
+def _float_column(values: Sequence) -> np.ndarray:
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return values
+    kinds = set(map(type, values))
+    if kinds <= {float} or all(issubclass(k, numbers.Real) for k in kinds):
+        try:
+            return np.array(values, dtype=np.float64)
+        except OverflowError:
+            pass  # an int beyond float64: the row loop makes it ±inf
+    return np.array([_field_value(x) for x in values], dtype=np.float64)
+
+
+def motion_columns(
+    oid: Sequence, y0: Sequence, v: Sequence, t0: Sequence
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``(oid, y0, v, t0)`` as the int64 / float64 columns the
+    stores keep, converted once.
+
+    A field is the float64 :meth:`MotionModel.check_admissible` tests
+    (``±inf`` beyond float64's range).  A row that does not convert — an
+    oid :func:`check_oid` refuses, a field that is not a real number —
+    comes back with NaN fields (and oid 0), which
+    :meth:`MotionModel.admit_mask` refuses.  Typed arrays pass through
+    uncopied.
+    """
+    y0, v, t0 = (_float_column(column) for column in (y0, v, t0))
+    if isinstance(oid, np.ndarray) and oid.dtype == np.int64:
+        return oid, y0, v, t0
+    if all(issubclass(kind, int) for kind in set(map(type, oid))):
+        try:
+            return np.array(oid, dtype=np.int64), y0, v, t0
+        except OverflowError:
+            pass
+    fits = np.fromiter(map(_oid_fits, oid), bool, len(oid))
+    column = np.array(
+        [o if ok else 0 for o, ok in zip(oid, fits.tolist())], dtype=np.int64
+    )
+    refused = ~fits
+    y0, v, t0 = (np.where(refused, math.nan, x) for x in (y0, v, t0))
+    return column, y0, v, t0
 
 
 @dataclass(frozen=True)
@@ -184,52 +266,77 @@ class MotionModel:
         """True when the motion falls in the "moving objects" speed band."""
         return self.v_min <= abs(motion.v) <= self.v_max
 
+    def moving_mask(self, v: np.ndarray) -> np.ndarray:
+        """Column form of :meth:`is_moving` over float64 speeds."""
+        speed = np.abs(v)
+        return (self.v_min <= speed) & (speed <= self.v_max)
+
     def validate(self, motion: LinearMotion1D) -> None:
         """Reject motions outside the model (wrong band, off-terrain
-        start, a non-finite field)."""
-        if not self.is_moving(motion):
+        start, a field that is not a finite real number)."""
+        y0, v, t0 = _real_fields(motion)
+        if not self.v_min <= abs(v) <= self.v_max:
             raise InvalidMotionError(
-                f"speed {motion.v} outside [{self.v_min}, {self.v_max}] band"
+                f"speed {v} outside [{self.v_min}, {self.v_max}] band"
             )
-        self._check_start(motion)
+        self._check_start(y0, t0)
 
     def check_admissible(self, motion: LinearMotion1D, oid: int) -> None:
         """Reject a write no store can hold: over-speed, off-terrain,
-        a field that is not a finite real number (``"500"`` included),
-        or an ``oid`` outside the stores' int64 columns
-        (:func:`check_oid`).
+        a field that is not a finite real number (``"500"`` included,
+        and an ``int`` beyond float64's range), or an ``oid`` outside
+        the stores' int64 columns (:func:`check_oid`).
 
         The admission test of the write paths, run before anything is
         mutated.  Unlike :meth:`validate` it lets slow motions
         (``|v| < v_min``) through — the hybrid's slow store takes them.
+        The tests run on the float64 values the columns store.
+        :meth:`admit_mask` is the same test over a whole batch; this
+        one is its reference, and names the refusal of a row the mask
+        refused.
         """
         check_oid(oid)
-        y0, v, t0 = motion.y0, motion.v, motion.t0
-        # Plain floats at full speed; ints, numpy scalars and the like
-        # by the numeric tower.
-        if not (
-            type(y0) is float and type(v) is float and type(t0) is float
-            or all(isinstance(x, numbers.Real) for x in (y0, v, t0))
-        ):
-            raise InvalidMotionError(
-                f"motion fields must be real numbers, got y0={y0!r}, "
-                f"v={v!r}, t0={t0!r}"
-            )
-        if not abs(motion.v) <= self.v_max:
-            raise InvalidMotionError(
-                f"speed {motion.v} above v_max {self.v_max}"
-            )
-        self._check_start(motion)
+        y0, v, t0 = _real_fields(motion)
+        if not abs(v) <= self.v_max:
+            raise InvalidMotionError(f"speed {v} above v_max {self.v_max}")
+        self._check_start(y0, t0)
 
-    def _check_start(self, motion: LinearMotion1D) -> None:
+    def admit_mask(
+        self, oid: Sequence, y0: Sequence, v: Sequence, t0: Sequence
+    ) -> np.ndarray:
+        """Column form of :meth:`check_admissible`: row ``i`` is true
+        exactly when ``check_admissible(LinearMotion1D(y0[i], v[i],
+        t0[i]), oid[i])`` does not raise.
+
+        Any sequences; a row that does not convert is refused
+        (:func:`motion_columns`).  Over the typed columns that function
+        returns, the mask is a few array passes.
+        """
+        _, y0, v, t0 = motion_columns(oid, y0, v, t0)
+        return (
+            (np.abs(v) <= self.v_max)
+            & np.isfinite(t0)
+            & (0.0 <= y0)
+            & (y0 <= self.terrain.y_max)
+        )
+
+    def raise_refusal(self, motion: LinearMotion1D, oid: int) -> NoReturn:
+        """Raise :meth:`check_admissible`'s exception for a row
+        :meth:`admit_mask` refused — the scalar check names it."""
+        self.check_admissible(motion, oid)
+        raise InvalidMotionError(
+            f"motion {motion!r} of object {oid!r} is not admissible"
+        )
+
+    def _check_start(self, y0: float, t0: float) -> None:
         # NaN compares false with everything, so every test here and in
         # the callers passes on a true comparison: a NaN speed or start
         # fails the band and terrain tests, and what is left to rule out
         # is a reference time no ordered store could place a key from.
-        if not math.isfinite(motion.t0):
-            raise InvalidMotionError(f"non-finite reference time {motion.t0}")
-        if not self.terrain.contains(motion.y0):
+        if not math.isfinite(t0):
+            raise InvalidMotionError(f"non-finite reference time {t0}")
+        if not self.terrain.contains(y0):
             raise InvalidMotionError(
-                f"start location {motion.y0} outside terrain "
+                f"start location {y0} outside terrain "
                 f"[0, {self.terrain.y_max}]"
             )

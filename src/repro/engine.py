@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core.model import (
     LinearMotion1D,
     MobileObject1D,
@@ -35,16 +37,25 @@ from repro.indexes.dual_point import DualKDTreeIndex
 from repro.indexes.hough_y_forest import HoughYForestIndex
 from repro.indexes.hybrid import HybridIndex
 from repro.io_sim.stats import IOSnapshot
-from repro.vector.columns import MotionColumns
+from repro.vector.columns import MotionColumns, WriteColumns
 from repro.vector.ops import (
     WRITE_KINDS,
+    DeregisterOp,
     Nearest,
     ProximityPairs,
     QueryOp,
+    RegisterOp,
+    ReportOp,
     SnapshotAt,
     Within,
     WriteOp,
 )
+
+#: Write-op class → the code :meth:`MotionDatabase.apply_batch` groups by.
+_INSERT, _UPDATE, _DELETE = 0, 1, 2
+_KIND_CODES: Dict[type, int] = {
+    RegisterOp: _INSERT, ReportOp: _UPDATE, DeregisterOp: _DELETE,
+}
 
 #: Named method factories accepted by :class:`MotionDatabase`.
 METHOD_FACTORIES: Dict[str, Callable[[MotionModel], MobileIndex1D]] = {
@@ -204,9 +215,7 @@ class MotionDatabase:
     # -- batched writes ------------------------------------------------------------
 
     def apply_batch(
-        self,
-        ops: Sequence[WriteOp],
-        motions: Optional[Sequence[Optional[LinearMotion1D]]] = None,
+        self, ops: Sequence[WriteOp]
     ) -> List[Optional[Exception]]:
         """Apply a batch of write operations in one grouped pass.
 
@@ -222,112 +231,150 @@ class MotionDatabase:
         touched, so duplicate oids *within* one batch see each other in
         apply order (register a, report a, deregister a is legal).  An
         object that is not a write operation raises ``TypeError``
-        before anything is applied.  ``motions``, when given, is
-        parallel to ``ops``: the motion each register or report
-        carries, already built by the caller, which the batch indexes
-        instead of building its own (the entry of a deregister is
-        ignored).
+        before anything is applied.
 
-        Throughput comes from grouping: accepted operations accumulate
-        into per-kind groups (one *epoch* holds at most one op per
-        oid — a repeated oid closes the epoch, preserving per-object
-        apply order), and each epoch flushes through the index batch
-        hooks (:meth:`~repro.indexes.base.MobileIndex1D.insert_batch`
-        / ``update_batch`` / ``delete_batch``), then into the object
-        table in one :meth:`~repro.vector.columns.MotionColumns.apply_events`.
-        Within an epoch all
-        oids are distinct, so the ops commute and the fixed flush
-        order (deletes, updates, inserts) lands the same final state
-        as the interleaved submission order — while keeping each
-        kind's group maximal, which is what lets the §3.5 forest
-        amortize a storm into one bulk rebuild (with ``keep_history``
-        every op is its own epoch: the §7 archive must be written in
-        time order).  The update listeners, if any, fire once per
-        batch.  Final state and answers are identical to calling the
-        scalar methods in the same order.
+        The batch is columns (:class:`~repro.vector.columns.
+        WriteColumns`; a batch that already is one is not converted
+        again), and so is the catalog work: one admission mask
+        (:meth:`~repro.core.model.MotionModel.admit_mask`) admits every
+        motion, one membership pass against the object table decides
+        every op on an oid the batch names once, and only the ops on a
+        repeated oid are walked in order.  Accepted operations form
+        per-kind groups per *epoch* — an epoch holds at most one op per
+        oid, so a repeated oid closes it, preserving per-object apply
+        order — and each epoch flushes its groups as
+        :class:`~repro.vector.columns.MotionRows` through the index
+        batch hooks (:meth:`~repro.indexes.base.MobileIndex1D.
+        insert_batch` / ``update_batch`` / ``delete_batch``), then into
+        the object table in one :meth:`~repro.vector.columns.
+        MotionColumns.apply_events`.  Within an epoch all oids are
+        distinct, so the ops commute and the fixed flush order
+        (deletes, updates, inserts) lands the same final state as the
+        interleaved submission order — while keeping each kind's group
+        maximal, which is what lets the §3.5 forest amortize a storm
+        into one bulk rebuild (with ``keep_history`` every op is its
+        own epoch: the §7 archive must be written in time order).  The
+        update listeners, if any, fire once per batch, with a motion
+        built from each op's own fields.  Final state and answers are
+        identical to calling the scalar methods in the same order.
         """
-        for op in ops:
-            if type(op) not in WRITE_KINDS:
-                raise TypeError(f"unknown write operation {op!r}")
-        outcomes: List[Optional[Exception]] = [None] * len(ops)
-        events: List[Tuple[str, int, Optional[LinearMotion1D]]] = []
-        epoch_inserts: List[MobileObject1D] = []
-        epoch_updates: List[MobileObject1D] = []
-        # (oid, clock) pairs: history-enabled deletes must archive at
-        # the clock the scalar call would have seen, not flush time.
-        epoch_deletes: List[Tuple[int, float]] = []
-        # oid -> registered once the open epoch lands; an oid outside
-        # it is registered iff the table holds it.
-        epoch: Dict[int, bool] = {}
-
-        def flush() -> None:
-            # Each group's rows land right after the index call that
-            # applied it, so during every call a row is the motion the
-            # index holds (a rebuild reads all of them).
-            if epoch_deletes:
-                gone = [oid for oid, _ in epoch_deletes]
-                if self._history_enabled:
-                    for oid, at in epoch_deletes:
-                        self._index.delete(oid, now=at)  # type: ignore[call-arg]
-                else:
-                    self._index.delete_batch(gone)
-                self._columns.apply_events(gone, ())
-            if epoch_updates:
-                self._index.update_batch(epoch_updates)
-                self._columns.apply_events((), epoch_updates)
-            if epoch_inserts:
-                self._index.insert_batch(epoch_inserts)
-                self._columns.apply_events((), epoch_inserts)
-            epoch_inserts.clear()
-            epoch_updates.clear()
-            epoch_deletes.clear()
-            epoch.clear()
-
-        for i, op in enumerate(ops):
-            kind = WRITE_KINDS[type(op)]
-            registered = epoch.get(op.oid)
-            if registered is None:
-                registered = op.oid in self._columns
-            motion = None
-            try:
-                if kind == "insert" and registered:
-                    raise InvalidMotionError(
-                        f"object {op.oid} is already registered; use "
-                        "report() to supersede its motion"
-                    )
-                if kind != "insert" and not registered:
-                    raise ObjectNotFoundError(
-                        f"object {op.oid} is not registered"
-                    )
-                if kind != "delete":
-                    motion = (
-                        motions[i]
-                        if motions is not None
-                        else LinearMotion1D(op.y0, op.v, op.t0)
-                    )
-                    self.model.check_admissible(motion, op.oid)
-            except (InvalidMotionError, ObjectNotFoundError) as exc:
-                outcomes[i] = exc
-                continue
-
-            # With history every op is an epoch (see the docstring);
-            # the archive's batch hooks are scalar loops anyway.
-            if op.oid in epoch or self._history_enabled:
-                flush()
-            epoch[op.oid] = kind != "delete"
-            if kind == "delete":
-                epoch_deletes.append((op.oid, self._now))
+        batch = WriteColumns.of(ops)
+        keys = batch.keys
+        code = np.fromiter(
+            map(_KIND_CODES.__getitem__, map(type, batch)), np.int8, len(keys)
+        )
+        inserting, deleting = code == _INSERT, code == _DELETE
+        admitted = self.model.admit_mask(
+            batch.oid, batch.y0, batch.v, batch.t0
+        )
+        # Whether each op finds its object registered: an oid the batch
+        # names once sees the table alone; a repeated one sees the ops
+        # before it that applied.
+        registered = self._columns.holds(keys)
+        repeated = batch.repeated()
+        walked = (
+            [i for i, oid in enumerate(keys) if oid in repeated]
+            if repeated else []
+        )
+        state: Dict[int, bool] = {}
+        for i in walked:
+            seen = state.get(keys[i])
+            registered[i] = seen = registered[i] if seen is None else seen
+            if inserting[i] != seen and (deleting[i] or admitted[i]):
+                state[keys[i]] = not deleting[i]
+        applied = np.where(inserting, ~registered, registered) & (
+            deleting | admitted
+        )
+        outcomes: List[Optional[Exception]] = [None] * len(keys)
+        for i in np.flatnonzero(~applied).tolist():
+            oid = keys[i]
+            if inserting[i] and registered[i]:
+                outcomes[i] = InvalidMotionError(
+                    f"object {oid} is already registered; use "
+                    "report() to supersede its motion"
+                )
+            elif not inserting[i] and not registered[i]:
+                outcomes[i] = ObjectNotFoundError(
+                    f"object {oid} is not registered"
+                )
             else:
-                group = epoch_inserts if kind == "insert" else epoch_updates
-                group.append(MobileObject1D(op.oid, motion))
-                self._now = max(self._now, op.t0)
-            if self._update_listeners:
-                events.append((kind, op.oid, motion))
-        flush()
-        for listener in list(self._update_listeners):
-            for event in events:
-                listener(*event)
+                outcomes[i] = self._refusal(batch[i])
+        # Epochs: with history every applied op opens one (the
+        # archive's batch hooks are scalar loops anyway); otherwise an
+        # applied op opens one when its oid applied in the open epoch.
+        if self._history_enabled:
+            starts = np.flatnonzero(applied).tolist()
+        else:
+            starts, last = [0], {}
+            for i in walked:
+                if applied[i]:
+                    if last.get(keys[i], -1) >= starts[-1]:
+                        starts.append(i)
+                    last[keys[i]] = i
+        bounds = starts + [len(keys)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            here = applied[lo:hi]
+            self._flush_epoch(batch, keys, *(
+                (np.flatnonzero(here & (code[lo:hi] == kind)) + lo).tolist()
+                for kind in (_DELETE, _UPDATE, _INSERT)
+            ))
+        if self._update_listeners:
+            events = []
+            for i in np.flatnonzero(applied).tolist():
+                op = batch[i]
+                motion = (
+                    None if deleting[i]
+                    else LinearMotion1D(op.y0, op.v, op.t0)
+                )
+                events.append((WRITE_KINDS[type(op)], op.oid, motion))
+            for listener in list(self._update_listeners):
+                for event in events:
+                    listener(*event)
         return outcomes
+
+    def _flush_epoch(
+        self,
+        batch: WriteColumns,
+        keys: List[int],
+        deletes: List[int],
+        updates: List[int],
+        inserts: List[int],
+    ) -> None:
+        """Apply one epoch's groups (positions into ``batch``) in the
+        fixed order deletes, updates, inserts.  Each group's rows land
+        right after the index call that applied it, so during every
+        call a row is the motion the index holds (a rebuild reads all
+        of them)."""
+        if deletes:
+            gone = [keys[i] for i in deletes]
+            if self._history_enabled:
+                # One op an epoch: the clock the scalar call would see.
+                for oid in gone:
+                    self._index.delete(  # type: ignore[call-arg]
+                        oid, now=self._now
+                    )
+            else:
+                self._index.delete_batch(gone)
+            self._columns.apply_events(gone, ())
+        for group, apply in (
+            (updates, self._index.update_batch),
+            (inserts, self._index.insert_batch),
+        ):
+            if group:
+                rows = batch.rows(group)
+                apply(rows)
+                self._columns.apply_events((), rows)
+                self._now = max(self._now, float(rows.t0.max()))
+
+    def _refusal(self, op: WriteOp) -> InvalidMotionError:
+        """The exception the scalar check raises for an op the
+        admission mask refused."""
+        try:
+            self.model.raise_refusal(
+                LinearMotion1D(op.y0, op.v, op.t0), op.oid
+            )
+        except InvalidMotionError as exc:
+            return exc
 
     def location_of(self, oid: int, t: float) -> float:
         """Extrapolated location of one object at time ``t``."""

@@ -52,7 +52,6 @@ sort + pack of everything.
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import attrgetter
 from typing import (
     Any,
     Callable,
@@ -96,6 +95,7 @@ from repro.indexes.base import MobileIndex1D, register_index
 from repro.interval.tree import IntervalIndex
 from repro.io_sim.layout import BPTREE_ENTRY, INTERVAL_ENTRY
 from repro.io_sim.pager import DiskSimulator, Page
+from repro.vector.columns import MotionColumns, MotionRows
 from repro.vector.kernels import hough_y_exact_mask
 
 
@@ -228,11 +228,12 @@ class HoughYForestIndex(MobileIndex1D):
         )
         self._tree_disks: Dict[Tuple[int, int], DiskSimulator] = {}
         self._trees: Dict[Tuple[int, int], ObservationTree] = {}
-        #: oid -> motion of every object the trees hold; where a motion
-        #: is stored is a function of it (:meth:`_placement`),
-        #: recomputed when it leaves.  The forest's own map, until a
-        #: shard shares its object table (:meth:`share_motions`).
-        self._motions = {}
+        #: The motion of every object the trees hold, as a table row;
+        #: where a motion is stored is a function of it
+        #: (:meth:`_placement`), recomputed when it leaves.  The
+        #: forest's own table, until a shard shares its object table
+        #: (:meth:`share_motions`).
+        self._motions = MotionColumns()
         self._shared = False
 
     def _tree_keys(self) -> Iterator[Tuple[int, int]]:
@@ -263,18 +264,26 @@ class HoughYForestIndex(MobileIndex1D):
         ``crash_hook`` (chaos testing) fires ``"bulk.mid_pack"`` after
         each observation tree is packed.
 
-        The population is columns throughout — one admission mask, keys
-        by the float expressions of :meth:`_oriented`, ``time_at`` and
-        :meth:`_band`, blocks sorted and packed (DESIGN.md §5.8) — and
-        pages, pids and I/O counts are the record-at-a-time build's.
+        The population is columns throughout — read as they are from
+        :class:`~repro.vector.columns.MotionRows`, converted once from
+        objects; one admission mask (:meth:`~repro.core.model.
+        MotionModel.admit_mask` and the moving band) and one duplicate
+        test; keys by the float expressions of :meth:`_oriented`,
+        ``time_at`` and :meth:`_band`, blocks sorted and packed
+        (DESIGN.md §5.8) — and pages, pids and I/O counts are the
+        record-at-a-time build's.  The forest's own table takes the
+        rows as arrays; a shard's forest, which reads the shard's
+        table, drops it when it adopts the build.
         """
         index = cls.__new__(cls)
         index._start_empty(model, c, leaf_capacity)
-        columns = index._admitted_columns(objects)
-        if columns is None:
+        rows = MotionRows.of(objects)
+        oid, y0, v, t0 = rows.oid, rows.y0, rows.v, rows.t0
+        ordered = np.sort(oid)
+        if not (
+            (model.admit_mask(oid, y0, v, t0) & model.moving_mask(v)).all()
+        ) or (ordered[1:] == ordered[:-1]).any():
             index._raise_first_rejection(objects)
-        oid, y0, v, t0 = columns
-        index._motions = {obj.oid: obj.motion for obj in objects}
         # Each sign's objects in their positive-velocity view (input
         # order kept): band, start, speed, reference time, oid.
         forward = v > 0
@@ -302,44 +311,13 @@ class HoughYForestIndex(MobileIndex1D):
             index._trees[(sign, i)] = tree
             if crash_hook is not None:
                 crash_hook("bulk.mid_pack")
+        index._motions = MotionColumns(len(rows))
+        index._motions.apply_events((), rows)
         return index
 
-    def _admitted_columns(
-        self, objects: Sequence[MobileObject1D]
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """``(oid, y0, v, t0)`` of a bulk input as arrays — or ``None``
-        if :meth:`_check` would refuse an object or an oid repeats.
-
-        An oid must *be* an ``int``: ``np.int64(3)`` and ``3.0`` would
-        convert, and :func:`~repro.core.model.check_oid` refuses both.
-        """
-        oids = [obj.oid for obj in objects]
-        if not all(issubclass(kind, int) for kind in set(map(type, oids))):
-            return None
-        try:
-            oid = np.array(oids, dtype=np.int64)
-            y0, v, t0 = (
-                np.fromiter(map(attrgetter(field), objects), float, len(oids))
-                for field in ("motion.y0", "motion.v", "motion.t0")
-            )
-        except (TypeError, ValueError, OverflowError):
-            return None  # a field no column holds: the scalar check names it
-        ordered = np.sort(oid)
-        if (ordered[1:] == ordered[:-1]).any():
-            return None
-        speed = np.abs(v)
-        admitted = (
-            (self.model.v_min <= speed)
-            & (speed <= self.model.v_max)
-            & np.isfinite(t0)
-            & (0.0 <= y0)
-            & (y0 <= self.model.terrain.y_max)
-        )
-        return (oid, y0, v, t0) if admitted.all() else None
-
     def _raise_first_rejection(self, objects: Sequence[MobileObject1D]) -> None:
-        """The scalar admission loop, run once the mask has failed, for
-        its exception: the first offender's, in input order."""
+        """The scalar admission loop, run once the mask has refused a
+        row, for its exception: the first offender's, in input order."""
         seen: Set[int] = set()
         for obj in objects:
             if obj.oid in seen:
@@ -354,7 +332,8 @@ class HoughYForestIndex(MobileIndex1D):
 
     def _check(self, obj: MobileObject1D) -> None:
         """Reject what the trees cannot hold: a motion outside the
-        model, an oid outside the records' int64 column."""
+        model or with a field that is not a real number, an oid outside
+        the records' int64 column — each as :class:`InvalidMotionError`."""
         check_oid(obj.oid)
         self.model.validate(obj.motion)
 
@@ -391,7 +370,7 @@ class HoughYForestIndex(MobileIndex1D):
         for i, b in enumerate(crossings):
             self._trees[(sign, i)].insert((band, b, obj.oid), speed)
         if not self._shared:
-            self._motions[obj.oid] = obj.motion
+            self._motions.upsert(obj.oid, obj.motion)
 
     def _drop(self, oid: int, motion: LinearMotion1D) -> None:
         """Remove an indexed object whose stored motion is ``motion``."""
@@ -400,7 +379,7 @@ class HoughYForestIndex(MobileIndex1D):
         for i, b in enumerate(crossings):
             self._trees[(sign, i)].delete((band, b, oid))
         if not self._shared:
-            del self._motions[oid]
+            self._motions.delete(oid)
 
     def insert(self, obj: MobileObject1D) -> None:
         if obj.oid in self:
@@ -456,10 +435,18 @@ class HoughYForestIndex(MobileIndex1D):
 
     def motion_snapshot(self) -> Dict[int, LinearMotion1D]:
         """The oid → motion map of the objects the trees hold (a fresh
-        dict)."""
+        dict): a shard's in oid order, the forest's own table in the
+        order its rows arrived."""
+        if self._shared:
+            pairs = self._motions.items()
+        else:
+            oid, y0, v, t0 = (
+                column.tolist() for column in self._motions.arrays()
+            )
+            pairs = zip(oid, map(LinearMotion1D, y0, v, t0))
         return {
             oid: motion
-            for oid, motion in self._motions.items()
+            for oid, motion in pairs
             if self.model.is_moving(motion)
         }
 
@@ -481,7 +468,7 @@ class HoughYForestIndex(MobileIndex1D):
         if not self._shared:
             self._motions = rebuilt._motions
 
-    def _rebuild(self, objects: List[MobileObject1D]) -> None:
+    def _rebuild(self, objects: Sequence[MobileObject1D]) -> None:
         self._adopt(
             type(self).bulk_build(
                 self.model,
@@ -500,11 +487,13 @@ class HoughYForestIndex(MobileIndex1D):
 
         An oid on both sides is an update.  The whole group is checked
         first (membership, model band and terrain), so a rejected group
-        leaves the forest untouched.  Then every observation tree
+        leaves the forest untouched.  ``arriving`` is read as objects
+        (rows are built once).  Then every observation tree
         receives its share of the group as **one** key-sorted run
         (:meth:`~repro.bptree.tree.BPlusTree.apply_sorted`): a leaf the
         batch touches many times is read and written once.
         """
+        arriving = list(arriving)
         gone = set(leaving)
         if len(gone) != len(leaving):
             raise DuplicateObjectError("an object is deleted twice in the batch")
@@ -534,10 +523,8 @@ class HoughYForestIndex(MobileIndex1D):
                     ((band, b, obj.oid), INSERT, speed)
                 )
         if not self._shared:
-            for oid in leaving:
-                del self._motions[oid]
-            for obj in arriving:
-                self._motions[obj.oid] = obj.motion
+            self._motions.apply_events(leaving, ())
+            self._motions.apply_events((), arriving)
         for key, ops in tree_ops.items():
             ops.sort(key=batch_order)
             self._trees[key].apply_sorted(ops)
@@ -547,7 +534,7 @@ class HoughYForestIndex(MobileIndex1D):
         if len(self) or len(objs) < 2:
             self._apply_grouped([], objs)
             return
-        self._rebuild(list(objs))
+        self._rebuild(objs)
 
     def delete_batch(self, oids: Sequence[int]) -> None:
         """Remove many objects with one grouped run per tree."""
@@ -571,7 +558,8 @@ class HoughYForestIndex(MobileIndex1D):
             len(objs) < self.REBUILD_MIN_BATCH
             or len(objs) < self.REBUILD_FRACTION * len(self)
         ):
-            self._apply_grouped([obj.oid for obj in objs], objs)
+            arriving = list(objs)
+            self._apply_grouped([obj.oid for obj in arriving], arriving)
             return
         motions = self.motion_snapshot()
         for obj in objs:

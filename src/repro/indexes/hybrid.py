@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Sequence, Set
 
+import numpy as np
+
 from repro.bptree.tree import BPlusTree
 from repro.core.model import LinearMotion1D, MobileObject1D, MotionModel
 from repro.core.predicates import matches_1d
@@ -35,6 +37,7 @@ from repro.errors import (
 from repro.indexes.base import MobileIndex1D
 from repro.io_sim.layout import BPTREE_ENTRY
 from repro.io_sim.pager import DiskSimulator
+from repro.vector.columns import MotionRows
 
 
 class SlowObjectIndex(MobileIndex1D):
@@ -214,19 +217,30 @@ class HybridIndex(MobileIndex1D):
     # -- batched writes --------------------------------------------------------
 
     def insert_batch(self, objs: Sequence[MobileObject1D]) -> None:
-        """Validate the whole batch, then one grouped insert per band."""
-        fast: list = []
-        slow: list = []
-        for obj in objs:
-            if obj.oid in self:
-                raise DuplicateObjectError(
-                    f"object {obj.oid} already indexed"
-                )
-            self.model.check_admissible(obj.motion, obj.oid)
-            (fast if self.model.is_moving(obj.motion) else slow).append(obj)
-        if fast:
+        """Validate the whole batch, then one grouped insert per band.
+
+        The batch is rows (:class:`~repro.vector.columns.MotionRows`,
+        or objects converted once): one admission mask, and one moving
+        mask splits it between the stores; each store refuses what it
+        already holds, so only the other store is asked here.
+        """
+        rows = MotionRows.of(objs)
+        admitted = self.model.admit_mask(rows.oid, rows.y0, rows.v, rows.t0)
+        if not admitted.all():
+            refused = objs[int(np.argmin(admitted))]
+            self.model.raise_refusal(refused.motion, refused.oid)
+        moving = self.model.moving_mask(rows.v)
+        fast, slow = rows.take(moving), rows.take(~moving)
+        for part, other in ((fast, self._slow), (slow, self._fast)):
+            if len(part) and len(other):
+                for oid in part.keys:
+                    if oid in other:
+                        raise DuplicateObjectError(
+                            f"object {oid} already indexed"
+                        )
+        if len(fast):
             self._fast.insert_batch(fast)
-        if slow:
+        if len(slow):
             self._slow.insert_batch(slow)
 
     def update_batch(self, objs: Sequence[MobileObject1D]) -> None:
@@ -236,20 +250,19 @@ class HybridIndex(MobileIndex1D):
         paper's update storms) forward as one
         :meth:`~repro.indexes.base.MobileIndex1D.update_batch` to the
         fast method, which may rebuild in bulk; band transitions and
-        slow-band updates take the scalar :meth:`update`.  Callers
-        guarantee oid-uniqueness within the batch, so the two groups
-        commute.
+        slow-band updates take the scalar :meth:`update`.  One moving
+        mask splits the rows; callers guarantee oid-uniqueness within
+        the batch, so the two groups commute.
         """
-        stay_fast: list = []
-        rest: list = []
-        for obj in objs:
-            if obj.oid not in self._slow and self.model.is_moving(obj.motion):
-                stay_fast.append(obj)
-            else:
-                rest.append(obj)
-        if stay_fast:
-            self._fast.update_batch(stay_fast)
-        for obj in rest:
+        rows = MotionRows.of(objs)
+        stay_fast = self.model.moving_mask(rows.v)
+        if len(self._slow):
+            stay_fast &= np.fromiter(
+                (oid not in self._slow for oid in rows.keys), bool, len(rows)
+            )
+        if stay_fast.any():
+            self._fast.update_batch(rows.take(stay_fast))
+        for obj in rows.take(~stay_fast):
             self.update(obj)
 
     def delete_batch(self, oids: Sequence[int]) -> None:

@@ -332,16 +332,12 @@ class FaultTolerantMotionService(ShardedMotionService):
         with self._catalog_lock:
             return self._catalog_motion[oid]
 
-    def _apply_sub_batch(
-        self, shard, sub_ops, fences, motions, span, hook
-    ) -> None:
+    def _apply_sub_batch(self, shard, sub_ops, fences, span, hook) -> None:
         """The base's one grouped :meth:`MotionDatabase.apply_batch`,
         then one grouped WAL commit: append, ``write_batch.pre_fsync``
         (here the log sits where the base only fires the hook), sync
         and at most one checkpoint."""
-        super()._apply_sub_batch(
-            shard, sub_ops, fences, motions, span, _no_hook
-        )
+        super()._apply_sub_batch(shard, sub_ops, fences, span, _no_hook)
         wal = self._nodes[shard].wal
         wal.append_batch(list(map(_step_record, sub_ops, fences)))
         hook("write_batch.pre_fsync")

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import threading
 import time
+from array import array
 from contextlib import contextmanager
 from typing import (
     Callable,
@@ -87,6 +88,7 @@ from repro.service.sharding import (
     VelocityRouter,
 )
 from repro.vector.cache import QueryResultCache, copy_result
+from repro.vector.columns import WriteColumns
 from repro.vector.ops import (
     DeregisterOp,
     Nearest,
@@ -109,13 +111,14 @@ ROUTER_FACTORIES: Dict[str, Callable[[int, float], ShardRouter]] = {
 
 
 #: What :meth:`ShardedMotionService._plan_write` returns: ``(claim,
-#: steps, cleanup, owner, event)`` — see its docstring.  One step is
-#: ``(shard, sub-op, fence)``; :func:`_step_record` is its log record.
-_Step = Tuple[int, WriteOp, Optional[int]]
+#: steps, cleanup, owner, event)`` — see its docstring.  The steps come
+#: in runs ``(shards, sub-op, fence)``, one step per shard of a run, in
+#: ascending shard order; :func:`_step_record` is a step's log record.
+_Run = Tuple[Tuple[int, ...], WriteOp, Optional[int]]
 _WritePlan = Tuple[
     Tuple[Optional[int], Optional[MigrationState]],
-    List[_Step],
-    List[_Step],
+    Tuple[_Run, ...],
+    Tuple[_Run, ...],
     Optional[int],
     Tuple[str, int, Optional[LinearMotion1D]],
 ]
@@ -142,12 +145,6 @@ def _no_hook(point: str) -> None:
     """Default (disarmed) crash-point hook."""
 
 
-def _check_write_ops(ops: Sequence[WriteOp]) -> None:
-    for op in ops:
-        if type(op) not in _VERBS:
-            raise TypeError(f"unknown write operation {op!r}")
-
-
 def _step_record(sub_op: WriteOp, fence: Optional[int]) -> Tuple[str, Dict]:
     """The log record ``(kind, fields)`` of one planned step: the
     sub-op in the trace dialect, plus the fencing epoch when it is a
@@ -158,12 +155,18 @@ def _step_record(sub_op: WriteOp, fence: Optional[int]) -> Tuple[str, Dict]:
     return kind, fields
 
 
+def _union(*groups: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The shards of several replica groups, each once, ascending."""
+    return tuple(sorted(set().union(*groups)))
+
+
 def _no_live_replica(
-    name: str, oid: int, steps: List[_Step]
+    name: str, oid: int, steps: Tuple[_Run, ...]
 ) -> ShardUnavailableError:
     """What a write none of whose planned steps landed fails with."""
+    shards = [shard for run, _, _ in steps for shard in run]
     return ShardUnavailableError(
-        f"{name}({oid}): no live replica in {[s for s, _, _ in steps]}"
+        f"{name}({oid}): no live replica in {shards}"
     )
 
 
@@ -293,6 +296,7 @@ class ShardedMotionService:
             self._build_database() for _ in range(shards)
         ]
         self._locks = [threading.RLock() for _ in range(shards)]
+        self._groups: Dict[int, Tuple[int, ...]] = {}
         self._catalog_lock = threading.RLock()
         # The ownership table is the catalog's routing half: the plain
         # owner dict plus in-flight two-phase migrations and their
@@ -479,6 +483,16 @@ class ShardedMotionService:
         """The shards holding objects whose primary is ``primary``."""
         return [primary]
 
+    def _group(self, primary: int) -> Tuple[int, ...]:
+        """:meth:`replica_group` in ascending order, as the write plan
+        walks it — worked out once per primary (the topology is fixed
+        for the service's life)."""
+        group = self._groups.get(primary)
+        if group is None:
+            group = tuple(sorted(set(self.replica_group(primary))))
+            self._groups[primary] = group
+        return group
+
     @contextmanager
     def _holding(self, shards: Iterable[int]) -> Iterator[None]:
         """Hold the given shards' locks, taken in ascending order."""
@@ -540,15 +554,14 @@ class ShardedMotionService:
     def _apply_sub_batch(
         self,
         shard: int,
-        sub_ops: List[WriteOp],
+        sub_ops: WriteColumns,
         fences: List[Optional[int]],
-        motions: List[Optional[LinearMotion1D]],
         span,
         hook: Callable[[str], None],
     ) -> None:
         """Hand one shard its share of a write batch (all locks held):
-        the planned sub-ops :meth:`_guard` admitted and, parallel to
-        them, their fences and the motions the plan built for them.
+        the planned sub-ops :meth:`_guard` admitted, as columns (the
+        batch's own rows), and parallel to them their fences.
 
         Here: one grouped :meth:`MotionDatabase.apply_batch`.  ``hook``
         fires ``write_batch.pre_fsync`` where a log would sit between
@@ -556,7 +569,7 @@ class ShardedMotionService:
         """
         db = self._shards[shard]
         before = db.io_snapshot()
-        errors = db.apply_batch(sub_ops, motions)
+        errors = db.apply_batch(sub_ops)
         span.add_shard_io(shard, db.io_delta_since(before))
         for sub_op, error in zip(sub_ops, errors):
             if error is not None:
@@ -605,18 +618,33 @@ class ShardedMotionService:
         shard locks are taken (catalog lock held)."""
         return self._owner.get(oid), self._ownership.migration_of(oid)
 
-    def _plan_write(self, op: WriteOp) -> _WritePlan:
+    def _plan_write(
+        self,
+        op: WriteOp,
+        claim: Tuple[Optional[int], Optional[MigrationState]],
+        admitted: bool,
+        target: Optional[int],
+    ) -> _WritePlan:
         """Decide everything placement means for one write operation.
 
         The one place an update's "which structure owns this object"
-        decision is made (catalog lock held; nothing is mutated).
-        Raises the contained rejections — duplicate register, unknown
-        object, inadmissible motion — before any shard is touched, and
-        otherwise returns ``(claim, steps, cleanup, owner, event)``:
+        decision is made (catalog lock held; nothing is mutated), and
+        only catalog work: ``claim`` is the object's :meth:`_claim` as
+        the plan sees it, ``admitted`` the admission verdict on the
+        op's motion and ``target`` the shard its route names (read only
+        for an admitted motion) — over a batch, the admission mask's
+        row (:meth:`~repro.core.model.MotionModel.admit_mask`) and the
+        route vector's (:meth:`~repro.service.sharding.ShardRouter.
+        route_many`), for a scalar verb their scalar forms.  Raises the
+        contained rejections — duplicate register,
+        unknown object, inadmissible motion (named by the scalar
+        :meth:`~repro.core.model.MotionModel.check_admissible`) —
+        before any shard is touched, and otherwise returns ``(claim,
+        steps, cleanup, owner, event)``:
 
-        * ``claim`` — the :meth:`_claim` the plan was made against;
-        * ``steps`` — ``(shard, sub-op, fence)`` in apply order, over
-          the replica group(s) that must take the write; it succeeds
+        * ``claim`` — the claim the plan was made against;
+        * ``steps`` — runs ``(shards, sub-op, fence)`` in apply order,
+          over the replica group(s) that must take the write; it succeeds
           iff at least one lands.  A report inside a migration's
           double-write window goes to both participants' groups and
           carries the fencing epoch (:func:`_step_record` turns a
@@ -632,49 +660,48 @@ class ShardedMotionService:
         never landed).
         """
         oid = op.oid
-        owner, migration = claim = self._claim(oid)
-        if isinstance(op, RegisterOp):
+        owner, migration = claim
+        kind = type(op)
+        if kind is RegisterOp:
             if owner is not None:
                 raise InvalidMotionError(
                     f"object {oid} is already registered; use report()"
                 )
         elif owner is None:
             raise ObjectNotFoundError(f"object {oid} is not registered")
-        if isinstance(op, DeregisterOp):
-            held = set(self.replica_group(owner))
+        if kind is DeregisterOp:
+            held = self._group(owner)
             if migration is not None:
-                held |= set(self.replica_group(migration.dest))
-            steps = [(shard, op, None) for shard in sorted(held)]
-            return claim, steps, [], None, ("delete", oid, None)
+                held = _union(held, self._group(migration.dest))
+            return claim, ((held, op, None),), (), None, ("delete", oid, None)
         motion = LinearMotion1D(op.y0, op.v, op.t0)
-        self._model.check_admissible(motion, oid)
+        if not admitted:
+            self._model.raise_refusal(motion, oid)
         if migration is not None:
             # Double-write window: the ownership table, not the router,
             # decides placement — recomputing the route from motion
             # here would fork the object onto a third shard
             # mid-migration.
-            held = set(self.replica_group(migration.source)) | set(
-                self.replica_group(migration.dest)
+            held = _union(
+                self._group(migration.source), self._group(migration.dest)
             )
-            steps = [(shard, op, migration.epoch) for shard in sorted(held)]
-            return claim, steps, [], owner, ("update", oid, motion)
-        if owner is None or self.router.motion_sensitive:
-            target = self.router.route(oid, motion)
-        else:
+            steps = ((held, op, migration.epoch),)
+            return claim, steps, (), owner, ("update", oid, motion)
+        if owner is not None and not self.router.motion_sensitive:
             target = owner
-        new = set(self.replica_group(target))
-        if owner is None:
-            steps = [(shard, op, None) for shard in sorted(new)]
-            return claim, steps, [], target, ("insert", oid, motion)
-        old = new if target == owner else set(self.replica_group(owner))
-        steps = [(shard, op, None) for shard in sorted(old & new)]
-        steps += [
-            (shard, RegisterOp(oid, op.y0, op.v, op.t0), None)
-            for shard in sorted(new - old)
-        ]
-        cleanup = [
-            (shard, DeregisterOp(oid), None) for shard in sorted(old - new)
-        ]
+        if owner is None or target == owner:
+            event = ("insert" if owner is None else "update", oid, motion)
+            return claim, ((self._group(target), op, None),), (), target, event
+        new, old = set(self._group(target)), set(self._group(owner))
+        steps = (
+            (tuple(sorted(old & new)), op, None),
+            (
+                tuple(sorted(new - old)),
+                RegisterOp(oid, op.y0, op.v, op.t0),
+                None,
+            ),
+        )
+        cleanup = ((tuple(sorted(old - new)), DeregisterOp(oid), None),)
         return claim, steps, cleanup, target, ("update", oid, motion)
 
     def _write(self, op: WriteOp) -> None:
@@ -690,12 +717,29 @@ class ShardedMotionService:
         """
         name = _VERBS[type(op)]
         oid = op.oid
+        # One op: the scalar forms of the admission mask and the route
+        # vector, the references both are held to.
+        admitted = False
+        if type(op) is not DeregisterOp:
+            motion = LinearMotion1D(op.y0, op.v, op.t0)
+            try:
+                self._model.check_admissible(motion, oid)
+                admitted = True
+            except InvalidMotionError:
+                pass
         with self.metrics.span(name) as span:
             while True:
                 with self._catalog_lock:
-                    claim, steps, cleanup, owner, event = self._plan_write(op)
+                    target = (
+                        self.router.route(oid, motion) if admitted else None
+                    )
+                    claim, steps, cleanup, owner, event = self._plan_write(
+                        op, self._claim(oid), admitted, target
+                    )
                 registering, fenced = claim[0] is None, claim[1] is not None
-                with self._holding(s for s, _, _ in steps + cleanup):
+                with self._holding(
+                    shard for run, _, _ in steps + cleanup for shard in run
+                ):
                     with self._catalog_lock:
                         if self._claim(oid) != claim:
                             if fenced:
@@ -710,9 +754,12 @@ class ShardedMotionService:
                             self._owner[oid] = owner
                     try:
                         landed = [
-                            s
-                            for s, sub_op, fence in steps
-                            if self._apply_step(s, name, sub_op, fence, span)
+                            shard
+                            for run, sub_op, fence in steps
+                            for shard in run
+                            if self._apply_step(
+                                shard, name, sub_op, fence, span
+                            )
                         ]
                         if not landed:
                             raise _no_live_replica(name, oid, steps)
@@ -721,8 +768,9 @@ class ShardedMotionService:
                             with self._catalog_lock:
                                 self._owner.pop(oid, None)
                         raise
-                    for s, sub_op, fence in cleanup:
-                        self._apply_step(s, name, sub_op, fence, span)
+                    for run, sub_op, fence in cleanup:
+                        for shard in run:
+                            self._apply_step(shard, name, sub_op, fence, span)
                     with self._catalog_lock:
                         self._commit_write(oid, owner, event)
                     if fenced and event[0] == "update":
@@ -825,14 +873,22 @@ class ShardedMotionService:
 
         ``crash_hook`` fires ``write_batch.pre_fsync`` once per touched
         shard, after its group applied (see :meth:`_apply_sub_batch`).
+
+        The batch is columns from here down (:class:`~repro.vector.
+        columns.WriteColumns`, converted once): one admission mask and
+        one route vector cover every op, the plan loop keeps only
+        catalog decisions, and a shard takes its sub-ops as the batch's
+        own rows.
         """
         with self.metrics.span("apply_batch") as span:
-            _check_write_ops(ops)
+            batch = WriteColumns(ops)
             outcomes: List[Optional[Exception]] = [None] * len(ops)
             events: List[Tuple[str, int, Optional[LinearMotion1D]]] = []
             with self._holding(range(self.shard_count)):
                 with self._catalog_lock:
-                    staged = self._stage_batch(ops, outcomes, events)
+                    staged = self._stage_batch(batch, outcomes, events)
+                # Each shard has its rows now; the batch's columns go.
+                del batch
                 hook = crash_hook or _no_hook
                 for shard in sorted(staged):
                     # Popped, so a group is released once it applied.
@@ -844,65 +900,95 @@ class ShardedMotionService:
 
     def _stage_batch(
         self,
-        ops: Sequence[WriteOp],
+        batch: WriteColumns,
         outcomes: List[Optional[Exception]],
         events: List[Tuple[str, int, Optional[LinearMotion1D]]],
-    ) -> Dict[int, Tuple[List, List, List]]:
+    ) -> Dict[int, Tuple[WriteColumns, List[Optional[int]]]]:
         """Plan a batch (every lock held): each op through
-        :meth:`_plan_write` in submission order, its steps admitted,
-        the catalog committed as it resolves — so duplicate oids within
-        one batch see each other in order.  Fills ``outcomes`` and
-        ``events``; returns, per shard, the admitted sub-ops, their
-        fences and their motions (the event's, so a shard indexes the
-        object the listeners get), in submission order.
+        :meth:`_plan_write` in submission order, its steps admitted —
+        duplicate oids within one batch see each other in order — then
+        the catalog committed once the whole plan stands, so an
+        exception escaping the plan leaves the catalog as it was.
+        Fills ``outcomes`` and ``events``; returns, per shard, the
+        admitted sub-ops (the batch's rows) and their fences, in
+        submission order.
         """
-        staged: Dict[int, Tuple[List, List, List]] = {}
-        # Per shard, residency of the oids a staged sub-op registers or
-        # deregisters, so a register → deregister pair inside one batch
-        # resolves against the state the earlier op *will* have
-        # produced.  It lives only while the batch is planned.
+        admitted = self._model.admit_mask(
+            batch.oid, batch.y0, batch.v, batch.t0
+        ).tolist()
+        targets = self.router.route_many(batch.oid, batch.v).tolist()
+        # An oid the batch names twice: a later op plans against the
+        # claim the earlier one leaves, and a register → deregister pair
+        # on one shard against the residency the earlier sub-op will
+        # have produced.  Both maps live only while the batch is planned.
+        repeated = batch.repeated()
+        claims: Dict[int, Tuple[Optional[int], Optional[MigrationState]]] = {}
         pending: List[Dict[int, bool]] = [{} for _ in self._shards]
+        staged = {
+            shard: (array("q"), [], []) for shard in range(self.shard_count)
+        }
+        owners: List[Optional[int]] = []
+        guard, shards, claim_of = self._guard, self._shards, self._claim
 
-        def admit(step: _Step, name: str, motion) -> bool:
+        def admit(
+            shard: int, sub_op: WriteOp, fence: Optional[int], name: str,
+            row: int,
+        ) -> bool:
             """Stage one planned step iff it lands."""
-            shard, sub_op, fence = step
-            deleting = isinstance(sub_op, DeregisterOp)
+            deleting = type(sub_op) is DeregisterOp
             if deleting and not pending[shard].get(
-                sub_op.oid, sub_op.oid in self._shards[shard]
+                sub_op.oid, sub_op.oid in shards[shard]
             ):
                 return False  # copy never landed here
             try:
-                self._guard(shard, name, write=True)
+                guard(shard, name, True)
             except ShardUnavailableError:
                 return False
-            if deleting or isinstance(sub_op, RegisterOp):
+            if sub_op.oid in repeated and (
+                deleting or type(sub_op) is RegisterOp
+            ):
                 pending[shard][sub_op.oid] = not deleting
-            sub_ops, fences, motions = staged.setdefault(shard, ([], [], []))
+            rows, sub_ops, fences = staged[shard]
+            rows.append(row)
             sub_ops.append(sub_op)
             fences.append(fence)
-            motions.append(None if deleting else motion)
             return True
 
-        for i, op in enumerate(ops):
+        for i, op in enumerate(batch):
+            oid = op.oid
+            claim = claims[oid] if oid in claims else claim_of(oid)
             try:
-                (_, migration), steps, cleanup, owner, event = (
-                    self._plan_write(op)
+                _, steps, cleanup, owner, event = self._plan_write(
+                    op, claim, admitted[i], targets[i]
                 )
             except (InvalidMotionError, ObjectNotFoundError) as exc:
                 outcomes[i] = exc
                 continue
             name = _VERBS[type(op)]
-            motion = event[2]
-            if not [step for step in steps if admit(step, name, motion)]:
-                outcomes[i] = _no_live_replica(name, op.oid, steps)
+            landed = False
+            for run, sub_op, fence in steps:
+                for shard in run:
+                    landed |= admit(shard, sub_op, fence, name, i)
+            if not landed:
+                outcomes[i] = _no_live_replica(name, oid, steps)
                 continue
-            for step in cleanup:
-                admit(step, name, motion)
-            self._commit_write(op.oid, owner, event)
+            for run, sub_op, fence in cleanup:
+                for shard in run:
+                    admit(shard, sub_op, fence, name, i)
+            migration = claim[1]
+            if oid in repeated:
+                claims[oid] = (owner, None if owner is None else migration)
             if migration is not None and event[0] == "update":
                 self.metrics.counter("rebalance_double_writes").increment()
+            owners.append(owner)
             events.append(event)
-        return staged
+        for owner, event in zip(owners, events):
+            self._commit_write(event[1], owner, event)
+        return {
+            shard: (batch.take(rows, sub_ops), fences)
+            for shard, (rows, sub_ops, fences) in staged.items()
+            if rows
+        }
 
     # -- live rebalancing (two-phase object migration) ---------------------------
     #

@@ -22,7 +22,9 @@ queries out.  Which objects land together is the routing policy:
 
 Routers are deterministic pure functions of (oid, motion, band
 epoch) — the differential test harness relies on replaying the same
-route decisions across runs.
+route decisions across runs.  Each has a column form,
+:meth:`ShardRouter.route_many`, that routes a whole write batch in one
+pass and equals :meth:`ShardRouter.route` row for row.
 
 Routing answers "where *should* this object live"; :class:`OwnershipTable`
 answers "where does it live *right now*".  The two differ while a
@@ -40,6 +42,8 @@ import abc
 import bisect
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
+
+import numpy as np
 
 from repro.core.model import LinearMotion1D
 from repro.errors import ObjectNotFoundError, StaleMigrationError
@@ -61,6 +65,16 @@ def mix_oid(oid: int) -> int:
     return x
 
 
+def mix_oids(oid: np.ndarray) -> np.ndarray:
+    """:func:`mix_oid` of an int64 column, in uint64 arithmetic: the
+    low 32 bits of a product depend only on the low 32 bits of its
+    factors, and two's complement gives a negative oid the low bits
+    Python's unbounded ``&`` sees, so every row equals the scalar mix."""
+    x = oid.astype(np.int64, copy=False).view(np.uint64)
+    x = x * np.uint64(_FIB_MIX) & np.uint64(_MASK_32)
+    return x ^ (x >> np.uint64(16))
+
+
 class ShardRouter(abc.ABC):
     """Maps an object (id + motion) to one of ``k`` shards."""
 
@@ -72,6 +86,12 @@ class ShardRouter(abc.ABC):
     @abc.abstractmethod
     def route(self, oid: int, motion: LinearMotion1D) -> int:
         """The shard (``0 <= shard < shards``) that owns this object."""
+
+    @abc.abstractmethod
+    def route_many(self, oid: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Column form of :meth:`route` over a batch's int64 oids and
+        float64 speeds: row ``i`` is ``route(oid[i], motion)`` for any
+        motion with speed ``v[i]`` (a route reads no other field)."""
 
     @property
     def motion_sensitive(self) -> bool:
@@ -86,6 +106,9 @@ class HashRouter(ShardRouter):
 
     def route(self, oid: int, motion: LinearMotion1D) -> int:
         return mix_oid(oid) % self.shards
+
+    def route_many(self, oid: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return mix_oids(oid) % np.uint64(self.shards)
 
 
 class BandRouter(ShardRouter):
@@ -150,6 +173,12 @@ class BandRouter(ShardRouter):
 
     def route(self, oid: int, motion: LinearMotion1D) -> int:
         return self.band_of(motion.v)
+
+    def route_many(self, oid: np.ndarray, v: np.ndarray) -> np.ndarray:
+        edges = np.array(self._edges, dtype=np.float64)
+        return np.minimum(
+            np.searchsorted(edges, np.abs(v), "right"), self.shards - 1
+        )
 
     def set_bands(self, edges: Iterable[float], epoch: int) -> None:
         """Install a new band layout under a strictly newer epoch.

@@ -23,33 +23,185 @@ explicitly re-ranked list.
 
 ``version`` increments on every mutation; the shared-memory twin
 (:mod:`repro.vector.shm`) publishes it with every snapshot.
+
+A write batch travels in the same shape: :class:`WriteColumns` is the
+batch's oids and fields converted once, and :class:`MotionRows` one
+group of its rows as it goes down a shard — to the index and then to
+:meth:`MotionColumns.apply_events`.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter, abc
+from itertools import compress
 from operator import attrgetter
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.model import LinearMotion1D, MobileObject1D
+from repro.core.model import LinearMotion1D, MobileObject1D, motion_columns
+from repro.vector.ops import WRITE_KINDS, DeregisterOp, WriteOp
 
 #: Initial array capacity (doubles on overflow).
 _MIN_CAPACITY = 16
 
-_MOTION_FIELDS = tuple(
-    attrgetter(f"motion.{field}") for field in ("y0", "v", "t0")
-)
+
+class MotionRows(abc.Sequence):
+    """Rows ``(oid, y0, v, t0)`` as four arrays (int64, then float64)
+    that read as a sequence of :class:`~repro.core.model.MobileObject1D`.
+
+    What a shard hands its index and its table for one group of
+    writes: a hook that can read columns takes ``rows.oid`` and the
+    field arrays (the forest's bulk build, the table's appends, the
+    hybrid's band split), and one that needs objects iterates and gets
+    each row as an object built on the spot, float64 fields — the way
+    :class:`~repro.bptree.packed.PackedRecords` makes a leaf a list
+    over columns.  ``keys`` are the oids as the caller's ops or objects
+    carried them, so the table keys its rows by those ints instead of
+    minting one per row.
+    """
+
+    __slots__ = ("keys", "oid", "y0", "v", "t0")
+
+    def __init__(
+        self,
+        keys: Sequence[int],
+        oid: np.ndarray,
+        y0: np.ndarray,
+        v: np.ndarray,
+        t0: np.ndarray,
+    ) -> None:
+        self.keys, self.oid, self.y0, self.v, self.t0 = keys, oid, y0, v, t0
+
+    @classmethod
+    def of(cls, objects: Sequence[MobileObject1D]) -> "MotionRows":
+        """``objects`` as rows: themselves if they already are, else
+        their fields converted once (:func:`~repro.core.model.
+        motion_columns`: a row that does not convert has NaN fields)."""
+        if isinstance(objects, cls):
+            return objects
+        keys = [obj.oid for obj in objects]
+        return cls(keys, *motion_columns(
+            keys,
+            *([getattr(obj.motion, field) for obj in objects]
+              for field in ("y0", "v", "t0")),
+        ))
+
+    def take(self, index) -> "MotionRows":
+        """The rows a mask, a slice or a position array selects."""
+        keys = self.keys
+        return MotionRows(
+            [keys[i] for i in np.arange(len(keys))[index].tolist()],
+            self.oid[index], self.y0[index], self.v[index], self.t0[index],
+        )
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[MobileObject1D]:
+        return map(MobileObject1D, self.keys, map(
+            LinearMotion1D,
+            self.y0.tolist(), self.v.tolist(), self.t0.tolist(),
+        ))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(index)
+        return MobileObject1D(self.keys[index], LinearMotion1D(
+            self.y0.item(index), self.v.item(index), self.t0.item(index)
+        ))
 
 
-def _motion_columns(
-    objs: Sequence[MobileObject1D],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(y0, v, t0)`` of the objects' motions as float64 arrays."""
-    return tuple(
-        np.fromiter(map(field, objs), np.float64, len(objs))
-        for field in _MOTION_FIELDS
-    )
+class WriteColumns(abc.Sequence):
+    """A write batch as columns: the ops, the oids they name (``keys``,
+    the ops' own ints) and the oid and motion fields as int64 / float64
+    arrays, converted once (:func:`~repro.core.model.motion_columns`; a
+    deregister's fields are NaN, and ignored).
+
+    It reads as the sequence of its ops, so whatever takes a batch of
+    :mod:`repro.vector.ops` writes takes it, and a layer that has the
+    columns already does not extract them again
+    (:meth:`~repro.engine.MotionDatabase.apply_batch`).  Constructing
+    one from anything but write ops raises ``TypeError``.
+    """
+
+    __slots__ = ("ops", "keys", "oid", "y0", "v", "t0")
+
+    def __init__(self, ops: Sequence[WriteOp]) -> None:
+        kinds = set(map(type, ops))
+        if not kinds <= WRITE_KINDS.keys():
+            for op in ops:
+                if type(op) not in WRITE_KINDS:
+                    raise TypeError(f"unknown write operation {op!r}")
+        if DeregisterOp in kinds:
+            fields = (
+                [getattr(op, field, math.nan) for op in ops]
+                for field in ("y0", "v", "t0")
+            )
+        else:
+            fields = (
+                list(map(attrgetter(field), ops))
+                for field in ("y0", "v", "t0")
+            )
+        self.ops = ops
+        self.keys = [op.oid for op in ops]
+        self.oid, self.y0, self.v, self.t0 = motion_columns(
+            self.keys, *fields
+        )
+
+    @classmethod
+    def of(cls, ops: Sequence[WriteOp]) -> "WriteColumns":
+        """``ops`` as columns: themselves if they already are."""
+        return ops if isinstance(ops, cls) else cls(ops)
+
+    def take(
+        self, rows: Sequence[int], ops: Sequence[WriteOp]
+    ) -> "WriteColumns":
+        """The sub-batch ``ops`` whose columns are this batch's rows at
+        positions ``rows`` (a planned sub-op names its op's object and
+        carries its motion)."""
+        part = WriteColumns.__new__(WriteColumns)
+        part.ops = ops
+        part.keys = [op.oid for op in ops]
+        rows = np.asarray(rows, dtype=np.int64)
+        part.oid, part.y0, part.v, part.t0 = (
+            self.oid[rows], self.y0[rows], self.v[rows], self.t0[rows]
+        )
+        return part
+
+    def repeated(self) -> Set[int]:
+        """The oids the batch names more than once.  The oid column
+        decides when every oid is an ``int`` (the column then holds it
+        exactly, or a placeholder that can only add false repeats);
+        otherwise the oids are counted as a dict would key them."""
+        if all(issubclass(kind, int) for kind in set(map(type, self.keys))):
+            ordered = np.sort(self.oid)
+            if not (ordered[1:] == ordered[:-1]).any():
+                return set()
+        counts = Counter(self.keys)
+        return {oid for oid, n in counts.items() if n > 1}
+
+    def rows(self, index: Sequence[int]) -> MotionRows:
+        """The motions of the ops at increasing positions ``index``, as
+        rows (views of the columns when that is every op)."""
+        if len(index) == len(self.keys):
+            return MotionRows(self.keys, self.oid, self.y0, self.v, self.t0)
+        keys = [self.keys[i] for i in index]
+        index = np.asarray(index, dtype=np.int64)
+        return MotionRows(
+            keys, self.oid[index], self.y0[index], self.v[index],
+            self.t0[index],
+        )
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def __iter__(self) -> Iterator[WriteOp]:
+        return iter(self.ops)
+
+    def __getitem__(self, index):
+        return self.ops[index]
 
 
 class MotionColumns:
@@ -91,6 +243,12 @@ class MotionColumns:
 
     def __contains__(self, oid: int) -> bool:
         return oid in self._slots
+
+    def holds(self, oids: Sequence[int]) -> np.ndarray:
+        """Which of ``oids`` have a row, as a boolean array."""
+        return np.fromiter(
+            map(self._slots.__contains__, oids), bool, len(oids)
+        )
 
     def get(self, oid: int) -> Optional[LinearMotion1D]:
         """The stored motion of one object, or ``None``."""
@@ -207,17 +365,20 @@ class MotionColumns:
         ``gone`` are the oids whose rows are dropped (an absent one is
         skipped, as :meth:`delete` skips it), ``written`` the objects
         whose rows are set — overwritten in place when the oid has a
-        row, appended otherwise.  No oid appears twice across the two
-        (the group is one epoch of
+        row, appended otherwise; :class:`MotionRows` are read as the
+        arrays they are.  No oid appears twice across the two (the
+        group is one epoch of
         :meth:`~repro.engine.MotionDatabase.apply_batch`).  The dropped
         rows are filled from the live tail in one compaction, the
         overwrites are one scatter and the appends one slice; the result
         equals :meth:`delete` and :meth:`upsert` once per write up to
         row order, and ``version`` advances once.
         """
-        if not gone and not written:
+        rows = MotionRows.of(written)
+        if not len(gone) and not len(rows):
             return
-        doomed = [self._slots.pop(oid) for oid in gone if oid in self._slots]
+        slots = self._slots
+        doomed = [slots.pop(oid) for oid in gone if oid in slots]
         if doomed:
             doomed = np.asarray(doomed, dtype=np.int64)
             n = self._n - len(doomed)
@@ -228,29 +389,28 @@ class MotionColumns:
             for column in (self._oid, self._y0, self._v, self._t0):
                 column[holes] = column[survivors]
             self._n = n
-            for oid, slot in zip(self._oid[holes].tolist(), holes.tolist()):
-                self._slots[oid] = slot
-        patched, fresh = [], []
-        for obj in written:
-            (patched if obj.oid in self._slots else fresh).append(obj)
-        if patched:
-            slots = np.fromiter(
-                (self._slots[obj.oid] for obj in patched), np.int64,
-                len(patched),
-            )
-            self._y0[slots], self._v[slots], self._t0[slots] = (
-                _motion_columns(patched)
-            )
-        if fresh:
-            self._reserve(len(fresh))
-            rows = slice(self._n, self._n + len(fresh))
-            self._oid[rows] = np.fromiter(
-                (obj.oid for obj in fresh), np.int64, len(fresh)
-            )
-            self._y0[rows], self._v[rows], self._t0[rows] = (
-                _motion_columns(fresh)
-            )
-            for slot, obj in enumerate(fresh, self._n):
-                self._slots[obj.oid] = slot
-            self._n += len(fresh)
+            slots.update(zip(self._oid[holes].tolist(), holes.tolist()))
+        oids = rows.keys
+        if slots and oids:
+            held = list(map(slots.__contains__, oids))
+            if any(held):
+                mask = np.array(held)
+                at = np.fromiter(
+                    map(slots.__getitem__, compress(oids, held)), np.int64
+                )
+                self._y0[at], self._v[at], self._t0[at] = (
+                    rows.y0[mask], rows.v[mask], rows.t0[mask]
+                )
+                rows = rows.take(~mask)
+                oids = rows.keys
+        if oids:
+            n, k = self._n, len(oids)
+            self._reserve(k)
+            fresh = slice(n, n + k)
+            self._oid[fresh] = rows.oid
+            self._y0[fresh] = rows.y0
+            self._v[fresh] = rows.v
+            self._t0[fresh] = rows.t0
+            slots.update(zip(oids, range(n, n + k)))
+            self._n = n + k
         self.version += 1

@@ -61,7 +61,7 @@ class ProximityPairs:
 QueryOp = Union[Within, SnapshotAt, Nearest, ProximityPairs]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegisterOp:
     """Write op: admit a new object with motion ``y(t) = y0 + v·(t−t0)``."""
 
@@ -71,7 +71,7 @@ class RegisterOp:
     t0: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReportOp:
     """Write op: replace an existing object's motion parameters."""
 
@@ -81,7 +81,7 @@ class ReportOp:
     t0: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeregisterOp:
     """Write op: remove an object from the live population."""
 

@@ -120,6 +120,17 @@ def test_experiments_durability_table_equals_committed_result():
     )
 
 
+@pytest.mark.parametrize(
+    "heading, result",
+    [
+        ("### A load is columns", "ablation_load.txt"),
+        ("#### Ten ledger pairs", "ablation_load_ledger.txt"),
+    ],
+)
+def test_experiments_load_tables_equal_committed_results(heading, result):
+    _assert_quoted_table_is_committed(heading, result)
+
+
 def test_experiments_bulk_build_table_equals_committed_result():
     """Wall-clock lives in prose; the page columns are the result file."""
     _assert_quoted_table_is_committed(
