@@ -10,8 +10,8 @@ the forest's ``bulk_build`` and ``MotionColumns.apply_events``, the
 listener pass, and the garbage collector (collections and seconds,
 from ``gc.callbacks``) — and reads ``VmHWM`` at the end.  The engine's
 own loop is what the shard applies spend outside the hybrid and the
-table.  Every stage name exists at both commits, so the same probe
-times both: the parent's ``src/`` is taken with ``git archive`` of
+table.  Every stage name exists at both commits (the listener pass
+under its name at each), so the same probe times both: the parent's ``src/`` is taken with ``git archive`` of
 :data:`PARENT` (rows are skipped, with the reason in the title, where
 that is not possible), and the change is this tree.
 
@@ -78,7 +78,9 @@ def timed(stage, fn):
 S = ShardedMotionService
 S._stage_batch = timed("plan", S._stage_batch)
 S._apply_sub_batch = timed("shards", S._apply_sub_batch)
-S._notify_update_batch = timed("listeners", S._notify_update_batch)
+# The listener pass: one call of _notify since the listeners take columns.
+notify = "_notify" if hasattr(S, "_notify") else "_notify_update_batch"
+setattr(S, notify, timed("listeners", getattr(S, notify)))
 HybridIndex.insert_batch = timed("hybrid", HybridIndex.insert_batch)
 MotionColumns.apply_events = timed("apply_events", MotionColumns.apply_events)
 HoughYForestIndex.bulk_build = classmethod(

@@ -39,15 +39,10 @@ from repro.indexes.hybrid import HybridIndex
 from repro.io_sim.stats import IOSnapshot
 from repro.vector.columns import MotionColumns, WriteColumns
 from repro.vector.ops import (
-    WRITE_KINDS,
     DeregisterOp,
-    Nearest,
-    ProximityPairs,
     QueryOp,
     RegisterOp,
     ReportOp,
-    SnapshotAt,
-    Within,
     WriteOp,
 )
 
@@ -78,11 +73,6 @@ class MotionDatabase:
         ``"kdtree"`` (§3.5.1), or pass ``index_factory`` directly.
     keep_history:
         Archive superseded motions and enable :meth:`query_past`.
-    vector:
-        Answer :meth:`query_batch` with the vectorized kernels of
-        :mod:`repro.vector` over the object table (default).  With
-        ``vector=False`` batches take the scalar per-query path, with
-        identical results.
     columns_factory:
         Override the object table's implementation (default
         :class:`~repro.vector.columns.MotionColumns`); the service's
@@ -99,7 +89,6 @@ class MotionDatabase:
         method: str = "forest",
         index_factory: Optional[Callable[[MotionModel], MobileIndex1D]] = None,
         keep_history: bool = False,
-        vector: bool = True,
         columns_factory: Optional[Callable[[], MotionColumns]] = None,
     ) -> None:
         self.model = MotionModel(Terrain1D(y_max), v_min, v_max)
@@ -120,11 +109,8 @@ class MotionDatabase:
             base = HistoricalIndex(self.model, base)
         self._index = base
         self._history_enabled = keep_history
-        self._vector = vector
         self._now = 0.0
-        self._update_listeners: List[
-            Callable[[str, int, Optional[LinearMotion1D]], None]
-        ] = []
+        self._update_listeners: List[Callable[[WriteColumns], None]] = []
 
     # -- registration and updates -------------------------------------------------
 
@@ -134,23 +120,26 @@ class MotionDatabase:
         return self._now
 
     def attach_update_listener(
-        self, listener: Callable[[str, int, Optional[LinearMotion1D]], None]
+        self, listener: Callable[[WriteColumns], None]
     ) -> None:
-        """Call ``listener(kind, oid, motion)`` after every applied
-        write; ``kind`` uses the trace dialect (``"insert"`` /
-        ``"update"`` / ``"delete"``, motion ``None`` for deletes).
-        Listeners run inside the write path and must not raise.
+        """Call ``listener(writes)`` once per applied write set:
+        ``writes`` is the :class:`~repro.vector.columns.WriteColumns` of
+        the applied ops in submission order — one op for a scalar verb,
+        the applied ops of an :meth:`apply_batch` (a batch that applies
+        nothing announces nothing).  Listeners run inside the write path
+        and must not raise.
         """
         self._update_listeners.append(listener)
 
     def detach_update_listener(self, listener) -> None:
         self._update_listeners.remove(listener)
 
-    def _notify_update(
-        self, kind: str, oid: int, motion: Optional[LinearMotion1D]
-    ) -> None:
-        for listener in list(self._update_listeners):
-            listener(kind, oid, motion)
+    def _notify(self, writes: Sequence[WriteOp]) -> None:
+        """Announce one applied write set to every listener."""
+        if self._update_listeners and len(writes):
+            writes = WriteColumns.of(writes)
+            for listener in list(self._update_listeners):
+                listener(writes)
 
     def __len__(self) -> int:
         return len(self._columns)
@@ -181,7 +170,7 @@ class MotionDatabase:
         insert(MobileObject1D(oid, motion))
         self._columns.upsert(oid, motion)
         self._now = max(self._now, motion.t0)
-        self._notify_update("insert", oid, motion)
+        self._notify((RegisterOp(oid, motion.y0, motion.v, motion.t0),))
 
     def report(self, oid: int, y0: float, v: float, t0: float) -> None:
         """Process a motion update from object ``oid`` (delete+insert).
@@ -199,7 +188,7 @@ class MotionDatabase:
         self._index.update(MobileObject1D(oid, motion))
         self._columns.upsert(oid, motion)
         self._now = max(self._now, t0)
-        self._notify_update("update", oid, motion)
+        self._notify((ReportOp(oid, y0, v, t0),))
 
     def deregister(self, oid: int) -> None:
         """Remove an object (it left the system)."""
@@ -210,7 +199,7 @@ class MotionDatabase:
         else:
             self._index.delete(oid)
         self._columns.delete(oid)
-        self._notify_update("delete", oid, None)
+        self._notify((DeregisterOp(oid),))
 
     # -- batched writes ------------------------------------------------------------
 
@@ -254,9 +243,9 @@ class MotionDatabase:
         maximal, which is what lets the §3.5 forest amortize a storm
         into one bulk rebuild (with ``keep_history`` every op is its
         own epoch: the §7 archive must be written in time order).  The
-        update listeners, if any, fire once per batch, with a motion
-        built from each op's own fields.  Final state and answers are
-        identical to calling the scalar methods in the same order.
+        update listeners, if any, get the applied ops' rows once per
+        batch.  Final state and answers are identical to calling the
+        scalar methods in the same order.
         """
         batch = WriteColumns.of(ops)
         keys = batch.keys
@@ -319,17 +308,10 @@ class MotionDatabase:
                 for kind in (_DELETE, _UPDATE, _INSERT)
             ))
         if self._update_listeners:
-            events = []
-            for i in np.flatnonzero(applied).tolist():
-                op = batch[i]
-                motion = (
-                    None if deleting[i]
-                    else LinearMotion1D(op.y0, op.v, op.t0)
-                )
-                events.append((WRITE_KINDS[type(op)], op.oid, motion))
-            for listener in list(self._update_listeners):
-                for event in events:
-                    listener(*event)
+            done = np.flatnonzero(applied).tolist()
+            self._notify(batch if len(done) == len(keys) else batch.take(
+                done, [batch[i] for i in done]
+            ))
         return outcomes
 
     def _flush_epoch(
@@ -508,11 +490,6 @@ class MotionDatabase:
     # -- batch queries --------------------------------------------------------------
 
     @property
-    def vector_enabled(self) -> bool:
-        """Whether :meth:`query_batch` runs the vectorized kernels."""
-        return self._vector
-
-    @property
     def columns(self) -> MotionColumns:
         """The object table (treat as read-only)."""
         return self._columns
@@ -523,42 +500,14 @@ class MotionDatabase:
         Accepts the :mod:`repro.vector.ops` vocabulary (``Within`` /
         ``SnapshotAt`` / ``Nearest`` / ``ProximityPairs``) and returns
         one result per operation, in order, with the same container
-        conventions as the scalar methods.  With ``vector`` on the
-        whole batch is answered by vectorized kernels over the object
-        table; otherwise each operation takes the scalar path.  Either
-        way the answers are identical — the batch API changes
-        throughput, not semantics.
+        conventions as the scalar methods.  The whole batch is answered
+        by vectorized kernels over the object table, identically to the
+        scalar methods — the batch API changes throughput, not
+        semantics.
         """
-        if self._vector:
-            from repro.vector.evaluate import evaluate_batch
+        from repro.vector.evaluate import evaluate_batch
 
-            return evaluate_batch(self._columns, queries)
-        return self._query_batch_scalar(queries)
-
-    def _query_batch_scalar(self, queries: List[QueryOp]) -> List:
-        """Scalar fallback: per-index batch for ranges, loops elsewhere."""
-        results: List = [None] * len(queries)
-        mor_slots: List[int] = []
-        mor_queries: List[MORQuery1D] = []
-        for i, op in enumerate(queries):
-            if isinstance(op, Within):
-                mor_slots.append(i)
-                mor_queries.append(MORQuery1D(op.y1, op.y2, op.t1, op.t2))
-            elif isinstance(op, SnapshotAt):
-                mor_slots.append(i)
-                mor_queries.append(MOR1Query(op.y1, op.y2, op.t).as_mor())
-            elif isinstance(op, Nearest):
-                results[i] = self.nearest(op.y, op.t, op.k)
-            elif isinstance(op, ProximityPairs):
-                results[i] = self.proximity_pairs(op.d, op.t1, op.t2)
-            else:
-                raise TypeError(f"unknown query operation {op!r}")
-        if mor_queries:
-            for slot, answer in zip(
-                mor_slots, self._index.query_batch(mor_queries)
-            ):
-                results[slot] = answer
-        return results
+        return evaluate_batch(self._columns, queries)
 
     def query_past(
         self, y1: float, y2: float, t1: float, t2: float

@@ -52,24 +52,11 @@ class MobileIndex1D(abc.ABC):
         self.delete(obj.oid)
         self.insert(obj)
 
-    def query_batch(
-        self, queries: Sequence[MORQuery1D]
-    ) -> List[Set[int]]:
-        """Answer many MOR queries in one call.
-
-        The default is the scalar loop, so every index participates in
-        the batch API; an implementation may override this with one
-        grouped pass.  Answers must be elementwise
-        identical to :meth:`query` — the batch paths are differential-
-        tested against the scalar paths.
-        """
-        return [self.query(query) for query in queries]
-
     # -- batched writes --------------------------------------------------------
     #
-    # The write-path twins of query_batch: each applies its objects in
-    # order, and on error the prefix before the failing object remains
-    # applied (exactly the scalar loop's semantics).  Callers guarantee
+    # Each applies its objects in order, and on error the prefix before
+    # the failing object remains applied (exactly the scalar loop's
+    # semantics).  Callers guarantee
     # oid-uniqueness within one call — the engine splits runs at
     # repeated oids — so overrides are free to reorder internally.
 

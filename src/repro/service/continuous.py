@@ -44,7 +44,10 @@ time ``T`` fires once ``advance(t)`` reaches ``t >= T`` while an
 The manager observes writes through the update-listener hook of
 :class:`~repro.service.service.ShardedMotionService` (also available
 on :class:`~repro.engine.MotionDatabase` and the fault-tolerant
-service).  Notifications are delivered in apply order, so the cached
+service): one call per acknowledged write set, carrying the ops and
+their float64 rows as a :class:`~repro.vector.columns.WriteColumns`,
+which the manager walks row by row under one hold of its lock.
+Notifications are delivered in apply order, so the cached
 motion table tracks exactly the acknowledged service state — which is
 why subscriptions stay oracle-consistent across shard crashes and WAL
 recovery: recovery reconciles replicas, it never changes acknowledged
@@ -57,7 +60,7 @@ a two-phase migration moves an object *between shards* without ever
 changing its acknowledged motion (double-writes carry the same values
 to both participants, and cutover is a pure ownership flip), so the
 listener stream the manager consumes is migration-transparent —
-exactly one ``update`` per report, no spurious insert/delete at
+exactly one ``ReportOp`` row per report, no spurious insert/delete at
 cutover.  Subscriptions therefore stay oracle-consistent through a
 migration storm; the rebalance tests check that with delta replay.
 
@@ -79,6 +82,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core.model import LinearMotion1D
 from repro.errors import InvalidQueryError, ObjectNotFoundError
 from repro.service.metrics import MetricsRegistry
+from repro.vector.columns import WriteColumns
+from repro.vector.ops import DeregisterOp
 
 #: Delta kinds.
 ENTER = "enter"
@@ -525,31 +530,36 @@ class SubscriptionManager:
             (time_, _RANK[kind], next(self._seq), sid, key, version, kind),
         )
 
-    def _on_update(
-        self, kind: str, oid: int, motion: Optional[LinearMotion1D]
-    ) -> None:
-        """Update-listener hook: invalidate only what ``oid`` touches.
+    def _on_update(self, writes: WriteColumns) -> None:
+        """Update-listener hook: invalidate only what each written
+        object touches, row by row in submission order, under one lock
+        hold for the whole write set.
 
         Called by the service in apply order (while it holds the
-        owning shard's locks — hence: never call back into the service
-        from here).
+        shard locks — hence: never call back into the service from
+        here).  The mirror takes the float64 fields of the rows.
         """
         with self._lock:
             if self._closed:
                 return
-            if kind == "delete":
-                self._motions.pop(oid, None)
-            else:
-                self._motions[oid] = motion
-            for sub in self._subs.values():
-                if sub.kind == KIND_PROXIMITY:
-                    keys: List[object] = [
-                        (oid, other) if oid < other else (other, oid)
-                        for other in self._motions
-                        if other != oid
-                    ]
+            for op, y0, v, t0 in zip(
+                writes.ops, writes.y0.tolist(), writes.v.tolist(),
+                writes.t0.tolist(),
+            ):
+                oid = op.oid
+                if type(op) is DeregisterOp:
+                    self._motions.pop(oid, None)
                 else:
-                    keys = [oid]
-                for key in keys:
-                    self._refresh_key(sub, key, self._now, emit=True)
-                self._c_invalidations.increment(len(keys))
+                    self._motions[oid] = LinearMotion1D(y0, v, t0)
+                for sub in self._subs.values():
+                    if sub.kind == KIND_PROXIMITY:
+                        keys: List[object] = [
+                            (oid, other) if oid < other else (other, oid)
+                            for other in self._motions
+                            if other != oid
+                        ]
+                    else:
+                        keys = [oid]
+                    for key in keys:
+                        self._refresh_key(sub, key, self._now, emit=True)
+                    self._c_invalidations.increment(len(keys))

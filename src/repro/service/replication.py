@@ -317,15 +317,18 @@ class FaultTolerantMotionService(ShardedMotionService):
 
     # -- updates ----------------------------------------------------------------
 
-    def _commit_write(self, oid, owner, event) -> None:
+    def _commit_write(self, op, owner) -> None:
         """Catalog commit, plus the authoritative motion recovery
-        reconciles against."""
-        super()._commit_write(oid, owner, event)
-        motion = event[2]
-        if motion is None:
-            self._catalog_motion.pop(oid, None)
+        reconciles against: the float64 fields the op's rows hold
+        (``float`` of an admitted field is that value), never the
+        caller's own number types."""
+        super()._commit_write(op, owner)
+        if type(op) is DeregisterOp:
+            self._catalog_motion.pop(op.oid, None)
         else:
-            self._catalog_motion[oid] = motion
+            self._catalog_motion[op.oid] = LinearMotion1D(
+                float(op.y0), float(op.v), float(op.t0)
+            )
 
     def _current_motion(self, oid: int, shard: int) -> LinearMotion1D:
         """From the catalog: well-defined even while ``shard`` is down."""
@@ -595,9 +598,10 @@ class FaultTolerantMotionService(ShardedMotionService):
             with self._catalog_lock:
                 self._owner.update(owners)
                 self._catalog_motion.update(elected)
-            self._notify_update_batch(
-                [("insert", oid, elected[oid]) for oid in sorted(elected)]
-            )
+            self._notify([
+                RegisterOp(oid, m.y0, m.v, m.t0)
+                for oid, m in sorted(elected.items())
+            ])
             self._recoveries += 1
         return {
             "objects": len(elected),

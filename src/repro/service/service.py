@@ -111,7 +111,7 @@ ROUTER_FACTORIES: Dict[str, Callable[[int, float], ShardRouter]] = {
 
 
 #: What :meth:`ShardedMotionService._plan_write` returns: ``(claim,
-#: steps, cleanup, owner, event)`` — see its docstring.  The steps come
+#: steps, cleanup, owner)`` — see its docstring.  The steps come
 #: in runs ``(shards, sub-op, fence)``, one step per shard of a run, in
 #: ascending shard order; :func:`_step_record` is a step's log record.
 _Run = Tuple[Tuple[int, ...], WriteOp, Optional[int]]
@@ -120,7 +120,6 @@ _WritePlan = Tuple[
     Tuple[_Run, ...],
     Tuple[_Run, ...],
     Optional[int],
-    Tuple[str, int, Optional[LinearMotion1D]],
 ]
 
 #: WriteOp class → the scalar verb (metrics span, fault-injection op
@@ -205,10 +204,10 @@ class ShardedMotionService:
     metrics:
         An existing :class:`MetricsRegistry` to record into; a fresh
         one is created when omitted.
-    cache_capacity / cache_clock_bucket:
-        Tuning for the memoizing :class:`QueryResultCache` consulted
-        by :meth:`query_batch` (see that class for the keying and
-        invalidation rules).  ``cache_capacity=0`` disables the cache.
+    cache_capacity:
+        Entries of the memoizing :class:`QueryResultCache` consulted
+        by :meth:`query_batch` (see that class for the invalidation
+        rules).  ``cache_capacity=0`` disables the cache.
     workers / pool:
         The multi-process execution tier.  ``workers=N`` (N >= 1)
         spawns a service-owned :class:`~repro.service.parallel.
@@ -238,7 +237,6 @@ class ShardedMotionService:
         router: str | ShardRouter = "hash",
         metrics: Optional[MetricsRegistry] = None,
         cache_capacity: int = 1024,
-        cache_clock_bucket: Optional[float] = None,
         workers: int = 0,
         pool: Optional["WorkerPool"] = None,
     ) -> None:
@@ -304,17 +302,13 @@ class ShardedMotionService:
         # pre-existing code path keeps its contract.
         self._ownership = OwnershipTable()
         self._owner: Dict[int, int] = self._ownership.owner
-        self._update_listeners: List[
-            Callable[[str, int, Optional[LinearMotion1D]], None]
-        ] = []
+        self._update_listeners: List[Callable[[WriteColumns], None]] = []
         self.query_cache: Optional[QueryResultCache] = None
         if cache_capacity > 0:
             self.query_cache = QueryResultCache(
-                metrics=self.metrics,
-                capacity=cache_capacity,
-                clock_bucket=cache_clock_bucket,
+                metrics=self.metrics, capacity=cache_capacity
             )
-            self.attach_update_listener(self.query_cache.on_update)
+            self.attach_update_listener(self.query_cache.on_update_batch)
 
     def _build_database(self) -> MotionDatabase:
         """One shard-sized database, metrics listener attached.
@@ -430,52 +424,33 @@ class ShardedMotionService:
     # -- update listeners --------------------------------------------------------
 
     def attach_update_listener(
-        self, listener: Callable[[str, int, Optional[LinearMotion1D]], None]
+        self, listener: Callable[[WriteColumns], None]
     ) -> None:
-        """Call ``listener(kind, oid, motion)`` after each acknowledged
-        write (``"insert"``/``"update"``/``"delete"``; motion is
-        ``None`` for deletes).  Delivery happens while the owning
-        shard's lock is still held, so per-object notifications arrive
-        in apply order — the guarantee
-        :class:`~repro.service.continuous.SubscriptionManager` builds
-        on.  Listeners therefore must be fast, must not raise, and
-        must never call back into the service.
+        """Call ``listener(writes)`` once per acknowledged write set:
+        ``writes`` is the :class:`~repro.vector.columns.WriteColumns` of
+        the acknowledged ops in submission order — the op of a scalar
+        verb, the acknowledged ops of an :meth:`apply_batch` (a batch
+        that acknowledges nothing announces nothing), the restored
+        population of a cold restore.  An op is announced as submitted:
+        a report that moves its object between replica groups, or
+        double-writes it inside a migration window, is one
+        ``ReportOp``.  Delivery happens while the shard locks are still
+        held, so per-object notifications arrive in apply order — the
+        guarantee :class:`~repro.service.continuous.SubscriptionManager`
+        builds on.  Listeners therefore must be fast, must not raise,
+        and must never call back into the service.
         """
         self._update_listeners.append(listener)
 
     def detach_update_listener(self, listener) -> None:
         self._update_listeners.remove(listener)
 
-    def _notify_update(
-        self, kind: str, oid: int, motion: Optional[LinearMotion1D]
-    ) -> None:
-        for listener in list(self._update_listeners):
-            listener(kind, oid, motion)
-
-    def _notify_update_batch(
-        self, events: List[Tuple[str, int, Optional[LinearMotion1D]]]
-    ) -> None:
-        """One listener pass per batch, events in submission order.
-
-        Each listener still receives every per-object event in apply
-        order — the :meth:`attach_update_listener` guarantee — but the
-        pass over the listener list happens once per batch instead of
-        once per write, and the result cache absorbs the whole batch
-        through :meth:`~repro.vector.cache.QueryResultCache.on_update_batch`
-        (one lock acquisition and one generation advance covering all
-        events).
-        """
-        if not events:
-            return
-        for listener in list(self._update_listeners):
-            if (
-                self.query_cache is not None
-                and listener == self.query_cache.on_update
-            ):
-                self.query_cache.on_update_batch(events)
-            else:
-                for kind, oid, motion in events:
-                    listener(kind, oid, motion)
+    def _notify(self, writes: Sequence[WriteOp]) -> None:
+        """Announce one acknowledged write set to every listener."""
+        if self._update_listeners and len(writes):
+            writes = WriteColumns.of(writes)
+            for listener in list(self._update_listeners):
+                listener(writes)
 
     # -- seams (trivial here; the fault-tolerant subclass overrides them) --------
 
@@ -591,18 +566,13 @@ class ShardedMotionService:
         """The answer to return when only ``answered`` shards replied."""
         return value
 
-    def _commit_write(
-        self,
-        oid: int,
-        owner: Optional[int],
-        event: Tuple[str, int, Optional[LinearMotion1D]],
-    ) -> None:
-        """Catalog commit of one applied write (catalog lock held):
-        ``oid`` now belongs to ``owner``, or to nobody."""
+    def _commit_write(self, op: WriteOp, owner: Optional[int]) -> None:
+        """Catalog commit of one applied write (catalog lock held): the
+        op's object now belongs to ``owner``, or to nobody."""
         if owner is None:
-            self._ownership.drop(oid)
+            self._ownership.drop(op.oid)
         else:
-            self._owner[oid] = owner
+            self._owner[op.oid] = owner
 
     def _current_motion(self, oid: int, shard: int) -> LinearMotion1D:
         """The motion a migration copies: what owner ``shard`` holds."""
@@ -640,7 +610,7 @@ class ShardedMotionService:
         unknown object, inadmissible motion (named by the scalar
         :meth:`~repro.core.model.MotionModel.check_admissible`) —
         before any shard is touched, and otherwise returns ``(claim,
-        steps, cleanup, owner, event)``:
+        steps, cleanup, owner)``:
 
         * ``claim`` — the claim the plan was made against;
         * ``steps`` — runs ``(shards, sub-op, fence)`` in apply order,
@@ -652,8 +622,10 @@ class ShardedMotionService:
         * ``cleanup`` — the old copies a cross-group move drops, only
           after a step landed (insert-new then delete-old, so a
           failure never loses the object);
-        * ``owner`` — the catalog owner once applied (``None``: gone);
-        * ``event`` — the listener notification.
+        * ``owner`` — the catalog owner once applied (``None``: gone).
+
+        The listeners are told the op itself (:meth:`_notify`), so the
+        plan builds no motion for an admitted one.
 
         Delete sub-ops name every shard that *may* hold a copy; the
         consumers skip the ones that do not (a migration copy that
@@ -673,10 +645,9 @@ class ShardedMotionService:
             held = self._group(owner)
             if migration is not None:
                 held = _union(held, self._group(migration.dest))
-            return claim, ((held, op, None),), (), None, ("delete", oid, None)
-        motion = LinearMotion1D(op.y0, op.v, op.t0)
+            return claim, ((held, op, None),), (), None
         if not admitted:
-            self._model.raise_refusal(motion, oid)
+            self._model.raise_refusal(LinearMotion1D(op.y0, op.v, op.t0), oid)
         if migration is not None:
             # Double-write window: the ownership table, not the router,
             # decides placement — recomputing the route from motion
@@ -685,13 +656,11 @@ class ShardedMotionService:
             held = _union(
                 self._group(migration.source), self._group(migration.dest)
             )
-            steps = ((held, op, migration.epoch),)
-            return claim, steps, (), owner, ("update", oid, motion)
+            return claim, ((held, op, migration.epoch),), (), owner
         if owner is not None and not self.router.motion_sensitive:
             target = owner
         if owner is None or target == owner:
-            event = ("insert" if owner is None else "update", oid, motion)
-            return claim, ((self._group(target), op, None),), (), target, event
+            return claim, ((self._group(target), op, None),), (), target
         new, old = set(self._group(target)), set(self._group(owner))
         steps = (
             (tuple(sorted(old & new)), op, None),
@@ -702,7 +671,7 @@ class ShardedMotionService:
             ),
         )
         cleanup = ((tuple(sorted(old - new)), DeregisterOp(oid), None),)
-        return claim, steps, cleanup, target, ("update", oid, motion)
+        return claim, steps, cleanup, target
 
     def _write(self, op: WriteOp) -> None:
         """Apply one write: plan, lock the plan's shards, re-validate.
@@ -733,7 +702,7 @@ class ShardedMotionService:
                     target = (
                         self.router.route(oid, motion) if admitted else None
                     )
-                    claim, steps, cleanup, owner, event = self._plan_write(
+                    claim, steps, cleanup, owner = self._plan_write(
                         op, self._claim(oid), admitted, target
                     )
                 registering, fenced = claim[0] is None, claim[1] is not None
@@ -772,12 +741,12 @@ class ShardedMotionService:
                         for shard in run:
                             self._apply_step(shard, name, sub_op, fence, span)
                     with self._catalog_lock:
-                        self._commit_write(oid, owner, event)
-                    if fenced and event[0] == "update":
+                        self._commit_write(op, owner)
+                    if fenced and type(op) is ReportOp:
                         self.metrics.counter(
                             "rebalance_double_writes"
                         ).increment()
-                    self._notify_update(*event)
+                    self._notify((op,))
                     return
 
     def _apply_step(
@@ -854,12 +823,13 @@ class ShardedMotionService:
         and same-object operations always group onto the same shard in
         order (a motion-sensitive cross-shard move splits into a
         source delete and a destination insert on two different
-        databases, which also commute).  Listeners fire once per batch
-        in submission order (:meth:`_notify_update_batch`) before any
-        lock is released, so readers never observe a half-applied
-        batch and subscriptions keep their per-object apply-order
-        guarantee.  Final state and answers are identical to calling
-        the scalar methods in the same order.
+        databases, which also commute).  Listeners are told once per
+        batch, the acknowledged ops' rows in submission order
+        (:meth:`_notify`), before any lock is released, so readers
+        never observe a half-applied batch and subscriptions keep
+        their per-object apply-order guarantee.  Final state and
+        answers are identical to calling the scalar methods in the same
+        order.
 
         Each planned step is admitted as the scalar write admits it —
         a delete of a copy that never landed is skipped, then
@@ -883,35 +853,36 @@ class ShardedMotionService:
         with self.metrics.span("apply_batch") as span:
             batch = WriteColumns(ops)
             outcomes: List[Optional[Exception]] = [None] * len(ops)
-            events: List[Tuple[str, int, Optional[LinearMotion1D]]] = []
             with self._holding(range(self.shard_count)):
                 with self._catalog_lock:
-                    staged = self._stage_batch(batch, outcomes, events)
-                # Each shard has its rows now; the batch's columns go.
-                del batch
+                    staged, acked = self._stage_batch(batch, outcomes)
+                # Each shard has its rows now; the listeners get the
+                # acknowledged ones, and the rest of the batch goes.
+                if len(acked) < len(batch):
+                    batch = batch.take(acked, [batch[i] for i in acked])
                 hook = crash_hook or _no_hook
                 for shard in sorted(staged):
                     # Popped, so a group is released once it applied.
                     self._apply_sub_batch(
                         shard, *staged.pop(shard), span, hook
                     )
-                self._notify_update_batch(events)
+                self._notify(batch)
             return outcomes
 
     def _stage_batch(
         self,
         batch: WriteColumns,
         outcomes: List[Optional[Exception]],
-        events: List[Tuple[str, int, Optional[LinearMotion1D]]],
-    ) -> Dict[int, Tuple[WriteColumns, List[Optional[int]]]]:
+    ) -> Tuple[Dict[int, Tuple[WriteColumns, List[Optional[int]]]],
+               List[int]]:
         """Plan a batch (every lock held): each op through
         :meth:`_plan_write` in submission order, its steps admitted —
         duplicate oids within one batch see each other in order — then
         the catalog committed once the whole plan stands, so an
         exception escaping the plan leaves the catalog as it was.
-        Fills ``outcomes`` and ``events``; returns, per shard, the
-        admitted sub-ops (the batch's rows) and their fences, in
-        submission order.
+        Fills ``outcomes``; returns, per shard, the admitted sub-ops
+        (the batch's rows) and their fences, in submission order, and
+        the positions of the acknowledged ops.
         """
         admitted = self._model.admit_mask(
             batch.oid, batch.y0, batch.v, batch.t0
@@ -928,6 +899,7 @@ class ShardedMotionService:
             shard: (array("q"), [], []) for shard in range(self.shard_count)
         }
         owners: List[Optional[int]] = []
+        acked: List[int] = []
         guard, shards, claim_of = self._guard, self._shards, self._claim
 
         def admit(
@@ -958,7 +930,7 @@ class ShardedMotionService:
             oid = op.oid
             claim = claims[oid] if oid in claims else claim_of(oid)
             try:
-                _, steps, cleanup, owner, event = self._plan_write(
+                _, steps, cleanup, owner = self._plan_write(
                     op, claim, admitted[i], targets[i]
                 )
             except (InvalidMotionError, ObjectNotFoundError) as exc:
@@ -978,17 +950,17 @@ class ShardedMotionService:
             migration = claim[1]
             if oid in repeated:
                 claims[oid] = (owner, None if owner is None else migration)
-            if migration is not None and event[0] == "update":
+            if migration is not None and type(op) is ReportOp:
                 self.metrics.counter("rebalance_double_writes").increment()
             owners.append(owner)
-            events.append(event)
-        for owner, event in zip(owners, events):
-            self._commit_write(event[1], owner, event)
+            acked.append(i)
+        for i, owner in zip(acked, owners):
+            self._commit_write(batch[i], owner)
         return {
             shard: (batch.take(rows, sub_ops), fences)
             for shard, (rows, sub_ops, fences) in staged.items()
             if rows
-        }
+        }, acked
 
     # -- live rebalancing (two-phase object migration) ---------------------------
     #
@@ -1358,7 +1330,7 @@ class ShardedMotionService:
           the shard lock, instead of one lock/query round-trip per
           query per shard;
         * answers are memoized in :class:`QueryResultCache` (keyed on
-          the query and the clock bucket, invalidated by writes), so
+          the query, invalidated by writes), so
           repeated queries inside and across batches skip the shards
           entirely.
 
@@ -1390,12 +1362,11 @@ class ShardedMotionService:
             k = self.shard_count
             live = [s for s in range(k) if self._answerable(s)]
             cache = self.query_cache if len(live) == k else None
-            now = self.now
             results: List = [None] * len(ops)
             misses: "Dict[QueryOp, List[int]]" = {}
             for i, op in enumerate(ops):
                 if cache is not None:
-                    hit, value = cache.get(op, now)
+                    hit, value = cache.get(op)
                     if hit:
                         results[i] = value
                         continue
@@ -1412,7 +1383,7 @@ class ShardedMotionService:
                 for op, value, who in zip(pending, computed, answered):
                     complete = len(who) == k
                     if cache is not None and complete:
-                        cache.put(op, value, now, generation=generation)
+                        cache.put(op, value, generation=generation)
                     for n, slot in enumerate(misses[op]):
                         # duplicates get fresh copies
                         answer = copy_result(value) if n else value

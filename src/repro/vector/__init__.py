@@ -11,8 +11,9 @@ snapshot / k-NN / proximity predicates
 (:class:`SharedMotionColumns`) whose rows worker processes can read
 without pickling (:mod:`repro.vector.shm`).
 
-The vocabulary and the cache are pure Python; the columnar store and
-kernels need ``numpy``, a declared hard dependency of the package.
+The vocabulary is pure Python; the columnar store, the kernels and the
+cache (which invalidates with the kernels) need ``numpy``, a declared
+hard dependency of the package.
 """
 
 from repro.vector.cache import QueryResultCache
@@ -22,7 +23,6 @@ from repro.vector.ops import (
     QueryOp,
     SnapshotAt,
     Within,
-    query_key,
 )
 
 from repro.vector.columns import MotionColumns
@@ -46,5 +46,4 @@ __all__ = [
     "evaluate_arrays",
     "evaluate_batch",
     "evaluate_query",
-    "query_key",
 ]

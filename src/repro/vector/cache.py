@@ -3,47 +3,47 @@
 A serving workload repeats queries: dashboards poll the same band,
 dispatchers re-rank the same k-NN probe, retries re-ask what just
 timed out.  :class:`QueryResultCache` memoizes the answers of the
-batch query path keyed by the query itself (see
-:func:`repro.vector.ops.query_key`) plus a *clock bucket*, and keeps
-the entries exactly consistent with the write stream by per-object
+batch query path keyed by the query op itself (the frozen dataclasses
+of :mod:`repro.vector.ops` hash and compare by value), and keeps the
+entries exactly consistent with the write stream by per-object
 invalidation:
 
-* the cache observes every acknowledged write through the same
-  ``attach_update_listener`` hook the subscription layer uses, in
-  per-object apply order;
-* an entry is dropped only when the written object can actually
-  change its answer — it is in the cached result, or its new motion
-  satisfies the cached query (for k-NN: would rank at or above the
-  current ``k``-th candidate).  Writes that provably cannot affect an
-  entry leave it warm.
+* the cache is an update listener: it observes every acknowledged
+  write set, as the :class:`~repro.vector.columns.WriteColumns` it
+  arrived in, through the same ``attach_update_listener`` hook the
+  subscription layer uses, in per-object apply order;
+* an entry is dropped only when a written object can actually change
+  its answer — it is in the cached result, or its new motion satisfies
+  the cached query (for k-NN: would rank at or above the current
+  ``k``-th candidate).  Writes that provably cannot affect an entry
+  leave it warm.
 
-That is the same closed-form reasoning the
+One routine, :func:`doomed`, decides that for a whole write set at
+once: one call of each kernel the batch read uses
+(:func:`~repro.vector.kernels.mor_mask` for ``Within`` and
+``SnapshotAt`` entries, :func:`~repro.vector.kernels.knn_distances`
+for ``Nearest``), broadcast over the resident entries × the written
+rows, plus a set test of the written
+oids against each result.  It is the same closed-form reasoning the
 :class:`~repro.service.continuous.SubscriptionManager` applies to its
 standing results, specialised to drop-on-touch instead of repair —
 dropped entries are simply recomputed by the next batch.
 
 Invalidation alone is not enough under concurrency: a result computed
 *outside* the cache lock can be overtaken by a write that lands after
-the shards were read but before :meth:`put` runs — the write's
-``on_update`` finds nothing to drop (the entry is not resident yet)
-and the stale answer would then be inserted and served until the next
-touching write.  The cache therefore carries a **generation counter**,
-bumped by every observed write: callers snapshot it
-(:meth:`generation`) before computing and hand it back to
-:meth:`put`, which replays the writes logged in between against the
-candidate entry and drops it (``query_cache_stale_puts``) if any
-could have changed the answer.  The write log is bounded
-(``WRITE_LOG_WINDOW``); a compute that out-lives the window is
-rejected conservatively.  :meth:`bump_generation` lets the service
-veto every in-flight put without a per-object record — the
-fault-tolerant layer uses it when a shard dies mid-batch.
-
-The optional ``clock_bucket`` quantizes lookups in time: an entry
-written in bucket ``floor(now / clock_bucket)`` is invisible from any
-other bucket, bounding reuse across epochs for operators who want
-freshness guarantees coarser than exact invalidation.  The default
-(``None``) is a single bucket — correctness then rests entirely on
-the per-object invalidation, which is exact.
+the shards were read but before :meth:`put` runs — the write finds
+nothing to drop (the entry is not resident yet) and the stale answer
+would then be inserted and served until the next touching write.  The
+cache therefore carries a **generation counter**, advanced by one for
+every written row: callers snapshot it (:meth:`generation`) before
+computing and hand it back to :meth:`put`, which replays the write sets
+logged in between against the candidate entry through :func:`doomed`
+and drops it (``query_cache_stale_puts``) if any could have changed the
+answer.  The write log covers the last ``WRITE_LOG_WINDOW`` rows; a
+compute that out-lives the window is rejected conservatively.
+:meth:`bump_generation` lets the service veto every in-flight put
+without a per-object record — the fault-tolerant layer uses it when a
+shard dies mid-batch.
 
 Hit / miss / invalidation / eviction tallies go to named counters in
 a :class:`~repro.service.metrics.MetricsRegistry`
@@ -53,27 +53,30 @@ effectiveness next to the per-operation table.
 
 from __future__ import annotations
 
-import math
 import threading
-from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from collections import deque
+from itertools import chain, compress
+from operator import attrgetter, itemgetter
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.model import LinearMotion1D
-from repro.core.predicates import matches_1d, matches_mor1
-from repro.core.queries import MOR1Query, MORQuery1D
+import numpy as np
+
+from repro.vector.columns import WriteColumns
+from repro.vector.kernels import knn_distances, mor_mask
 from repro.vector.ops import (
+    DeregisterOp,
     Nearest,
     ProximityPairs,
     QueryOp,
     SnapshotAt,
     Within,
-    query_key,
+    WriteOp,
 )
 
 #: Default maximum resident entries (LRU beyond this).
 DEFAULT_CAPACITY = 1024
 
-#: Writes remembered for validating in-flight puts.  A put whose
+#: Written rows remembered for validating in-flight puts.  A put whose
 #: compute window saw more writes than this is dropped conservatively.
 WRITE_LOG_WINDOW = 256
 
@@ -81,51 +84,34 @@ WRITE_LOG_WINDOW = 256
 class QueryResultCache:
     """LRU result cache with exact per-object write invalidation."""
 
-    def __init__(
-        self,
-        metrics=None,
-        capacity: int = DEFAULT_CAPACITY,
-        clock_bucket: Optional[float] = None,
-    ) -> None:
+    def __init__(self, metrics=None, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        if clock_bucket is not None and clock_bucket <= 0:
-            raise ValueError(
-                f"clock_bucket must be positive, got {clock_bucket}"
-            )
         if metrics is None:
             from repro.service.metrics import MetricsRegistry
 
             metrics = MetricsRegistry()
         self.metrics = metrics
         self.capacity = capacity
-        self.clock_bucket = clock_bucket
         self._lock = threading.Lock()
-        # key -> (op, value); ordered oldest-first for LRU.
-        self._entries: "OrderedDict[Tuple, Tuple[QueryOp, object]]" = (
-            OrderedDict()
-        )
-        # Monotone write clock.  Each observed write appends
-        # (generation, kind, oid, motion) so puts can replay what
-        # happened during their compute window; _floor marks events
-        # (clear, shard death) that veto every older in-flight put.
+        # op -> value, oldest use first (a use re-inserts).  A plain
+        # dict: walking an OrderedDict hashes every key, and an op's
+        # hash is a Python call.
+        self._entries: Dict[QueryOp, object] = {}
+        # Monotone write clock, one tick a written row.  Each observed
+        # write set of at most WRITE_LOG_WINDOW rows is logged with the
+        # generation it ends at, so puts can replay what happened during
+        # their compute window (a longer set outruns every window);
+        # _floor marks events (clear, shard death) that veto every older
+        # in-flight put.
         self._generation = 0
         self._floor = 0
-        self._write_log: Deque[
-            Tuple[int, str, int, Optional[LinearMotion1D]]
-        ] = deque(maxlen=WRITE_LOG_WINDOW)
+        self._write_log: Deque[Tuple[int, WriteColumns]] = deque()
         self._hits = metrics.counter("query_cache_hits")
         self._misses = metrics.counter("query_cache_misses")
         self._invalidations = metrics.counter("query_cache_invalidations")
         self._evictions = metrics.counter("query_cache_evictions")
         self._stale_puts = metrics.counter("query_cache_stale_puts")
-
-    # -- keying ----------------------------------------------------------------
-
-    def _bucket(self, now: float) -> int:
-        if self.clock_bucket is None:
-            return 0
-        return int(math.floor(now / self.clock_bucket))
 
     # -- generations -----------------------------------------------------------
 
@@ -133,7 +119,7 @@ class QueryResultCache:
         """The current write generation, for handing to :meth:`put`.
 
         Snapshot this *before* reading the shards; every write the
-        cache observes afterwards bumps it, so :meth:`put` can tell
+        cache observes afterwards advances it, so :meth:`put` can tell
         whether the computed answer may already be stale.
         """
         with self._lock:
@@ -153,22 +139,25 @@ class QueryResultCache:
     def _fresh(self, op: QueryOp, value: object, generation: int) -> bool:
         """Whether a value computed at ``generation`` is still current.
 
-        Caller holds the lock.  Replays the writes logged since the
+        Caller holds the lock.  Replays the write sets logged since the
         snapshot against the candidate entry; sound because ``True``
         needs proof (every intervening write provably irrelevant, the
-        same :func:`_affected` test used for resident entries) and
+        same :func:`doomed` test used for resident entries) and
         anything unprovable — log window overrun, a floor event —
-        answers ``False``.
+        answers ``False``.  A write set is announced whole under the
+        lock, so every logged set is wholly before or wholly after the
+        snapshot.
         """
         if generation == self._generation:
             return True
         if generation < self._floor:
             return False
-        missed = self._generation - generation
-        if missed > len(self._write_log):
+        if self._generation - generation > WRITE_LOG_WINDOW:
             return False
-        for gen, kind, oid, motion in list(self._write_log)[-missed:]:
-            if _affected(op, value, kind, oid, motion):
+        for end, writes in reversed(self._write_log):
+            if end <= generation:
+                break
+            if doomed([(op, value)], writes)[0]:
                 return False
         return True
 
@@ -178,28 +167,24 @@ class QueryResultCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, op: QueryOp, now: float = 0.0) -> Tuple[bool, object]:
-        """``(hit, value)`` for one query at clock ``now``.
+    def get(self, op: QueryOp) -> Tuple[bool, object]:
+        """``(hit, value)`` for one query.
 
         Returned containers are fresh copies, so callers may mutate
         them without corrupting the cached original.
         """
-        key = query_key(op, self._bucket(now))
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            # An answer is a set or a list, never None.
+            value = self._entries.pop(op, None)
+            if value is None:
                 self._misses.increment()
                 return (False, None)
-            self._entries.move_to_end(key)
+            self._entries[op] = value
             self._hits.increment()
-            return (True, copy_result(entry[1]))
+            return (True, copy_result(value))
 
     def put(
-        self,
-        op: QueryOp,
-        value: object,
-        now: float = 0.0,
-        generation: Optional[int] = None,
+        self, op: QueryOp, value: object, generation: Optional[int] = None
     ) -> None:
         """Memoize one computed answer (evicting LRU beyond capacity).
 
@@ -212,17 +197,17 @@ class QueryResultCache:
         served until the next touching write.  ``None`` skips the
         check, for callers who know no writer can race them.
         """
-        key = query_key(op, self._bucket(now))
         with self._lock:
             if generation is not None and not self._fresh(
                 op, value, generation
             ):
                 self._stale_puts.increment()
                 return
-            self._entries[key] = (op, copy_result(value))
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            entries = self._entries
+            entries.pop(op, None)
+            entries[op] = copy_result(value)
+            while len(entries) > self.capacity:
+                del entries[next(iter(entries))]
                 self._evictions.increment()
 
     def clear(self) -> None:
@@ -248,56 +233,35 @@ class QueryResultCache:
 
     # -- write invalidation ----------------------------------------------------
 
-    def on_update(
-        self, kind: str, oid: int, motion: Optional[LinearMotion1D]
-    ) -> None:
-        """Update-listener hook: drop exactly the affected entries.
+    def on_update_batch(self, writes: WriteColumns) -> None:
+        """Update-listener hook: observe one acknowledged write set, drop
+        exactly the affected entries, advance the generation by one per
+        row and log the set.
 
         Runs inside the service write path (shard locks held), so it
         must be fast, must not raise, and never calls back into the
         service — it only touches its own table.
         """
-        with self._lock:
-            self._generation += 1
-            self._write_log.append((self._generation, kind, oid, motion))
-            doomed: List[Tuple] = [
-                key
-                for key, (op, value) in self._entries.items()
-                if _affected(op, value, kind, oid, motion)
-            ]
-            for key in doomed:
-                del self._entries[key]
-            self._invalidations.increment(len(doomed))
-
-    def on_update_batch(
-        self,
-        events: Sequence[Tuple[str, int, Optional[LinearMotion1D]]],
-    ) -> None:
-        """Batched :meth:`on_update`: one lock hold, one table scan.
-
-        Equivalent to observing each event in order — the generation
-        advances by one per event and each lands in the write log, so
-        :meth:`_fresh` replay arithmetic is unchanged — but the entry
-        table is scanned once against all events instead of once per
-        event.
-        """
-        if not events:
+        n = len(writes)
+        if not n:
             return
         with self._lock:
-            for kind, oid, motion in events:
-                self._generation += 1
-                self._write_log.append((self._generation, kind, oid, motion))
-            doomed: List[Tuple] = [
-                key
-                for key, (op, value) in self._entries.items()
-                if any(
-                    _affected(op, value, kind, oid, motion)
-                    for kind, oid, motion in events
-                )
-            ]
-            for key in doomed:
-                del self._entries[key]
-            self._invalidations.increment(len(doomed))
+            self._generation += n
+            log = self._write_log
+            if n <= WRITE_LOG_WINDOW:
+                log.append((self._generation, writes))
+            while log and log[0][0] <= self._generation - WRITE_LOG_WINDOW:
+                log.popleft()
+            entries = self._entries
+            hits = doomed(entries.items(), writes)
+            gone = [op for op, hit in zip(entries, hits) if hit]
+            for op in gone:
+                del entries[op]
+            self._invalidations.increment(len(gone))
+
+    def on_update(self, op: WriteOp) -> None:
+        """One write: :meth:`on_update_batch` of a one-row set."""
+        self.on_update_batch(WriteColumns([op]))
 
 
 def copy_result(value: object) -> object:
@@ -310,50 +274,111 @@ def copy_result(value: object) -> object:
     return value
 
 
-def _affected(
-    op: QueryOp,
-    value: object,
-    kind: str,
-    oid: int,
-    motion: Optional[LinearMotion1D],
-) -> bool:
-    """Can the write ``(kind, oid, motion)`` change this cached answer?
+def _within(y0, v, t0, y1, y2, t1, t2) -> np.ndarray:
+    return mor_mask(y0, v, t0, Within(y1, y2, t1, t2))
 
-    Sound over-approximation: answers ``True`` whenever the write
-    *could* matter, and ``False`` only with a proof it cannot —
-    membership in the cached result covers every effect of the
-    object's superseded motion (if the old motion contributed, the
-    object is in the answer), and the predicates below cover the new
-    motion.
+
+def _nearer(y0, v, t0, y, t, kth) -> np.ndarray:
+    return knn_distances(y0, v, t0, y, t) <= kth
+
+
+#: Query kind -> the kernel deciding whether a new motion can change a
+#: cached answer, and the op fields it takes.  A snapshot is a
+#: ``Within`` whose window is the instant ``t``: ``mor_mask`` then does
+#: ``snapshot_mask``'s float64 operations, so both kinds share one
+#: call.  A ``Nearest`` entry adds the distance of its ``k``-th answer.
+_KERNELS: Dict[type, Tuple[Callable, Callable]] = {
+    Within: (_within, attrgetter("y1", "y2", "t1", "t2")),
+    SnapshotAt: (_within, attrgetter("y1", "y2", "t", "t")),
+    Nearest: (_nearer, attrgetter("y", "t")),
+}
+
+
+def _reached(
+    kernel: Callable,
+    params: np.ndarray,
+    y0: np.ndarray,
+    v: np.ndarray,
+    t0: np.ndarray,
+) -> np.ndarray:
+    """Per entry (a column of ``params``, one parameter a row), whether
+    ``kernel`` holds for some written row.  The rows go in blocks, so
+    that a broadcast buffer holds at most 2**16 values (512 KiB: the
+    write path runs beside a loaded shard and must not raise the
+    process's high-water mark)."""
+    entries = params[..., None]
+    step = max(1, 2**16 // params.shape[1])
+    hit = np.zeros(params.shape[1], dtype=bool)
+    for start in range(0, len(y0), step):
+        rows = slice(start, start + step)
+        hit |= kernel(y0[rows], v[rows], t0[rows], *entries).any(axis=1)
+    return hit
+
+
+def doomed(
+    entries: Iterable[Tuple[QueryOp, object]], writes: WriteColumns
+) -> List[bool]:
+    """Which cached ``(op, value)`` entries the write set can change.
+
+    Sound over-approximation, entry by entry the same verdict as
+    testing each written row alone and dropping on any ``True``:
+    membership in the cached result covers every effect of an object's
+    superseded motion (if the old motion contributed, the object is in
+    the answer), and the kernels cover each new motion — a written row
+    that is not a deregister — with the float64 arithmetic of the
+    scalar predicates.  A short ``Nearest`` answer (fewer than ``k``)
+    listed the whole population, so any new motion enters it and a
+    deregistered non-member never existed; a ``ProximityPairs`` entry
+    falls to any new motion and to the deregister of a paired object.
+    An unknown op shape always falls.
     """
-    if isinstance(op, (Within, SnapshotAt)):
-        result: Set[int] = value  # type: ignore[assignment]
-        if oid in result:
-            return True
-        if motion is None:
-            return False  # deleted and never contributed
-        if isinstance(op, Within):
-            return matches_1d(
-                motion, MORQuery1D(op.y1, op.y2, op.t1, op.t2)
+    entries = list(entries)
+    hit = [False] * len(entries)
+    if not entries or not len(writes):
+        return hit
+    gone = [type(op) is DeregisterOp for op in writes.ops]
+    deleted = set(compress(writes.keys, gone))
+    y0, v, t0 = writes.y0, writes.v, writes.t0
+    if deleted:
+        moved = ~np.array(gone)
+        y0, v, t0 = y0[moved], v[moved], t0[moved]
+    written = set(writes.keys)
+    moving = len(y0) > 0
+    # Per kernel: the entries left to it (no member written) and their
+    # parameters.
+    tested: Dict[Callable, Tuple[List[int], List[tuple]]] = {
+        kernel: ([], []) for kernel, _ in _KERNELS.values()
+    }
+    for i, (op, value) in enumerate(entries):
+        kind = type(op)
+        if kind is Nearest:
+            # k >= 1 (evaluation refuses less), so a full answer has a
+            # k-th distance.
+            if not written.isdisjoint(map(itemgetter(0), value)) or (
+                moving and len(value) < op.k
+            ):
+                hit[i] = True
+                continue
+        elif kind is ProximityPairs:
+            hit[i] = moving or not deleted.isdisjoint(
+                chain.from_iterable(value)
             )
-        return matches_mor1(motion, MOR1Query(op.y1, op.y2, op.t))
-    if isinstance(op, Nearest):
-        ranked: List[Tuple[int, float]] = value  # type: ignore[assignment]
-        if any(member == oid for member, _ in ranked):
-            return True
-        if motion is None:
-            # A short answer lists the whole population, so a deleted
-            # object not in it never existed here; a full answer's
-            # non-members rank strictly below the k-th and removing
-            # one cannot promote anyone.
-            return False
-        if len(ranked) < op.k:
-            return True  # population was short of k: newcomer enters
-        distance = abs(motion.position(op.t) - op.y)
-        return distance <= ranked[-1][1]  # could displace the k-th
-    if isinstance(op, ProximityPairs):
-        pairs: Set[Tuple[int, int]] = value  # type: ignore[assignment]
-        if motion is not None:
-            return True  # a moved/new object can create pairs anywhere
-        return any(oid in pair for pair in pairs)
-    return True  # unknown op shape: be safe
+            continue
+        elif kind not in _KERNELS or not written.isdisjoint(value):
+            hit[i] = True
+            continue
+        if moving:
+            kernel, fields = _KERNELS[kind]
+            at, params = tested[kernel]
+            at.append(i)
+            params.append(
+                (*fields(op), value[-1][1]) if kind is Nearest else fields(op)
+            )
+    for kernel, (at, params) in tested.items():
+        if not at:
+            continue
+        columns = np.array(params, dtype=np.float64).T
+        reached = _reached(kernel, columns, y0, v, t0).tolist()
+        for i, found in zip(at, reached):
+            hit[i] = found
+    return hit

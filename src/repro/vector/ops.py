@@ -9,6 +9,9 @@ shard.  They live here — below both the engine and the service layer —
 so that ``repro.engine`` can accept them without importing
 ``repro.service`` (which imports the engine).
 
+The query dataclasses are frozen, so an op hashes and compares by its
+fields: the result cache keys its entries by the op itself.
+
 This module must stay importable without ``numpy``: only the kernels
 need the array stack, the vocabulary does not.
 """
@@ -90,8 +93,9 @@ class DeregisterOp:
 
 WriteOp = Union[RegisterOp, ReportOp, DeregisterOp]
 
-#: WriteOp class → WAL/trace-dialect record kind (the same dialect the
-#: update listeners speak).
+#: WriteOp class → WAL/trace-dialect record kind; its keys are the op
+#: classes a :class:`~repro.vector.columns.WriteColumns` (what update
+#: listeners receive) accepts.
 WRITE_KINDS: Dict[type, str] = {
     RegisterOp: "insert",
     ReportOp: "update",
@@ -105,11 +109,15 @@ def write_record(op: WriteOp) -> Tuple[str, Dict]:
     The fields are exactly what a WAL record for the op carries (and
     what :func:`record_op` turns back into the op), so grouped
     per-shard appends can be built without consulting the op classes
-    again.
+    again.  Motion fields are the float64 values a shard's row holds
+    for an admitted op (``float`` of any real the admission test
+    accepts, a ``Fraction`` included, is that value), so a record
+    encodes in every dialect and replays to the row.
     """
     if isinstance(op, (RegisterOp, ReportOp)):
         kind = WRITE_KINDS[type(op)]
-        return kind, {"oid": op.oid, "y0": op.y0, "v": op.v, "t0": op.t0}
+        return kind, {"oid": op.oid, "y0": float(op.y0), "v": float(op.v),
+                      "t0": float(op.t0)}
     if isinstance(op, DeregisterOp):
         return "delete", {"oid": op.oid}
     raise TypeError(f"unknown write operation {op!r}")
@@ -127,21 +135,3 @@ def record_op(record: Dict) -> WriteOp:
         return op(int(record["oid"]), float(record["y0"]),
                   float(record["v"]), float(record["t0"]))
     raise InvalidMotionError(f"unknown log event kind {kind!r}")
-
-
-def query_key(op: QueryOp, bucket: int = 0) -> Tuple:
-    """Canonical hashable cache key for one query operation.
-
-    ``bucket`` is the clock bucket the lookup happens in (see
-    :class:`repro.vector.cache.QueryResultCache`); entries written in
-    one bucket are not visible from another.
-    """
-    if isinstance(op, Within):
-        return ("within", op.y1, op.y2, op.t1, op.t2, bucket)
-    if isinstance(op, SnapshotAt):
-        return ("snapshot_at", op.y1, op.y2, op.t, bucket)
-    if isinstance(op, Nearest):
-        return ("nearest", op.y, op.t, op.k, bucket)
-    if isinstance(op, ProximityPairs):
-        return ("proximity_pairs", op.d, op.t1, op.t2, bucket)
-    raise TypeError(f"unknown query operation {op!r}")

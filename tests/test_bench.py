@@ -1,5 +1,6 @@
 """Tests for the benchmark harness (sweeps, tables, method registry)."""
 
+import importlib
 import importlib.util
 import pathlib
 
@@ -192,3 +193,21 @@ class TestChart:
         assert parsed[0] == ["N", "io", "note"]
         assert parsed[1] == ["100", "10.5", "n/a"]
         assert parsed[2] == ["200", "40.0", "slow, but ok"]  # comma quoted
+
+
+def test_every_traced_entry_point_resolves():
+    """``benchmarks/perf/run.py --trace`` wraps each ``spans._TARGETS``
+    entry point by name: one renamed or deleted under ``src/`` makes the
+    traced run raise before it measures anything.  The module is only
+    loaded here; nothing is wrapped."""
+    spec = importlib.util.spec_from_file_location(
+        "perf_spans", ROOT / "benchmarks" / "perf" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans._TARGETS
+    for module_name, class_name, attr, name in spans._TARGETS:
+        owner = importlib.import_module(module_name)
+        if class_name is not None:
+            owner = getattr(owner, class_name)
+        assert callable(getattr(owner, attr, None)), name

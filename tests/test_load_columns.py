@@ -161,8 +161,9 @@ def test_the_band_route_vector_is_the_scalar_route(shards, cut, extra):
 
 def test_a_load_admits_each_op_once(monkeypatch):
     """A 20,000-register load into 4 hash shards: no scalar admission
-    call (the parent made three per op), no scalar bulk refusal, and at
-    most one motion object per op — the event's."""
+    call (three per op once), no scalar bulk refusal, and no motion
+    object at all — the plan builds none, and the listeners get the
+    batch's rows."""
     n = 20_000
     rng = np.random.default_rng(5)
     speed = rng.choice((-1.0, 1.0), n) * rng.uniform(V_MIN, V_MAX, n)
@@ -191,7 +192,7 @@ def test_a_load_admits_each_op_once(monkeypatch):
     monkeypatch.undo()
     assert calls["check_admissible"] == 0
     assert calls["_raise_first_rejection"] == 0
-    assert calls["__init__"] <= n
+    assert calls["__init__"] == 0
     assert len(service) == n
 
 

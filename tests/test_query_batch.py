@@ -15,7 +15,6 @@ import pytest
 
 from repro.core import MORQuery1D
 from repro.errors import DegradedResultWarning, InvalidQueryError
-from repro.indexes.base import MobileIndex1D
 from repro.service import (
     AsyncFrontend,
     FaultInjector,
@@ -26,7 +25,14 @@ from repro.service import (
     ShardedMotionService,
 )
 from repro.vector.cache import QueryResultCache
-from repro.vector.ops import Nearest, ProximityPairs, SnapshotAt, Within
+from repro.vector.ops import (
+    DeregisterOp,
+    Nearest,
+    ProximityPairs,
+    RegisterOp,
+    SnapshotAt,
+    Within,
+)
 from repro import MotionDatabase
 
 pytestmark = pytest.mark.batch
@@ -118,7 +124,6 @@ class TestDatabaseBatch:
     def test_vector_batch_equals_scalar_methods(self):
         db = MotionDatabase(Y_MAX, V_MIN, V_MAX)
         rng = populate(db)
-        assert db.vector_enabled
         ops = mixed_ops(rng)
         assert db.query_batch(ops) == scalar_answers(db, ops)
 
@@ -130,45 +135,12 @@ class TestDatabaseBatch:
         db.deregister(59)  # last row: exercises swap-with-last
         db.report(4, 10.0, -1.0, 6.5)
         ops = mixed_ops(rng)
-        assert db.query_batch(ops) == db._query_batch_scalar(ops)
-
-    def test_vector_disabled_falls_back_to_scalar(self):
-        db = MotionDatabase(Y_MAX, V_MIN, V_MAX, vector=False)
-        rng = populate(db)
-        assert not db.vector_enabled
-        ops = mixed_ops(rng)
         assert db.query_batch(ops) == scalar_answers(db, ops)
 
     def test_unknown_op_raises(self):
         db = MotionDatabase(Y_MAX, V_MIN, V_MAX)
         with pytest.raises(TypeError):
             db.query_batch([MORQuery1D(0.0, 1.0, 0.0, 1.0)])
-
-    def test_index_default_query_batch_is_scalar_loop(self):
-        class Probe(MobileIndex1D):
-            def __init__(self):
-                self.calls = []
-
-            def insert(self, obj):
-                pass
-
-            def delete(self, oid):
-                pass
-
-            def query(self, query):
-                self.calls.append(query)
-                return {len(self.calls)}
-
-            def __len__(self):
-                return 0
-
-            def disks(self):
-                return []
-
-        probe = Probe()
-        q = MORQuery1D(0.0, 1.0, 0.0, 1.0)
-        assert probe.query_batch([q, q]) == [{1}, {2}]
-        assert probe.calls == [q, q]
 
 
 # -- sharded service -----------------------------------------------------------
@@ -243,18 +215,6 @@ class TestServiceBatch:
         assert stats["entries"] == 2
         service.query_batch([a])
         assert service.query_cache.stats()["misses"] == 4
-
-    def test_clock_bucket_separates_epochs(self):
-        service, rng = self.make(cache_clock_bucket=1.0)
-        op = SnapshotAt(0.0, Y_MAX, 10.0)
-        service.query_batch([op])
-        service.query_batch([op])
-        assert service.query_cache.stats()["hits"] == 1
-        # Advancing the service clock past the bucket edge makes the
-        # cached entry invisible: fresh miss, no stale answer.
-        service.report(0, 500.0, 1.0, service.now + 2.0)
-        service.query_batch([op])
-        assert service.query_cache.stats()["misses"] == 2
 
     def test_unknown_op_raises(self):
         service, _ = self.make()
@@ -522,58 +482,48 @@ class TestQueryResultCache:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             QueryResultCache(capacity=0)
-        with pytest.raises(ValueError):
-            QueryResultCache(clock_bucket=0.0)
 
     def test_nearest_invalidation_is_distance_aware(self):
         cache = QueryResultCache()
         op = Nearest(0.0, 10.0, k=1)
-        cache.put(op, [(1, 5.0)], now=0.0)
+        cache.put(op, [(1, 5.0)])
         # A far-away newcomer cannot enter a full top-1: entry survives.
-        from repro.core import LinearMotion1D
-
-        cache.on_update("insert", 2, LinearMotion1D(500.0, 0.0, 0.0))
-        assert cache.get(op, now=0.0)[0]
+        cache.on_update(RegisterOp(2, 500.0, 0.0, 0.0))
+        assert cache.get(op)[0]
         # A closer newcomer must invalidate.
-        cache.on_update("insert", 3, LinearMotion1D(2.0, 0.0, 0.0))
-        hit, _ = cache.get(op, now=0.0)
+        cache.on_update(RegisterOp(3, 2.0, 0.0, 0.0))
+        hit, _ = cache.get(op)
         assert not hit
         assert cache.stats()["invalidations"] == 1
 
     def test_unrelated_write_preserves_within_entry(self):
         cache = QueryResultCache()
         op = Within(0.0, 10.0, 0.0, 1.0)
-        cache.put(op, {1}, now=0.0)
-        from repro.core import LinearMotion1D
-
-        cache.on_update("insert", 9, LinearMotion1D(900.0, 0.0, 0.0))
-        assert cache.get(op, now=0.0)[0]
-        cache.on_update("delete", 1, None)
-        assert not cache.get(op, now=0.0)[0]
+        cache.put(op, {1})
+        cache.on_update(RegisterOp(9, 900.0, 0.0, 0.0))
+        assert cache.get(op)[0]
+        cache.on_update(DeregisterOp(1))
+        assert not cache.get(op)[0]
 
     def test_stale_put_dropped_when_racing_write_affects_it(self):
         # The TOCTOU window: the write lands after the value was
         # computed but before put — invalidation finds nothing (the
         # entry is not resident yet), so put itself must refuse.
-        from repro.core import LinearMotion1D
-
         cache = QueryResultCache()
         op = Within(0.0, 10.0, 0.0, 1.0)
         gen = cache.generation()
-        cache.on_update("insert", 7, LinearMotion1D(5.0, 0.0, 0.0))
-        cache.put(op, {1}, now=0.0, generation=gen)
-        assert not cache.get(op, now=0.0)[0]
+        cache.on_update(RegisterOp(7, 5.0, 0.0, 0.0))
+        cache.put(op, {1}, generation=gen)
+        assert not cache.get(op)[0]
         assert cache.stats()["stale_puts"] == 1
 
     def test_stale_put_kept_when_racing_write_is_irrelevant(self):
-        from repro.core import LinearMotion1D
-
         cache = QueryResultCache()
         op = Within(0.0, 10.0, 0.0, 1.0)
         gen = cache.generation()
-        cache.on_update("insert", 7, LinearMotion1D(900.0, 0.0, 0.0))
-        cache.put(op, {1}, now=0.0, generation=gen)
-        assert cache.get(op, now=0.0)[0]
+        cache.on_update(RegisterOp(7, 900.0, 0.0, 0.0))
+        cache.put(op, {1}, generation=gen)
+        assert cache.get(op)[0]
         assert cache.stats()["stale_puts"] == 0
 
     def test_bump_generation_floors_inflight_puts(self):
@@ -581,33 +531,30 @@ class TestQueryResultCache:
         op = Within(0.0, 10.0, 0.0, 1.0)
         gen = cache.generation()
         cache.bump_generation()  # e.g. a shard died mid-batch
-        cache.put(op, {1}, now=0.0, generation=gen)
-        assert not cache.get(op, now=0.0)[0]
+        cache.put(op, {1}, generation=gen)
+        assert not cache.get(op)[0]
         assert cache.stats()["stale_puts"] == 1
         # A snapshot taken after the event is accepted again.
         gen = cache.generation()
-        cache.put(op, {1}, now=0.0, generation=gen)
-        assert cache.get(op, now=0.0)[0]
+        cache.put(op, {1}, generation=gen)
+        assert cache.get(op)[0]
 
     def test_clear_floors_inflight_puts(self):
         cache = QueryResultCache()
         op = Within(0.0, 10.0, 0.0, 1.0)
         gen = cache.generation()
         cache.clear()
-        cache.put(op, {1}, now=0.0, generation=gen)
-        assert not cache.get(op, now=0.0)[0]
+        cache.put(op, {1}, generation=gen)
+        assert not cache.get(op)[0]
 
     def test_write_log_overrun_rejects_conservatively(self):
-        from repro.core import LinearMotion1D
         from repro.vector.cache import WRITE_LOG_WINDOW
 
         cache = QueryResultCache()
         op = Within(0.0, 10.0, 0.0, 1.0)
         gen = cache.generation()
         for i in range(WRITE_LOG_WINDOW + 1):  # all provably irrelevant
-            cache.on_update(
-                "insert", 100 + i, LinearMotion1D(900.0, 0.0, 0.0)
-            )
-        cache.put(op, {1}, now=0.0, generation=gen)
-        assert not cache.get(op, now=0.0)[0]
+            cache.on_update(RegisterOp(100 + i, 900.0, 0.0, 0.0))
+        cache.put(op, {1}, generation=gen)
+        assert not cache.get(op)[0]
         assert cache.stats()["stale_puts"] == 1

@@ -18,9 +18,11 @@ half lives in ``test_rebalance_chaos.py``):
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from repro.core.model import LinearMotion1D
 from repro.engine import MotionDatabase
 from repro.errors import ObjectNotFoundError, StaleMigrationError
 from repro.service import (
@@ -33,7 +35,13 @@ from repro.service import (
 )
 from repro.service.service import ShardedMotionService
 from repro.soak.harness import SoakConfig, run_soak
-from repro.vector.ops import Nearest, ProximityPairs, SnapshotAt, Within
+from repro.vector.ops import (
+    Nearest,
+    ProximityPairs,
+    ReportOp,
+    SnapshotAt,
+    Within,
+)
 
 Y_MAX, V_MIN, V_MAX = 1000.0, 0.16, 1.66
 
@@ -197,6 +205,54 @@ def test_speed_crossing_report_never_forks_ownership():
 
 
 # -- the controller end to end ----------------------------------------------------
+
+
+@pytest.mark.parametrize("path", ["scalar", "batch"])
+def test_a_fraction_field_inside_a_migration_reaches_every_replica(
+    tmp_path, path
+):
+    """Admission takes a finite ``Fraction``, and a double-write inside
+    a migration window is a JSON log record.  The record and the
+    catalog carry the float64 the shard rows hold, so the write lands
+    on every replica, is logged on each, and a cold restore reads it
+    back.  (The record used to raise ``TypeError`` after the first
+    replica had applied the op: one replica ahead of its own log, the
+    others behind, and on the batch path a ``Fraction`` in the
+    catalog.)"""
+
+    def build():
+        return FaultTolerantMotionService(
+            Y_MAX, V_MIN, V_MAX, shards=4, replication_factor=2,
+            router="velocity", wal_dir=str(tmp_path),
+        )
+
+    service = build()
+    service.register(1, 100.0, 1.0, 0.0)
+    state = service.begin_migration(1, (service.shard_of(1) + 2) % 4)
+    if path == "scalar":
+        service.report(1, Fraction(203, 2), 1.0, 2.0)
+    else:
+        op = ReportOp(1, Fraction(203, 2), 1.0, 2.0)
+        assert service.apply_batch([op]) == [None]
+    want = LinearMotion1D(101.5, 1.0, 2.0)
+    # The source and the destination group cover all four shards.
+    assert [db.motion_of(1) for db in service._shards] == [want] * 4
+    for node in service._nodes:
+        fenced = [
+            record for record in node.wal.tail()
+            if record.get("fence") == state.epoch
+        ]
+        assert [(r["y0"], r["v"], r["t0"]) for r in fenced] == [
+            (101.5, 1.0, 2.0)
+        ]
+    catalog = service.motion_snapshot()[1]
+    assert catalog == want
+    assert {type(x) for x in (catalog.y0, catalog.v, catalog.t0)} == {float}
+    service.close()
+    restored = build()
+    restored.restore_from_disk()
+    assert restored.motion_snapshot() == {1: want}
+    restored.close()
 
 
 def test_rebalance_once_improves_spread_two_fold():

@@ -19,6 +19,7 @@ import warnings
 
 import pytest
 
+from repro.core.model import LinearMotion1D
 from repro.engine import MotionDatabase
 from repro.errors import (
     DegradedResultWarning,
@@ -296,9 +297,7 @@ def test_whole_group_dead_write_raises_and_rolls_back():
     service.kill_shard(1)  # group of primary 0 is {0, 1}: fully dead
     doomed = next(
         oid for oid in range(2000, 2100)
-        if service.router.route(
-            oid, service._catalog_motion[0]
-        ) == 0
+        if service.router.route(oid, LinearMotion1D(50.0, 1.0, 0.0)) == 0
     )
     with pytest.raises(ShardUnavailableError):
         service.register(doomed, 50.0, 1.0, 0.0)

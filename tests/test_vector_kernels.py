@@ -22,13 +22,7 @@ from repro.vector.kernels import (
     knn_select,
     proximity_pairs_blocked,
 )
-from repro.vector.ops import (
-    Nearest,
-    ProximityPairs,
-    SnapshotAt,
-    Within,
-    query_key,
-)
+from repro.vector.ops import Nearest, ProximityPairs, SnapshotAt, Within
 
 pytestmark = pytest.mark.batch
 
@@ -113,22 +107,6 @@ class TestMotionColumns:
         assert all(
             columns.motion_of(oid).y0 == m.y0 for oid, m in source.items()
         )
-
-
-# -- query_key ---------------------------------------------------------------
-
-
-def test_query_key_distinguishes_kinds_and_buckets():
-    keys = {
-        query_key(Within(0.0, 1.0, 2.0, 3.0)),
-        query_key(SnapshotAt(0.0, 1.0, 2.0)),
-        query_key(Nearest(0.0, 1.0, 2)),
-        query_key(ProximityPairs(0.5, 1.0, 2.0)),
-        query_key(Within(0.0, 1.0, 2.0, 3.0), bucket=1),
-    }
-    assert len(keys) == 5
-    with pytest.raises(TypeError):
-        query_key("not a query")
 
 
 # -- k-NN selection -----------------------------------------------------------

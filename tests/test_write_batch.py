@@ -790,7 +790,7 @@ def drive_phases(service, phases, apply):
     """Run the phases with oids 5–7 migrating during the second; 5 is
     committed, 7 aborted, 6 deregistered mid-flight."""
     events = []
-    service.attach_update_listener(lambda *event: events.append(event))
+    service.attach_update_listener(lambda writes: events.append(list(writes)))
     before, window, after = phases
     outcomes = apply(service, before)
     states = {
