@@ -5,12 +5,15 @@
 install:
 	python setup.py develop
 
-# Sanity gate: compile, the tier-1 suite (ROADMAP.md), then the perf
+# Sanity gate: compile, the tier-1 suite (ROADMAP.md), the soak smoke
+# (both write entry points) and the SIGKILL drill, then the perf
 # ledger's own smoke.  One marker alone is
 # `pytest -m chaos|subscription|batch|durability|soak|rebalance|writebatch|parallel`.
 check:
 	python -m compileall -q src
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
+	$(MAKE) soak-smoke
+	$(MAKE) durability-smoke
 	$(MAKE) perf-smoke
 
 test:

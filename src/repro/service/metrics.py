@@ -301,7 +301,6 @@ REBALANCE_COUNTERS = {
     "rebalance_band_updates": "band-layout changes installed",
     "rebalance_double_writes": "reports landed on both participants "
                                "of an open migration window",
-    "rebalance_fenced_writes": "double-writes rejected by a stale epoch",
     "rebalance_auto_triggers": "passes started because a detector "
                                "(count or latency skew) tripped",
 }

@@ -44,7 +44,7 @@ Outcome accounting (all on the service's
 * ``rebalance_aborted`` — migrations aborted (destination death,
   lost fencing race);
 * plus the service-side ``rebalance_band_updates`` and
-  ``rebalance_fenced_writes``.
+  ``rebalance_double_writes``.
 """
 
 from __future__ import annotations

@@ -7,19 +7,23 @@ workers; distributed continuous-range-query processing over fallible
 nodes).  It re-implements no verb and no batch: the base class writes
 every one against three seams, and this class overrides the seams —
 ``replica_group``; the guarded shard access (``_guard``,
-``_apply_write``, ``_apply_sub_batch``, ``_answerable``); and the
-``_log`` / ``_degrade`` pair — plus the kill / recover / restore
-administration:
+``_apply_write`` — migration steps only — ``_apply_sub_batch``,
+``_stale``, ``_answerable``); and the ``_log`` / ``_degrade`` pair —
+plus the kill / recover / restore administration (every log write of
+those seams goes through one helper, ``_logged``):
 
 * **Replication** — every object lives on ``replication_factor``
   consecutive shards: primary ``p = route(oid)`` plus replicas
   ``(p+1) % k, ...``.  Writes go to every *live* member of the group
   (write-all-live); a write succeeds iff at least one replica applied
-  it.  A write batch, healthy or not, reaches each shard as the base
-  class's does — the planned steps ``_guard`` admitted, through one
-  grouped ``MotionDatabase.apply_batch`` — then one log commit.  The
-  catalog additionally remembers each object's authoritative motion,
-  which is what recovery reconciles against.
+  and logged it.  A write set, healthy or not, reaches each shard as
+  the base class's does — the planned steps ``_guard`` admitted — and
+  is then logged: a batch's group as one grouped commit synced before
+  ``apply_batch`` returns, a scalar verb's op as one append under the
+  fsync policy.  A shard whose log raises ``OSError`` — a write set's,
+  a migration step's or a protocol marker's — goes down.  The catalog
+  additionally remembers each object's authoritative motion, which is
+  what recovery reconciles against.
 * **Fault handling** — every shard touch runs through a bounded
   :class:`~repro.service.health.RetryPolicy` (transient injected
   faults back off and retry).  A crash-kind fault marks the shard
@@ -49,8 +53,8 @@ Invariants (the chaos tests check these):
    committed operations), so checkpoint + replay reproduces exactly
    the committed pre-crash state;
 3. the catalog (owner + motion) is updated only after at least one
-   replica applied the write, so it always describes a state that is
-   durable somewhere.
+   replica applied and logged the write, so it always describes a
+   state that is durable somewhere.
 """
 
 from __future__ import annotations
@@ -289,26 +293,52 @@ class FaultTolerantMotionService(ShardedMotionService):
 
     def _apply_write(self, shard: int, op_name: str, fn, span,
                      record_kind: str, record_fields: Dict) -> bool:
-        """Apply one write to one shard; ``True`` iff it landed.
-
-        On success appends the WAL record (append-after-apply) and
-        maybe checkpoints.
-        """
+        """Apply one write to one shard; ``True`` iff it landed and was
+        logged (append-after-apply, then maybe a checkpoint:
+        :meth:`_logged`)."""
         try:
             self._touch(shard, op_name, fn, span, write=True)
         except ShardUnavailableError:
             return False
-        node = self._nodes[shard]
-        node.wal.append(record_kind, **record_fields)
-        node.wal.maybe_checkpoint(self._shards[shard])
-        return True
+        return self._logged(
+            shard, lambda wal: wal.append(record_kind, **record_fields)
+        )
 
     def _log(self, shard: int, kind: str, **fields: object) -> bool:
-        """Append a protocol marker to a live shard's WAL."""
-        node = self._nodes[shard]
-        if node.up:
-            node.wal.append(kind, **fields)
-        return node.up
+        """Append a protocol marker to a live shard's WAL; ``True`` iff
+        the shard is live and the marker logged (see :meth:`_logged`,
+        which here checkpoints nothing)."""
+        return self._nodes[shard].up and self._logged(
+            shard, lambda wal: wal.append(kind, **fields), checkpoint=False
+        )
+
+    def _logged(
+        self,
+        shard: int,
+        append: Callable[[ShardWAL], object],
+        checkpoint: bool = True,
+    ) -> bool:
+        """Log what ``shard`` just applied — ``append(wal)`` — then,
+        with ``checkpoint``, at most one checkpoint; ``True`` iff the
+        log took the records.
+
+        An ``OSError`` takes the shard down (:meth:`_stale`).  From the
+        append or its sync: the shard holds writes its log lacks, and
+        has taken nothing.  From the checkpoint: the records are
+        already logged, so the shard took them, but the log's state is
+        unknown until the shard recovers."""
+        wal = self._nodes[shard].wal
+        try:
+            append(wal)
+        except OSError as exc:
+            self._stale(shard, f"log write failed: {exc}")
+            return False
+        if checkpoint:
+            try:
+                wal.maybe_checkpoint(self._shards[shard])
+            except OSError as exc:
+                self._stale(shard, f"checkpoint failed: {exc}")
+        return True
 
     def _answerable(self, shard: int) -> bool:
         """Queries skip a down shard and an open circuit."""
@@ -335,17 +365,32 @@ class FaultTolerantMotionService(ShardedMotionService):
         with self._catalog_lock:
             return self._catalog_motion[oid]
 
-    def _apply_sub_batch(self, shard, sub_ops, fences, span, hook) -> None:
-        """The base's one grouped :meth:`MotionDatabase.apply_batch`,
-        then one grouped WAL commit: append, ``write_batch.pre_fsync``
-        (here the log sits where the base only fires the hook), sync
-        and at most one checkpoint."""
-        super()._apply_sub_batch(shard, sub_ops, fences, span, _no_hook)
-        wal = self._nodes[shard].wal
-        wal.append_batch(list(map(_step_record, sub_ops, fences)))
-        hook("write_batch.pre_fsync")
-        wal.sync()
-        wal.maybe_checkpoint(self._shards[shard])
+    def _apply_sub_batch(
+        self, shard, sub_ops, fences, span, hook, per_op
+    ) -> bool:
+        """The base's apply, then the log (:meth:`_logged`): a batch's
+        group as one grouped commit — append, ``write_batch.pre_fsync``
+        (here the log sits where the base only fires the hook), sync —
+        a scalar verb's sub-ops as one :meth:`ShardWAL.append` each
+        under the fsync policy; then at most one checkpoint."""
+        super()._apply_sub_batch(shard, sub_ops, fences, span, _no_hook,
+                                 per_op)
+        records = list(map(_step_record, sub_ops, fences))
+
+        def append(wal: ShardWAL) -> None:
+            if per_op:
+                for kind, fields in records:
+                    wal.append(kind, **fields)
+            else:
+                wal.append_batch(records)
+                hook("write_batch.pre_fsync")
+                wal.sync()
+
+        return self._logged(shard, append)
+
+    def _stale(self, shard: int, reason: str) -> None:
+        """Down until recovered, like a crash (:meth:`kill_shard`)."""
+        self.kill_shard(shard, reason=reason)
 
     # -- queries ----------------------------------------------------------------
 

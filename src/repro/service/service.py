@@ -4,8 +4,8 @@ One :class:`~repro.engine.MotionDatabase` serves one caller at a time.
 :class:`ShardedMotionService` is the scaling layer the ROADMAP asks
 for: the object population is partitioned across ``k`` independent
 shards (each a full ``MotionDatabase`` with its own disks and
-buffers), updates route to the owning shard under a per-shard lock,
-and queries fan out and merge:
+buffers), updates route to the owning shard under its lock, and
+queries fan out and merge:
 
 * ``within`` / ``snapshot_at`` / ``query_past`` — per-shard answers
   are disjoint (an object lives on exactly one shard), so the merge is
@@ -22,24 +22,29 @@ and queries fan out and merge:
   examined exactly once.
 
 Concurrency model: a *catalog* lock guards the oid→shard ownership map
-and is only ever taken innermost; each shard has a reentrant lock
-taken in ascending shard order when an operation needs more than one
-(motion-sensitive routing can migrate an object between shards on
-update).  Queries lock one shard at a time, so readers of different
-shards proceed in parallel with writers of others.  The paper's
+and is only ever taken innermost; each shard has a reentrant lock,
+taken in ascending shard order when an operation needs more than one.
+A batch holds every shard lock; a scalar verb holds the locks of the
+shards its plan names (motion-sensitive routing can move an object
+between shards on update), so writers of different shards overlap.
+Queries lock one shard at a time, so readers of different shards
+proceed in parallel with writers of others.  The paper's
 time-moves-forward discipline holds per shard: each shard's ``now``
 only advances.
 
-Every write — scalar verb or batch — is placed by one function,
-:meth:`ShardedMotionService._plan_write`, and every verb is written
-once, here, against three seams whose forms in this class are trivial:
+Every write is a write set — a batch, or a scalar verb's one op —
+placed by one function, :meth:`ShardedMotionService._plan_write`, and
+staged, applied and committed by one more,
+:meth:`ShardedMotionService._apply_set`.  Every verb is written once,
+here, against three seams whose forms in this class are trivial:
 ``replica_group`` (an object lives on its primary only), the guarded
 shard access ``_guard`` / ``_touch`` / ``_apply_write`` /
-``_apply_sub_batch`` (admit everything, call the database, record the
-I/O), and the ``_log`` / ``_degrade`` pair (no log; answers are always
-complete).  Scalar verbs and batches alike pass every shard access
-through ``_guard``, so a batch under faults runs the same plan as a
-healthy one, minus the shards the guard refused.  This class is the
+``_apply_sub_batch`` / ``_stale`` (admit everything, call the
+database, record the I/O; every shard takes every write), and the
+``_log`` / ``_degrade`` pair (no log; answers are always complete).
+Every shard access passes through ``_guard``, so a write set under
+faults runs the same plan as a healthy one, minus the shards the guard
+refused.  This class is the
 ``replication = 1``, no-log, no-fault-guard case of
 :class:`~repro.service.replication.FaultTolerantMotionService`, which
 overrides exactly those seams.
@@ -57,6 +62,7 @@ from contextlib import contextmanager
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
@@ -110,13 +116,12 @@ ROUTER_FACTORIES: Dict[str, Callable[[int, float], ShardRouter]] = {
 }
 
 
-#: What :meth:`ShardedMotionService._plan_write` returns: ``(claim,
-#: steps, cleanup, owner)`` — see its docstring.  The steps come
+#: What :meth:`ShardedMotionService._plan_write` returns: ``(steps,
+#: cleanup, owner)`` — see its docstring.  The steps come
 #: in runs ``(shards, sub-op, fence)``, one step per shard of a run, in
 #: ascending shard order; :func:`_step_record` is a step's log record.
 _Run = Tuple[Tuple[int, ...], WriteOp, Optional[int]]
 _WritePlan = Tuple[
-    Tuple[Optional[int], Optional[MigrationState]],
     Tuple[_Run, ...],
     Tuple[_Run, ...],
     Optional[int],
@@ -160,10 +165,9 @@ def _union(*groups: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 def _no_live_replica(
-    name: str, oid: int, steps: Tuple[_Run, ...]
+    name: str, oid: int, shards: List[int]
 ) -> ShardUnavailableError:
-    """What a write none of whose planned steps landed fails with."""
-    shards = [shard for run, _, _ in steps for shard in run]
+    """What a write none of whose planned ``shards`` took fails with."""
     return ShardUnavailableError(
         f"{name}({oid}): no live replica in {shards}"
     )
@@ -529,26 +533,35 @@ class ShardedMotionService:
     def _apply_sub_batch(
         self,
         shard: int,
-        sub_ops: WriteColumns,
+        sub_ops: Sequence[WriteOp],
         fences: List[Optional[int]],
         span,
         hook: Callable[[str], None],
-    ) -> None:
-        """Hand one shard its share of a write batch (all locks held):
-        the planned sub-ops :meth:`_guard` admitted, as columns (the
-        batch's own rows), and parallel to them their fences.
+        per_op: bool,
+    ) -> bool:
+        """Hand one shard its share of a write set (the set's locks held):
+        the planned sub-ops :meth:`_guard` admitted — a batch's as its
+        own rows, a scalar verb's as they are — and parallel to them
+        their fences.  ``True`` iff the shard took them all.
 
-        Here: one grouped :meth:`MotionDatabase.apply_batch`.  ``hook``
-        fires ``write_batch.pre_fsync`` where a log would sit between
-        its grouped append and its sync.
+        Here: one grouped :meth:`MotionDatabase.apply_batch`, or with
+        ``per_op`` the engine's per-op verbs; the shard always takes
+        them.  ``hook`` fires ``write_batch.pre_fsync`` where a log
+        would sit between a batch's grouped append and its sync (a
+        scalar verb passes none).
         """
         db = self._shards[shard]
         before = db.io_snapshot()
-        errors = db.apply_batch(sub_ops)
+        if per_op:
+            for sub_op in sub_ops:
+                _apply_op(db, sub_op)
+            errors = ()
+        else:
+            errors = db.apply_batch(sub_ops)
         span.add_shard_io(shard, db.io_delta_since(before))
         for sub_op, error in zip(sub_ops, errors):
             if error is not None:
-                # The catalog admitted the op under every lock, so a
+                # The catalog admitted the op under the set's locks, so a
                 # shard-level rejection means catalog/shard
                 # divergence — never mask it.
                 raise RuntimeError(
@@ -556,6 +569,13 @@ class ShardedMotionService:
                     f"{sub_op!r}"
                 ) from error
         hook("write_batch.pre_fsync")
+        return True
+
+    def _stale(self, shard: int, reason: str) -> None:
+        """Take a shard whose contents no longer match the catalog out
+        of service.  Here every shard takes every write, so none ever
+        is."""
+        raise RuntimeError(f"shard {shard} {reason}")
 
     def _log(self, shard: int, kind: str, **fields: object) -> bool:
         """Log a protocol marker (band change, migration step) on one
@@ -584,8 +604,7 @@ class ShardedMotionService:
         self, oid: int
     ) -> Tuple[Optional[int], Optional[MigrationState]]:
         """``(owner, in-flight migration)`` of ``oid``: what a write
-        plan is made against, and what must still hold once the plan's
-        shard locks are taken (catalog lock held)."""
+        plan is made against (catalog lock held)."""
         return self._owner.get(oid), self._ownership.migration_of(oid)
 
     def _plan_write(
@@ -602,17 +621,16 @@ class ShardedMotionService:
         only catalog work: ``claim`` is the object's :meth:`_claim` as
         the plan sees it, ``admitted`` the admission verdict on the
         op's motion and ``target`` the shard its route names (read only
-        for an admitted motion) — over a batch, the admission mask's
-        row (:meth:`~repro.core.model.MotionModel.admit_mask`) and the
-        route vector's (:meth:`~repro.service.sharding.ShardRouter.
-        route_many`), for a scalar verb their scalar forms.  Raises the
+        for an admitted motion) — the write set's admission mask row
+        (:meth:`~repro.core.model.MotionModel.admit_mask`) and route
+        vector row (:meth:`~repro.service.sharding.ShardRouter.
+        route_many`), for a one-op set their scalar forms.  Raises the
         contained rejections — duplicate register,
         unknown object, inadmissible motion (named by the scalar
         :meth:`~repro.core.model.MotionModel.check_admissible`) —
-        before any shard is touched, and otherwise returns ``(claim,
-        steps, cleanup, owner)``:
+        before any shard is touched, and otherwise returns ``(steps,
+        cleanup, owner)``:
 
-        * ``claim`` — the claim the plan was made against;
         * ``steps`` — runs ``(shards, sub-op, fence)`` in apply order,
           over the replica group(s) that must take the write; it succeeds
           iff at least one lands.  A report inside a migration's
@@ -627,9 +645,9 @@ class ShardedMotionService:
         The listeners are told the op itself (:meth:`_notify`), so the
         plan builds no motion for an admitted one.
 
-        Delete sub-ops name every shard that *may* hold a copy; the
-        consumers skip the ones that do not (a migration copy that
-        never landed).
+        Delete sub-ops name every shard that *may* hold a copy;
+        staging skips the ones that do not (a migration copy that never
+        landed).
         """
         oid = op.oid
         owner, migration = claim
@@ -645,7 +663,7 @@ class ShardedMotionService:
             held = self._group(owner)
             if migration is not None:
                 held = _union(held, self._group(migration.dest))
-            return claim, ((held, op, None),), (), None
+            return ((held, op, None),), (), None
         if not admitted:
             self._model.raise_refusal(LinearMotion1D(op.y0, op.v, op.t0), oid)
         if migration is not None:
@@ -656,11 +674,11 @@ class ShardedMotionService:
             held = _union(
                 self._group(migration.source), self._group(migration.dest)
             )
-            return claim, ((held, op, migration.epoch),), (), owner
+            return ((held, op, migration.epoch),), (), owner
         if owner is not None and not self.router.motion_sensitive:
             target = owner
         if owner is None or target == owner:
-            return claim, ((self._group(target), op, None),), (), target
+            return ((self._group(target), op, None),), (), target
         new, old = set(self._group(target)), set(self._group(owner))
         steps = (
             (tuple(sorted(old & new)), op, None),
@@ -671,97 +689,19 @@ class ShardedMotionService:
             ),
         )
         cleanup = ((tuple(sorted(old - new)), DeregisterOp(oid), None),)
-        return claim, steps, cleanup, target
+        return steps, cleanup, target
 
     def _write(self, op: WriteOp) -> None:
-        """Apply one write: plan, lock the plan's shards, re-validate.
-
-        Placement can only change while the involved shard locks are
-        held, so holding the plan's locks and finding its claim still
-        current gives a stable plan; a lost race (another update moved
-        the object, a migration began or resolved) retries with a
-        fresh one.  The catalog commits only after at least one
-        replica applied the write, and listeners fire before the locks
-        are released.
-        """
-        name = _VERBS[type(op)]
-        oid = op.oid
-        # One op: the scalar forms of the admission mask and the route
-        # vector, the references both are held to.
-        admitted = False
-        if type(op) is not DeregisterOp:
-            motion = LinearMotion1D(op.y0, op.v, op.t0)
-            try:
-                self._model.check_admissible(motion, oid)
-                admitted = True
-            except InvalidMotionError:
-                pass
-        with self.metrics.span(name) as span:
-            while True:
-                with self._catalog_lock:
-                    target = (
-                        self.router.route(oid, motion) if admitted else None
-                    )
-                    claim, steps, cleanup, owner = self._plan_write(
-                        op, self._claim(oid), admitted, target
-                    )
-                registering, fenced = claim[0] is None, claim[1] is not None
-                with self._holding(
-                    shard for run, _, _ in steps + cleanup for shard in run
-                ):
-                    with self._catalog_lock:
-                        if self._claim(oid) != claim:
-                            if fenced:
-                                self.metrics.counter(
-                                    "rebalance_fenced_writes"
-                                ).increment()
-                            continue
-                        if registering:
-                            # Reserve ownership so a concurrent duplicate
-                            # register (it may hold other shards' locks)
-                            # fails fast; rolled back if nothing lands.
-                            self._owner[oid] = owner
-                    try:
-                        landed = [
-                            shard
-                            for run, sub_op, fence in steps
-                            for shard in run
-                            if self._apply_step(
-                                shard, name, sub_op, fence, span
-                            )
-                        ]
-                        if not landed:
-                            raise _no_live_replica(name, oid, steps)
-                    except Exception:
-                        if registering:
-                            with self._catalog_lock:
-                                self._owner.pop(oid, None)
-                        raise
-                    for run, sub_op, fence in cleanup:
-                        for shard in run:
-                            self._apply_step(shard, name, sub_op, fence, span)
-                    with self._catalog_lock:
-                        self._commit_write(op, owner)
-                    if fenced and type(op) is ReportOp:
-                        self.metrics.counter(
-                            "rebalance_double_writes"
-                        ).increment()
-                    self._notify((op,))
-                    return
-
-    def _apply_step(
-        self, shard: int, name: str, sub_op: WriteOp, fence, span
-    ) -> bool:
-        """Run one planned step through :meth:`_apply_write`."""
-        if (
-            isinstance(sub_op, DeregisterOp)
-            and sub_op.oid not in self._shards[shard]
-        ):
-            return False  # copy never landed on this shard
-        return self._apply_write(
-            shard, name, lambda db: _apply_op(db, sub_op), span,
-            *_step_record(sub_op, fence),
-        )
+        """A scalar verb: the one-op write set ``op``, staged and
+        committed as :meth:`apply_batch` stages and commits a batch
+        (:meth:`_apply_set` with ``per_op``); the op's rejection, if
+        any, is raised."""
+        with self.metrics.span(_VERBS[type(op)]) as span:
+            error, = self._apply_set(
+                WriteColumns((op,)), span, _no_hook, per_op=True
+            )
+            if error is not None:
+                raise error
 
     def register(self, oid: int, y0: float, v: float, t0: float) -> None:
         """Add a new object to its replica group; rejects duplicates."""
@@ -831,15 +771,17 @@ class ShardedMotionService:
         answers are identical to calling the scalar methods in the same
         order.
 
-        Each planned step is admitted as the scalar write admits it —
-        a delete of a copy that never landed is skipped, then
-        :meth:`_guard` decides — in submission order, cleanups after
-        the op's steps.  An op none of whose steps is admitted commits
-        nothing and gets the scalar verb's
-        :class:`ShardUnavailableError`; each shard then applies exactly
-        the sub-ops it admitted, even if a later op's guard marked it
-        down, which is the record sequence the scalar loop leaves in
-        its log.
+        A scalar verb is the one-op set of this plan
+        (:meth:`_apply_set`), holding only the locks of the shards its
+        plan names.  Each planned step is admitted in
+        submission order, cleanups after the op's steps: a delete of a
+        copy that never landed is skipped, then :meth:`_guard`
+        decides.  An op none of whose steps is admitted commits
+        nothing and gets :class:`ShardUnavailableError`; each shard
+        then applies exactly the sub-ops it admitted, even if a later
+        op's guard marked it down, which is the record sequence the
+        scalar loop leaves in its log.  The catalog commits an op only
+        once a shard took it.
 
         ``crash_hook`` fires ``write_batch.pre_fsync`` once per touched
         shard, after its group applied (see :meth:`_apply_sub_batch`).
@@ -851,65 +793,219 @@ class ShardedMotionService:
         own rows.
         """
         with self.metrics.span("apply_batch") as span:
-            batch = WriteColumns(ops)
-            outcomes: List[Optional[Exception]] = [None] * len(ops)
-            with self._holding(range(self.shard_count)):
-                with self._catalog_lock:
-                    staged, acked = self._stage_batch(batch, outcomes)
-                # Each shard has its rows now; the listeners get the
-                # acknowledged ones, and the rest of the batch goes.
-                if len(acked) < len(batch):
-                    batch = batch.take(acked, [batch[i] for i in acked])
-                hook = crash_hook or _no_hook
-                for shard in sorted(staged):
-                    # Popped, so a group is released once it applied.
-                    self._apply_sub_batch(
-                        shard, *staged.pop(shard), span, hook
-                    )
-                self._notify(batch)
-            return outcomes
+            return self._apply_set(
+                WriteColumns(ops), span, crash_hook or _no_hook,
+                per_op=False,
+            )
+
+    def _apply_set(
+        self,
+        batch: WriteColumns,
+        span,
+        hook: Callable[[str], None],
+        per_op: bool,
+    ) -> List[Optional[Exception]]:
+        """Apply one write set: a batch, or with ``per_op`` a scalar
+        verb's one op — the one switch between the two, read here.  A
+        one-op set carries its ``screen`` (:meth:`_admit_one`) down,
+        holds only the locks of the shards its plan names
+        (:meth:`_plan_locks`), and hands each shard its sub-ops for the
+        engine's per-op verbs.  A batch carries no screen, holds every
+        shard lock and hands each shard a ``take`` of its rows.  If the
+        one op's claim moved between choosing its locks and holding
+        them, it is staged once more, freshly screened, under every
+        lock.
+        """
+        outcomes: List[Optional[Exception]] = [None] * len(batch)
+        screen = self._admit_one(batch[0]) if per_op else None
+        held = self._plan_locks(batch[0], screen) if per_op else None
+        while not self._apply_under(held, batch, outcomes, span, hook,
+                                    screen):
+            held, screen = None, self._admit_one(batch[0])
+        return outcomes
+
+    def _plan_locks(
+        self, op: WriteOp, screen: Tuple[List[bool], List]
+    ) -> FrozenSet[int]:
+        """The shard locks a one-op set stages under: those its plan
+        names now, none if the plan rejects it.  A register of a new
+        object under a motion-sensitive router takes every lock: two
+        registers of one oid may route to disjoint groups, and only a
+        shared lock makes the second plan against the first's commit.
+        """
+        (admitted,), (target,) = screen
+        with self._catalog_lock:
+            claim = self._claim(op.oid)
+            try:
+                steps, cleanup, _ = self._plan_write(
+                    op, claim, admitted, target
+                )
+            except (InvalidMotionError, ObjectNotFoundError):
+                return frozenset()
+        if claim[0] is None and self.router.motion_sensitive:
+            return frozenset(range(self.shard_count))
+        return frozenset(s for run, _, _ in steps + cleanup for s in run)
+
+    def _apply_under(
+        self,
+        held: Optional[FrozenSet[int]],
+        batch: WriteColumns,
+        outcomes: List[Optional[Exception]],
+        span,
+        hook: Callable[[str], None],
+        screen: Optional[Tuple[List[bool], List]],
+    ) -> bool:
+        """Stage and apply ``batch`` holding the ``held`` shard locks
+        (``None``: every one); ``False``, with nothing staged, iff a
+        plan names a shard outside ``held``.
+
+        Shards holding only cleanups apply last, so a one-op move
+        writes its new group before it drops the old copies.  A shard
+        that fails to take its group (:meth:`_unlogged`)
+        un-acknowledges the ops it was the last hope of.  The ops some
+        shard took are committed and announced (:meth:`_notify`)
+        before any lock is released.
+        """
+        per_op = screen is not None
+        with self._holding(range(self.shard_count) if held is None else held):
+            with self._catalog_lock:
+                staging = self._stage_batch(batch, outcomes, held, screen)
+            if staging is None:
+                return False
+            staged, acked, owners, doubled = staging
+            took, missed = [], []
+            # Shards whose rows are all cleanups go last.
+            for shard in sorted(staged, key=lambda s: (
+                len(staged[s][3]) == len(staged[s][0]), s
+            )):
+                # Popped, so a group is released once it applied.
+                rows, sub_ops, fences, cleanups = staged.pop(shard)
+                if not per_op:
+                    sub_ops = batch.take(rows, sub_ops)
+                (took if self._apply_sub_batch(
+                    shard, sub_ops, fences, span, hook, per_op
+                ) else missed).append((shard, rows, cleanups))
+            lost: Set[int] = set()
+            if missed:
+                lost = self._unlogged(batch, outcomes, took, missed)
+            took = None  # its rows go before the catalog grows
+            with self._catalog_lock:
+                for i, owner in zip(acked, owners):
+                    if i not in lost:
+                        self._commit_write(batch[i], owner)
+            if lost:
+                acked = [i for i in acked if i not in lost]
+                doubled = [i for i in doubled if i not in lost]
+            if doubled:
+                self.metrics.counter("rebalance_double_writes").increment(
+                    len(doubled)
+                )
+            if len(acked) < len(batch):
+                batch = batch.take(acked, [batch[i] for i in acked])
+            self._notify(batch)
+        return True
+
+    def _unlogged(
+        self,
+        batch: WriteColumns,
+        outcomes: List[Optional[Exception]],
+        took: List[Tuple[int, array, List[int]]],
+        missed: List[Tuple[int, array, List[int]]],
+    ) -> Set[int]:
+        """The staged ops no shard took, once the ``missed`` shards
+        failed to take their groups (``(shard, rows, cleanup rows)``
+        each, like the ``took`` ones): each gets the
+        :class:`ShardUnavailableError` of an op no replica admitted,
+        and a shard that dropped one's old copy no longer matches the
+        catalog, so it goes stale (:meth:`_stale`)."""
+
+        def steps(rows, cleanups):
+            skip = set(cleanups)
+            return (row for row in rows if row not in skip)
+
+        logged: Set[int] = set()
+        for _, rows, cleanups in took:
+            logged.update(steps(rows, cleanups))
+        lost: Dict[int, List[int]] = {}
+        for shard, rows, cleanups in missed:
+            for row in steps(rows, cleanups):
+                if row not in logged:
+                    lost.setdefault(row, []).append(shard)
+        for row, shards in lost.items():
+            op = batch[row]
+            outcomes[row] = _no_live_replica(_VERBS[type(op)], op.oid, shards)
+        for shard, _, cleanups in took:
+            if not lost.keys().isdisjoint(cleanups):
+                self._stale(shard, "dropped the old copy of a move no "
+                                   "replica logged")
+        return set(lost)
+
+    def _admit_one(self, op: WriteOp) -> Tuple[List[bool], List]:
+        """The admission mask and route vector of a one-op set, by
+        their scalar forms: the references both are held to, and several
+        times cheaper than numpy calls on one-row arrays."""
+        if type(op) is not DeregisterOp:
+            motion = LinearMotion1D(op.y0, op.v, op.t0)
+            try:
+                self._model.check_admissible(motion, op.oid)
+            except InvalidMotionError:
+                pass
+            else:
+                return [True], [self.router.route(op.oid, motion)]
+        return [False], [None]
 
     def _stage_batch(
         self,
         batch: WriteColumns,
         outcomes: List[Optional[Exception]],
-    ) -> Tuple[Dict[int, Tuple[WriteColumns, List[Optional[int]]]],
-               List[int]]:
-        """Plan a batch (every lock held): each op through
-        :meth:`_plan_write` in submission order, its steps admitted —
-        duplicate oids within one batch see each other in order — then
-        the catalog committed once the whole plan stands, so an
-        exception escaping the plan leaves the catalog as it was.
-        Fills ``outcomes``; returns, per shard, the admitted sub-ops
-        (the batch's rows) and their fences, in submission order, and
-        the positions of the acknowledged ops.
+        held: Optional[FrozenSet[int]],
+        screen: Optional[Tuple[List[bool], List]],
+    ) -> Optional[Tuple[
+        Dict[int, Tuple[array, List[WriteOp], List[Optional[int]],
+                        List[int]]],
+        array, List[Optional[int]], List[int],
+    ]]:
+        """Plan a write set under the ``held`` shard locks (``None``:
+        every one): each op through :meth:`_plan_write` in submission
+        order — duplicate oids within one set see each other — with
+        ``screen``'s verdict and route, or a batch's one admission mask
+        and one route vector, and its steps admitted.  Fills
+        ``outcomes`` with the rejections and commits nothing.  Returns
+        per admitting shard the rows of its sub-ops, the sub-ops, their
+        fences and the rows that are cleanups; the rows of the staged
+        ops, their owners once applied, and those that double-write a
+        migrating object.  ``None``, with nothing staged, if a plan
+        names a shard outside ``held``.
         """
-        admitted = self._model.admit_mask(
-            batch.oid, batch.y0, batch.v, batch.t0
-        ).tolist()
-        targets = self.router.route_many(batch.oid, batch.v).tolist()
+        if screen is None:
+            admitted = self._model.admit_mask(
+                batch.oid, batch.y0, batch.v, batch.t0
+            ).tolist()
+            targets = self.router.route_many(batch.oid, batch.v).tolist()
+        else:
+            admitted, targets = screen
         # An oid the batch names twice: a later op plans against the
         # claim the earlier one leaves, and a register → deregister pair
         # on one shard against the residency the earlier sub-op will
         # have produced.  Both maps live only while the batch is planned.
         repeated = batch.repeated()
         claims: Dict[int, Tuple[Optional[int], Optional[MigrationState]]] = {}
-        pending: List[Dict[int, bool]] = [{} for _ in self._shards]
-        staged = {
-            shard: (array("q"), [], []) for shard in range(self.shard_count)
-        }
+        pending: Dict[Tuple[int, int], bool] = {}
+        staged: Dict[int, Tuple[array, List[WriteOp], List[Optional[int]],
+                                List[int]]] = {}
         owners: List[Optional[int]] = []
-        acked: List[int] = []
+        acked = array("q")  # unboxed: a load acknowledges every op
+        doubled: List[int] = []
         guard, shards, claim_of = self._guard, self._shards, self._claim
 
         def admit(
             shard: int, sub_op: WriteOp, fence: Optional[int], name: str,
-            row: int,
+            row: int, cleanup: bool,
         ) -> bool:
             """Stage one planned step iff it lands."""
             deleting = type(sub_op) is DeregisterOp
-            if deleting and not pending[shard].get(
-                sub_op.oid, sub_op.oid in shards[shard]
+            if deleting and not pending.get(
+                (shard, sub_op.oid), sub_op.oid in shards[shard]
             ):
                 return False  # copy never landed here
             try:
@@ -919,48 +1015,53 @@ class ShardedMotionService:
             if sub_op.oid in repeated and (
                 deleting or type(sub_op) is RegisterOp
             ):
-                pending[shard][sub_op.oid] = not deleting
-            rows, sub_ops, fences = staged[shard]
+                pending[shard, sub_op.oid] = not deleting
+            slot = staged.get(shard)
+            if slot is None:
+                slot = staged[shard] = (array("q"), [], [], [])
+            rows, sub_ops, fences, cleanups = slot
             rows.append(row)
             sub_ops.append(sub_op)
             fences.append(fence)
+            if cleanup:
+                cleanups.append(row)
             return True
 
         for i, op in enumerate(batch):
             oid = op.oid
             claim = claims[oid] if oid in claims else claim_of(oid)
             try:
-                _, steps, cleanup, owner = self._plan_write(
+                steps, cleanup, owner = self._plan_write(
                     op, claim, admitted[i], targets[i]
                 )
             except (InvalidMotionError, ObjectNotFoundError) as exc:
                 outcomes[i] = exc
                 continue
+            if held is not None and not held.issuperset(
+                shard for run, _, _ in steps + cleanup for shard in run
+            ):
+                return None
             name = _VERBS[type(op)]
             landed = False
             for run, sub_op, fence in steps:
                 for shard in run:
-                    landed |= admit(shard, sub_op, fence, name, i)
+                    landed |= admit(shard, sub_op, fence, name, i, False)
             if not landed:
-                outcomes[i] = _no_live_replica(name, oid, steps)
+                outcomes[i] = _no_live_replica(
+                    name, oid, [shard for run, _, _ in steps for shard in run]
+                )
                 continue
             for run, sub_op, fence in cleanup:
                 for shard in run:
-                    admit(shard, sub_op, fence, name, i)
+                    admit(shard, sub_op, fence, name, i, True)
             migration = claim[1]
             if oid in repeated:
                 claims[oid] = (owner, None if owner is None else migration)
             if migration is not None and type(op) is ReportOp:
-                self.metrics.counter("rebalance_double_writes").increment()
+                doubled.append(i)
             owners.append(owner)
             acked.append(i)
-        for i, owner in zip(acked, owners):
-            self._commit_write(batch[i], owner)
-        return {
-            shard: (batch.take(rows, sub_ops), fences)
-            for shard, (rows, sub_ops, fences) in staged.items()
-            if rows
-        }, acked
+        return staged, acked, owners, doubled
 
     # -- live rebalancing (two-phase object migration) ---------------------------
     #

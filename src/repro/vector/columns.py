@@ -175,6 +175,8 @@ class WriteColumns(abc.Sequence):
         decides when every oid is an ``int`` (the column then holds it
         exactly, or a placeholder that can only add false repeats);
         otherwise the oids are counted as a dict would key them."""
+        if len(self.keys) < 2:
+            return set()
         if all(issubclass(kind, int) for kind in set(map(type, self.keys))):
             ordered = np.sort(self.oid)
             if not (ordered[1:] == ordered[:-1]).any():

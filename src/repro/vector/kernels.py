@@ -12,13 +12,9 @@ object:
   the scalar oracle :func:`repro.core.predicates.matches_1d` — the
   batch paths are differential-tested byte-for-byte against the
   scalar paths, so the kernels must not introduce epsilon drift.
-* :func:`wedge_mask` — the literal Hough-X half-plane (simplex) test
-  of Proposition 1, for callers holding dual points (same arithmetic
-  and slack as :meth:`repro.core.duality.HalfPlane.contains`).
-* :func:`b_range_mask` / :func:`hough_y_exact_mask` — the Hough-Y
-  horizon-crossing machinery of §3.5.2: the rectangle
-  ``b``-range prefilter (with its bounded false-positive area ``E``)
-  and the exact dual filter that removes those false positives.
+* :func:`hough_y_exact_mask` — the exact Hough-Y dual filter of
+  §3.5.2, which drops the false positives of the forest's rectangle
+  ``b``-range (:func:`repro.core.duality.hough_y_b_range`).
 * :func:`snapshot_mask` — the MOR1 instant test (§3.6).
 * :func:`knn_distances` / :func:`knn_select` — batched k-NN at a
   future instant, with the ``(distance, oid)`` tie-break of
@@ -41,7 +37,6 @@ from typing import List, Set, Tuple
 
 import numpy as np
 
-from repro.core.duality import ConvexRegion, hough_y_b_range
 from repro.core.queries import MORQuery1D
 
 #: Block edge for the pairwise proximity kernel: bounds peak memory at
@@ -92,79 +87,7 @@ def snapshot_mask(
     return (y1 <= y) & (y <= y2)
 
 
-# -- Hough-X: the Proposition 1 wedge ----------------------------------------
-
-
-def hough_x_points(
-    y0: np.ndarray, v: np.ndarray, t0: np.ndarray, t_ref: float = 0.0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Columnar Hough-X dual points ``(v, a)`` relative to ``t_ref``."""
-    return v, y0 + v * (t_ref - t0)
-
-
-def wedge_mask(
-    v: np.ndarray,
-    a: np.ndarray,
-    region: ConvexRegion,
-    eps: float = 1e-9,
-) -> np.ndarray:
-    """Membership of dual points in a convex wedge (Proposition 1).
-
-    Evaluates every half-plane of ``region`` over the point columns,
-    with the same ``eps`` slack as the scalar
-    :meth:`~repro.core.duality.HalfPlane.contains` — a point is inside
-    the wedge iff the scalar test says so.
-    """
-    mask = np.ones(v.shape, dtype=bool)
-    for hp in region.constraints:
-        mask &= (hp.cx * v + hp.cy * a) <= (hp.rhs + eps)
-    return mask
-
-
-# -- Hough-Y: the §3.5.2 b-range approximation -------------------------------
-
-
-def hough_y_points(
-    y0: np.ndarray, v: np.ndarray, t0: np.ndarray, y_r: float = 0.0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Columnar Hough-Y dual points ``(n, b)`` for horizon ``y_r``.
-
-    ``n = 1/v`` and ``b = t0 + (y_r - y0) / v`` — the same division
-    chain as :func:`repro.core.duality.hough_y`.  Rows with ``v == 0``
-    (no Hough-Y image; the scalar transform raises) come back as
-    ``inf``/``nan`` and fail every downstream comparison, so they are
-    excluded from Hough-Y answers exactly like the scalar pipeline
-    excludes them from the moving population.
-    """
-    # over= covers subnormal speeds (1/v -> inf), which downstream
-    # comparisons reject the same way they reject the v == 0 rows.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        n = 1.0 / v
-        b = t0 + (y_r - y0) / v
-    return n, b
-
-
-def b_range_mask(
-    y0: np.ndarray,
-    v: np.ndarray,
-    t0: np.ndarray,
-    query: MORQuery1D,
-    y_r: float,
-    v_min: float,
-    v_max: float,
-) -> np.ndarray:
-    """The Hough-Y rectangle prefilter: ``b`` within the §3.5.2 range.
-
-    This is the candidate-fetch predicate of the B+-tree forest — a
-    superset of the exact answer for the *positive-velocity*
-    population with bounded extra area ``E`` (equations (1)-(2)); pair
-    with :func:`hough_y_exact_mask` to drop the false positives.
-    Rows with ``v <= 0`` never match (reflect them first, §3.2).
-    """
-    b_lo, b_hi = hough_y_b_range(query, y_r, v_min, v_max)
-    _, b = hough_y_points(y0, v, t0, y_r)
-    with np.errstate(invalid="ignore"):
-        return (v > 0) & (b_lo <= b) & (b <= b_hi)
+# -- Hough-Y: the §3.5.2 exact dual filter -----------------------------------
 
 
 def hough_y_exact_mask(

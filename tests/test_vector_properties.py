@@ -1,9 +1,9 @@
 """Property-based agreement: vectorized kernels vs scalar predicates.
 
 Every kernel in :mod:`repro.vector.kernels` claims either bit-identity
-with a scalar oracle (`mor_mask` / `snapshot_mask` / `wedge_mask`) or
-exact agreement with the scalar dual machinery (`b_range_mask` /
-`hough_y_exact_mask`).  Hypothesis sweeps random motions — including
+with a scalar oracle (`mor_mask` / `snapshot_mask`) or exact agreement
+with the scalar dual machinery (`hough_y_exact_mask`).  Hypothesis
+sweeps random motions — including
 ``v = 0``, negative velocities and empty stores, which the columnar
 paths must handle exactly like the scalar ones.
 """
@@ -14,25 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LinearMotion1D, MOR1Query, MORQuery1D
-from repro.core.duality import (
-    hough_x,
-    hough_y,
-    hough_y_b_range,
-    hough_y_matches,
-    mor_wedge,
-)
+from repro.core.duality import hough_x, hough_y, hough_y_matches, mor_wedge
 from repro.core.predicates import matches_1d, matches_mor1
 from repro.vector.columns import MotionColumns
 from repro.vector.kernels import (
-    b_range_mask,
-    hough_x_points,
     hough_y_exact_mask,
-    hough_y_points,
     knn_distances,
     knn_select,
     mor_mask,
     snapshot_mask,
-    wedge_mask,
 )
 
 from .helpers import PAPER_MODEL
@@ -106,22 +96,6 @@ def test_snapshot_mask_matches_scalar_predicate(ms, y1, dy, t):
 # -- Hough-X: the Proposition 1 wedge -----------------------------------------
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    ms=st.lists(any_motions, max_size=30),
-    query=queries,
-    sign=st.sampled_from([1, -1]),
-    t_ref=st.floats(min_value=0, max_value=100),
-)
-def test_wedge_mask_matches_scalar_region(ms, query, sign, t_ref):
-    region = mor_wedge(query, PAPER_MODEL, sign, t_ref=t_ref)
-    _, y0, v_col, t0 = columns_of(ms).arrays()
-    v, a = hough_x_points(y0, v_col, t0, t_ref)
-    mask = wedge_mask(v, a, region)
-    expected = [region.contains(*hough_x(m, t_ref)) for m in ms]
-    assert mask.tolist() == expected
-
-
 @settings(max_examples=100, deadline=None)
 @given(ms=st.lists(positive_motions, max_size=30), query=queries)
 def test_wedge_membership_equals_primal_for_fast_positive(ms, query):
@@ -141,26 +115,7 @@ def test_wedge_membership_equals_primal_for_fast_positive(ms, query):
             assert margin < 1e-6
 
 
-# -- Hough-Y: b-range prefilter and exact dual filter -------------------------
-
-
-@settings(max_examples=200, deadline=None)
-@given(ms=st.lists(any_motions, max_size=30), query=queries)
-def test_b_range_mask_matches_scalar_range(ms, query):
-    y_r = 0.0
-    b_lo, b_hi = hough_y_b_range(
-        query, y_r, PAPER_MODEL.v_min, PAPER_MODEL.v_max
-    )
-    _, y0, v, t0 = columns_of(ms).arrays()
-    mask = b_range_mask(
-        y0, v, t0, query, y_r, PAPER_MODEL.v_min, PAPER_MODEL.v_max
-    )
-    for m, got in zip(ms, mask.tolist()):
-        if m.v <= 0:
-            assert got is False  # no Hough-Y image / wrong population
-        else:
-            _, b = hough_y(m, y_r)
-            assert got == (b_lo <= b <= b_hi)
+# -- Hough-Y: the exact dual filter -------------------------------------------
 
 
 @settings(max_examples=200, deadline=None)
@@ -168,24 +123,11 @@ def test_b_range_mask_matches_scalar_range(ms, query):
 def test_hough_y_exact_mask_matches_scalar(ms, query):
     y_r = 0.0
     _, y0, v, t0 = columns_of(ms).arrays()
-    n, b = hough_y_points(y0, v, t0, y_r)
-    mask = hough_y_exact_mask(n, b, query, y_r)
+    # The dual points (n, b) = (1/v, t0 + (y_r - y0)/v), computed with
+    # the division chain of the scalar hough_y.
+    mask = hough_y_exact_mask(1.0 / v, t0 + (y_r - y0) / v, query, y_r)
     expected = [hough_y_matches(*hough_y(m, y_r), query, y_r) for m in ms]
     assert mask.tolist() == expected
-
-
-@settings(max_examples=100, deadline=None)
-@given(ms=st.lists(positive_motions, max_size=30), query=queries)
-def test_b_range_prefilter_is_superset_of_exact(ms, query):
-    """§3.5.2: the rectangle never loses a true positive-velocity
-    answer — false positives only."""
-    y_r = 0.0
-    _, y0, v, t0 = columns_of(ms).arrays()
-    prefilter = b_range_mask(
-        y0, v, t0, query, y_r, PAPER_MODEL.v_min, PAPER_MODEL.v_max
-    )
-    exact = mor_mask(y0, v, t0, query)
-    assert not np.any(exact & ~prefilter)
 
 
 # -- k-NN ---------------------------------------------------------------------
@@ -270,10 +212,5 @@ def test_all_kernels_on_empty_store():
     query = MORQuery1D(10.0, 20.0, 1.0, 5.0)
     assert mor_mask(y0, v, t0, query).tolist() == []
     assert snapshot_mask(y0, v, t0, 10.0, 20.0, 1.0).tolist() == []
-    assert b_range_mask(y0, v, t0, query, 0.0, 0.16, 1.66).tolist() == []
-    n, b = hough_y_points(y0, v, t0, 0.0)
-    assert hough_y_exact_mask(n, b, query, 0.0).tolist() == []
-    region = mor_wedge(query, PAPER_MODEL, sign=1)
-    pv, pa = hough_x_points(y0, v, t0, 0.0)
-    assert wedge_mask(pv, pa, region).tolist() == []
+    assert hough_y_exact_mask(1.0 / v, t0 - y0 / v, query, 0.0).tolist() == []
     assert knn_select(oid, knn_distances(y0, v, t0, 5.0, 1.0), 3) == []

@@ -834,9 +834,8 @@ class TestOneWritePlan:
         assert_twins_agree(plain, replicated, want, got)
         assert replicated.shard_populations() == plain.shard_populations()
         assert got_events == want_events
-        for name in ("rebalance_double_writes", "rebalance_fenced_writes"):
-            assert (replicated.metrics.counter(name).value
-                    == plain.metrics.counter(name).value)
+        assert (replicated.metrics.counter("rebalance_double_writes").value
+                == plain.metrics.counter("rebalance_double_writes").value)
         assert plain.metrics.counter("rebalance_double_writes").value == 3
         assert [
             state["io"] for state in replicated.service_stats()["shard_state"]
