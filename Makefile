@@ -1,6 +1,6 @@
 # Convenience targets for the mobile-object indexing reproduction.
 
-.PHONY: install check test property-explore durability-smoke soak-smoke soak-baseline perf-smoke perf bench figures examples results clean
+.PHONY: install check test property-explore durability-smoke soak-smoke soak-baseline perf-smoke perf bench paper-tables figures examples results clean
 
 install:
 	python setup.py develop
@@ -91,6 +91,28 @@ bench:
 		python -m pytest benchmarks --ignore=benchmarks/perf \
 		--ignore=benchmarks/test_paper_scale.py
 	git status --short benchmarks/results
+
+# The gate for any change to a paper structure: regenerate the eight
+# tables the R-tree family writes (Figures 6-9 and the TPR, planar,
+# segment-horizon and route ablations), each a .txt plus its
+# BENCH_*.json twin, and fail if any of the sixteen files differs from
+# its committed copy.  About two minutes; not part of check.
+PAPER_TABLES = fig6_query_io_10pct fig7_query_io_1pct fig8_space \
+	fig9_update_io ablation_tpr ablation_planar_dynamic \
+	ablation_segment_horizon ablation_routes
+PAPER_TABLE_FILES = $(foreach table,$(PAPER_TABLES),\
+	benchmarks/results/$(table).txt benchmarks/results/BENCH_$(table).json)
+
+paper-tables:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
+		python -m pytest -q benchmarks/test_fig6_query_large.py \
+		benchmarks/test_fig7_query_small.py benchmarks/test_fig8_space.py \
+		benchmarks/test_fig9_update.py benchmarks/test_ablation_tpr.py \
+		benchmarks/test_ablation_planar_dynamic.py \
+		benchmarks/test_ablation_segment_horizon.py \
+		benchmarks/test_ablation_routes.py
+	git ls-files --error-unmatch $(PAPER_TABLE_FILES) > /dev/null
+	git diff --exit-code -- $(PAPER_TABLE_FILES)
 
 figures:
 	python -m repro figures

@@ -55,11 +55,6 @@ class DynamicPartitionTree:
     def __contains__(self, oid: Any) -> bool:
         return oid in self._points
 
-    @property
-    def live_slots(self) -> List[int]:
-        """Indices of occupied slots (diagnostic)."""
-        return [i for i, tree in enumerate(self._slots) if tree is not None]
-
     # -- updates -----------------------------------------------------------------
 
     def insert(self, point: Point, oid: Any) -> None:

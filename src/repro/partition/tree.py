@@ -182,21 +182,6 @@ class PartitionTree:
 
     # -- diagnostics -------------------------------------------------------------
 
-    def root_crossing_number(self, line) -> int:
-        """Cells of the root partition crossed by a line (no I/O charge)."""
-        page = self.disk.peek(self._root_pid)
-        assert page is not None
-        if page.meta["kind"] == LEAF:
-            return 0
-        return sum(
-            1 for triangle, _ in page.items if triangle.crossed_by(line)
-        )
-
-    def root_fanout(self) -> int:
-        page = self.disk.peek(self._root_pid)
-        assert page is not None
-        return len(page.items) if page.meta["kind"] == INTERNAL else 0
-
     def check_invariants(self) -> None:
         """Triangles contain their subtree's points; sizes add up."""
         count = self._check(self._root_pid, None)

@@ -173,10 +173,6 @@ class FaultInjector:
         with self._lock:
             self._crashed.discard(shard)
 
-    def ops_seen(self, shard: int) -> int:
-        with self._lock:
-            return self._ops.get(shard, 0)
-
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
             return {

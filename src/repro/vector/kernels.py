@@ -45,13 +45,6 @@ from repro.core.queries import MORQuery1D
 PAIR_BLOCK = 512
 
 
-def positions_at(
-    y0: np.ndarray, v: np.ndarray, t0: np.ndarray, t: float
-) -> np.ndarray:
-    """Extrapolated locations ``y0 + v * (t - t0)`` at instant ``t``."""
-    return y0 + v * (t - t0)
-
-
 # -- range membership ---------------------------------------------------------
 
 

@@ -106,3 +106,29 @@ class TestPlanarTPRTree:
             tpr.delete(oid)
         assert len(tpr) == 0
         assert tpr.pages_in_use == 1
+
+    def test_invariants_hold(self):
+        rng = random.Random(71)
+
+        def random_object(oid, t0):
+            return MobileObject2D(
+                oid,
+                motion(
+                    rng.uniform(0, 1000), rng.uniform(0, 1000),
+                    rng.uniform(-2, 2), rng.uniform(-2, 2), t0,
+                ),
+            )
+
+        tpr = PlanarTPRTreeIndex(MODEL, page_capacity=8)
+        for oid in range(200):
+            tpr.insert(random_object(oid, rng.uniform(0, 10)))
+        tpr.check_invariants()
+        # An update storm: later anchors rebase and tighten the bounds.
+        for step in range(400):
+            tpr.update(random_object(rng.randrange(200), 10.0 + step * 0.1))
+        tpr.check_invariants()
+        for oid in rng.sample(range(200), 200):
+            tpr.delete(oid)
+        tpr.check_invariants()
+        assert len(tpr) == 0
+        assert tpr.pages_in_use == 1
