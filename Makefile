@@ -30,12 +30,18 @@ property-explore:
 # The SIGKILL drill alone: spawn a WAL-backed service subprocess,
 # kill it mid-write-storm, recover from the directory, and
 # differential-check that no acknowledged update was lost (exit 1 on
-# any loss or invented state).
+# any loss or invented state).  Each fsync policy runs twice: the
+# hash-routed storm, then --rebalance, a velocity-routed storm
+# interleaved with band re-cuts and rehome moves, which adds the
+# exactly-one-shard residency check.
 durability-smoke:
 	for fsync in always batch:32; do \
-		PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		python -m repro.storage.crashdrill --objects 30 \
-		--kill-after-acks 150 --seed 42 --fsync $$fsync || exit 1; \
+		for mode in "" --rebalance; do \
+			PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
+			python -m repro.storage.crashdrill --objects 30 \
+			--kill-after-acks 150 --seed 42 --fsync $$fsync $$mode \
+			|| exit 1; \
+		done; \
 	done
 
 # Soak smoke: a small production-shaped mixed run (city scenario,

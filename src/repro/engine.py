@@ -370,19 +370,6 @@ class MotionDatabase:
             raise ObjectNotFoundError(f"object {oid} is not registered")
         return motion
 
-    def history_of(self, oid: int) -> list:
-        """Archived versions of one object, in ``closed_versions``
-        tuple form; empty without history or archived versions.  The
-        per-object slice a shard migration ships so the §7 archive
-        travels with the object."""
-        if not self._history_enabled:
-            return []
-        return [
-            version
-            for version in self._index.closed_versions()  # type: ignore[attr-defined]
-            if version[2] == oid
-        ]
-
     def restore_clock(self, now: float) -> None:
         """Advance the update clock to at least ``now``.
 

@@ -106,19 +106,6 @@ class CorruptRecordError(ReproError):
     (e.g. a checkpoint file named by the manifest)."""
 
 
-class StaleMigrationError(ReproError):
-    """Raised when a fenced migration step presents an epoch that no
-    longer matches the ownership table's in-flight state.
-
-    Every two-phase object migration carries an epoch number (the
-    fencing token).  A commit, abort, or double-write arriving after
-    the migration it belongs to was superseded — aborted by the
-    controller, completed by another path, or restarted with a fresh
-    epoch — is stale and must be rejected rather than applied, or a
-    resurrected writer could fork ownership across two shards.
-    """
-
-
 class DegradedResultWarning(UserWarning):
     """Emitted when a query answers partially because a replica group
     is entirely unavailable; the result is a ``PartialResult`` naming

@@ -20,12 +20,11 @@
   write-ahead log + checkpoint used for crash recovery;
 * :mod:`repro.service.metrics` — :class:`MetricsRegistry`, counters +
   latency/I-O histograms per operation and per shard;
-* :mod:`repro.service.sharding` — the routing policies plus
-  :class:`OwnershipTable`, the fenced oid → shard catalog the
-  two-phase migration protocol runs on;
+* :mod:`repro.service.sharding` — the routing policies (hash, and
+  speed bands whose edges can be re-cut);
 * :mod:`repro.service.rebalance` — :class:`RebalanceController`,
-  live skew detection + band re-cutting + crash-safe two-phase
-  object migration;
+  live skew detection + band re-cutting, the displaced objects moved
+  by the service's ``rehome`` write sets;
 * :mod:`repro.service.parallel` — :class:`WorkerPool`, per-shard
   query sub-batches on worker processes over shared-memory columns;
 * :mod:`repro.service.frontend` — :class:`AsyncFrontend`, the
@@ -50,7 +49,6 @@ from repro.service.faults import (
     CrashPointSpec,
     FaultInjector,
     FaultSpec,
-    MIGRATION_CRASH_POINTS,
     WRITE_BATCH_CRASH_POINTS,
     flip_bit,
     truncate_file,
@@ -89,8 +87,6 @@ from repro.service.service import ROUTER_FACTORIES, ShardedMotionService
 from repro.service.sharding import (
     BandRouter,
     HashRouter,
-    MigrationState,
-    OwnershipTable,
     ShardRouter,
     VelocityRouter,
     mix_oid,
@@ -122,12 +118,9 @@ __all__ = [
     "FrontendConfig",
     "HashRouter",
     "Histogram",
-    "MIGRATION_CRASH_POINTS",
     "MetricsRegistry",
-    "MigrationState",
     "Nearest",
     "Overloaded",
-    "OwnershipTable",
     "PARALLEL_COUNTERS",
     "PartialResult",
     "ProximityPairs",

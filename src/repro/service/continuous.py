@@ -56,13 +56,13 @@ state.  While any shard is down, subscriptions are flagged
 discipline lifted to standing queries) instead of raising.
 
 Live rebalancing needs no special handling here for the same reason:
-a two-phase migration moves an object *between shards* without ever
-changing its acknowledged motion (double-writes carry the same values
-to both participants, and cutover is a pure ownership flip), so the
-listener stream the manager consumes is migration-transparent —
-exactly one ``ReportOp`` row per report, no spurious insert/delete at
-cutover.  Subscriptions therefore stay oracle-consistent through a
-migration storm; the rebalance tests check that with delta replay.
+a rebalance move (the service's ``rehome``) carries an object *between
+shards* without changing its acknowledged motion.  The manager sees
+one ``ReportOp`` row per moved object, holding the motion it already
+tracks, so no membership changes and no delta is emitted — never a
+spurious insert/delete for the move.  Subscriptions therefore stay
+oracle-consistent through a rebalance; the soak with rebalances
+checks that with delta replay.
 
 Locking: the manager has a single lock and **never calls into the
 service while holding it** — services notify listeners while holding

@@ -27,14 +27,10 @@ A second, finer-grained injector targets the durability layer:
 exact boundary (mid-record, pre-fsync, post-fsync-pre-rename, ...),
 and :func:`flip_bit` / :func:`truncate_file` corrupt the surviving
 files — together they drive the crash-at-every-boundary recovery
-matrix in ``tests/test_wal_durability.py``.
-
-The same injector doubles as the migration protocol's chaos lever:
-the rebalancing layer threads a ``crash_hook`` through every
-two-phase migration step and fires it at each protocol boundary
-(:data:`MIGRATION_CRASH_POINTS`), so ``tests/test_rebalance_chaos.py``
-can kill the process at every point of a migration and assert the
-recovery invariants.
+matrix in ``tests/test_wal_durability.py``.  A rebalance move is an
+ordinary write set, so the same points (plus
+:data:`WRITE_BATCH_CRASH_POINTS`) kill one mid-move in
+``tests/test_rebalance_chaos.py``.
 """
 
 from __future__ import annotations
@@ -280,29 +276,11 @@ class CrashPointInjector:
             }
 
 
-#: The two-phase migration protocol's crash-point names, in protocol
-#: order.  Arm any of them on a :class:`CrashPointInjector` passed as
-#: the ``crash_hook`` of the migration primitives (or of
-#: :class:`~repro.service.rebalance.RebalanceController`) to kill the
-#: process at that exact boundary:
-#:
-#: * ``copy_sent`` — destination copy landed, source still owner;
-#: * ``pre_commit`` — cutover decided, nothing logged yet;
-#: * ``between_commits`` — destination's ``migrate_commit`` record is
-#:   durable, the source's is not (the classic torn-decision window);
-#: * ``post_commit`` — both records durable, in-memory ownership not
-#:   yet switched.
-MIGRATION_CRASH_POINTS = (
-    "rebalance.copy_sent",
-    "rebalance.pre_commit",
-    "rebalance.between_commits",
-    "rebalance.post_commit",
-)
-
 #: Crash points of the batched write path, in protocol order.  Pass a
 #: :class:`CrashPointInjector` as the ``crash_hook`` of
-#: ``FaultTolerantMotionService.apply_batch``, healthy or degraded (or of
-#: ``HoughYForestIndex.bulk_build``) to die at the boundary:
+#: ``FaultTolerantMotionService.apply_batch`` or ``rehome``, healthy or
+#: degraded (or of ``HoughYForestIndex.bulk_build``) to die at the
+#: boundary:
 #:
 #: * ``write_batch.pre_fsync`` — a shard's grouped WAL records are
 #:   appended (page cache) but not yet fsynced; with

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.io_sim.stats import IOSnapshot
-from repro.vector.ops import Nearest, ProximityPairs, QueryOp, SnapshotAt, Within
+from repro.vector.ops import QUERY_VERBS, QueryOp
 
 __all__ = ["AsyncFrontend", "FrontendConfig", "Overloaded"]
 
@@ -106,18 +106,6 @@ class FrontendConfig:
             raise ValueError(
                 f"health_every_s must be >= 0, got {self.health_every_s}"
             )
-
-
-def _op_label(op: QueryOp) -> str:
-    if isinstance(op, Within):
-        return "within"
-    if isinstance(op, SnapshotAt):
-        return "snapshot_at"
-    if isinstance(op, Nearest):
-        return "nearest"
-    if isinstance(op, ProximityPairs):
-        return "proximity_pairs"
-    return type(op).__name__.lower()
 
 
 class _Request:
@@ -265,7 +253,7 @@ class AsyncFrontend:
                         request.future.set_exception(error)
                 else:
                     self.metrics.operation(
-                        f"frontend.{_op_label(request.op)}"
+                        f"frontend.{QUERY_VERBS[type(request.op)]}"
                     ).record(
                         done - request.enqueued_at,
                         _ZERO_IO,

@@ -290,17 +290,14 @@ DURABILITY_COUNTERS = {
 
 
 #: Counter names the live-rebalancing subsystem books (service side:
-#: the fencing and band-layout counters; controller side: run and
-#: per-migration outcome accounting — see
-#: :mod:`repro.service.rebalance`).
+#: the band-layout counter; controller side: run and per-move outcome
+#: accounting — see :mod:`repro.service.rebalance`).
 REBALANCE_COUNTERS = {
     "rebalance_runs": "RebalanceController.rebalance_once invocations",
     "rebalance_planned_moves": "objects displaced by a new band cut",
-    "rebalance_migrations": "two-phase migrations committed",
-    "rebalance_aborted": "migrations aborted back to their source",
+    "rebalance_migrations": "displaced objects moved to their new group",
+    "rebalance_aborted": "moves no live shard of the new group took",
     "rebalance_band_updates": "band-layout changes installed",
-    "rebalance_double_writes": "reports landed on both participants "
-                               "of an open migration window",
     "rebalance_auto_triggers": "passes started because a detector "
                                "(count or latency skew) tripped",
 }

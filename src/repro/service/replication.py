@@ -7,10 +7,9 @@ workers; distributed continuous-range-query processing over fallible
 nodes).  It re-implements no verb and no batch: the base class writes
 every one against three seams, and this class overrides the seams —
 ``replica_group``; the guarded shard access (``_guard``,
-``_apply_write`` — migration steps only — ``_apply_sub_batch``,
-``_stale``, ``_answerable``); and the ``_log`` / ``_degrade`` pair —
-plus the kill / recover / restore administration (every log write of
-those seams goes through one helper, ``_logged``):
+``_apply_sub_batch``, ``_stale``, ``_answerable``); and the ``_log`` /
+``_degrade`` pair — plus the kill / recover / restore administration
+(every log write of those seams goes through one helper, ``_logged``):
 
 * **Replication** — every object lives on ``replication_factor``
   consecutive shards: primary ``p = route(oid)`` plus replicas
@@ -20,10 +19,10 @@ those seams goes through one helper, ``_logged``):
   the base class's does — the planned steps ``_guard`` admitted — and
   is then logged: a batch's group as one grouped commit synced before
   ``apply_batch`` returns, a scalar verb's op as one append under the
-  fsync policy.  A shard whose log raises ``OSError`` — a write set's,
-  a migration step's or a protocol marker's — goes down.  The catalog
-  additionally remembers each object's authoritative motion, which is
-  what recovery reconciles against.
+  fsync policy.  A shard whose log raises ``OSError`` — a write set's
+  or a band marker's — goes down.  The catalog additionally remembers
+  each object's authoritative motion, which is what recovery
+  reconciles against.
 * **Fault handling** — every shard touch runs through a bounded
   :class:`~repro.service.health.RetryPolicy` (transient injected
   faults back off and retry).  A crash-kind fault marks the shard
@@ -78,12 +77,17 @@ from repro.service.service import (
     ShardedMotionService,
     ShardRouter,
     _no_hook,
-    _step_record,
 )
 from repro.service.sharding import BandRouter
 from repro.service.wal import ShardWAL
 from repro.storage.backend import FileWALBackend
-from repro.vector.ops import DeregisterOp, RegisterOp, ReportOp, WriteOp
+from repro.vector.ops import (
+    DeregisterOp,
+    RegisterOp,
+    ReportOp,
+    WriteOp,
+    write_record,
+)
 
 UP = "up"
 DOWN = "down"
@@ -291,21 +295,8 @@ class FaultTolerantMotionService(ShardedMotionService):
             ) from exc
         node.breaker.record_success()
 
-    def _apply_write(self, shard: int, op_name: str, fn, span,
-                     record_kind: str, record_fields: Dict) -> bool:
-        """Apply one write to one shard; ``True`` iff it landed and was
-        logged (append-after-apply, then maybe a checkpoint:
-        :meth:`_logged`)."""
-        try:
-            self._touch(shard, op_name, fn, span, write=True)
-        except ShardUnavailableError:
-            return False
-        return self._logged(
-            shard, lambda wal: wal.append(record_kind, **record_fields)
-        )
-
     def _log(self, shard: int, kind: str, **fields: object) -> bool:
-        """Append a protocol marker to a live shard's WAL; ``True`` iff
+        """Append a marker record to a live shard's WAL; ``True`` iff
         the shard is live and the marker logged (see :meth:`_logged`,
         which here checkpoints nothing)."""
         return self._nodes[shard].up and self._logged(
@@ -365,17 +356,14 @@ class FaultTolerantMotionService(ShardedMotionService):
         with self._catalog_lock:
             return self._catalog_motion[oid]
 
-    def _apply_sub_batch(
-        self, shard, sub_ops, fences, span, hook, per_op
-    ) -> bool:
+    def _apply_sub_batch(self, shard, sub_ops, span, hook, per_op) -> bool:
         """The base's apply, then the log (:meth:`_logged`): a batch's
         group as one grouped commit — append, ``write_batch.pre_fsync``
         (here the log sits where the base only fires the hook), sync —
         a scalar verb's sub-ops as one :meth:`ShardWAL.append` each
         under the fsync policy; then at most one checkpoint."""
-        super()._apply_sub_batch(shard, sub_ops, fences, span, _no_hook,
-                                 per_op)
-        records = list(map(_step_record, sub_ops, fences))
+        super()._apply_sub_batch(shard, sub_ops, span, _no_hook, per_op)
+        records = list(map(write_record, sub_ops))
 
         def append(wal: ShardWAL) -> None:
             if per_op:
@@ -492,13 +480,7 @@ class FaultTolerantMotionService(ShardedMotionService):
             db = node.wal.recover(self._build_database)
             replayed = node.wal.snapshot()["tail_records"]
             with self._catalog_lock:
-                # A migration destination legitimately holds a copy
-                # the owner map does not describe yet; dropping it
-                # here would undo the copy phase mid-flight.
-                placements = [*self._owner.items(), *(
-                    (state.oid, state.dest)
-                    for state in self._ownership.migrations().values()
-                )]
+                placements = list(self._owner.items())
                 motions = dict(self._catalog_motion)
             repaired, dropped = self._reinstate(shard, db, placements,
                                                 motions)
@@ -592,15 +574,11 @@ class FaultTolerantMotionService(ShardedMotionService):
                 })
             # Reinstall the newest band layout any shard's log
             # retained *before* electing owners, so re-routing uses
-            # the same cut the pre-crash service did.  In-flight
-            # migrations need no per-object resolution: the election
-            # below lands every object on exactly the group the
-            # restored router names (the copy phase double-wrote
-            # identical motions to both sides), which is precisely
-            # "complete or abort cleanly".
+            # the same cut the pre-crash service did.  A move cut
+            # short by the crash needs no resolution of its own: the
+            # election below lands every object on exactly the group
+            # the restored router names, whichever copies survived.
             bands: Optional[Dict] = None
-            fence_floor = 0
-            migrations_resolved: Set[int] = set()
             for node in self._nodes:
                 record = node.wal.bands_record()
                 if record is not None and (
@@ -609,17 +587,10 @@ class FaultTolerantMotionService(ShardedMotionService):
                     > int(bands.get("epoch", 0))
                 ):
                     bands = record
-                for oid, rec in node.wal.inflight_migrations().items():
-                    migrations_resolved.add(oid)
-                    fence_floor = max(
-                        fence_floor, int(rec.get("epoch", 0))
-                    )
             if bands is not None and isinstance(self.router, BandRouter):
                 epoch = int(bands["epoch"])
                 if epoch > self.router.epoch:
                     self.router.set_bands(bands["edges"], epoch)
-            with self._catalog_lock:
-                self._ownership.observe_epoch(fence_floor)
             # Elect the authoritative motion per object across replicas.
             elected: Dict[int, LinearMotion1D] = {}
             for db in recovered:
@@ -658,7 +629,6 @@ class FaultTolerantMotionService(ShardedMotionService):
                 if isinstance(self.router, BandRouter)
                 else None
             ),
-            "migrations_resolved": len(migrations_resolved),
         }
 
     def close(self) -> None:

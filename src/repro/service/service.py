@@ -38,10 +38,10 @@ staged, applied and committed by one more,
 :meth:`ShardedMotionService._apply_set`.  Every verb is written once,
 here, against three seams whose forms in this class are trivial:
 ``replica_group`` (an object lives on its primary only), the guarded
-shard access ``_guard`` / ``_touch`` / ``_apply_write`` /
-``_apply_sub_batch`` / ``_stale`` (admit everything, call the
-database, record the I/O; every shard takes every write), and the
-``_log`` / ``_degrade`` pair (no log; answers are always complete).
+shard access ``_guard`` / ``_touch`` / ``_apply_sub_batch`` /
+``_stale`` (admit everything, call the database, record the I/O;
+every shard takes every write), and the ``_log`` / ``_degrade`` pair
+(no log; answers are always complete).
 Every shard access passes through ``_guard``, so a write set under
 faults runs the same plan as a healthy one, minus the shards the guard
 refused.  This class is the
@@ -78,8 +78,6 @@ from repro.errors import (
     InvalidMotionError,
     ObjectNotFoundError,
     ShardUnavailableError,
-    SimulatedCrashError,
-    StaleMigrationError,
 )
 from repro.indexes.base import MobileIndex1D
 from repro.io_sim.stats import combine_snapshots
@@ -88,14 +86,13 @@ from repro.service.parallel import WorkerCrashError, WorkerPool
 from repro.service.sharding import (
     BandRouter,
     HashRouter,
-    MigrationState,
-    OwnershipTable,
     ShardRouter,
     VelocityRouter,
 )
 from repro.vector.cache import QueryResultCache, copy_result
 from repro.vector.columns import WriteColumns
 from repro.vector.ops import (
+    QUERY_VERBS,
     DeregisterOp,
     Nearest,
     ProximityPairs,
@@ -105,7 +102,6 @@ from repro.vector.ops import (
     SnapshotAt,
     Within,
     WriteOp,
-    write_record,
 )
 
 #: Router factories selectable by name (``router="velocity"``).
@@ -118,9 +114,9 @@ ROUTER_FACTORIES: Dict[str, Callable[[int, float], ShardRouter]] = {
 
 #: What :meth:`ShardedMotionService._plan_write` returns: ``(steps,
 #: cleanup, owner)`` — see its docstring.  The steps come
-#: in runs ``(shards, sub-op, fence)``, one step per shard of a run, in
-#: ascending shard order; :func:`_step_record` is a step's log record.
-_Run = Tuple[Tuple[int, ...], WriteOp, Optional[int]]
+#: in runs ``(shards, sub-op)``, one step per shard of a run, in
+#: ascending shard order.
+_Run = Tuple[Tuple[int, ...], WriteOp]
 _WritePlan = Tuple[
     Tuple[_Run, ...],
     Tuple[_Run, ...],
@@ -135,33 +131,8 @@ _VERBS: Dict[type, str] = {
     DeregisterOp: "deregister",
 }
 
-#: QueryOp class → the scalar verb answering it (metrics span, the name
-#: a degraded answer's warning carries).
-_QUERY_VERBS: Dict[type, str] = {
-    Within: "within",
-    SnapshotAt: "snapshot_at",
-    Nearest: "nearest",
-    ProximityPairs: "proximity_pairs",
-}
-
-
 def _no_hook(point: str) -> None:
     """Default (disarmed) crash-point hook."""
-
-
-def _step_record(sub_op: WriteOp, fence: Optional[int]) -> Tuple[str, Dict]:
-    """The log record ``(kind, fields)`` of one planned step: the
-    sub-op in the trace dialect, plus the fencing epoch when it is a
-    double-write inside a migration window."""
-    kind, fields = write_record(sub_op)
-    if fence is not None:
-        fields["fence"] = fence
-    return kind, fields
-
-
-def _union(*groups: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The shards of several replica groups, each once, ascending."""
-    return tuple(sorted(set().union(*groups)))
 
 
 def _no_live_replica(
@@ -300,12 +271,8 @@ class ShardedMotionService:
         self._locks = [threading.RLock() for _ in range(shards)]
         self._groups: Dict[int, Tuple[int, ...]] = {}
         self._catalog_lock = threading.RLock()
-        # The ownership table is the catalog's routing half: the plain
-        # owner dict plus in-flight two-phase migrations and their
-        # fencing epochs.  `_owner` aliases the table's dict so every
-        # pre-existing code path keeps its contract.
-        self._ownership = OwnershipTable()
-        self._owner: Dict[int, int] = self._ownership.owner
+        #: The catalog: oid → owning (primary) shard.
+        self._owner: Dict[int, int] = {}
         self._update_listeners: List[Callable[[WriteColumns], None]] = []
         self.query_cache: Optional[QueryResultCache] = None
         if cache_capacity > 0:
@@ -365,31 +332,16 @@ class ShardedMotionService:
     def shard_of(self, oid: int) -> int:
         """The shard currently owning ``oid``.
 
-        This is the *ownership table* answer, never a route recompute:
-        once registered, an object's placement is whatever the catalog
-        says, and only a committed migration (inline on a
-        speed-crossing report, or the rebalance controller's two-phase
-        protocol) changes it.  While a migration is in flight this
-        reports the source (ownership moves at cutover); use
-        :meth:`owners_of` for the full residency set.
+        This is the catalog's answer, never a route recompute: once
+        registered, an object's placement is whatever the catalog says,
+        and only a write set's cross-group move (a speed-crossing
+        report, or :meth:`rehome` after a band re-cut) changes it.
         """
         with self._catalog_lock:
             shard = self._owner.get(oid)
         if shard is None:
             raise ObjectNotFoundError(f"object {oid} is not registered")
         return shard
-
-    def owners_of(self, oid: int) -> Tuple[int, ...]:
-        """Every shard holding ``oid`` right now: ``(owner,)`` in
-        steady state, ``(source, dest)`` during a two-phase migration
-        — the two-shard ownership set queries merge over."""
-        with self._catalog_lock:
-            return self._ownership.owners_of(oid)
-
-    def migration_of(self, oid: int) -> Optional[MigrationState]:
-        """The in-flight migration for ``oid``, or ``None``."""
-        with self._catalog_lock:
-            return self._ownership.migration_of(oid)
 
     def primary_counts(self) -> List[int]:
         """Objects per owning shard (the catalog view the rebalance
@@ -436,10 +388,10 @@ class ShardedMotionService:
         verb, the acknowledged ops of an :meth:`apply_batch` (a batch
         that acknowledges nothing announces nothing), the restored
         population of a cold restore.  An op is announced as submitted:
-        a report that moves its object between replica groups, or
-        double-writes it inside a migration window, is one
-        ``ReportOp``.  Delivery happens while the shard locks are still
-        held, so per-object notifications arrive in apply order — the
+        a report that moves its object between replica groups is one
+        ``ReportOp``, and so is each object a :meth:`rehome` moves.
+        Delivery happens while the shard locks are still held, so
+        per-object notifications arrive in apply order — the
         guarantee :class:`~repro.service.continuous.SubscriptionManager`
         builds on.  Listeners therefore must be fast, must not raise,
         and must never call back into the service.
@@ -513,36 +465,18 @@ class ShardedMotionService:
         span.add_shard_io(shard, db.io_delta_since(before))
         return value
 
-    def _apply_write(
-        self,
-        shard: int,
-        op_name: str,
-        fn: Callable[[MotionDatabase], object],
-        span,
-        record_kind: str,
-        record_fields: Dict,
-    ) -> bool:
-        """Apply one write to one shard; ``True`` iff it landed.
-
-        ``(record_kind, record_fields)`` is the write's log record —
-        dropped here, where there is no log.
-        """
-        self._touch(shard, op_name, fn, span, write=True)
-        return True
-
     def _apply_sub_batch(
         self,
         shard: int,
         sub_ops: Sequence[WriteOp],
-        fences: List[Optional[int]],
         span,
         hook: Callable[[str], None],
         per_op: bool,
     ) -> bool:
         """Hand one shard its share of a write set (the set's locks held):
         the planned sub-ops :meth:`_guard` admitted — a batch's as its
-        own rows, a scalar verb's as they are — and parallel to them
-        their fences.  ``True`` iff the shard took them all.
+        own rows, a scalar verb's as they are.  ``True`` iff the shard
+        took them all.
 
         Here: one grouped :meth:`MotionDatabase.apply_batch`, or with
         ``per_op`` the engine's per-op verbs; the shard always takes
@@ -578,8 +512,8 @@ class ShardedMotionService:
         raise RuntimeError(f"shard {shard} {reason}")
 
     def _log(self, shard: int, kind: str, **fields: object) -> bool:
-        """Log a protocol marker (band change, migration step) on one
-        shard; ``True`` iff the shard is live to take it."""
+        """Log a marker record (a band change) on one shard; ``True``
+        iff the shard is live to take it."""
         return True
 
     def _degrade(self, name: str, value, answered: Set[int]):
@@ -590,27 +524,21 @@ class ShardedMotionService:
         """Catalog commit of one applied write (catalog lock held): the
         op's object now belongs to ``owner``, or to nobody."""
         if owner is None:
-            self._ownership.drop(op.oid)
+            self._owner.pop(op.oid, None)
         else:
             self._owner[op.oid] = owner
 
     def _current_motion(self, oid: int, shard: int) -> LinearMotion1D:
-        """The motion a migration copies: what owner ``shard`` holds."""
+        """The motion :meth:`rehome` re-reports: what owner ``shard``
+        holds."""
         return self._shards[shard].motion_of(oid)
 
     # -- updates ----------------------------------------------------------------
 
-    def _claim(
-        self, oid: int
-    ) -> Tuple[Optional[int], Optional[MigrationState]]:
-        """``(owner, in-flight migration)`` of ``oid``: what a write
-        plan is made against (catalog lock held)."""
-        return self._owner.get(oid), self._ownership.migration_of(oid)
-
     def _plan_write(
         self,
         op: WriteOp,
-        claim: Tuple[Optional[int], Optional[MigrationState]],
+        owner: Optional[int],
         admitted: bool,
         target: Optional[int],
     ) -> _WritePlan:
@@ -618,7 +546,7 @@ class ShardedMotionService:
 
         The one place an update's "which structure owns this object"
         decision is made (catalog lock held; nothing is mutated), and
-        only catalog work: ``claim`` is the object's :meth:`_claim` as
+        only catalog work: ``owner`` is the object's catalog owner as
         the plan sees it, ``admitted`` the admission verdict on the
         op's motion and ``target`` the shard its route names (read only
         for an admitted motion) — the write set's admission mask row
@@ -631,12 +559,9 @@ class ShardedMotionService:
         before any shard is touched, and otherwise returns ``(steps,
         cleanup, owner)``:
 
-        * ``steps`` — runs ``(shards, sub-op, fence)`` in apply order,
-          over the replica group(s) that must take the write; it succeeds
-          iff at least one lands.  A report inside a migration's
-          double-write window goes to both participants' groups and
-          carries the fencing epoch (:func:`_step_record` turns a
-          step into its log record);
+        * ``steps`` — runs ``(shards, sub-op)`` in apply order, over
+          the replica group that must take the write; it succeeds iff
+          at least one lands;
         * ``cleanup`` — the old copies a cross-group move drops, only
           after a step landed (insert-new then delete-old, so a
           failure never loses the object);
@@ -646,11 +571,10 @@ class ShardedMotionService:
         plan builds no motion for an admitted one.
 
         Delete sub-ops name every shard that *may* hold a copy;
-        staging skips the ones that do not (a migration copy that never
-        landed).
+        staging skips the ones that do not (a copy whose write never
+        landed there).
         """
         oid = op.oid
-        owner, migration = claim
         kind = type(op)
         if kind is RegisterOp:
             if owner is not None:
@@ -660,35 +584,19 @@ class ShardedMotionService:
         elif owner is None:
             raise ObjectNotFoundError(f"object {oid} is not registered")
         if kind is DeregisterOp:
-            held = self._group(owner)
-            if migration is not None:
-                held = _union(held, self._group(migration.dest))
-            return ((held, op, None),), (), None
+            return ((self._group(owner), op),), (), None
         if not admitted:
             self._model.raise_refusal(LinearMotion1D(op.y0, op.v, op.t0), oid)
-        if migration is not None:
-            # Double-write window: the ownership table, not the router,
-            # decides placement — recomputing the route from motion
-            # here would fork the object onto a third shard
-            # mid-migration.
-            held = _union(
-                self._group(migration.source), self._group(migration.dest)
-            )
-            return ((held, op, migration.epoch),), (), owner
         if owner is not None and not self.router.motion_sensitive:
             target = owner
         if owner is None or target == owner:
-            return ((self._group(target), op, None),), (), target
+            return ((self._group(target), op),), (), target
         new, old = set(self._group(target)), set(self._group(owner))
         steps = (
-            (tuple(sorted(old & new)), op, None),
-            (
-                tuple(sorted(new - old)),
-                RegisterOp(oid, op.y0, op.v, op.t0),
-                None,
-            ),
+            (tuple(sorted(old & new)), op),
+            (tuple(sorted(new - old)), RegisterOp(oid, op.y0, op.v, op.t0)),
         )
-        cleanup = ((tuple(sorted(old - new)), DeregisterOp(oid), None),)
+        cleanup = ((tuple(sorted(old - new)), DeregisterOp(oid)),)
         return steps, cleanup, target
 
     def _write(self, op: WriteOp) -> None:
@@ -711,11 +619,11 @@ class ShardedMotionService:
         """Process a motion update, moving the object between replica
         groups when routing says so (the new group is written before
         the old copies are dropped, so a failure never loses the
-        object); during a migration, on both participants."""
+        object)."""
         self._write(ReportOp(oid, y0, v, t0))
 
     def deregister(self, oid: int) -> None:
-        """Remove an object; during a migration, from both sides."""
+        """Remove an object from its replica group."""
         self._write(DeregisterOp(oid))
 
     def location_of(self, oid: int, t: float) -> float:
@@ -835,16 +743,16 @@ class ShardedMotionService:
         """
         (admitted,), (target,) = screen
         with self._catalog_lock:
-            claim = self._claim(op.oid)
+            owner = self._owner.get(op.oid)
             try:
                 steps, cleanup, _ = self._plan_write(
-                    op, claim, admitted, target
+                    op, owner, admitted, target
                 )
             except (InvalidMotionError, ObjectNotFoundError):
                 return frozenset()
-        if claim[0] is None and self.router.motion_sensitive:
+        if owner is None and self.router.motion_sensitive:
             return frozenset(range(self.shard_count))
-        return frozenset(s for run, _, _ in steps + cleanup for s in run)
+        return frozenset(s for run, _ in steps + cleanup for s in run)
 
     def _apply_under(
         self,
@@ -872,18 +780,18 @@ class ShardedMotionService:
                 staging = self._stage_batch(batch, outcomes, held, screen)
             if staging is None:
                 return False
-            staged, acked, owners, doubled = staging
+            staged, acked, owners = staging
             took, missed = [], []
             # Shards whose rows are all cleanups go last.
             for shard in sorted(staged, key=lambda s: (
-                len(staged[s][3]) == len(staged[s][0]), s
+                len(staged[s][2]) == len(staged[s][0]), s
             )):
                 # Popped, so a group is released once it applied.
-                rows, sub_ops, fences, cleanups = staged.pop(shard)
+                rows, sub_ops, cleanups = staged.pop(shard)
                 if not per_op:
                     sub_ops = batch.take(rows, sub_ops)
                 (took if self._apply_sub_batch(
-                    shard, sub_ops, fences, span, hook, per_op
+                    shard, sub_ops, span, hook, per_op
                 ) else missed).append((shard, rows, cleanups))
             lost: Set[int] = set()
             if missed:
@@ -895,11 +803,6 @@ class ShardedMotionService:
                         self._commit_write(batch[i], owner)
             if lost:
                 acked = [i for i in acked if i not in lost]
-                doubled = [i for i in doubled if i not in lost]
-            if doubled:
-                self.metrics.counter("rebalance_double_writes").increment(
-                    len(doubled)
-                )
             if len(acked) < len(batch):
                 batch = batch.take(acked, [batch[i] for i in acked])
             self._notify(batch)
@@ -961,9 +864,8 @@ class ShardedMotionService:
         held: Optional[FrozenSet[int]],
         screen: Optional[Tuple[List[bool], List]],
     ) -> Optional[Tuple[
-        Dict[int, Tuple[array, List[WriteOp], List[Optional[int]],
-                        List[int]]],
-        array, List[Optional[int]], List[int],
+        Dict[int, Tuple[array, List[WriteOp], List[int]]],
+        array, List[Optional[int]],
     ]]:
         """Plan a write set under the ``held`` shard locks (``None``:
         every one): each op through :meth:`_plan_write` in submission
@@ -971,11 +873,10 @@ class ShardedMotionService:
         ``screen``'s verdict and route, or a batch's one admission mask
         and one route vector, and its steps admitted.  Fills
         ``outcomes`` with the rejections and commits nothing.  Returns
-        per admitting shard the rows of its sub-ops, the sub-ops, their
-        fences and the rows that are cleanups; the rows of the staged
-        ops, their owners once applied, and those that double-write a
-        migrating object.  ``None``, with nothing staged, if a plan
-        names a shard outside ``held``.
+        per admitting shard the rows of its sub-ops, the sub-ops and
+        the rows that are cleanups; then the rows of the staged ops and
+        their owners once applied.  ``None``, with nothing staged, if a
+        plan names a shard outside ``held``.
         """
         if screen is None:
             admitted = self._model.admit_mask(
@@ -984,23 +885,28 @@ class ShardedMotionService:
             targets = self.router.route_many(batch.oid, batch.v).tolist()
         else:
             admitted, targets = screen
+            if admitted[0]:
+                # Routed again under the set's locks: a band re-cut
+                # since the screen must not place the op by the old cut
+                # (a plan it moves off the held locks restages).
+                op = batch[0]
+                targets = [self.router.route(
+                    op.oid, LinearMotion1D(op.y0, op.v, op.t0)
+                )]
         # An oid the batch names twice: a later op plans against the
-        # claim the earlier one leaves, and a register → deregister pair
+        # owner the earlier one leaves, and a register → deregister pair
         # on one shard against the residency the earlier sub-op will
         # have produced.  Both maps live only while the batch is planned.
         repeated = batch.repeated()
-        claims: Dict[int, Tuple[Optional[int], Optional[MigrationState]]] = {}
+        claims: Dict[int, Optional[int]] = {}
         pending: Dict[Tuple[int, int], bool] = {}
-        staged: Dict[int, Tuple[array, List[WriteOp], List[Optional[int]],
-                                List[int]]] = {}
+        staged: Dict[int, Tuple[array, List[WriteOp], List[int]]] = {}
         owners: List[Optional[int]] = []
         acked = array("q")  # unboxed: a load acknowledges every op
-        doubled: List[int] = []
-        guard, shards, claim_of = self._guard, self._shards, self._claim
+        guard, shards, owner_of = self._guard, self._shards, self._owner.get
 
         def admit(
-            shard: int, sub_op: WriteOp, fence: Optional[int], name: str,
-            row: int, cleanup: bool,
+            shard: int, sub_op: WriteOp, name: str, row: int, cleanup: bool,
         ) -> bool:
             """Stage one planned step iff it lands."""
             deleting = type(sub_op) is DeregisterOp
@@ -1018,75 +924,48 @@ class ShardedMotionService:
                 pending[shard, sub_op.oid] = not deleting
             slot = staged.get(shard)
             if slot is None:
-                slot = staged[shard] = (array("q"), [], [], [])
-            rows, sub_ops, fences, cleanups = slot
+                slot = staged[shard] = (array("q"), [], [])
+            rows, sub_ops, cleanups = slot
             rows.append(row)
             sub_ops.append(sub_op)
-            fences.append(fence)
             if cleanup:
                 cleanups.append(row)
             return True
 
         for i, op in enumerate(batch):
             oid = op.oid
-            claim = claims[oid] if oid in claims else claim_of(oid)
             try:
                 steps, cleanup, owner = self._plan_write(
-                    op, claim, admitted[i], targets[i]
+                    op, claims[oid] if oid in claims else owner_of(oid),
+                    admitted[i], targets[i],
                 )
             except (InvalidMotionError, ObjectNotFoundError) as exc:
                 outcomes[i] = exc
                 continue
             if held is not None and not held.issuperset(
-                shard for run, _, _ in steps + cleanup for shard in run
+                shard for run, _ in steps + cleanup for shard in run
             ):
                 return None
             name = _VERBS[type(op)]
             landed = False
-            for run, sub_op, fence in steps:
+            for run, sub_op in steps:
                 for shard in run:
-                    landed |= admit(shard, sub_op, fence, name, i, False)
+                    landed |= admit(shard, sub_op, name, i, False)
             if not landed:
                 outcomes[i] = _no_live_replica(
-                    name, oid, [shard for run, _, _ in steps for shard in run]
+                    name, oid, [shard for run, _ in steps for shard in run]
                 )
                 continue
-            for run, sub_op, fence in cleanup:
+            for run, sub_op in cleanup:
                 for shard in run:
-                    admit(shard, sub_op, fence, name, i, True)
-            migration = claim[1]
+                    admit(shard, sub_op, name, i, True)
             if oid in repeated:
-                claims[oid] = (owner, None if owner is None else migration)
-            if migration is not None and type(op) is ReportOp:
-                doubled.append(i)
+                claims[oid] = owner
             owners.append(owner)
             acked.append(i)
-        return staged, acked, owners, doubled
+        return staged, acked, owners
 
-    # -- live rebalancing (two-phase object migration) ---------------------------
-    #
-    # The protocol (driven by repro.service.rebalance, usable alone):
-    #
-    #   begin_migration  COPYING: the destination group gets a snapshot
-    #                    of the object's motion + §7 history
-    #                    (`migrate_in`), the source logs `migrate_begin`;
-    #                    from here until resolution, reports double-write
-    #                    to both sides and reads merge over both.
-    #   commit_migration CUTOVER → COMMITTED: fenced by the migration
-    #                    epoch; `migrate_commit` is logged on both
-    #                    participants (destination first — its presence
-    #                    is what recovery treats as the commit decision),
-    #                    the source side drops its copies (`migrate_out`)
-    #                    and ownership moves to the destination.
-    #   abort_migration  → ABORTED: fenced; the destination copies are
-    #                    dropped (`migrate_abort`) and ownership stays
-    #                    with the source.
-    #
-    # Crash-point hooks fire at the four protocol boundaries
-    # (rebalance.copy_sent / .pre_commit / .between_commits /
-    # .post_commit, see repro.service.faults.MIGRATION_CRASH_POINTS).
-    # A SimulatedCrashError from a hook is process death: no cleanup
-    # runs, exactly as a killed process would leave things.
+    # -- live rebalancing -------------------------------------------------------
 
     def set_bands(self, edges) -> int:
         """Install a new band layout on the router (the rebalance
@@ -1095,7 +974,9 @@ class ShardedMotionService:
 
         The epoch-numbered ``bands`` record is what lets a restart
         re-elect owners with the same cut the pre-crash service used —
-        any one surviving shard's log is enough.
+        any one surviving shard's log is enough.  Objects the new cut
+        displaces stay where they are until :meth:`rehome` moves them
+        (or their next report does).
         """
         if not isinstance(self.router, BandRouter):
             raise ValueError(
@@ -1113,175 +994,49 @@ class ShardedMotionService:
                 self._log(shard, "bands", edges=layout, epoch=epoch)
         return epoch
 
-    def begin_migration(
+    def rehome(
         self,
-        oid: int,
-        dest: int,
+        oids: Iterable[int],
         crash_hook: Optional[Callable[[str], None]] = None,
-    ) -> MigrationState:
-        """Copy phase: open a fenced migration of ``oid`` to ``dest``.
+    ) -> Dict[int, Optional[Exception]]:
+        """Move each listed object the router now places off its owner
+        to the group the router names: one write set.
 
-        Destination-group shards outside the source group receive the
-        snapshot, and the returned state is the fencing token for the
-        cutover.  Any failure (other than an injected process crash) —
-        including no destination copy landing at all, which surfaces
-        as :class:`ShardUnavailableError` — rolls the copy back so no
-        partial destination copy survives.
+        Holding every shard lock, as a batch does, each object's motion
+        is read under the catalog lock (:meth:`_current_motion`) and the
+        displaced ones are re-reported with it unchanged — one
+        ``ReportOp`` each through :meth:`apply_batch`'s plan, whose
+        cross-group move writes the new group before it drops the old
+        copies, logs ordinary write records and announces the ops.
+        Reading under the locks the set applies under means no report
+        can land between the read and the move.  ``crash_hook`` is the
+        set's, as for :meth:`apply_batch`.
+
+        Returns, per object moved, ``None`` once it landed on its new
+        group or the refusal that kept it in place (no live shard of
+        the new group took it).  An object no longer registered, or
+        already where the router places it, is absent.
         """
-        if not 0 <= dest < self.shard_count:
-            raise ValueError(f"destination shard {dest} out of range")
-        hook = crash_hook or _no_hook
-        with self.metrics.span("migrate_begin") as span:
-            with self._catalog_lock:
-                source = self._owner.get(oid)
-            if source is None:
-                raise ObjectNotFoundError(f"object {oid} is not registered")
-            src_group = set(self.replica_group(source))
-            dst_group = set(self.replica_group(dest))
-            with self._holding(src_group | dst_group):
+        with self.metrics.span("rehome") as span:
+            with self._holding(range(self.shard_count)):
+                moves: List[WriteOp] = []
                 with self._catalog_lock:
-                    if self._owner.get(oid) != source:
-                        raise StaleMigrationError(
-                            f"object {oid} moved off shard {source} "
-                            f"before migration could begin"
-                        )
-                    state = self._ownership.begin_migration(
-                        oid, source, dest
-                    )
-                try:
-                    motion = self._current_motion(oid, source)
-
-                    def copy_in(db: MotionDatabase) -> None:
-                        db.register(oid, motion.y0, motion.v, motion.t0)
-                        self._copy_history(self._shards[source], db, oid)
-
-                    new_shards = sorted(dst_group - src_group)
-                    landed = [
-                        shard
-                        for shard in new_shards
-                        if self._apply_write(
-                            shard, "migrate_in", copy_in, span, "migrate_in",
-                            {"oid": oid, "y0": motion.y0, "v": motion.v,
-                             "t0": motion.t0, "epoch": state.epoch,
-                             "source": source},
-                        )
-                    ]
-                    if new_shards and not landed:
-                        raise ShardUnavailableError(
-                            f"migrate({oid}): no live destination in "
-                            f"group {sorted(dst_group)}"
-                        )
-                    self._log(
-                        source, "migrate_begin", oid=oid,
-                        epoch=state.epoch, dest=dest,
-                    )
-                    hook("rebalance.copy_sent")
-                except SimulatedCrashError:
-                    raise
-                except Exception:
-                    self._rollback_copy(state, span)
-                    raise
-                return state
-
-    @staticmethod
-    def _copy_history(
-        src_db: MotionDatabase, dst_db: MotionDatabase, oid: int
-    ) -> None:
-        """Ship the object's §7 archive with the copy (both ends must
-        keep history; otherwise there is nothing to move)."""
-        if not (src_db.history_enabled and dst_db.history_enabled):
-            return
-        versions = src_db.history_of(oid)
-        if versions:
-            dst_db.restore_history(versions)
-
-    def _rollback_copy(self, state: MigrationState, span) -> None:
-        """Undo a copy phase: drop landed destination copies, log the
-        abort, release the fencing state.  Best-effort on purpose —
-        dead shards are reconciled at recovery instead."""
-        dst_only = sorted(
-            set(self.replica_group(state.dest))
-            - set(self.replica_group(state.source))
-        )
-        for shard in dst_only:
-            if state.oid in self._shards[shard]:
-                self._apply_write(
-                    shard, "migrate_abort",
-                    lambda db: db.deregister(state.oid),
-                    span, "migrate_abort",
-                    {"oid": state.oid, "epoch": state.epoch,
-                     "role": "dest"},
+                    for oid in oids:
+                        owner = self._owner.get(oid)
+                        if owner is None:
+                            continue
+                        motion = self._current_motion(oid, owner)
+                        if self.router.route(oid, motion) != owner:
+                            moves.append(
+                                ReportOp(oid, motion.y0, motion.v, motion.t0)
+                            )
+                if not moves:
+                    return {}
+                outcomes = self._apply_set(
+                    WriteColumns(moves), span, crash_hook or _no_hook,
+                    per_op=False,
                 )
-        self._log(
-            state.source, "migrate_abort", oid=state.oid,
-            epoch=state.epoch, role="source",
-        )
-        with self._catalog_lock:
-            try:
-                self._ownership.abort_migration(state)
-            except StaleMigrationError:
-                pass
-
-    def commit_migration(
-        self,
-        state: MigrationState,
-        crash_hook: Optional[Callable[[str], None]] = None,
-    ) -> None:
-        """Cutover: fenced ownership transfer to the destination.
-
-        The epoch-numbered ``migrate_commit`` record goes to *both*
-        participants' logs, destination first, then the source side
-        physically drops its copies under ``migrate_out`` records.
-        """
-        hook = crash_hook or _no_hook
-        with self.metrics.span("migrate_commit") as span:
-            src_group = set(self.replica_group(state.source))
-            dst_group = set(self.replica_group(state.dest))
-            with self._holding(src_group | dst_group):
-                with self._catalog_lock:
-                    if not self._ownership.admits(state.oid, state.epoch):
-                        raise StaleMigrationError(
-                            f"cutover of {state} rejected: epoch is stale"
-                        )
-                hook("rebalance.pre_commit")
-                if not self._log(
-                    state.dest, "migrate_commit", oid=state.oid,
-                    epoch=state.epoch, role="dest", source=state.source,
-                ):
-                    raise ShardUnavailableError(
-                        f"migrate({state.oid}): destination shard "
-                        f"{state.dest} died before cutover"
-                    )
-                hook("rebalance.between_commits")
-                self._log(
-                    state.source, "migrate_commit", oid=state.oid,
-                    epoch=state.epoch, role="source", dest=state.dest,
-                )
-                for shard in sorted(src_group - dst_group):
-                    self._apply_write(
-                        shard, "migrate_out",
-                        lambda db: db.deregister(state.oid),
-                        span, "migrate_out",
-                        {"oid": state.oid, "epoch": state.epoch,
-                         "dest": state.dest},
-                    )
-                hook("rebalance.post_commit")
-                with self._catalog_lock:
-                    self._ownership.commit_migration(state)
-
-    def abort_migration(self, state: MigrationState) -> None:
-        """Fenced abort: drop the destination copies, keep the source."""
-        with self.metrics.span("migrate_abort") as span:
-            with self._holding(
-                self.replica_group(state.source)
-                + self.replica_group(state.dest)
-            ):
-                with self._catalog_lock:
-                    if not self._ownership.admits(state.oid, state.epoch):
-                        raise StaleMigrationError(
-                            f"abort of {state} rejected: epoch is stale"
-                        )
-                self._rollback_copy(state, span)
+        return {op.oid: outcome for op, outcome in zip(moves, outcomes)}
 
     # -- queries ----------------------------------------------------------------
 
@@ -1346,8 +1101,7 @@ class ShardedMotionService:
         same total order :func:`repro.extensions.neighbors.knn_at`
         uses, so results are byte-identical to a single database.  The
         merge is keyed by oid: an object resident on several shards
-        (replicas, a migration's double-write window) contributes one
-        candidate, not several.
+        (its replicas) contributes one candidate, not several.
         """
         with self.metrics.span("nearest") as span:
             parts = self._fanout(
@@ -1367,53 +1121,52 @@ class ShardedMotionService:
         cross-shard pairs from directed candidate exchange between
         each shard pair, visited once (``i < j``).  Duplicate pairs
         collapse in the merge and self-pairs are filtered from the
-        exchange: an object resident on two shards (a replica, a
-        migration in flight) would otherwise pair with its own copy.
+        exchange: an object resident on two shards (a replica) would
+        otherwise pair with its own copy.
         """
-        pairs, answered = self._proximity_join(d, t1, t2)
-        return self._degrade("proximity_pairs", pairs, answered)
+        with self.metrics.span("proximity_pairs") as span:
+            pairs, answered = self._proximity_join(d, t1, t2, span)
+            return self._degrade("proximity_pairs", pairs, answered)
 
     def _proximity_join(
-        self, d: float, t1: float, t2: float
+        self, d: float, t1: float, t2: float, span
     ) -> Tuple[Set[Tuple[int, int]], Set[int]]:
-        """:meth:`proximity_pairs` before degradation: the pairs among
-        the shards that answered, and who answered."""
-        with self.metrics.span("proximity_pairs") as span:
-            candidates = [
-                shard
-                for shard in range(self.shard_count)
-                if self._answerable(shard)
-            ]
-            with self._holding(candidates):
-                answered: List[int] = []
-                for shard in candidates:
-                    try:
-                        # The fault gate for this shard's whole share
-                        # of the join (self-join + exchanges below).
-                        self._guard(shard, "proximity_pairs", write=False)
-                    except ShardUnavailableError:
-                        continue
-                    answered.append(shard)
-                pairs: Set[Tuple[int, int]] = set()
-                for position, i in enumerate(answered):
-                    db = self._shards[i]
-                    before = db.io_snapshot()
-                    pairs |= db.proximity_pairs(d, t1, t2)
-                    outer = db.objects()
-                    span.add_shard_io(i, db.io_delta_since(before))
-                    for j in answered[position + 1:]:
-                        inner = self._shards[j]
-                        before_j = inner.io_snapshot()
-                        directed = inner.join_against(outer, d, t1, t2)
-                        span.add_shard_io(
-                            j, inner.io_delta_since(before_j)
-                        )
-                        pairs |= {
-                            (min(a, b), max(a, b))
-                            for a, b in directed
-                            if a != b
-                        }
-            return pairs, set(answered)
+        """:meth:`proximity_pairs` before degradation, booked on the
+        caller's ``span``: the pairs among the shards that answered,
+        and who answered."""
+        candidates = [
+            shard
+            for shard in range(self.shard_count)
+            if self._answerable(shard)
+        ]
+        with self._holding(candidates):
+            answered: List[int] = []
+            for shard in candidates:
+                try:
+                    # The fault gate for this shard's whole share of
+                    # the join (self-join + exchanges below).
+                    self._guard(shard, "proximity_pairs", write=False)
+                except ShardUnavailableError:
+                    continue
+                answered.append(shard)
+            pairs: Set[Tuple[int, int]] = set()
+            for position, i in enumerate(answered):
+                db = self._shards[i]
+                before = db.io_snapshot()
+                pairs |= db.proximity_pairs(d, t1, t2)
+                outer = db.objects()
+                span.add_shard_io(i, db.io_delta_since(before))
+                for j in answered[position + 1:]:
+                    inner = self._shards[j]
+                    before_j = inner.io_snapshot()
+                    directed = inner.join_against(outer, d, t1, t2)
+                    span.add_shard_io(j, inner.io_delta_since(before_j))
+                    pairs |= {
+                        (min(a, b), max(a, b))
+                        for a, b in directed
+                        if a != b
+                    }
+        return pairs, set(answered)
 
     # -- batch queries ----------------------------------------------------------
 
@@ -1458,7 +1211,7 @@ class ShardedMotionService:
         """
         with self.metrics.span("query_batch") as span:
             for op in ops:
-                if type(op) not in _QUERY_VERBS:
+                if type(op) not in QUERY_VERBS:
                     raise TypeError(f"unknown query operation {op!r}")
             k = self.shard_count
             live = [s for s in range(k) if self._answerable(s)]
@@ -1490,7 +1243,7 @@ class ShardedMotionService:
                         answer = copy_result(value) if n else value
                         if not complete:
                             answer = self._degrade(
-                                _QUERY_VERBS[type(op)], answer, who
+                                QUERY_VERBS[type(op)], answer, who
                             )
                         results[slot] = answer
             return results
@@ -1603,7 +1356,7 @@ class ShardedMotionService:
         for i, op in enumerate(ops):
             if isinstance(op, ProximityPairs):
                 results[i], answered[i] = self._proximity_join(
-                    op.d, op.t1, op.t2
+                    op.d, op.t1, op.t2, span
                 )
         return results, answered
 

@@ -1,4 +1,4 @@
-"""Shard-routing policies and ownership state for the sharded service.
+"""Shard-routing policies for the sharded service.
 
 The scaling move for moving-object indexes (MOIST; distributed
 continuous-range-query processing) is to partition the object
@@ -14,8 +14,8 @@ queries out.  Which objects land together is the routing policy:
   has a narrow ``[v_lo, v_hi]``, which tightens that shard's
   dual-transform bounding regions (the paper's §3.5 rectangles shrink
   with the speed band).  The routed shard depends on the *motion*, so
-  a speed-change update can migrate the object between shards; the
-  service handles that with ordered two-shard locking.  Band edges
+  a speed-change update can move the object between shards; the
+  service's write plan handles that as a cross-group move.  Band edges
   are **mutable**: the rebalance controller re-cuts them against the
   live velocity histogram (epoch-numbered, so replicas and recovery
   agree on which layout is newest).
@@ -26,27 +26,21 @@ route decisions across runs.  Each has a column form,
 :meth:`ShardRouter.route_many`, that routes a whole write batch in one
 pass and equals :meth:`ShardRouter.route` row for row.
 
-Routing answers "where *should* this object live"; :class:`OwnershipTable`
-answers "where does it live *right now*".  The two differ while a
-two-phase migration is in flight: the object is resident on both the
-source and the destination shard, reads must merge over both, and
-writes double-apply.  The table hands out monotonically increasing
-migration epochs — the fencing tokens that keep a stale participant
-(an aborted migration's double-writer, a superseded commit) from
-forking ownership.
+Routing answers "where *should* this object live"; the service's
+catalog answers "where does it live *right now*".  The two differ
+after a band re-cut until the service's ``rehome`` moves the
+displaced objects (or their next reports do).
 """
 
 from __future__ import annotations
 
 import abc
 import bisect
-from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
 from repro.core.model import LinearMotion1D
-from repro.errors import ObjectNotFoundError, StaleMigrationError
 
 #: Knuth's multiplicative-hash constant (2^32 / phi), for id mixing.
 _FIB_MIX = 2654435761
@@ -188,7 +182,7 @@ class BandRouter(ShardRouter):
         """
         cut = self._validated(edges)
         if epoch <= self.epoch:
-            raise StaleMigrationError(
+            raise ValueError(
                 f"band epoch {epoch} is not newer than the installed "
                 f"epoch {self.epoch}"
             )
@@ -213,117 +207,3 @@ class VelocityRouter(BandRouter):
 
     def __init__(self, shards: int, v_max: float) -> None:
         super().__init__(shards, v_max)
-
-
-@dataclass(frozen=True)
-class MigrationState:
-    """One in-flight two-phase object migration (the fencing token).
-
-    Immutable: holders compare epochs against the ownership table's
-    live state to learn whether they are still current.
-    """
-
-    oid: int
-    source: int
-    dest: int
-    epoch: int
-
-
-class OwnershipTable:
-    """oid → owner shard, plus in-flight migrations and fencing epochs.
-
-    Not thread-safe by itself — the service calls every method under
-    its catalog lock (the table *is* the catalog's ownership half).
-    ``owner`` is exposed as a plain dict on purpose: the service's
-    existing code paths read and write it directly, and the table adds
-    the migration machinery alongside without changing their contract.
-    """
-
-    def __init__(self) -> None:
-        self.owner: Dict[int, int] = {}
-        self._migrations: Dict[int, MigrationState] = {}
-        self._epoch = 0
-
-    @property
-    def epoch(self) -> int:
-        """The most recently issued migration epoch."""
-        return self._epoch
-
-    def next_epoch(self) -> int:
-        self._epoch += 1
-        return self._epoch
-
-    def observe_epoch(self, epoch: int) -> None:
-        """Advance the epoch floor (recovery replays recorded epochs)."""
-        self._epoch = max(self._epoch, int(epoch))
-
-    def migration_of(self, oid: int) -> Optional[MigrationState]:
-        return self._migrations.get(oid)
-
-    def migrations(self) -> Dict[int, MigrationState]:
-        """All in-flight migrations (a fresh dict)."""
-        return dict(self._migrations)
-
-    def owners_of(self, oid: int) -> Tuple[int, ...]:
-        """Every shard currently holding ``oid``: ``(owner,)`` in
-        steady state, ``(source, dest)`` while a migration is in
-        flight.  This is the two-shard ownership set reads merge over.
-        """
-        owner = self.owner.get(oid)
-        if owner is None:
-            raise ObjectNotFoundError(f"object {oid} is not registered")
-        state = self._migrations.get(oid)
-        if state is None or state.dest == owner:
-            return (owner,)
-        return (owner, state.dest)
-
-    def begin_migration(self, oid: int, source: int, dest: int) -> MigrationState:
-        """Open a migration and issue its fencing epoch."""
-        if self.owner.get(oid) != source:
-            raise StaleMigrationError(
-                f"object {oid} is owned by {self.owner.get(oid)}, "
-                f"not migration source {source}"
-            )
-        if oid in self._migrations:
-            raise StaleMigrationError(
-                f"object {oid} is already migrating "
-                f"({self._migrations[oid]})"
-            )
-        if source == dest:
-            raise ValueError(
-                f"migration source and destination are both {source}"
-            )
-        state = MigrationState(oid, source, dest, self.next_epoch())
-        self._migrations[oid] = state
-        return state
-
-    def _current(self, state: MigrationState) -> MigrationState:
-        live = self._migrations.get(state.oid)
-        if live is None or live.epoch != state.epoch:
-            raise StaleMigrationError(
-                f"migration {state} is stale; live state is {live}"
-            )
-        return live
-
-    def admits(self, oid: int, epoch: int) -> bool:
-        """Fencing check for a double-write: is this epoch still the
-        live migration for ``oid``?"""
-        state = self._migrations.get(oid)
-        return state is not None and state.epoch == epoch
-
-    def commit_migration(self, state: MigrationState) -> None:
-        """Fenced cutover: ownership moves to the destination."""
-        self._current(state)
-        del self._migrations[state.oid]
-        self.owner[state.oid] = state.dest
-
-    def abort_migration(self, state: MigrationState) -> None:
-        """Fenced abort: ownership stays with the source."""
-        self._current(state)
-        del self._migrations[state.oid]
-
-    def drop(self, oid: int) -> None:
-        """Forget an object entirely (deregister path) — clears any
-        in-flight migration with it."""
-        self.owner.pop(oid, None)
-        self._migrations.pop(oid, None)

@@ -24,27 +24,20 @@ holds the population as four columns
 in bytes is :mod:`repro.storage.codec`'s decision alone; the tail
 mirror holds the encoded payloads, not dicts.
 
-The live-rebalancing subsystem adds its own record kinds (all carrying
-the migration's fencing ``epoch``; see ``docs/api.md`` for the frame
-table):
+One more kind is written: ``bands``, an epoch-numbered band-layout
+change from ``set_bands``; recovery installs the newest layout any
+shard retained before electing owners.  The latest ``bands`` record
+survives checkpoint truncation: :meth:`checkpoint` carries it in the
+payload.  A rebalance move is an ordinary write set, so it logs plain
+``insert``/``update``/``delete`` records.
 
-* ``migrate_in`` — destination-side copy (replays as
-  register-if-absent);
-* ``migrate_begin`` — source-side copy-phase marker (no database
-  effect; tracked as in-flight);
-* ``migrate_commit`` — the fenced cutover record, appended to *both*
-  participants' logs (no database effect; closes the in-flight entry);
-* ``migrate_out`` — source-side physical removal after cutover
-  (replays as deregister-if-present);
-* ``migrate_abort`` — abort marker / destination copy removal
-  (deregister-if-present);
-* ``bands`` — an epoch-numbered band-layout change from
-  ``set_bands``; recovery installs the newest layout any shard
-  retained before electing owners.
-
-The latest ``bands`` record and the open in-flight migrations survive
-checkpoint truncation: :meth:`checkpoint` carries them in the payload
-and :meth:`recover` restores them.
+Logs written before that carry the retired two-phase migration
+protocol's kinds, which are read and never written (see
+``docs/api.md`` for the frame table): ``migrate_in`` replays as
+register-if-absent, ``migrate_out`` and a destination-side
+``migrate_abort`` as deregister-if-present, and ``migrate_begin``,
+``migrate_commit`` and a source-side ``migrate_abort`` are markers with
+no database effect; a ``fence`` key on a write record is ignored.
 
 The WAL keeps its mirrors (checkpoint, redo tail, counters) in memory
 as working state and writes *through* a persistence backend:
@@ -95,11 +88,12 @@ def _replay_op(
 ) -> Optional[WriteOp]:
     """The write op one log record replays as; ``None`` for a marker.
 
-    Replay is idempotent where the migration protocol needs it: a
+    The retired migration kinds of older logs replay idempotently: a
     ``migrate_in`` whose object already arrived becomes a report, and
     a ``migrate_out`` / destination-side ``migrate_abort`` for an
     object already gone becomes nothing — recovery after a crash
-    between the two commit appends must redo the cutover tail safely.
+    between the protocol's two commit appends must redo the cutover
+    tail safely.
     An oid is present as the tail so far left it (``changed``, updated
     in place), else as the checkpoint holds it: a column searched only
     by these rare records costs less than a set of a shard's oids.
@@ -164,12 +158,9 @@ class ShardWAL:
         self._records: List[bytes] = tail
         self._seq = 0
         self._bands: Optional[Dict] = None
-        self._inflight: Dict[int, WALRecord] = {}
         if checkpoint is not None:
             self._seq = int(checkpoint.get("seq", 0))
             self._bands = checkpoint.get("bands")
-            for record in checkpoint.get("migrations") or []:
-                self._track(record)
         try:
             for record in map(decode_record, tail):
                 self._seq = max(self._seq, int(record.get("seq", 0)))
@@ -225,23 +216,12 @@ class ShardWAL:
         return records
 
     def _track(self, record: WALRecord) -> None:
-        """Maintain the migration/band mirrors from one record.
-
-        ``migrate_begin`` (source side) and ``migrate_in``
-        (destination side) open an in-flight entry for their oid;
-        ``migrate_commit`` / ``migrate_out`` / ``migrate_abort`` close
-        it.  ``bands`` records keep only the newest epoch.
-        """
-        kind = record.get("kind")
-        if kind == "bands":
-            if self._bands is None or int(record.get("epoch", 0)) >= int(
-                self._bands.get("epoch", 0)
-            ):
-                self._bands = record
-        elif kind in ("migrate_begin", "migrate_in"):
-            self._inflight[int(record["oid"])] = record
-        elif kind in ("migrate_commit", "migrate_out", "migrate_abort"):
-            self._inflight.pop(int(record["oid"]), None)
+        """Keep the newest-epoch ``bands`` record of the log."""
+        if record.get("kind") == "bands" and (
+            self._bands is None
+            or int(record.get("epoch", 0)) >= int(self._bands.get("epoch", 0))
+        ):
+            self._bands = record
 
     def maybe_checkpoint(self, db: MotionDatabase) -> bool:
         """Checkpoint once the log tail holds as many records as ``db``
@@ -263,7 +243,6 @@ class ShardWAL:
             "population": Population(*db.columns.ordered()),
             "history": db.history_snapshot(),
             "bands": self._bands,
-            "migrations": list(self._inflight.values()),
         }
         self._backend.checkpoint(payload)
         self._checkpoint = payload
@@ -349,10 +328,6 @@ class ShardWAL:
     def bands_record(self) -> Optional[Dict]:
         """The newest band-layout record this log retains, if any."""
         return self._bands
-
-    def inflight_migrations(self) -> Dict[int, WALRecord]:
-        """Open migrations (begin/in without commit/out/abort), by oid."""
-        return dict(self._inflight)
 
     def snapshot(self) -> Dict[str, object]:
         return {

@@ -14,13 +14,15 @@ Records — one per log frame (:func:`encode_record` /
     anything else   '{'          JSON object, sorted keys             var
 
 "Anything else" is every record that carries more than a plain write:
-a fenced double-write (its ``fence`` key), the ``migrate_*`` kinds and
-``bands``.  They are rare, so they keep the portable trace dialect.
+today only ``bands``, which is rare, so it keeps the portable trace
+dialect.  Logs written before the two-phase migration protocol was
+retired also hold its fenced double-writes (a ``fence`` key) and
+``migrate_*`` kinds; they decode the same way.
 
 Checkpoints (:func:`encode_checkpoint` / :func:`decode_checkpoint`)::
 
     <BI       tag 0x04, header length h
-    h bytes   JSON header {bands, history, migrations, n, now, seq}
+    h bytes   JSON header {bands, history, n, now, seq}
     8n bytes  oid  int64    \\
     8n bytes  y0   float64   |  little-endian, one row per object,
     8n bytes  v    float64   |  in catalog (registration) order

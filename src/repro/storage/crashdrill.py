@@ -86,10 +86,10 @@ def run_child(directory: str, fsync: str, shards: int, objects: int,
     every touched shard before returning.
 
     ``rebalance=True`` switches to a velocity-routed service and
-    interleaves the storm with live repartitioning: the band layout
-    is toggled between two cuts every few writes, so displaced
-    objects are *always* mid-two-phase-migration when the SIGKILL
-    lands.  Migrations never change acknowledged motion, so the
+    interleaves the storm with live repartitioning: every other round
+    the band layout toggles between two cuts and ``rehome`` moves the
+    objects the new cut displaced, one write set, so the SIGKILL often
+    lands mid-move.  A move never changes acknowledged motion, so the
     parent's TRY/ACK differential applies unchanged; the parent
     additionally asserts exactly-one-shard residency after recovery.
     """
@@ -125,20 +125,11 @@ def run_child(directory: str, fsync: str, shards: int, objects: int,
         announce(op.oid, op.y0, op.v, op.t0)
         return op
 
-    controller = None
     layouts = None
     if rebalance:
-        from repro.service.rebalance import (
-            RebalanceConfig,
-            RebalanceController,
-        )
-
-        controller = RebalanceController(
-            service, RebalanceConfig(min_objects=1)
-        )
         # Two cuts that disagree about the middle of the speed range:
-        # toggling keeps a steady stream of two-phase migrations in
-        # flight for the SIGKILL to land inside.
+        # toggling keeps a steady stream of moves in flight for the
+        # SIGKILL to land inside.
         even = tuple(V_MAX * i / shards for i in range(1, shards))
         squeezed = tuple(
             V_MAX * 0.35 * i / shards for i in range(1, shards)
@@ -160,12 +151,9 @@ def run_child(directory: str, fsync: str, shards: int, objects: int,
         for op, refused in zip(group, service.apply_batch(group)):
             if refused is None:
                 acknowledge(op.oid, op.t0)
-        if controller is not None and rounds % 2 == 0:
-            edges = next(layouts)
-            if edges != service.router.band_edges():
-                service.set_bands(edges)
-            for move_oid, _src, dest in controller.moves():
-                controller.migrate(move_oid, dest)
+        if layouts is not None and rounds % 2 == 0:
+            service.set_bands(next(layouts))
+            service.rehome(range(objects))
 
 
 # -- parent: kill, recover, differential-check -----------------------------------
@@ -271,9 +259,7 @@ def run_drill(directory: Optional[str], fsync: str, shards: int,
     print(f"crashdrill: recovered {summary['objects']} objects "
           f"(reconciled={summary['reconciled']} "
           f"dropped={summary['dropped']}"
-          + (f" migrations_resolved={summary['migrations_resolved']}"
-             f" bands_epoch={summary['bands_epoch']}"
-             if rebalance else "")
+          + (f" bands_epoch={summary['bands_epoch']}" if rebalance else "")
           + ")")
     for shard, (seq, restored) in enumerate(zip(installed,
                                                  summary["shards"])):
@@ -285,9 +271,9 @@ def run_drill(directory: Optional[str], fsync: str, shards: int,
         failures.append("no shard installed a checkpoint before the kill: "
                         "the drill never crossed one")
     if rebalance:
-        # Exactly-one-shard: a SIGKILL inside a two-phase migration
-        # must never fork ownership (replication_factor is 1 here, so
-        # every object is resident on exactly its owner shard).
+        # Exactly-one-shard: a SIGKILL inside a move must never fork
+        # ownership (replication_factor is 1 here, so every object is
+        # resident on exactly its owner shard).
         for oid in sorted(recovered):
             holders = [
                 shard for shard, pop in enumerate(populations)
@@ -359,10 +345,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--timeout", type=float, default=60.0,
                         help="drill timeout in seconds")
     parser.add_argument("--rebalance", action="store_true",
-                        help="interleave live band re-cuts + two-phase "
-                             "migrations with the storm, so the SIGKILL "
-                             "lands mid-migration; adds the "
-                             "exactly-one-shard ownership check")
+                        help="interleave live band re-cuts + rehome "
+                             "moves with the storm, so the SIGKILL can "
+                             "land mid-move; adds the exactly-one-shard "
+                             "ownership check")
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

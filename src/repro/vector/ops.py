@@ -93,6 +93,16 @@ class DeregisterOp:
 
 WriteOp = Union[RegisterOp, ReportOp, DeregisterOp]
 
+#: QueryOp class → the scalar service verb answering it (the metrics
+#: span, the name a degraded answer's warning carries); its keys are
+#: the op classes ``query_batch`` accepts.
+QUERY_VERBS: Dict[type, str] = {
+    Within: "within",
+    SnapshotAt: "snapshot_at",
+    Nearest: "nearest",
+    ProximityPairs: "proximity_pairs",
+}
+
 #: WriteOp class → WAL/trace-dialect record kind; its keys are the op
 #: classes a :class:`~repro.vector.columns.WriteColumns` (what update
 #: listeners receive) accepts.

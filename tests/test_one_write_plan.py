@@ -392,46 +392,87 @@ def test_concurrent_registers_of_one_oid_fork_nothing(monkeypatch):
     ]
 
 
+def recut_before_the_locks(monkeypatch, service, then=None):
+    """On the next ``_holding`` call only, re-cut the bands so speed
+    0.5 routes to the last shard (its group disjoint from the group of
+    the even cut's band for 0.5), then run ``then``."""
+    real, armed = service._holding, [True]
+
+    def holding(shards):
+        if armed:
+            armed.clear()
+            service.set_bands((0.1, 0.2, 0.3)[:service.shard_count - 1])
+            if then is not None:
+                then()
+        return real(shards)
+
+    monkeypatch.setattr(service, "_holding", holding)
+
+
 @pytest.mark.parametrize(
     "cls", [ShardedMotionService, FaultTolerantMotionService]
 )
 def test_a_claim_that_moves_before_the_locks_restages_under_all(
     monkeypatch, cls
 ):
-    """A migration opens between a scalar report choosing its locks and
-    holding them: staging finds the plan now names the destination
-    group too, and stages once more under every lock — the report
-    double-writes both sides, as any report inside the window does."""
-    service = build(cls)
+    """A rehome moves the object between a scalar report choosing its
+    locks and holding them: staging finds the plan now names the new
+    group, and stages once more under every lock — the report lands on
+    the group the object moved to."""
+    service = build(cls, router="velocity")
     assert not any(service.apply_batch(
         [RegisterOp(oid, 10.0 * oid, 0.5, 0.0) for oid in range(30)]
     ))
     oid = 4
     source = service.shard_of(oid)
-    dest = next(s for s in range(service.shard_count)
-                if not set(service.replica_group(s))
-                & set(service.replica_group(source)))
-    real, armed = service._holding, [True]
-
-    def holding(shards):
-        if armed:
-            armed.clear()
-            service.begin_migration(oid, dest)
-        return real(shards)
-
-    monkeypatch.setattr(service, "_holding", holding)
+    recut_before_the_locks(
+        monkeypatch, service, then=lambda: service.rehome([oid])
+    )
     calls: Counter = Counter()
     spy(monkeypatch, ShardedMotionService, "_stage_batch", calls)
     service.report(oid, 55.0, -0.5, 1.0)
-    assert calls == {("_stage_batch", None): 2}
-    assert service.owners_of(oid) == (source, dest)
-    assert service.metrics.counter("rebalance_double_writes").value == 1
+    # The rehome's one staging, then the report's two.
+    assert calls == {("_stage_batch", None): 3}
+    dest = service.shard_of(oid)
+    assert set(service.replica_group(dest)).isdisjoint(
+        service.replica_group(source)
+    )
     want = LinearMotion1D(55.0, -0.5, 1.0)
-    for shard in service.replica_group(source) + service.replica_group(dest):
-        assert service._shards[shard].motion_of(oid) == want
-    service.commit_migration(service.migration_of(oid))
-    assert service.shard_of(oid) == dest
+    assert [
+        db.motion_of(oid) if oid in db else None for db in service._shards
+    ] == [
+        want if shard in service.replica_group(dest) else None
+        for shard in range(service.shard_count)
+    ]
     assert service.within(54.0, 56.0, 1.0, 1.0) == {oid}
+
+
+@pytest.mark.parametrize(
+    "cls", [ShardedMotionService, FaultTolerantMotionService]
+)
+def test_a_recut_before_the_locks_places_by_the_new_cut(monkeypatch, cls):
+    """A band re-cut lands between a scalar report choosing its locks
+    and holding them: staging routes the op again under the locks, so
+    the report places its object by the new cut, as a batch (routed
+    under its locks) always did.  Placed by the old cut, it would sit
+    off the router's answer where no rebalance planned before the
+    report could see it."""
+    service = build(cls, router="velocity")
+    assert not any(service.apply_batch(
+        [RegisterOp(oid, 10.0 * oid, 0.5, 0.0) for oid in range(30)]
+    ))
+    oid = 4
+    source = service.shard_of(oid)
+    recut_before_the_locks(monkeypatch, service)
+    service.report(oid, 55.0, 0.5, 1.0)
+    want = LinearMotion1D(55.0, 0.5, 1.0)
+    dest = service.router.route(oid, want)
+    assert dest != source
+    assert service.shard_of(oid) == dest
+    assert [oid in db for db in service._shards] == [
+        shard in service.replica_group(dest)
+        for shard in range(service.shard_count)
+    ]
 
 
 # -- log failures outside a write set's append ---------------------------------
@@ -493,28 +534,33 @@ def test_a_failed_checkpoint_keeps_the_logged_write(
 
 @pytest.mark.chaos
 def test_a_migration_copy_whose_log_fails_is_rolled_back(tmp_path):
-    """The destination's log fails while it takes a migration copy: the
-    destination goes down, the copy counts as not landed, so the
-    migration is refused and rolled back, and the object stays with
-    its source.  Recovery leaves no copy on the destination."""
+    """The new shard's log fails while a rehome writes the moved copy:
+    the move is refused and the object keeps its owner, and the old
+    shard — which dropped its copy after the new one was written —
+    goes down with it.  Recovering both leaves no copy on the new
+    shard and the object where the catalog says it is."""
     service = FaultTolerantMotionService(
         Y_MAX, V_MIN, V_MAX, shards=4, replication_factor=1,
-        wal_dir=str(tmp_path), wal_fsync="always",
+        router="velocity", wal_dir=str(tmp_path), wal_fsync="always",
     )
     assert not any(service.apply_batch(
         [RegisterOp(oid, 10.0 * oid, 0.5, 0.0) for oid in range(20)]
     ))
     oid = 3
     source = service.shard_of(oid)
-    dest = (source + 1) % 4
+    service.set_bands((0.1, 0.2, 0.3))
+    dest = service.router.route(oid, LinearMotion1D(30.0, 0.5, 0.0))
+    assert dest != source
     log = service._nodes[dest].wal.backend._log
     log._file = HalfWriteThenENOSPC(log._file)
-    with pytest.raises(ShardUnavailableError):
-        service.begin_migration(oid, dest)
-    assert service.down_shards() == [dest]
-    assert service.migration_of(oid) is None
+    moved = service.rehome([oid])
+    assert isinstance(moved[oid], ShardUnavailableError)
+    assert service.down_shards() == sorted((source, dest))
     assert service.shard_of(oid) == source
+    assert service.motion_snapshot()[oid] == LinearMotion1D(30.0, 0.5, 0.0)
     service.recover_shard(dest)
+    service.recover_shard(source)
     assert oid not in service._shards[dest]
+    assert oid in service._shards[source]
     assert service.within(25.0, 35.0, 0.0, 0.0) == {oid}
     service.close()

@@ -1,38 +1,41 @@
-"""Live shard rebalancing: router, planner, and two-phase migration.
+"""Live shard rebalancing: router, planner, and the rehome write set.
 
 The functional half of the rebalancing acceptance criteria (the chaos
 half lives in ``test_rebalance_chaos.py``):
 
 * :class:`BandRouter` validates cuts and gates replacements on a
-  strictly newer band epoch; :class:`OwnershipTable` fences every
-  migration step on its epoch;
+  strictly newer band epoch;
 * the controller's equi-depth plan flattens an adversarially skewed
   population and its dual-space cost model agrees the new cut is
   cheaper;
-* during the double-write window queries merge over the two-shard
-  ownership set and dedup by oid — no duplicates, no gaps — and a
-  speed-crossing report never forks ownership (the stale-routing
-  regression);
+* ``rehome`` moves exactly the displaced objects, each as one
+  ``ReportOp`` of its unchanged motion through the write plan's
+  cross-group move; reads between re-cut and move, and between moves,
+  agree with the oracle, and a speed-crossing report never forks
+  ownership (the stale-routing regression);
+* a rebalance racing a writer loses no acknowledged report;
 * a full controller pass improves spread at least 2x, under the plain
   service, under replication, and mid-soak against every oracle.
 """
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from repro.core.model import LinearMotion1D
 from repro.engine import MotionDatabase
-from repro.errors import ObjectNotFoundError, StaleMigrationError
+from repro.errors import ShardUnavailableError
 from repro.service import (
     BandRouter,
     FaultTolerantMotionService,
-    OwnershipTable,
     RebalanceConfig,
     RebalanceController,
     RetryPolicy,
 )
+from repro.service import rebalance
 from repro.service.service import ShardedMotionService
 from repro.soak.harness import SoakConfig, run_soak
 from repro.vector.ops import (
@@ -72,7 +75,7 @@ def populate_skewed(service, n, seed, oracle=None):
             oracle.register(oid, y0, v, t0)
 
 
-# -- router and ownership-table units --------------------------------------------
+# -- router units -----------------------------------------------------------------
 
 
 def test_velocity_router_default_cut_is_even():
@@ -96,28 +99,11 @@ def test_band_router_validates_cuts_and_epochs():
         router.set_bands((0.4, V_MAX + 1.0), epoch=1)  # out of range
     router.set_bands((0.4, 0.9), epoch=3)
     assert router.band_edges() == (0.4, 0.9)
-    with pytest.raises(StaleMigrationError):
+    with pytest.raises(ValueError):
         router.set_bands((0.3, 0.8), epoch=3)  # not strictly newer
     # A rejected cut leaves the previous layout fully intact.
     assert router.band_edges() == (0.4, 0.9)
     assert router.epoch == 3
-
-
-def test_ownership_table_fences_every_step():
-    table = OwnershipTable()
-    table.owner[7] = 0
-    state = table.begin_migration(7, source=0, dest=2)
-    assert table.owners_of(7) == (0, 2)
-    assert table.admits(7, state.epoch)
-    with pytest.raises(StaleMigrationError):
-        table.begin_migration(7, source=0, dest=1)  # already migrating
-    table.commit_migration(state)
-    assert table.owners_of(7) == (2,)
-    assert not table.admits(7, state.epoch)
-    with pytest.raises(StaleMigrationError):
-        table.commit_migration(state)  # fenced: the token is spent
-    with pytest.raises(ObjectNotFoundError):
-        table.owners_of(99)
 
 
 # -- planning ---------------------------------------------------------------------
@@ -137,55 +123,82 @@ def test_equi_depth_plan_flattens_skew_and_lowers_cost():
     assert plan.improves
 
 
-# -- the double-write window ------------------------------------------------------
+# -- rehome -----------------------------------------------------------------------
 
 
-def test_window_queries_merge_two_shard_ownership_and_dedup():
-    service = make_service(shards=2)
-    service.register(1, 100.0, 0.2, 0.0)   # slow: band 0
-    service.register(2, 500.0, 1.5, 0.0)   # fast: band 1
-    state = service.begin_migration(1, dest=1)
-    try:
-        assert service.owners_of(1) == (0, 1)
-        assert service.shard_of(1) == 0  # ownership moves at cutover
-        # Resident on both shards, yet every read sees it exactly once.
-        assert all(1 in pop for pop in service.shard_populations())
-        assert service.within(0.0, Y_MAX, 0.0, 5.0) == {1, 2}
-        assert service.snapshot_at(0.0, Y_MAX, 1.0) == {1, 2}
-        ranked = service.nearest(100.0, 1.0, k=4)
-        assert [oid for oid, _ in ranked] == [1, 2]
-        assert service.proximity_pairs(Y_MAX, 0.0, 1.0) == {(1, 2)}
-        # A report mid-window double-writes: both copies take the new
-        # motion, so the cutover can land on either side losslessly.
-        service.report(1, 110.0, 0.3, 2.0)
-        for pop_db in service._shards:
-            if 1 in pop_db:
-                assert pop_db.motion_of(1).v == 0.3
-    finally:
-        service.commit_migration(state)
-    assert service.owners_of(1) == (1,)
-    assert [1 in pop for pop in service.shard_populations()] == [
-        False, True,
+def displaced(service):
+    """Oids the current cut places off their owner."""
+    return [
+        oid for oid, motion in sorted(service.motion_snapshot().items())
+        if service.router.route(oid, motion) != service.shard_of(oid)
     ]
-    assert service.location_of(1, 2.0) == 110.0
 
 
-def test_abort_drops_the_destination_copy_only():
-    service = make_service(shards=2)
-    service.register(1, 100.0, 0.2, 0.0)
-    state = service.begin_migration(1, dest=1)
-    service.abort_migration(state)
-    assert service.owners_of(1) == (0,)
-    assert [1 in pop for pop in service.shard_populations()] == [
-        True, False,
-    ]
-    with pytest.raises(StaleMigrationError):
-        service.commit_migration(state)  # the fencing token is dead
+@pytest.mark.parametrize("replication", [0, 1, 2])
+def test_rehome_moves_exactly_the_displaced_objects(replication):
+    """``rehome`` skips unknown and already-placed oids, moves each
+    displaced one onto exactly the group the router names with its
+    motion unchanged, and announces one ``ReportOp`` per move."""
+    if replication:
+        service = FaultTolerantMotionService(
+            Y_MAX, V_MIN, V_MAX, shards=4, router="velocity",
+            replication_factor=replication,
+        )
+    else:
+        service = make_service(shards=4)
+    populate_skewed(service, 80, seed=8)
+    service.set_bands((0.2, 0.25, 0.3))
+    moving = displaced(service)
+    assert 0 < len(moving) < 80
+    before = service.motion_snapshot()
+    seen = []
+    service.attach_update_listener(lambda writes: seen.append(list(writes)))
+    moved = service.rehome([999, *range(80)])
+    assert moved == {oid: None for oid in moving}
+    assert seen == [[
+        ReportOp(oid, before[oid].y0, before[oid].v, before[oid].t0)
+        for oid in moving
+    ]]
+    assert service.motion_snapshot() == before
+    assert displaced(service) == []
+    populations = service.shard_populations()
+    for oid in before:
+        holders = [s for s, pop in enumerate(populations) if oid in pop]
+        assert holders == sorted(service.replica_group(service.shard_of(oid)))
+    assert service.rehome(range(80)) == {}
+
+
+def test_a_rehome_lands_on_a_live_replica_of_a_dead_primary():
+    """A move whose new primary is down lands on the live replica of
+    its group, as a report's cross-group move does; a move whose whole
+    new group is down is refused and the object stays in place.
+    Recovery then leaves each object on exactly its group."""
+    service = FaultTolerantMotionService(
+        Y_MAX, V_MIN, V_MAX, shards=4, router="velocity",
+        replication_factor=2,
+    )
+    service.register(1, 100.0, 0.5, 0.0)   # band 1: group (1, 2)
+    service.register(2, 200.0, 0.3, 0.0)   # band 0: group (0, 1)
+    service.set_bands((0.1, 0.25, 0.4))    # 1 → (3, 0), 2 → (2, 3)
+    service.kill_shard(2)
+    service.kill_shard(3)
+    expected = service.motion_snapshot()
+    moved = service.rehome([1, 2])
+    assert moved[1] is None
+    assert isinstance(moved[2], ShardUnavailableError)
+    assert service.shard_of(1) == 3 and service.shard_of(2) == 0
+    assert [1 in service._shards[s] for s in (0, 1)] == [True, False]
+    assert [2 in service._shards[s] for s in (0, 1)] == [True, True]
+    assert service.motion_snapshot() == expected
+    service.recover_shard(2)
+    service.recover_shard(3)
+    assert [1 in db for db in service._shards] == [True, False, False, True]
+    assert [2 in db for db in service._shards] == [True, True, False, False]
 
 
 def test_speed_crossing_report_never_forks_ownership():
     """The stale-routing regression (satellite of the rebalance work):
-    routing consults the ownership table, never a motion recompute, so
+    routing consults the catalog, never a motion recompute, so
     a report that crosses band edges leaves exactly one owner."""
     service = make_service(shards=4)
     service.register(1, 100.0, 0.2, 0.0)  # band 0
@@ -193,8 +206,6 @@ def test_speed_crossing_report_never_forks_ownership():
         # Bounce between the slowest and fastest bands.
         v = 1.6 if tick % 2 else 0.2
         service.report(1, 100.0 + tick, v, float(tick))
-        owners = service.owners_of(1)
-        assert len(owners) == 1
         holders = [
             shard for shard, pop in enumerate(service.shard_populations())
             if 1 in pop
@@ -211,11 +222,12 @@ def test_speed_crossing_report_never_forks_ownership():
 def test_a_fraction_field_inside_a_migration_reaches_every_replica(
     tmp_path, path
 ):
-    """Admission takes a finite ``Fraction``, and a double-write inside
-    a migration window is a JSON log record.  The record and the
-    catalog carry the float64 the shard rows hold, so the write lands
-    on every replica, is logged on each, and a cold restore reads it
-    back.  (The record used to raise ``TypeError`` after the first
+    """Admission takes a finite ``Fraction``.  A report carrying one
+    that moves its object to another replica group, and the rehome
+    that moves it again after a re-cut, log and catalog the float64
+    the shard rows hold: the write lands on every replica of each new
+    group, is logged on each, and a cold restore reads it back.  (A
+    record of such a move used to raise ``TypeError`` after the first
     replica had applied the op: one replica ahead of its own log, the
     others behind, and on the batch path a ``Fraction`` in the
     catalog.)"""
@@ -227,24 +239,31 @@ def test_a_fraction_field_inside_a_migration_reaches_every_replica(
         )
 
     service = build()
-    service.register(1, 100.0, 1.0, 0.0)
-    state = service.begin_migration(1, (service.shard_of(1) + 2) % 4)
+    service.register(1, 100.0, 0.2, 0.0)  # band 0: group (0, 1)
     if path == "scalar":
         service.report(1, Fraction(203, 2), 1.0, 2.0)
     else:
         op = ReportOp(1, Fraction(203, 2), 1.0, 2.0)
         assert service.apply_batch([op]) == [None]
     want = LinearMotion1D(101.5, 1.0, 2.0)
-    # The source and the destination group cover all four shards.
-    assert [db.motion_of(1) for db in service._shards] == [want] * 4
-    for node in service._nodes:
-        fenced = [
-            record for record in node.wal.tail()
-            if record.get("fence") == state.epoch
-        ]
-        assert [(r["y0"], r["v"], r["t0"]) for r in fenced] == [
-            (101.5, 1.0, 2.0)
-        ]
+    assert [1 in db for db in service._shards] == [False, False, True, True]
+    service.set_bands((0.1, 0.2, 0.5))  # band 3: group (3, 0)
+    assert service.rehome([1]) == {1: None}
+    assert [1 in db for db in service._shards] == [True, False, False, True]
+    assert service._shards[0].motion_of(1) == want
+    assert service._shards[3].motion_of(1) == want
+    logged = {}
+    for shard, node in enumerate(service._nodes):
+        for record in node.wal.tail():
+            if record.get("oid") == 1 and record.get("t0") == 2.0:
+                logged.setdefault(shard, []).append(
+                    (record["kind"], record["y0"], record["v"])
+                )
+    assert logged == {
+        0: [("insert", 101.5, 1.0)],
+        2: [("insert", 101.5, 1.0)],
+        3: [("insert", 101.5, 1.0), ("update", 101.5, 1.0)],
+    }
     catalog = service.motion_snapshot()[1]
     assert catalog == want
     assert {type(x) for x in (catalog.y0, catalog.v, catalog.t0)} == {float}
@@ -252,6 +271,7 @@ def test_a_fraction_field_inside_a_migration_reaches_every_replica(
     restored = build()
     restored.restore_from_disk()
     assert restored.motion_snapshot() == {1: want}
+    assert restored.shard_of(1) == 3
     restored.close()
 
 
@@ -379,7 +399,7 @@ def test_replicated_rebalance_matches_oracle():
     service.close()
 
 
-# -- the migration-storm differential (queries during the window) -----------------
+# -- the migration-storm differential (queries between a cut and its moves) -------
 
 
 def check_against_oracle(service, oracle, rng):
@@ -413,37 +433,120 @@ def check_against_oracle(service, oracle, rng):
 
 
 def test_migration_storm_differential():
-    """Satellite: scalar vs batch vs oracle while migrations are OPEN
-    (objects resident on two shards) and across commits/aborts."""
+    """Scalar vs batch vs oracle right after a re-cut (the displaced
+    objects still on their old shards), between ``rehome`` chunks with
+    band-crossing reports landing in between, and after."""
     service = make_service(shards=3)
     oracle = MotionDatabase(Y_MAX, V_MIN, V_MAX, method="forest")
     populate_skewed(service, 120, seed=5, oracle=oracle)
-    controller = RebalanceController(service, RebalanceConfig(min_objects=1))
     rng = random.Random(5)
     layouts = [(0.3, 0.8), (0.6, 1.2)]
-    committed = 0
+    moved = 0
+    t0 = 0.0
     for round_no in range(4):
-        edges = layouts[round_no % 2]
-        if edges != service.router.band_edges():
-            service.set_bands(edges)
-        moves = controller.moves()[:6]
-        open_states = [
-            service.begin_migration(oid, dest) for oid, _src, dest in moves
-        ]
-        check_against_oracle(service, oracle, rng)  # mid-window reads
-        for i, state in enumerate(open_states):
-            if i % 3 == 2:
-                service.abort_migration(state)
-            else:
-                service.commit_migration(state)
-                committed += 1
-        check_against_oracle(service, oracle, rng)  # post-cutover reads
-    assert committed > 0
+        service.set_bands(layouts[round_no % 2])
+        pending = displaced(service)
+        check_against_oracle(service, oracle, rng)  # re-cut, none moved
+        for begin in range(0, len(pending), 6):
+            moved += len(service.rehome(pending[begin:begin + 6]))
+            t0 += 0.01
+            oid = rng.randrange(120)
+            y0, v, _ = skewed_motion(rng)
+            service.report(oid, y0, v, t0)
+            oracle.report(oid, y0, v, t0)
+            if begin % 18 == 0:
+                check_against_oracle(service, oracle, rng)  # mid-rehome
+        check_against_oracle(service, oracle, rng)  # every move done
+        assert displaced(service) == []
+    assert moved > 0
     assert len(service) == 120
     populations = service.shard_populations()
     for oid in range(120):
         holders = [s for s, pop in enumerate(populations) if oid in pop]
         assert holders == [service.shard_of(oid)]
+
+
+@pytest.mark.chaos
+def test_a_rebalance_racing_a_writer_loses_no_acknowledged_report(
+    tmp_path, monkeypatch
+):
+    """Two threads report random objects of their own halves — some
+    crossing bands — while forced rebalances run in small ``rehome``
+    chunks, with a short thread switch interval.  Each rehome reads a
+    motion under the locks it applies under, so no report is
+    overwritten by the motion it replaced: afterwards the catalog holds
+    each object's last acknowledged motion, every object sits on
+    exactly its owner's group, and a cold restore agrees with both."""
+    monkeypatch.setattr(rebalance, "_REHOME_CHUNK", 4)
+
+    def build():
+        return FaultTolerantMotionService(
+            Y_MAX, V_MIN, V_MAX, shards=4, replication_factor=2,
+            router="velocity", wal_dir=str(tmp_path), wal_fsync="never",
+        )
+
+    service = build()
+    populate_skewed(service, 300, seed=21)
+    acked = service.motion_snapshot()
+    controller = RebalanceController(service)
+    done, started = threading.Event(), threading.Event()
+    failures = []
+
+    def writer(half):
+        rng = random.Random(22 + half)
+        t0 = 0.0
+        try:
+            while not done.is_set():
+                t0 += 0.01
+                oid = 2 * rng.randrange(150) + half
+                y0, v, _ = skewed_motion(rng)
+                service.report(oid, y0, v, t0)
+                acked[oid] = LinearMotion1D(y0, v, t0)
+                started.set()
+        except Exception as exc:  # surfaced below
+            failures.append(exc)
+            started.set()
+
+    threads = [threading.Thread(target=writer, args=(h,)) for h in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    migrated = 0
+    try:
+        for thread in threads:
+            thread.start()
+        assert started.wait(10.0)
+        even = service.router.band_edges()
+        for run in range(5):
+            if run:
+                service.set_bands(even)  # displace the population again
+            migrated += controller.rebalance_once(force=True).migrated
+    finally:
+        done.set()
+        for thread in threads:
+            thread.join(30.0)
+        sys.setswitchinterval(interval)
+    assert not failures
+    assert not any(thread.is_alive() for thread in threads)
+    assert migrated > 0
+    assert service.motion_snapshot() == acked
+
+    def placement(svc):
+        populations = svc.shard_populations()
+        owners = {oid: svc.shard_of(oid) for oid in acked}
+        for oid, owner in owners.items():
+            holders = [s for s, pop in enumerate(populations) if oid in pop]
+            assert holders == sorted(svc.replica_group(owner))
+        return owners
+
+    owners = placement(service)
+    service.close()
+    restored = build()
+    restored.restore_from_disk()
+    try:
+        assert restored.motion_snapshot() == acked
+        assert placement(restored) == owners
+    finally:
+        restored.close()
 
 
 # -- live repartitioning mid-soak -------------------------------------------------

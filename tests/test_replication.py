@@ -324,7 +324,8 @@ def test_uncovered_reads_the_owner_map_only_for_a_dark_group():
             Spy.reads += 1
             return super().values()
 
-    service._owner = Spy(service._ownership.owner)
+    owner = service._owner
+    service._owner = Spy(owner)
     assert service._uncovered({0, 1, 2, 3}) == ()
     assert service._uncovered({0, 2}) == ()  # every group keeps one
     assert Spy.reads == 0
@@ -333,7 +334,7 @@ def test_uncovered_reads_the_owner_map_only_for_a_dark_group():
     assert service._uncovered({0, 3}) == (1,)
     assert service._uncovered({0}) == (1, 2)
     assert Spy.reads == 2
-    service._owner = service._ownership.owner
+    service._owner = owner
     for oid in range(40):
         if service.shard_of(oid) == 1:
             service.deregister(oid)

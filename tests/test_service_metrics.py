@@ -14,7 +14,7 @@ from repro.service import (
     mix_oid,
 )
 from repro.core.model import LinearMotion1D
-from repro.vector.ops import RegisterOp, ReportOp
+from repro.vector.ops import ProximityPairs, RegisterOp, ReportOp
 
 from tests.test_service_differential import (
     V_MAX,
@@ -222,3 +222,31 @@ def test_io_counters_survive_index_rebuilds():
         for shard in service.service_stats()["shard_state"]
     )
     assert batch_writes() - writes_before >= packed
+
+
+def test_a_batched_proximity_join_books_no_scalar_call():
+    """``query_batch([ProximityPairs(...)])`` runs the same join as the
+    scalar verb but books it on the batch's own span: no
+    ``proximity_pairs`` call nobody issued, and the join's page reads
+    land on ``query_batch`` — as many as the scalar verb books on a
+    twin service."""
+    batched = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=3)
+    scalar = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=3)
+    rng = random.Random(12)
+    ops = [
+        RegisterOp(oid, rng.uniform(0.0, Y_MAX),
+                   rng.uniform(V_MIN, V_MAX) * rng.choice((-1, 1)), 0.0)
+        for oid in range(60)
+    ]
+    for service in (batched, scalar):
+        assert not any(service.apply_batch(ops))
+        service.clear_buffers()
+    probe = ProximityPairs(5.0, 1.0, 3.0)
+    answer, = batched.query_batch([probe])
+    assert answer == scalar.proximity_pairs(probe.d, probe.t1, probe.t2)
+    booked = batched.metrics.snapshot()["operations"]
+    assert "proximity_pairs" not in booked
+    assert booked["query_batch"]["calls"] == 1
+    join = scalar.metrics.snapshot()["operations"]["proximity_pairs"]
+    assert join["calls"] == 1 and join["reads"] > 0
+    assert booked["query_batch"]["reads"] == join["reads"]

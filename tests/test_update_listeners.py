@@ -7,8 +7,8 @@ service alike, a listener is called once per scalar verb and once per
 of exactly the acknowledged ops in submission order (an op refused
 announces nothing; a batch that acknowledges nothing makes no call).
 An op is announced as it was submitted: a report that moves its object
-to another replica group, or double-writes it inside a migration
-window, is one ``ReportOp``.
+to another replica group is one ``ReportOp``, and a rehome announces one
+``ReportOp`` of the unchanged motion per object it moved.
 """
 
 import pytest
@@ -78,26 +78,25 @@ def test_one_call_per_write_set_carrying_the_acknowledged_ops(name):
 
 
 @pytest.mark.parametrize("name", SERVICES)
-def test_a_move_and_a_double_write_each_announce_one_report(name):
+def test_a_move_and_a_rehome_each_announce_one_report(name):
     service = TARGETS[name]()
     calls = listen(service)
     service.register(7, 500.0, 0.2, 0.0)
+    service.register(8, 600.0, 1.6, 0.0)
     slow = service.shard_of(7)
     service.report(7, 500.0, 1.6, 1.0)  # crosses the velocity bands
     assert service.shard_of(7) != slow
     moved = service.apply_batch([ReportOp(7, 510.0, 0.2, 2.0)])
     assert moved == [None] and service.shard_of(7) == slow
-    state = service.begin_migration(7, (slow + 2) % service.shard_count)
-    service.report(7, 520.0, 0.2, 3.0)
-    assert service.apply_batch([ReportOp(7, 530.0, 0.2, 4.0)]) == [None]
-    service.commit_migration(state)
-    assert service.metrics.counter("rebalance_double_writes").value == 2
+    service.set_bands((0.1, 0.15, 0.3))  # 0.2 now routes to band 2
+    assert service.rehome([8, 7]) == {7: None}  # 8 stays in band 3
+    assert service.shard_of(7) == 2
     assert [list(writes) for writes in calls] == [
         [RegisterOp(7, 500.0, 0.2, 0.0)],
+        [RegisterOp(8, 600.0, 1.6, 0.0)],
         [ReportOp(7, 500.0, 1.6, 1.0)],
         [ReportOp(7, 510.0, 0.2, 2.0)],
-        [ReportOp(7, 520.0, 0.2, 3.0)],
-        [ReportOp(7, 530.0, 0.2, 4.0)],
+        [ReportOp(7, 510.0, 0.2, 2.0)],
     ]
 
 

@@ -25,6 +25,7 @@ from repro.errors import (
 )
 from repro.indexes.hough_y_forest import HoughYForestIndex
 from repro.service import (
+    BandRouter,
     CrashPointInjector,
     FaultInjector,
     FaultSpec,
@@ -738,11 +739,12 @@ class TestWriteBatchChaos:
 
 
 def seam_phases(rng):
-    """Three write phases around a migration window (oids 5, 6 and 7
-    are mid-migration during the second): duplicate registers, unknown
-    oids, over-speed and off-terrain motions, cross-band reports,
-    double-writes, a deregister that must reach both sides, and one
-    oid's whole register → report → deregister life inside a batch."""
+    """Three write phases around a band re-cut (under a band router,
+    the second runs after the re-cut and before the rehome of what it
+    displaced): duplicate registers, unknown oids, over-speed and
+    off-terrain motions, cross-band reports, a deregister of an object
+    the re-cut displaced, and one oid's whole register → report →
+    deregister life inside a batch."""
     def speed(band):
         return rng.choice([1.0, -1.0]) * rng.uniform(
             *[(V_MIN, 0.5), (0.6, 1.0), (1.2, V_MAX)][band]
@@ -764,10 +766,10 @@ def seam_phases(rng):
         for oid in range(0, 40, 3)                  # cross-band
     ]
     window = [
-        ReportOp(5, 100.0, speed(0), 2.0),          # double-write
-        ReportOp(5, 200.0, speed(2), 2.5),          # ... never re-routed
-        ReportOp(5, 2 * Y_MAX, 1.0, 2.6),           # refused, fence or not
-        DeregisterOp(6),                            # both sides
+        ReportOp(5, 100.0, speed(0), 2.0),          # routed by the new cut
+        ReportOp(5, 200.0, speed(2), 2.5),          # ... and moved again
+        ReportOp(5, 2 * Y_MAX, 1.0, 2.6),           # refused
+        DeregisterOp(6),                            # before its rehome
         ReportOp(6, 1.0, 1.0, 2.7),                 # unknown by now
         RegisterOp(950, 300.0, speed(0), 2.0),
         ReportOp(950, 310.0, speed(2), 2.5),
@@ -787,21 +789,20 @@ def seam_phases(rng):
 
 
 def drive_phases(service, phases, apply):
-    """Run the phases with oids 5–7 migrating during the second; 5 is
-    committed, 7 aborted, 6 deregistered mid-flight."""
+    """Run the phases; under a band router, re-cut the bands before the
+    second and rehome every object the cut still displaces after it
+    (the hash router has no bands: its phases run back to back)."""
     events = []
     service.attach_update_listener(lambda writes: events.append(list(writes)))
     before, window, after = phases
     outcomes = apply(service, before)
-    states = {
-        oid: service.begin_migration(
-            oid, (service.shard_of(oid) + 1) % service.shard_count
-        )
-        for oid in (5, 6, 7)
-    }
+    recut = isinstance(service.router, BandRouter)
+    if recut:
+        service.set_bands((0.3, 0.8))
     outcomes += apply(service, window)
-    service.commit_migration(states[5])
-    service.abort_migration(states[7])
+    if recut:
+        moved = service.rehome(sorted(service.motion_snapshot()))
+        assert moved and not any(moved.values())
     outcomes += apply(service, after)
     return outcomes, events
 
@@ -818,8 +819,8 @@ class TestOneWritePlan:
     ):
         """The base class is the ``replication = 1``, no-log, no-guard
         case of the fault-tolerant one: same outcomes, catalog,
-        residency, listener events and window counters — and, verb by
-        verb, the same page accesses on every shard."""
+        residency and listener events — and, verb by verb, the same
+        page accesses on every shard."""
         phases = seam_phases(random.Random(44))
         plain = ShardedMotionService(
             Y_MAX, V_MIN, V_MAX, shards=3, router=router
@@ -834,9 +835,6 @@ class TestOneWritePlan:
         assert_twins_agree(plain, replicated, want, got)
         assert replicated.shard_populations() == plain.shard_populations()
         assert got_events == want_events
-        assert (replicated.metrics.counter("rebalance_double_writes").value
-                == plain.metrics.counter("rebalance_double_writes").value)
-        assert plain.metrics.counter("rebalance_double_writes").value == 3
         assert [
             state["io"] for state in replicated.service_stats()["shard_state"]
         ] == [state["io"] for state in plain.service_stats()["shard_state"]]
@@ -846,8 +844,9 @@ class TestOneWritePlan:
         self, tmp_path, router
     ):
         """At ``replication = 2`` the scalar verbs and ``apply_batch``
-        write the same per-shard records — kinds, fields, seqs, and
-        the ``fence`` on every double-write of the window."""
+        write the same per-shard records — kinds, fields and seqs — and
+        a re-cut and its rehome log nothing but a ``bands`` marker per
+        shard and plain write records."""
         phases = seam_phases(random.Random(45))
         scalar = make_ft(tmp_path / "scalar", replication=2, router=router)
         batched = make_ft(tmp_path / "batched", replication=2, router=router)
@@ -855,17 +854,11 @@ class TestOneWritePlan:
         got, _ = drive_phases(batched, phases, apply_whole)
         assert_twins_agree(scalar, batched, want, got)
         assert wal_tails(batched) == wal_tails(scalar)
-        fenced = [
-            record
-            for tail in wal_tails(batched)
-            for record in tail
-            if "fence" in record
+        kinds = [
+            record["kind"] for tail in wal_tails(batched) for record in tail
         ]
-        # 3 double-writes × (2 participants × 2 replicas, overlapping
-        # in one shard of the 3).
-        assert {record["oid"] for record in fenced} == {5, 7}
-        assert all(record["kind"] == "update" for record in fenced)
-        assert len(fenced) == 9
+        assert set(kinds) <= {"insert", "update", "delete", "bands"}
+        assert kinds.count("bands") == (3 if router == "velocity" else 0)
         scalar.close()
         batched.close()
 
@@ -906,10 +899,9 @@ class TestOneWritePlan:
     def test_fault_tolerant_service_only_overrides_the_seams(self):
         """Every verb exists once, in the base class."""
         inherited = (
-            "register", "report", "deregister", "begin_migration",
-            "commit_migration", "abort_migration", "within", "snapshot_at",
-            "query_past", "nearest", "proximity_pairs",
-            "_report_migrating", "_apply_one_replicated",
+            "register", "report", "deregister", "set_bands", "rehome",
+            "within", "snapshot_at", "query_past", "nearest",
+            "proximity_pairs", "_report_migrating", "_apply_one_replicated",
         )
         assert not set(inherited) & set(vars(FaultTolerantMotionService))
 
