@@ -10,9 +10,9 @@ ask the full query menu —
 * distance joins / proximity pairs (§7);
 * historical queries over past motion (§7), when history is enabled.
 
-The database enforces the paper's update discipline (time moves
-forward; border crossings must be reported) and exposes the I/O
-accounting of everything underneath.
+The database enforces the paper's update discipline (border crossings
+must be reported) and exposes the I/O accounting of everything
+underneath.
 """
 
 from __future__ import annotations
@@ -153,21 +153,18 @@ class MotionDatabase:
         Raises :class:`InvalidMotionError` if ``oid`` is already
         registered — re-registration is not an update; use
         :meth:`report`.  The check happens before the index is touched,
-        so a rejected call leaves no partial state behind (previously a
-        ``DuplicateObjectError`` escaped from inside the index, after
-        the history clock had already advanced).
+        so a rejected call leaves no partial state behind.  ``t0`` may
+        be behind :attr:`now`: the §7 archive orders versions per
+        object.
         """
-        self._insert(self._index.insert, oid, LinearMotion1D(y0, v, t0))
-
-    def _insert(self, insert, oid: int, motion: LinearMotion1D) -> None:
-        """Admit a new object through ``insert``, the index's insert."""
         if oid in self._columns:
             raise InvalidMotionError(
                 f"object {oid} is already registered; use report() to "
                 "supersede its motion"
             )
+        motion = LinearMotion1D(y0, v, t0)
         self.model.check_admissible(motion, oid)
-        insert(MobileObject1D(oid, motion))
+        self._index.insert(MobileObject1D(oid, motion))
         self._columns.upsert(oid, motion)
         self._now = max(self._now, motion.t0)
         self._notify((RegisterOp(oid, motion.y0, motion.v, motion.t0),))
@@ -241,9 +238,11 @@ class MotionDatabase:
         (deletes, updates, inserts) lands the same final state as the
         interleaved submission order — while keeping each kind's group
         maximal, which is what lets the §3.5 forest amortize a storm
-        into one bulk rebuild (with ``keep_history`` every op is its
-        own epoch: the §7 archive must be written in time order).  The
-        update listeners, if any, get the applied ops' rows once per
+        into one bulk rebuild.  With ``keep_history`` an applied
+        deregister also opens an epoch: the §7 archive closes its
+        version at the clock the ops before it set, while inserts and
+        updates of distinct oids commute there too.  The update
+        listeners, if any, get the applied ops' rows once per
         batch.  Final state and answers are identical to calling the
         scalar methods in the same order.
         """
@@ -288,18 +287,20 @@ class MotionDatabase:
                 )
             else:
                 outcomes[i] = self._refusal(batch[i])
-        # Epochs: with history every applied op opens one (the
-        # archive's batch hooks are scalar loops anyway); otherwise an
-        # applied op opens one when its oid applied in the open epoch.
+        # Epochs: an applied op opens one when its oid applied in the
+        # open epoch; with history so does an applied deregister, which
+        # closes its version at the clock the ops before it set.
+        cuts = walked
         if self._history_enabled:
-            starts = np.flatnonzero(applied).tolist()
-        else:
-            starts, last = [0], {}
-            for i in walked:
-                if applied[i]:
-                    if last.get(keys[i], -1) >= starts[-1]:
-                        starts.append(i)
-                    last[keys[i]] = i
+            cuts = sorted({*walked, *np.flatnonzero(deleting).tolist()})
+        starts, last = [0], {}
+        for i in cuts:
+            if applied[i]:
+                if last.get(keys[i], -1) >= starts[-1] or (
+                    self._history_enabled and deleting[i] and i > starts[-1]
+                ):
+                    starts.append(i)
+                last[keys[i]] = i
         bounds = starts + [len(keys)]
         for lo, hi in zip(bounds, bounds[1:]):
             here = applied[lo:hi]
@@ -330,7 +331,8 @@ class MotionDatabase:
         if deletes:
             gone = [keys[i] for i in deletes]
             if self._history_enabled:
-                # One op an epoch: the clock the scalar call would see.
+                # One delete an epoch, its first op: the clock the
+                # scalar call would see.
                 for oid in gone:
                     self._index.delete(  # type: ignore[call-arg]
                         oid, now=self._now
@@ -384,22 +386,6 @@ class MotionDatabase:
     def history_enabled(self) -> bool:
         """Whether this database archives superseded motion (§7)."""
         return self._history_enabled
-
-    def restore_object(self, oid: int, y0: float, v: float, t0: float) -> None:
-        """Recovery-path :meth:`register`.
-
-        Identical to ``register`` except that a history-enabled index
-        opens the version through its order-agnostic restore path:
-        checkpoint populations are serialized in oid order, which is
-        not timestamp order, and the archive's append-only time check
-        must not reject a legal checkpoint.
-        """
-        insert = (
-            self._index.restore_insert  # type: ignore[attr-defined]
-            if self._history_enabled
-            else self._index.insert
-        )
-        self._insert(insert, oid, LinearMotion1D(y0, v, t0))
 
     def history_snapshot(self) -> Optional[list]:
         """Archived (pre-checkpoint) motion versions, or ``None`` when

@@ -23,7 +23,7 @@ from typing import Dict, Sequence, Set, Tuple
 
 from repro.core.model import LinearMotion1D, MobileObject1D, MotionModel
 from repro.core.queries import MORQuery1D
-from repro.errors import InvalidQueryError, ObjectNotFoundError
+from repro.errors import ObjectNotFoundError
 from repro.indexes.base import MobileIndex1D
 from repro.interval.tree import IntervalTree
 from repro.io_sim.layout import INTERVAL_ENTRY
@@ -40,8 +40,12 @@ class HistoricalIndex(MobileIndex1D):
     * :meth:`query_past` serves historical MOR queries from the archive.
 
     Versions still live (no superseding update yet) carry an open right
-    end, archived as "until now"; the archive is append-only, matching
-    the partial-persistence discipline.
+    end, archived as "until now".  Only each object's own versions need
+    to be in time order: a version closes at its successor's ``t0`` (or
+    at the delete time), and one whose close time is earlier than its
+    own start was superseded before it began and is not archived.
+    Writes of different objects may arrive in any time order, so no
+    write is refused for its time.
     """
 
     name = "historical"
@@ -65,56 +69,38 @@ class HistoricalIndex(MobileIndex1D):
 
     # -- time bookkeeping ------------------------------------------------------
 
-    def _advance(self, t: float) -> None:
-        if t < self._now:
-            raise InvalidQueryError(
-                f"history must be written in time order ({t} < {self._now})"
-            )
-        self._now = t
-
     def _close_version(self, oid: int, t_to: float) -> None:
+        """Archive ``oid``'s open version as valid until ``t_to``,
+        unless it was superseded before it began."""
+        self._now = max(self._now, t_to)
         motion, t_from = self._open_versions.pop(oid)
-        self._archive.insert(t_from, t_to, (oid, motion))
+        if t_to >= t_from:
+            self._archive.insert(t_from, t_to, (oid, motion))
 
     # -- live maintenance ---------------------------------------------------------
 
     def insert(self, obj: MobileObject1D) -> None:
-        self._advance(obj.motion.t0)
+        self._now = max(self._now, obj.motion.t0)
         self._live.insert(obj)
         self._open_versions[obj.oid] = (obj.motion, obj.motion.t0)
 
     def delete(self, oid: int, now: float | None = None) -> None:
+        """Remove ``oid``, closing its version at ``now`` (default: the
+        latest time this index has seen)."""
         if oid not in self._open_versions:
             raise ObjectNotFoundError(f"object {oid} is not indexed")
-        t = now if now is not None else self._now
-        self._advance(t)
         self._live.delete(oid)
-        self._close_version(oid, t)
+        self._close_version(oid, self._now if now is None else now)
 
     def update(self, obj: MobileObject1D) -> None:
         """Supersede the motion: close the old version at the new t0."""
         if obj.oid not in self._open_versions:
             raise ObjectNotFoundError(f"object {obj.oid} is not indexed")
-        self._advance(obj.motion.t0)
         self._close_version(obj.oid, obj.motion.t0)
         self._live.update(obj)
         self._open_versions[obj.oid] = (obj.motion, obj.motion.t0)
 
     # -- recovery support -------------------------------------------------------
-
-    def restore_insert(self, obj: MobileObject1D) -> None:
-        """Recovery-path insert: open a version without the time-order
-        check.
-
-        Checkpoint populations are serialized in oid order, which is
-        not timestamp order; replaying them through :meth:`insert`
-        would trip ``_advance``.  The archive
-        itself has no ordering requirement, so recovery opens versions
-        directly and only ratchets the clock forward.
-        """
-        self._live.insert(obj)
-        self._open_versions[obj.oid] = (obj.motion, obj.motion.t0)
-        self._now = max(self._now, obj.motion.t0)
 
     def closed_versions(self) -> list:
         """Every archived (superseded/departed) version, as portable

@@ -1201,8 +1201,8 @@ class ShardedMotionService:
         unanswerable neither reads nor writes it, and an answer some
         shard did not contribute to is never stored.
 
-        Metrics caveat: with the vector path on, the pushed-down
-        batch is answered by in-memory kernels that never touch the
+        Metrics caveat: the pushed-down batch is answered by
+        in-memory kernels over the object table, which never touch the
         simulated disk pages, so the ``query_batch`` span's per-shard
         I/O is near zero by construction.  It is **not comparable** to
         the scalar operations' ``shard_io`` — use wall-clock throughput

@@ -53,9 +53,10 @@ as working state and writes *through* a persistence backend:
 
 :meth:`recover` rebuilds a fresh database: the checkpoint rows (in
 oid order, whatever order the writes came in) and the log tail as one ``apply_batch``,
-which an empty index answers with a bulk build (``keep_history=True``
-shards load the rows through the order-agnostic ``restore_object``
-and the archive the checkpoint carries, then the tail alike).
+which an empty index answers with a bulk build.  A ``keep_history=True``
+shard first restores the archive the checkpoint carries and then takes
+the same batch: the archive orders versions per object, so rows in oid
+order are as good as any.
 
 History-enabled shards are fully recovered: checkpoints written by
 this version embed the §7 archive (``history`` payload key), so the
@@ -271,8 +272,6 @@ class ShardWAL:
             population = self._checkpoint["population"]
             checkpoint_oids = population.oid
             if db.history_enabled:
-                for row in population.rows():
-                    db.restore_object(*row)
                 history = self._checkpoint.get("history")
                 if history is not None:
                     db.restore_history(history)
@@ -285,8 +284,7 @@ class ShardWAL:
                         DegradedResultWarning,
                         stacklevel=2,
                     )
-            else:
-                ops = [RegisterOp(*row) for row in population.rows()]
+            ops = [RegisterOp(*row) for row in population.rows()]
             db.restore_clock(self._checkpoint["now"])
         changed: Dict[int, bool] = {}
         for record in map(decode_record, self._records):

@@ -83,5 +83,7 @@ def evaluate_query(columns: MotionColumns, op: QueryOp):
 def evaluate_batch(
     columns: MotionColumns, ops: Sequence[QueryOp]
 ) -> List:
-    """Answer a whole batch against one consistent view of the store."""
-    return [evaluate_query(columns, op) for op in ops]
+    """Answer a whole batch against one consistent view of the store,
+    unpacking the table once."""
+    oid, y0, v, t0 = columns.arrays()
+    return [evaluate_arrays(oid, y0, v, t0, op) for op in ops]

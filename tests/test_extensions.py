@@ -210,8 +210,6 @@ class TestHistoricalIndex:
         index = self.make()
         rng = random.Random(23)
         objects = random_objects(rng, 80, t0_max=10.0)
-        # History is append-only: writes must arrive in time order.
-        objects.sort(key=lambda o: o.motion.t0)
         for obj in objects:
             index.insert(obj)
         for query in random_queries(rng, 10, t_now=20.0):
@@ -250,10 +248,24 @@ class TestHistoricalIndex:
         assert index.query_past(MORQuery1D(0.0, 1000.0, 31.0, 60.0)) == set()
 
     def test_time_ordering_enforced(self):
+        """Time order is per object: writes of different objects may
+        come in any order, and a version superseded before it began is
+        left out of the archive."""
         index = self.make()
         index.insert(MobileObject1D(1, LinearMotion1D(0.0, 1.0, 100.0)))
-        with pytest.raises(InvalidQueryError):
-            index.insert(MobileObject1D(2, LinearMotion1D(0.0, 1.0, 50.0)))
+        # Behind object 1's time, but object 2 has no earlier version.
+        index.insert(MobileObject1D(2, LinearMotion1D(0.0, 1.0, 50.0)))
+        assert index.query_past(MORQuery1D(5.0, 25.0, 60.0, 70.0)) == {2}
+        # A report older than object 2's current motion: the version
+        # that began at 50 ended at 40, so it never held.
+        index.update(MobileObject1D(2, LinearMotion1D(500.0, 1.0, 40.0)))
+        assert index.archived_versions == 0
+        assert index.query_past(MORQuery1D(0.0, 20.0, 50.0, 60.0)) == set()
+        assert index.query_past(MORQuery1D(510.0, 530.0, 50.0, 60.0)) == {2}
+        # A later report closes the version that did hold, as usual.
+        index.update(MobileObject1D(2, LinearMotion1D(0.0, 1.0, 120.0)))
+        assert index.archived_versions == 1
+        assert index.query_past(MORQuery1D(545.0, 555.0, 0.0, 200.0)) == {2}
         with pytest.raises(ObjectNotFoundError):
             index.update(MobileObject1D(9, LinearMotion1D(0.0, 1.0, 200.0)))
         with pytest.raises(ObjectNotFoundError):

@@ -7,11 +7,14 @@ the motions it deletes and rebuilds from it, and the hybrid derives
 which store holds an object instead of remembering it.  This property
 drives :class:`~repro.engine.MotionDatabase`,
 :class:`~repro.service.ShardedMotionService` and
-:class:`~repro.service.FaultTolerantMotionService` (``r = 2``) with
-random scalar and batched writes — refusals, repeated oids in one batch,
-register → report → deregister of one oid in one batch, speeds on both
-sides of ``v_min`` (fast ↔ slow crossings), history on and off, fields
-given as ``float``, ``int`` or ``numpy.float64`` — and after every step
+:class:`~repro.service.FaultTolerantMotionService` (``r = 2``), the two
+services hash- and velocity-routed, with random scalar and batched
+writes — refusals, repeated oids in one batch, register → report →
+deregister of one oid in one batch, speeds on both sides of ``v_min``
+(fast ↔ slow crossings, which move an object between velocity-routed
+shards), reference times in order per object but lagging across
+objects, as real clients send them, history on and off, fields given as
+``float``, ``int`` or ``numpy.float64`` — and after every step
 holds the system to a ``{oid: (y0, v, t0)}`` model: ``len``, ``in``,
 motions bit for bit, ``objects()``, the table rows, scalar and batch
 answers, and the invariants of every tree.
@@ -48,22 +51,26 @@ SPEEDS = (0.0, 0.05, math.nextafter(V_MIN, 0.0), V_MIN, 0.5, 1.0, V_MAX, 2.0)
 
 
 def build(system, keep_history):
+    """``system``: ``"database"``, or ``"sharded"`` / ``"replicated"``
+    with an optional ``"-velocity"`` router suffix (default: hash)."""
     if system == "database":
         return MotionDatabase(Y_MAX, V_MIN, V_MAX, keep_history=keep_history)
-    if system == "sharded":
-        return ShardedMotionService(
-            Y_MAX, V_MIN, V_MAX, shards=3, keep_history=keep_history
-        )
+    kind, _, router = system.partition("-")
+    kwargs = {"shards": 3, "keep_history": keep_history,
+              "router": router or "hash"}
+    if kind == "sharded":
+        return ShardedMotionService(Y_MAX, V_MIN, V_MAX, **kwargs)
     return FaultTolerantMotionService(
-        Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=2,
-        keep_history=keep_history,
+        Y_MAX, V_MIN, V_MAX, replication_factor=2, **kwargs
     )
 
 
 @st.composite
 def writes(draw):
-    """``(kind, oid, y0, v, cast)``: the motion still to be given its
-    reference time, and the type its fields are handed over as."""
+    """``(kind, oid, y0, v, cast, lag)``: the motion still to be given
+    its reference time, the type its fields are handed over as, and how
+    far behind the shared clock the client reports (never behind the
+    object's own last report)."""
     kind = draw(st.sampled_from(("register", "report", "deregister")))
     oid = draw(st.integers(0, OIDS - 1))
     y0 = draw(
@@ -75,7 +82,8 @@ def writes(draw):
     speed = draw(st.one_of(st.sampled_from(SPEEDS), st.floats(0.0, 1.7)))
     v = speed * draw(st.sampled_from((1.0, -1.0)))
     cast = draw(st.sampled_from(("float", "int", "float64")))
-    return kind, oid, y0, v, cast
+    lag = draw(st.integers(0, 6))
+    return kind, oid, y0, v, cast, lag
 
 
 #: One step: ``(batched, writes)``.
@@ -86,12 +94,12 @@ steps = st.lists(
 )
 
 
-def as_op(write, clock):
-    kind, oid, y0, v, cast = write
+def as_op(write, t0):
+    kind, oid, y0, v, cast, _ = write
     if kind == "deregister":
         return DeregisterOp(oid)
     convert = {"float": float, "int": int, "float64": np.float64}[cast]
-    fields = (convert(y0), convert(v), convert(clock))
+    fields = (convert(y0), convert(v), convert(t0))
     return (RegisterOp if kind == "register" else ReportOp)(oid, *fields)
 
 
@@ -215,12 +223,14 @@ def check(system, model, clock, oids=range(OIDS)):
 
 
 def run(system, model, plan):
-    clock = 0
+    clock, last_t0 = 0, {}
     for batched, batch in plan:
         ops = []
         for write in batch:
             clock += 1
-            ops.append(as_op(write, clock))
+            oid, lag = write[1], write[-1]
+            t0 = last_t0[oid] = max(last_t0.get(oid, 0), clock - lag)
+            ops.append(as_op(write, t0))
         wanted = [expect(model, op) for op in ops]
         if batched:
             got = system.apply_batch(ops)
@@ -233,27 +243,44 @@ def run(system, model, plan):
 #: A crossing fast → slow → fast, then register → report → deregister
 #: of one oid inside one batch, beside an int and a float64 motion.
 CROSSINGS = [
-    (True, [("register", 0, 100.0, 1.0, "float"),
-            ("register", 1, 200.0, -0.5, "float64")]),
-    (False, [("report", 0, 110.0, 0.05, "float"),
-             ("report", 1, 210.0, 0.0, "int")]),
-    (True, [("report", 0, 120.0, -1.0, "int"),
-            ("register", 2, 300.0, 1.0, "float"),
-            ("report", 2, 310.0, 0.05, "float64"),
-            ("deregister", 2, 0.0, 0.0, "float"),
-            ("report", 1, 220.0, -V_MIN, "float64")]),
+    (True, [("register", 0, 100.0, 1.0, "float", 0),
+            ("register", 1, 200.0, -0.5, "float64", 0)]),
+    (False, [("report", 0, 110.0, 0.05, "float", 0),
+             ("report", 1, 210.0, 0.0, "int", 0)]),
+    (True, [("report", 0, 120.0, -1.0, "int", 0),
+            ("register", 2, 300.0, 1.0, "float", 0),
+            ("report", 2, 310.0, 0.05, "float64", 0),
+            ("deregister", 2, 0.0, 0.0, "float", 0),
+            ("report", 1, 220.0, -V_MIN, "float64", 0)]),
+]
+
+#: Writes behind the clock their shard has seen: oid 4 registers at
+#: t0 = 1 beside oids 1 and 2 (one hash shard, one velocity shard for
+#: 1 and 4), oid 2 crosses into oid 1's velocity shard at t0 = 1, and
+#: a scalar register and report lag as well.
+LAGGING = [
+    (False, [("register", 2, 300.0, 0.5, "float", 0),
+             ("register", 1, 200.0, 1.0, "float", 0)]),
+    (True, [("register", 4, 400.0, 1.0, "float", 2),
+            ("report", 2, 310.0, 1.0, "float64", 3)]),
+    (False, [("register", 5, 500.0, 1.66, "int", 4),
+             ("report", 1, 250.0, 0.05, "float", 5)]),
 ]
 
 
 @pytest.mark.parametrize("keep_history", [False, True])
-@pytest.mark.parametrize("system", ["database", "sharded", "replicated"])
+@pytest.mark.parametrize("system", [
+    "database", "sharded", "replicated",
+    "sharded-velocity", "replicated-velocity",
+])
 @settings(max_examples=25, deadline=None)
 @example(plan=CROSSINGS)
-@example(plan=[(True, [("register", 3, 999.5, -1.66, "float64"),
-                       ("register", 4, 7.0, 1.2, "int"),
-                       ("register", 3, 5.0, 0.5, "float"),
-                       ("report", 4, 8.0, 2.0, "float"),
-                       ("deregister", 5, 0.0, 0.0, "int")])])
+@example(plan=LAGGING)
+@example(plan=[(True, [("register", 3, 999.5, -1.66, "float64", 0),
+                       ("register", 4, 7.0, 1.2, "int", 1),
+                       ("register", 3, 5.0, 0.5, "float", 0),
+                       ("report", 4, 8.0, 2.0, "float", 3),
+                       ("deregister", 5, 0.0, 0.0, "int", 0)])])
 @given(plan=steps)
 def test_every_write_path_keeps_one_table(system, keep_history, plan):
     run(build(system, keep_history), {}, plan)

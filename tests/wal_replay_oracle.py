@@ -65,7 +65,7 @@ def recover(wal, factory) -> MotionDatabase:
     checkpoint = wal._checkpoint
     if checkpoint is not None:
         for row in checkpoint["population"].rows():
-            db.restore_object(*row)
+            db.register(*row)
         if db.history_enabled and checkpoint.get("history") is not None:
             db.restore_history(checkpoint["history"])
         db.restore_clock(checkpoint["now"])
