@@ -56,20 +56,9 @@ class ShardUnavailableError(ReproError):
 
 
 class InjectedFaultError(ReproError):
-    """A fault deliberately injected by the chaos-testing layer.
-
-    ``kind`` is ``"error"`` for transient faults (eligible for
-    retry-with-backoff) or ``"crash"`` for a simulated shard death
-    (never retried; the shard goes down until recovered).
-    """
-
-    def __init__(self, message: str, kind: str = "error") -> None:
-        super().__init__(message)
-        self.kind = kind
-
-    @property
-    def transient(self) -> bool:
-        return self.kind == "error"
+    """A shard crash deliberately injected by the chaos-testing layer
+    (:class:`~repro.service.faults.FaultInjector`); the shard goes down
+    until it is recovered."""
 
 
 class SimulatedCrashError(ReproError):

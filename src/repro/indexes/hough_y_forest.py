@@ -96,7 +96,7 @@ from repro.interval.tree import IntervalIndex
 from repro.io_sim.layout import BPTREE_ENTRY, INTERVAL_ENTRY
 from repro.io_sim.pager import DiskSimulator, Page
 from repro.vector.columns import MotionColumns, MotionRows
-from repro.vector.kernels import hough_y_exact_mask
+from repro.vector.kernels import hough_y_exact_mask, mor_mask
 
 
 class ObservationRecords(PackedRecords):
@@ -626,12 +626,21 @@ class HoughYForestIndex(MobileIndex1D):
         self, query: MORQuery1D
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Run the scan plan: per fetched leaf slice, its oids and the
-        mask of the answers among them — one filter call per slice
-        (:func:`~repro.vector.kernels.hough_y_exact_mask`, bit for bit
-        the scalar :func:`~repro.core.duality.hough_y_matches`)."""
+        mask of the answers among them — one dual filter call per slice
+        (:func:`~repro.vector.kernels.hough_y_exact_mask`), whose
+        records within its slack of an edge are decided by the primal
+        predicate over their table rows
+        (:func:`~repro.vector.kernels.mor_mask`, bit for bit
+        :func:`~repro.core.predicates.matches_1d`)."""
         for key, oriented, y_r, lo, hi in self.scan_plan(query):
             for b, oid, speed in self._trees[key].range_columns(lo, hi):
-                yield oid, hough_y_exact_mask(1.0 / speed, b, oriented, y_r)
+                hit, sure = hough_y_exact_mask(1.0 / speed, b, oriented, y_r)
+                near = hit & ~sure
+                if near.any():
+                    hit[near] = mor_mask(
+                        *self._motions.gather(oid[near].tolist()), query
+                    )
+                yield oid, hit
 
     def _candidates(
         self, query: MORQuery1D

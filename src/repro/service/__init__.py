@@ -10,12 +10,10 @@
   standing ``snapshot``/``within``/``proximity`` queries maintained
   incrementally from boundary-crossing events (Lemma 3's closed-form
   roots) instead of per-tick re-evaluation;
-* :mod:`repro.service.faults` — :class:`FaultInjector`, the seeded
-  chaos layer (transient errors, latency spikes, crashes), and
-  :class:`CrashPointInjector`, the durability-boundary killer for the
-  :mod:`repro.storage` crash-recovery matrix;
-* :mod:`repro.service.health` — :class:`CircuitBreaker` and
-  :class:`RetryPolicy`;
+* :mod:`repro.service.faults` — :class:`FaultInjector`, which crashes
+  a shard on a planned access (a shard is up or down; every fault is
+  a crash), and :class:`CrashPointInjector`, the durability-boundary
+  killer for the :mod:`repro.storage` crash-recovery matrix;
 * :mod:`repro.service.wal` — :class:`ShardWAL`, the per-shard
   write-ahead log + checkpoint used for crash recovery;
 * :mod:`repro.service.metrics` — :class:`MetricsRegistry`, counters +
@@ -48,12 +46,10 @@ from repro.service.faults import (
     CrashPointInjector,
     CrashPointSpec,
     FaultInjector,
-    FaultSpec,
     WRITE_BATCH_CRASH_POINTS,
     flip_bit,
     truncate_file,
 )
-from repro.service.health import CircuitBreaker, RetryPolicy
 from repro.service.frontend import (
     AsyncFrontend,
     FrontendConfig,
@@ -105,7 +101,6 @@ from repro.vector.ops import (
 __all__ = [
     "AsyncFrontend",
     "BandRouter",
-    "CircuitBreaker",
     "Counter",
     "CrashPointInjector",
     "CrashPointSpec",
@@ -113,7 +108,6 @@ __all__ = [
     "DeregisterOp",
     "FRONTEND_COUNTERS",
     "FaultInjector",
-    "FaultSpec",
     "FaultTolerantMotionService",
     "FrontendConfig",
     "HashRouter",
@@ -132,7 +126,6 @@ __all__ = [
     "RebalanceReport",
     "RegisterOp",
     "ReportOp",
-    "RetryPolicy",
     "ShardRouter",
     "ShardWAL",
     "ShardedMotionService",

@@ -2,24 +2,14 @@
 
 Distributed moving-object systems treat shard failure as routine
 (MOIST checkpoints index state across worker loss; distributed
-continuous-query processors partition work over fallible nodes).  To
-test that discipline without real crashes, :class:`FaultInjector`
-wraps every shard operation of a
-:class:`~repro.service.replication.FaultTolerantMotionService` and
-injects three failure classes, all seeded from one RNG so a chaos run
-replays exactly:
-
-* **transient errors** — :class:`~repro.errors.InjectedFaultError`
-  with ``kind="error"``, eligible for bounded retry-with-backoff;
-* **latency spikes** — a configurable sleep before the operation;
-* **crashes** — on a shard's ``N``-th operation the injector raises
-  ``kind="crash"``; the service marks the shard down until it is
-  recovered from its checkpoint + write-ahead log.
-
-Determinism: each shard draws from its own ``random.Random`` seeded
-as ``seed * 1_000_003 + shard`` and counts its own operations, and the
-service only consults the injector while holding that shard's lock —
-so per-shard fault sequences are reproducible even though the thread
+continuous-query processors partition work over fallible nodes).  A
+shard is up or down: every fault is a crash, and a crashed shard stays
+down until it is recovered from its checkpoint + write-ahead log.  To
+crash a shard *inside* one write set or query batch,
+:class:`FaultInjector` counts every guarded access of a
+:class:`~repro.service.replication.FaultTolerantMotionService` shard
+and fails the planned one; the service only consults it while holding
+that shard's lock, so a run replays exactly even though the thread
 pool interleaves shards arbitrarily.
 
 A second, finer-grained injector targets the durability layer:
@@ -36,146 +26,52 @@ ordinary write set, so the same points (plus
 from __future__ import annotations
 
 import os
-import random
 import threading
-import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Dict, List, Mapping, Optional
 
 from repro.errors import InjectedFaultError, SimulatedCrashError
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """Fault mix for one shard (all rates are per-operation).
-
-    error_rate:
-        Probability of a transient :class:`InjectedFaultError`.
-    latency_rate / latency_s:
-        Probability and duration of an injected latency spike.
-    crash_on_op:
-        Crash the shard when its (1-based) operation counter reaches
-        this value; ``None`` disables.  A crash fires once — after
-        recovery the shard does not re-crash on the same spec.
-    """
-
-    error_rate: float = 0.0
-    latency_rate: float = 0.0
-    latency_s: float = 0.0
-    crash_on_op: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.error_rate <= 1.0:
-            raise ValueError(f"error_rate not a probability: {self.error_rate}")
-        if not 0.0 <= self.latency_rate <= 1.0:
-            raise ValueError(
-                f"latency_rate not a probability: {self.latency_rate}"
-            )
-        if self.error_rate + self.latency_rate > 1.0:
-            raise ValueError("error_rate + latency_rate must be <= 1")
-        if self.crash_on_op is not None and self.crash_on_op < 1:
-            raise ValueError(
-                f"crash_on_op is 1-based, got {self.crash_on_op}"
-            )
-
-
 class FaultInjector:
-    """Seeded per-shard fault source.
+    """One-shot shard crashes at planned operation counts.
 
-    Parameters
-    ----------
-    seed:
-        Root seed; shard ``i`` draws from ``seed * 1_000_003 + i``.
-    default:
-        :class:`FaultSpec` applied to shards without an override.
-    per_shard:
-        ``{shard_id: FaultSpec}`` overrides (e.g. a crash plan for one
-        victim shard).
-    sleep:
-        Injected-latency sleep function (tests pass a recorder).
+    ``crash_on_op`` maps a shard to the (1-based) guarded access on
+    which it crashes.  Each crash fires once: after recovery the shard
+    keeps counting and never re-crashes on the same plan.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        default: Optional[FaultSpec] = None,
-        per_shard: Optional[Dict[int, FaultSpec]] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.seed = seed
-        self._default = default or FaultSpec()
-        self._per_shard = dict(per_shard or {})
-        self._sleep = sleep
-        self._rngs: Dict[int, random.Random] = {}
+    def __init__(self, crash_on_op: Mapping[int, int]) -> None:
+        for shard, op in crash_on_op.items():
+            if op < 1:
+                raise ValueError(
+                    f"crash_on_op is 1-based, got {op} for shard {shard}"
+                )
+        self._plan: Dict[int, int] = dict(crash_on_op)
         self._ops: Dict[int, int] = {}
-        self._crashed: Set[int] = set()
-        self._crash_fired: Set[int] = set()
-        self._injected = {"errors": 0, "latencies": 0, "crashes": 0}
+        self._crashed: List[int] = []
         self._lock = threading.Lock()
 
-    def spec_for(self, shard: int) -> FaultSpec:
-        return self._per_shard.get(shard, self._default)
-
     def on_op(self, shard: int, operation: str) -> None:
-        """Consult the fault plan before shard ``shard`` runs ``operation``.
-
-        Raises :class:`InjectedFaultError` (``kind="error"`` transient,
-        ``kind="crash"`` fatal) or sleeps through a latency spike;
-        returns normally when no fault fires.
-        """
-        spec = self.spec_for(shard)
+        """Count one access of ``shard``; raise
+        :class:`InjectedFaultError` if it is the planned crash."""
         with self._lock:
             count = self._ops.get(shard, 0) + 1
             self._ops[shard] = count
-            rng = self._rngs.get(shard)
-            if rng is None:
-                rng = self._rngs[shard] = random.Random(
-                    self.seed * 1_000_003 + shard
-                )
-            if (
-                spec.crash_on_op is not None
-                and count >= spec.crash_on_op
-                and shard not in self._crash_fired
-            ):
-                self._crash_fired.add(shard)
-                self._crashed.add(shard)
-                self._injected["crashes"] += 1
-                raise InjectedFaultError(
-                    f"injected crash on shard {shard} at op {count} "
-                    f"({operation})",
-                    kind="crash",
-                )
-            draw = rng.random()
-            if draw < spec.error_rate:
-                self._injected["errors"] += 1
-                raise InjectedFaultError(
-                    f"injected transient fault on shard {shard} "
-                    f"({operation}, op {count})"
-                )
-            spike = draw < spec.error_rate + spec.latency_rate
-            if spike:
-                self._injected["latencies"] += 1
-        if spike:
-            self._sleep(spec.latency_s)
-
-    # -- crash bookkeeping -----------------------------------------------------
-
-    def crashed(self, shard: int) -> bool:
-        with self._lock:
-            return shard in self._crashed
-
-    def clear_crash(self, shard: int) -> None:
-        """Acknowledge a recovery; the one-shot crash does not re-fire."""
-        with self._lock:
-            self._crashed.discard(shard)
+            if self._plan.get(shard) != count:
+                return  # counts only grow, so a crash fires once
+            self._crashed.append(shard)
+        raise InjectedFaultError(
+            f"injected crash on shard {shard} at op {count} ({operation})"
+        )
 
     def snapshot(self) -> Dict[str, object]:
+        """The shards crashed so far, in firing order, and each
+        shard's access count."""
         with self._lock:
             return {
-                "seed": self.seed,
-                "injected": dict(self._injected),
+                "crashed_shards": list(self._crashed),
                 "ops_per_shard": dict(self._ops),
-                "crashed_shards": sorted(self._crashed),
             }
 
 

@@ -30,7 +30,7 @@ adds the missing front door:
   (:data:`~repro.service.metrics.FRONTEND_COUNTERS`);
 * **background health cadence** — every ``health_every_s`` the
   frontend sweeps the service: recovers shards a pool-worker death
-  marked down (when ``auto_recover``) and gives the rebalance
+  marked down and gives the rebalance
   controller its :meth:`~repro.service.rebalance.RebalanceController.
   maybe_rebalance` tick, so skew detection runs on the serving path's
   cadence instead of needing an operator.
@@ -85,15 +85,11 @@ class FrontendConfig:
         ``query_batch`` call.
     health_every_s:
         Background sweep period (0 disables the sweeper).
-    auto_recover:
-        Whether the sweep recovers down shards (fault-tolerant
-        services only; ignored otherwise).
     """
 
     queue_depth: int = 256
     max_batch: int = 64
     health_every_s: float = 0.25
-    auto_recover: bool = True
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
@@ -298,13 +294,12 @@ class AsyncFrontend:
     def _health_sweep(self) -> None:
         """One background pass: recover down shards, tick rebalance."""
         self.metrics.counter("frontend_health_checks").increment()
-        if self.config.auto_recover:
-            down = getattr(self.service, "down_shards", lambda: [])()
-            for shard in down:
-                try:
-                    self.service.recover_shard(shard)
-                except Exception:  # recovered concurrently, or still sick
-                    pass
+        down = getattr(self.service, "down_shards", lambda: [])()
+        for shard in down:
+            try:
+                self.service.recover_shard(shard)
+            except Exception:  # recovered concurrently, or still sick
+                pass
         if self.rebalancer is not None:
             report = self.rebalancer.maybe_rebalance()
             if report is not None:

@@ -11,9 +11,9 @@ most objects into one band while the others idle.
 
 :class:`RebalanceController` closes the loop:
 
-1. **detect** — read the per-shard ownership counts (and the live
-   velocity histogram) from the service's catalog/metrics and compute
-   the skew ratio ``max / mean``;
+1. **detect** — read the per-shard ownership counts and per-shard
+   query latency from the service's catalog/metrics and compute the
+   skew ratio ``max / mean``;
 2. **plan** — re-cut the band edges equi-depth against the observed
    speed distribution (each band gets ~``n/k`` objects), scoring the
    old and new layouts with the ``Σ n_b · w_b`` dual-space-expansion
@@ -64,6 +64,11 @@ from repro.service.sharding import BandRouter
 #: each shard's log sync among its moves.
 _REHOME_CHUNK = 256
 
+#: The :class:`~repro.service.metrics.MetricsRegistry` per-shard
+#: operation the latency detector reads: the span both query legs
+#: (inline and pooled) record per shard sub-batch.
+_LATENCY_OP = "query_batch.compute"
+
 
 @dataclass(frozen=True)
 class RebalanceConfig:
@@ -73,9 +78,6 @@ class RebalanceConfig:
         Trigger when ``max(count) / mean(count)`` meets or exceeds
         this (1.0 is perfectly balanced; 1.5 tolerates 50% over the
         mean).
-    bins:
-        Velocity-histogram resolution for :meth:`RebalanceController.
-        velocity_histogram`.
     min_objects:
         Below this population a "rebalance" is noise; do nothing.
     max_migrations:
@@ -89,19 +91,12 @@ class RebalanceConfig:
         slow *per object* (wide band → wide §3.5 rectangles, or a
         cold worker lane); observed latency is the ground truth the
         counts approximate.
-    latency_op:
-        The :class:`~repro.service.metrics.MetricsRegistry` per-shard
-        operation the latency detector reads.  The default is the
-        span both query legs (inline and pooled) record per shard
-        sub-batch.
     """
 
     skew_threshold: float = 1.5
-    bins: int = 32
     min_objects: int = 16
     max_migrations: int = 0
     latency_skew_threshold: float = 2.0
-    latency_op: str = "query_batch.compute"
 
     def __post_init__(self) -> None:
         if self.skew_threshold < 1.0:
@@ -113,8 +108,6 @@ class RebalanceConfig:
                 f"latency_skew_threshold must be >= 1.0, got "
                 f"{self.latency_skew_threshold}"
             )
-        if self.bins < 1:
-            raise ValueError(f"bins must be >= 1, got {self.bins}")
         if self.min_objects < 0 or self.max_migrations < 0:
             raise ValueError("min_objects / max_migrations must be >= 0")
 
@@ -223,15 +216,13 @@ class RebalanceController:
     def latency_skew(self) -> float:
         """``max / mean`` over per-shard p99 compute latency.
 
-        Reads the ``config.latency_op`` spans the service records per
+        Reads the ``query_batch.compute`` spans the service records per
         shard sub-batch (:meth:`MetricsRegistry.
         shard_latency_percentile`).  Returns 0.0 — "no evidence" —
         until at least two shards have samples: one hot shard proves
         nothing about *relative* imbalance.
         """
-        p99 = self.metrics.shard_latency_percentile(
-            self.config.latency_op, 99.0
-        )
+        p99 = self.metrics.shard_latency_percentile(_LATENCY_OP, 99.0)
         if len(p99) < 2:
             return 0.0
         values = list(p99.values())
@@ -268,17 +259,6 @@ class RebalanceController:
             return None
         self.metrics.counter("rebalance_auto_triggers").increment()
         return self.rebalance_once(force=True)
-
-    def velocity_histogram(self) -> List[int]:
-        """Histogram of ``|v|`` over ``config.bins`` even-width bins
-        spanning ``[0, v_max]`` (the planner's input distribution)."""
-        router = self.service.router
-        bins = [0] * self.config.bins
-        width = router.v_max / self.config.bins
-        for motion in self.service.motion_snapshot().values():
-            index = min(int(abs(motion.v) / width), self.config.bins - 1)
-            bins[index] += 1
-        return bins
 
     # -- planning ----------------------------------------------------------------
 

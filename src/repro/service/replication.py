@@ -23,15 +23,14 @@ every one against three seams, and this class overrides the seams —
   or a band marker's — goes down.  The catalog additionally remembers
   each object's authoritative motion, which is what recovery
   reconciles against.
-* **Fault handling** — every shard touch runs through a bounded
-  :class:`~repro.service.health.RetryPolicy` (transient injected
-  faults back off and retry).  A crash-kind fault marks the shard
-  *down*; a write that exhausts its retries also marks the shard down
-  (a shard that missed a write must not keep serving — it is stale
-  until recovered).  A per-shard
-  :class:`~repro.service.health.CircuitBreaker` guards the *query*
-  path only: queries skip an open-circuit shard and let its replicas
-  answer, while writes always attempt every live replica.
+* **Fault handling** — a shard is up or down.  Every fault is a
+  crash: an operator :meth:`kill_shard`, a pool worker's death, a log
+  ``OSError``, or an injected crash on a planned access (the optional
+  :class:`~repro.service.faults.FaultInjector`) takes the shard down,
+  and it stays down — skipped by queries, which its replicas answer,
+  and by writes, which reach every other live replica — until
+  :meth:`recover_shard` or :meth:`restore_from_disk`.  Nothing is
+  retried: a shard that missed a write must not keep serving.
 * **Recovery** — :meth:`recover_shard` rebuilds a dead shard from its
   checkpoint + write-ahead-log tail (byte-identical to its pre-crash
   committed state), then reconciles against the catalog to pick up
@@ -71,7 +70,6 @@ from repro.errors import (
     ShardUnavailableError,
 )
 from repro.service.faults import FaultInjector
-from repro.service.health import CircuitBreaker, RetryPolicy
 from repro.service.metrics import MetricsRegistry, wal_event_recorder
 from repro.service.service import (
     ShardedMotionService,
@@ -127,7 +125,6 @@ class _ShardNode:
 
     shard_id: int
     wal: ShardWAL
-    breaker: CircuitBreaker
     status: str = UP
     down_reason: Optional[str] = None
     crashes: int = 0
@@ -156,11 +153,8 @@ class FaultTolerantMotionService(ShardedMotionService):
         base data layout but still adds WAL recovery and degradation.
     fault_injector:
         Optional :class:`~repro.service.faults.FaultInjector` consulted
-        before every shard touch (chaos testing); ``None`` disables
-        injection entirely.
-    retry:
-        :class:`~repro.service.health.RetryPolicy` for transient
-        faults.
+        before every shard touch (chaos testing): it crashes a shard on
+        a planned access.  ``None`` disables injection entirely.
     wal_dir:
         When set, each shard's WAL writes through a durable
         :class:`~repro.storage.backend.FileWALBackend` rooted at
@@ -190,7 +184,6 @@ class FaultTolerantMotionService(ShardedMotionService):
         router: str | ShardRouter = "hash",
         metrics: Optional[MetricsRegistry] = None,
         fault_injector: Optional[FaultInjector] = None,
-        retry: Optional[RetryPolicy] = None,
         wal_dir: Optional[str] = None,
         wal_fsync: str = "always",
         wal_crash_hook: Optional[Callable[[str], None]] = None,
@@ -217,7 +210,6 @@ class FaultTolerantMotionService(ShardedMotionService):
             )
         self.replication_factor = replication_factor
         self._injector = fault_injector
-        self._retry = retry or RetryPolicy()
         self.wal_dir = wal_dir
         recorder = wal_event_recorder(self.metrics)
 
@@ -232,10 +224,7 @@ class FaultTolerantMotionService(ShardedMotionService):
                 )
             return ShardWAL(backend=backend, on_event=recorder)
 
-        self._nodes = [
-            _ShardNode(shard_id=i, wal=build_wal(i), breaker=CircuitBreaker())
-            for i in range(shards)
-        ]
+        self._nodes = [_ShardNode(i, build_wal(i)) for i in range(shards)]
         self._catalog_motion: Dict[int, LinearMotion1D] = {}
         self._recoveries = 0
 
@@ -252,7 +241,6 @@ class FaultTolerantMotionService(ShardedMotionService):
                 "shard": node.shard_id,
                 "status": node.status,
                 "reason": node.down_reason,
-                "breaker": node.breaker.snapshot(),
                 "wal": node.wal.snapshot(),
             }
             for node in self._nodes
@@ -260,16 +248,13 @@ class FaultTolerantMotionService(ShardedMotionService):
 
     # -- guarded shard access --------------------------------------------------
 
-    def _guard(self, shard: int, op_name: str, write: bool) -> None:
-        """Admit one shard access: down check, injection, retry,
-        breaker bookkeeping.
+    def _guard(self, shard: int, op_name: str) -> None:
+        """Admit one shard access: the down check, then the injector.
 
-        Raises :class:`ShardUnavailableError` when the shard cannot
-        serve (down, injected crash, or transient faults exhausted
-        retries); for writes the last two mark the shard down — a
-        shard that missed a write is stale and must recover before
-        serving again.  Without an injector this is the down check
-        alone.
+        Raises :class:`ShardUnavailableError` when the shard is down,
+        or when the injector crashes it on this access, which takes it
+        down until recovered.  Without an injector this is the down
+        check alone.
         """
         node = self._nodes[shard]
         if not node.up:
@@ -279,21 +264,12 @@ class FaultTolerantMotionService(ShardedMotionService):
         if self._injector is None:
             return
         try:
-            self._retry.run(lambda: self._injector.on_op(shard, op_name))
+            self._injector.on_op(shard, op_name)
         except InjectedFaultError as exc:
-            if exc.kind == "crash":
-                node.mark_down(f"injected crash during {op_name}")
-            else:
-                node.breaker.record_failure()
-                if write:
-                    node.mark_down(
-                        f"transient faults exhausted retries during "
-                        f"{op_name}"
-                    )
+            node.mark_down(f"injected crash during {op_name}")
             raise ShardUnavailableError(
                 f"shard {shard} failed {op_name}: {exc}"
             ) from exc
-        node.breaker.record_success()
 
     def _log(self, shard: int, kind: str, **fields: object) -> bool:
         """Append a marker record to a live shard's WAL; ``True`` iff
@@ -332,9 +308,8 @@ class FaultTolerantMotionService(ShardedMotionService):
         return True
 
     def _answerable(self, shard: int) -> bool:
-        """Queries skip a down shard and an open circuit."""
-        node = self._nodes[shard]
-        return node.up and node.breaker.allow()
+        """Queries skip a down shard."""
+        return self._nodes[shard].up
 
     # -- updates ----------------------------------------------------------------
 
@@ -484,8 +459,6 @@ class FaultTolerantMotionService(ShardedMotionService):
                 motions = dict(self._catalog_motion)
             repaired, dropped = self._reinstate(shard, db, placements,
                                                 motions)
-            if self._injector is not None:
-                self._injector.clear_crash(shard)
             self._recoveries += 1
         return {
             "shard": shard,
@@ -533,7 +506,6 @@ class FaultTolerantMotionService(ShardedMotionService):
         node.wal.checkpoint(db)
         self._retire_database(self._shards[shard])
         self._shards[shard] = db
-        node.breaker.reset()
         node.mark_up()
         return len(ops) - dropped, dropped
 
@@ -641,8 +613,8 @@ class FaultTolerantMotionService(ShardedMotionService):
     # -- accounting --------------------------------------------------------------
 
     def service_stats(self) -> Dict[str, object]:
-        """Base snapshot plus the fault-tolerance view (health, WAL,
-        breaker and injected-fault accounting)."""
+        """Base snapshot plus the fault-tolerance view (health, WAL
+        and injected-crash accounting)."""
         stats = super().service_stats()
         stats["fault_tolerance"] = {
             "replication_factor": self.replication_factor,

@@ -440,7 +440,7 @@ class ShardedMotionService:
         """Whether a query should visit ``shard`` at all."""
         return True
 
-    def _guard(self, shard: int, op_name: str, write: bool) -> None:
+    def _guard(self, shard: int, op_name: str) -> None:
         """Admit one access to ``shard`` before it happens, or raise
         :class:`ShardUnavailableError`.  Every shard access of every
         verb and batch passes here; in this class every one is
@@ -452,13 +452,12 @@ class ShardedMotionService:
         op_name: str,
         fn: Callable[[MotionDatabase], object],
         span,
-        write: bool,
     ) -> object:
         """One guarded shard access (caller holds its lock):
         :meth:`_guard`, then ``fn(db)`` plus the I/O span.
         Application-level rejections propagate unchanged.
         """
-        self._guard(shard, op_name, write)
+        self._guard(shard, op_name)
         db = self._shards[shard]
         before = db.io_snapshot()
         value = fn(db)
@@ -637,7 +636,7 @@ class ShardedMotionService:
                         return self._touch(
                             shard, "location_of",
                             lambda db: db.location_of(oid, t),
-                            span, write=False,
+                            span,
                         )
                     except ShardUnavailableError:
                         continue
@@ -915,7 +914,7 @@ class ShardedMotionService:
             ):
                 return False  # copy never landed here
             try:
-                guard(shard, name, True)
+                guard(shard, name)
             except ShardUnavailableError:
                 return False
             if sub_op.oid in repeated and (
@@ -1051,9 +1050,7 @@ class ShardedMotionService:
                 continue
             with self._locks[shard]:
                 try:
-                    parts[shard] = self._touch(
-                        shard, name, fn, span, write=False
-                    )
+                    parts[shard] = self._touch(shard, name, fn, span)
                 except ShardUnavailableError:
                     continue
         return parts
@@ -1145,7 +1142,7 @@ class ShardedMotionService:
                 try:
                     # The fault gate for this shard's whole share of
                     # the join (self-join + exchanges below).
-                    self._guard(shard, "proximity_pairs", write=False)
+                    self._guard(shard, "proximity_pairs")
                 except ShardUnavailableError:
                     continue
                 answered.append(shard)
@@ -1295,7 +1292,7 @@ class ShardedMotionService:
         admitted = []
         for s in live:
             try:
-                self._guard(s, "query_batch", write=False)
+                self._guard(s, "query_batch")
             except ShardUnavailableError:
                 continue
             admitted.append(s)

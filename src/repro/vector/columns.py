@@ -252,6 +252,16 @@ class MotionColumns:
             map(self._slots.__contains__, oids), bool, len(oids)
         )
 
+    def gather(
+        self, oids: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of ``(y0, v, t0)`` for the rows of ``oids``, in that
+        order (KeyError for an oid with no row)."""
+        slots = np.fromiter(
+            map(self._slots.__getitem__, oids), np.int64, len(oids)
+        )
+        return self._y0[slots], self._v[slots], self._t0[slots]
+
     def get(self, oid: int) -> Optional[LinearMotion1D]:
         """The stored motion of one object, or ``None``."""
         slot = self._slots.get(oid)

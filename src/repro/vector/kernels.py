@@ -12,9 +12,11 @@ object:
   the scalar oracle :func:`repro.core.predicates.matches_1d` — the
   batch paths are differential-tested byte-for-byte against the
   scalar paths, so the kernels must not introduce epsilon drift.
-* :func:`hough_y_exact_mask` — the exact Hough-Y dual filter of
-  §3.5.2, which drops the false positives of the forest's rectangle
-  ``b``-range (:func:`repro.core.duality.hough_y_b_range`).
+* :func:`hough_y_exact_mask` — the Hough-Y dual filter of §3.5.2,
+  which drops the false positives of the forest's rectangle
+  ``b``-range (:func:`repro.core.duality.hough_y_b_range`) and names
+  the records within its slack of the query's edge, which the forest
+  re-checks with :func:`mor_mask`.
 * :func:`snapshot_mask` — the MOR1 instant test (§3.6).
 * :func:`knn_distances` / :func:`knn_select` — batched k-NN at a
   future instant, with the ``(distance, oid)`` tie-break of
@@ -88,19 +90,25 @@ def hough_y_exact_mask(
     b: np.ndarray,
     query: MORQuery1D,
     y_r: float,
-) -> np.ndarray:
-    """Exact Hough-Y membership over dual-point columns.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Hough-Y membership over dual-point columns: ``(hit, sure)``.
 
-    Same arithmetic and relative slack as the scalar
-    :func:`repro.core.duality.hough_y_matches` — used to discard the
-    rectangle approximation's false positives.
+    ``hit`` has the arithmetic and relative slack of the scalar
+    :func:`repro.core.duality.hough_y_matches`: a superset of the
+    answers, used to discard the rectangle approximation's false
+    positives.  ``sure`` is the same test with the slack subtracted:
+    answers however the dual arithmetic rounded.  Only ``hit & ~sure``
+    — records within the slack of an edge — can disagree with the
+    primal predicate (:func:`mor_mask`).
     """
     lhs_1 = b + (query.y1 - y_r) * n
     lhs_2 = b + (query.y2 - y_r) * n
     eps_1 = 1e-9 * (1.0 + np.abs(lhs_1) + abs(query.t2))
     eps_2 = 1e-9 * (1.0 + np.abs(lhs_2) + abs(query.t1))
     with np.errstate(invalid="ignore"):
-        return (lhs_1 <= query.t2 + eps_1) & (lhs_2 >= query.t1 - eps_2)
+        hit = (lhs_1 <= query.t2 + eps_1) & (lhs_2 >= query.t1 - eps_2)
+        sure = (lhs_1 <= query.t2 - eps_1) & (lhs_2 >= query.t1 + eps_2)
+    return hit, sure
 
 
 # -- batched k-nearest-neighbor ----------------------------------------------

@@ -1,11 +1,17 @@
 """Hypothesis policy for the suite.
 
-``tier1`` (loaded by default) derives every example from the test's
-own source and neither replays from nor saves to ``.hypothesis/``, so
-the tier-1 verdict depends on the code alone: two runs of one commit
-agree.  ``explore`` draws fresh random examples on every run; it is
-for hunting new counterexamples (``make property-explore``), which
-then get pinned on their test with ``@example``.
+``tier1`` (loaded by default) is derandomized and neither replays
+from nor saves to ``.hypothesis/``, so the tier-1 verdict depends on
+the code alone: two runs of one commit agree.  It does not depend on
+the test's own source alone: hypothesis also seeds its draws with the
+numeric and string literals of every loaded local module (``src/``
+included), so an edit that adds or removes literals anywhere can
+change which examples a property draws.  A counterexample that surfaces
+that way is a real one: pin it with ``@example`` and fix the code;
+never narrow the strategy or loosen the oracle.  ``explore`` draws
+fresh random examples on every run; it is for hunting new
+counterexamples (``make property-explore``), which then get pinned on
+their test with ``@example``.
 """
 
 import pytest

@@ -103,6 +103,15 @@ def with_edge_examples(test):
     c=st.sampled_from((1, 3, 4)),
 )
 @with_edge_examples
+# Inside the dual filter's relative slack of the query's edge, outside
+# the primal predicate: the filter alone answered {0}.
+@example(
+    population=[
+        MobileObject1D(0, LinearMotion1D(0.0, 1.0, 2.0623663983943057e-162))
+    ],
+    query=MORQuery1D(0.0, 0.0, 0.0, 0.0),
+    c=1,
+)
 def test_one_plan_answers_every_width(population, query, c):
     served = HoughYForestIndex(PAPER_MODEL, c=c, leaf_capacity=4)
     paper = PaperForestIndex(PAPER_MODEL, c=c, leaf_capacity=4)

@@ -255,7 +255,7 @@ def test_an_exception_escaping_the_plan_leaves_the_catalog_as_it_was(
     service.register(5, 50.0, 1.0, 0.0)
     guarded = []
 
-    def guard(shard, op_name, write):
+    def guard(shard, op_name):
         guarded.append(shard)
         if len(guarded) == 2:
             raise RuntimeError("guard failed")

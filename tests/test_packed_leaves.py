@@ -6,7 +6,7 @@ vectorised call.  Neither may be visible on the paper's axis or in an
 answer, so this file pins: the container against the list it replaces,
 the packed tree against the list-leaf tree page for page, the block
 read against ``range_items`` read for read, the column filter against
-the scalar predicate bit for bit — and the one thing that does change,
+the primal predicate record for record — and the one thing that does change,
 the bytes an object costs.
 """
 
@@ -24,7 +24,7 @@ from repro.bptree.tree import DELETE, INSERT, batch_order
 from repro.core import (
     LinearMotion1D,
     MobileObject1D,
-    hough_y_matches,
+    matches_1d,
     reflect_motion,
     reflect_query,
 )
@@ -325,15 +325,17 @@ def test_range_columns_reads_what_range_items_reads_anywhere(records, lo, hi):
     assert_same_reads(tree, lo, hi)
 
 
-# -- (d) the column filter is the scalar predicate, bit for bit ----------------
+# -- (d) the column filter is the primal predicate, record for record ----------
 
 
 def scalar_candidates(forest, query):
-    """The scan plan the way it ran before the leaves were packed: one
-    ``hough_y_matches`` call per record of ``range_items``."""
-    for key, oriented, y_r, lo, hi in forest.scan_plan(query):
-        for (_, b, oid), v in forest._trees[key].range_items(lo, hi):
-            yield oid, hough_y_matches(1.0 / v, b, oriented, y_r)
+    """The records of the scan plan read the way it ran before the
+    leaves were packed, ``range_items``, each judged by the primal
+    predicate ``matches_1d`` on its stored motion."""
+    motions = forest.motion_snapshot()
+    for key, _, _, lo, hi in forest.scan_plan(query):
+        for (_, _, oid), _ in forest._trees[key].range_items(lo, hi):
+            yield oid, matches_1d(motions[oid], query)
 
 
 def assert_filter_is_scalar(forest, query):

@@ -33,7 +33,6 @@ from repro.service import (
     FaultTolerantMotionService,
     RebalanceConfig,
     RebalanceController,
-    RetryPolicy,
 )
 from repro.service import rebalance
 from repro.service.service import ShardedMotionService
@@ -378,7 +377,6 @@ def test_replicated_rebalance_matches_oracle():
         shards=4,
         replication_factor=2,
         router="velocity",
-        retry=RetryPolicy(attempts=3, backoff_s=0.001, sleep=lambda s: None),
     )
     oracle = MotionDatabase(Y_MAX, V_MIN, V_MAX, method="forest")
     populate_skewed(service, 200, seed=4, oracle=oracle)

@@ -39,7 +39,6 @@ from repro.service import (
     FaultTolerantMotionService,
     RebalanceConfig,
     RebalanceController,
-    RetryPolicy,
 )
 from repro.storage import ALL_CRASH_POINTS
 from repro.storage.crashdrill import run_drill
@@ -62,17 +61,12 @@ MATRIX = [
 ]
 
 
-def fast_retry() -> RetryPolicy:
-    return RetryPolicy(attempts=3, backoff_s=0.001, sleep=lambda s: None)
-
-
 def make_service(directory, fsync, shards=3, replication=1, hook=None):
     return FaultTolerantMotionService(
         Y_MAX, V_MIN, V_MAX,
         shards=shards,
         replication_factor=replication,
         router="velocity",
-        retry=fast_retry(),
         wal_dir=str(directory),
         wal_fsync=fsync,
         wal_crash_hook=hook,

@@ -3,9 +3,9 @@
 The acceptance criteria of the fault-tolerance work, verified end to
 end:
 
-* with seeded fault injection (transient errors, latency spikes, a
-  mid-trace crash) and ``replication_factor=2``, the full query menu
-  is *identical* to a faultless single :class:`MotionDatabase`;
+* with two planned mid-trace crashes and ``replication_factor=2``,
+  the full query menu is *identical* to a faultless single
+  :class:`MotionDatabase`, and the run replays exactly;
 * with ``replication_factor=1`` and a dead shard, queries degrade to
   :class:`PartialResult` (naming the unavailable shard) instead of
   raising, and emit :class:`DegradedResultWarning`;
@@ -28,10 +28,8 @@ from repro.errors import (
 )
 from repro.service import (
     FaultInjector,
-    FaultSpec,
     FaultTolerantMotionService,
     PartialResult,
-    RetryPolicy,
 )
 from repro.workloads.serialization import population_to_json
 
@@ -43,18 +41,12 @@ pytestmark = [pytest.mark.chaos,
               pytest.mark.usefixtures("short_checkpoint_floor")]
 
 
-def fast_retry() -> RetryPolicy:
-    """Deterministic retries with no real sleeping."""
-    return RetryPolicy(attempts=5, backoff_s=0.001, sleep=lambda s: None)
-
-
 def make_service(shards=4, replication=2, injector=None, **kwargs):
     return FaultTolerantMotionService(
         Y_MAX, V_MIN, V_MAX,
         shards=shards,
         replication_factor=replication,
         fault_injector=injector,
-        retry=fast_retry(),
         **kwargs,
     )
 
@@ -77,44 +69,43 @@ def seed_population(service, oracle=None, n=60, seed=101):
     pytest.param(29, "batch:4", id="29-file-batch:4"),
 ])
 def test_chaos_r2_matches_faultless_single_database(seed, fsync, tmp_path):
-    """Replicated service under injected faults ≡ faultless oracle.
+    """Replicated service under injected crashes ≡ faultless oracle.
 
-    The injector fires transient errors and latency spikes everywhere
-    plus one crash on a victim shard mid-trace; ``replication=2``
-    means every answer must still come back complete and identical.
-    Down shards are recovered at every differential checkpoint, so
-    the crash is also exercised through the recovery path.  The
-    ``file`` legs run the same chaos over the on-disk WAL backend.
+    The injector crashes two shards that share no replica group, at
+    different points of the trace; ``replication=2`` means every
+    answer must still come back complete and identical.  Down shards
+    are recovered at every differential checkpoint, so both crashes
+    are also exercised through the recovery path.  The ``file`` legs
+    run the same chaos over the on-disk WAL backend.  A shard is up or
+    down, with no clock in between, so the same trace run twice gives
+    the same per-shard I/O and the same injector accounting.
     """
-    durable = (
-        {} if fsync is None
-        else {"wal_dir": str(tmp_path), "wal_fsync": fsync}
-    )
-    victim = seed % 4
-    injector = FaultInjector(
-        seed=seed,
-        default=FaultSpec(
-            error_rate=0.04, latency_rate=0.02, latency_s=0.0001
-        ),
-        per_shard={
-            victim: FaultSpec(error_rate=0.04, crash_on_op=45),
-        },
-        sleep=lambda s: None,
-    )
-    single = MotionDatabase(Y_MAX, V_MIN, V_MAX)
-    service = make_service(
-        shards=4, replication=2, injector=injector, **durable
-    )
+    victims = (seed % 4, (seed + 2) % 4)
 
-    def check(single_db, sharded, rng, now):
-        full_menu_check(single_db, sharded, rng, now)
-        for shard in sharded.down_shards():
-            sharded.recover_shard(shard)
+    def run(leg):
+        durable = (
+            {} if fsync is None
+            else {"wal_dir": str(tmp_path / leg), "wal_fsync": fsync}
+        )
+        injector = FaultInjector({victims[0]: 45, victims[1]: 70})
+        single = MotionDatabase(Y_MAX, V_MIN, V_MAX)
+        service = make_service(
+            shards=4, replication=2, injector=injector, **durable
+        )
 
-    drive(random.Random(seed), single, service, steps=150, check=check)
-    # The crash actually happened and was recovered from.
-    assert injector.snapshot()["injected"]["crashes"] == 1
-    assert service.service_stats()["fault_tolerance"]["recoveries"] >= 1
+        def check(single_db, sharded, rng, now):
+            full_menu_check(single_db, sharded, rng, now)
+            for shard in sharded.down_shards():
+                sharded.recover_shard(shard)
+
+        drive(random.Random(seed), single, service, steps=150, check=check)
+        io = [s["io"] for s in service.service_stats()["shard_state"]]
+        return single, service, injector.snapshot(), io
+
+    single, service, faults, io = run("a")
+    # Both crashes actually happened and were recovered from.
+    assert sorted(faults["crashed_shards"]) == sorted(victims)
+    assert service.service_stats()["fault_tolerance"]["recoveries"] == 2
     assert service.down_shards() == []
     # Nothing lost: the service's object set equals the oracle's.
     assert service.within(0.0, Y_MAX, single.now, single.now + 1.0) == (
@@ -130,6 +121,9 @@ def test_chaos_r2_matches_faultless_single_database(seed, fsync, tmp_path):
         assert stats["metrics"]["counters"]["wal_append"] > 0
         assert stats["metrics"]["counters"]["wal_fsync"] > 0
         service.close()
+    _, twin, twin_faults, twin_io = run("b")
+    assert (twin_faults, twin_io) == (faults, io)
+    twin.close()
 
 
 def test_r1_dead_shard_degrades_queries_instead_of_raising():

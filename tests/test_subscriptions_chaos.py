@@ -15,7 +15,6 @@ import pytest
 from repro.errors import InvalidMotionError, ObjectNotFoundError, ShardUnavailableError
 from repro.service import (
     FaultInjector,
-    FaultSpec,
     FaultTolerantMotionService,
     PartialResult,
     SubscriptionManager,
@@ -74,9 +73,7 @@ def test_injected_crash_then_wal_recovery_reconciles_with_oracle():
     keep acknowledging writes; after ``recover_shard`` the delta
     streams reconcile exactly with the oracle."""
     victim = 1
-    injector = FaultInjector(
-        seed=5, per_shard={victim: FaultSpec(crash_on_op=50)}
-    )
+    injector = FaultInjector({victim: 50})
     service = FaultTolerantMotionService(
         Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=2,
         fault_injector=injector,

@@ -2,7 +2,8 @@
 
 Every kernel in :mod:`repro.vector.kernels` claims either bit-identity
 with a scalar oracle (`mor_mask` / `snapshot_mask`) or exact agreement
-with the scalar dual machinery (`hough_y_exact_mask`).  Hypothesis
+with the scalar dual machinery (`hough_y_exact_mask`, whose ``sure``
+half never claims more than its slack-widened ``hit`` half).  Hypothesis
 sweeps random motions — including
 ``v = 0``, negative velocities and empty stores, which the columnar
 paths must handle exactly like the scalar ones.
@@ -125,9 +126,12 @@ def test_hough_y_exact_mask_matches_scalar(ms, query):
     _, y0, v, t0 = columns_of(ms).arrays()
     # The dual points (n, b) = (1/v, t0 + (y_r - y0)/v), computed with
     # the division chain of the scalar hough_y.
-    mask = hough_y_exact_mask(1.0 / v, t0 + (y_r - y0) / v, query, y_r)
+    mask, sure = hough_y_exact_mask(
+        1.0 / v, t0 + (y_r - y0) / v, query, y_r
+    )
     expected = [hough_y_matches(*hough_y(m, y_r), query, y_r) for m in ms]
     assert mask.tolist() == expected
+    assert not (sure & ~mask).any()
 
 
 # -- k-NN ---------------------------------------------------------------------
@@ -212,5 +216,6 @@ def test_all_kernels_on_empty_store():
     query = MORQuery1D(10.0, 20.0, 1.0, 5.0)
     assert mor_mask(y0, v, t0, query).tolist() == []
     assert snapshot_mask(y0, v, t0, 10.0, 20.0, 1.0).tolist() == []
-    assert hough_y_exact_mask(1.0 / v, t0 - y0 / v, query, 0.0).tolist() == []
+    hit, sure = hough_y_exact_mask(1.0 / v, t0 - y0 / v, query, 0.0)
+    assert hit.tolist() == sure.tolist() == []
     assert knn_select(oid, knn_distances(y0, v, t0, 5.0, 1.0), 3) == []

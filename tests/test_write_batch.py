@@ -28,9 +28,7 @@ from repro.service import (
     BandRouter,
     CrashPointInjector,
     FaultInjector,
-    FaultSpec,
     FaultTolerantMotionService,
-    RetryPolicy,
     ShardedMotionService,
     ShardWAL,
     SubscriptionManager,
@@ -301,7 +299,6 @@ def make_ft(directory, shards=3, replication=1, fsync="always", **kwargs):
         Y_MAX, V_MIN, V_MAX,
         shards=shards,
         replication_factor=replication,
-        retry=RetryPolicy(attempts=3, backoff_s=0.001, sleep=lambda s: None),
         wal_dir=str(directory),
         wal_fsync=fsync,
         **kwargs,
@@ -378,7 +375,7 @@ class TestWALStreams:
         still sync every live shard it wrote before acknowledging."""
         kwargs = {}
         if degraded == "injector":
-            kwargs["fault_injector"] = FaultInjector(seed=5)
+            kwargs["fault_injector"] = FaultInjector({})
         service = make_ft(tmp_path, shards=4, replication=2,
                           fsync="batch:32", **kwargs)
         registers = [
@@ -557,12 +554,12 @@ class TestWriteBatchChaos:
     def test_injector_armed_batches_equal_the_scalar_loop(
         self, tmp_path, router, seed
     ):
-        """Under injected transient faults and two shard crashes the
-        batch admits each planned step through the same guard as the
-        scalar verbs: same outcomes (``ShardUnavailableError`` for a
-        write whose whole group is down), catalog, down shards, fault
-        counts and shard contents — and the same state after
-        ``recover_shard`` and after a cold restore of the directory."""
+        """Under two injected shard crashes the batch admits each
+        planned step through the same guard as the scalar verbs: same
+        outcomes (``ShardUnavailableError`` for a write whose whole
+        group is down), catalog, down shards, fault counts and shard
+        contents — and the same state after ``recover_shard`` and after
+        a cold restore of the directory."""
         stream = build_stream(random.Random(seed), n=80, rounds=3)
 
         def build(name, directory, injector):
@@ -572,14 +569,7 @@ class TestWriteBatchChaos:
             )
 
         def injector():
-            return FaultInjector(
-                seed=seed,
-                default=FaultSpec(error_rate=0.1),
-                per_shard={
-                    1: FaultSpec(error_rate=0.1, crash_on_op=60),
-                    2: FaultSpec(error_rate=0.1, crash_on_op=110),
-                },
-            )
+            return FaultInjector({1: 60, 2: 110})
 
         def contents(service):
             return [db.motion_snapshot() for db in service._shards]
