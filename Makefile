@@ -1,6 +1,6 @@
 # Convenience targets for the mobile-object indexing reproduction.
 
-.PHONY: install check test property-explore durability-smoke soak-smoke soak-baseline perf-smoke perf bench paper-tables figures examples results clean
+.PHONY: install check test property-explore durability-smoke soak-smoke soak-baseline perf-smoke perf perf-pairs bench paper-tables figures examples results clean
 
 install:
 	python setup.py develop
@@ -88,6 +88,41 @@ perf-smoke:
 # shed, failed or lost operation).  A few minutes.
 perf:
 	python3 benchmarks/perf/run.py --seed 42
+
+# The pair protocol for a claimed gain: one workload at the committed
+# tree BASE (unpacked with git archive into a temp dir, removed after)
+# against the working tree, seeds 42 .. 42+PAIRS-1, one run a side and
+# seed, the side that goes first alternating.  Each side's records are
+# merged into PAIRS_OUT/{base,new}.json as {"runs": [...]} and
+# benchmarks/perf/compare.py judges them (non-zero exit on a worse,
+# unresolved or DIFFERENT row).  About PAIRS x 2 x 30 s at --seconds 10.
+#   make perf-pairs BASE=<rev> WORKLOAD=durable_10k PAIRS=10
+BASE ?= HEAD
+WORKLOAD ?= durable_10k
+PAIRS ?= 10
+PAIRS_OUT ?= .perf-pairs
+
+perf-pairs:
+	@set -e; base=$$(mktemp -d); trap 'rm -rf "$$base"' EXIT; \
+	git archive $(BASE) | tar -x -C "$$base"; \
+	rm -rf $(PAIRS_OUT); mkdir -p $(PAIRS_OUT); \
+	for i in $$(seq 0 $$(($(PAIRS) - 1))); do \
+		seed=$$((42 + i)); \
+		if [ $$((i % 2)) -eq 0 ]; then sides="base new"; \
+		else sides="new base"; fi; \
+		for side in $$sides; do \
+			if [ $$side = base ]; then root="$$base"; else root=.; fi; \
+			echo "perf-pairs: $(WORKLOAD) seed $$seed $$side"; \
+			python3 "$$root/benchmarks/perf/run.py" --workload $(WORKLOAD) \
+				--seed $$seed --out $(PAIRS_OUT)/$$side-$$seed.json \
+				> $(PAIRS_OUT)/$$side-$$seed.log; \
+		done; \
+	done; \
+	for side in base new; do \
+		python3 -c 'import json, sys; json.dump({"runs": [json.load(open(f)) for f in sys.argv[2:]]}, open(sys.argv[1], "w"), indent=1)' \
+			$(PAIRS_OUT)/$$side.json $(PAIRS_OUT)/$$side-*.json; \
+	done; \
+	python3 benchmarks/perf/compare.py $(PAIRS_OUT)/base.json $(PAIRS_OUT)/new.json
 
 # Every figure and ablation table under benchmarks/results/ (not the
 # perf ledger, which has its own targets, nor the paper-scale run),

@@ -53,9 +53,11 @@ class PackedRecords:
     def from_columns(cls, *fields: np.ndarray) -> "PackedRecords":
         """The records whose fields are the given arrays, in field
         order — each copied into an array of its column's type."""
-        records = cls()
-        for col, field in zip(records.columns, fields):
-            col.frombytes(np.asarray(field, dtype=col.typecode).tobytes())
+        records = cls.__new__(cls)
+        records.columns = tuple(
+            array(code, np.asarray(field, dtype=code).tobytes())
+            for code, field in zip(cls.TYPECODES, fields)
+        )
         return records
 
     def _views(self) -> Tuple[np.ndarray, ...]:

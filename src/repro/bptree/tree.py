@@ -424,7 +424,10 @@ class BPlusTree:
         for level in range(len(path) - 1, 0, -1):
             page, _ = path[level]
             parent, slot = path[level - 1]
-            if len(page.items) < self._min_fill(page):
+            if not page.items and len(parent.items) == 1:
+                self._drop_only_child(path[: level + 1])
+                changed = True
+            elif len(page.items) < self._min_fill(page):
                 changed = self._fix_underflow(parent, slot)
             else:
                 self.disk.write(page)
@@ -448,6 +451,35 @@ class BPlusTree:
             self._root_pid = child_pid
             self._height -= 1
             root = self.disk.read(child_pid)
+
+    def _drop_only_child(self, path: List[Tuple[Page, int]]) -> None:
+        """Free the path's node, emptied while the only child of its
+        parent: at capacity 3 a node may keep a single child (half of 3
+        is 1), and with no sibling there is nothing to borrow from or
+        merge with.  The parent is left with no entries, an underflow
+        the caller repairs a level up; an emptied leaf is first
+        unlinked from the chain."""
+        page, _ = path[-1]
+        parent, slot = path[-2]
+        if page.meta["kind"] == LEAF:
+            previous = self._previous_leaf(path)
+            if previous is not None:
+                previous.meta["next"] = page.meta["next"]
+                self.disk.write(previous)
+        del parent.items[slot]
+        self.disk.free(page.pid)
+
+    def _previous_leaf(self, path: List[Tuple[Page, int]]) -> Optional[Page]:
+        """The leaf chained before the path's leaf (``None``: it is the
+        first): the last leaf under the nearest left sibling of an
+        ancestor."""
+        for page, slot in reversed(path[:-1]):
+            if slot > 0:
+                node = self.disk.read(page.items[slot - 1][1])
+                while node.meta["kind"] == INTERNAL:
+                    node = self.disk.read(node.items[-1][1])
+                return node
+        return None
 
     def _fix_underflow(self, parent: Page, slot: int) -> bool:
         """Borrow from a sibling or merge; updates ``parent`` in place
@@ -523,40 +555,58 @@ class BPlusTree:
         A duplicate insert or an absent-key delete raises as the scalar
         call would, after the operations before it have been applied
         and written back.
+
+        This record loop (:meth:`_apply_leaf_run`) is every tree's run
+        and the oracle of the observation tree's columnar one
+        (:meth:`~repro.indexes.hough_y_forest.ObservationTree.
+        apply_sorted_columns`), which splices a long insert-only run
+        into the leaf's columns and hands every other run to it.
         """
         done = 0
         while done < len(ops):
             path = self._descend(ops[done][0])
-            done = self._apply_leaf_run(path, ops, done)
+            done = self._apply_leaf_run(
+                path, ops, done, self._next_separator(path)
+            )
 
     def _apply_leaf_run(
-        self, path: List[Tuple[Page, int]], ops: Sequence[BatchOp], start: int
+        self,
+        path: List[Tuple[Page, int]],
+        ops: Sequence[BatchOp],
+        start: int,
+        upper: Any,
     ) -> int:
         """Apply ``ops[start:]`` while they route to the path's leaf.
 
-        ``path`` is the descent for ``ops[start]``.  Inserts never end
-        the run: a leaf left over capacity is packed by the write-back.
-        Returns the index of the first operation left for the next run.
+        ``path`` is the descent for ``ops[start]`` and ``upper`` its
+        :meth:`_next_separator`.  Inserts never end the run: a leaf left
+        over capacity is packed by the write-back.  Returns the index
+        of the first operation left for the next run.
         """
         leaf, _ = path[-1]
-        upper = self._next_separator(path)
         min_fill = self._min_fill(leaf) if len(path) > 1 else 0
         # The leaf's summary, carried through the run record by record;
         # None once an operation cannot tell (or nothing is augmented),
         # which makes the write-back recompute it from the page — once.
         aggregate = self._stored_leaf_aggregate(path)
+        # The leaf's first key as stored, read when first needed and
+        # again only after an op at slot 0 (None: not read yet, or the
+        # leaf is empty) — a packed leaf rebuilds a record per read.
+        first = None
         error: Optional[Exception] = None
         underflow = False
         i = start
         while i < len(ops):
             key, kind, value = ops[i]
-            if i > start and (
-                (upper is not None and not key < upper)
+            if i > start:
+                if upper is not None and not key < upper:
+                    break
+                if first is None and leaf.items:
+                    first = leaf.items[0][0]
                 # The run deleted the leaf's minimum: once the separator
                 # is refreshed a smaller key routes to the leaf before.
-                or (leaf.items and key < leaf.items[0][0])
-            ):
-                break
+                if first is not None and key < first:
+                    break
             idx, found = self._find(leaf, key)
             if kind == INSERT:
                 if found:
@@ -565,6 +615,8 @@ class BPlusTree:
                 leaf.items.insert(idx, (key, value))
                 self._size += 1
                 i += 1
+                if idx == 0:
+                    first = None
                 if aggregate is not None:
                     aggregate = self._aggregate_after_insert(
                         aggregate, leaf.items[idx]
@@ -576,6 +628,8 @@ class BPlusTree:
                 record = leaf.items.pop(idx)
                 self._size -= 1
                 i += 1
+                if idx == 0:
+                    first = None
                 if aggregate is not None:
                     aggregate = self._aggregate_after_delete(aggregate, record)
                 if len(leaf.items) < min_fill:

@@ -46,12 +46,19 @@ A batch of ``m`` writes is cheaper: grouped into one key-sorted run per
 tree it costs ``O(c * (touched leaves + m/B))`` page accesses
 (:meth:`~repro.bptree.tree.BPlusTree.apply_sorted`), and past
 :data:`HoughYForestIndex.REBUILD_FRACTION` of the population one STR
-sort + pack of everything.
+sort + pack of everything.  A large group's CPU work is columns too:
+its keys come from one array pass (:meth:`HoughYForestIndex._placements`,
+the bulk build's own), each sign's trees are ordered by one
+``np.lexsort``, and a long insert-only leaf run is one merge of the
+leaf's columns (:meth:`ObservationTree.apply_sorted_columns`) — the
+same disk calls, in the same order, as the record loop (DESIGN.md
+§5.4).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import compress
 from typing import (
     Any,
     Callable,
@@ -113,8 +120,8 @@ class ObservationRecords(PackedRecords):
 class ObservationTree(BPlusTree):
     """One observation index: a :class:`~repro.bptree.tree.BPlusTree`
     whose leaves are :class:`ObservationRecords`.  It owns the record
-    layout and adds the block read; every structural operation is the
-    base class's."""
+    layout and adds the block read and the columnar grouped run; every
+    structural operation is the base class's."""
 
     leaf_items = ObservationRecords
 
@@ -125,6 +132,92 @@ class ObservationTree(BPlusTree):
     @staticmethod
     def _find(leaf: Page, key: Any) -> Tuple[int, bool]:
         return leaf.items.find(key)
+
+    def apply_sorted_columns(
+        self,
+        band: np.ndarray,
+        b: np.ndarray,
+        oid: np.ndarray,
+        kind: np.ndarray,
+        speed: np.ndarray,
+        min_run: int,
+    ) -> None:
+        """:meth:`~repro.bptree.tree.BPlusTree.apply_sorted` of the ops
+        ``((band[i], b[i], oid[i]), kind[i], speed[i])``, given as
+        columns in :data:`~repro.bptree.tree.batch_order`.
+
+        A leaf run of at least ``min_run`` inserts and nothing else is
+        one splice of the leaf's columns (:meth:`_splice`); every other
+        run, and a run the splice declines, is the base class's record
+        loop.  Descents, disk calls, pages and exceptions are the
+        record loop's for every run: a run's end is the first key not
+        below the leaf's next separator, where the loop stops an
+        insert-only run too (an insert never shrinks the leaf nor
+        raises its first key, so the loop's other two stops cannot
+        fire), and the write-back is the same
+        :meth:`~repro.bptree.tree.BPlusTree._propagate_after_growth`.
+        """
+        keys = list(zip(band.tolist(), b.tolist(), oid.tolist()))
+        ops = list(zip(keys, kind.tolist(), speed.tolist()))
+        if len(ops) < min_run:
+            self.apply_sorted(ops)
+            return
+        # deletes[i]: how many of ops[:i] are deletes.
+        deletes = [0, *np.cumsum(kind == DELETE).tolist()]
+        last = len(ops) - min_run  # the last start of a long enough run
+        done = 0
+        while done < len(ops):
+            path = self._descend(keys[done])
+            upper = self._next_separator(path)
+            # At least min_run inserts, all routed to the path's leaf?
+            if (
+                done <= last
+                and deletes[done + min_run] == deletes[done]
+                and (upper is None or keys[done + min_run - 1] < upper)
+            ):
+                end = (
+                    len(ops) if upper is None
+                    else bisect_left(keys, upper, done + min_run)
+                )
+                if deletes[end] == deletes[done] and self._splice(
+                    path, (band, b, oid, speed), done, end
+                ):
+                    done = end
+                    continue
+            done = self._apply_leaf_run(path, ops, done, upper)
+
+    def _splice(
+        self,
+        path: List[Tuple[Page, int]],
+        fields: Tuple[np.ndarray, ...],
+        start: int,
+        end: int,
+    ) -> bool:
+        """Insert the records ``fields[start:end]`` — all routed to the
+        path's leaf — as one merge of the leaf's columns, then write
+        back.  Declines, touching nothing, when a key would be
+        duplicated: the record loop raises there, after the inserts
+        before it."""
+        leaf, _ = path[-1]
+        # Copies: a numpy view of a live column must not outlive this
+        # line (see range_columns).
+        band, b, oid, speed = (
+            np.concatenate((np.frombuffer(col, col.typecode), field[start:end]))
+            for col, field in zip(leaf.items.columns, fields)
+        )
+        # The oid decides the order only between records tied on
+        # (band, b); sorting by it costs a third pass, so only then.
+        order = np.lexsort((b, band))
+        if _repeats(band[order], b[order]):
+            order = np.lexsort((oid, b, band))
+            if _repeats(band[order], b[order], oid[order]):
+                return False
+        leaf.items = self.leaf_items.from_columns(
+            band[order], b[order], oid[order], speed[order]
+        )
+        self._size += end - start
+        self._propagate_after_growth(path, self._stored_leaf_aggregate(path))
+        return True
 
     def range_columns(
         self, lo: Tuple, hi: Tuple
@@ -157,6 +250,15 @@ class ObservationTree(BPlusTree):
             leaf = self.disk.read(next_pid) if next_pid is not None else None
 
 
+def _repeats(*sorted_keys: np.ndarray) -> bool:
+    """Whether some row of the sorted key columns equals the row before
+    it in every column."""
+    same = np.ones(len(sorted_keys[0]) - 1, dtype=bool)
+    for key in sorted_keys:
+        same &= key[1:] == key[:-1]
+    return bool(same.any())
+
+
 @register_index
 class HoughYForestIndex(MobileIndex1D):
     """The §3.5.2 query-approximation index ("B+-forest"), as served.
@@ -183,6 +285,17 @@ class HoughYForestIndex(MobileIndex1D):
     #: Never rebuild below this batch size — fixed rebuild overhead
     #: dominates tiny populations.
     REBUILD_MIN_BATCH = 256
+    #: A grouped run splices an insert-only leaf run of at least this
+    #: many records into the leaf's columns in one merge
+    #: (:meth:`ObservationTree.apply_sorted_columns`); the record loop
+    #: is cheaper below it.  Measured, not derived: the break-even
+    #: probe of DESIGN.md §5.4.
+    SPLICE_MIN_RUN = 20
+    #: A grouped write of at least this many ops (deletes plus inserts)
+    #: is keyed, sorted and applied as columns; a smaller one record by
+    #: record, where numpy's fixed cost a call would outweigh the work
+    #: (the break-even probe of DESIGN.md §5.4).
+    COLUMNS_MIN_GROUP = 128
     #: Leaf fill factor used by batch-triggered rebuilds.
     REBUILD_FILL = 0.8
     #: Widest ``v_hi / v_lo`` of one speed band of the tree keys.  A
@@ -284,21 +397,18 @@ class HoughYForestIndex(MobileIndex1D):
             (model.admit_mask(oid, y0, v, t0) & model.moving_mask(v)).all()
         ) or (ordered[1:] == ordered[:-1]).any():
             index._raise_first_rejection(objects)
-        # Each sign's objects in their positive-velocity view (input
-        # order kept): band, start, speed, reference time, oid.
-        forward = v > 0
-        views = {}
-        for sign, chosen, start, speed in (
-            (1, forward, y0, v),
-            (-1, ~forward, model.terrain.y_max - y0, -v),
-        ):
-            start, speed = start[chosen], speed[chosen]
-            band = np.searchsorted(index.band_edges[1:-1], speed, "right")
-            views[sign] = (band, start, speed, t0[chosen], oid[chosen])
+        forward, band, speed, b = index._placements(y0, v, t0)
+        # Each sign's rows, input order kept: band, b a tree, oid, speed.
+        views = {
+            sign: (band[at], b[:, at], oid[at], speed[at])
+            for sign, at in (
+                (1, np.flatnonzero(forward)), (-1, np.flatnonzero(~forward))
+            )
+        }
         for sign, i in index._tree_keys():
-            band, start, speed, since, oids = views[sign]
+            bands, keys, oids, speeds = views[sign]
             records = ObservationRecords.from_columns(
-                band, since + (index.horizons[i] - start) / speed, oids, speed
+                bands, keys[i], oids, speeds
             )
             disk = DiskSimulator()
             capacity = index._tree_capacity(disk)
@@ -361,6 +471,21 @@ class HoughYForestIndex(MobileIndex1D):
         sign, oriented = self._oriented(motion)
         crossings = [oriented.time_at(y_r) for y_r in self.horizons]
         return sign, oriented.v, crossings
+
+    def _placements(
+        self, y0: np.ndarray, v: np.ndarray, t0: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_placement` and :meth:`_band` of many motions at once:
+        which move forward (sign 1), their bands, their speeds, and
+        their ``b`` in each observation tree, shape ``(c, n)``.  The
+        scalar float expressions in the scalar order, so every key is
+        bit for bit the scalar one."""
+        forward = v > 0
+        start = np.where(forward, y0, self.model.terrain.y_max - y0)
+        speed = np.where(forward, v, -v)
+        band = np.searchsorted(self.band_edges[1:-1], speed, "right")
+        b = t0 + (np.array(self.horizons)[:, None] - start) / speed
+        return forward, band, speed, b
 
     def _put(self, obj: MobileObject1D) -> None:
         """Index an admitted object: its records into every tree of its
@@ -487,26 +612,28 @@ class HoughYForestIndex(MobileIndex1D):
 
         An oid on both sides is an update.  The whole group is checked
         first (membership, model band and terrain), so a rejected group
-        leaves the forest untouched.  ``arriving`` is read as objects
-        (rows are built once).  Then every observation tree
-        receives its share of the group as **one** key-sorted run
-        (:meth:`~repro.bptree.tree.BPlusTree.apply_sorted`): a leaf the
-        batch touches many times is read and written once.
+        leaves the forest untouched.  Then every observation tree
+        receives its share of the group as **one** key-sorted run: a
+        leaf the batch touches many times is read and written once.  A
+        group of at least :data:`COLUMNS_MIN_GROUP` ops is columns
+        throughout (:meth:`_apply_columns`), a smaller one is keyed and
+        sorted record by record (:meth:`_apply_records`); the two build
+        the same trees.
         """
-        arriving = list(arriving)
-        gone = set(leaving)
-        if len(gone) != len(leaving):
-            raise DuplicateObjectError("an object is deleted twice in the batch")
-        departed = [self._held(oid) for oid in leaving]
-        seen: Set[int] = set()
-        for obj in arriving:
-            if obj.oid in seen or (obj.oid not in gone and obj.oid in self):
-                raise DuplicateObjectError(
-                    f"object {obj.oid} already indexed"
-                )
-            seen.add(obj.oid)
-            self._check(obj)
+        if len(leaving) + len(arriving) < self.COLUMNS_MIN_GROUP:
+            self._apply_records(leaving, arriving)
+        else:
+            self._apply_columns(leaving, arriving)
 
+    def _apply_records(
+        self, leaving: Sequence[int], arriving: Sequence[MobileObject1D]
+    ) -> None:
+        """The grouped write one record at a time: the scalar checks,
+        one ``(key, kind, value)`` tuple an op from :meth:`_placement`,
+        sorted by :data:`~repro.bptree.tree.batch_order` and applied by
+        :meth:`~repro.bptree.tree.BPlusTree.apply_sorted`."""
+        arriving = list(arriving)
+        departed = self._check_group(leaving, arriving)
         tree_ops: Dict[Tuple[int, int], List[BatchOp]] = {
             key: [] for key in self._trees
         }
@@ -528,6 +655,97 @@ class HoughYForestIndex(MobileIndex1D):
         for key, ops in tree_ops.items():
             ops.sort(key=batch_order)
             self._trees[key].apply_sorted(ops)
+
+    def _apply_columns(
+        self, leaving: Sequence[int], arriving: Sequence[MobileObject1D]
+    ) -> None:
+        """The grouped write as columns: ``arriving`` as
+        :class:`~repro.vector.columns.MotionRows`, the departing
+        motions gathered from the table, a few mask passes admit both
+        (a refusal runs :meth:`_check_group`, for its exception), one
+        :meth:`_placements` pass keys them all, one ``np.lexsort`` a
+        sign orders the ops of its ``c`` trees, and each tree takes its
+        ops as columns (:meth:`ObservationTree.apply_sorted_columns`,
+        which splices long insert-only leaf runs)."""
+        rows = MotionRows.of(arriving)
+        table = self._motions
+        gone = set(leaving)
+        admitted = (
+            len(gone) == len(leaving)
+            and len(set(rows.keys)) == len(rows)
+            and table.holds(leaving).all()
+            and not self._holds_moving(
+                [oid for oid in rows.keys if oid not in gone]
+            )
+            and self.model.admit_mask(rows.oid, rows.y0, rows.v, rows.t0).all()
+        )
+        if admitted:
+            y0, v, t0 = (
+                np.concatenate(halves)
+                for halves in zip(
+                    table.gather(leaving), (rows.y0, rows.v, rows.t0)
+                )
+            )
+        # Moving: every departing motion is held, every arriving one
+        # in the model's band.
+        if not admitted or not self.model.moving_mask(v).all():
+            self._check_group(leaving, arriving)
+            raise InvalidMotionError(
+                "batch holds a field no column can store"
+            )
+        if not self._shared:
+            table.apply_events(leaving, ())
+            table.apply_events((), rows)
+        out = len(leaving)
+        oid = np.concatenate((np.fromiter(leaving, np.int64, out), rows.oid))
+        kind = np.full(len(oid), INSERT, np.int8)
+        kind[:out] = DELETE
+        forward, band, speed, b = self._placements(y0, v, t0)
+        trees = np.arange(self.c)[:, None]
+        for sign, chosen in ((1, forward), (-1, ~forward)):
+            at = np.flatnonzero(chosen)
+            if len(at) == 0:
+                continue
+            # Row ``i``: the positions of tree ``i``'s ops in
+            # batch_order, one lexsort for all ``c`` trees of the sign.
+            # It is stable and the deletes come first, so a delete and
+            # an insert of one key need no kind column to keep order.
+            at = np.repeat(at[None], self.c, axis=0)
+            at = at[0][np.lexsort((oid[at], b[trees, at], band[at]))]
+            columns = band[at], b[trees, at], oid[at], kind[at], speed[at]
+            for i, fields in enumerate(zip(*columns)):
+                self._trees[(sign, i)].apply_sorted_columns(
+                    *fields, min_run=self.SPLICE_MIN_RUN
+                )
+
+    def _holds_moving(self, oids: Sequence[int]) -> bool:
+        """Whether the forest holds any of ``oids`` (its table holds
+        them with a moving motion)."""
+        held = self._motions.holds(oids)
+        return bool(held.any()) and bool(
+            self.model.moving_mask(
+                self._motions.gather(list(compress(oids, held)))[1]
+            ).any()
+        )
+
+    def _check_group(
+        self, leaving: Sequence[int], arriving: Sequence[MobileObject1D]
+    ) -> List[LinearMotion1D]:
+        """The scalar checks of a group, in order: the first offender's
+        exception, else the departing motions."""
+        gone = set(leaving)
+        if len(gone) != len(leaving):
+            raise DuplicateObjectError("an object is deleted twice in the batch")
+        departed = [self._held(oid) for oid in leaving]
+        seen: Set[int] = set()
+        for obj in arriving:
+            if obj.oid in seen or (obj.oid not in gone and obj.oid in self):
+                raise DuplicateObjectError(
+                    f"object {obj.oid} already indexed"
+                )
+            seen.add(obj.oid)
+            self._check(obj)
+        return departed
 
     def insert_batch(self, objs: Sequence[MobileObject1D]) -> None:
         """Bulk-load an empty forest; one grouped run per tree otherwise."""
@@ -558,8 +776,11 @@ class HoughYForestIndex(MobileIndex1D):
             len(objs) < self.REBUILD_MIN_BATCH
             or len(objs) < self.REBUILD_FRACTION * len(self)
         ):
-            arriving = list(objs)
-            self._apply_grouped([obj.oid for obj in arriving], arriving)
+            self._apply_grouped(
+                objs.keys if isinstance(objs, MotionRows)
+                else [obj.oid for obj in objs],
+                objs,
+            )
             return
         motions = self.motion_snapshot()
         for obj in objs:
