@@ -6,14 +6,16 @@ install:
 	python setup.py develop
 
 # Sanity gate: compile, the tier-1 suite (ROADMAP.md), the soak smoke
-# (both write entry points) and the SIGKILL drill, then the perf
-# ledger's own smoke.  One marker alone is
+# (both write entry points), the SIGKILL drill and the sixteen
+# byte-identical paper tables, then the perf ledger's own smoke.  One
+# marker alone is
 # `pytest -m chaos|subscription|batch|durability|soak|rebalance|writebatch|parallel`.
 check:
 	python -m compileall -q src
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} python -m pytest -x -q
 	$(MAKE) soak-smoke
 	$(MAKE) durability-smoke
+	$(MAKE) paper-tables
 	$(MAKE) perf-smoke
 
 test:
@@ -137,7 +139,7 @@ bench:
 # tables the R-tree family writes (Figures 6-9 and the TPR, planar,
 # segment-horizon and route ablations), each a .txt plus its
 # BENCH_*.json twin, and fail if any of the sixteen files differs from
-# its committed copy.  About two minutes; not part of check.
+# its committed copy.  About two minutes; part of check.
 PAPER_TABLES = fig6_query_io_10pct fig7_query_io_1pct fig8_space \
 	fig9_update_io ablation_tpr ablation_planar_dynamic \
 	ablation_segment_horizon ablation_routes

@@ -12,7 +12,11 @@ ask the full query menu —
 
 The database enforces the paper's update discipline (border crossings
 must be reported) and exposes the I/O accounting of everything
-underneath.
+underneath.  History is an archive of closed versions beside the
+object table (:class:`~repro.extensions.history.HistoryArchive`), not
+a layer around the index: a history database loads, writes and
+recovers through the same index path as any other, and a version is
+closed where the engine overwrites or drops its row.
 """
 
 from __future__ import annotations
@@ -29,14 +33,14 @@ from repro.core.model import (
 )
 from repro.core.queries import MOR1Query, MORQuery1D
 from repro.errors import InvalidMotionError, ObjectNotFoundError
-from repro.extensions.history import HistoricalIndex
+from repro.extensions.history import HistoryArchive
 from repro.extensions.joins import index_distance_join
 from repro.extensions.neighbors import knn_at
 from repro.indexes.base import MobileIndex1D
 from repro.indexes.dual_point import DualKDTreeIndex
 from repro.indexes.hough_y_forest import HoughYForestIndex
 from repro.indexes.hybrid import HybridIndex
-from repro.io_sim.stats import IOSnapshot
+from repro.io_sim.pager import DiskSimulator
 from repro.vector.columns import MotionColumns, WriteColumns
 from repro.vector.ops import (
     DeregisterOp,
@@ -72,7 +76,8 @@ class MotionDatabase:
         Fast-band index method: ``"forest"`` (§3.5.2, default) or
         ``"kdtree"`` (§3.5.1), or pass ``index_factory`` directly.
     keep_history:
-        Archive superseded motions and enable :meth:`query_past`.
+        Archive superseded motions beside the object table and enable
+        :meth:`query_past`.
     columns_factory:
         Override the object table's implementation (default
         :class:`~repro.vector.columns.MotionColumns`); the service's
@@ -103,12 +108,13 @@ class MotionDatabase:
         #: the database writes a row after the index call that changed
         #: the object, so during the call the row is the old motion.
         self._columns = (columns_factory or MotionColumns)()
-        base: MobileIndex1D = HybridIndex(self.model, fast_factory=factory)
-        base.share_motions(self._columns)
-        if keep_history:
-            base = HistoricalIndex(self.model, base)
-        self._index = base
-        self._history_enabled = keep_history
+        self._index = HybridIndex(self.model, fast_factory=factory)
+        self._index.share_motions(self._columns)
+        #: The §7 archive of closed versions (``None``: no history).  An
+        #: object's open version is its row, so a version is closed
+        #: after the index call that ends it and before the table write
+        #: that overwrites or drops the row (:meth:`_close`).
+        self._archive = HistoryArchive() if keep_history else None
         self._now = 0.0
         self._update_listeners: List[Callable[[WriteColumns], None]] = []
 
@@ -183,6 +189,7 @@ class MotionDatabase:
         motion = LinearMotion1D(y0, v, t0)
         self.model.check_admissible(motion, oid)
         self._index.update(MobileObject1D(oid, motion))
+        self._close([oid], t0)
         self._columns.upsert(oid, motion)
         self._now = max(self._now, t0)
         self._notify((ReportOp(oid, y0, v, t0),))
@@ -191,10 +198,8 @@ class MotionDatabase:
         """Remove an object (it left the system)."""
         if oid not in self._columns:
             raise ObjectNotFoundError(f"object {oid} is not registered")
-        if self._history_enabled:
-            self._index.delete(oid, now=self._now)  # type: ignore[call-arg]
-        else:
-            self._index.delete(oid)
+        self._index.delete(oid)
+        self._close([oid], self._now)
         self._columns.delete(oid)
         self._notify((DeregisterOp(oid),))
 
@@ -238,13 +243,12 @@ class MotionDatabase:
         (deletes, updates, inserts) lands the same final state as the
         interleaved submission order — while keeping each kind's group
         maximal, which is what lets the §3.5 forest amortize a storm
-        into one bulk rebuild.  With ``keep_history`` an applied
-        deregister also opens an epoch: the §7 archive closes its
-        version at the clock the ops before it set, while inserts and
-        updates of distinct oids commute there too.  The update
-        listeners, if any, get the applied ops' rows once per
-        batch.  Final state and answers are identical to calling the
-        scalar methods in the same order.
+        into one bulk rebuild.  With ``keep_history`` a report closes
+        its object's version at its own ``t0`` and a deregister at the
+        clock the applied ops before it set, so the archive needs no
+        epoch of its own.  The update listeners, if any, get the
+        applied ops' rows once per batch.  Final state and answers are
+        identical to calling the scalar methods in the same order.
         """
         batch = WriteColumns.of(ops)
         keys = batch.keys
@@ -288,23 +292,24 @@ class MotionDatabase:
             else:
                 outcomes[i] = self._refusal(batch[i])
         # Epochs: an applied op opens one when its oid applied in the
-        # open epoch; with history so does an applied deregister, which
-        # closes its version at the clock the ops before it set.
-        cuts = walked
-        if self._history_enabled:
-            cuts = sorted({*walked, *np.flatnonzero(deleting).tolist()})
+        # open epoch.
         starts, last = [0], {}
-        for i in cuts:
+        for i in walked:
             if applied[i]:
-                if last.get(keys[i], -1) >= starts[-1] or (
-                    self._history_enabled and deleting[i] and i > starts[-1]
-                ):
+                if last.get(keys[i], -1) >= starts[-1]:
                     starts.append(i)
                 last[keys[i]] = i
+        # With history, the clock each op sees: the database clock
+        # raised by the t0 of every applied op before it.
+        clock = None
+        if self._archive is not None:
+            clock = np.maximum.accumulate(np.concatenate((
+                [self._now], np.where(applied & ~deleting, batch.t0, -np.inf)
+            )))
         bounds = starts + [len(keys)]
         for lo, hi in zip(bounds, bounds[1:]):
             here = applied[lo:hi]
-            self._flush_epoch(batch, keys, *(
+            self._flush_epoch(batch, keys, clock, *(
                 (np.flatnonzero(here & (code[lo:hi] == kind)) + lo).tolist()
                 for kind in (_DELETE, _UPDATE, _INSERT)
             ))
@@ -319,6 +324,7 @@ class MotionDatabase:
         self,
         batch: WriteColumns,
         keys: List[int],
+        clock: Optional[np.ndarray],
         deletes: List[int],
         updates: List[int],
         inserts: List[int],
@@ -327,18 +333,14 @@ class MotionDatabase:
         fixed order deletes, updates, inserts.  Each group's rows land
         right after the index call that applied it, so during every
         call a row is the motion the index holds (a rebuild reads all
-        of them)."""
+        of them); with history, the versions a group ends are closed
+        in between — a deregister's at ``clock[i]``, a report's at its
+        own ``t0``."""
         if deletes:
             gone = [keys[i] for i in deletes]
-            if self._history_enabled:
-                # One delete an epoch, its first op: the clock the
-                # scalar call would see.
-                for oid in gone:
-                    self._index.delete(  # type: ignore[call-arg]
-                        oid, now=self._now
-                    )
-            else:
-                self._index.delete_batch(gone)
+            self._index.delete_batch(gone)
+            if clock is not None:
+                self._close(gone, clock[deletes])
             self._columns.apply_events(gone, ())
         for group, apply in (
             (updates, self._index.update_batch),
@@ -347,8 +349,16 @@ class MotionDatabase:
             if group:
                 rows = batch.rows(group)
                 apply(rows)
+                if group is updates:
+                    self._close(rows.keys, rows.t0)
                 self._columns.apply_events((), rows)
                 self._now = max(self._now, float(rows.t0.max()))
+
+    def _close(self, oids: Sequence[int], t_to) -> None:
+        """With history, archive the rows of ``oids`` — still the
+        versions a write ends — as valid until ``t_to``."""
+        if self._archive is not None:
+            self._archive.close(oids, *self._columns.gather(oids), t_to)
 
     def _refusal(self, op: WriteOp) -> InvalidMotionError:
         """The exception the scalar check raises for an op the
@@ -385,23 +395,23 @@ class MotionDatabase:
     @property
     def history_enabled(self) -> bool:
         """Whether this database archives superseded motion (§7)."""
-        return self._history_enabled
+        return self._archive is not None
 
     def history_snapshot(self) -> Optional[list]:
         """Archived (pre-checkpoint) motion versions, or ``None`` when
         history is disabled — the WAL includes this in checkpoints so
         recovery does not silently lose the §7 archive."""
-        if not self._history_enabled:
+        if self._archive is None:
             return None
-        return self._index.closed_versions()  # type: ignore[attr-defined]
+        return self._archive.closed_versions()
 
     def restore_history(self, versions: list) -> None:
         """Re-archive versions saved by :meth:`history_snapshot`."""
-        if not self._history_enabled:
+        if self._archive is None:
             raise InvalidMotionError(
                 "history is disabled; construct with keep_history=True"
             )
-        self._index.restore_archive(versions)  # type: ignore[attr-defined]
+        self._archive.restore(versions)
 
     def objects(self) -> List[MobileObject1D]:
         """The current population as mobile objects (a fresh list, in
@@ -486,33 +496,30 @@ class MotionDatabase:
         self, y1: float, y2: float, t1: float, t2: float
     ) -> Set[int]:
         """Historical MOR query (requires ``keep_history=True``)."""
-        if not self._history_enabled:
+        if self._archive is None:
             raise InvalidMotionError(
                 "history is disabled; construct with keep_history=True"
             )
-        return self._index.query_past(  # type: ignore[attr-defined]
-            MORQuery1D(y1, y2, t1, t2)
+        return self._archive.query(
+            MORQuery1D(y1, y2, t1, t2), *self._columns.arrays()
         )
 
     # -- accounting -------------------------------------------------------------------
+    #
+    # The index interface's helpers, over the index's disks and, with
+    # history, the archive's.
 
     @property
-    def pages_in_use(self) -> int:
-        return self._index.pages_in_use
+    def disks(self) -> Tuple[DiskSimulator, ...]:
+        """Every disk this database performs I/O on."""
+        disks = tuple(self._index.disks)
+        if self._archive is None:
+            return disks
+        return disks + (self._archive.disk,)
 
-    def io_snapshot(self) -> List[IOSnapshot]:
-        return self._index.snapshot()
-
-    def io_cost_since(self, snapshot: List[IOSnapshot]) -> int:
-        return self._index.io_cost_since(snapshot)
-
-    def io_delta_since(self, snapshot: List[IOSnapshot]) -> IOSnapshot:
-        """Read/write/hit breakdown since ``snapshot`` was captured."""
-        return self._index.io_delta_since(snapshot)
-
-    def attach_io_listener(self, listener) -> None:
-        """Mirror this database's page touches into ``listener``."""
-        self._index.attach_io_listener(listener)
-
-    def clear_buffers(self) -> None:
-        self._index.clear_buffers()
+    io_snapshot = snapshot = MobileIndex1D.snapshot
+    io_cost_since = MobileIndex1D.io_cost_since
+    io_delta_since = MobileIndex1D.io_delta_since
+    attach_io_listener = MobileIndex1D.attach_io_listener
+    pages_in_use = MobileIndex1D.pages_in_use
+    clear_buffers = MobileIndex1D.clear_buffers

@@ -6,7 +6,7 @@
   via a partially persistent motion archive.
 """
 
-from repro.extensions.history import HistoricalIndex
+from repro.extensions.history import HistoryArchive
 from repro.extensions.joins import (
     brute_force_distance_join,
     index_distance_join,
@@ -18,7 +18,7 @@ from repro.extensions.neighbors import KNNEngine, brute_force_knn, knn_at
 from repro.extensions.zones import SpeedZones, ZonedForestIndex
 
 __all__ = [
-    "HistoricalIndex",
+    "HistoryArchive",
     "KNNEngine",
     "SpeedZones",
     "ZonedForestIndex",

@@ -5,173 +5,115 @@
 historical queries.  This probably requires making the presented
 structures partially persistent."
 
-:class:`HistoricalIndex` keeps that history alongside any live index:
-every motion version an object ever had is archived with its *validity
-interval* ``[t_from, t_to)`` (from the update that created it to the
-update that superseded it) in an external interval index.  A **past**
-MOR query — "who was inside ``[y1, y2]`` at some instant of the past
-window ``[t1, t2]``?" — finds the motion versions whose validity
-overlaps the window and applies the exact predicate on the clipped
-validity, which is precisely the partial-persistence semantics the
-paper sketches, built from the library's own external interval tree.
+:class:`HistoryArchive` keeps that history beside a shard's object
+table: every motion version an object no longer has is archived with
+its *validity interval* ``[t_from, t_to]`` (from the update that created
+it to the update that superseded it, or the deregister that ended it)
+in an external interval index.  The version an object still has is its
+table row, valid from its ``t0`` until now, so the archive holds closed
+versions only and the shard's index is the same with history or
+without.  A **past** MOR query — "who was inside ``[y1, y2]`` at some
+instant of the past window ``[t1, t2]``?" — finds the archived versions
+whose validity overlaps the window, tests the open rows as arrays, and
+applies the exact predicate on the window clipped to each validity,
+which is precisely the partial-persistence semantics the paper
+sketches, built from the library's own external interval tree.
+
+Only each object's own versions need to be in time order: a version
+closes at the time its closer gives (a report's ``t0``, a deregister's
+clock — :class:`~repro.engine.MotionDatabase` decides which), and one
+that closes before it began was superseded before it held and is not
+archived.  No write is refused for its time.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Set, Tuple
+from typing import Sequence, Set
 
-from repro.core.model import LinearMotion1D, MobileObject1D, MotionModel
+import numpy as np
+
+from repro.core.model import LinearMotion1D
 from repro.core.queries import MORQuery1D
-from repro.errors import ObjectNotFoundError
-from repro.indexes.base import MobileIndex1D
 from repro.interval.tree import IntervalTree
-from repro.io_sim.layout import INTERVAL_ENTRY
 from repro.io_sim.pager import DiskSimulator
 
 
-class HistoricalIndex(MobileIndex1D):
-    """A live index plus a partially persistent archive of past motion.
+class HistoryArchive:
+    """The closed motion versions of one shard, on a disk of their own."""
 
-    * ``insert``/``update``/``delete`` maintain the wrapped live index
-      and close/open validity intervals in the archive;
-    * :meth:`query` serves the usual *future* MOR query from the live
-      index;
-    * :meth:`query_past` serves historical MOR queries from the archive.
+    def __init__(self) -> None:
+        self.disk = DiskSimulator()
+        self._tree = IntervalTree(self.disk)
 
-    Versions still live (no superseding update yet) carry an open right
-    end, archived as "until now".  Only each object's own versions need
-    to be in time order: a version closes at its successor's ``t0`` (or
-    at the delete time), and one whose close time is earlier than its
-    own start was superseded before it began and is not archived.
-    Writes of different objects may arrive in any time order, so no
-    write is refused for its time.
-    """
-
-    name = "historical"
-
-    def __init__(
+    def close(
         self,
-        model: MotionModel,
-        live: MobileIndex1D,
-        leaf_capacity: int | None = None,
+        oids: Sequence[int],
+        y0: np.ndarray,
+        v: np.ndarray,
+        t0: np.ndarray,
+        t_to,
     ) -> None:
-        super().__init__(model)
-        self._live = live
-        self._archive_disk = DiskSimulator()
-        capacity = leaf_capacity or INTERVAL_ENTRY.capacity(
-            self._archive_disk.page_size
-        )
-        self._archive = IntervalTree(self._archive_disk, capacity)
-        #: oid -> (current motion, pending-archive validity start)
-        self._open_versions: Dict[int, Tuple[LinearMotion1D, float]] = {}
-        self._now = -math.inf
-
-    # -- time bookkeeping ------------------------------------------------------
-
-    def _close_version(self, oid: int, t_to: float) -> None:
-        """Archive ``oid``'s open version as valid until ``t_to``,
-        unless it was superseded before it began."""
-        self._now = max(self._now, t_to)
-        motion, t_from = self._open_versions.pop(oid)
-        if t_to >= t_from:
-            self._archive.insert(t_from, t_to, (oid, motion))
-
-    # -- live maintenance ---------------------------------------------------------
-
-    def insert(self, obj: MobileObject1D) -> None:
-        self._now = max(self._now, obj.motion.t0)
-        self._live.insert(obj)
-        self._open_versions[obj.oid] = (obj.motion, obj.motion.t0)
-
-    def delete(self, oid: int, now: float | None = None) -> None:
-        """Remove ``oid``, closing its version at ``now`` (default: the
-        latest time this index has seen)."""
-        if oid not in self._open_versions:
-            raise ObjectNotFoundError(f"object {oid} is not indexed")
-        self._live.delete(oid)
-        self._close_version(oid, self._now if now is None else now)
-
-    def update(self, obj: MobileObject1D) -> None:
-        """Supersede the motion: close the old version at the new t0."""
-        if obj.oid not in self._open_versions:
-            raise ObjectNotFoundError(f"object {obj.oid} is not indexed")
-        self._close_version(obj.oid, obj.motion.t0)
-        self._live.update(obj)
-        self._open_versions[obj.oid] = (obj.motion, obj.motion.t0)
-
-    # -- recovery support -------------------------------------------------------
+        """Archive the versions ``(oids[i], y0[i], v[i], t0[i])`` as
+        valid from their ``t0`` until ``t_to`` (one time, or one per
+        version), leaving out each that closes before it began — one
+        grouped interval-tree write."""
+        t_to = np.broadcast_to(np.asarray(t_to, dtype=np.float64), t0.shape)
+        held = t_to >= t0
+        self._tree.apply_batch((), [
+            (t_from, t_end, (oid, LinearMotion1D(y, speed, t_from)))
+            for oid, y, speed, t_from, t_end in zip(
+                np.asarray(oids)[held].tolist(), y0[held].tolist(),
+                v[held].tolist(), t0[held].tolist(), t_to[held].tolist(),
+            )
+        ])
 
     def closed_versions(self) -> list:
-        """Every archived (superseded/departed) version, as portable
-        tuples ``(t_from, t_to, oid, y0, v, t0)`` in a deterministic
-        order — the checkpoint payload for history preservation."""
+        """Every archived version, as portable tuples ``(t_from, t_to,
+        oid, y0, v, t0)`` in a deterministic order — the checkpoint
+        payload for history preservation."""
         versions = [
             (t_from, t_to, oid, motion.y0, motion.v, motion.t0)
-            for t_from, t_to, (oid, motion) in self._archive.overlapping_items(
+            for t_from, t_to, (oid, motion) in self._tree.overlapping_items(
                 -math.inf, math.inf
             )
         ]
         versions.sort()
         return versions
 
-    def restore_archive(self, versions) -> None:
+    def restore(self, versions) -> None:
         """Re-insert archived versions saved by :meth:`closed_versions`."""
-        for t_from, t_to, oid, y0, v, t0 in versions:
-            self._archive.insert(
-                t_from, t_to, (int(oid), LinearMotion1D(y0, v, t0))
-            )
-            self._now = max(self._now, t_to)
+        self._tree.apply_batch((), [
+            (t_from, t_to, (int(oid), LinearMotion1D(y0, v, t0)))
+            for t_from, t_to, oid, y0, v, t0 in versions
+        ])
 
-    # -- queries --------------------------------------------------------------------
-
-    def query(self, query: MORQuery1D) -> Set[int]:
-        """The usual future-looking MOR query (live index)."""
-        return self._live.query(query)
-
-    def query_past(self, query: MORQuery1D) -> Set[int]:
-        """Historical MOR query: evaluated against archived versions.
+    def query(
+        self,
+        query: MORQuery1D,
+        oid: np.ndarray,
+        y0: np.ndarray,
+        v: np.ndarray,
+        t0: np.ndarray,
+    ) -> Set[int]:
+        """Historical MOR query over the archive and the open rows
+        ``(oid, y0, v, t0)`` (the object table's columns).
 
         A version matches when the object satisfied the range predicate
         at some instant of ``[t1, t2]`` *clipped to the version's
-        validity*.  Open (still-live) versions participate with their
-        validity extended to "now".
+        validity*; an open row is valid from its ``t0`` on.
         """
+        t1, t2, y1, y2 = query.t1, query.t2, query.y1, query.y2
         result: Set[int] = set()
-        for t_from, t_to, (oid, motion) in self._archive.overlapping_items(
-            query.t1, query.t2
+        for t_from, t_to, (key, motion) in self._tree.overlapping_items(
+            t1, t2
         ):
-            if self._version_matches(
-                motion, query, max(query.t1, t_from), min(query.t2, t_to)
-            ):
-                result.add(oid)
-        for oid, (motion, t_from) in self._open_versions.items():
-            if t_from > query.t2:
-                continue
-            if self._version_matches(
-                motion, query, max(query.t1, t_from), query.t2
-            ):
-                result.add(oid)
+            a = motion.position(max(t1, t_from))
+            b = motion.position(min(t2, t_to))
+            if min(a, b) <= y2 and max(a, b) >= y1:
+                result.add(key)
+        a = y0 + v * (np.maximum(t0, t1) - t0)
+        b = y0 + v * (t2 - t0)
+        hit = (t0 <= t2) & (np.minimum(a, b) <= y2) & (np.maximum(a, b) >= y1)
+        result.update(oid[hit].tolist())
         return result
-
-    @staticmethod
-    def _version_matches(
-        motion: LinearMotion1D, query: MORQuery1D, t_lo: float, t_hi: float
-    ) -> bool:
-        """Exact predicate on the window clipped to the version validity."""
-        if t_lo > t_hi:
-            return False
-        lo = min(motion.position(t_lo), motion.position(t_hi))
-        hi = max(motion.position(t_lo), motion.position(t_hi))
-        return lo <= query.y2 and hi >= query.y1
-
-    def __len__(self) -> int:
-        return len(self._open_versions)
-
-    @property
-    def archived_versions(self) -> int:
-        return len(self._archive)
-
-    @property
-    def disks(self) -> Sequence[DiskSimulator]:
-        return tuple(self._live.disks) + (self._archive_disk,)

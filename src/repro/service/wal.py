@@ -54,9 +54,10 @@ as working state and writes *through* a persistence backend:
 :meth:`recover` rebuilds a fresh database: the checkpoint rows (in
 oid order, whatever order the writes came in) and the log tail as one ``apply_batch``,
 which an empty index answers with a bulk build.  A ``keep_history=True``
-shard first restores the archive the checkpoint carries and then takes
-the same batch: the archive orders versions per object, so rows in oid
-order are as good as any.
+shard first restores the archive of closed versions the checkpoint
+carries and then takes the same batch through the same index, so its
+recovery is the same bulk build: the archive orders versions per
+object, so rows in oid order are as good as any.
 
 History-enabled shards are fully recovered: checkpoints written by
 this version embed the §7 archive (``history`` payload key), so the

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LinearMotion1D, MORQuery1D, MobileObject1D, brute_force_1d
+from repro.engine import MotionDatabase
 from repro.errors import InvalidQueryError, ObjectNotFoundError
 from repro.extensions import (
-    HistoricalIndex,
     KNNEngine,
     brute_force_distance_join,
     brute_force_knn,
@@ -201,80 +201,88 @@ class TestVelocityBandForest:
 
 
 class TestHistoricalIndex:
+    """History over any index: a history database whose fast band is a
+    small-leaf kd-tree."""
+
     def make(self):
-        return HistoricalIndex(
-            PAPER_MODEL, DualKDTreeIndex(PAPER_MODEL, leaf_capacity=8)
+        return MotionDatabase(
+            PAPER_MODEL.terrain.y_max, PAPER_MODEL.v_min, PAPER_MODEL.v_max,
+            keep_history=True,
+            index_factory=lambda model: DualKDTreeIndex(model, leaf_capacity=8),
         )
 
     def test_live_queries_still_work(self):
-        index = self.make()
+        db = self.make()
         rng = random.Random(23)
         objects = random_objects(rng, 80, t0_max=10.0)
         for obj in objects:
-            index.insert(obj)
+            db.register(obj.oid, obj.motion.y0, obj.motion.v, obj.motion.t0)
         for query in random_queries(rng, 10, t_now=20.0):
-            assert index.query(query) == brute_force_1d(objects, query)
+            assert db.within(
+                query.y1, query.y2, query.t1, query.t2
+            ) == brute_force_1d(objects, query)
 
     def test_past_query_sees_superseded_motion(self):
-        index = self.make()
+        db = self.make()
         # Object 1 heads up from 100 at t=0, then reverses at t=50.
-        index.insert(MobileObject1D(1, LinearMotion1D(100.0, 1.0, 0.0)))
-        index.update(MobileObject1D(1, LinearMotion1D(150.0, -1.0, 50.0)))
+        db.register(1, 100.0, 1.0, 0.0)
+        db.report(1, 150.0, -1.0, 50.0)
         # During [20, 30] it was around 120..130 (the OLD motion).
-        assert index.query_past(MORQuery1D(115.0, 135.0, 20.0, 30.0)) == {1}
+        assert db.query_past(115.0, 135.0, 20.0, 30.0) == {1}
         # The live index, extrapolating the new motion backwards, would
         # be wrong about the past — the archive is what answers.
-        assert index.query_past(MORQuery1D(165.0, 185.0, 20.0, 30.0)) == set()
+        assert db.query_past(165.0, 185.0, 20.0, 30.0) == set()
 
     def test_past_query_clips_validity(self):
-        index = self.make()
-        index.insert(MobileObject1D(1, LinearMotion1D(0.0, 1.0, 0.0)))
-        index.update(MobileObject1D(1, LinearMotion1D(0.0, 1.0, 40.0)))
+        db = self.make()
+        db.register(1, 0.0, 1.0, 0.0)
+        db.report(1, 0.0, 1.0, 40.0)
         # Old version valid [0, 40): it never reached y=80 while valid;
         # a past query about [75, 85] x [30, 39] must be empty even
         # though unbounded extrapolation would say yes at t=80.
-        assert index.query_past(MORQuery1D(75.0, 85.0, 30.0, 39.0)) == set()
+        assert db.query_past(75.0, 85.0, 30.0, 39.0) == set()
         # But position 35 at t=35 was real.
-        assert index.query_past(MORQuery1D(30.0, 40.0, 30.0, 39.0)) == {1}
+        assert db.query_past(30.0, 40.0, 30.0, 39.0) == {1}
 
     def test_deleted_objects_remain_in_history(self):
-        index = self.make()
-        index.insert(MobileObject1D(1, LinearMotion1D(500.0, 1.0, 0.0)))
-        index.delete(1, now=30.0)
-        assert len(index) == 0
-        assert index.archived_versions == 1
-        assert index.query_past(MORQuery1D(495.0, 530.0, 0.0, 25.0)) == {1}
+        db = self.make()
+        db.register(1, 500.0, 1.0, 0.0)
+        db.restore_clock(30.0)  # a deregister closes at the clock
+        db.deregister(1)
+        assert len(db) == 0
+        assert len(db.history_snapshot()) == 1
+        assert db.query_past(495.0, 530.0, 0.0, 25.0) == {1}
         # After its deletion the object no longer exists.
-        assert index.query_past(MORQuery1D(0.0, 1000.0, 31.0, 60.0)) == set()
+        assert db.query_past(0.0, 1000.0, 31.0, 60.0) == set()
 
     def test_time_ordering_enforced(self):
         """Time order is per object: writes of different objects may
         come in any order, and a version superseded before it began is
         left out of the archive."""
-        index = self.make()
-        index.insert(MobileObject1D(1, LinearMotion1D(0.0, 1.0, 100.0)))
+        db = self.make()
+        db.register(1, 0.0, 1.0, 100.0)
         # Behind object 1's time, but object 2 has no earlier version.
-        index.insert(MobileObject1D(2, LinearMotion1D(0.0, 1.0, 50.0)))
-        assert index.query_past(MORQuery1D(5.0, 25.0, 60.0, 70.0)) == {2}
+        db.register(2, 0.0, 1.0, 50.0)
+        assert db.query_past(5.0, 25.0, 60.0, 70.0) == {2}
         # A report older than object 2's current motion: the version
         # that began at 50 ended at 40, so it never held.
-        index.update(MobileObject1D(2, LinearMotion1D(500.0, 1.0, 40.0)))
-        assert index.archived_versions == 0
-        assert index.query_past(MORQuery1D(0.0, 20.0, 50.0, 60.0)) == set()
-        assert index.query_past(MORQuery1D(510.0, 530.0, 50.0, 60.0)) == {2}
+        db.report(2, 500.0, 1.0, 40.0)
+        assert len(db.history_snapshot()) == 0
+        assert db.query_past(0.0, 20.0, 50.0, 60.0) == set()
+        assert db.query_past(510.0, 530.0, 50.0, 60.0) == {2}
         # A later report closes the version that did hold, as usual.
-        index.update(MobileObject1D(2, LinearMotion1D(0.0, 1.0, 120.0)))
-        assert index.archived_versions == 1
-        assert index.query_past(MORQuery1D(545.0, 555.0, 0.0, 200.0)) == {2}
+        db.report(2, 0.0, 1.0, 120.0)
+        assert len(db.history_snapshot()) == 1
+        assert db.query_past(545.0, 555.0, 0.0, 200.0) == {2}
         with pytest.raises(ObjectNotFoundError):
-            index.update(MobileObject1D(9, LinearMotion1D(0.0, 1.0, 200.0)))
+            db.report(9, 0.0, 1.0, 200.0)
         with pytest.raises(ObjectNotFoundError):
-            index.delete(9)
+            db.deregister(9)
 
     def test_past_matches_replayed_brute_force(self):
         """Archive answers equal a replay of the true motion history."""
         rng = random.Random(29)
-        index = self.make()
+        db = self.make()
         history = {}  # oid -> list of (t_from, motion)
         t = 0.0
         for oid in range(40):
@@ -283,7 +291,7 @@ class TestHistoricalIndex:
                 rng.choice([-1, 1]) * rng.uniform(0.16, 1.66),
                 t,
             )
-            index.insert(MobileObject1D(oid, motion))
+            db.register(oid, motion.y0, motion.v, motion.t0)
             history[oid] = [(t, motion)]
         for step in range(60):
             t += 5.0
@@ -293,7 +301,7 @@ class TestHistoricalIndex:
                 rng.choice([-1, 1]) * rng.uniform(0.16, 1.66),
                 t,
             )
-            index.update(MobileObject1D(oid, motion))
+            db.report(oid, motion.y0, motion.v, motion.t0)
             history[oid].append((t, motion))
         horizon = t
 
@@ -323,4 +331,6 @@ class TestHistoricalIndex:
             query = MORQuery1D(
                 y1, y1 + rng.uniform(5, 100), t1, t1 + rng.uniform(0, 20)
             )
-            assert index.query_past(query) == replay(query)
+            assert db.query_past(
+                query.y1, query.y2, query.t1, query.t2
+            ) == replay(query)

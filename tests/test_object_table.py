@@ -17,7 +17,8 @@ objects, as real clients send them, history on and off, fields given as
 ``float``, ``int`` or ``numpy.float64`` — and after every step
 holds the system to a ``{oid: (y0, v, t0)}`` model: ``len``, ``in``,
 motions bit for bit, ``objects()``, the table rows, scalar and batch
-answers, and the invariants of every tree.
+answers, and the invariants of every tree — and a history database's
+``query_past`` to a log of the versions it closed.
 """
 
 import math
@@ -41,6 +42,8 @@ from repro.vector.ops import (
     SnapshotAt,
     Within,
 )
+
+from .helpers import same_pages
 
 Y_MAX, V_MIN, V_MAX = 1000.0, 0.16, 1.66
 OIDS = 6
@@ -103,21 +106,68 @@ def as_op(write, t0):
     return (RegisterOp if kind == "register" else ReportOp)(oid, *fields)
 
 
-def expect(model, op):
+def expect(model, op, log=None):
     """The refusal the scalar verb gives ``op`` (``None``: applied, and
-    ``model`` updated)."""
+    ``model`` updated, and ``log`` when given)."""
     registered = op.oid in model
     if isinstance(op, RegisterOp) and registered:
         return InvalidMotionError
     if not isinstance(op, RegisterOp) and not registered:
         return ObjectNotFoundError
     if isinstance(op, DeregisterOp):
+        if log is not None:
+            log.close(op.oid, model[op.oid], log.clock)
         del model[op.oid]
         return None
     if not (abs(op.v) <= V_MAX and 0.0 <= op.y0 <= Y_MAX):
         return InvalidMotionError
+    if log is not None:
+        if registered:
+            log.close(op.oid, model[op.oid], float(op.t0))
+        log.clock = max(log.clock, float(op.t0))
     model[op.oid] = (op.y0, op.v, op.t0)
     return None
+
+
+class VersionLog:
+    """The §7 archive's model beside ``{oid: (y0, v, t0)}``: the closed
+    versions ``(oid, y0, v, t_from, t_to)`` and the clock a deregister
+    closes at, the largest ``t0`` of the writes applied so far.  A
+    report closes the old version at its own ``t0``; a version closed
+    before it began is dropped."""
+
+    def __init__(self):
+        self.closed, self.clock = [], 0.0
+
+    def close(self, oid, motion, t_to):
+        y0, v, t_from = map(float, motion)
+        if t_to >= t_from:
+            self.closed.append((oid, y0, v, t_from, t_to))
+
+    def past(self, model, y1, y2, t1, t2):
+        """Who was inside ``[y1, y2]`` at some instant of ``[t1, t2]``
+        clipped to a version's validity (an open one's ends at ``t2``)."""
+        found = set()
+        for oid, y0, v, t_from, t_to in self.closed + [
+            (oid, *map(float, motion), t2) for oid, motion in model.items()
+        ]:
+            t_lo, t_hi = max(t1, t_from), min(t2, t_to)
+            if t_lo > t_hi:
+                continue
+            motion = LinearMotion1D(y0, v, t_from)
+            a, b = motion.position(t_lo), motion.position(t_hi)
+            if min(a, b) <= y2 and max(a, b) >= y1:
+                found.add(oid)
+        return found
+
+
+def past_windows(clock):
+    """Three past windows, reaching back past the lagging ``t0``s."""
+    return [
+        (0.0, Y_MAX / 2, clock - 7.0, clock - 1.0),
+        (250.0, 750.0, clock - 3.0, clock - 3.0),
+        (0.0, Y_MAX, clock - 12.0, clock + 5.0),
+    ]
 
 
 def scalar_write(system, op):
@@ -145,12 +195,10 @@ def databases(system):
 def trees(db):
     """Every tree of a shard: the archive, the forest's observation
     trees and the slow store's tree."""
-    index = db._index
     if db.history_enabled:
-        yield index._archive
-        index = index._live
-    yield from index._fast._trees.values()
-    yield index._slow._tree
+        yield db._archive._tree
+    yield from db._index._fast._trees.values()
+    yield db._index._slow._tree
 
 
 def check_shard(db):
@@ -166,7 +214,7 @@ def check_shard(db):
         assert all(type(x) is float for x in (got.y0, got.v, got.t0))
         assert bits(got) == bits(motion)
     model = db.model
-    forest = db._index._live._fast if db.history_enabled else db._index._fast
+    forest = db._index._fast
     per_tree = {key: 0 for key in forest._trees}
     for motion in rows.values():
         if model.is_moving(motion):
@@ -223,6 +271,14 @@ def check(system, model, clock, oids=range(OIDS)):
 
 
 def run(system, model, plan):
+    """Apply ``plan`` to ``system`` and ``model``, checking after every
+    step.  A history database is also held to a :class:`VersionLog` on
+    :func:`past_windows`.  The services' history legs are not: each
+    shard closes a deregister at its own clock, which waits for ROADMAP
+    item 6 (a deregister that carries its close time)."""
+    log = None
+    if isinstance(system, MotionDatabase) and system.history_enabled:
+        log = VersionLog()
     clock, last_t0 = 0, {}
     for batched, batch in plan:
         ops = []
@@ -231,13 +287,16 @@ def run(system, model, plan):
             oid, lag = write[1], write[-1]
             t0 = last_t0[oid] = max(last_t0.get(oid, 0), clock - lag)
             ops.append(as_op(write, t0))
-        wanted = [expect(model, op) for op in ops]
+        wanted = [expect(model, op, log) for op in ops]
         if batched:
             got = system.apply_batch(ops)
         else:
             got = [scalar_write(system, op) for op in ops]
         assert [type(g) if g else None for g in got] == wanted
         check(system, model, clock)
+        if log is not None:
+            for window in past_windows(clock):
+                assert system.query_past(*window) == log.past(model, *window)
 
 
 #: A crossing fast → slow → fast, then register → report → deregister
@@ -268,6 +327,16 @@ LAGGING = [
 ]
 
 
+#: A deregister in a batch closes at the clock the register before it
+#: set, not at the clock the batch found: oid 0 enters ``[0, 500]`` at
+#: t = 1.5, after the batch began and before it left.
+CLOSING = [
+    (False, [("register", 0, 500.5, -1.0, "float", 0)]),
+    (True, [("register", 1, 500.0, 1.0, "float", 0),
+            ("deregister", 0, 0.0, 0.0, "float", 0)]),
+]
+
+
 @pytest.mark.parametrize("keep_history", [False, True])
 @pytest.mark.parametrize("system", [
     "database", "sharded", "replicated",
@@ -276,6 +345,7 @@ LAGGING = [
 @settings(max_examples=25, deadline=None)
 @example(plan=CROSSINGS)
 @example(plan=LAGGING)
+@example(plan=CLOSING)
 @example(plan=[(True, [("register", 3, 999.5, -1.66, "float64", 0),
                        ("register", 4, 7.0, 1.2, "int", 1),
                        ("register", 3, 5.0, 0.5, "float", 0),
@@ -286,11 +356,13 @@ def test_every_write_path_keeps_one_table(system, keep_history, plan):
     run(build(system, keep_history), {}, plan)
 
 
+@pytest.mark.parametrize("keep_history", [False, True])
 @pytest.mark.parametrize("system", ["database", "sharded", "replicated"])
-def test_a_rebuilding_storm_keeps_one_table(system, monkeypatch):
+def test_a_rebuilding_storm_keeps_one_table(system, keep_history, monkeypatch):
     """A storm big enough for the forest to rebuild from the table, in
     one epoch with deletes, band crossings and registers: the rebuild
-    must see the deletes already gone and every other row still old."""
+    must see the deletes already gone and every other row still old —
+    with history too, whose shards take the same index path."""
     rebuilds = []
     bulk_build = HoughYForestIndex.bulk_build.__func__
     monkeypatch.setattr(HoughYForestIndex, "bulk_build", classmethod(
@@ -312,7 +384,7 @@ def test_a_rebuilding_storm_keeps_one_table(system, monkeypatch):
         ReportOp(oid, float(rng.uniform(0, Y_MAX)), speed(oid, 1), 1.0)
         for oid in range(n) if oid % 50 != 5
     ] + [RegisterOp(n + oid, 5.0 * oid, 1.0, 1.0) for oid in range(30)]
-    target, model = build(system, keep_history=False), {}
+    target, model = build(system, keep_history), {}
     for ops in (load, storm):
         rebuilds.clear()
         wanted = [expect(model, op) for op in ops]
@@ -320,3 +392,37 @@ def test_a_rebuilding_storm_keeps_one_table(system, monkeypatch):
         assert [type(g) if g else None for g in got] == wanted
         assert rebuilds
         check(target, model, 1.0, range(n + 30))
+
+
+def test_a_history_shard_writes_through_the_plain_index_path():
+    """The same load and report batch leave a history database's forest
+    page for page the plain one's, at the same page cost: history adds
+    an archive beside the table and changes nothing in the index."""
+    rng = np.random.default_rng(17)
+    n = 20_000
+    load = [
+        RegisterOp(oid, float(rng.uniform(0, Y_MAX)),
+                   float(rng.uniform(V_MIN, V_MAX) * rng.choice((1, -1))),
+                   0.0)
+        for oid in range(n)
+    ]
+    reports = [
+        ReportOp(oid, float(rng.uniform(0, Y_MAX)),
+                 float(rng.uniform(V_MIN, V_MAX) * rng.choice((1, -1))),
+                 1.0)
+        for oid in rng.choice(n, 1000, replace=False).tolist()
+    ]
+    plain, kept = (
+        MotionDatabase(Y_MAX, V_MIN, V_MAX, keep_history=keep)
+        for keep in (False, True)
+    )
+    for db in (plain, kept):
+        for ops in (load, reports):
+            assert db.apply_batch(ops) == [None] * len(ops)
+    assert len(kept.history_snapshot()) == len(reports)
+    forests = plain._index._fast._trees, kept._index._fast._trees
+    assert forests[0].keys() == forests[1].keys()
+    for key, tree in forests[0].items():
+        other = forests[1][key]
+        assert same_pages(tree, other), key
+        assert tree.disk.stats.snapshot() == other.disk.stats.snapshot(), key
