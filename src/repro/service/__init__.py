@@ -7,7 +7,7 @@
   variant (failover, graceful degradation via :class:`PartialResult`,
   WAL recovery);
 * :mod:`repro.service.continuous` — :class:`SubscriptionManager`,
-  standing ``snapshot``/``within``/``proximity`` queries maintained
+  standing ``snapshot``/``within`` queries maintained
   incrementally from boundary-crossing events (Lemma 3's closed-form
   roots) instead of per-tick re-evaluation;
 * :mod:`repro.service.faults` — :class:`FaultInjector`, which crashes

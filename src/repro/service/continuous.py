@@ -18,7 +18,7 @@ touched.  A motion update invalidates only the affected object's
 events (version counters make superseded heap entries inert) and
 re-derives its membership from the new motion.
 
-Three subscription kinds are supported, each with a one-shot oracle
+Two subscription kinds are supported, each with a one-shot oracle
 the incremental answer must equal at every instant ``t``:
 
 ``snapshot``
@@ -30,11 +30,6 @@ the incremental answer must equal at every instant ``t``:
     ``[t, t + horizon]`` — oracle
     ``service.within(y1, y2, t, t + horizon)``.  The membership
     interval is the crossing window stretched left by ``horizon``.
-``proximity``
-    unordered pairs closer than ``d`` at ``t`` — oracle
-    ``service.proximity_pairs(d, t, t)``.  The pair's *relative*
-    motion is linear too, so membership is its crossing window of the
-    band ``[-d, d]``.
 
 Intervals are closed on both ends, matching the inclusive comparisons
 of :func:`repro.core.predicates.matches_1d`; an ``enter`` event at
@@ -46,20 +41,24 @@ The manager observes writes through the update-listener hook of
 on :class:`~repro.engine.MotionDatabase` and the fault-tolerant
 service): one call per acknowledged write set, carrying the ops and
 their float64 rows as a :class:`~repro.vector.columns.WriteColumns`,
-which the manager walks row by row under one hold of its lock.
-Notifications are delivered in apply order, so the cached
-motion table tracks exactly the acknowledged service state — which is
-why subscriptions stay oracle-consistent across shard crashes and WAL
-recovery: recovery reconciles replicas, it never changes acknowledged
-state.  While any shard is down, subscriptions are flagged
-``stale`` (the :class:`~repro.service.replication.PartialResult`
-discipline lifted to standing queries) instead of raising.
+which the manager walks row by row under one hold of its lock.  A
+written row is all a band membership needs, so the manager keeps no
+copy of the population: each subscription reads it once, when it
+opens (:meth:`SubscriptionManager._subscribe`), and from then on
+follows the write stream.  Notifications are delivered in apply order,
+so every subscription tracks exactly the acknowledged service state —
+which is why subscriptions stay oracle-consistent across shard
+crashes and WAL recovery: recovery reconciles replicas, it never
+changes acknowledged state.  While any shard is down, subscriptions
+are flagged ``stale`` (the
+:class:`~repro.service.replication.PartialResult` discipline lifted to
+standing queries) instead of raising.
 
 Live rebalancing needs no special handling here for the same reason:
 a rebalance move (the service's ``rehome``) carries an object *between
 shards* without changing its acknowledged motion.  The manager sees
-one ``ReportOp`` row per moved object, holding the motion it already
-tracks, so no membership changes and no delta is emitted — never a
+one ``ReportOp`` row per moved object, holding the object's current
+motion, so no membership changes and no delta is emitted — never a
 spurious insert/delete for the move.  Subscriptions therefore stay
 oracle-consistent through a rebalance; the soak with rebalances
 checks that with delta replay.
@@ -92,7 +91,6 @@ EXIT = "exit"
 #: Subscription kinds.
 KIND_SNAPSHOT = "snapshot"
 KIND_WITHIN = "within"
-KIND_PROXIMITY = "proximity"
 
 # Heap tie-break at equal event time: enters apply before exits so an
 # object touching a band boundary for an instant is reported present.
@@ -103,8 +101,7 @@ _RANK = {ENTER: 0, EXIT: 1}
 class SubscriptionDelta:
     """One incremental change to a standing result set.
 
-    ``key`` is an object id for band subscriptions and an ordered pair
-    ``(min_oid, max_oid)`` for proximity subscriptions.  ``time`` is
+    ``key`` is the id of the object that entered or left.  ``time`` is
     the instant the change takes effect: a crossing time for events
     fired by :meth:`SubscriptionManager.advance`, the subscription
     clock for changes caused by a motion update.
@@ -112,7 +109,7 @@ class SubscriptionDelta:
 
     time: float
     kind: str
-    key: object
+    key: int
     subscription_id: int
 
 
@@ -149,39 +146,36 @@ class Subscription:
     :meth:`~SubscriptionManager.drain_deltas` (which lock properly)."""
 
     __slots__ = (
-        "sid", "kind", "y1", "y2", "horizon", "d", "stale",
-        "_result", "_deltas", "_versions",
+        "sid", "kind", "y1", "y2", "horizon", "stale",
+        "_result", "_deltas", "_versions", "_overlay",
     )
 
     def __init__(
         self,
         sid: int,
         kind: str,
-        y1: Optional[float] = None,
-        y2: Optional[float] = None,
+        y1: float,
+        y2: float,
         horizon: Optional[float] = None,
-        d: Optional[float] = None,
     ) -> None:
         self.sid = sid
         self.kind = kind
         self.y1 = y1
         self.y2 = y2
         self.horizon = horizon
-        self.d = d
         self.stale = False
         self._result: set = set()
         self._deltas: List[SubscriptionDelta] = []
-        self._versions: Dict[object, int] = {}
+        self._versions: Dict[int, int] = {}
+        # While the subscription loads: the writes announced since it
+        # registered, oid -> motion (``None`` for a deregister).
+        self._overlay: Optional[Dict[int, Optional[LinearMotion1D]]] = {}
 
     def describe(self) -> Dict[str, object]:
         """A plain-dict view (kind, parameters, size, staleness)."""
-        params: Dict[str, object] = {}
-        if self.kind == KIND_PROXIMITY:
-            params["d"] = self.d
-        else:
-            params["y1"], params["y2"] = self.y1, self.y2
-            if self.kind == KIND_WITHIN:
-                params["horizon"] = self.horizon
+        params: Dict[str, object] = {"y1": self.y1, "y2": self.y2}
+        if self.kind == KIND_WITHIN:
+            params["horizon"] = self.horizon
         return {
             "sid": self.sid,
             "kind": self.kind,
@@ -203,8 +197,7 @@ class SubscriptionManager:
         query menu — :class:`~repro.engine.MotionDatabase`,
         :class:`~repro.service.service.ShardedMotionService` or
         :class:`~repro.service.replication.FaultTolerantMotionService`.
-        Attach the manager *before* concurrent write traffic starts so
-        the initial motion snapshot cannot race an unseen update.
+        The manager may attach at any time, under write traffic too.
     metrics:
         Registry for the event/delta/invalidation counters; defaults
         to the service's own registry so ``service_stats()`` shows the
@@ -229,15 +222,7 @@ class SubscriptionManager:
         self._next_sid = itertools.count(1)
         self._closed = False
         self._now = float(getattr(service, "now", 0.0))
-        self._motions: Dict[int, LinearMotion1D] = {}
-        # Listener first, snapshot second: an update landing in the
-        # gap is then seen at least once (possibly twice — idempotent)
-        # rather than never.
         service.attach_update_listener(self._on_update)
-        snapshot = dict(service.motion_snapshot())
-        with self._lock:
-            snapshot.update(self._motions)  # listener-delivered wins
-            self._motions = snapshot
         self._c_events = self.metrics.counter("subscription_events_fired")
         self._c_stale = self.metrics.counter("subscription_events_stale")
         self._c_deltas = self.metrics.counter("subscription_deltas_emitted")
@@ -276,30 +261,31 @@ class SubscriptionManager:
             raise InvalidQueryError(f"horizon must be >= 0, got {horizon}")
         return self._subscribe(KIND_WITHIN, y1=y1, y2=y2, horizon=horizon)
 
-    def subscribe_proximity(self, d: float) -> int:
-        """Standing distance join: unordered pairs within ``d`` now.
-
-        Note the cost model: a proximity subscription tracks one
-        membership interval per object *pair*, so subscribing is
-        O(n^2) in the population — fine for the simulator scales here,
-        but the quadratic is real.
-        """
-        if d < 0:
-            raise InvalidQueryError(f"distance must be >= 0, got {d}")
-        return self._subscribe(KIND_PROXIMITY, d=d)
-
-    def _subscribe(self, kind: str, **params) -> int:
-        y1, y2 = params.get("y1"), params.get("y2")
-        if y1 is not None and y1 > y2:
+    def _subscribe(
+        self, kind: str, y1: float, y2: float,
+        horizon: Optional[float] = None,
+    ) -> int:
+        """Register first, read second, then fold in what the read may
+        have missed: a write announced before registration is in the
+        read (a service announces a write before it releases the
+        write's locks), one announced after is in the overlay, which
+        wins.  The read runs outside the lock, as any call into the
+        service must."""
+        if y1 > y2:
             raise InvalidQueryError(f"empty band [{y1}, {y2}]")
         with self._lock:
             sid = next(self._next_sid)
-            sub = Subscription(sid, kind, **params)
+            sub = Subscription(sid, kind, y1, y2, horizon)
             self._subs[sid] = sub
-            # The one full evaluation this subscription ever needs:
-            # every key's membership interval, derived in closed form.
-            for key in self._keys(sub):
-                self._refresh_key(sub, key, self._now, emit=False)
+        population = dict(self._service.motion_snapshot())
+        with self._lock:
+            if self._subs.get(sid) is sub:  # not cancelled meanwhile
+                population.update(sub._overlay)
+                sub._overlay = None
+                # The one full evaluation this subscription ever needs:
+                # every object's membership interval, in closed form.
+                for oid, motion in population.items():
+                    self._refresh(sub, oid, motion, self._now, emit=False)
             self._c_probes.increment()
         return sid
 
@@ -355,7 +341,6 @@ class SubscriptionManager:
                 "by_kind": by_kind,
                 "stale": sum(1 for s in self._subs.values() if s.stale),
                 "heap_events": len(self._heap),
-                "tracked_objects": len(self._motions),
             }
 
     # -- the incremental hot path ------------------------------------------------
@@ -369,10 +354,10 @@ class SubscriptionManager:
         stale instead, mirroring ``PartialResult`` degradation.
         """
         with self._lock:
-            if t < self._now:
+            if not t >= self._now:  # NaN fails too
                 raise InvalidQueryError(
-                    f"advance({t}) would move time backwards from "
-                    f"{self._now}"
+                    f"advance({t}) is NaN or would move time backwards "
+                    f"from {self._now}"
                 )
             fired: List[SubscriptionDelta] = []
             heap = self._heap
@@ -422,14 +407,12 @@ class SubscriptionManager:
         with self._lock:
             sub = self._require(sid)
             kind = sub.kind
-            y1, y2, horizon, d = sub.y1, sub.y2, sub.horizon, sub.d
+            y1, y2, horizon = sub.y1, sub.y2, sub.horizon
             now = self._now
         self._c_naive.increment()
         if kind == KIND_SNAPSHOT:
             return self._service.snapshot_at(y1, y2, now)
-        if kind == KIND_WITHIN:
-            return self._service.within(y1, y2, now, now + horizon)
-        return self._service.proximity_pairs(d, now, now)
+        return self._service.within(y1, y2, now, now + horizon)
 
     # -- internals ---------------------------------------------------------------
 
@@ -439,38 +422,17 @@ class SubscriptionManager:
             raise ObjectNotFoundError(f"no subscription with id {sid}")
         return sub
 
-    def _keys(self, sub: Subscription) -> List[object]:
-        if sub.kind != KIND_PROXIMITY:
-            return list(self._motions)
-        oids = sorted(self._motions)
-        return [
-            (oids[i], oids[j])
-            for i in range(len(oids))
-            for j in range(i + 1, len(oids))
-        ]
-
+    @staticmethod
     def _interval(
-        self, sub: Subscription, key: object
+        sub: Subscription, motion: Optional[LinearMotion1D]
     ) -> Optional[Tuple[float, float]]:
-        """The closed time interval during which ``key`` satisfies the
-        subscription, or ``None`` if it never does.
+        """The closed time interval during which ``motion`` satisfies
+        the subscription, or ``None`` if it never does.
 
         Linear motion crosses a band at most once, so one interval
         captures the whole future (and past) — the closed-form root
         that makes event-driven maintenance possible.
         """
-        if sub.kind == KIND_PROXIMITY:
-            a, b = key
-            ma = self._motions.get(a)
-            mb = self._motions.get(b)
-            if ma is None or mb is None:
-                return None
-            # The pair's gap is itself linear: relative intercept and
-            # velocity, proximity = the relative track inside [-d, d].
-            c0 = (ma.y0 - ma.v * ma.t0) - (mb.y0 - mb.v * mb.t0)
-            relative = LinearMotion1D(c0, ma.v - mb.v, 0.0)
-            return relative.time_interval_in_range(-sub.d, sub.d)
-        motion = self._motions.get(key)
         if motion is None:
             return None
         window = motion.time_interval_in_range(sub.y1, sub.y2)
@@ -483,10 +445,16 @@ class SubscriptionManager:
             return (window[0] - sub.horizon, window[1])
         return window
 
-    def _refresh_key(
-        self, sub: Subscription, key: object, now: float, emit: bool
+    def _refresh(
+        self,
+        sub: Subscription,
+        key: int,
+        motion: Optional[LinearMotion1D],
+        now: float,
+        emit: bool,
     ) -> None:
-        """Re-derive one key's membership and future events.
+        """Re-derive one object's membership and future events from its
+        motion (``None``: not registered).
 
         Bumps the key's version (superseding any scheduled events),
         fixes up current membership — emitting a delta stamped ``now``
@@ -495,7 +463,7 @@ class SubscriptionManager:
         """
         version = sub._versions.get(key, 0) + 1
         sub._versions[key] = version
-        interval = self._interval(sub, key)
+        interval = self._interval(sub, motion)
         member = (
             interval is not None and interval[0] <= now <= interval[1]
         )
@@ -523,7 +491,7 @@ class SubscriptionManager:
                 self._push(hi, EXIT, sub.sid, key, version)
 
     def _push(
-        self, time_: float, kind: str, sid: int, key: object, version: int
+        self, time_: float, kind: str, sid: int, key: int, version: int
     ) -> None:
         heapq.heappush(
             self._heap,
@@ -531,35 +499,32 @@ class SubscriptionManager:
         )
 
     def _on_update(self, writes: WriteColumns) -> None:
-        """Update-listener hook: invalidate only what each written
-        object touches, row by row in submission order, under one lock
-        hold for the whole write set.
+        """Update-listener hook: refresh each subscription from the
+        written rows alone, row by row in submission order, under one
+        lock hold for the whole write set.  A loading subscription
+        records the rows in its overlay instead.
 
         Called by the service in apply order (while it holds the
         shard locks — hence: never call back into the service from
-        here).  The mirror takes the float64 fields of the rows.
+        here).
         """
         with self._lock:
-            if self._closed:
+            if self._closed or not self._subs:
                 return
+            refreshed = 0
             for op, y0, v, t0 in zip(
                 writes.ops, writes.y0.tolist(), writes.v.tolist(),
                 writes.t0.tolist(),
             ):
-                oid = op.oid
-                if type(op) is DeregisterOp:
-                    self._motions.pop(oid, None)
-                else:
-                    self._motions[oid] = LinearMotion1D(y0, v, t0)
+                motion = (
+                    None if type(op) is DeregisterOp
+                    else LinearMotion1D(y0, v, t0)
+                )
                 for sub in self._subs.values():
-                    if sub.kind == KIND_PROXIMITY:
-                        keys: List[object] = [
-                            (oid, other) if oid < other else (other, oid)
-                            for other in self._motions
-                            if other != oid
-                        ]
+                    if sub._overlay is not None:
+                        sub._overlay[op.oid] = motion
                     else:
-                        keys = [oid]
-                    for key in keys:
-                        self._refresh_key(sub, key, self._now, emit=True)
-                    self._c_invalidations.increment(len(keys))
+                        self._refresh(sub, op.oid, motion, self._now,
+                                      emit=True)
+                        refreshed += 1
+            self._c_invalidations.increment(refreshed)

@@ -93,7 +93,6 @@ class SoakConfig:
     batch_queries_per_tick: int = 32
     batch_size: int = 16
     subscriptions: int = 8
-    proximity_subs: int = 0
     horizon: float = 20.0
     crashes: int = 0
     restarts: int = 0
@@ -336,10 +335,6 @@ def _subscription_specs(
             specs.append(("snapshot", y1, y1 + length))
         else:
             specs.append(("within", y1, y1 + length, config.horizon))
-    for _ in range(config.proximity_subs):
-        specs.append(("proximity", rng.uniform(
-            scenario.y_max * 0.005, scenario.y_max * 0.02
-        )))
     return specs
 
 
@@ -351,10 +346,8 @@ def _subscribe_all(
     for spec in specs:
         if spec[0] == "snapshot":
             sid = manager.subscribe_snapshot(spec[1], spec[2])
-        elif spec[0] == "within":
-            sid = manager.subscribe_within(spec[1], spec[2], spec[3])
         else:
-            sid = manager.subscribe_proximity(spec[1])
+            sid = manager.subscribe_within(spec[1], spec[2], spec[3])
         logs[sid] = (manager.result(sid), [])
     return logs
 

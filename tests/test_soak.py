@@ -6,7 +6,9 @@ seconds:
 
 * determinism — two single-threaded runs from one seed produce
   byte-identical schedule *and* trace digests, with zero divergences
-  (what ``make soak-smoke`` runs from the CLI);
+  (what ``make soak-smoke`` runs from the CLI), and the smoke
+  configuration itself reproduces pinned digests on both write-batch
+  arms;
 * the multi-threaded mode survives a mid-storm shard kill with zero
   divergences at the quiescent check rounds;
 * the durable restart cycle (graceful close + ``restore_from_disk``)
@@ -74,6 +76,27 @@ class TestDeterminism:
         # transport choice, never a workload change.
         scalar = run_soak(small_config())
         assert first.schedule_sha256 == scalar.schedule_sha256
+
+    @pytest.mark.parametrize("write_batch", [1, 16])
+    def test_smoke_digests_are_pinned(self, write_batch):
+        """The ``make soak-smoke`` run, both write-batch arms, against
+        pinned digests: the trace covers every subscription delta, so
+        a change to subscription maintenance that moves one delta
+        fails here."""
+        report = run_soak(SoakConfig(
+            scenario="city", n=300, ticks=6, updates_per_tick=100,
+            horizon=8, shards=3, replication=2, subscriptions=8,
+            batch_queries_per_tick=24, batch_size=250, arrivals_per_tick=3,
+            departures_per_tick=2, crashes=1, check_every=2, seed=9,
+            write_batch_size=write_batch,
+        ))
+        assert report.divergences == 0, report.divergence_labels
+        assert report.schedule_sha256 == (
+            "e8e930a08b191b61cbe6dd650429d55298a2bd39f1f89f25d731d3e7c73ab369"
+        )
+        assert report.trace_sha256 == (
+            "2892dac89ab5486561688a23938421c41213feccf626f57a914a05d7e4b215ac"
+        )
 
     def test_different_seed_different_schedule(self):
         a = run_soak(small_config(ticks=3))

@@ -89,31 +89,6 @@ class TestBandSubscriptions:
         assert mgr.result(sid) == {1}
 
 
-class TestProximitySubscriptions:
-    def test_pair_crossing_window(self):
-        svc = make_service()
-        svc.register(1, 0.0, 1.0, 0.0)
-        svc.register(2, 100.0, -1.0, 0.0)  # gap 100 - 2t: within 10 on [45, 55]
-        mgr = SubscriptionManager(svc)
-        sid = mgr.subscribe_proximity(10.0)
-        assert mgr.result(sid) == frozenset()
-        assert [d.time for d in mgr.advance(50.0)] == [45.0]
-        assert mgr.result(sid) == {(1, 2)}
-        assert [d.time for d in mgr.advance(60.0)] == [55.0]
-        assert mgr.result(sid) == frozenset()
-
-    def test_parallel_pair_inside_distance_forever(self):
-        svc = make_service()
-        svc.register(1, 100.0, 1.0, 0.0)
-        svc.register(2, 104.0, 1.0, 0.0)  # constant gap 4
-        mgr = SubscriptionManager(svc)
-        sid = mgr.subscribe_proximity(5.0)
-        assert mgr.result(sid) == {(1, 2)}
-        mgr.advance(500.0)
-        assert mgr.result(sid) == {(1, 2)}
-        assert mgr.stats()["heap_events"] == 0  # no finite crossing
-
-
 class TestUpdatesInvalidate:
     def test_report_cancels_scheduled_entry(self):
         svc = make_service()
@@ -152,15 +127,58 @@ class TestUpdatesInvalidate:
         assert mgr.result(sid) == frozenset()
         assert [d.kind for d in mgr.drain_deltas(sid)] == [EXIT]
 
-    def test_deregister_drops_pairs(self):
+
+class TestSubscribeOverlay:
+    """A subscription reads the population outside the manager lock;
+    the writes announced during that read must win over it."""
+
+    @staticmethod
+    def race_the_read(svc, during):
+        """Make the service's next population read stale: it reads,
+        then runs ``during()``, then returns what it read."""
+        read = svc.motion_snapshot
+
+        def stale_read():
+            population = read()
+            during()
+            return population
+
+        svc.motion_snapshot = stale_read
+
+    @pytest.mark.parametrize("build", [
+        make_service,
+        lambda: FaultTolerantMotionService(
+            Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=2
+        ),
+    ], ids=["sharded", "fault_tolerant_r2"])
+    def test_writes_during_the_read_win(self, build):
+        svc = build()
+        svc.register(1, 100.0, 1.0, 0.0)
+        svc.register(2, 150.0, 1.0, 0.0)
+        mgr = SubscriptionManager(svc)
+
+        def writes():
+            svc.report(1, 150.0, 0.5, 0.0)  # moves in
+            svc.deregister(2)  # leaves
+            svc.register(3, 145.0, 1.0, 0.0)  # arrives inside
+
+        self.race_the_read(svc, writes)
+        sid = mgr.subscribe_snapshot(140.0, 160.0)
+        assert mgr.result(sid) == mgr.reevaluate(sid) == {1, 3}
+        # Folded-in writes are part of the initial set, not deltas.
+        assert mgr.drain_deltas(sid) == []
+
+    def test_cancelled_during_the_read_is_not_evaluated(self):
         svc = make_service()
         svc.register(1, 100.0, 1.0, 0.0)
-        svc.register(2, 104.0, 1.0, 0.0)
         mgr = SubscriptionManager(svc)
-        sid = mgr.subscribe_proximity(5.0)
-        assert mgr.result(sid) == {(1, 2)}
-        svc.deregister(2)
-        assert mgr.result(sid) == frozenset()
+        self.race_the_read(
+            svc, lambda: mgr.cancel(mgr.subscription_ids()[-1])
+        )
+        sid = mgr.subscribe_snapshot(140.0, 160.0)
+        with pytest.raises(ObjectNotFoundError):
+            mgr.result(sid)
+        assert mgr.stats()["heap_events"] == 0
 
 
 class TestLifecycleAndErrors:
@@ -171,14 +189,26 @@ class TestLifecycleAndErrors:
         with pytest.raises(InvalidQueryError):
             mgr.advance(5.0)
 
+    def test_advance_to_nan_rejected(self):
+        """A NaN target passes a ``t < now`` check; it must not fire
+        every scheduled event and poison the clock."""
+        svc = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=2)
+        svc.register(1, 100.0, 1.0, 0.0)  # inside [140, 160] on [40, 60]
+        svc.register(2, 500.0, 1.0, 0.0)
+        mgr = SubscriptionManager(svc)
+        sid = mgr.subscribe_snapshot(140.0, 160.0)
+        with pytest.raises(InvalidQueryError):
+            mgr.advance(float("nan"))
+        assert mgr.now == 0.0
+        mgr.advance(45.0)
+        assert mgr.result(sid) == mgr.reevaluate(sid) == {1}
+
     def test_bad_parameters_rejected(self):
         mgr = SubscriptionManager(make_service())
         with pytest.raises(InvalidQueryError):
             mgr.subscribe_snapshot(300.0, 200.0)
         with pytest.raises(InvalidQueryError):
             mgr.subscribe_within(0.0, 100.0, horizon=-1.0)
-        with pytest.raises(InvalidQueryError):
-            mgr.subscribe_proximity(-0.5)
 
     def test_unknown_subscription_rejected(self):
         mgr = SubscriptionManager(make_service())

@@ -49,9 +49,6 @@ def build_subscriptions(manager, rng):
         else:
             h = rng.uniform(2.0, 8.0)
             subs[manager.subscribe_within(y1, y2, h)] = ("within", (y1, y2, h))
-    subs[manager.subscribe_proximity(rng.uniform(4.0, 12.0))] = (
-        "proximity", None
-    )
     return subs
 
 

@@ -49,15 +49,12 @@ def test_churn_racing_advance_and_writes_stays_consistent():
     for i in range(PERSISTENT_SUBS):
         y1 = rng.uniform(0.0, Y_MAX * 0.8)
         y2 = y1 + rng.uniform(0.05, 0.2) * Y_MAX
-        if i % 3 == 0:
+        if i % 2 == 0:
             sid = manager.subscribe_within(y1, y2, rng.uniform(2.0, 8.0))
             persistent[sid] = ("within", (y1, y2))
-        elif i % 3 == 1:
+        else:
             sid = manager.subscribe_snapshot(y1, y2)
             persistent[sid] = ("snapshot", (y1, y2))
-        else:
-            sid = manager.subscribe_proximity(rng.uniform(3.0, 10.0))
-            persistent[sid] = ("proximity", None)
     initial = {sid: set(manager.result(sid)) for sid in persistent}
     collected = {sid: [] for sid in persistent}
 
@@ -145,13 +142,11 @@ def test_churn_racing_advance_and_writes_stays_consistent():
         if kind == "snapshot":
             y1, y2 = params
             assert result == service.snapshot_at(y1, y2, now), sid
-        elif kind == "within":
+        else:
             y1, y2 = params
             sub = manager.subscription(sid)
             h = sub["params"]["horizon"]
             assert result == service.within(y1, y2, now, now + h), sid
-        else:
-            assert result == manager.reevaluate(sid), sid
 
     counters = manager.metrics.snapshot()["counters"]
     assert counters["subscription_anomalies"] == 0
