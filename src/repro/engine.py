@@ -43,18 +43,15 @@ from repro.indexes.hybrid import HybridIndex
 from repro.io_sim.pager import DiskSimulator
 from repro.vector.columns import MotionColumns, WriteColumns
 from repro.vector.ops import (
+    _DELETE,
+    _INSERT,
+    _UPDATE,
     DeregisterOp,
     QueryOp,
     RegisterOp,
     ReportOp,
     WriteOp,
 )
-
-#: Write-op class → the code :meth:`MotionDatabase.apply_batch` groups by.
-_INSERT, _UPDATE, _DELETE = 0, 1, 2
-_KIND_CODES: Dict[type, int] = {
-    RegisterOp: _INSERT, ReportOp: _UPDATE, DeregisterOp: _DELETE,
-}
 
 #: Named method factories accepted by :class:`MotionDatabase`.
 METHOD_FACTORIES: Dict[str, Callable[[MotionModel], MobileIndex1D]] = {
@@ -251,10 +248,7 @@ class MotionDatabase:
         identical to calling the scalar methods in the same order.
         """
         batch = WriteColumns.of(ops)
-        keys = batch.keys
-        code = np.fromiter(
-            map(_KIND_CODES.__getitem__, map(type, batch)), np.int8, len(keys)
-        )
+        keys, code = batch.keys, batch.kind
         inserting, deleting = code == _INSERT, code == _DELETE
         admitted = self.model.admit_mask(
             batch.oid, batch.y0, batch.v, batch.t0
@@ -315,9 +309,9 @@ class MotionDatabase:
             ))
         if self._update_listeners:
             done = np.flatnonzero(applied).tolist()
-            self._notify(batch if len(done) == len(keys) else batch.take(
-                done, [batch[i] for i in done]
-            ))
+            self._notify(
+                batch if len(done) == len(keys) else batch.take(done)
+            )
         return outcomes
 
     def _flush_epoch(

@@ -367,6 +367,8 @@ class HoughYForestIndex(MobileIndex1D):
         leaf_capacity: int | None = None,
         fill: float = 0.8,
         crash_hook: Optional[Callable[[str], None]] = None,
+        *,
+        _own_table: bool = True,
     ) -> "HoughYForestIndex":
         """Build the forest from a whole population in ``O(c n log n)``.
 
@@ -385,8 +387,9 @@ class HoughYForestIndex(MobileIndex1D):
         ``time_at`` and :meth:`_band`, blocks sorted and packed
         (DESIGN.md §5.8) — and pages, pids and I/O counts are the
         record-at-a-time build's.  The forest's own table takes the
-        rows as arrays; a shard's forest, which reads the shard's
-        table, drops it when it adopts the build.
+        rows as arrays.  A shard's forest reads the shard's table, so
+        its rebuild (:meth:`_rebuild`, the one caller of the private
+        ``_own_table=False``) builds none.
         """
         index = cls.__new__(cls)
         index._start_empty(model, c, leaf_capacity)
@@ -421,8 +424,9 @@ class HoughYForestIndex(MobileIndex1D):
             index._trees[(sign, i)] = tree
             if crash_hook is not None:
                 crash_hook("bulk.mid_pack")
-        index._motions = MotionColumns(len(rows))
-        index._motions.apply_events((), rows)
+        if _own_table:
+            index._motions = MotionColumns(len(rows))
+            index._motions.apply_events((), rows)
         return index
 
     def _raise_first_rejection(self, objects: Sequence[MobileObject1D]) -> None:
@@ -602,6 +606,7 @@ class HoughYForestIndex(MobileIndex1D):
                 leaf_capacity=self._leaf_capacity,
                 fill=self.REBUILD_FILL,
                 crash_hook=self.crash_hook,
+                _own_table=not self._shared,
             )
         )
 
@@ -953,11 +958,14 @@ class PaperForestIndex(HoughYForestIndex):
         leaf_capacity: int | None = None,
         fill: float = 0.8,
         crash_hook: Optional[Callable[[str], None]] = None,
+        *,
+        _own_table: bool = True,
     ) -> "PaperForestIndex":
         """The trees as the served forest builds them, then the
         subterrain interval indexes, also bulk-loaded."""
         index = super().bulk_build(
-            model, objects, c, leaf_capacity, fill, crash_hook
+            model, objects, c, leaf_capacity, fill, crash_hook,
+            _own_table=_own_table,
         )
         per_subterrain: List[List[Tuple[int, float, float]]] = [
             [] for _ in range(c)

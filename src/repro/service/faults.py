@@ -55,19 +55,35 @@ class FaultInjector:
     def on_op(self, shard: int, operation: str) -> None:
         """Count one access of ``shard``; raise
         :class:`InjectedFaultError` if it is the planned crash."""
+        if not self.on_ops(shard, 1):
+            raise InjectedFaultError(
+                f"injected crash on shard {shard} at op "
+                f"{self._plan[shard]} ({operation})"
+            )
+
+    def on_ops(self, shard: int, n: int) -> int:
+        """Count up to ``n`` consecutive accesses of ``shard``, as ``n``
+        calls of :meth:`on_op` would up to the first that raises: the
+        number admitted before the planned crash (``n`` when it is not
+        among them).  The crashing access is counted and recorded; the
+        ones after it are not, since they find the shard down."""
         with self._lock:
-            count = self._ops.get(shard, 0) + 1
-            self._ops[shard] = count
-            if self._plan.get(shard) != count:
-                return  # counts only grow, so a crash fires once
+            count = self._ops.get(shard, 0)
+            crash = self._plan.get(shard, 0)
+            if not count < crash <= count + n:
+                self._ops[shard] = count + n
+                return n  # counts only grow, so a crash fires once
+            self._ops[shard] = crash
             self._crashed.append(shard)
-        raise InjectedFaultError(
-            f"injected crash on shard {shard} at op {count} ({operation})"
-        )
+            return crash - count - 1
 
     def snapshot(self) -> Dict[str, object]:
         """The shards crashed so far, in firing order, and each
-        shard's access count."""
+        shard's access count.  A write set admits a shard's run of
+        plain rows at once (:meth:`on_ops`), so two crashes landing in
+        one set's runs on different shards fire in shard order, where
+        one op at a time would fire them in op order; the counts, and
+        the op each crash lands on, are the same either way."""
         with self._lock:
             return {
                 "crashed_shards": list(self._crashed),

@@ -7,7 +7,8 @@ workers; distributed continuous-range-query processing over fallible
 nodes).  It re-implements no verb and no batch: the base class writes
 every one against three seams, and this class overrides the seams —
 ``replica_group``; the guarded shard access (``_guard``,
-``_apply_sub_batch``, ``_stale``, ``_answerable``); and the ``_log`` /
+``_guard_run``, ``_apply_sub_batch``, ``_stale``, ``_answerable``);
+and the ``_log`` /
 ``_degrade`` pair — plus the kill / recover / restore administration
 (every log write of those seams goes through one helper, ``_logged``):
 
@@ -16,7 +17,8 @@ every one against three seams, and this class overrides the seams —
   ``(p+1) % k, ...``.  Writes go to every *live* member of the group
   (write-all-live); a write succeeds iff at least one replica applied
   and logged it.  A write set, healthy or not, reaches each shard as
-  the base class's does — the planned steps ``_guard`` admitted — and
+  the base class's does — the planned steps ``_guard`` (a batch's
+  runs of plain rows, ``_guard_run``) admitted — and
   is then logged: a batch's group as one grouped commit synced before
   ``apply_batch`` returns, a scalar verb's op as one append under the
   fsync policy.  A shard whose log raises ``OSError`` — a write set's
@@ -74,6 +76,8 @@ from repro.service.metrics import MetricsRegistry, wal_event_recorder
 from repro.service.service import (
     ShardedMotionService,
     ShardRouter,
+    _at,
+    _keys_at,
     _no_hook,
 )
 from repro.service.sharding import BandRouter
@@ -271,6 +275,21 @@ class FaultTolerantMotionService(ShardedMotionService):
                 f"shard {shard} failed {op_name}: {exc}"
             ) from exc
 
+    def _guard_run(self, shard, n, name_at) -> int:
+        """:meth:`_guard` over a run of accesses: none if the shard is
+        down, else those the injector counts before its planned crash
+        (:meth:`~repro.service.faults.FaultInjector.on_ops`), which
+        takes the shard down on the access it lands on."""
+        node = self._nodes[shard]
+        if not node.up:
+            return 0
+        if self._injector is None:
+            return n
+        admitted = self._injector.on_ops(shard, n)
+        if admitted < n:
+            node.mark_down(f"injected crash during {name_at(admitted)}")
+        return admitted
+
     def _log(self, shard: int, kind: str, **fields: object) -> bool:
         """Append a marker record to a live shard's WAL; ``True`` iff
         the shard is live and the marker logged (see :meth:`_logged`,
@@ -325,6 +344,20 @@ class FaultTolerantMotionService(ShardedMotionService):
             self._catalog_motion[op.oid] = LinearMotion1D(
                 float(op.y0), float(op.v), float(op.t0)
             )
+
+    def _commit_rows(self, batch, put, primary, gone) -> None:
+        """Catalog commit of plain rows, plus their authoritative
+        motions, built from the set's float64 columns (what
+        :meth:`_commit_write` takes from the op's fields)."""
+        super()._commit_rows(batch, put, primary, gone)
+        motions = self._catalog_motion
+        motions.update(zip(_keys_at(batch, put), map(
+            LinearMotion1D,
+            *(_at(column, put).tolist()
+              for column in (batch.y0, batch.v, batch.t0)),
+        )))
+        for oid in _keys_at(batch, gone):
+            motions.pop(oid, None)
 
     def _current_motion(self, oid: int, shard: int) -> LinearMotion1D:
         """From the catalog: well-defined even while ``shard`` is down."""

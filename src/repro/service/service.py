@@ -33,18 +33,22 @@ time-moves-forward discipline holds per shard: each shard's ``now``
 only advances.
 
 Every write is a write set — a batch, or a scalar verb's one op —
-placed by one function, :meth:`ShardedMotionService._plan_write`, and
-staged, applied and committed by one more,
-:meth:`ShardedMotionService._apply_set`.  Every verb is written once,
+staged, applied and committed by one function,
+:meth:`ShardedMotionService._apply_set`.  A batch's plain rows (a new
+object's register, a report that stays in its replica group, a
+deregister, on an oid the batch names once) are placed by one column
+pass; every other op is placed by one function,
+:meth:`ShardedMotionService._plan_write`.  Every verb is written once,
 here, against three seams whose forms in this class are trivial:
 ``replica_group`` (an object lives on its primary only), the guarded
-shard access ``_guard`` / ``_touch`` / ``_apply_sub_batch`` /
-``_stale`` (admit everything, call the database, record the I/O;
-every shard takes every write), and the ``_log`` / ``_degrade`` pair
-(no log; answers are always complete).
-Every shard access passes through ``_guard``, so a write set under
-faults runs the same plan as a healthy one, minus the shards the guard
-refused.  This class is the
+shard access ``_guard`` / ``_guard_run`` / ``_touch`` /
+``_apply_sub_batch`` / ``_stale`` (admit everything, call the
+database, record the I/O; every shard takes every write), and the
+``_log`` / ``_degrade`` pair (no log; answers are always complete).
+Every shard access passes through ``_guard`` — a run of plain rows on
+one shard through ``_guard_run``, which counts as that many ``_guard``
+calls — so a write set under faults runs the same plan as a healthy
+one, minus the shards the guard refused.  This class is the
 ``replication = 1``, no-log, no-fault-guard case of
 :class:`~repro.service.replication.FaultTolerantMotionService`, which
 overrides exactly those seams.
@@ -57,8 +61,8 @@ from __future__ import annotations
 
 import threading
 import time
-from array import array
 from contextlib import contextmanager
+from itertools import repeat
 from typing import (
     Callable,
     Dict,
@@ -71,6 +75,8 @@ from typing import (
     Set,
     Tuple,
 )
+
+import numpy as np
 
 from repro.core.model import LinearMotion1D, MotionModel, Terrain1D
 from repro.engine import MotionDatabase
@@ -92,6 +98,8 @@ from repro.service.sharding import (
 from repro.vector.cache import QueryResultCache, copy_result
 from repro.vector.columns import WriteColumns
 from repro.vector.ops import (
+    _DELETE,
+    _INSERT,
     QUERY_VERBS,
     DeregisterOp,
     Nearest,
@@ -123,6 +131,18 @@ _WritePlan = Tuple[
     Optional[int],
 ]
 
+#: What :meth:`ShardedMotionService._stage_batch` returns: per shard
+#: ``(rows, sub-ops or None, cleanup rows)``; the acknowledged walked
+#: rows and their owners; the acknowledged plain rows and every row's
+#: primary (``None`` for a one-op set, which has no plain row).
+_Staging = Tuple[
+    Dict[int, Tuple[Sequence[int], Optional[List[WriteOp]], List[int]]],
+    List[int],
+    List[Optional[int]],
+    np.ndarray,
+    Optional[np.ndarray],
+]
+
 #: WriteOp class → the scalar verb (metrics span, fault-injection op
 #: name) that applies it.
 _VERBS: Dict[type, str] = {
@@ -142,6 +162,25 @@ def _no_live_replica(
     return ShardUnavailableError(
         f"{name}({oid}): no live replica in {shards}"
     )
+
+
+#: No rows: the plain rows of a one-op set.
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def _keys_at(batch: WriteColumns, rows: np.ndarray) -> Sequence[int]:
+    """The oids of the ascending ``rows`` of ``batch``: its own ``keys``
+    when that is every row (a load indexes nothing)."""
+    keys = batch.keys
+    if len(rows) == len(keys):
+        return keys
+    return list(map(keys.__getitem__, rows.tolist()))
+
+
+def _at(column: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``column`` at the ascending ``rows``: itself, uncopied, when that
+    is every row."""
+    return column if len(rows) == len(column) else column[rows]
 
 
 def _apply_op(db: MotionDatabase, op: WriteOp) -> None:
@@ -197,6 +236,13 @@ class ShardedMotionService:
         (same :func:`~repro.vector.evaluate.evaluate_arrays`
         dispatch either way).
     """
+
+    #: A batch with fewer ops, or fewer plain rows, walks every row
+    #: through :meth:`_plan_write`: below it the column pass's fixed
+    #: cost (a few dozen numpy calls) exceeds the per-op plans it saves.
+    #: Measured by ``benchmarks/plan_breakeven.py`` (ratios; re-measure
+    #: before moving it).  A one-op set always walks.
+    _COLUMNS_MIN_SET = 40
 
     def __init__(
         self,
@@ -270,6 +316,9 @@ class ShardedMotionService:
         ]
         self._locks = [threading.RLock() for _ in range(shards)]
         self._groups: Dict[int, Tuple[int, ...]] = {}
+        #: ``_members[shard, p]``: whether primary ``p``'s replica group
+        #: holds ``shard`` (built on first use, from :meth:`_group`).
+        self._members: Optional[np.ndarray] = None
         self._catalog_lock = threading.RLock()
         #: The catalog: oid → owning (primary) shard.
         self._owner: Dict[int, int] = {}
@@ -446,6 +495,16 @@ class ShardedMotionService:
         verb and batch passes here; in this class every one is
         admitted."""
 
+    def _guard_run(
+        self, shard: int, n: int, name_at: Callable[[int], str]
+    ) -> int:
+        """Admit ``n`` consecutive accesses to ``shard`` at once — a
+        write set's run of plain rows there — as ``n`` :meth:`_guard`
+        calls would: returns how many lead the run admitted, the rest
+        being refused.  ``name_at(j)`` is the verb of the run's ``j``-th
+        access.  In this class every one is admitted."""
+        return n
+
     def _touch(
         self,
         shard: int,
@@ -520,12 +579,29 @@ class ShardedMotionService:
         return value
 
     def _commit_write(self, op: WriteOp, owner: Optional[int]) -> None:
-        """Catalog commit of one applied write (catalog lock held): the
-        op's object now belongs to ``owner``, or to nobody."""
+        """Catalog commit of one applied walked write (catalog lock
+        held): the op's object now belongs to ``owner``, or to nobody."""
         if owner is None:
             self._owner.pop(op.oid, None)
         else:
             self._owner[op.oid] = owner
+
+    def _commit_rows(
+        self,
+        batch: WriteColumns,
+        put: np.ndarray,
+        primary: np.ndarray,
+        gone: np.ndarray,
+    ) -> None:
+        """Catalog commit of a write set's applied plain rows in one pass
+        (catalog lock held; no oid twice): the object of each row in
+        ``put`` now belongs to the row's ``primary``, those of rows
+        ``gone`` to nobody."""
+        self._owner.update(zip(
+            _keys_at(batch, put), _at(primary, put).tolist()
+        ))
+        for oid in _keys_at(batch, gone):
+            self._owner.pop(oid, None)
 
     def _current_motion(self, oid: int, shard: int) -> LinearMotion1D:
         """The motion :meth:`rehome` re-reports: what owner ``shard``
@@ -544,11 +620,13 @@ class ShardedMotionService:
         """Decide everything placement means for one write operation.
 
         The one place an update's "which structure owns this object"
-        decision is made (catalog lock held; nothing is mutated), and
-        only catalog work: ``owner`` is the object's catalog owner as
-        the plan sees it, ``admitted`` the admission verdict on the
-        op's motion and ``target`` the shard its route names (read only
-        for an admitted motion) — the write set's admission mask row
+        decision is made for a walked op (catalog lock held; nothing is
+        mutated) — a batch's plain rows take the same decision as
+        columns (:meth:`_plain_rows`) — and only catalog work:
+        ``owner`` is the object's catalog owner as the plan sees it,
+        ``admitted`` the admission verdict on the op's motion and
+        ``target`` the shard its route names (read only for an admitted
+        motion) — the write set's admission mask row
         (:meth:`~repro.core.model.MotionModel.admit_mask`) and route
         vector row (:meth:`~repro.service.sharding.ShardRouter.
         route_many`), for a one-op set their scalar forms.  Raises the
@@ -662,10 +740,9 @@ class ShardedMotionService:
 
         The batch is one critical section: every shard lock is taken
         (ascending, the :meth:`proximity_pairs` discipline), operations
-        are planned against the catalog **in submission order**
-        (:meth:`_plan_write`, the scalar methods' plan) and grouped by
-        target shard, then each shard absorbs its group through one
-        :meth:`MotionDatabase.apply_batch` call.  Grouping
+        are planned against the catalog as if **in submission order**
+        and grouped by target shard, then each shard absorbs its group
+        through one :meth:`MotionDatabase.apply_batch` call.  Grouping
         per shard is safe because writes to different objects commute
         and same-object operations always group onto the same shard in
         order (a motion-sensitive cross-shard move splits into a
@@ -694,10 +771,21 @@ class ShardedMotionService:
         shard, after its group applied (see :meth:`_apply_sub_batch`).
 
         The batch is columns from here down (:class:`~repro.vector.
-        columns.WriteColumns`, converted once): one admission mask and
-        one route vector cover every op, the plan loop keeps only
-        catalog decisions, and a shard takes its sub-ops as the batch's
-        own rows.
+        columns.WriteColumns`, converted once, its kind column
+        included), and so is its plan (:meth:`_stage_batch`): one
+        admission mask, one route vector, one owner column and each
+        shard's residency decide every *plain* op — a new object's
+        admitted register, an admitted report that stays in its replica
+        group, a deregister of a registered object — on an oid the batch
+        names once; each shard's plain rows are one array and one
+        counted :meth:`_guard_run`, and the catalog commits them in one
+        pass (:meth:`_commit_rows`).  Only the ops on a repeated oid,
+        the refused ones and the cross-group moves are walked through
+        :meth:`_plan_write` in submission order, merged into their
+        shards' rows by row number.  A batch with fewer than
+        :data:`_COLUMNS_MIN_SET` ops, or plain ops, walks every op: there
+        the column pass costs more than it saves.  A shard takes its
+        sub-ops as the batch's own rows.
         """
         with self.metrics.span("apply_batch") as span:
             return self._apply_set(
@@ -770,7 +858,10 @@ class ShardedMotionService:
         writes its new group before it drops the old copies.  A shard
         that fails to take its group (:meth:`_unlogged`)
         un-acknowledges the ops it was the last hope of.  The ops some
-        shard took are committed and announced (:meth:`_notify`)
+        shard took are committed — the walked ones by
+        :meth:`_commit_write` in submission order, the plain ones in one
+        :meth:`_commit_rows` (their oids are the batch's once-named
+        ones, so the two commute) — and announced (:meth:`_notify`)
         before any lock is released.
         """
         per_op = screen is not None
@@ -779,7 +870,7 @@ class ShardedMotionService:
                 staging = self._stage_batch(batch, outcomes, held, screen)
             if staging is None:
                 return False
-            staged, acked, owners = staging
+            staged, acked, owners, plain, primary = staging
             took, missed = [], []
             # Shards whose rows are all cleanups go last.
             for shard in sorted(staged, key=lambda s: (
@@ -796,14 +887,25 @@ class ShardedMotionService:
             if missed:
                 lost = self._unlogged(batch, outcomes, took, missed)
             took = None  # its rows go before the catalog grows
+            if lost:
+                plain = plain[~np.isin(plain, list(lost))]
             with self._catalog_lock:
                 for i, owner in zip(acked, owners):
                     if i not in lost:
                         self._commit_write(batch[i], owner)
+                if len(plain):
+                    gone = batch.kind[plain] == _DELETE
+                    put = plain[~gone] if gone.any() else plain
+                    self._commit_rows(batch, put, primary, plain[gone])
             if lost:
                 acked = [i for i in acked if i not in lost]
-            if len(acked) < len(batch):
-                batch = batch.take(acked, [batch[i] for i in acked])
+            if len(plain):
+                if acked:
+                    plain = np.union1d(plain, acked)
+                if len(plain) < len(batch):
+                    batch = batch.take(plain)
+            elif len(acked) < len(batch):
+                batch = batch.take(acked)
             self._notify(batch)
         return True
 
@@ -811,8 +913,8 @@ class ShardedMotionService:
         self,
         batch: WriteColumns,
         outcomes: List[Optional[Exception]],
-        took: List[Tuple[int, array, List[int]]],
-        missed: List[Tuple[int, array, List[int]]],
+        took: List[Tuple[int, Sequence[int], List[int]]],
+        missed: List[Tuple[int, Sequence[int], List[int]]],
     ) -> Set[int]:
         """The staged ops no shard took, once the ``missed`` shards
         failed to take their groups (``(shard, rows, cleanup rows)``
@@ -823,7 +925,8 @@ class ShardedMotionService:
 
         def steps(rows, cleanups):
             skip = set(cleanups)
-            return (row for row in rows if row not in skip)
+            return (row for row in np.asarray(rows).tolist()
+                    if row not in skip)
 
         logged: Set[int] = set()
         for _, rows, cleanups in took:
@@ -862,28 +965,45 @@ class ShardedMotionService:
         outcomes: List[Optional[Exception]],
         held: Optional[FrozenSet[int]],
         screen: Optional[Tuple[List[bool], List]],
-    ) -> Optional[Tuple[
-        Dict[int, Tuple[array, List[WriteOp], List[int]]],
-        array, List[Optional[int]],
-    ]]:
+    ) -> Optional[_Staging]:
         """Plan a write set under the ``held`` shard locks (``None``:
-        every one): each op through :meth:`_plan_write` in submission
-        order — duplicate oids within one set see each other — with
-        ``screen``'s verdict and route, or a batch's one admission mask
-        and one route vector, and its steps admitted.  Fills
-        ``outcomes`` with the rejections and commits nothing.  Returns
-        per admitting shard the rows of its sub-ops, the sub-ops and
-        the rows that are cleanups; then the rows of the staged ops and
-        their owners once applied.  ``None``, with nothing staged, if a
-        plan names a shard outside ``held``.
+        every one) and admit its steps; fills ``outcomes`` with the
+        rejections and commits nothing.  ``None``, with nothing staged,
+        if a plan names a shard outside ``held``.
+
+        A batch with at least :data:`_COLUMNS_MIN_SET` plain rows is
+        planned as columns first (:meth:`_plain_rows`): its admission
+        mask, route vector and owner column decide every *plain* row —
+        a new object's admitted register, an admitted report that stays
+        in its replica group, a deregister of a registered object — on
+        an oid the batch names once, and each shard's plain rows are one
+        array, in submission order.  Every other row, every row of a
+        batch with fewer, and a one-op set's one op (with ``screen``'s
+        verdict and route), is *walked*: planned by :meth:`_plan_write` in
+        submission order, with the owner and shard residency the
+        earlier ops of a repeated oid leave, and its steps admitted one
+        :meth:`_guard` call each.  A shard's plain rows before a walked
+        step there are admitted first, as one :meth:`_guard_run`, so
+        every shard sees its accesses in submission order and a crash
+        lands on the access the scalar loop's would.
+
+        Returns per admitting shard the rows of its sub-ops in
+        submission order, the sub-ops (``None``: the rows' own ops) and
+        the rows that are cleanups; then the acknowledged walked rows
+        with their owners once applied, and the acknowledged plain rows
+        with the primary of each row.
         """
-        if screen is None:
-            admitted = self._model.admit_mask(
-                batch.oid, batch.y0, batch.v, batch.t0
-            ).tolist()
-            targets = self.router.route_many(batch.oid, batch.v).tolist()
-        else:
-            admitted, targets = screen
+        n, ops = len(batch), batch.ops
+        # An oid the batch names twice is walked: a later op plans
+        # against the owner the earlier one leaves, and a register →
+        # deregister pair on one shard against the residency the earlier
+        # sub-op will have produced.  Both maps live only while the
+        # batch is planned.
+        repeated = batch.repeated()
+        runs: Dict[int, np.ndarray] = {}
+        plain = primary = None
+        if screen is not None:
+            walked, (admitted, targets) = [0], screen
             if admitted[0]:
                 # Routed again under the set's locks: a band re-cut
                 # since the screen must not place the op by the old cut
@@ -892,27 +1012,64 @@ class ShardedMotionService:
                 targets = [self.router.route(
                     op.oid, LinearMotion1D(op.y0, op.v, op.t0)
                 )]
-        # An oid the batch names twice: a later op plans against the
-        # owner the earlier one leaves, and a register → deregister pair
-        # on one shard against the residency the earlier sub-op will
-        # have produced.  Both maps live only while the batch is planned.
-        repeated = batch.repeated()
+        else:
+            admitted = self._model.admit_mask(
+                batch.oid, batch.y0, batch.v, batch.t0
+            )
+            targets = self.router.route_many(batch.oid, batch.v).astype(
+                np.int64
+            )
+            columns = None
+            if n >= self._COLUMNS_MIN_SET:
+                columns = self._plain_rows(batch, admitted, targets, repeated)
+            if columns is None:
+                walked = range(n)
+            else:
+                plain, primary, runs = columns
+                walked = np.flatnonzero(~plain)
+                admitted, targets = admitted[walked], targets[walked]
+                # bounds[shard][j]: how many of the shard's plain rows
+                # come before the j-th walked row.
+                bounds = {
+                    shard: np.searchsorted(rows, walked).tolist()
+                    for shard, rows in runs.items()
+                }
+                walked = walked.tolist()
+            admitted, targets = admitted.tolist(), targets.tolist()
         claims: Dict[int, Optional[int]] = {}
         pending: Dict[Tuple[int, int], bool] = {}
-        staged: Dict[int, Tuple[array, List[WriteOp], List[int]]] = {}
+        steps_of: Dict[int, Tuple[List[int], List[WriteOp], List[int]]] = {}
         owners: List[Optional[int]] = []
-        acked = array("q")  # unboxed: a load acknowledges every op
+        acked: List[int] = []
         guard, shards, owner_of = self._guard, self._shards, self._owner.get
+        cursor = dict.fromkeys(runs, 0)
+        taken: Dict[int, List[np.ndarray]] = {shard: [] for shard in runs}
+
+        def flush(shard: int, stop: int) -> None:
+            """Admit ``shard``'s plain rows up to its ``stop``-th."""
+            start = cursor[shard]
+            if stop > start:
+                part = runs[shard][start:stop]
+                got = self._guard_run(
+                    shard, stop - start,
+                    lambda j: _VERBS[type(ops[int(part[j])])],
+                )
+                taken[shard].append(part[:got])
+                cursor[shard] = stop
 
         def admit(
-            shard: int, sub_op: WriteOp, name: str, row: int, cleanup: bool,
+            shard: int, sub_op: WriteOp, name: str, row: int, at: int,
+            cleanup: bool,
         ) -> bool:
-            """Stage one planned step iff it lands."""
+            """Stage one planned step of ``row``, the ``at``-th walked
+            one, iff it lands."""
             deleting = type(sub_op) is DeregisterOp
             if deleting and not pending.get(
                 (shard, sub_op.oid), sub_op.oid in shards[shard]
             ):
                 return False  # copy never landed here
+            if shard in runs:
+                flush(shard, bounds[shard][at])
             try:
                 guard(shard, name)
             except ShardUnavailableError:
@@ -921,9 +1078,9 @@ class ShardedMotionService:
                 deleting or type(sub_op) is RegisterOp
             ):
                 pending[shard, sub_op.oid] = not deleting
-            slot = staged.get(shard)
+            slot = steps_of.get(shard)
             if slot is None:
-                slot = staged[shard] = (array("q"), [], [])
+                slot = steps_of[shard] = ([], [], [])
             rows, sub_ops, cleanups = slot
             rows.append(row)
             sub_ops.append(sub_op)
@@ -931,12 +1088,15 @@ class ShardedMotionService:
                 cleanups.append(row)
             return True
 
-        for i, op in enumerate(batch):
+        for at, (i, verdict, target) in enumerate(
+            zip(walked, admitted, targets)
+        ):
+            op = ops[i]
             oid = op.oid
             try:
                 steps, cleanup, owner = self._plan_write(
                     op, claims[oid] if oid in claims else owner_of(oid),
-                    admitted[i], targets[i],
+                    verdict, target,
                 )
             except (InvalidMotionError, ObjectNotFoundError) as exc:
                 outcomes[i] = exc
@@ -949,7 +1109,7 @@ class ShardedMotionService:
             landed = False
             for run, sub_op in steps:
                 for shard in run:
-                    landed |= admit(shard, sub_op, name, i, False)
+                    landed |= admit(shard, sub_op, name, i, at, False)
             if not landed:
                 outcomes[i] = _no_live_replica(
                     name, oid, [shard for run, _ in steps for shard in run]
@@ -957,12 +1117,98 @@ class ShardedMotionService:
                 continue
             for run, sub_op in cleanup:
                 for shard in run:
-                    admit(shard, sub_op, name, i, True)
+                    admit(shard, sub_op, name, i, at, True)
             if oid in repeated:
                 claims[oid] = owner
             owners.append(owner)
             acked.append(i)
-        return staged, acked, owners
+        if plain is None:
+            return steps_of, acked, owners, _NO_ROWS, None
+        staged: Dict[int, Tuple[Sequence[int], Optional[List[WriteOp]],
+                                List[int]]] = {}
+        landed = np.zeros(n, dtype=bool)
+        for shard, rows in sorted(runs.items()):
+            flush(shard, len(rows))
+            part = taken[shard]
+            rows = part[0] if len(part) == 1 else np.concatenate(part)
+            if len(rows):
+                landed[rows] = True
+                staged[shard] = (rows, None, [])
+        for shard, (rows, sub_ops, cleanups) in steps_of.items():
+            plain_rows = staged.get(shard)
+            if plain_rows is not None:
+                # Merged by row: a shard applies in submission order.
+                head = plain_rows[0]
+                merged = np.concatenate((head, rows))
+                order = np.argsort(merged, kind="stable").tolist()
+                sub_ops = list(map(ops.__getitem__, head.tolist())) + sub_ops
+                rows = merged[order]
+                sub_ops = list(map(sub_ops.__getitem__, order))
+            staged[shard] = (rows, sub_ops, cleanups)
+        # A plain row none of whose group's shards admitted it.
+        for i in np.flatnonzero(plain & ~landed).tolist():
+            outcomes[i] = _no_live_replica(
+                _VERBS[type(ops[i])], batch.keys[i],
+                list(self._group(int(primary[i]))),
+            )
+        return staged, acked, owners, np.flatnonzero(landed), primary
+
+    def _plain_rows(
+        self,
+        batch: WriteColumns,
+        admitted: np.ndarray,
+        route: np.ndarray,
+        repeated: Set[int],
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]]:
+        """The column pass of a batch's plan: which rows are plain, each
+        row's primary (its route for a register, its owner otherwise;
+        read only for a plain row), and per shard the plain rows it
+        must take, ascending — the rows whose primary's replica group
+        holds the shard, less the deregisters of an object the shard
+        has no copy of (one that never landed there).  ``None`` when
+        fewer than :data:`_COLUMNS_MIN_SET` rows are plain: the pass
+        saves too few per-op plans to pay for the walk it splits."""
+        n, keys = len(batch), batch.keys
+        kind = batch.kind
+        inserting, deleting = kind == _INSERT, kind == _DELETE
+        owner = np.fromiter(
+            map(self._owner.get, keys, repeat(-1)), np.int64, n
+        )
+        known = owner >= 0
+        stays = True
+        if self.router.motion_sensitive:
+            stays = route == owner
+        plain = np.where(
+            inserting, admitted & ~known,
+            known & (deleting | (admitted & stays)),
+        )
+        if repeated:
+            plain &= ~np.fromiter(map(repeated.__contains__, keys), bool, n)
+        candidates = np.flatnonzero(plain)
+        if len(candidates) < self._COLUMNS_MIN_SET:
+            return None
+        primary = np.where(inserting, route, owner)
+        if self._members is None:
+            k = self.shard_count
+            self._members = np.zeros((k, k), dtype=bool)
+            for p in range(k):
+                self._members[list(self._group(p)), p] = True
+        primaries = primary[candidates]
+        deregisters = deleting[candidates].any()
+        runs: Dict[int, np.ndarray] = {}
+        for shard, primaries_held in enumerate(self._members):
+            rows = candidates[primaries_held[primaries]]
+            if deregisters:
+                gone = deleting[rows]
+                copies = self._shards[shard].columns.holds(
+                    list(map(keys.__getitem__, rows[gone].tolist()))
+                )
+                keep = np.ones(len(rows), dtype=bool)
+                keep[gone] = copies
+                rows = rows[keep]
+            if len(rows):
+                runs[shard] = rows
+        return plain, primary, runs
 
     # -- live rebalancing -------------------------------------------------------
 

@@ -41,7 +41,7 @@ from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.model import LinearMotion1D, MobileObject1D, motion_columns
-from repro.vector.ops import WRITE_KINDS, DeregisterOp, WriteOp
+from repro.vector.ops import _DELETE, _KIND_CODES, WriteOp
 
 #: Initial array capacity (doubles on overflow).
 _MIN_CAPACITY = 16
@@ -115,9 +115,11 @@ class MotionRows(abc.Sequence):
 
 class WriteColumns(abc.Sequence):
     """A write batch as columns: the ops, the oids they name (``keys``,
-    the ops' own ints) and the oid and motion fields as int64 / float64
-    arrays, converted once (:func:`~repro.core.model.motion_columns`; a
-    deregister's fields are NaN, and ignored).
+    the ops' own ints), their kinds as an int8 ``kind`` column (the
+    codes of :data:`~repro.vector.ops._KIND_CODES`) and the oid and
+    motion fields as int64 / float64 arrays, converted once
+    (:func:`~repro.core.model.motion_columns`; a deregister's fields
+    are NaN, and ignored).
 
     It reads as the sequence of its ops, so whatever takes a batch of
     :mod:`repro.vector.ops` writes takes it, and a layer that has the
@@ -126,15 +128,20 @@ class WriteColumns(abc.Sequence):
     one from anything but write ops raises ``TypeError``.
     """
 
-    __slots__ = ("ops", "keys", "oid", "y0", "v", "t0")
+    __slots__ = ("ops", "keys", "kind", "oid", "y0", "v", "t0")
 
     def __init__(self, ops: Sequence[WriteOp]) -> None:
-        kinds = set(map(type, ops))
-        if not kinds <= WRITE_KINDS.keys():
+        try:
+            self.kind = np.fromiter(
+                map(_KIND_CODES.__getitem__, map(type, ops)), np.int8,
+                len(ops),
+            )
+        except KeyError:
             for op in ops:
-                if type(op) not in WRITE_KINDS:
+                if type(op) not in _KIND_CODES:
                     raise TypeError(f"unknown write operation {op!r}")
-        if DeregisterOp in kinds:
+            raise
+        if (self.kind == _DELETE).any():
             fields = (
                 [getattr(op, field, math.nan) for op in ops]
                 for field in ("y0", "v", "t0")
@@ -156,15 +163,25 @@ class WriteColumns(abc.Sequence):
         return ops if isinstance(ops, cls) else cls(ops)
 
     def take(
-        self, rows: Sequence[int], ops: Sequence[WriteOp]
+        self, rows: Sequence[int], ops: Optional[Sequence[WriteOp]] = None
     ) -> "WriteColumns":
-        """The sub-batch ``ops`` whose columns are this batch's rows at
-        positions ``rows`` (a planned sub-op names its op's object and
-        carries its motion)."""
+        """The sub-batch of this batch's rows at positions ``rows``: its
+        own ops there, or the planned sub-ops ``ops`` (a sub-op names its
+        row's object and carries its motion, and its kind is its own)."""
         part = WriteColumns.__new__(WriteColumns)
-        part.ops = ops
-        part.keys = [op.oid for op in ops]
         rows = np.asarray(rows, dtype=np.int64)
+        if ops is None:
+            at = rows.tolist()
+            part.ops = list(map(self.ops.__getitem__, at))
+            part.keys = list(map(self.keys.__getitem__, at))
+            part.kind = self.kind[rows]
+        else:
+            part.ops = ops
+            part.keys = [op.oid for op in ops]
+            part.kind = np.fromiter(
+                map(_KIND_CODES.__getitem__, map(type, ops)), np.int8,
+                len(ops),
+            )
         part.oid, part.y0, part.v, part.t0 = (
             self.oid[rows], self.y0[rows], self.v[rows], self.t0[rows]
         )

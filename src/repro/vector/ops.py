@@ -112,6 +112,14 @@ WRITE_KINDS: Dict[type, str] = {
     DeregisterOp: "delete",
 }
 
+#: WriteOp class → its code in a write set's int8 kind column
+#: (:class:`~repro.vector.columns.WriteColumns`), what the engine groups
+#: by and the service's plan reads.
+_INSERT, _UPDATE, _DELETE = 0, 1, 2
+_KIND_CODES: Dict[type, int] = {
+    RegisterOp: _INSERT, ReportOp: _UPDATE, DeregisterOp: _DELETE,
+}
+
 
 def write_record(op: WriteOp) -> Tuple[str, Dict]:
     """``(kind, fields)`` of one write op in the portable trace dialect.

@@ -47,6 +47,22 @@ class TestFaultInjector:
         assert self.drain(injector, 2, 20) == ["ok"] * 20
         assert injector.snapshot()["crashed_shards"] == [2]
 
+    @pytest.mark.parametrize("crash", [1, 4, 5, 6, 9])
+    @pytest.mark.parametrize("before", [0, 2, 4])
+    def test_a_run_counts_as_its_accesses(self, crash, before):
+        """``on_ops(shard, n)`` is ``n`` ``on_op`` calls up to the first
+        that raises: it admits the accesses before the planned crash,
+        counts the crashing one, and leaves the rest uncounted (the
+        shard is down for them)."""
+        run, one = FaultInjector({1: crash}), FaultInjector({1: crash})
+        for injector in (run, one):
+            self.drain(injector, 1, before)
+        outcomes = []
+        while len(outcomes) < 4 and "crash" not in outcomes:
+            outcomes += self.drain(one, 1, 1)
+        assert run.on_ops(1, 4) == outcomes.count("ok")
+        assert run.snapshot() == one.snapshot()
+
 
 class TestShardHint:
     """An oid no shard holds has nowhere to route: its write is

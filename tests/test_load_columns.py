@@ -163,7 +163,9 @@ def test_a_load_admits_each_op_once(monkeypatch):
     """A 20,000-register load into 4 hash shards: no scalar admission
     call (three per op once), no scalar bulk refusal, and no motion
     object at all — the plan builds none, and the listeners get the
-    batch's rows."""
+    batch's rows.  Every op is a plain row, so the plan walks none
+    through the per-op ``_plan_write`` and the catalog commits none
+    through the per-op ``_commit_write``."""
     n = 20_000
     rng = np.random.default_rng(5)
     speed = rng.choice((-1.0, 1.0), n) * rng.uniform(V_MIN, V_MAX, n)
@@ -187,12 +189,16 @@ def test_a_load_admits_each_op_once(monkeypatch):
     spy(MotionModel, "check_admissible")
     spy(HoughYForestIndex, "_raise_first_rejection")
     spy(LinearMotion1D, "__init__")
+    spy(ShardedMotionService, "_plan_write")
+    spy(ShardedMotionService, "_commit_write")
     service = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=4)
     assert not any(service.apply_batch(ops))
     monkeypatch.undo()
     assert calls["check_admissible"] == 0
     assert calls["_raise_first_rejection"] == 0
     assert calls["__init__"] == 0
+    assert calls["_plan_write"] == 0
+    assert calls["_commit_write"] == 0
     assert len(service) == n
 
 

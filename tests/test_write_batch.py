@@ -183,6 +183,26 @@ class TestBatchedEqualsScalar:
         got = apply_batched(batched, stream, batch_size=37)
         assert_twins_agree(scalar, batched, want, got)
 
+    @pytest.mark.parametrize("router", ["hash", "velocity"])
+    @pytest.mark.parametrize("seed", [4, 23])
+    def test_sets_on_both_sides_of_the_column_cut(self, router, seed):
+        """Sets of 1 to 300 ops mixing the rows a batch plans as columns
+        with the rows it walks (:func:`mixed_sets`) leave the plain
+        service where the scalar loop leaves it: outcomes, catalog,
+        residency and answers."""
+        sets = mixed_sets(random.Random(seed), n=300)
+        scalar, batched = (
+            ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=4, router=router)
+            for _ in range(2)
+        )
+        want, got = [], []
+        for ops in sets:
+            want += apply_scalar(scalar, ops)
+            got += batched.apply_batch(ops)
+        assert_twins_agree(scalar, batched, want, got)
+        assert batched._owner == scalar._owner
+        assert batched.shard_populations() == scalar.shard_populations()
+
     def test_motion_database_rebuild_threshold_crossing(self):
         """Engine-level: a storm big enough to trigger the forest's
         STR rebuild answers exactly like scalar reports."""
@@ -457,6 +477,91 @@ def version_chains(pre, batch):
     return chains
 
 
+def mixed_sets(rng, n):
+    """Write sets for a 4-shard velocity router (bands cut at
+    ``V_MAX / 4``, ``V_MAX / 2``, ``3 V_MAX / 4``), of sizes 1 to 300,
+    mixing the rows a batch plan decides as columns — new registers,
+    reports that keep their band, deregisters — with the rows it walks:
+    reports that cross a band, oids named twice or more, duplicate
+    registers, unknown oids and refused motions; most sets are mostly
+    plain, a few mostly walked.  ``n`` objects are registered first, in
+    two sets."""
+    edges = [0.0, V_MAX / 4, V_MAX / 2, 3 * V_MAX / 4, V_MAX]
+
+    def speed(band):
+        lo, hi = edges[band], edges[band + 1]
+        return rng.choice([1.0, -1.0]) * rng.uniform(lo + 0.01, hi - 0.01)
+
+    live = {}  # oid -> band
+    fresh = [0]
+    t = [0.0]
+
+    def register():
+        oid, band = fresh[0], rng.randrange(4)
+        fresh[0] += 1
+        live[oid] = band
+        return RegisterOp(oid, rng.uniform(0, Y_MAX), speed(band), t[0])
+
+    def report(oid, band):
+        live[oid] = band
+        return ReportOp(oid, rng.uniform(0, Y_MAX), speed(band), t[0])
+
+    def plain_op():
+        draw = rng.random()
+        if draw < 0.2 or not live:
+            return register()
+        oid = rng.choice(sorted(live))
+        if draw < 0.3:
+            del live[oid]
+            return DeregisterOp(oid)
+        return report(oid, live[oid])
+
+    def walked_ops():
+        draw = rng.randrange(7)
+        oid = rng.choice(sorted(live))
+        if draw == 0:
+            return [report(oid, (live[oid] + rng.randrange(1, 4)) % 4)]
+        if draw == 1:
+            ops = [report(oid, rng.randrange(4)), report(oid, live[oid])]
+            if rng.random() < 0.5:
+                del live[oid]
+                ops.append(DeregisterOp(oid))
+            return ops
+        if draw == 2:
+            new = register()
+            del live[new.oid]
+            return [new, ReportOp(new.oid, 5.0, speed(rng.randrange(4)), t[0]),
+                    DeregisterOp(new.oid)]
+        if draw == 3:
+            return [RegisterOp(oid, 1.0, 1.0, t[0])]
+        if draw == 4:
+            return [rng.choice([ReportOp(10**6 + oid, 1.0, 1.0, t[0]),
+                                DeregisterOp(10**6 + oid)])]
+        if draw == 5:
+            return [ReportOp(oid, 2 * Y_MAX, 1.0, t[0])]
+        return [ReportOp(oid, 1.0, -2 * V_MAX, t[0])]
+
+    half = n // 2
+    sets = [[register() for _ in range(half)],
+            [register() for _ in range(n - half)]]
+    # (size, share of walked draws): the 0.9 sets have too few plain
+    # rows for the column pass, whatever their size.
+    shapes = [(1, .15), (3, .15), (1, .15), (16, .15), (33, .15),
+              (2, .15), (128, .15), (1, .15), (300, .15), (64, .9),
+              (64, .15), (5, .15), (200, .15), (1, .15), (40, .15),
+              (150, .9)]
+    for size, walked_share in shapes * 2:
+        t[0] += 1.0
+        ops = []
+        while len(ops) < size:
+            if len(ops) < size - 3 and rng.random() < walked_share:
+                ops += walked_ops()
+            else:
+                ops.append(plain_op())
+        sets.append(ops)
+    return sets
+
+
 # -- crash chaos ---------------------------------------------------------------
 
 
@@ -606,6 +711,97 @@ class TestWriteBatchChaos:
         assert contents(restored[1]) == contents(restored[0])
         for service in restored:
             service.close()
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("seed", [4, 23, 57])
+    def test_plain_and_walked_rows_equal_the_scalar_loop(self, tmp_path, seed):
+        """A batch's plan decides its plain rows as columns and walks the
+        rest; under a velocity router at ``replication = 2``, with three
+        injected crashes, a killed shard and the recoveries, sets of every
+        size mixing both kinds of row leave what the scalar loop leaves:
+        outcomes (type and message), per-shard log streams, the owner
+        and motion catalogs, and the injector's per-shard access counts
+        (so each crash landed on the same access).  Shard 1 crashes
+        before shard 3 is killed, shard 2 while it is down (its group
+        goes dark) and shard 0 after both recovered."""
+        sets = mixed_sets(random.Random(seed), n=300)
+
+        def build(name):
+            return make_ft(
+                tmp_path / name, shards=4, replication=2, router="velocity",
+                fault_injector=FaultInjector({1: 150, 2: 400, 0: 700}),
+            )
+
+        scalar, batched = build("scalar"), build("batched")
+        # Sets on both sides of the size below which every row is walked.
+        sizes = sorted(map(len, sets))
+        assert sizes[0] < batched._COLUMNS_MIN_SET <= sizes[-1]
+        want, got = [], []
+        for step, ops in enumerate(sets):
+            if step == len(sets) // 3:
+                for service in (scalar, batched):
+                    service.kill_shard(3)
+            if step == 2 * len(sets) // 3:
+                for service in (scalar, batched):
+                    for shard in service.down_shards():
+                        service.recover_shard(shard)
+            want += apply_scalar(scalar, ops)
+            got += batched.apply_batch(ops)
+        assert [(type(o), str(o)) for o in got] == [
+            (type(o), str(o)) for o in want
+        ]
+        kinds = set(map(type, want))
+        assert {InvalidMotionError, ObjectNotFoundError,
+                ShardUnavailableError} <= kinds
+        faults = scalar._injector.snapshot()
+        assert sorted(faults["crashed_shards"]) == [0, 1, 2]
+        assert batched._injector.snapshot()["ops_per_shard"] == (
+            faults["ops_per_shard"]
+        )
+        assert batched.down_shards() == scalar.down_shards()
+        assert batched._owner == scalar._owner
+        assert batched._catalog_motion == scalar._catalog_motion
+        assert wal_tails(batched) == wal_tails(scalar)
+        assert [db.motion_snapshot() for db in batched._shards] == [
+            db.motion_snapshot() for db in scalar._shards
+        ]
+        scalar.close()
+        batched.close()
+
+    @pytest.mark.chaos
+    def test_a_deregister_skips_a_replica_its_copy_never_reached(
+        self, tmp_path
+    ):
+        """Staging skips a delete on a shard that holds no copy — a
+        copy whose write never landed there — before its guard, in a
+        batch's column pass as in the walked plan.  Replica 1 of group
+        ``{0, 1}`` misses the registers while down and is brought back
+        without reconciliation; deregistering the objects then writes
+        what the scalar loop writes, and nothing reaches shard 1."""
+        def build(name):
+            return make_ft(tmp_path / name, shards=3, replication=2)
+
+        scalar, batched = build("scalar"), build("batched")
+        registers = [RegisterOp(oid, 4.0 * oid, 1.0, 0.0)
+                     for oid in range(240)]
+        for service in (scalar, batched):
+            assert not any(service.apply_batch(registers[:120]))
+            service.kill_shard(1)
+            assert not any(service.apply_batch(registers[120:]))
+            service._nodes[1].mark_up()
+        missed = [oid for oid in range(120, 240) if scalar.shard_of(oid) == 0]
+        assert missed and not any(oid in scalar._shards[1] for oid in missed)
+        deregisters = [DeregisterOp(oid) for oid in range(0, 240, 2)]
+        assert len(deregisters) >= batched._COLUMNS_MIN_SET
+        want = apply_scalar(scalar, deregisters)
+        got = batched.apply_batch(deregisters)
+        assert got == want == [None] * len(deregisters)
+        assert wal_tails(batched) == wal_tails(scalar)
+        assert [db.motion_snapshot() for db in batched._shards] == [
+            db.motion_snapshot() for db in scalar._shards
+        ]
+        scalar.close()
+        batched.close()
 
     @pytest.mark.chaos
     @pytest.mark.parametrize(
