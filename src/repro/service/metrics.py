@@ -97,9 +97,11 @@ class OperationMetrics:
         self.writes = Counter(lock)
         self.buffer_hits = Counter(lock)
 
-    def record(self, latency_s: float, io: IOSnapshot) -> None:
+    def record(self, latency_s: Optional[float], io: IOSnapshot) -> None:
+        """Book one call: its latency (``None``: no sample) and I/O."""
         self.calls.increment()
-        self.latency_ms.record(latency_s * 1000.0)
+        if latency_s is not None:
+            self.latency_ms.record(latency_s * 1000.0)
         self.io_per_op.record(float(io.total))
         self.reads.increment(io.reads)
         self.writes.increment(io.writes)
@@ -174,8 +176,8 @@ class MetricsRegistry:
         return counter
 
     def record_shard_io(self, shard: int, name: str, io: IOSnapshot) -> None:
-        """Book one shard's share of an operation (zero latency)."""
-        self.shard_operation(shard, name).record(0.0, io)
+        """Book one shard's share of an operation: calls and I/O only."""
+        self.shard_operation(shard, name).record(None, io)
 
     def record_shard_latency(
         self, shard: int, name: str, latency_s: float
@@ -183,12 +185,10 @@ class MetricsRegistry:
         """Book one shard's compute latency for an operation.
 
         The inverse of :meth:`record_shard_io` (which books a real I/O
-        delta with latency 0.0): this books a real latency sample and
-        touches neither I/O histogram.  Use a dedicated operation name
-        (the parallel tier uses ``"query_batch.compute"``) so the
-        zero-latency I/O samples of the main span never poison these
-        percentiles — they are what the latency-skew rebalance
-        detector reads.
+        delta and no latency): this books a real latency sample and
+        touches no I/O counter.  Use a dedicated operation name (the
+        batch read path uses ``"query_batch.compute"``): these
+        percentiles are what the latency-skew rebalance detector reads.
         """
         metrics = self.shard_operation(shard, name)
         metrics.calls.increment()

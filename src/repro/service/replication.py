@@ -422,7 +422,7 @@ class FaultTolerantMotionService(ShardedMotionService):
                 f"{list(unavailable)} are unavailable; returning a "
                 f"partial result"
             ),
-            stacklevel=3,
+            stacklevel=4,
         )
         return PartialResult(value=value, unavailable_shards=unavailable)
 

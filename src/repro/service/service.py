@@ -8,8 +8,7 @@ buffers), updates route to the owning shard under its lock, and
 queries fan out and merge:
 
 * ``within`` / ``snapshot_at`` / ``query_past`` — per-shard answers
-  are disjoint (an object lives on exactly one shard), so the merge is
-  a set union;
+  union (an object's copies on its replicas collapse);
 * ``nearest`` — each shard reports its own exact top-``k``; the
   candidates are re-ranked globally by ``(distance, oid)`` and cut to
   ``k``.  Ties at equal distance break toward the smaller object id,
@@ -32,7 +31,12 @@ proceed in parallel with writers of others.  The paper's
 time-moves-forward discipline holds per shard: each shard's ``now``
 only advances.
 
-Every write is a write set — a batch, or a scalar verb's one op —
+Every read is a query set — a :meth:`~ShardedMotionService.
+query_batch`, or a scalar read verb's one op — answered by one
+function, :meth:`ShardedMotionService._answer_set`: a verb's set is
+never cached or pooled and pages each shard through the engine's verb
+of the same name; a batch uses the cache, the pool and the column
+kernels.  Every write is a write set — a batch, or a scalar verb's one op —
 staged, applied and committed by one function,
 :meth:`ShardedMotionService._apply_set`.  A batch's plain rows (a new
 object's register, a report that stays in its replica group, a
@@ -41,14 +45,14 @@ pass; every other op is placed by one function,
 :meth:`ShardedMotionService._plan_write`.  Every verb is written once,
 here, against three seams whose forms in this class are trivial:
 ``replica_group`` (an object lives on its primary only), the guarded
-shard access ``_guard`` / ``_guard_run`` / ``_touch`` /
+shard access ``_guard`` / ``_guard_run`` / ``_answerable`` /
 ``_apply_sub_batch`` / ``_stale`` (admit everything, call the
 database, record the I/O; every shard takes every write), and the
 ``_log`` / ``_degrade`` pair (no log; answers are always complete).
 Every shard access passes through ``_guard`` — a run of plain rows on
 one shard through ``_guard_run``, which counts as that many ``_guard``
-calls — so a write set under faults runs the same plan as a healthy
-one, minus the shards the guard refused.  This class is the
+calls — so a write set or a query set under faults runs the same
+plan as a healthy one, minus the shards the guard refused.  This class is the
 ``replication = 1``, no-log, no-fault-guard case of
 :class:`~repro.service.replication.FaultTolerantMotionService`, which
 overrides exactly those seams.
@@ -193,6 +197,18 @@ def _apply_op(db: MotionDatabase, op: WriteOp) -> None:
         db.deregister(op.oid)
 
 
+class _Past(Within):
+    """:meth:`ShardedMotionService.query_past`'s op: no batch kernel
+    reads history, so ``query_batch`` does not take it."""
+
+
+#: Read-op class → the scalar verb answering it: the metrics span, the
+#: guard name of a one-op set's shard accesses, the name a degraded
+#: answer's warning carries.  The engine's paged verb of the same name
+#: takes the op's fields, in order, as its arguments.
+_READ_VERBS: Dict[type, str] = {**QUERY_VERBS, _Past: "query_past"}
+
+
 def _merge_nearest(
     parts: Iterable[List[Tuple[int, float]]], k: int
 ) -> List[Tuple[int, float]]:
@@ -237,9 +253,9 @@ class ShardedMotionService:
         dispatch either way).
     """
 
-    #: A batch with fewer ops, or fewer plain rows, walks every row
-    #: through :meth:`_plan_write`: below it the column pass's fixed
-    #: cost (a few dozen numpy calls) exceeds the per-op plans it saves.
+    #: A batch with fewer ops walks every row through
+    #: :meth:`_plan_write`: below it the column pass's fixed cost (a few
+    #: dozen numpy calls) exceeds the per-op plans it saves.
     #: Measured by ``benchmarks/plan_breakeven.py`` (ratios; re-measure
     #: before moving it).  A one-op set always walks.
     _COLUMNS_MIN_SET = 40
@@ -316,6 +332,8 @@ class ShardedMotionService:
         ]
         self._locks = [threading.RLock() for _ in range(shards)]
         self._groups: Dict[int, Tuple[int, ...]] = {}
+        #: ``(owner, target)`` → the shards a move keeps, enters, leaves.
+        self._moves: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
         #: ``_members[shard, p]``: whether primary ``p``'s replica group
         #: holds ``shard`` (built on first use, from :meth:`_group`).
         self._members: Optional[np.ndarray] = None
@@ -505,24 +523,6 @@ class ShardedMotionService:
         access.  In this class every one is admitted."""
         return n
 
-    def _touch(
-        self,
-        shard: int,
-        op_name: str,
-        fn: Callable[[MotionDatabase], object],
-        span,
-    ) -> object:
-        """One guarded shard access (caller holds its lock):
-        :meth:`_guard`, then ``fn(db)`` plus the I/O span.
-        Application-level rejections propagate unchanged.
-        """
-        self._guard(shard, op_name)
-        db = self._shards[shard]
-        before = db.io_snapshot()
-        value = fn(db)
-        span.add_shard_io(shard, db.io_delta_since(before))
-        return value
-
     def _apply_sub_batch(
         self,
         shard: int,
@@ -668,13 +668,18 @@ class ShardedMotionService:
             target = owner
         if owner is None or target == owner:
             return ((self._group(target), op),), (), target
-        new, old = set(self._group(target)), set(self._group(owner))
+        move = self._moves.get((owner, target))
+        if move is None:
+            new, old = set(self._group(target)), set(self._group(owner))
+            move = self._moves[owner, target] = tuple(
+                tuple(sorted(shards))
+                for shards in (old & new, new - old, old - new)
+            )
+        keep, enter, leave = move
         steps = (
-            (tuple(sorted(old & new)), op),
-            (tuple(sorted(new - old)), RegisterOp(oid, op.y0, op.v, op.t0)),
+            (keep, op), (enter, RegisterOp(oid, op.y0, op.v, op.t0)),
         )
-        cleanup = ((tuple(sorted(old - new)), DeregisterOp(oid)),)
-        return steps, cleanup, target
+        return steps, ((leave, DeregisterOp(oid)),), target
 
     def _write(self, op: WriteOp) -> None:
         """A scalar verb: the one-op write set ``op``, staged and
@@ -711,13 +716,14 @@ class ShardedMotionService:
             for shard in group:
                 with self._locks[shard]:
                     try:
-                        return self._touch(
-                            shard, "location_of",
-                            lambda db: db.location_of(oid, t),
-                            span,
-                        )
+                        self._guard(shard, "location_of")
                     except ShardUnavailableError:
                         continue
+                    db = self._shards[shard]
+                    before = db.io_snapshot()
+                    location = db.location_of(oid, t)
+                    span.add_shard_io(shard, db.io_delta_since(before))
+                    return location
             raise ShardUnavailableError(
                 f"object {oid}: no live replica in group {group}"
             )
@@ -783,8 +789,8 @@ class ShardedMotionService:
         the refused ones and the cross-group moves are walked through
         :meth:`_plan_write` in submission order, merged into their
         shards' rows by row number.  A batch with fewer than
-        :data:`_COLUMNS_MIN_SET` ops, or plain ops, walks every op: there
-        the column pass costs more than it saves.  A shard takes its
+        :data:`_COLUMNS_MIN_SET` ops walks every op: there the column
+        pass costs more than it saves.  A shard takes its
         sub-ops as the batch's own rows.
         """
         with self.metrics.span("apply_batch") as span:
@@ -971,7 +977,7 @@ class ShardedMotionService:
         rejections and commits nothing.  ``None``, with nothing staged,
         if a plan names a shard outside ``held``.
 
-        A batch with at least :data:`_COLUMNS_MIN_SET` plain rows is
+        A batch with at least :data:`_COLUMNS_MIN_SET` ops is
         planned as columns first (:meth:`_plain_rows`): its admission
         mask, route vector and owner column decide every *plain* row —
         a new object's admitted register, an admitted report that stays
@@ -1019,13 +1025,12 @@ class ShardedMotionService:
             targets = self.router.route_many(batch.oid, batch.v).astype(
                 np.int64
             )
-            columns = None
-            if n >= self._COLUMNS_MIN_SET:
-                columns = self._plain_rows(batch, admitted, targets, repeated)
-            if columns is None:
+            if n < self._COLUMNS_MIN_SET:
                 walked = range(n)
             else:
-                plain, primary, runs = columns
+                plain, primary, runs = self._plain_rows(
+                    batch, admitted, targets, repeated
+                )
                 walked = np.flatnonzero(~plain)
                 admitted, targets = admitted[walked], targets[walked]
                 # bounds[shard][j]: how many of the shard's plain rows
@@ -1043,18 +1048,20 @@ class ShardedMotionService:
         acked: List[int] = []
         guard, shards, owner_of = self._guard, self._shards, self._owner.get
         cursor = dict.fromkeys(runs, 0)
-        taken: Dict[int, List[np.ndarray]] = {shard: [] for shard in runs}
+        # Per shard, the spans of its plain rows the guard refused.
+        refused: Dict[int, List[Tuple[int, int]]] = {}
 
         def flush(shard: int, stop: int) -> None:
             """Admit ``shard``'s plain rows up to its ``stop``-th."""
             start = cursor[shard]
             if stop > start:
-                part = runs[shard][start:stop]
-                got = self._guard_run(
+                rows = runs[shard]
+                got = start + self._guard_run(
                     shard, stop - start,
-                    lambda j: _VERBS[type(ops[int(part[j])])],
+                    lambda j: _VERBS[type(ops[int(rows[start + j])])],
                 )
-                taken[shard].append(part[:got])
+                if got < stop:
+                    refused.setdefault(shard, []).append((got, stop))
                 cursor[shard] = stop
 
         def admit(
@@ -1068,7 +1075,7 @@ class ShardedMotionService:
                 (shard, sub_op.oid), sub_op.oid in shards[shard]
             ):
                 return False  # copy never landed here
-            if shard in runs:
+            if shard in runs and bounds[shard][at] > cursor[shard]:
                 flush(shard, bounds[shard][at])
             try:
                 guard(shard, name)
@@ -1129,8 +1136,11 @@ class ShardedMotionService:
         landed = np.zeros(n, dtype=bool)
         for shard, rows in sorted(runs.items()):
             flush(shard, len(rows))
-            part = taken[shard]
-            rows = part[0] if len(part) == 1 else np.concatenate(part)
+            if shard in refused:
+                keep = np.ones(len(rows), dtype=bool)
+                for start, stop in refused[shard]:
+                    keep[start:stop] = False
+                rows = rows[keep]
             if len(rows):
                 landed[rows] = True
                 staged[shard] = (rows, None, [])
@@ -1159,15 +1169,15 @@ class ShardedMotionService:
         admitted: np.ndarray,
         route: np.ndarray,
         repeated: Set[int],
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]]:
+    ) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
         """The column pass of a batch's plan: which rows are plain, each
         row's primary (its route for a register, its owner otherwise;
         read only for a plain row), and per shard the plain rows it
         must take, ascending — the rows whose primary's replica group
         holds the shard, less the deregisters of an object the shard
-        has no copy of (one that never landed there).  ``None`` when
-        fewer than :data:`_COLUMNS_MIN_SET` rows are plain: the pass
-        saves too few per-op plans to pay for the walk it splits."""
+        has no copy of (one that never landed there).  However few the
+        plain rows, the set keeps them: the pass is paid for, and the
+        walk plans only the rest."""
         n, keys = len(batch), batch.keys
         kind = batch.kind
         inserting, deleting = kind == _INSERT, kind == _DELETE
@@ -1185,8 +1195,6 @@ class ShardedMotionService:
         if repeated:
             plain &= ~np.fromiter(map(repeated.__contains__, keys), bool, n)
         candidates = np.flatnonzero(plain)
-        if len(candidates) < self._COLUMNS_MIN_SET:
-            return None
         primary = np.where(inserting, route, owner)
         if self._members is None:
             k = self.shard_count
@@ -1285,55 +1293,21 @@ class ShardedMotionService:
 
     # -- queries ----------------------------------------------------------------
 
-    def _fanout(
-        self, name: str, fn: Callable[[MotionDatabase], object], span
-    ) -> Dict[int, object]:
-        """Each answerable shard's ``fn(db)``, one shard lock at a
-        time, keyed by shard in ascending order."""
-        parts: Dict[int, object] = {}
-        for shard in range(self.shard_count):
-            if not self._answerable(shard):
-                continue
-            with self._locks[shard]:
-                try:
-                    parts[shard] = self._touch(shard, name, fn, span)
-                except ShardUnavailableError:
-                    continue
-        return parts
-
-    def _fanout_union(self, name: str, fn, span) -> Tuple[Set, Set[int]]:
-        """A per-shard set query unioned over every answerable shard
-        (an object's copies collapse in the union), and who answered."""
-        parts = self._fanout(name, fn, span)
-        return set().union(*parts.values()), set(parts)
-
     def within(
         self, y1: float, y2: float, t1: float, t2: float
     ) -> Set[int]:
         """MOR query, fanned out; per-shard answers union."""
-        with self.metrics.span("within") as span:
-            result, answered = self._fanout_union(
-                "within", lambda db: db.within(y1, y2, t1, t2), span
-            )
-            return self._degrade("within", result, answered)
+        return self._answer_set("within", (Within(y1, y2, t1, t2),))[0]
 
     def snapshot_at(self, y1: float, y2: float, t: float) -> Set[int]:
         """Instant query, fanned out and unioned."""
-        with self.metrics.span("snapshot_at") as span:
-            result, answered = self._fanout_union(
-                "snapshot_at", lambda db: db.snapshot_at(y1, y2, t), span
-            )
-            return self._degrade("snapshot_at", result, answered)
+        return self._answer_set("snapshot_at", (SnapshotAt(y1, y2, t),))[0]
 
     def query_past(
         self, y1: float, y2: float, t1: float, t2: float
     ) -> Set[int]:
         """Historical MOR query (requires ``keep_history=True``)."""
-        with self.metrics.span("query_past") as span:
-            result, answered = self._fanout_union(
-                "query_past", lambda db: db.query_past(y1, y2, t1, t2), span
-            )
-            return self._degrade("query_past", result, answered)
+        return self._answer_set("query_past", (_Past(y1, y2, t1, t2),))[0]
 
     def nearest(
         self, y: float, t: float, k: int = 1
@@ -1346,12 +1320,7 @@ class ShardedMotionService:
         merge is keyed by oid: an object resident on several shards
         (its replicas) contributes one candidate, not several.
         """
-        with self.metrics.span("nearest") as span:
-            parts = self._fanout(
-                "nearest", lambda db: db.nearest(y, t, k), span
-            )
-            ranked = _merge_nearest(parts.values(), k)
-            return self._degrade("nearest", ranked, set(parts))
+        return self._answer_set("nearest", (Nearest(y, t, k),))[0]
 
     def proximity_pairs(
         self, d: float, t1: float, t2: float
@@ -1367,24 +1336,20 @@ class ShardedMotionService:
         exchange: an object resident on two shards (a replica) would
         otherwise pair with its own copy.
         """
-        with self.metrics.span("proximity_pairs") as span:
-            pairs, answered = self._proximity_join(d, t1, t2, span)
-            return self._degrade("proximity_pairs", pairs, answered)
+        return self._answer_set(
+            "proximity_pairs", (ProximityPairs(d, t1, t2),)
+        )[0]
 
     def _proximity_join(
-        self, d: float, t1: float, t2: float, span
+        self, op: ProximityPairs, live: List[int], span
     ) -> Tuple[Set[Tuple[int, int]], Set[int]]:
-        """:meth:`proximity_pairs` before degradation, booked on the
-        caller's ``span``: the pairs among the shards that answered,
-        and who answered."""
-        candidates = [
-            shard
-            for shard in range(self.shard_count)
-            if self._answerable(shard)
-        ]
-        with self._holding(candidates):
+        """:meth:`proximity_pairs`' join over the ``live`` shards, all
+        locked throughout, booked on ``span``: the pairs among the
+        shards that answered, and who answered."""
+        d, t1, t2 = op.d, op.t1, op.t2
+        with self._holding(live):
             answered: List[int] = []
-            for shard in candidates:
+            for shard in live:
                 try:
                     # The fault gate for this shard's whole share of
                     # the join (self-join + exchanges below).
@@ -1411,21 +1376,20 @@ class ShardedMotionService:
                     }
         return pairs, set(answered)
 
-    # -- batch queries ----------------------------------------------------------
-
     def query_batch(self, ops: Sequence[QueryOp]) -> List:
         """Answer a batch of read operations with one fan-out per shard.
 
         Accepts the :mod:`repro.vector.ops` vocabulary and returns one
         result per operation, in order, identical to calling the
         scalar methods one by one (the batch API changes throughput,
-        not semantics).  The win over the scalar loop is twofold:
+        not semantics).  A scalar read verb is a one-op set of the
+        same plan (:meth:`_answer_set`); what a batch adds is twofold:
 
         * each shard is visited **once per batch** — the whole batch
           is pushed down as one
           :meth:`MotionDatabase.query_batch` kernel invocation under
-          the shard lock, instead of one lock/query round-trip per
-          query per shard;
+          the shard lock, or one worker-pool task, where a verb calls
+          the engine's paged verb;
         * answers are memoized in :class:`QueryResultCache` (keyed on
           the query, invalidated by writes), so
           repeated queries inside and across batches skip the shards
@@ -1439,26 +1403,34 @@ class ShardedMotionService:
         on entry (:meth:`_answerable`) are the candidates,
         :meth:`_guard` may refuse some of them, and the lanes that
         answered are merged — each answer missing a shard goes through
-        :meth:`_degrade`, as the scalar verb's would.  The cache only
+        :meth:`_degrade`, as the scalar verb's does.  The cache only
         ever holds complete answers: a batch that starts with a shard
         unanswerable neither reads nor writes it, and an answer some
         shard did not contribute to is never stored.
 
-        Metrics caveat: the pushed-down batch is answered by
-        in-memory kernels over the object table, which never touch the
-        simulated disk pages, so the ``query_batch`` span's per-shard
-        I/O is near zero by construction.  It is **not comparable** to
-        the scalar operations' ``shard_io`` — use wall-clock throughput
-        (``read_qps`` / ``scalar_qps`` in ``benchmarks/perf``) to
-        compare the two legs, not I/O counts.
+        The kernels read no simulated pages, so the batch's I/O is near
+        zero and **not comparable** to a verb's (see
+        :meth:`service_stats`); compare the two legs by wall-clock
+        (``read_qps`` / ``scalar_qps`` in ``benchmarks/perf``).
         """
-        with self.metrics.span("query_batch") as span:
-            for op in ops:
-                if type(op) not in QUERY_VERBS:
-                    raise TypeError(f"unknown query operation {op!r}")
+        return self._answer_set("query_batch", ops)
+
+    def _answer_set(self, name: str, ops: Sequence) -> List:
+        """Answer one query set in the metrics span ``name``: a batch, or
+        a scalar read verb's one op (``per_op``, the one switch, read
+        here).  A one-op set is never cached and never pooled; a batch
+        checks its vocabulary and computes only its distinct cache
+        misses.  An answer some shard did not contribute to goes
+        through :meth:`_degrade` under its verb's name."""
+        per_op = name != "query_batch"
+        with self.metrics.span(name) as span:
+            if not per_op:
+                for op in ops:
+                    if type(op) not in QUERY_VERBS:
+                        raise TypeError(f"unknown query operation {op!r}")
             k = self.shard_count
             live = [s for s in range(k) if self._answerable(s)]
-            cache = self.query_cache if len(live) == k else None
+            cache = None if per_op or len(live) < k else self.query_cache
             results: List = [None] * len(ops)
             misses: "Dict[QueryOp, List[int]]" = {}
             for i, op in enumerate(ops):
@@ -1476,7 +1448,9 @@ class ShardedMotionService:
                 # the writes since this point against each computed
                 # answer and drops the ones they could have changed.
                 generation = cache.generation() if cache is not None else 0
-                computed, answered = self._compute_batch(pending, live, span)
+                computed, answered = self._compute_batch(
+                    pending, live, span, per_op
+                )
                 for op, value, who in zip(pending, computed, answered):
                     complete = len(who) == k
                     if cache is not None and complete:
@@ -1486,23 +1460,10 @@ class ShardedMotionService:
                         answer = copy_result(value) if n else value
                         if not complete:
                             answer = self._degrade(
-                                QUERY_VERBS[type(op)], answer, who
+                                _READ_VERBS[type(op)], answer, who
                             )
                         results[slot] = answer
             return results
-
-    def _inline_shard_answers(self, s: int, batch: List[QueryOp], span) -> List:
-        """One shard's sub-batch on the in-process path (under its lock)."""
-        shard = self._shards[s]
-        with self._locks[s]:
-            before = shard.io_snapshot()
-            start = time.perf_counter()
-            answers = shard.query_batch(batch)
-            self.metrics.record_shard_latency(
-                s, "query_batch.compute", time.perf_counter() - start
-            )
-            span.add_shard_io(s, shard.io_delta_since(before))
-        return answers
 
     def _handle_worker_death(self, shards: List[int]) -> bool:
         """Policy hook for pool-worker failure.
@@ -1521,69 +1482,94 @@ class ShardedMotionService:
         return True
 
     def _per_shard_answers(
-        self, batch: List[QueryOp], live: List[int], span
+        self, batch: List, live: List[int], span, per_op: bool
     ) -> Dict[int, List]:
         """The answers to ``batch`` of each ``live`` shard that
-        :meth:`_guard` admits, keyed by shard: pooled when possible.
+        :meth:`_guard` admits, keyed by shard.
 
-        With a worker pool, every admitted shard whose table is a
-        shared segment is dispatched as one pool task (the worker
-        snapshots the segment under its seqlock and runs the same
-        ``evaluate_arrays`` dispatch as the inline leg); the rest —
-        and any lane lost to a worker death, when
-        :meth:`_handle_worker_death` says so — are computed inline
-        under the shard lock.  A refused shard, or a lost lane the
-        policy leaves, is simply absent.
+        In-process, each shard is guarded and answered under its lock,
+        its I/O booked on ``span``: a one-op set's op (``per_op``) by
+        the engine's paged verb of the same name, its fields the
+        arguments, guarded under that name; a batch by one
+        :meth:`MotionDatabase.query_batch`, guarded as ``query_batch``,
+        its kernel time booked as ``query_batch.compute``.  A batch on
+        a worker pool guards every ``live`` shard first and sends each
+        admitted one with a shared segment as one pool task (the same
+        ``evaluate_arrays`` dispatch, over a seqlock snapshot); what
+        the pool did not answer — no segment, or a lane lost to a
+        worker death that :meth:`_handle_worker_death` recomputes — is
+        answered in-process.  A refused shard is absent.
         """
-        admitted = []
-        for s in live:
-            try:
-                self._guard(s, "query_batch")
-            except ShardUnavailableError:
-                continue
-            admitted.append(s)
+        name = _READ_VERBS[type(batch[0])] if per_op else "query_batch"
+        pooled = not per_op and self._pool is not None
         answers: Dict[int, List] = {}
-        tasks = []
-        if self._pool is not None:
-            for s in admitted:
-                name = getattr(
-                    self._shards[s].columns, "segment_name", None
-                )
-                if name is not None:
-                    tasks.append((s, name, batch))
-        if tasks:
-            self.metrics.counter("parallel_tasks").increment(len(tasks))
-            try:
-                answers, elapsed = self._pool.query_shards(tasks)
-            except WorkerCrashError as exc:
-                answers, elapsed = exc.partial, {}
-                if not self._handle_worker_death(exc.shards):
-                    admitted = [s for s in admitted if s not in exc.shards]
-            for s, seconds in elapsed.items():
-                self.metrics.record_shard_latency(
-                    s, "query_batch.compute", seconds
-                )
-        for s in admitted:
-            if s not in answers:
-                answers[s] = self._inline_shard_answers(s, batch, span)
+        lanes = live
+        if pooled:
+            lanes = []
+            for s in live:
+                try:
+                    self._guard(s, name)
+                except ShardUnavailableError:
+                    continue
+                lanes.append(s)
+            tasks = []
+            for s in lanes:
+                segment = getattr(self._shards[s].columns, "segment_name",
+                                  None)
+                if segment is not None:
+                    tasks.append((s, segment, batch))
+            if tasks:
+                self.metrics.counter("parallel_tasks").increment(len(tasks))
+                try:
+                    answers, elapsed = self._pool.query_shards(tasks)
+                except WorkerCrashError as exc:
+                    answers, elapsed = exc.partial, {}
+                    if not self._handle_worker_death(exc.shards):
+                        lanes = [s for s in lanes if s not in exc.shards]
+                for s, seconds in elapsed.items():
+                    self.metrics.record_shard_latency(
+                        s, "query_batch.compute", seconds
+                    )
+        for s in lanes:
+            if s in answers:
+                continue
+            with self._locks[s]:
+                if not pooled:
+                    try:
+                        self._guard(s, name)
+                    except ShardUnavailableError:
+                        continue
+                db = self._shards[s]
+                before = db.io_snapshot()
+                if per_op:
+                    op, = batch
+                    answers[s] = [getattr(db, name)(*vars(op).values())]
+                else:
+                    start = time.perf_counter()
+                    answers[s] = db.query_batch(batch)
+                    self.metrics.record_shard_latency(
+                        s, "query_batch.compute", time.perf_counter() - start
+                    )
+                span.add_shard_io(s, db.io_delta_since(before))
         return answers
 
     def _compute_batch(
-        self, ops: List[QueryOp], live: List[int], span
+        self, ops: List, live: List[int], span, per_op: bool
     ) -> Tuple[List, List[Set[int]]]:
-        """Evaluate cache-missed operations over the ``live`` shards:
-        shard push-down + merge of the lanes that answered.  Returns
-        the merged answers and, parallel to them, who answered each."""
+        """Evaluate a set's distinct uncached ops over the ``live``
+        shards — shard answers merged by union (:func:`_merge_nearest`
+        for a ``Nearest``), a ``ProximityPairs`` by
+        :meth:`_proximity_join` — and who answered each."""
         results: List = [None] * len(ops)
         answered: List[Set[int]] = [set()] * len(ops)
         shardable = [
             (i, op)
             for i, op in enumerate(ops)
-            if isinstance(op, (Within, SnapshotAt, Nearest))
+            if type(op) is not ProximityPairs
         ]
         if shardable:
             batch = [op for _, op in shardable]
-            per_shard = self._per_shard_answers(batch, live, span)
+            per_shard = self._per_shard_answers(batch, live, span, per_op)
             who = set(per_shard)
             for j, (slot, op) in enumerate(shardable):
                 if isinstance(op, Nearest):
@@ -1597,10 +1583,8 @@ class ShardedMotionService:
                     results[slot] = merged
                 answered[slot] = who
         for i, op in enumerate(ops):
-            if isinstance(op, ProximityPairs):
-                results[i], answered[i] = self._proximity_join(
-                    op.d, op.t1, op.t2, span
-                )
+            if type(op) is ProximityPairs:
+                results[i], answered[i] = self._proximity_join(op, live, span)
         return results, answered
 
     # -- accounting -------------------------------------------------------------
@@ -1657,9 +1641,11 @@ class ShardedMotionService:
               ],
             }
 
-        Note that the ``query_batch`` row's ``shard_io`` reflects the
-        columnar fast path (no simulated index I/O), so it does not
-        compare against the scalar rows' I/O; see :meth:`query_batch`.
+        A ``metrics["shards"][i]`` row books shard ``i``'s calls and page
+        I/O, and latency only under ``query_batch.compute`` (a batch's
+        kernel time there).  The scalar read verbs' rows hold the
+        paper's page counts; the ``query_batch`` rows reflect the column
+        kernels (no simulated index I/O) and do not compare with them.
         """
         shard_state = []
         for i, shard in enumerate(self._shards):

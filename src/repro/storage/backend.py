@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import SimulatedCrashError
 from repro.storage.checkpoint import CheckpointStore
 from repro.storage.log import DurableLog, FsyncPolicy
 
@@ -130,7 +131,11 @@ class FileWALBackend:
         pair, which answers identically.
         """
         self._log.sync()
-        new_segment = self._store.write(payload)
+        try:
+            new_segment = self._store.write(payload)
+        except SimulatedCrashError:
+            self._log.close()  # dies with the process (synced above)
+            raise
         self._log.close()
         self._log = self._open_segment(new_segment)
 

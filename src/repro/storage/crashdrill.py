@@ -232,8 +232,7 @@ def run_drill(directory: Optional[str], fsync: str, shards: int,
     # differential check see "recovered but never attempted" ghosts.
     for line in child.stdout:
         lines.append(line)
-    stderr = child.stderr.read()
-    child.wait()
+    stderr = child.communicate()[1]  # waits, and closes both pipes
     if acks < kill_after_acks:
         print(f"crashdrill: child died early after {acks} ACKs",
               file=sys.stderr)

@@ -231,7 +231,9 @@ def test_mid_record_crash_with_explicit_prefix(tmp_path):
     with pytest.raises(SimulatedCrashError):
         log.append(b"never-lands")
     assert os.path.getsize(path) == 0
-    assert DurableLog(path).recovered_payloads == []
+    reopened = DurableLog(path)
+    assert reopened.recovered_payloads == []
+    reopened.close()
 
 
 def test_pre_fsync_crash_with_page_cache_loss(tmp_path):

@@ -142,6 +142,14 @@ def apply_batched(service, stream, batch_size):
     return outcomes
 
 
+def batch_sizes(own):
+    """A wall's batch-size axis: its own size, below the column cut,
+    and two above it, so its stream also reaches the column plan."""
+    above = (64, 200)
+    assert own < ShardedMotionService._COLUMNS_MIN_SET <= min(above)
+    return (own,) + above
+
+
 def probe_queries():
     queries = []
     for y1 in (0.0, 200.0, 450.0, 700.0):
@@ -178,10 +186,13 @@ class TestBatchedEqualsScalar:
     def test_sharded_service_across_seeds_and_shards(self, seed, shards):
         stream = build_stream(random.Random(seed), n=80)
         scalar = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=shards)
-        batched = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=shards)
         want = apply_scalar(scalar, stream)
-        got = apply_batched(batched, stream, batch_size=37)
-        assert_twins_agree(scalar, batched, want, got)
+        for batch_size in batch_sizes(37):
+            batched = ShardedMotionService(
+                Y_MAX, V_MIN, V_MAX, shards=shards
+            )
+            got = apply_batched(batched, stream, batch_size=batch_size)
+            assert_twins_agree(scalar, batched, want, got)
 
     @pytest.mark.parametrize("router", ["hash", "velocity"])
     @pytest.mark.parametrize("seed", [4, 23])
@@ -337,23 +348,24 @@ class TestWALStreams:
         record, and both directories recover to the same population."""
         stream = build_stream(random.Random(8), n=50)
         scalar = make_ft(tmp_path / "scalar", replication=replication)
-        batched = make_ft(tmp_path / "batched", replication=replication)
         want = apply_scalar(scalar, stream)
-        got = apply_batched(batched, stream, batch_size=23)
-        assert_twins_agree(scalar, batched, want, got)
-        assert wal_tails(batched) == wal_tails(scalar)
+        names = [f"batched-{size}" for size in batch_sizes(23)]
+        for name, batch_size in zip(names, batch_sizes(23)):
+            batched = make_ft(tmp_path / name, replication=replication)
+            got = apply_batched(batched, stream, batch_size=batch_size)
+            assert_twins_agree(scalar, batched, want, got)
+            assert wal_tails(batched) == wal_tails(scalar)
+            batched.close()
         scalar.close()
-        batched.close()
-        scalar_restored = make_ft(tmp_path / "scalar",
-                                  replication=replication)
-        batched_restored = make_ft(tmp_path / "batched",
-                                   replication=replication)
-        scalar_restored.restore_from_disk()
-        batched_restored.restore_from_disk()
-        assert (batched_restored.motion_snapshot()
-                == scalar_restored.motion_snapshot())
-        scalar_restored.close()
-        batched_restored.close()
+        restored = []
+        for name in ["scalar"] + names:
+            service = make_ft(tmp_path / name, replication=replication)
+            service.restore_from_disk()
+            restored.append(service)
+        for service in restored[1:]:
+            assert service.motion_snapshot() == restored[0].motion_snapshot()
+        for service in restored:
+            service.close()
 
     @pytest.mark.parametrize("fsync", ["never", "batch:8"])
     def test_one_fsync_per_shard_per_batch(self, tmp_path, fsync):
@@ -680,35 +692,41 @@ class TestWriteBatchChaos:
             return [db.motion_snapshot() for db in service._shards]
 
         scalar = build("scalar", tmp_path, injector())
-        batched = build("batched", tmp_path, injector())
         want = apply_scalar(scalar, stream)
-        got = apply_batched(batched, stream, batch_size=16)
-        assert [(type(o), str(o)) for o in got] == [
-            (type(o), str(o)) for o in want
-        ]
         assert ShardUnavailableError in map(type, want)
         assert {1, 2} <= set(scalar.down_shards())
-        assert batched.down_shards() == scalar.down_shards()
-        assert batched.motion_snapshot() == scalar.motion_snapshot()
-        assert (batched._injector.snapshot()
-                == scalar._injector.snapshot())
-        assert contents(batched) == contents(scalar)
-        for service in (scalar, batched):
+        names = [f"batched-{size}" for size in batch_sizes(16)]
+        twins = []
+        for name, batch_size in zip(names, batch_sizes(16)):
+            batched = build(name, tmp_path, injector())
+            got = apply_batched(batched, stream, batch_size=batch_size)
+            assert [(type(o), str(o)) for o in got] == [
+                (type(o), str(o)) for o in want
+            ]
+            assert batched.down_shards() == scalar.down_shards()
+            assert batched.motion_snapshot() == scalar.motion_snapshot()
+            assert (batched._injector.snapshot()
+                    == scalar._injector.snapshot())
+            assert contents(batched) == contents(scalar)
+            twins.append(batched)
+        for service in [scalar] + twins:
             for shard in service.down_shards():
                 service.recover_shard(shard)
-        assert batched.down_shards() == []
-        assert contents(batched) == contents(scalar)
-        scalar.close()
-        batched.close()
+        for batched in twins:
+            assert batched.down_shards() == []
+            assert contents(batched) == contents(scalar)
+        for service in [scalar] + twins:
+            service.close()
 
         restored = []
-        for name in ("scalar", "batched"):
+        for name in ["scalar"] + names:
             shutil.copytree(tmp_path / name, tmp_path / "copy" / name)
             service = build(name, tmp_path / "copy", None)
             service.restore_from_disk()
             restored.append(service)
-        assert restored[1].motion_snapshot() == restored[0].motion_snapshot()
-        assert contents(restored[1]) == contents(restored[0])
+        for service in restored[1:]:
+            assert service.motion_snapshot() == restored[0].motion_snapshot()
+            assert contents(service) == contents(restored[0])
         for service in restored:
             service.close()
 
