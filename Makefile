@@ -6,7 +6,7 @@ install:
 	python setup.py develop
 
 # Sanity gate: compile, the tier-1 suite (ROADMAP.md), the soak smoke
-# (both write entry points), the SIGKILL drill and the sixteen
+# (both write entry points), the SIGKILL drill and the eighteen
 # byte-identical paper tables, then the perf ledger's own smoke.  One
 # marker alone is
 # `pytest -m chaos|subscription|batch|durability|soak|rebalance|writebatch|parallel`.
@@ -137,12 +137,13 @@ bench:
 
 # The gate for any change to a paper structure: regenerate the eight
 # tables the R-tree family writes (Figures 6-9 and the TPR, planar,
-# segment-horizon and route ablations), each a .txt plus its
-# BENCH_*.json twin, and fail if any of the sixteen files differs from
-# its committed copy.  About two minutes; part of check.
+# segment-horizon and route ablations) and the forest's bulk-build I/O
+# table, each a .txt plus its BENCH_*.json twin, and fail if any of the
+# eighteen files differs from its committed copy.  About two minutes;
+# part of check.
 PAPER_TABLES = fig6_query_io_10pct fig7_query_io_1pct fig8_space \
 	fig9_update_io ablation_tpr ablation_planar_dynamic \
-	ablation_segment_horizon ablation_routes
+	ablation_segment_horizon ablation_routes ablation_bulk_build
 PAPER_TABLE_FILES = $(foreach table,$(PAPER_TABLES),\
 	benchmarks/results/$(table).txt benchmarks/results/BENCH_$(table).json)
 
@@ -153,7 +154,8 @@ paper-tables:
 		benchmarks/test_fig9_update.py benchmarks/test_ablation_tpr.py \
 		benchmarks/test_ablation_planar_dynamic.py \
 		benchmarks/test_ablation_segment_horizon.py \
-		benchmarks/test_ablation_routes.py
+		benchmarks/test_ablation_routes.py \
+		benchmarks/test_ablation_bulk_build.py
 	git ls-files --error-unmatch $(PAPER_TABLE_FILES) > /dev/null
 	git diff --exit-code -- $(PAPER_TABLE_FILES)
 

@@ -51,13 +51,11 @@ class PackedRecords:
 
     @classmethod
     def from_columns(cls, *fields: np.ndarray) -> "PackedRecords":
-        """The records whose fields are the given arrays, in field
-        order — each copied into an array of its column's type."""
+        """The records whose fields are the given arrays, copied once each."""
         records = cls.__new__(cls)
-        records.columns = tuple(
-            array(code, np.asarray(field, dtype=code).tobytes())
-            for code, field in zip(cls.TYPECODES, fields)
-        )
+        records.columns = tuple(array(code) for code in cls.TYPECODES)
+        for col, field in zip(records.columns, fields):
+            col.frombytes(np.ascontiguousarray(field, col.typecode).view("B"))
         return records
 
     def _views(self) -> Tuple[np.ndarray, ...]:
@@ -68,9 +66,15 @@ class PackedRecords:
         )
 
     def argsort(self) -> np.ndarray:
-        """The stable permutation that sorts the records by key."""
+        """The stable key order: a quicksort on ``k1``, then radix on ``k0``
+        — or ``np.lexsort`` if two ``k1`` compare equal (as ``±0.0`` do) or
+        one is NaN."""
         k0, k1, k2, _ = self._views()
-        return np.lexsort((k2, k1, k0))
+        order = np.argsort(k1)
+        rising = k1[order]
+        if not (rising[1:] > rising[:-1]).all():
+            return np.lexsort((k2, k1, k0))
+        return order[np.argsort(k0[order], kind="stable")]
 
     def take(self, order: Sequence[int]) -> "PackedRecords":
         """The records at ``order``'s positions, in its order."""

@@ -5,18 +5,15 @@ external-memory constructions lean on: run formation reads ``M/B``
 pages at a time and writes sorted runs; multiway merges combine up to
 ``M/B`` runs per pass.  The library uses it for bulk-building B+-trees
 (sorted leaf packing) and it doubles as a reference workload for the
-I/O accounting itself.
-
-``memory_pages`` models the sorting buffer (the paper's methods use
-tiny buffers, but bulk construction is traditionally allowed a real
-one).
+I/O accounting itself.  ``memory_pages`` models the sorting buffer.
 
 The sort moves **blocks** — a list, or a record container that orders
 and gathers itself (``argsort()`` / ``take(order)``,
-:class:`~repro.bptree.packed.PackedRecords`: one ``np.lexsort`` a run):
-a run is one sort call and its pages are slices; a merge plans its
-order up front and then makes the disk calls of a record-at-a-time
-heap merge, in that merge's order (:func:`_merge`, DESIGN.md §5.8).
+:class:`~repro.bptree.packed.PackedRecords`) — and sorts one **once**:
+a run, first-pass or merged, is that order restricted to the input
+positions it covers, a pass cuts its runs from it with one stable
+partition and one ``take``, and a merge makes a heap merge's disk calls
+(:func:`_merge_reads`, DESIGN.md §5.8).
 """
 
 from __future__ import annotations
@@ -38,11 +35,12 @@ class RunFile:
         self.page_capacity = page_capacity
         self.page_pids: List[int] = []
         self.length = 0
+        self._block: Any = []  # what the pages were cut from
 
     def append_all(
         self, records: Iterable[Any], fetches: Sequence[Tuple[int, int]] = ()
     ) -> None:
-        """Write a block sequentially into fresh pages, a slice a page.
+        """Write the run's one block into fresh pages, a slice a page.
 
         ``fetches`` are the input pages a merge reads on the way,
         ``(position, pid)`` in position order: the page is read once
@@ -65,7 +63,8 @@ class RunFile:
             self.disk.read(pid)
         if page is not None:
             self.disk.write(page)
-        self.length += len(block)
+        self.length = len(block)
+        self._block = block
 
     def scan(self) -> Iterator[Any]:
         """Read records back in order (one read per page)."""
@@ -73,14 +72,17 @@ class RunFile:
             yield from self.disk.read(pid).items
 
     def read_block(self) -> Any:
-        """Read the run back whole (one read per page), as one block."""
-        return _concat([self.disk.read(pid).items for pid in self.page_pids])
+        """Read the run back (one read per page) as the block it was."""
+        for pid in self.page_pids:
+            self.disk.read(pid)
+        return self._block
 
     def destroy(self) -> None:
         for pid in self.page_pids:
             self.disk.free(pid)
         self.page_pids = []
         self.length = 0
+        self._block = []
 
 
 def external_sort(
@@ -101,86 +103,80 @@ def external_sort(
     if memory_pages < 2:
         raise ValueError(f"need at least 2 memory pages, got {memory_pages}")
     block = _as_block(records)
-    # Run formation: sort memory-sized chunks.  An empty input is one
-    # empty run; a full last chunk is not followed by an empty one.
-    chunk_capacity = memory_pages * page_capacity
-    runs: List[RunFile] = []
-    for start in range(0, max(len(block), 1), chunk_capacity):
-        chunk = block[start : start + chunk_capacity]
-        run = RunFile(disk, page_capacity)
-        run.append_all(_take(chunk, _argsort(chunk, key)))
-        runs.append(run)
+    if key is None and not isinstance(block, list):
+        order = block.argsort()  # the container's own, by its key columns
+    else:  # Python's stable sort under ``key``
+        keys = block if key is None else [key(record) for record in block]
+        order = np.array(sorted(range(len(block)), key=keys.__getitem__), np.intp)
+    # Run formation: memory-sized chunks.  An empty input is one empty
+    # run; a full last chunk is not followed by an empty one.
+    span = memory_pages * page_capacity  # input positions a run covers
+    selected, bounds = _runs_of(order, span)
+    taken = _take(block, selected)
+    runs = [RunFile(disk, page_capacity) for _ in bounds[1:]]
+    for run, lo, hi in zip(runs, bounds, bounds[1:]):
+        run.append_all(taken[lo:hi])
     # Multiway merge passes with fan-in M/B - 1 (one page buffers output).
     fan_in = max(2, memory_pages - 1)
     while len(runs) > 1:
+        span *= fan_in
+        last, starts = selected, bounds
+        selected, bounds = _runs_of(order, span)
+        # A last group of one run is carried over as it is, not taken.
+        alone = len(runs) % fan_in == 1
+        taken = _take(block, selected[: bounds[-2] if alone else None])
         merged: List[RunFile] = []
-        for start in range(0, len(runs), fan_in):
-            group = runs[start : start + fan_in]
+        for g, first in enumerate(range(0, len(runs), fan_in)):
+            group = runs[first : first + fan_in]
             if len(group) > 1:
-                group = [_merge(group, key)]
+                lo, hi = bounds[g], bounds[g + 1]
+                reads = _merge_reads(group, starts[first:], last, selected[lo:hi])
+                out = RunFile(disk, page_capacity)
+                out.append_all(taken[lo:hi], reads)
+                for run in group:
+                    run.destroy()
+                group = [out]
             merged.extend(group)
         runs = merged
     return runs[0]
 
 
-def _merge(runs: List[RunFile], key: Optional[Callable[[Any], Any]]) -> RunFile:
-    """Merge sorted runs into a new one and free them.
+def _runs_of(order: np.ndarray, span: int) -> Tuple[np.ndarray, List[int]]:
+    """A pass's runs: ``order`` stably partitioned (radix) by input
+    position ``// span``, and where each run starts and ends in it."""
+    count = -(-len(order) // span)
+    if count <= 1:
+        return order, [0, len(order)]
+    run = (order // span).astype(np.min_scalar_type(count - 1))
+    sizes = np.bincount(run, minlength=count)
+    return order[np.argsort(run, kind="stable")], [0, *np.cumsum(sizes).tolist()]
 
-    The merged order is planned from an uncounted look at the runs (a
-    stable sort of them end to end breaks ties by run, then by place in
-    the run, as the heap does); the reads are then charged where a
-    record-at-a-time merge makes them: every run's first page up front,
-    in run order, and page ``q + 1`` of a run when the last record of
-    its page ``q`` has been placed.
-    """
-    disk, capacity = runs[0].disk, runs[0].page_capacity
-    block = _concat(
-        [disk.peek(pid).items for run in runs for pid in run.page_pids]
-    )
-    order = _argsort(block, key)
-    rank = np.empty(len(block), dtype=np.intp)
-    rank[order] = np.arange(len(block))
+
+def _merge_reads(
+    group: List[RunFile], starts: Sequence[int], last: np.ndarray, merged: np.ndarray
+) -> List[Tuple[int, int]]:
+    """The ``(position, pid)`` reads a heap merge of ``group`` into
+    ``merged`` makes: every run's first page up front, in run order,
+    and page ``q + 1`` of a run once the last record of its page ``q``
+    is placed.  Run ``i`` is ``last`` from ``starts[i]`` on."""
+    placed = np.empty(len(last), dtype=np.intp)  # records out, this one too
+    placed[merged] = np.arange(1, len(merged) + 1)
     fetches: List[Tuple[int, int]] = []
-    offset = 0
-    for run in runs:
-        for q, pid in enumerate(run.page_pids):
-            last_before = offset + q * capacity - 1
-            fetches.append((int(rank[last_before]) + 1 if q else 0, pid))
-        offset += run.length
-    fetches.sort(key=itemgetter(0))  # stable: first pages stay in run order
-    out = RunFile(disk, capacity)
-    out.append_all(_take(block, order), fetches)
-    for run in runs:
-        run.destroy()
-    return out
+    for run, start in zip(group, starts):
+        pids, size = run.page_pids, run.page_capacity
+        ends = last[start - 1 + size * np.arange(1, len(pids))]
+        fetches += [(0, pids[0]), *zip(placed[ends].tolist(), pids[1:])]
+    return sorted(fetches, key=itemgetter(0))  # first pages stay in run order
 
 
 def _as_block(records: Iterable[Any]) -> Any:
-    """A list or a record container that sorts itself as it is, any
-    other iterable as a list."""
+    """A list or a self-sorting record container as is, else a list."""
     if isinstance(records, list) or hasattr(records, "argsort"):
         return records
     return list(records)
 
 
-def _concat(pages: List[Any]) -> Any:
-    """Page contents end to end, in a container of their kind."""
-    block = type(pages[0])() if pages else []
-    for items in pages:
-        block.extend(items)
-    return block
-
-
-def _argsort(block: Any, key: Optional[Callable[[Any], Any]]) -> Sequence[int]:
-    """The stable permutation that sorts a block: the container's own,
-    over its key columns, or Python's sort under ``key``."""
-    if key is None and not isinstance(block, list):
-        return block.argsort()
-    keys = block if key is None else [key(record) for record in block]
-    return sorted(range(len(block)), key=keys.__getitem__)
-
-
-def _take(block: Any, order: Sequence[int]) -> Any:
+def _take(block: Any, order: np.ndarray) -> Any:
     if not isinstance(block, list):
         return block.take(order)
-    return [block[i] for i in order]
+    return [block[i] for i in order.tolist()]

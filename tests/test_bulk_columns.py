@@ -1,14 +1,16 @@
 """Sort blocks, not records (DESIGN.md §5.8).
 
-``external_sort`` moves pages of columns and ``bulk_build`` fills the
-observation trees from one ``np.lexsort`` per run.  Nothing the paper's
-axis can see may move, so this file pins: the block sort against the
-record-at-a-time sort it replaced, **disk call for disk call** (equal
-counts would not do: a 4-page LRU makes a read's cost depend on what
-was touched before it); ``bulk_build`` against digests of the forests
-the parent commit built; the vector admission test against the scalar
-one, exception for exception; the crash hook; and that no leaf keeps a
-buffer of the sort's arrays.
+``external_sort`` moves pages of columns, cut from one sort of the
+block, and ``bulk_build`` fills the observation trees from it.  Nothing
+the paper's axis can see may move, so this file pins: the block sort
+against the record-at-a-time sort it replaced, **disk call for disk
+call** (equal counts would not do: a 4-page LRU makes a read's cost
+depend on what was touched before it), at the served shape too, with
+one ``argsort`` and no uncounted look; ``bulk_build`` against digests
+of the forests the parent commit built; the vector admission test
+against the scalar one, exception for exception; the crash hook; that
+no leaf keeps a buffer of the sort's arrays; the key sort against
+``np.lexsort``; and equal keys through a rebuild.
 """
 
 import hashlib
@@ -20,14 +22,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import LinearMotion1D, MobileObject1D
+from repro.core import LinearMotion1D, MORQuery1D, MobileObject1D, brute_force_1d
 from repro.core.model import check_oid
+from repro.engine import MotionDatabase
 from repro.errors import DuplicateObjectError, InvalidMotionError
+from repro.extensions import brute_force_knn
 from repro.indexes import HoughYForestIndex, PaperForestIndex
 from repro.indexes import hough_y_forest
 from repro.indexes.hough_y_forest import ObservationRecords, ObservationTree
 from repro.io_sim.extsort import external_sort
 from repro.io_sim.pager import DiskSimulator
+from repro.vector.ops import RegisterOp, ReportOp
 
 from . import extsort_oracle
 from .helpers import PAPER_MODEL
@@ -516,3 +521,169 @@ def test_every_built_leaf_can_be_resized():
         )
         query = hough_y_forest.MORQuery1D(100.0, 400.0, 5.0, 40.0)
         assert index.query(query) == twin.query(query)
+
+
+# -- (f) the key sort is np.lexsort, tie or no tie ---------------------------------------------
+
+
+#: ``b`` values a sort gets wrong by comparing bits or by assuming
+#: neighbours compare: zeros of both signs, infinities, NaN.
+AWKWARD_B = (-0.0, 0.0, float("inf"), float("-inf"), float("nan"), 2.5)
+
+
+@st.composite
+def key_columns(draw):
+    """``(band, b, oid)`` columns of 0, 1, 2 or up to 4,000 rows: ``b``
+    drawn from a few values (ties across oids) or from many (mostly
+    none), the awkward ones mixed in; oids distinct, negative too."""
+    n = draw(st.one_of(st.sampled_from((0, 1, 2)),
+                       st.integers(min_value=3, max_value=4000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bands = draw(st.integers(min_value=1, max_value=3))
+    pool = draw(st.integers(min_value=1, max_value=2 * n + 2))
+    b = rng.integers(-pool, pool, n) / 4.0
+    awkward = draw(st.integers(min_value=0, max_value=min(n, 16)))
+    b[rng.choice(n, awkward, replace=False)] = rng.choice(AWKWARD_B, awkward)
+    band = rng.integers(-1, bands - 1, n, endpoint=True).astype(np.int8)
+    oid = rng.choice(np.arange(-2 * n, 2 * n + 1), n, replace=False)
+    return band, b, oid
+
+
+@settings(max_examples=80, deadline=None)
+@given(columns=key_columns())
+def test_property_key_sort_is_lexsort(columns):
+    band, b, oid = columns
+    records = ObservationRecords.from_columns(band, b, oid, np.ones(len(b)))
+    assert np.array_equal(records.argsort(), np.lexsort((oid, b, band)))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("b", [
+    [NAN, NAN, 1.0], [NAN, 1.0], [0.0, -0.0], [-0.0, 0.0, -0.0],
+    [INF, INF], [-INF, 2.0, -INF], [3.0, 3.0, 3.0],
+])
+def test_key_sort_on_awkward_neighbours(b):
+    """One band, oids falling: a pair the key sort must treat as tied
+    has to come out by oid."""
+    oid = np.arange(len(b), 0, -1)
+    band = np.zeros(len(b), dtype=np.int8)
+    records = ObservationRecords.from_columns(band, b, oid, np.ones(len(b)))
+    assert np.array_equal(records.argsort(), np.lexsort((oid, b, band)))
+
+
+def untied_block(rng, n):
+    """Records no two of which share a ``b``, ``±inf`` among them: the
+    key sort needs no tie-break."""
+    b = [rng.uniform(-1e3, 1e3) for _ in range(n - 2)]
+    b += [float("inf"), float("-inf")]
+    return ObservationRecords(
+        ((rng.randrange(3), key, oid), 1.0)
+        for key, oid in zip(b, rng.sample(range(-n, n + 1), n))
+    )
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["fast", "fallback"])
+def test_key_sort_falls_back_only_on_a_tie(tied, monkeypatch):
+    rng = random.Random(11)
+    records = observation_block(rng, 3000) if tied else untied_block(rng, 3000)
+    band, b, oid, _ = (np.array(col) for col in records.columns)
+    expected = np.lexsort((oid, b, band))
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(
+        np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys)
+    )
+    assert np.array_equal(records.argsort(), expected)
+    assert lexsorts == ([1] if tied else [])
+
+
+# -- (g) the served shape: one sort, no uncounted look -----------------------------------------
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+def test_the_served_shape_sorts_once(tied, monkeypatch):
+    """Capacity 341, 8 memory pages, 25,000 records: ten runs, merged
+    7 + 3 and then 2 — the record sort's disk calls, from one
+    ``argsort`` and no ``peek``."""
+    rng = random.Random(25_000 + tied)
+    block = (observation_block if tied else untied_block)(rng, 25_000)
+    assert_same_sort(block, 341, 8, oracle_records=list(block))
+    sorts, peeks = [], []
+    argsort, peek = ObservationRecords.argsort, DiskSimulator.peek
+    monkeypatch.setattr(
+        ObservationRecords, "argsort",
+        lambda self: sorts.append(len(self)) or argsort(self),
+    )
+    monkeypatch.setattr(
+        DiskSimulator, "peek",
+        lambda self, pid: peeks.append(pid) or peek(self, pid),
+    )
+    disk = RecordingDisk()
+    external_sort(disk, block, 341, 8)
+    assert sorts == [25_000] and peeks == []
+    # 74 pages a pass (9 runs of 8 and one of 2), three passes.
+    assert sum(op == "allocate" for op, _ in disk.trace) == 3 * 74
+
+
+# -- (h) equal keys survive a rebuild ----------------------------------------------------------
+
+
+def test_equal_keys_across_a_rebuild(monkeypatch):
+    """Whole groups share one motion, so every tree holds runs of equal
+    ``(band, b)`` told apart by the oid alone, some of them at ``b`` =
+    0.  A motion's ``t0`` of ``-0.0`` beside ``0.0`` is as close to a
+    ``-0.0`` key as the forest gets: ``y_r − start`` is ``+0.0`` when
+    the two are equal, and ``-0.0 + 0.0`` is ``+0.0``.  A load and
+    then a storm past ``REBUILD_FRACTION`` both rebuild; every leaf
+    stays in key order and every read is brute force's."""
+    rebuilds = []
+    rebuild = HoughYForestIndex._rebuild
+    monkeypatch.setattr(
+        HoughYForestIndex, "_rebuild",
+        lambda self, objects: rebuilds.append(len(objects))
+        or rebuild(self, objects),
+    )
+    horizon = PAPER_MODEL.terrain.y_max / 8  # tree 0's, at c = 4
+    loaded = [
+        (horizon, 1.0, -0.0), (horizon, 1.0, 0.0),  # b = 0 in tree 0
+        (Y_MAX - horizon, -1.0, 0.0), (Y_MAX - horizon, -1.0, -0.0),
+        (400.0, 0.2, 0.0), (400.0, 1.6, 0.0), (700.0, -0.5, 0.0),
+    ]
+    reported = [  # at t = 1: b = 1 + (y_r − start) / speed = 0 in tree 0
+        (horizon + 1.0, 1.0, 1.0), (Y_MAX - horizon - 1.0, -1.0, 1.0),
+        (650.0, 0.3, 1.0), (900.0, -1.6, 1.0),
+    ]
+    rng = random.Random(14)
+    oids = rng.sample(range(-5000, 5000), 1400)
+    db = MotionDatabase(Y_MAX, V_MIN, V_MAX)
+    load = [
+        RegisterOp(oid, *loaded[i % len(loaded)]) for i, oid in enumerate(oids)
+    ]
+    storm = [
+        ReportOp(oid, *reported[i % len(reported)])
+        for i, oid in enumerate(oids[: 1100])
+    ]
+    for ops, clock in ((load, 0.0), (storm, 1.0)):
+        rebuilds.clear()
+        assert db.apply_batch(ops) == [None] * len(ops)
+        assert rebuilds == [len(oids)]
+        forest = db._index._fast
+        for tree in forest._trees.values():
+            tree.check_invariants()
+            keys = [key for key, _ in tree.items()]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert len(keys) == len(set(keys))
+        objects = db.objects()
+        for y1, y2, t1, t2 in (
+            (horizon, horizon, clock, clock), (0.0, horizon, 0.0, 1.0),
+            (Y_MAX - horizon, Y_MAX, clock, clock + 5.0), (399.0, 401.0, 0.5, 0.5),
+        ):
+            query = MORQuery1D(y1, y2, t1, t2)
+            assert db.within(y1, y2, t1, t2) == brute_force_1d(objects, query)
+        for y, t in ((horizon, clock), (400.0, 1.0), (Y_MAX, 2.0)):
+            assert db.snapshot_at(y - 2.0, y, t) == brute_force_1d(
+                objects, MORQuery1D(y - 2.0, y, t, t)
+            )
+            assert db.nearest(y, t, 5) == brute_force_knn(objects, y, t, 5)
