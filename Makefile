@@ -93,15 +93,16 @@ perf:
 
 # The pair protocol for a claimed gain: one workload at the committed
 # tree BASE (unpacked with git archive into a temp dir, removed after)
-# against the working tree, seeds 42 .. 42+PAIRS-1, one run a side and
-# seed, the side that goes first alternating.  Each side's records are
+# against the working tree, seeds SEED .. SEED+PAIRS-1, one run a side
+# and seed, the side that goes first alternating.  Each side's records are
 # merged into PAIRS_OUT/{base,new}.json as {"runs": [...]} and
 # benchmarks/perf/compare.py judges them (non-zero exit on a worse,
 # unresolved or DIFFERENT row).  About PAIRS x 2 x 30 s at --seconds 10.
-#   make perf-pairs BASE=<rev> WORKLOAD=durable_10k PAIRS=10
+#   make perf-pairs BASE=<rev> WORKLOAD=durable_10k PAIRS=10 SEED=700
 BASE ?= HEAD
 WORKLOAD ?= durable_10k
 PAIRS ?= 10
+SEED ?= 42
 PAIRS_OUT ?= .perf-pairs
 
 perf-pairs:
@@ -109,7 +110,7 @@ perf-pairs:
 	git archive $(BASE) | tar -x -C "$$base"; \
 	rm -rf $(PAIRS_OUT); mkdir -p $(PAIRS_OUT); \
 	for i in $$(seq 0 $$(($(PAIRS) - 1))); do \
-		seed=$$((42 + i)); \
+		seed=$$(($(SEED) + i)); \
 		if [ $$((i % 2)) -eq 0 ]; then sides="base new"; \
 		else sides="new base"; fi; \
 		for side in $$sides; do \

@@ -1,14 +1,17 @@
-"""Ablation: soak throughput per production-shaped scenario (ISSUE 7).
+"""Ablation: one soak run per production-shaped scenario (ISSUE 7).
 
 One small soak run per scenario generator — identical harness budget
 (objects, ticks, churn, batched queries, live subscriptions, one
 crash/recovery cycle), only the workload shape varies.  The table
-records write throughput, batch-query p99, and the check/divergence
-totals, so a regression in any one scenario's path (route network,
-integer grid + bucket oracle, convoy drift, adversarial skew) shows up
-as a trajectory change in ``BENCH_soak_scenarios.json`` rather than a
-silent slowdown.  Divergences are asserted zero — this is the same
-differential contract ``make soak-smoke`` gates on.
+records the check and divergence totals, so a regression in any one
+scenario's path (route network, integer grid + bucket oracle, convoy
+drift, adversarial skew) shows up as a change in
+``BENCH_soak_scenarios.json``.  It keeps only those deterministic
+columns: a seeded run repeats them exactly, while its write rate and
+query latency move with the host from one run to the next.  Every run
+must still write (a positive write rate on its report) and report zero
+divergences — the same differential contract ``make soak-smoke`` gates
+on.
 """
 
 from repro.bench import Table
@@ -22,10 +25,11 @@ TICKS = 8
 
 
 def run_scenario_sweep():
+    """The table of check totals, and each scenario's soak report."""
     table = Table(headers=[
-        "scenario", "write_ops_s", "batch_p99_ms",
-        "query_checks", "grid_checks", "divergences",
+        "scenario", "query_checks", "grid_checks", "divergences",
     ])
+    reports = []
     for scenario in SCENARIO_NAMES:
         report = run_soak(SoakConfig(
             scenario=scenario, n=N, ticks=TICKS, shards=3, replication=2,
@@ -33,29 +37,29 @@ def run_scenario_sweep():
             arrivals_per_tick=4, departures_per_tick=2, crashes=1,
             check_every=2, queries_per_check=6, seed=42,
         ))
-        batch = report.latency_ms.get("query_batch", {})
         table.rows.append([
             scenario,
-            round(report.write_ops_per_s),
-            round(batch.get("p99", 0.0), 3),
             report.checks["query_checks"],
             report.checks["grid_checks"],
             report.divergences,
         ])
-    return table
+        reports.append(report)
+    return table, reports
 
 
 def test_soak_scenarios(benchmark):
-    table = benchmark.pedantic(run_scenario_sweep, rounds=1, iterations=1)
+    table, reports = benchmark.pedantic(
+        run_scenario_sweep, rounds=1, iterations=1
+    )
     print(save_table(
         "soak_scenarios", table,
-        "Ablation: soak harness throughput per workload scenario"
+        "Ablation: soak harness checks per workload scenario"
     ))
     scenarios = table.column("scenario")
     assert list(scenarios) == list(SCENARIO_NAMES)
-    assert all(rate > 0 for rate in table.column("write_ops_s"))
+    assert all(report.write_ops_per_s > 0 for report in reports)
     # The differential contract: every scenario soaks clean.
-    assert all(d == 0 for d in table.column("divergences"))
+    assert all(report.divergences == 0 for report in reports)
     # Only the grid scenario carries the bucket-oracle cross-check.
     by_name = dict(zip(scenarios, table.column("grid_checks")))
     assert by_name["grid"] > 0

@@ -8,7 +8,8 @@ down until it is recovered from its checkpoint + write-ahead log.  To
 crash a shard *inside* one write set or query batch,
 :class:`FaultInjector` counts every guarded access of a
 :class:`~repro.service.replication.FaultTolerantMotionService` shard
-and fails the planned one; the service only consults it while holding
+and fails the planned one; the service walks every row of a write
+set through the scalar loop's plan and consults it only while holding
 that shard's lock, so a run replays exactly even though the thread
 pool interleaves shards arbitrarily.
 
@@ -18,8 +19,8 @@ exact boundary (mid-record, pre-fsync, post-fsync-pre-rename, ...),
 and :func:`flip_bit` / :func:`truncate_file` corrupt the surviving
 files — together they drive the crash-at-every-boundary recovery
 matrix in ``tests/test_wal_durability.py``.  A rebalance move is an
-ordinary write set, so the same points (plus
-:data:`WRITE_BATCH_CRASH_POINTS`) kill one mid-move in
+ordinary write set, so the same points, armed through the service's
+``wal_crash_hook``, kill one mid-move in
 ``tests/test_rebalance_chaos.py``.
 """
 
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 from repro.errors import InjectedFaultError, SimulatedCrashError
+from repro.storage import ALL_CRASH_POINTS
 
 
 class FaultInjector:
@@ -55,35 +57,19 @@ class FaultInjector:
     def on_op(self, shard: int, operation: str) -> None:
         """Count one access of ``shard``; raise
         :class:`InjectedFaultError` if it is the planned crash."""
-        if not self.on_ops(shard, 1):
-            raise InjectedFaultError(
-                f"injected crash on shard {shard} at op "
-                f"{self._plan[shard]} ({operation})"
-            )
-
-    def on_ops(self, shard: int, n: int) -> int:
-        """Count up to ``n`` consecutive accesses of ``shard``, as ``n``
-        calls of :meth:`on_op` would up to the first that raises: the
-        number admitted before the planned crash (``n`` when it is not
-        among them).  The crashing access is counted and recorded; the
-        ones after it are not, since they find the shard down."""
         with self._lock:
-            count = self._ops.get(shard, 0)
-            crash = self._plan.get(shard, 0)
-            if not count < crash <= count + n:
-                self._ops[shard] = count + n
-                return n  # counts only grow, so a crash fires once
-            self._ops[shard] = crash
+            count = self._ops.get(shard, 0) + 1
+            self._ops[shard] = count
+            if count != self._plan.get(shard):
+                return  # counts only grow, so a crash fires once
             self._crashed.append(shard)
-            return crash - count - 1
+        raise InjectedFaultError(
+            f"injected crash on shard {shard} at op {count} ({operation})"
+        )
 
     def snapshot(self) -> Dict[str, object]:
         """The shards crashed so far, in firing order, and each
-        shard's access count.  A write set admits a shard's run of
-        plain rows at once (:meth:`on_ops`), so two crashes landing in
-        one set's runs on different shards fire in shard order, where
-        one op at a time would fire them in op order; the counts, and
-        the op each crash lands on, are the same either way."""
+        shard's access count."""
         with self._lock:
             return {
                 "crashed_shards": list(self._crashed),
@@ -125,7 +111,9 @@ class CrashPointInjector:
     :class:`~repro.storage.log.DurableLog` /
     :class:`~repro.storage.checkpoint.CheckpointStore` /
     :class:`~repro.storage.backend.FileWALBackend`.  Arm one or more
-    points (names in :data:`repro.storage.ALL_CRASH_POINTS`); when the
+    points (names in :data:`repro.storage.ALL_CRASH_POINTS` or
+    :data:`WRITE_BATCH_CRASH_POINTS`; a name no layer fires raises
+    ``ValueError``); when the
     storage layer reaches an armed point for the ``at``-th time, the
     injector raises :class:`~repro.errors.SimulatedCrashError` and the
     storage object dies exactly as a killed process would.  Each armed
@@ -136,6 +124,8 @@ class CrashPointInjector:
         self, plan: Optional[Dict[str, CrashPointSpec]] = None
     ) -> None:
         self._armed: Dict[str, CrashPointSpec] = dict(plan or {})
+        for point in self._armed:
+            _check_point(point)
         self._hits: Dict[str, int] = {}
         self._fired: list = []
         self._lock = threading.Lock()
@@ -148,6 +138,7 @@ class CrashPointInjector:
         drop_unsynced: bool = False,
     ) -> "CrashPointInjector":
         """Arm ``point``; returns ``self`` for chaining."""
+        _check_point(point)
         with self._lock:
             self._armed[point] = CrashPointSpec(
                 at=at, write_prefix=write_prefix,
@@ -188,23 +179,26 @@ class CrashPointInjector:
             }
 
 
-#: Crash points of the batched write path, in protocol order.  Pass a
+#: Crash points of the write path outside the storage layer.  Pass a
 #: :class:`CrashPointInjector` as the ``crash_hook`` of
-#: ``FaultTolerantMotionService.apply_batch`` or ``rehome``, healthy or
-#: degraded (or of ``HoughYForestIndex.bulk_build``) to die at the
-#: boundary:
+#: ``HoughYForestIndex.bulk_build`` to die at the boundary:
 #:
-#: * ``write_batch.pre_fsync`` — a shard's grouped WAL records are
-#:   appended (page cache) but not yet fsynced; with
-#:   ``drop_unsynced=True`` recovery must land an all-or-prefix cut of
-#:   that shard's sub-batch, never a torn interleaving;
 #: * ``bulk.mid_pack`` — an STR-style bulk rebuild died between
 #:   packing two trees of the forest; the half-built generation must
 #:   be discarded, never adopted.
-WRITE_BATCH_CRASH_POINTS = (
-    "write_batch.pre_fsync",
-    "bulk.mid_pack",
-)
+#:
+#: A write set dies at its logs' own points, armed through
+#: ``FaultTolerantMotionService(wal_crash_hook=...)``: at
+#: ``log.pre_fsync`` a shard's grouped records are appended but not yet
+#: fsynced, and recovery must land an all-or-prefix cut of that group.
+WRITE_BATCH_CRASH_POINTS = ("bulk.mid_pack",)
+
+
+def _check_point(point: str) -> None:
+    """Refuse a crash point no layer fires: armed, it never would."""
+    known = ALL_CRASH_POINTS + WRITE_BATCH_CRASH_POINTS
+    if point not in known:
+        raise ValueError(f"unknown crash point {point!r}; known: {known}")
 
 
 # -- deliberate file corruption (bit rot / torn hardware) ------------------------

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ObjectNotFoundError
 from repro.service.sharding import BandRouter
@@ -179,17 +179,15 @@ class RebalanceController:
         (``router="velocity"`` or ``router="band"``).
     config:
         :class:`RebalanceConfig`; defaults apply when omitted.
-    crash_hook:
-        Optional crash-point hook (a :class:`~repro.service.faults.
-        CrashPointInjector`) passed to every ``rehome`` write set —
-        the chaos tests' lever for killing the process mid-move.
+
+    A move dies at the crash points of the logs it writes: arm them
+    through the fault-tolerant service's ``wal_crash_hook``.
     """
 
     def __init__(
         self,
         service,
         config: Optional[RebalanceConfig] = None,
-        crash_hook: Optional[Callable[[str], None]] = None,
     ) -> None:
         if not isinstance(service.router, BandRouter):
             raise ValueError(
@@ -198,7 +196,6 @@ class RebalanceController:
             )
         self.service = service
         self.config = config or RebalanceConfig()
-        self._hook = crash_hook
         self.metrics = service.metrics
 
     # -- detection ---------------------------------------------------------------
@@ -389,7 +386,7 @@ class RebalanceController:
         oids = [oid for oid, _source, _dest in moves]
         for begin in range(0, len(oids), _REHOME_CHUNK):
             chunk = oids[begin:begin + _REHOME_CHUNK]
-            moved = self.service.rehome(chunk, crash_hook=self._hook)
+            moved = self.service.rehome(chunk)
             for oid in chunk:
                 if oid not in moved:
                     outcome = "skipped"

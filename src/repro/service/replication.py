@@ -7,8 +7,7 @@ workers; distributed continuous-range-query processing over fallible
 nodes).  It re-implements no verb and no batch: the base class writes
 every one against three seams, and this class overrides the seams —
 ``replica_group``; the guarded shard access (``_guard``,
-``_guard_run``, ``_apply_sub_batch``, ``_stale``, ``_answerable``);
-and the ``_log`` /
+``_apply_sub_batch``, ``_stale``, ``_answerable``); and the ``_log`` /
 ``_degrade`` pair — plus the kill / recover / restore administration
 (every log write of those seams goes through one helper, ``_logged``):
 
@@ -17,22 +16,22 @@ and the ``_log`` /
   ``(p+1) % k, ...``.  Writes go to every *live* member of the group
   (write-all-live); a write succeeds iff at least one replica applied
   and logged it.  A write set, healthy or not, reaches each shard as
-  the base class's does — the planned steps ``_guard`` (a batch's
-  runs of plain rows, ``_guard_run``) admitted — and
-  is then logged: a batch's group as one grouped commit synced before
-  ``apply_batch`` returns, a scalar verb's op as one append under the
-  fsync policy.  A shard whose log raises ``OSError`` — a write set's
+  the base class's does — the walked steps ``_guard`` admitted and,
+  on a live shard, a batch's plain rows — and is then logged: a
+  batch's group as one grouped commit synced before ``apply_batch``
+  returns, a scalar verb's op as one append under the fsync policy.  A shard whose log raises ``OSError`` — a write set's
   or a band marker's — goes down.  The catalog additionally remembers
   each object's authoritative motion, which is what recovery
   reconciles against.
 * **Fault handling** — a shard is up or down.  Every fault is a
   crash: an operator :meth:`kill_shard`, a pool worker's death, a log
   ``OSError``, or an injected crash on a planned access (the optional
-  :class:`~repro.service.faults.FaultInjector`) takes the shard down,
-  and it stays down — skipped by queries, which its replicas answer,
-  and by writes, which reach every other live replica — until
-  :meth:`recover_shard` or :meth:`restore_from_disk`.  Nothing is
-  retried: a shard that missed a write must not keep serving.
+  :class:`~repro.service.faults.FaultInjector`, under which a write
+  set walks every row) takes the shard down, and it stays down —
+  skipped by queries, which its replicas answer, and by writes, which
+  reach every other live replica — until :meth:`recover_shard` or
+  :meth:`restore_from_disk`.  Nothing is retried: a shard that missed
+  a write must not keep serving.
 * **Recovery** — :meth:`recover_shard` rebuilds a dead shard from its
   checkpoint + write-ahead-log tail (byte-identical to its pre-crash
   committed state), then reconciles against the catalog to pick up
@@ -78,7 +77,6 @@ from repro.service.service import (
     ShardRouter,
     _at,
     _keys_at,
-    _no_hook,
 )
 from repro.service.sharding import BandRouter
 from repro.service.wal import ShardWAL
@@ -158,7 +156,9 @@ class FaultTolerantMotionService(ShardedMotionService):
     fault_injector:
         Optional :class:`~repro.service.faults.FaultInjector` consulted
         before every shard touch (chaos testing): it crashes a shard on
-        a planned access.  ``None`` disables injection entirely.
+        a planned access.  With one, a write set walks every row
+        through the scalar loop's plan.  ``None`` disables injection
+        entirely.
     wal_dir:
         When set, each shard's WAL writes through a durable
         :class:`~repro.storage.backend.FileWALBackend` rooted at
@@ -275,21 +275,6 @@ class FaultTolerantMotionService(ShardedMotionService):
                 f"shard {shard} failed {op_name}: {exc}"
             ) from exc
 
-    def _guard_run(self, shard, n, name_at) -> int:
-        """:meth:`_guard` over a run of accesses: none if the shard is
-        down, else those the injector counts before its planned crash
-        (:meth:`~repro.service.faults.FaultInjector.on_ops`), which
-        takes the shard down on the access it lands on."""
-        node = self._nodes[shard]
-        if not node.up:
-            return 0
-        if self._injector is None:
-            return n
-        admitted = self._injector.on_ops(shard, n)
-        if admitted < n:
-            node.mark_down(f"injected crash during {name_at(admitted)}")
-        return admitted
-
     def _log(self, shard: int, kind: str, **fields: object) -> bool:
         """Append a marker record to a live shard's WAL; ``True`` iff
         the shard is live and the marker logged (see :meth:`_logged`,
@@ -327,7 +312,7 @@ class FaultTolerantMotionService(ShardedMotionService):
         return True
 
     def _answerable(self, shard: int) -> bool:
-        """Queries skip a down shard."""
+        """Queries, and a write set's plain rows, skip a down shard."""
         return self._nodes[shard].up
 
     # -- updates ----------------------------------------------------------------
@@ -364,13 +349,12 @@ class FaultTolerantMotionService(ShardedMotionService):
         with self._catalog_lock:
             return self._catalog_motion[oid]
 
-    def _apply_sub_batch(self, shard, sub_ops, span, hook, per_op) -> bool:
+    def _apply_sub_batch(self, shard, sub_ops, span, per_op) -> bool:
         """The base's apply, then the log (:meth:`_logged`): a batch's
-        group as one grouped commit — append, ``write_batch.pre_fsync``
-        (here the log sits where the base only fires the hook), sync —
-        a scalar verb's sub-ops as one :meth:`ShardWAL.append` each
-        under the fsync policy; then at most one checkpoint."""
-        super()._apply_sub_batch(shard, sub_ops, span, _no_hook, per_op)
+        group as one grouped commit — one append, then a sync — a
+        scalar verb's sub-ops as one :meth:`ShardWAL.append` each under
+        the fsync policy; then at most one checkpoint."""
+        super()._apply_sub_batch(shard, sub_ops, span, per_op)
         records = list(map(write_record, sub_ops))
 
         def append(wal: ShardWAL) -> None:
@@ -379,7 +363,6 @@ class FaultTolerantMotionService(ShardedMotionService):
                     wal.append(kind, **fields)
             else:
                 wal.append_batch(records)
-                hook("write_batch.pre_fsync")
                 wal.sync()
 
         return self._logged(shard, append)

@@ -45,14 +45,16 @@ pass; every other op is placed by one function,
 :meth:`ShardedMotionService._plan_write`.  Every verb is written once,
 here, against three seams whose forms in this class are trivial:
 ``replica_group`` (an object lives on its primary only), the guarded
-shard access ``_guard`` / ``_guard_run`` / ``_answerable`` /
-``_apply_sub_batch`` / ``_stale`` (admit everything, call the
-database, record the I/O; every shard takes every write), and the
-``_log`` / ``_degrade`` pair (no log; answers are always complete).
-Every shard access passes through ``_guard`` — a run of plain rows on
-one shard through ``_guard_run``, which counts as that many ``_guard``
-calls — so a write set or a query set under faults runs the same
-plan as a healthy one, minus the shards the guard refused.  This class is the
+shard access ``_guard`` / ``_answerable`` / ``_apply_sub_batch`` /
+``_stale`` (admit everything, call the database, record the I/O;
+every shard takes every write), and the ``_log`` / ``_degrade`` pair
+(no log; answers are always complete).  A walked step passes
+``_guard``; a shard's plain rows are admitted at once by its up state
+(``_answerable``), which no shard changes while a set stages under
+every shard lock.  A service with a fault injector walks every row,
+so an injected crash lands on the access the scalar loop's would.
+Either way a write set or a query set under faults runs the same plan
+as a healthy one, minus the shards the guard refused.  This class is the
 ``replication = 1``, no-log, no-fault-guard case of
 :class:`~repro.service.replication.FaultTolerantMotionService`, which
 overrides exactly those seams.
@@ -155,9 +157,6 @@ _VERBS: Dict[type, str] = {
     DeregisterOp: "deregister",
 }
 
-def _no_hook(point: str) -> None:
-    """Default (disarmed) crash-point hook."""
-
 
 def _no_live_replica(
     name: str, oid: int, shards: List[int]
@@ -259,6 +258,11 @@ class ShardedMotionService:
     #: Measured by ``benchmarks/plan_breakeven.py`` (ratios; re-measure
     #: before moving it).  A one-op set always walks.
     _COLUMNS_MIN_SET = 40
+
+    #: A :class:`~repro.service.faults.FaultInjector` counting guarded
+    #: accesses (the fault-tolerant subclass's); with one, every row of
+    #: a write set is walked.
+    _injector = None
 
     def __init__(
         self,
@@ -504,43 +508,32 @@ class ShardedMotionService:
                 self._locks[shard].release()
 
     def _answerable(self, shard: int) -> bool:
-        """Whether a query should visit ``shard`` at all."""
+        """Whether a query should visit ``shard`` at all, and whether a
+        write set's plain rows there are admitted."""
         return True
 
     def _guard(self, shard: int, op_name: str) -> None:
         """Admit one access to ``shard`` before it happens, or raise
         :class:`ShardUnavailableError`.  Every shard access of every
-        verb and batch passes here; in this class every one is
-        admitted."""
-
-    def _guard_run(
-        self, shard: int, n: int, name_at: Callable[[int], str]
-    ) -> int:
-        """Admit ``n`` consecutive accesses to ``shard`` at once — a
-        write set's run of plain rows there — as ``n`` :meth:`_guard`
-        calls would: returns how many lead the run admitted, the rest
-        being refused.  ``name_at(j)`` is the verb of the run's ``j``-th
-        access.  In this class every one is admitted."""
-        return n
+        read and every walked step of a write set passes here (a write
+        set's plain rows are admitted by :meth:`_answerable`); in this
+        class every one is admitted."""
 
     def _apply_sub_batch(
         self,
         shard: int,
         sub_ops: Sequence[WriteOp],
         span,
-        hook: Callable[[str], None],
         per_op: bool,
     ) -> bool:
         """Hand one shard its share of a write set (the set's locks held):
-        the planned sub-ops :meth:`_guard` admitted — a batch's as its
-        own rows, a scalar verb's as they are.  ``True`` iff the shard
-        took them all.
+        the planned sub-ops staging admitted — a batch's as its own
+        rows, a scalar verb's as they are.  ``True`` iff the shard took
+        them all.
 
         Here: one grouped :meth:`MotionDatabase.apply_batch`, or with
         ``per_op`` the engine's per-op verbs; the shard always takes
-        them.  ``hook`` fires ``write_batch.pre_fsync`` where a log
-        would sit between a batch's grouped append and its sync (a
-        scalar verb passes none).
+        them.
         """
         db = self._shards[shard]
         before = db.io_snapshot()
@@ -560,7 +553,6 @@ class ShardedMotionService:
                     f"shard {shard} rejected catalog-admitted op "
                     f"{sub_op!r}"
                 ) from error
-        hook("write_batch.pre_fsync")
         return True
 
     def _stale(self, shard: int, reason: str) -> None:
@@ -687,9 +679,7 @@ class ShardedMotionService:
         (:meth:`_apply_set` with ``per_op``); the op's rejection, if
         any, is raised."""
         with self.metrics.span(_VERBS[type(op)]) as span:
-            error, = self._apply_set(
-                WriteColumns((op,)), span, _no_hook, per_op=True
-            )
+            error, = self._apply_set(WriteColumns((op,)), span, per_op=True)
             if error is not None:
                 raise error
 
@@ -730,11 +720,7 @@ class ShardedMotionService:
 
     # -- batched writes ----------------------------------------------------------
 
-    def apply_batch(
-        self,
-        ops: Sequence[WriteOp],
-        crash_hook: Optional[Callable[[str], None]] = None,
-    ) -> List[Optional[Exception]]:
+    def apply_batch(self, ops: Sequence[WriteOp]) -> List[Optional[Exception]]:
         """Apply a batch of write operations with one visit per shard.
 
         Accepts the :mod:`repro.vector.ops` write vocabulary
@@ -773,9 +759,6 @@ class ShardedMotionService:
         scalar loop leaves in its log.  The catalog commits an op only
         once a shard took it.
 
-        ``crash_hook`` fires ``write_batch.pre_fsync`` once per touched
-        shard, after its group applied (see :meth:`_apply_sub_batch`).
-
         The batch is columns from here down (:class:`~repro.vector.
         columns.WriteColumns`, converted once, its kind column
         included), and so is its plan (:meth:`_stage_batch`): one
@@ -783,28 +766,22 @@ class ShardedMotionService:
         shard's residency decide every *plain* op — a new object's
         admitted register, an admitted report that stays in its replica
         group, a deregister of a registered object — on an oid the batch
-        names once; each shard's plain rows are one array and one
-        counted :meth:`_guard_run`, and the catalog commits them in one
-        pass (:meth:`_commit_rows`).  Only the ops on a repeated oid,
-        the refused ones and the cross-group moves are walked through
-        :meth:`_plan_write` in submission order, merged into their
-        shards' rows by row number.  A batch with fewer than
+        names once; each shard's plain rows are one array, admitted at
+        once by the shard's up state, and the catalog commits them in
+        one pass (:meth:`_commit_rows`).  Only the ops on a repeated
+        oid, the refused ones and the cross-group moves are walked
+        through :meth:`_plan_write` in submission order, merged into
+        their shards' rows by row number.  A batch with fewer than
         :data:`_COLUMNS_MIN_SET` ops walks every op: there the column
-        pass costs more than it saves.  A shard takes its
-        sub-ops as the batch's own rows.
+        pass costs more than it saves.  So does a batch on a service
+        with a fault injector, whose crashes land on a counted access.
+        A shard takes its sub-ops as the batch's own rows.
         """
         with self.metrics.span("apply_batch") as span:
-            return self._apply_set(
-                WriteColumns(ops), span, crash_hook or _no_hook,
-                per_op=False,
-            )
+            return self._apply_set(WriteColumns(ops), span, per_op=False)
 
     def _apply_set(
-        self,
-        batch: WriteColumns,
-        span,
-        hook: Callable[[str], None],
-        per_op: bool,
+        self, batch: WriteColumns, span, per_op: bool
     ) -> List[Optional[Exception]]:
         """Apply one write set: a batch, or with ``per_op`` a scalar
         verb's one op — the one switch between the two, read here.  A
@@ -820,8 +797,7 @@ class ShardedMotionService:
         outcomes: List[Optional[Exception]] = [None] * len(batch)
         screen = self._admit_one(batch[0]) if per_op else None
         held = self._plan_locks(batch[0], screen) if per_op else None
-        while not self._apply_under(held, batch, outcomes, span, hook,
-                                    screen):
+        while not self._apply_under(held, batch, outcomes, span, screen):
             held, screen = None, self._admit_one(batch[0])
         return outcomes
 
@@ -853,7 +829,6 @@ class ShardedMotionService:
         batch: WriteColumns,
         outcomes: List[Optional[Exception]],
         span,
-        hook: Callable[[str], None],
         screen: Optional[Tuple[List[bool], List]],
     ) -> bool:
         """Stage and apply ``batch`` holding the ``held`` shard locks
@@ -886,9 +861,8 @@ class ShardedMotionService:
                 rows, sub_ops, cleanups = staged.pop(shard)
                 if not per_op:
                     sub_ops = batch.take(rows, sub_ops)
-                (took if self._apply_sub_batch(
-                    shard, sub_ops, span, hook, per_op
-                ) else missed).append((shard, rows, cleanups))
+                (took if self._apply_sub_batch(shard, sub_ops, span, per_op)
+                 else missed).append((shard, rows, cleanups))
             lost: Set[int] = set()
             if missed:
                 lost = self._unlogged(batch, outcomes, took, missed)
@@ -977,21 +951,24 @@ class ShardedMotionService:
         rejections and commits nothing.  ``None``, with nothing staged,
         if a plan names a shard outside ``held``.
 
-        A batch with at least :data:`_COLUMNS_MIN_SET` ops is
-        planned as columns first (:meth:`_plain_rows`): its admission
-        mask, route vector and owner column decide every *plain* row —
-        a new object's admitted register, an admitted report that stays
-        in its replica group, a deregister of a registered object — on
-        an oid the batch names once, and each shard's plain rows are one
-        array, in submission order.  Every other row, every row of a
-        batch with fewer, and a one-op set's one op (with ``screen``'s
-        verdict and route), is *walked*: planned by :meth:`_plan_write` in
-        submission order, with the owner and shard residency the
-        earlier ops of a repeated oid leave, and its steps admitted one
-        :meth:`_guard` call each.  A shard's plain rows before a walked
-        step there are admitted first, as one :meth:`_guard_run`, so
-        every shard sees its accesses in submission order and a crash
-        lands on the access the scalar loop's would.
+        A batch with at least :data:`_COLUMNS_MIN_SET` ops, on a service
+        without a fault injector, is planned as columns first
+        (:meth:`_plain_rows`): its admission mask, route vector and
+        owner column decide every *plain* row — a new object's admitted
+        register, an admitted report that stays in its replica group, a
+        deregister of a registered object — on an oid the batch names
+        once, and each live shard's plain rows are one array, in
+        submission order, admitted at once.  Without an injector a
+        shard's up state (:meth:`_answerable`) is every guard's verdict
+        there, and no shard goes down or comes up while a set stages
+        under every shard lock.  Every other row — every row of a batch
+        with fewer ops or on a service with an injector, and a one-op
+        set's one op (with ``screen``'s verdict and route) — is
+        *walked*: planned by :meth:`_plan_write` in submission order,
+        with the owner and shard residency the earlier ops of a repeated
+        oid leave, and its steps admitted one :meth:`_guard` call each.
+        That is the scalar loop's plan, so an injected crash lands on
+        the access it would there.
 
         Returns per admitting shard the rows of its sub-ops in
         submission order, the sub-ops (``None``: the rows' own ops) and
@@ -1006,7 +983,6 @@ class ShardedMotionService:
         # sub-op will have produced.  Both maps live only while the
         # batch is planned.
         repeated = batch.repeated()
-        runs: Dict[int, np.ndarray] = {}
         plain = primary = None
         if screen is not None:
             walked, (admitted, targets) = [0], screen
@@ -1025,7 +1001,7 @@ class ShardedMotionService:
             targets = self.router.route_many(batch.oid, batch.v).astype(
                 np.int64
             )
-            if n < self._COLUMNS_MIN_SET:
+            if n < self._COLUMNS_MIN_SET or self._injector is not None:
                 walked = range(n)
             else:
                 plain, primary, runs = self._plain_rows(
@@ -1033,12 +1009,6 @@ class ShardedMotionService:
                 )
                 walked = np.flatnonzero(~plain)
                 admitted, targets = admitted[walked], targets[walked]
-                # bounds[shard][j]: how many of the shard's plain rows
-                # come before the j-th walked row.
-                bounds = {
-                    shard: np.searchsorted(rows, walked).tolist()
-                    for shard, rows in runs.items()
-                }
                 walked = walked.tolist()
             admitted, targets = admitted.tolist(), targets.tolist()
         claims: Dict[int, Optional[int]] = {}
@@ -1047,36 +1017,16 @@ class ShardedMotionService:
         owners: List[Optional[int]] = []
         acked: List[int] = []
         guard, shards, owner_of = self._guard, self._shards, self._owner.get
-        cursor = dict.fromkeys(runs, 0)
-        # Per shard, the spans of its plain rows the guard refused.
-        refused: Dict[int, List[Tuple[int, int]]] = {}
-
-        def flush(shard: int, stop: int) -> None:
-            """Admit ``shard``'s plain rows up to its ``stop``-th."""
-            start = cursor[shard]
-            if stop > start:
-                rows = runs[shard]
-                got = start + self._guard_run(
-                    shard, stop - start,
-                    lambda j: _VERBS[type(ops[int(rows[start + j])])],
-                )
-                if got < stop:
-                    refused.setdefault(shard, []).append((got, stop))
-                cursor[shard] = stop
 
         def admit(
-            shard: int, sub_op: WriteOp, name: str, row: int, at: int,
-            cleanup: bool,
+            shard: int, sub_op: WriteOp, name: str, row: int, cleanup: bool
         ) -> bool:
-            """Stage one planned step of ``row``, the ``at``-th walked
-            one, iff it lands."""
+            """Stage one planned step of ``row`` iff it lands."""
             deleting = type(sub_op) is DeregisterOp
             if deleting and not pending.get(
                 (shard, sub_op.oid), sub_op.oid in shards[shard]
             ):
                 return False  # copy never landed here
-            if shard in runs and bounds[shard][at] > cursor[shard]:
-                flush(shard, bounds[shard][at])
             try:
                 guard(shard, name)
             except ShardUnavailableError:
@@ -1095,9 +1045,7 @@ class ShardedMotionService:
                 cleanups.append(row)
             return True
 
-        for at, (i, verdict, target) in enumerate(
-            zip(walked, admitted, targets)
-        ):
+        for i, verdict, target in zip(walked, admitted, targets):
             op = ops[i]
             oid = op.oid
             try:
@@ -1116,7 +1064,7 @@ class ShardedMotionService:
             landed = False
             for run, sub_op in steps:
                 for shard in run:
-                    landed |= admit(shard, sub_op, name, i, at, False)
+                    landed |= admit(shard, sub_op, name, i, False)
             if not landed:
                 outcomes[i] = _no_live_replica(
                     name, oid, [shard for run, _ in steps for shard in run]
@@ -1124,7 +1072,7 @@ class ShardedMotionService:
                 continue
             for run, sub_op in cleanup:
                 for shard in run:
-                    admit(shard, sub_op, name, i, at, True)
+                    admit(shard, sub_op, name, i, True)
             if oid in repeated:
                 claims[oid] = owner
             owners.append(owner)
@@ -1134,16 +1082,9 @@ class ShardedMotionService:
         staged: Dict[int, Tuple[Sequence[int], Optional[List[WriteOp]],
                                 List[int]]] = {}
         landed = np.zeros(n, dtype=bool)
-        for shard, rows in sorted(runs.items()):
-            flush(shard, len(rows))
-            if shard in refused:
-                keep = np.ones(len(rows), dtype=bool)
-                for start, stop in refused[shard]:
-                    keep[start:stop] = False
-                rows = rows[keep]
-            if len(rows):
-                landed[rows] = True
-                staged[shard] = (rows, None, [])
+        for shard, rows in runs.items():
+            landed[rows] = True
+            staged[shard] = (rows, None, [])
         for shard, (rows, sub_ops, cleanups) in steps_of.items():
             plain_rows = staged.get(shard)
             if plain_rows is not None:
@@ -1172,10 +1113,11 @@ class ShardedMotionService:
     ) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
         """The column pass of a batch's plan: which rows are plain, each
         row's primary (its route for a register, its owner otherwise;
-        read only for a plain row), and per shard the plain rows it
-        must take, ascending — the rows whose primary's replica group
-        holds the shard, less the deregisters of an object the shard
-        has no copy of (one that never landed there).  However few the
+        read only for a plain row), and per live shard
+        (:meth:`_answerable`) the plain rows it must take, ascending —
+        the rows whose primary's replica group holds the shard, less
+        the deregisters of an object the shard has no copy of (one that
+        never landed there).  However few the
         plain rows, the set keeps them: the pass is paid for, and the
         walk plans only the rest."""
         n, keys = len(batch), batch.keys
@@ -1205,6 +1147,8 @@ class ShardedMotionService:
         deregisters = deleting[candidates].any()
         runs: Dict[int, np.ndarray] = {}
         for shard, primaries_held in enumerate(self._members):
+            if not self._answerable(shard):
+                continue
             rows = candidates[primaries_held[primaries]]
             if deregisters:
                 gone = deleting[rows]
@@ -1247,11 +1191,7 @@ class ShardedMotionService:
                 self._log(shard, "bands", edges=layout, epoch=epoch)
         return epoch
 
-    def rehome(
-        self,
-        oids: Iterable[int],
-        crash_hook: Optional[Callable[[str], None]] = None,
-    ) -> Dict[int, Optional[Exception]]:
+    def rehome(self, oids: Iterable[int]) -> Dict[int, Optional[Exception]]:
         """Move each listed object the router now places off its owner
         to the group the router names: one write set.
 
@@ -1262,8 +1202,7 @@ class ShardedMotionService:
         cross-group move writes the new group before it drops the old
         copies, logs ordinary write records and announces the ops.
         Reading under the locks the set applies under means no report
-        can land between the read and the move.  ``crash_hook`` is the
-        set's, as for :meth:`apply_batch`.
+        can land between the read and the move.
 
         Returns, per object moved, ``None`` once it landed on its new
         group or the refusal that kept it in place (no live shard of
@@ -1286,8 +1225,7 @@ class ShardedMotionService:
                 if not moves:
                     return {}
                 outcomes = self._apply_set(
-                    WriteColumns(moves), span, crash_hook or _no_hook,
-                    per_op=False,
+                    WriteColumns(moves), span, per_op=False
                 )
         return {op.oid: outcome for op, outcome in zip(moves, outcomes)}
 

@@ -1,9 +1,10 @@
-"""Units for the chaos layer: the crash injector and routing.
+"""Units for the chaos layer: the crash injectors and routing.
 
 The fault machinery must itself be deterministic — a chaos run that
 cannot be replayed cannot be debugged — so these tests pin
 :class:`FaultInjector`'s crash plan (one-shot, 1-based, counted per
-shard) and that a write to an unknown object is rejected per
+shard), that :class:`CrashPointInjector` arms only the points some
+layer fires, and that a write to an unknown object is rejected per
 operation.
 """
 
@@ -11,10 +12,14 @@ import pytest
 
 from repro.errors import InjectedFaultError, ObjectNotFoundError
 from repro.service import (
+    CrashPointInjector,
+    CrashPointSpec,
     DeregisterOp,
     FaultInjector,
     ShardedMotionService,
+    WRITE_BATCH_CRASH_POINTS,
 )
+from repro.storage import ALL_CRASH_POINTS
 
 
 class TestFaultInjector:
@@ -50,18 +55,42 @@ class TestFaultInjector:
     @pytest.mark.parametrize("crash", [1, 4, 5, 6, 9])
     @pytest.mark.parametrize("before", [0, 2, 4])
     def test_a_run_counts_as_its_accesses(self, crash, before):
-        """``on_ops(shard, n)`` is ``n`` ``on_op`` calls up to the first
-        that raises: it admits the accesses before the planned crash,
-        counts the crashing one, and leaves the rest uncounted (the
-        shard is down for them)."""
-        run, one = FaultInjector({1: crash}), FaultInjector({1: crash})
-        for injector in (run, one):
-            self.drain(injector, 1, before)
-        outcomes = []
-        while len(outcomes) < 4 and "crash" not in outcomes:
-            outcomes += self.drain(one, 1, 1)
-        assert run.on_ops(1, 4) == outcomes.count("ok")
-        assert run.snapshot() == one.snapshot()
+        """A run of four accesses after ``before`` others: each is
+        counted, and the planned one — and only it — crashes, once."""
+        injector = FaultInjector({1: crash})
+        assert self.drain(injector, 1, before) == [
+            "crash" if op == crash else "ok" for op in range(1, before + 1)
+        ]
+        assert self.drain(injector, 1, 4) == [
+            "crash" if op == crash else "ok"
+            for op in range(before + 1, before + 5)
+        ]
+        assert injector.snapshot() == {
+            "crashed_shards": [1] if crash <= before + 4 else [],
+            "ops_per_shard": {1: before + 4},
+        }
+
+
+class TestCrashPointInjector:
+    @pytest.mark.parametrize(
+        "point", ["write_batch.pre_fsync", "log.prefsync", "bulk", ""]
+    )
+    def test_a_point_no_layer_fires_is_refused(self, point):
+        """A misspelt or retired point would never fire, and the run
+        would pass without its crash: arming one, or planning one, is
+        a ``ValueError``."""
+        with pytest.raises(ValueError, match="unknown crash point"):
+            CrashPointInjector().arm(point)
+        with pytest.raises(ValueError, match="unknown crash point"):
+            CrashPointInjector({point: CrashPointSpec()})
+
+    def test_every_fired_point_arms(self):
+        for point in ALL_CRASH_POINTS + WRITE_BATCH_CRASH_POINTS:
+            armed = CrashPointInjector({point: CrashPointSpec(at=2)})
+            assert armed.snapshot()["armed"] == [point]
+            assert CrashPointInjector().arm(point).snapshot()["armed"] == [
+                point
+            ]
 
 
 class TestShardHint:

@@ -2,10 +2,9 @@
 
 The robustness half of the rebalancing acceptance criteria.  A
 rebalance move is an ordinary write set (the service's ``rehome``), so
-the crash points it reaches are a write set's own
-(``write_batch.pre_fsync``, the controller's ``crash_hook``) and the
-durability boundaries of the logs and checkpoints it writes
-(:data:`repro.storage.ALL_CRASH_POINTS`).  Whatever the point and
+the crash points it reaches are the durability boundaries of the logs
+and checkpoints it writes (:data:`repro.storage.ALL_CRASH_POINTS`,
+armed through the service's ``wal_crash_hook``).  Whatever the point and
 whatever the log's fsync policy, recovery must land every object on
 **exactly its owner's replica group** with a motion that was actually
 acknowledged — a move cut short never forks an object.  Under
@@ -49,7 +48,7 @@ pytestmark = [pytest.mark.rebalance, pytest.mark.chaos,
               pytest.mark.usefixtures("short_checkpoint_floor")]
 
 #: Every crash point a rebalance's moves reach.
-REHOME_CRASH_POINTS = ("write_batch.pre_fsync",) + ALL_CRASH_POINTS
+REHOME_CRASH_POINTS = ALL_CRASH_POINTS
 
 #: (point, fsync) cells of the matrix: ``log.post_fsync`` is never
 #: reached under ``fsync=never``, which never syncs.
@@ -90,9 +89,7 @@ def crash_mid_rehome(directory, fsync, point, n, seed):
     service = make_service(directory, fsync, hook=injector)
     populate_skewed(service, n, seed)
     expected = service.motion_snapshot()
-    controller = RebalanceController(
-        service, RebalanceConfig(min_objects=1), crash_hook=injector
-    )
+    controller = RebalanceController(service, RebalanceConfig(min_objects=1))
     service.set_bands(controller.plan().edges)
     at = injector.hits(point) + 1
     injector.arm(point, at=at)

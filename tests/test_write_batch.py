@@ -6,8 +6,8 @@ per shard, one listener fire), never their semantics.  Batched
 outcomes, catalogs, WAL streams, subscription delta streams and query
 answers must be byte-identical to the scalar calls applied in the same
 order — including rejected operations, duplicate oids inside one
-batch, and recovery after a crash at either write-batch boundary
-(:data:`WRITE_BATCH_CRASH_POINTS`).
+batch, and recovery after a crash inside a shard's grouped log commit
+or a bulk rebuild (:data:`WRITE_BATCH_CRASH_POINTS`).
 """
 
 import random
@@ -579,20 +579,21 @@ def mixed_sets(rng, n):
 
 class TestWriteBatchChaos:
     def test_crash_point_registry(self):
-        assert WRITE_BATCH_CRASH_POINTS == (
-            "write_batch.pre_fsync", "bulk.mid_pack",
-        )
+        assert WRITE_BATCH_CRASH_POINTS == ("bulk.mid_pack",)
 
     @pytest.mark.chaos
     @pytest.mark.parametrize("fsync", ["always", "never"])
     def test_crash_between_append_and_sync(self, tmp_path, fsync):
         """Process death after a shard's grouped append but before its
-        sync: recovery lands an all-or-prefix cut — every recovered
-        motion is a pre-batch or post-batch value, never an invention,
-        and each shard's log is a prefix of the crash-free twin's."""
+        sync (the log's own ``log.pre_fsync``): recovery lands an
+        all-or-prefix cut — every recovered motion is a pre-batch or
+        post-batch value, never an invention, and each shard's log is a
+        prefix of the crash-free twin's."""
         stream = build_stream(random.Random(31), n=40)
         prologue, batch = stream[:40], stream[40:]
-        service = make_ft(tmp_path / "crash", fsync=fsync)
+        injector = CrashPointInjector()
+        service = make_ft(tmp_path / "crash", fsync=fsync,
+                          wal_crash_hook=injector)
         apply_scalar(service, prologue)
         pre = service.motion_snapshot()
         twin = make_ft(tmp_path / "twin", fsync=fsync)
@@ -602,10 +603,11 @@ class TestWriteBatchChaos:
         twin_tails = wal_tails(twin)
         twin.close()
 
-        injector = CrashPointInjector().arm("write_batch.pre_fsync")
+        at = injector.hits("log.pre_fsync") + 1
+        injector.arm("log.pre_fsync", at=at)
         with pytest.raises(SimulatedCrashError):
-            service.apply_batch(batch, crash_hook=injector)
-        assert injector.fired == [("write_batch.pre_fsync", 1)]
+            service.apply_batch(batch)
+        assert injector.fired == [("log.pre_fsync", at)]
         service.close()
 
         restored = make_ft(tmp_path / "crash", fsync=fsync)
@@ -626,15 +628,17 @@ class TestWriteBatchChaos:
     @pytest.mark.parametrize("fsync", ["always", "never"])
     def test_degraded_batch_fires_its_crash_hook(self, tmp_path, fsync):
         """A shard down changes which steps a batch admits, not how it
-        commits them: the batch still dies at ``write_batch.pre_fsync``,
-        and every shard's log recovers a prefix of the crash-free
-        twin's, with no motion outside the pre- or post-batch state."""
+        commits them: the batch still dies at its first group's
+        ``log.pre_fsync``, and every shard's log recovers a prefix of the
+        crash-free twin's, with no motion outside the pre- or post-batch
+        state."""
         stream = build_stream(random.Random(31), n=40)
         prologue, batch = stream[:40], stream[40:]
+        injector = CrashPointInjector()
         legs = []
-        for name in ("crash", "twin"):
+        for name, hook in (("crash", injector), ("twin", None)):
             service = make_ft(tmp_path / name, shards=4, replication=2,
-                              fsync=fsync)
+                              fsync=fsync, wal_crash_hook=hook)
             apply_scalar(service, prologue)
             service.kill_shard(3)
             legs.append(service)
@@ -645,10 +649,11 @@ class TestWriteBatchChaos:
         twin_tails = wal_tails(twin)
         twin.close()
 
-        injector = CrashPointInjector().arm("write_batch.pre_fsync")
+        at = injector.hits("log.pre_fsync") + 1
+        injector.arm("log.pre_fsync", at=at)
         with pytest.raises(SimulatedCrashError):
-            service.apply_batch(batch, crash_hook=injector)
-        assert injector.fired == [("write_batch.pre_fsync", 1)]
+            service.apply_batch(batch)
+        assert injector.fired == [("log.pre_fsync", at)]
         service.close()
 
         shutil.copytree(tmp_path / "crash", tmp_path / "copy")
@@ -734,57 +739,94 @@ class TestWriteBatchChaos:
     @pytest.mark.parametrize("seed", [4, 23, 57])
     def test_plain_and_walked_rows_equal_the_scalar_loop(self, tmp_path, seed):
         """A batch's plan decides its plain rows as columns and walks the
-        rest; under a velocity router at ``replication = 2``, with three
-        injected crashes, a killed shard and the recoveries, sets of every
-        size mixing both kinds of row leave what the scalar loop leaves:
-        outcomes (type and message), per-shard log streams, the owner
-        and motion catalogs, and the injector's per-shard access counts
-        (so each crash landed on the same access).  Shard 1 crashes
-        before shard 3 is killed, shard 2 while it is down (its group
-        goes dark) and shard 0 after both recovered."""
+        rest; under a velocity router at ``replication = 2``, with a
+        killed shard and the recoveries, sets of every size mixing both
+        kinds of row leave what the scalar loop leaves: outcomes (type
+        and message), per-shard log streams, the owner and motion
+        catalogs and the shard contents.
+
+        Two legs.  With three injected crashes the set walks every row,
+        and the injector's snapshot equals the scalar loop's exactly —
+        the crash order and each shard's access count, so each crash
+        landed on the same access.  Shard 1 crashes before shard 3 is
+        killed, shard 2 while it is down (its group goes dark) and
+        shard 0 after both recovered.  With no injector the column pass
+        runs under the down shard 3 and still matches."""
         sets = mixed_sets(random.Random(seed), n=300)
-
-        def build(name):
-            return make_ft(
-                tmp_path / name, shards=4, replication=2, router="velocity",
-                fault_injector=FaultInjector({1: 150, 2: 400, 0: 700}),
-            )
-
-        scalar, batched = build("scalar"), build("batched")
         # Sets on both sides of the size below which every row is walked.
         sizes = sorted(map(len, sets))
-        assert sizes[0] < batched._COLUMNS_MIN_SET <= sizes[-1]
-        want, got = [], []
-        for step, ops in enumerate(sets):
-            if step == len(sets) // 3:
-                for service in (scalar, batched):
-                    service.kill_shard(3)
-            if step == 2 * len(sets) // 3:
-                for service in (scalar, batched):
-                    for shard in service.down_shards():
-                        service.recover_shard(shard)
-            want += apply_scalar(scalar, ops)
-            got += batched.apply_batch(ops)
-        assert [(type(o), str(o)) for o in got] == [
-            (type(o), str(o)) for o in want
-        ]
-        kinds = set(map(type, want))
-        assert {InvalidMotionError, ObjectNotFoundError,
-                ShardUnavailableError} <= kinds
-        faults = scalar._injector.snapshot()
-        assert sorted(faults["crashed_shards"]) == [0, 1, 2]
-        assert batched._injector.snapshot()["ops_per_shard"] == (
-            faults["ops_per_shard"]
-        )
-        assert batched.down_shards() == scalar.down_shards()
-        assert batched._owner == scalar._owner
-        assert batched._catalog_motion == scalar._catalog_motion
-        assert wal_tails(batched) == wal_tails(scalar)
-        assert [db.motion_snapshot() for db in batched._shards] == [
-            db.motion_snapshot() for db in scalar._shards
-        ]
-        scalar.close()
-        batched.close()
+        assert sizes[0] < ShardedMotionService._COLUMNS_MIN_SET <= sizes[-1]
+        for leg, plan in (("injected", {1: 150, 2: 400, 0: 700}),
+                          ("plain", None)):
+
+            def build(name):
+                return make_ft(
+                    tmp_path / leg / name, shards=4, replication=2,
+                    router="velocity",
+                    fault_injector=plan and FaultInjector(plan),
+                )
+
+            scalar, batched = build("scalar"), build("batched")
+            want, got = [], []
+            for step, ops in enumerate(sets):
+                if step == len(sets) // 3:
+                    for service in (scalar, batched):
+                        service.kill_shard(3)
+                if step == 2 * len(sets) // 3:
+                    for service in (scalar, batched):
+                        for shard in service.down_shards():
+                            service.recover_shard(shard)
+                want += apply_scalar(scalar, ops)
+                got += batched.apply_batch(ops)
+            assert [(type(o), str(o)) for o in got] == [
+                (type(o), str(o)) for o in want
+            ]
+            kinds = set(map(type, want))
+            assert {InvalidMotionError, ObjectNotFoundError} <= kinds
+            if plan is not None:
+                assert ShardUnavailableError in kinds
+                faults = scalar._injector.snapshot()
+                assert faults["crashed_shards"] == [1, 2, 0]
+                assert batched._injector.snapshot() == faults
+            assert batched.down_shards() == scalar.down_shards()
+            assert batched._owner == scalar._owner
+            assert batched._catalog_motion == scalar._catalog_motion
+            assert wal_tails(batched) == wal_tails(scalar)
+            assert [db.motion_snapshot() for db in batched._shards] == [
+                db.motion_snapshot() for db in scalar._shards
+            ]
+            scalar.close()
+            batched.close()
+
+    @pytest.mark.chaos
+    def test_an_injector_armed_set_walks_every_row(
+        self, tmp_path, monkeypatch
+    ):
+        """A service with a fault injector never runs the column pass:
+        each row goes through the scalar loop's plan, so a crash lands
+        on a counted access.  A degraded service without one (a shard
+        killed) keeps the column pass for the same set."""
+        ops = [RegisterOp(oid, 4.0 * oid, 1.0, 0.0) for oid in range(64)]
+        assert len(ops) >= ShardedMotionService._COLUMNS_MIN_SET
+        armed = make_ft(tmp_path / "armed", shards=4, replication=2,
+                        fault_injector=FaultInjector({1: 10}))
+        killed = make_ft(tmp_path / "killed", shards=4, replication=2)
+        killed.kill_shard(3)
+        calls = {}
+        for name, service in (("armed", armed), ("killed", killed)):
+
+            def spy(*args, _name=name, _pass=service._plain_rows):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _pass(*args)
+
+            monkeypatch.setattr(service, "_plain_rows", spy)
+        assert armed.apply_batch(ops) == killed.apply_batch(ops)
+        assert calls == {"killed": 1}
+        assert armed.down_shards() == [1]
+        assert killed.down_shards() == [3]
+        assert armed.motion_snapshot() == killed.motion_snapshot()
+        armed.close()
+        killed.close()
 
     @pytest.mark.chaos
     def test_a_deregister_skips_a_replica_its_copy_never_reached(
