@@ -380,10 +380,7 @@ class FaultTolerantMotionService(ShardedMotionService):
         The dark groups come first, from the topology alone; the owner
         map is read only when one exists, and only until each dark
         primary has shown an object."""
-        dark = {
-            p for p in range(self.shard_count)
-            if answered.isdisjoint(self.replica_group(p))
-        }
+        dark = set(self._dark(answered))
         if not dark:
             return ()
         owning: Set[int] = set()

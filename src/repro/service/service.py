@@ -5,7 +5,8 @@ One :class:`~repro.engine.MotionDatabase` serves one caller at a time.
 for: the object population is partitioned across ``k`` independent
 shards (each a full ``MotionDatabase`` with its own disks and
 buffers), updates route to the owning shard under its lock, and
-queries fan out and merge:
+queries fan out to one member of each replica group (every shard here;
+every live shard for ``query_past``) and merge:
 
 * ``within`` / ``snapshot_at`` / ``query_past`` — per-shard answers
   union (an object's copies on its replicas collapse);
@@ -336,6 +337,8 @@ class ShardedMotionService:
         ]
         self._locks = [threading.RLock() for _ in range(shards)]
         self._groups: Dict[int, Tuple[int, ...]] = {}
+        #: ``(primaries, shards)`` → :meth:`_cover` of them.
+        self._covers: Dict[Tuple[Tuple[int, ...], ...], Tuple[int, ...]] = {}
         #: ``(owner, target)`` → the shards a move keeps, enters, leaves.
         self._moves: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
         #: ``_members[shard, p]``: whether primary ``p``'s replica group
@@ -494,6 +497,40 @@ class ShardedMotionService:
             group = tuple(sorted(set(self.replica_group(primary))))
             self._groups[primary] = group
         return group
+
+    def _dark(self, answered: Set[int]) -> List[int]:
+        """The primaries whose replica group has no member in
+        ``answered``: an answer is complete iff there is none."""
+        return [
+            p for p in range(self.shard_count)
+            if answered.isdisjoint(self._group(p))
+        ]
+
+    def _cover(
+        self, primaries: Sequence[int], shards: Sequence[int]
+    ) -> Tuple[int, ...]:
+        """The fewest of the ascending ``shards`` holding a member of
+        each of the ``primaries``' groups (a group none holds stays
+        out), in ascending order: picked greedily by groups gained,
+        ties to the lowest shard id.  Worked out once per argument
+        pair, as :meth:`_group` is."""
+        key = (tuple(primaries), tuple(shards))
+        cover = self._covers.get(key)
+        if cover is None:
+            todo = [self._group(p) for p in primaries]
+            chosen = []
+            while todo:
+                best, gain = None, 0
+                for s in shards:
+                    n = sum(s in group for group in todo)
+                    if n > gain:
+                        best, gain = s, n
+                if best is None:
+                    break
+                chosen.append(best)
+                todo = [group for group in todo if best not in group]
+            cover = self._covers[key] = tuple(sorted(chosen))
+        return cover
 
     @contextmanager
     def _holding(self, shards: Iterable[int]) -> Iterator[None]:
@@ -1281,20 +1318,26 @@ class ShardedMotionService:
     def _proximity_join(
         self, op: ProximityPairs, live: List[int], span
     ) -> Tuple[Set[Tuple[int, int]], Set[int]]:
-        """:meth:`proximity_pairs`' join over the ``live`` shards, all
-        locked throughout, booked on ``span``: the pairs among the
-        shards that answered, and who answered."""
+        """:meth:`proximity_pairs`' join over a cover of the ``live``
+        shards (:meth:`_ask_cover`), every live one locked throughout,
+        booked on ``span``: the pairs among the shards that answered,
+        and who answered."""
         d, t1, t2 = op.d, op.t1, op.t2
-        with self._holding(live):
-            answered: List[int] = []
-            for shard in live:
+
+        def admit(shards: Sequence[int]) -> List[int]:
+            admitted = []
+            for shard in shards:
                 try:
                     # The fault gate for this shard's whole share of
                     # the join (self-join + exchanges below).
                     self._guard(shard, "proximity_pairs")
                 except ShardUnavailableError:
                     continue
-                answered.append(shard)
+                admitted.append(shard)
+            return admitted
+
+        with self._holding(live):
+            answered = sorted(self._ask_cover(live, admit))
             pairs: Set[Tuple[int, int]] = set()
             for position, i in enumerate(answered):
                 db = self._shards[i]
@@ -1338,13 +1381,15 @@ class ShardedMotionService:
         participate in the cache.
 
         The same plan serves a degraded service: the shards answerable
-        on entry (:meth:`_answerable`) are the candidates,
-        :meth:`_guard` may refuse some of them, and the lanes that
-        answered are merged — each answer missing a shard goes through
-        :meth:`_degrade`, as the scalar verb's does.  The cache only
-        ever holds complete answers: a batch that starts with a shard
-        unanswerable neither reads nor writes it, and an answer some
-        shard did not contribute to is never stored.
+        on entry (:meth:`_answerable`) are the candidates, a cover of
+        the replica groups among them is asked (:meth:`_ask_cover`),
+        :meth:`_guard` may refuse some of them, whose groups are asked
+        of their other candidates, and the lanes that answered are
+        merged — each answer with a replica group no member answered
+        goes through :meth:`_degrade`, as the scalar verb's does.  The
+        cache only ever holds complete answers: a batch that starts
+        with a shard unanswerable neither reads nor writes it, and an
+        answer with an unanswered group is never stored.
 
         The kernels read no simulated pages, so the batch's I/O is near
         zero and **not comparable** to a verb's (see
@@ -1358,8 +1403,9 @@ class ShardedMotionService:
         a scalar read verb's one op (``per_op``, the one switch, read
         here).  A one-op set is never cached and never pooled; a batch
         checks its vocabulary and computes only its distinct cache
-        misses.  An answer some shard did not contribute to goes
-        through :meth:`_degrade` under its verb's name."""
+        misses.  An answer some replica group did not contribute to
+        (:meth:`_dark`) goes through :meth:`_degrade` under its verb's
+        name, and is never cached."""
         per_op = name != "query_batch"
         with self.metrics.span(name) as span:
             if not per_op:
@@ -1390,7 +1436,7 @@ class ShardedMotionService:
                     pending, live, span, per_op
                 )
                 for op, value, who in zip(pending, computed, answered):
-                    complete = len(who) == k
+                    complete = not self._dark(who)
                     if cache is not None and complete:
                         cache.put(op, value, generation=generation)
                     for n, slot in enumerate(misses[op]):
@@ -1420,7 +1466,7 @@ class ShardedMotionService:
         return True
 
     def _per_shard_answers(
-        self, batch: List, live: List[int], span, per_op: bool
+        self, batch: List, live: Sequence[int], span, per_op: bool
     ) -> Dict[int, List]:
         """The answers to ``batch`` of each ``live`` shard that
         :meth:`_guard` admits, keyed by shard.
@@ -1491,13 +1537,39 @@ class ShardedMotionService:
                 span.add_shard_io(s, db.io_delta_since(before))
         return answers
 
+    def _ask_cover(
+        self,
+        live: List[int],
+        ask: Callable[[Sequence[int]], Iterable[int]],
+        shards: Optional[Sequence[int]] = None,
+    ) -> Set[int]:
+        """Who answered, asking ``shards`` — by default the
+        :meth:`_cover` of every replica group by the ``live`` shards —
+        through ``ask`` (which returns the shards that answered), then
+        each group left dark by a refusal again from the live shards
+        not yet asked, until no group is dark or none is left.  An up
+        shard has applied every write of its groups, so one member a
+        group gives the exact answer."""
+        who: Set[int] = set()
+        asked: Set[int] = set()
+        if shards is None:
+            shards = self._cover(range(self.shard_count), live)
+        while shards:
+            asked.update(shards)
+            who.update(ask(shards))
+            shards = self._cover(
+                self._dark(who), [s for s in live if s not in asked]
+            )
+        return who
+
     def _compute_batch(
         self, ops: List, live: List[int], span, per_op: bool
     ) -> Tuple[List, List[Set[int]]]:
-        """Evaluate a set's distinct uncached ops over the ``live``
-        shards — shard answers merged by union (:func:`_merge_nearest`
-        for a ``Nearest``), a ``ProximityPairs`` by
-        :meth:`_proximity_join` — and who answered each."""
+        """Evaluate a set's distinct uncached ops over a cover of the
+        ``live`` shards (:meth:`_ask_cover`) — shard answers merged by
+        union, so replica copies collapse (:func:`_merge_nearest` for a
+        ``Nearest``), a ``ProximityPairs`` by :meth:`_proximity_join`
+        — and who answered each."""
         results: List = [None] * len(ops)
         answered: List[Set[int]] = [set()] * len(ops)
         shardable = [
@@ -1507,8 +1579,18 @@ class ShardedMotionService:
         ]
         if shardable:
             batch = [op for _, op in shardable]
-            per_shard = self._per_shard_answers(batch, live, span, per_op)
-            who = set(per_shard)
+            per_shard: Dict[int, List] = {}
+
+            def ask(shards: Sequence[int]) -> Iterable[int]:
+                answers = self._per_shard_answers(batch, shards, span, per_op)
+                per_shard.update(answers)
+                return answers
+
+            # History asks every live copy: each replica closes a version
+            # at its own shard clock, and the union of all hides part of
+            # that (DESIGN §5.1).
+            every = live if type(batch[0]) is _Past else None
+            who = self._ask_cover(live, ask, every)
             for j, (slot, op) in enumerate(shardable):
                 if isinstance(op, Nearest):
                     results[slot] = _merge_nearest(

@@ -31,3 +31,19 @@ def short_checkpoint_floor(monkeypatch):
     from repro.service import ShardWAL
 
     monkeypatch.setattr(ShardWAL, "MIN_TAIL", 16)
+
+
+@pytest.fixture
+def closing():
+    """``closing(service)`` returns ``service`` and closes it when the
+    test ends, passed or failed: a failing wall must not leak its log
+    files into the next test through the ``ResourceWarning`` filter."""
+    services = []
+
+    def keep(service):
+        services.append(service)
+        return service
+
+    yield keep
+    for service in services:
+        service.close()

@@ -6,11 +6,12 @@ from ``_answerable``, one ``_guard`` per shard, one shard lock at a
 time, the same merge, ``_degrade`` — with one switch: a verb's set is
 never cached and never pooled, each shard answers through the engine's
 paged verb, and its page I/O lands on the verb's own span.  These
-tests pin that switch on a cached, pooled service, and the fault
-behaviour of a verb on the fault-tolerant service: an injected crash
-lands on the access it always did, under the verb's name, and a
-degraded verb returns the ``PartialResult`` of the shards that
-answered.
+tests pin that switch on a cached, pooled service; which shards a read
+asks — one member of each replica group, every live shard for history;
+and the fault behaviour of a verb on the fault-tolerant service: an
+injected crash lands on the access it always did, under the verb's
+name, and a degraded verb returns the ``PartialResult`` of the shards
+that answered.
 """
 
 import random
@@ -147,6 +148,79 @@ def test_a_proximity_verb_skips_cache_and_pool(pooled):
     assert pooled.query_cache.stats() == cache_before
     assert pooled.metrics.snapshot()["counters"].get("parallel_tasks") == tasks
     assert pooled.query_batch([op]) == [answer]
+
+
+#: service → how to build it over 4 shards, and the shards a read asks
+#: while all are up.  Ring groups ``{p, p + 1}`` at ``r = 2`` each hold
+#: shard 0 or 2; at ``r = 1``, as on the plain service, a group is one
+#: shard.
+BUILDS = {
+    "ft-r2": (lambda: FaultTolerantMotionService(
+        Y_MAX, V_MIN, V_MAX, shards=4, replication_factor=2,
+        keep_history=True,
+    ), [0, 2]),
+    "ft-r1": (lambda: FaultTolerantMotionService(
+        Y_MAX, V_MIN, V_MAX, shards=4, replication_factor=1,
+        keep_history=True,
+    ), [0, 1, 2, 3]),
+    "plain": (lambda: ShardedMotionService(
+        Y_MAX, V_MIN, V_MAX, shards=4, keep_history=True,
+    ), [0, 1, 2, 3]),
+}
+
+
+def spied(service, monkeypatch, name, call):
+    """``call()``, and the shards whose ``MotionDatabase.<name>`` ran
+    during it, in order."""
+    shards = []
+    engine = getattr(MotionDatabase, name)
+
+    def spy(db, *args):
+        shards.append(service._shards.index(db))
+        return engine(db, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MotionDatabase, name, spy)
+        value = call()
+    return value, shards
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_a_read_asks_one_member_of_each_replica_group(
+    monkeypatch, build
+):
+    """A scalar verb pages, a batch runs its kernel on, and a proximity
+    join self-joins exactly the cover of the replica groups: shards
+    {0, 2} at ``r = 2``, every shard at ``r = 1`` and on the plain
+    service."""
+    make, cover = BUILDS[build]
+    service = make()
+    populate(service)
+    for verb in ("within", "snapshot_at", "nearest"):
+        args, op = CALLS[verb]
+        assert spied(service, monkeypatch, verb,
+                     lambda: getattr(service, verb)(*args))[1] == cover
+        assert spied(service, monkeypatch, "query_batch",
+                     lambda: service.query_batch([op]))[1] == cover
+    assert spied(service, monkeypatch, "proximity_pairs",
+                 lambda: service.proximity_pairs(4.0, 5.0, 9.0))[1] == cover
+
+
+@pytest.mark.parametrize("build", BUILDS)
+def test_query_past_asks_every_live_shard(monkeypatch, build):
+    """History keeps the union of every live copy, though one member a
+    group would cover it: each replica closes a version at its own
+    shard clock.  With a shard down it asks all the others."""
+    make, _ = BUILDS[build]
+    service = make()
+    populate(service)
+    args = CALLS["query_past"][0]
+    assert spied(service, monkeypatch, "query_past",
+                 lambda: service.query_past(*args))[1] == [0, 1, 2, 3]
+    if build == "ft-r2":
+        service.kill_shard(1)
+        assert spied(service, monkeypatch, "query_past",
+                     lambda: service.query_past(*args))[1] == [0, 2, 3]
 
 
 def survivors_database(service, lost):

@@ -117,92 +117,83 @@ def test_pool_raises_named_crash_and_respawns():
         pool.close()
 
 
-def test_plain_service_recomputes_lost_lanes_inline():
-    service = ShardedMotionService(
+def test_plain_service_recomputes_lost_lanes_inline(closing):
+    service = closing(ShardedMotionService(
         Y_MAX, V_MIN, V_MAX, shards=4, workers=2, cache_capacity=0
-    )
-    oracle = ShardedMotionService(
+    ))
+    oracle = closing(ShardedMotionService(
         Y_MAX, V_MIN, V_MAX, shards=4, cache_capacity=0
-    )
-    try:
-        rng = populate(service, 67)
-        populate(oracle, 67)
-        service.query_batch(fresh_queries(rng, 6))  # warm the lanes
-        sigkill(service.pool.worker_pids()[1])
-        check = fresh_queries(rng)
-        assert service.query_batch(check) == oracle.query_batch(check)
-        metrics = service.metrics
-        assert metrics.counter("parallel_worker_deaths").value >= 1
-        assert metrics.counter("parallel_inline_fallbacks").value >= 1
-        assert service.pool.respawns == 1
-        # And the pool is healthy again: no further deaths next batch.
-        deaths = metrics.counter("parallel_worker_deaths").value
-        again = fresh_queries(rng)
-        assert service.query_batch(again) == oracle.query_batch(again)
-        assert metrics.counter("parallel_worker_deaths").value == deaths
-    finally:
-        service.close()
+    ))
+    rng = populate(service, 67)
+    populate(oracle, 67)
+    service.query_batch(fresh_queries(rng, 6))  # warm the lanes
+    sigkill(service.pool.worker_pids()[1])
+    check = fresh_queries(rng)
+    assert service.query_batch(check) == oracle.query_batch(check)
+    metrics = service.metrics
+    assert metrics.counter("parallel_worker_deaths").value >= 1
+    assert metrics.counter("parallel_inline_fallbacks").value >= 1
+    assert service.pool.respawns == 1
+    # And the pool is healthy again: no further deaths next batch.
+    deaths = metrics.counter("parallel_worker_deaths").value
+    again = fresh_queries(rng)
+    assert service.query_batch(again) == oracle.query_batch(again)
+    assert metrics.counter("parallel_worker_deaths").value == deaths
 
 
-def test_ft_service_degrades_then_recovers():
+def test_ft_service_degrades_then_recovers(closing):
     # replication_factor=1: no replicas to hide the dead shards, so
     # the degraded machinery must show itself.
-    service = FaultTolerantMotionService(
+    service = closing(FaultTolerantMotionService(
         Y_MAX, V_MIN, V_MAX, shards=4, replication_factor=1, workers=2
-    )
-    oracle = ShardedMotionService(
+    ))
+    oracle = closing(ShardedMotionService(
         Y_MAX, V_MIN, V_MAX, shards=4, cache_capacity=0
+    ))
+    rng = populate(service, 71)
+    populate(oracle, 71)
+    service.query_batch(fresh_queries(rng, 6))  # warm the lanes
+    victim = service.pool.worker_pids()[0]
+    sigkill(victim)
+    started = time.monotonic()
+    with pytest.warns(DegradedResultWarning):
+        degraded = service.query_batch(fresh_queries(rng))
+    assert time.monotonic() - started < 30.0  # degraded, not hung
+    # Lane 0 of a 2-wide pool owns shards {0, 2}: both were lost,
+    # so every answer is partial and names the dead shards.
+    assert sorted(service.down_shards()) == [0, 2]
+    assert all(isinstance(r, PartialResult) for r in degraded)
+    assert all(
+        r.unavailable_shards == (0, 2) for r in degraded
     )
-    try:
-        rng = populate(service, 71)
-        populate(oracle, 71)
-        service.query_batch(fresh_queries(rng, 6))  # warm the lanes
-        victim = service.pool.worker_pids()[0]
-        sigkill(victim)
-        started = time.monotonic()
-        with pytest.warns(DegradedResultWarning):
-            degraded = service.query_batch(fresh_queries(rng))
-        assert time.monotonic() - started < 30.0  # degraded, not hung
-        # Lane 0 of a 2-wide pool owns shards {0, 2}: both were lost,
-        # so every answer is partial and names the dead shards.
-        assert sorted(service.down_shards()) == [0, 2]
-        assert all(isinstance(r, PartialResult) for r in degraded)
-        assert all(
-            r.unavailable_shards == (0, 2) for r in degraded
-        )
-        assert service.pool.respawns == 1
-        for shard in (0, 2):
-            service.recover_shard(shard)
-        assert service.down_shards() == []
-        check = fresh_queries(rng)
-        assert service.query_batch(check) == oracle.query_batch(check)
-    finally:
-        service.close()
+    assert service.pool.respawns == 1
+    for shard in (0, 2):
+        service.recover_shard(shard)
+    assert service.down_shards() == []
+    check = fresh_queries(rng)
+    assert service.query_batch(check) == oracle.query_batch(check)
 
 
-def test_ft_replicas_absorb_worker_death():
+def test_ft_replicas_absorb_worker_death(closing):
     """With replication, the shards a dead worker takes down are still
     covered: the batch completes with full, correct answers — only the
     down-shard list and the metrics betray the crash."""
-    service = FaultTolerantMotionService(
+    service = closing(FaultTolerantMotionService(
         Y_MAX, V_MIN, V_MAX, shards=4, replication_factor=2, workers=2
-    )
-    oracle = ShardedMotionService(
+    ))
+    oracle = closing(ShardedMotionService(
         Y_MAX, V_MIN, V_MAX, shards=4, cache_capacity=0
-    )
-    try:
-        rng = populate(service, 73)
-        populate(oracle, 73)
-        service.query_batch(fresh_queries(rng, 6))  # warm the lanes
-        sigkill(service.pool.worker_pids()[0])
-        check = fresh_queries(rng)
-        answers = service.query_batch(check)
-        assert sorted(service.down_shards()) == [0, 2]
-        assert not any(isinstance(r, PartialResult) for r in answers)
-        assert answers == oracle.query_batch(check)
-        assert service.pool.respawns == 1
-        for shard in (0, 2):
-            service.recover_shard(shard)
-        assert service.down_shards() == []
-    finally:
-        service.close()
+    ))
+    rng = populate(service, 73)
+    populate(oracle, 73)
+    service.query_batch(fresh_queries(rng, 6))  # warm the lanes
+    sigkill(service.pool.worker_pids()[0])
+    check = fresh_queries(rng)
+    answers = service.query_batch(check)
+    assert sorted(service.down_shards()) == [0, 2]
+    assert not any(isinstance(r, PartialResult) for r in answers)
+    assert answers == oracle.query_batch(check)
+    assert service.pool.respawns == 1
+    for shard in (0, 2):
+        service.recover_shard(shard)
+    assert service.down_shards() == []

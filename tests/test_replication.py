@@ -31,8 +31,10 @@ from repro.service import (
     FaultTolerantMotionService,
     PartialResult,
 )
+from repro.vector.ops import Nearest, SnapshotAt, Within
 from repro.workloads.serialization import population_to_json
 
+from .test_one_read_plan import spied
 from .test_service_differential import drive, full_menu_check
 
 Y_MAX, V_MIN, V_MAX = 1000.0, 0.16, 1.66
@@ -62,36 +64,68 @@ def seed_population(service, oracle=None, n=60, seed=101):
     return rng
 
 
+class Recorder(FaultInjector):
+    """An injector with no plan that keeps each shard's guarded
+    accesses by name."""
+
+    def __init__(self):
+        super().__init__({})
+        self.names = {}
+
+    def on_op(self, shard, operation):
+        self.names.setdefault(shard, []).append(operation)
+        super().on_op(shard, operation)
+
+
+WRITES = {"register", "report", "deregister"}
+
+
+def crash_point(names, share):
+    """The 1-based access on which a shard whose accesses were
+    ``names`` crashes: its first read at or past ``share`` of them, or
+    the access at ``share`` when no read follows."""
+    start = int(len(names) * share)
+    reads = [n for n in range(start, len(names)) if names[n] not in WRITES]
+    return (reads[0] if reads else start) + 1
+
+
 @pytest.mark.parametrize("seed, fsync", [
     pytest.param(13, None, id="13"),
+    pytest.param(14, None, id="14"),
     pytest.param(29, None, id="29"),
     pytest.param(13, "always", id="13-file-always"),
     pytest.param(29, "batch:4", id="29-file-batch:4"),
 ])
-def test_chaos_r2_matches_faultless_single_database(seed, fsync, tmp_path):
+def test_chaos_r2_matches_faultless_single_database(
+    seed, fsync, tmp_path, closing
+):
     """Replicated service under injected crashes ≡ faultless oracle.
 
     The injector crashes two shards that share no replica group, at
-    different points of the trace; ``replication=2`` means every
+    different points of a faultless run of the same trace: a third and
+    two thirds of the way through each victim's guarded accesses, on
+    the first read from there if one follows.  Seed 14's victims are
+    the shards a read covers, so its crashes land on reads, which the
+    victims' partners answer instead; seeds 13 and 29's are never read
+    while up, so theirs land on writes.  ``replication=2`` means every
     answer must still come back complete and identical.  Down shards
-    are recovered at every differential checkpoint, so both crashes
-    are also exercised through the recovery path.  The ``file`` legs
-    run the same chaos over the on-disk WAL backend.  A shard is up or
+    are recovered at every differential checkpoint, so both crashes are
+    also exercised through the recovery path.  The ``file`` legs run
+    the same chaos over the on-disk WAL backend.  A shard is up or
     down, with no clock in between, so the same trace run twice gives
     the same per-shard I/O and the same injector accounting.
     """
     victims = (seed % 4, (seed + 2) % 4)
 
-    def run(leg):
+    def run(leg, injector):
         durable = (
             {} if fsync is None
             else {"wal_dir": str(tmp_path / leg), "wal_fsync": fsync}
         )
-        injector = FaultInjector({victims[0]: 45, victims[1]: 70})
         single = MotionDatabase(Y_MAX, V_MIN, V_MAX)
-        service = make_service(
+        service = closing(make_service(
             shards=4, replication=2, injector=injector, **durable
-        )
+        ))
 
         def check(single_db, sharded, rng, now):
             full_menu_check(single_db, sharded, rng, now)
@@ -102,7 +136,13 @@ def test_chaos_r2_matches_faultless_single_database(seed, fsync, tmp_path):
         io = [s["io"] for s in service.service_stats()["shard_state"]]
         return single, service, injector.snapshot(), io
 
-    single, service, faults, io = run("a")
+    faultless = Recorder()
+    run("faultless", faultless)
+    plan = {
+        victim: crash_point(faultless.names[victim], share)
+        for victim, share in zip(victims, (1 / 3, 2 / 3))
+    }
+    single, service, faults, io = run("a", FaultInjector(plan))
     # Both crashes actually happened and were recovered from.
     assert sorted(faults["crashed_shards"]) == sorted(victims)
     assert service.service_stats()["fault_tolerance"]["recoveries"] == 2
@@ -120,10 +160,8 @@ def test_chaos_r2_matches_faultless_single_database(seed, fsync, tmp_path):
         assert all(b["fsync"] == fsync for b in backends)
         assert stats["metrics"]["counters"]["wal_append"] > 0
         assert stats["metrics"]["counters"]["wal_fsync"] > 0
-        service.close()
-    _, twin, twin_faults, twin_io = run("b")
+    _, _, twin_faults, twin_io = run("b", FaultInjector(plan))
     assert (twin_faults, twin_io) == (faults, io)
-    twin.close()
 
 
 def test_r1_dead_shard_degrades_queries_instead_of_raising():
@@ -215,6 +253,116 @@ def test_failover_keeps_serving_after_primary_death():
     service.report(7, 300.0, 1.0, 6.0)
     oracle.report(7, 300.0, 1.0, 6.0)
     assert service.location_of(7, 8.0) == oracle.location_of(7, 8.0)
+
+
+#: read → its arguments, how the service asks it, the engine method a
+#: shard answers it with, and how a single database answers it.
+READS = {
+    "within": ((100.0, 700.0, 2.0, 9.0), "within"),
+    "snapshot_at": ((100.0, 700.0, 5.0), "snapshot_at"),
+    "nearest": ((400.0, 6.0, 5), "nearest"),
+    "proximity_pairs": ((5.0, 1.0, 9.0), "proximity_pairs"),
+    "query_batch": ((100.0, 700.0, 2.0, 9.0), "within"),
+}
+
+
+def read(target, name, args):
+    if name == "query_batch" and not isinstance(target, MotionDatabase):
+        return target.query_batch([Within(*args)])[0]
+    return getattr(target, READS[name][1])(*args)
+
+
+@pytest.mark.parametrize("name", READS)
+@pytest.mark.parametrize("fault", ["kill", "injected"])
+def test_a_refused_cover_shard_is_covered_again_by_its_partners(
+    monkeypatch, fault, name
+):
+    """Shard 0 is in the read cover {0, 2} of a 4-shard ``r = 2``
+    service.  Killed, the cover of the live shards is {1, 3}; crashing
+    on its read, it leaves the groups of primaries 0 ({0, 1}) and 3
+    ({3, 0}) dark, and shards 1 and 3 are asked for them.  Either way
+    the answer is complete: no warning, no ``PartialResult``, a single
+    database's answer."""
+    args, _ = READS[name]
+    engine = "query_batch" if name == "query_batch" else READS[name][1]
+    if fault == "kill":
+        service = make_service()
+        oracle = MotionDatabase(Y_MAX, V_MIN, V_MAX)
+        seed_population(service, oracle)
+        service.kill_shard(0)
+        expected = [1, 3]
+    else:
+        probe = make_service(injector=FaultInjector({}))
+        seed_population(probe)
+        written = probe._injector.snapshot()["ops_per_shard"][0]
+        service = make_service(injector=FaultInjector({0: written + 1}))
+        oracle = MotionDatabase(Y_MAX, V_MIN, V_MAX)
+        seed_population(service, oracle)
+        expected = [1, 2, 3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, shards = spied(service, monkeypatch, engine,
+                            lambda: read(service, name, args))
+    assert service.down_shards() == [0]
+    assert sorted(shards) == expected
+    assert not isinstance(got, PartialResult)
+    assert got == read(oracle, name, args)
+
+
+@pytest.mark.parametrize("replication", [2, 3])
+@pytest.mark.parametrize("shards", [3, 5, 7])
+def test_overlapping_covers_match_a_single_database(shards, replication):
+    """At these shard counts the cover holds two members of some group
+    (5 shards at ``r = 2`` read {0, 2, 3}), so one object comes from two
+    shards: its copies collapse, and every verb and batch answers as a
+    single database does."""
+    service = make_service(shards=shards, replication=replication)
+    assert len(service._cover(range(shards), list(range(shards)))) < shards
+
+    def check(single, sharded, rng, now):
+        full_menu_check(single, sharded, rng, now)
+        ops = [Within(0.0, Y_MAX, now, now + 9.0),
+               SnapshotAt(200.0, 600.0, now + 3.0), Nearest(500.0, now, 6)]
+        assert sharded.query_batch(ops) == [
+            single.within(0.0, Y_MAX, now, now + 9.0),
+            single.snapshot_at(200.0, 600.0, now + 3.0),
+            single.nearest(500.0, now, 6),
+        ]
+
+    drive(random.Random(shards * 10 + replication),
+          MotionDatabase(Y_MAX, V_MIN, V_MAX), service, steps=120,
+          check=check)
+
+
+def test_the_cache_keeps_only_answers_every_group_gave():
+    """A batch whose cover shard crashes on its read is covered again,
+    complete, and cached.  One whose crashes darken a group — shard 0
+    on its read, then shard 1 on the re-cover — returns a
+    ``PartialResult`` and caches nothing."""
+    probe = make_service(injector=FaultInjector({}))
+    seed_population(probe)
+    written = probe._injector.snapshot()["ops_per_shard"]
+    op = Within(100.0, 700.0, 2.0, 9.0)
+    oracle = MotionDatabase(Y_MAX, V_MIN, V_MAX)
+    seed_population(oracle)
+    expected = oracle.within(100.0, 700.0, 2.0, 9.0)
+
+    service = make_service(injector=FaultInjector({0: written[0] + 1}))
+    seed_population(service)
+    assert service.query_batch([op]) == [expected]
+    assert service.down_shards() == [0]
+    assert service.query_cache.get(op) == (True, expected)
+
+    service = make_service(injector=FaultInjector(
+        {0: written[0] + 1, 1: written[1] + 1}
+    ))
+    seed_population(service)
+    with pytest.warns(DegradedResultWarning):
+        got, = service.query_batch([op])
+    assert service.down_shards() == [0, 1]
+    assert isinstance(got, PartialResult)
+    assert got.unavailable_shards == (0,)
+    assert service.query_cache.get(op) == (False, None)
 
 
 def test_recovered_shard_is_byte_identical_when_nothing_changed():
