@@ -45,7 +45,6 @@ from repro.vector.columns import MotionColumns, WriteColumns
 from repro.vector.ops import (
     _DELETE,
     _INSERT,
-    _UPDATE,
     DeregisterOp,
     QueryOp,
     RegisterOp,
@@ -228,18 +227,18 @@ class MotionDatabase:
         motion, one membership pass against the object table decides
         every op on an oid the batch names once, and only the ops on a
         repeated oid are walked in order.  Accepted operations form
-        per-kind groups per *epoch* — an epoch holds at most one op per
-        oid, so a repeated oid closes it, preserving per-object apply
-        order — and each epoch flushes its groups as
-        :class:`~repro.vector.columns.MotionRows` through the index
-        batch hooks (:meth:`~repro.indexes.base.MobileIndex1D.
-        insert_batch` / ``update_batch`` / ``delete_batch``), then into
-        the object table in one :meth:`~repro.vector.columns.
-        MotionColumns.apply_events`.  Within an epoch all oids are
-        distinct, so the ops commute and the fixed flush order
-        (deletes, updates, inserts) lands the same final state as the
-        interleaved submission order — while keeping each kind's group
-        maximal, which is what lets the §3.5 forest amortize a storm
+        *epochs* — an epoch holds at most one op per oid, so a repeated
+        oid closes it, preserving per-object apply order — and each
+        epoch is **one** index call,
+        :meth:`~repro.indexes.base.MobileIndex1D.apply_group`: the
+        deregisters' and reports' oids leave, the reports' and
+        registers' :class:`~repro.vector.columns.MotionRows` arrive,
+        then the object table takes the epoch in one
+        :meth:`~repro.vector.columns.MotionColumns.apply_events`.
+        Within an epoch all oids are distinct, so the ops commute and
+        one group lands the same final state as the interleaved
+        submission order — and the §3.5 forest reaches each leaf once
+        an epoch, in one key-sorted run per tree, or amortizes a storm
         into one bulk rebuild.  With ``keep_history`` a report closes
         its object's version at its own ``t0`` and a deregister at the
         clock the applied ops before it set, so the archive needs no
@@ -302,11 +301,9 @@ class MotionDatabase:
             )))
         bounds = starts + [len(keys)]
         for lo, hi in zip(bounds, bounds[1:]):
-            here = applied[lo:hi]
-            self._flush_epoch(batch, keys, clock, *(
-                (np.flatnonzero(here & (code[lo:hi] == kind)) + lo).tolist()
-                for kind in (_DELETE, _UPDATE, _INSERT)
-            ))
+            epoch = np.flatnonzero(applied[lo:hi]) + lo
+            if len(epoch):
+                self._flush_epoch(batch, keys, clock, epoch)
         if self._update_listeners:
             done = np.flatnonzero(applied).tolist()
             self._notify(
@@ -319,34 +316,32 @@ class MotionDatabase:
         batch: WriteColumns,
         keys: List[int],
         clock: Optional[np.ndarray],
-        deletes: List[int],
-        updates: List[int],
-        inserts: List[int],
+        epoch: np.ndarray,
     ) -> None:
-        """Apply one epoch's groups (positions into ``batch``) in the
-        fixed order deletes, updates, inserts.  Each group's rows land
-        right after the index call that applied it, so during every
-        call a row is the motion the index holds (a rebuild reads all
-        of them); with history, the versions a group ends are closed
-        in between — a deregister's at ``clock[i]``, a report's at its
-        own ``t0``."""
-        if deletes:
-            gone = [keys[i] for i in deletes]
-            self._index.delete_batch(gone)
-            if clock is not None:
-                self._close(gone, clock[deletes])
-            self._columns.apply_events(gone, ())
-        for group, apply in (
-            (updates, self._index.update_batch),
-            (inserts, self._index.insert_batch),
-        ):
-            if group:
-                rows = batch.rows(group)
-                apply(rows)
-                if group is updates:
-                    self._close(rows.keys, rows.t0)
-                self._columns.apply_events((), rows)
-                self._now = max(self._now, float(rows.t0.max()))
+        """Apply one epoch — the ops at positions ``epoch`` of
+        ``batch``, on distinct oids — as one index call
+        (:meth:`~repro.indexes.base.MobileIndex1D.apply_group`): the
+        deregisters' and reports' oids leave, the reports' and
+        registers' rows arrive.  During the call every row holds its
+        pre-epoch motion, which is what the index holds.  Then, with
+        history, the versions the epoch ends are closed — a
+        deregister's at ``clock[i]``, a report's at its own ``t0`` —
+        and the table takes the epoch in one
+        :meth:`~repro.vector.columns.MotionColumns.apply_events`."""
+        kind = batch.kind[epoch]
+        leaving = epoch[kind != _INSERT]
+        gone = [keys[i] for i in epoch[kind == _DELETE].tolist()]
+        rows = batch.rows(epoch[kind != _DELETE].tolist())
+        oids = [keys[i] for i in leaving.tolist()]
+        self._index.apply_group(oids, rows)
+        if clock is not None:
+            self._close(oids, np.where(
+                batch.kind[leaving] == _DELETE, clock[leaving],
+                batch.t0[leaving],
+            ))
+        self._columns.apply_events(gone, rows)
+        if len(rows):
+            self._now = max(self._now, float(rows.t0.max()))
 
     def _close(self, oids: Sequence[int], t_to) -> None:
         """With history, archive the rows of ``oids`` — still the

@@ -11,12 +11,16 @@ them per route.
 from __future__ import annotations
 
 import abc
+from itertools import compress
 from typing import Dict, List, Sequence, Set, Type
+
+import numpy as np
 
 from repro.core.model import MobileObject1D, MotionModel
 from repro.core.queries import MORQuery1D
 from repro.io_sim.pager import DiskSimulator
 from repro.io_sim.stats import IOSnapshot, IOStats
+from repro.vector.columns import MotionRows
 
 
 class MobileIndex1D(abc.ABC):
@@ -59,6 +63,33 @@ class MobileIndex1D(abc.ABC):
     # semantics).  Callers guarantee
     # oid-uniqueness within one call — the engine splits runs at
     # repeated oids — so overrides are free to reorder internally.
+    # The engine makes one call an epoch, :meth:`apply_group`; the
+    # three verbs below are its pure-kind cases.
+
+    def apply_group(
+        self, leaving: Sequence[int], arriving: Sequence[MobileObject1D]
+    ) -> None:
+        """Drop the objects ``leaving`` names and index ``arriving``; an
+        oid on both sides is an update.  No oid appears twice on one
+        side, so the three kinds commute.
+
+        By default the three batch verbs, in the order deletes,
+        updates, inserts; an override may apply the whole group at
+        once (the forest: one key-sorted run per tree).
+        """
+        rows = MotionRows.of(arriving)
+        gone = set(leaving)
+        updated = np.fromiter(
+            map(gone.__contains__, rows.keys), bool, len(rows)
+        )
+        staying = set(compress(rows.keys, updated))
+        deletes = [oid for oid in leaving if oid not in staying]
+        if deletes:
+            self.delete_batch(deletes)
+        if updated.any():
+            self.update_batch(rows.take(updated))
+        if not updated.all():
+            self.insert_batch(rows.take(~updated))
 
     def insert_batch(self, objs: Sequence[MobileObject1D]) -> None:
         """Index many new objects in one call (default: scalar loop)."""

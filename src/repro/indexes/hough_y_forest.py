@@ -271,9 +271,9 @@ class HoughYForestIndex(MobileIndex1D):
 
     name = "hough-y-forest"
 
-    #: ``update_batch`` switches from grouped tree maintenance to a
+    #: :meth:`apply_group` switches from grouped tree maintenance to a
     #: full STR-style rebuild (sort + pack via :meth:`bulk_build`) once
-    #: a batch touches at least this fraction of the population.  Both
+    #: a group updates at least this fraction of the population.  Both
     #: visit every leaf of every tree by then; what tips it is that a
     #: run replacing most of a leaf's records at once leaves it
     #: underfull, and the borrows and merges that follow are scalar
@@ -673,34 +673,10 @@ class HoughYForestIndex(MobileIndex1D):
         ops as columns (:meth:`ObservationTree.apply_sorted_columns`,
         which splices long insert-only leaf runs)."""
         rows = MotionRows.of(arriving)
-        table = self._motions
-        gone = set(leaving)
-        admitted = (
-            len(gone) == len(leaving)
-            and len(set(rows.keys)) == len(rows)
-            and table.holds(leaving).all()
-            and not self._holds_moving(
-                [oid for oid in rows.keys if oid not in gone]
-            )
-            and self.model.admit_mask(rows.oid, rows.y0, rows.v, rows.t0).all()
-        )
-        if admitted:
-            y0, v, t0 = (
-                np.concatenate(halves)
-                for halves in zip(
-                    table.gather(leaving), (rows.y0, rows.v, rows.t0)
-                )
-            )
-        # Moving: every departing motion is held, every arriving one
-        # in the model's band.
-        if not admitted or not self.model.moving_mask(v).all():
-            self._check_group(leaving, arriving)
-            raise InvalidMotionError(
-                "batch holds a field no column can store"
-            )
+        y0, v, t0 = self._admit(leaving, rows)
         if not self._shared:
-            table.apply_events(leaving, ())
-            table.apply_events((), rows)
+            self._motions.apply_events(leaving, ())
+            self._motions.apply_events((), rows)
         out = len(leaving)
         oid = np.concatenate((np.fromiter(leaving, np.int64, out), rows.oid))
         kind = np.full(len(oid), INSERT, np.int8)
@@ -722,6 +698,40 @@ class HoughYForestIndex(MobileIndex1D):
                 self._trees[(sign, i)].apply_sorted_columns(
                     *fields, min_run=self.SPLICE_MIN_RUN
                 )
+
+    def _admit(
+        self, leaving: Sequence[int], rows: MotionRows
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Admit a group as columns: a few mask passes, and on a
+        refusal the scalar checks (:meth:`_check_group`) for the first
+        offender's exception.  Returns the departing motions' then the
+        arriving ones' ``(y0, v, t0)``."""
+        table = self._motions
+        gone = set(leaving)
+        admitted = (
+            len(gone) == len(leaving)
+            and len(set(rows.keys)) == len(rows)
+            and table.holds(leaving).all()
+            and not self._holds_moving(
+                [oid for oid in rows.keys if oid not in gone]
+            )
+            and self.model.admit_mask(rows.oid, rows.y0, rows.v, rows.t0).all()
+        )
+        if admitted:
+            y0, v, t0 = (
+                np.concatenate(halves)
+                for halves in zip(
+                    table.gather(leaving), (rows.y0, rows.v, rows.t0)
+                )
+            )
+        # Moving: every departing motion is held, every arriving one
+        # in the model's band.
+        if not admitted or not self.model.moving_mask(v).all():
+            self._check_group(leaving, rows)
+            raise InvalidMotionError(
+                "batch holds a field no column can store"
+            )
+        return y0, v, t0
 
     def _holds_moving(self, oids: Sequence[int]) -> bool:
         """Whether the forest holds any of ``oids`` (its table holds
@@ -752,51 +762,78 @@ class HoughYForestIndex(MobileIndex1D):
             self._check(obj)
         return departed
 
-    def insert_batch(self, objs: Sequence[MobileObject1D]) -> None:
-        """Bulk-load an empty forest; one grouped run per tree otherwise."""
-        if len(self) or len(objs) < 2:
-            self._apply_grouped([], objs)
-            return
-        self._rebuild(objs)
+    def apply_group(
+        self, leaving: Sequence[int], arriving: Sequence[MobileObject1D]
+    ) -> None:
+        """Apply one group, rebuilding in bulk when it is large.
 
-    def delete_batch(self, oids: Sequence[int]) -> None:
-        """Remove many objects with one grouped run per tree."""
-        self._apply_grouped(oids, [])
-
-    def update_batch(self, objs: Sequence[MobileObject1D]) -> None:
-        """Apply an update storm, rebuilding in bulk when it is large.
-
-        Below the :data:`REBUILD_FRACTION` threshold the batch becomes
-        one key-sorted delete+insert run per tree
+        Most groups become one key-sorted run per tree
         (:meth:`_apply_grouped`): ``O(c · (touched leaves + m/B))``
         page accesses against the scalar loop's ``O(m · c log_B n)``
-        (Lemma 1), same answers.  At or above it, the post-batch
-        population is rebuilt via :meth:`bulk_build` — externally
-        sorted ``(band, b, oid)`` runs packed bottom-up at
-        :data:`REBUILD_FILL` — which answers every query identically
-        but costs one sort + pack.  Callers guarantee oid-uniqueness in
-        ``objs``.
+        (Lemma 1), same answers.  An empty forest taking two or more
+        objects, and a group updating (an oid on both sides) at least
+        :data:`REBUILD_MIN_BATCH` objects and :data:`REBUILD_FRACTION`
+        of the population, is instead the post-group population rebuilt
+        via :meth:`bulk_build` — externally sorted ``(band, b, oid)``
+        runs packed bottom-up at :data:`REBUILD_FILL` — which answers
+        every query identically but costs one sort + pack.  Deletes and
+        inserts into a non-empty forest never rebuild, so the three
+        batch verbs, this method's pure-kind groups, decide as they
+        always did.
         """
-        if (
-            len(objs) < self.REBUILD_MIN_BATCH
-            or len(objs) < self.REBUILD_FRACTION * len(self)
-        ):
-            self._apply_grouped(
-                objs.keys if isinstance(objs, MotionRows)
-                else [obj.oid for obj in objs],
-                objs,
-            )
-            return
-        motions = self.motion_snapshot()
-        for obj in objs:
-            if obj.oid not in motions:
-                raise ObjectNotFoundError(
-                    f"object {obj.oid} is not indexed"
-                )
-            motions[obj.oid] = obj.motion
-        self._rebuild(
-            [MobileObject1D(oid, motion) for oid, motion in motions.items()]
+        if self._rebuilds(leaving, arriving):
+            self._rebuild_group(leaving, arriving)
+        else:
+            self._apply_grouped(leaving, arriving)
+
+    def _rebuilds(
+        self, leaving: Sequence[int], arriving: Sequence[MobileObject1D]
+    ) -> bool:
+        if not len(self):
+            return not len(leaving) and len(arriving) >= 2
+        least = max(self.REBUILD_MIN_BATCH, self.REBUILD_FRACTION * len(self))
+        if min(len(leaving), len(arriving)) < least:
+            return False
+        keys = (
+            arriving.keys if isinstance(arriving, MotionRows)
+            else [obj.oid for obj in arriving]
         )
+        return len(set(leaving).intersection(keys)) >= least
+
+    def _rebuild_group(
+        self, leaving: Sequence[int], arriving: Sequence[MobileObject1D]
+    ) -> None:
+        """Rebuild from the post-group population, read as columns: the
+        table's moving rows but the departing ones, then ``arriving`` —
+        an empty forest's is ``arriving`` alone, which the build
+        admits."""
+        if len(self):
+            rows = MotionRows.of(arriving)
+            self._admit(leaving, rows)
+            oid, y0, v, t0 = self._motions.arrays()
+            kept = self.model.moving_mask(v) & ~np.isin(
+                oid, np.fromiter(leaving, np.int64, len(leaving))
+            )
+            arriving = MotionRows(
+                oid[kept].tolist() + list(rows.keys),
+                *(
+                    np.concatenate((column[kept], arrived))
+                    for column, arrived in zip(
+                        (oid, y0, v, t0), (rows.oid, rows.y0, rows.v, rows.t0)
+                    )
+                ),
+            )
+        self._rebuild(arriving)
+
+    def insert_batch(self, objs: Sequence[MobileObject1D]) -> None:
+        self.apply_group((), objs)
+
+    def update_batch(self, objs: Sequence[MobileObject1D]) -> None:
+        rows = MotionRows.of(objs)
+        self.apply_group(rows.keys, rows)
+
+    def delete_batch(self, oids: Sequence[int]) -> None:
+        self.apply_group(oids, ())
 
     # -- querying ------------------------------------------------------------------
 

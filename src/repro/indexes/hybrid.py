@@ -21,6 +21,7 @@ giving a single index accepting the whole speed range ``[0, v_max]``.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Dict, Sequence, Set
 
 import numpy as np
@@ -216,65 +217,54 @@ class HybridIndex(MobileIndex1D):
 
     # -- batched writes --------------------------------------------------------
 
-    def insert_batch(self, objs: Sequence[MobileObject1D]) -> None:
-        """Validate the whole batch, then one grouped insert per band.
+    def apply_group(
+        self, leaving: Sequence[int], arriving: Sequence[MobileObject1D]
+    ) -> None:
+        """Validate the whole group, then at most one group per store.
 
-        The batch is rows (:class:`~repro.vector.columns.MotionRows`,
+        ``arriving`` is rows (:class:`~repro.vector.columns.MotionRows`,
         or objects converted once): one admission mask, and one moving
-        mask splits it between the stores; each store refuses what it
-        already holds, so only the other store is asked here.
+        mask splits it between the stores.  A departing oid leaves the
+        store holding it, so a report that crosses ``v_min`` leaves one
+        store and arrives at the other.  Each store refuses a new oid
+        it already holds, so only the other store is asked here.
         """
-        rows = MotionRows.of(objs)
+        rows = MotionRows.of(arriving)
         admitted = self.model.admit_mask(rows.oid, rows.y0, rows.v, rows.t0)
         if not admitted.all():
-            refused = objs[int(np.argmin(admitted))]
+            refused = arriving[int(np.argmin(admitted))]
             self.model.raise_refusal(refused.motion, refused.oid)
         moving = self.model.moving_mask(rows.v)
         fast, slow = rows.take(moving), rows.take(~moving)
+        gone = set(leaving)
         for part, other in ((fast, self._slow), (slow, self._fast)):
             if len(part) and len(other):
                 for oid in part.keys:
-                    if oid in other:
+                    if oid not in gone and oid in other:
                         raise DuplicateObjectError(
                             f"object {oid} already indexed"
                         )
-        if len(fast):
-            self._fast.insert_batch(fast)
-        if len(slow):
-            self._slow.insert_batch(slow)
+        if len(self._slow):
+            parked = [oid in self._slow for oid in leaving]
+            fast_out = [oid for oid, p in zip(leaving, parked) if not p]
+            slow_out = list(compress(leaving, parked))
+        else:
+            fast_out, slow_out = leaving, ()
+        for store, out, part in (
+            (self._fast, fast_out, fast), (self._slow, slow_out, slow)
+        ):
+            if len(out) or len(part):
+                store.apply_group(out, part)
+
+    def insert_batch(self, objs: Sequence[MobileObject1D]) -> None:
+        self.apply_group((), objs)
 
     def update_batch(self, objs: Sequence[MobileObject1D]) -> None:
-        """Group the fast-band bulk of a batch into one grouped update.
-
-        Objects staying in the fast band (the overwhelming case for the
-        paper's update storms) forward as one
-        :meth:`~repro.indexes.base.MobileIndex1D.update_batch` to the
-        fast method, which may rebuild in bulk; band transitions and
-        slow-band updates take the scalar :meth:`update`.  One moving
-        mask splits the rows; callers guarantee oid-uniqueness within
-        the batch, so the two groups commute.
-        """
         rows = MotionRows.of(objs)
-        stay_fast = self.model.moving_mask(rows.v)
-        if len(self._slow):
-            stay_fast &= np.fromiter(
-                (oid not in self._slow for oid in rows.keys), bool, len(rows)
-            )
-        if stay_fast.any():
-            self._fast.update_batch(rows.take(stay_fast))
-        for obj in rows.take(~stay_fast):
-            self.update(obj)
+        self.apply_group(rows.keys, rows)
 
     def delete_batch(self, oids: Sequence[int]) -> None:
-        """One grouped delete per band."""
-        fast: list = []
-        slow: list = []
-        for oid in oids:
-            (slow if oid in self._slow else fast).append(oid)
-        if fast:
-            self._fast.delete_batch(fast)
-        if slow:
-            self._slow.delete_batch(slow)
+        self.apply_group(oids, ())
 
     def __len__(self) -> int:
         return len(self._fast) + len(self._slow)

@@ -138,6 +138,17 @@ def test_experiments_bulk_build_table_equals_committed_result():
     )
 
 
+def test_experiments_epoch_grouping_table_equals_committed_result():
+    """The table is what its named command writes."""
+    heading = "### An epoch is one grouped call"
+    section = (ROOT / "EXPERIMENTS.md").read_text().split(heading, 1)[1]
+    command = "PYTHONPATH=src python benchmarks/epoch_grouping.py"
+    assert command in section.split("```", 1)[0]
+    script = (ROOT / "benchmarks" / "epoch_grouping.py").read_text()
+    assert command in script and '"epoch_grouping.txt"' in script
+    _assert_quoted_table_is_committed(heading, "epoch_grouping.txt")
+
+
 def test_design_lists_every_bench_file():
     import os
 

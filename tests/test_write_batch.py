@@ -23,7 +23,9 @@ from repro.errors import (
     ShardUnavailableError,
     SimulatedCrashError,
 )
+from repro.indexes.base import MobileIndex1D
 from repro.indexes.hough_y_forest import HoughYForestIndex
+from repro.indexes.hybrid import HybridIndex
 from repro.service import (
     BandRouter,
     CrashPointInjector,
@@ -34,6 +36,7 @@ from repro.service import (
     SubscriptionManager,
     WRITE_BATCH_CRASH_POINTS,
 )
+from repro.vector.columns import MotionColumns
 from repro.vector.ops import DeregisterOp, RegisterOp, ReportOp
 
 from .helpers import PAPER_MODEL
@@ -1227,3 +1230,300 @@ def test_chunked_batch_load_builds_trees_no_worse_than_scalar_registers():
     # 6.3 % more pages (5.2 % when it sat in each tree's last leaf; the
     # even spread may cost 1.5 % at most, which is 1.068).
     assert reads["bulk"] <= 1.07 * reads["scalar"]
+
+
+# -- one index call an epoch ---------------------------------------------------
+
+
+class ThreeCallHybrid(HybridIndex):
+    """The hybrid driven as the engine drove it before an epoch was one
+    grouped call: the base class's three calls (deletes, updates,
+    inserts), each a pure-kind group of the hybrid's split."""
+
+    apply_group = MobileIndex1D.apply_group
+
+    def delete_batch(self, oids):
+        HybridIndex.apply_group(self, oids, ())
+
+    def update_batch(self, objs):
+        HybridIndex.apply_group(self, [obj.oid for obj in objs], objs)
+
+    def insert_batch(self, objs):
+        HybridIndex.apply_group(self, (), objs)
+
+
+def databases(target):
+    """The shard databases of a service, or the database itself."""
+    return getattr(target, "_shards", [target])
+
+
+def epochs(ops, outcomes):
+    """How many epochs ``MotionDatabase.apply_batch`` cuts ``ops`` into:
+    an applied op opens one when its oid applied in the open epoch."""
+    count, open_epoch = 0, set()
+    for op, refused in zip(ops, outcomes):
+        if refused is None:
+            if not open_epoch or op.oid in open_epoch:
+                count, open_epoch = count + 1, set()
+            open_epoch.add(op.oid)
+    return count
+
+
+@pytest.fixture
+def index_calls(monkeypatch):
+    """Spy on the index calls a shard's ``apply_batch`` makes: each
+    shard's expected epochs, and the ``HybridIndex.apply_group`` calls
+    each index took.  The engine may not call the three batch verbs."""
+    seen = {"epochs": {}, "calls": {}}
+    grouped = HybridIndex.apply_group
+    batch = MotionDatabase.apply_batch
+
+    def apply_group(self, leaving, arriving):
+        seen["calls"][id(self)] = seen["calls"].get(id(self), 0) + 1
+        return grouped(self, leaving, arriving)
+
+    def apply_batch(self, ops):
+        ops = list(ops)
+        outcomes = batch(self, ops)
+        key = id(self._index)
+        seen["epochs"][key] = seen["epochs"].get(key, 0) + epochs(ops, outcomes)
+        return outcomes
+
+    def refuse(*args):
+        raise AssertionError("the engine called a pure-kind batch verb")
+
+    monkeypatch.setattr(HybridIndex, "apply_group", apply_group)
+    monkeypatch.setattr(MotionDatabase, "apply_batch", apply_batch)
+    for verb in ("insert_batch", "update_batch", "delete_batch"):
+        monkeypatch.setattr(HybridIndex, verb, refuse)
+    return seen
+
+
+def draw_motion(rng, t, slow=False):
+    """``(y0, v, t0)`` of a random motion, parked below ``v_min`` when
+    ``slow``."""
+    v = rng.uniform(0.02, 0.1) if slow else rng.uniform(V_MIN, V_MAX)
+    return rng.uniform(0, Y_MAX), rng.choice([1.0, -1.0]) * v, t
+
+
+def epoch_phases(rng, n=1200):
+    """A load, then three mixed phases: deregisters, reports and
+    registers on distinct oids; the same with repeated oids (several
+    epochs a batch); and reports crossing ``v_min`` both ways.  Every
+    phase has refusals sprinkled in."""
+    def motion(t, slow=False):
+        return draw_motion(rng, t, slow)
+
+    load = [RegisterOp(oid, *motion(0.0, oid % 10 == 0)) for oid in range(n)]
+    live, fresh = list(range(n)), n
+    phases = [load]
+    for t, repeats, crossing in ((1.0, 0, False), (2.0, 60, False),
+                                 (3.0, 0, True)):
+        rng.shuffle(live)
+        out, rest = live[:40], live[40:]
+        ops = [DeregisterOp(oid) for oid in out]
+        ops += [
+            ReportOp(oid, *motion(t, crossing and oid % 10 in (0, 1)))
+            for oid in rest[:600]
+        ]
+        ops += [RegisterOp(fresh + i, *motion(t)) for i in range(40)]
+        ops += [ReportOp(10**7 + i, *motion(t)) for i in range(3)]
+        ops += [RegisterOp(oid, *motion(t)) for oid in rest[:3]]
+        rng.shuffle(ops)
+        # Repeats: a report again, or a deregister then a register, of
+        # an oid the batch already wrote.
+        for oid in rng.sample(rest[:600], repeats):
+            if rng.random() < 0.5:
+                ops.append(ReportOp(oid, *motion(t + 0.5)))
+            else:
+                ops += [DeregisterOp(oid), RegisterOp(oid, *motion(t + 0.5))]
+        phases.append(ops)
+        live = rest + list(range(fresh, fresh + 40))
+        fresh += 40
+    return phases
+
+
+def epoch_targets(kind, keep_history):
+    """Three fresh twins: one the wall drives with batches, one the
+    scalar loop drives, one with the three-call index."""
+    def make():
+        if kind == "database":
+            return MotionDatabase(Y_MAX, V_MIN, V_MAX, keep_history=keep_history)
+        return FaultTolerantMotionService(
+            Y_MAX, V_MIN, V_MAX, shards=4, replication_factor=2,
+            method="forest", keep_history=keep_history,
+        )
+    batched, scalar, three = make(), make(), make()
+    for db in databases(three):
+        db._index.__class__ = ThreeCallHybrid
+    return batched, scalar, three
+
+
+def pages(target):
+    """Page reads plus writes so far, over every shard's disks."""
+    return sum(
+        snap.reads + snap.writes
+        for db in databases(target) for snap in db.io_snapshot()
+    )
+
+
+@pytest.mark.parametrize("keep_history", [False, True])
+@pytest.mark.parametrize("kind", ["database", "ft-service"])
+def test_an_epoch_is_one_index_call(kind, keep_history, index_calls):
+    """Mixed epochs, repeated oids and band crossings: one
+    ``apply_group`` an epoch on each shard, the scalar loop's outcomes
+    and answers (``query_past`` too), and fewer pages than the three
+    calls an epoch took before."""
+    rng = random.Random(47)
+    batched, scalar, three = epoch_targets(kind, keep_history)
+    phases = epoch_phases(rng)
+    for phase, ops in enumerate(phases):
+        before = pages(batched), pages(three)
+        got = batched.apply_batch(ops)
+        assert [str(r) for r in three.apply_batch(ops)] == [str(r) for r in got]
+        want = apply_scalar(scalar, ops)
+        assert [type(r) for r in got] == [type(r) for r in want]
+        assert [str(r) for r in got] == [str(r) for r in want]
+        if phase:
+            assert any(want)
+            assert pages(batched) - before[0] < pages(three) - before[1]
+    shards = databases(batched)
+    for db in shards:
+        key = id(db._index)
+        assert index_calls["calls"][key] == index_calls["epochs"][key]
+    # The repeated oids cut some shard's batch into several epochs.
+    assert sum(
+        index_calls["epochs"][id(db._index)] for db in shards
+    ) > len(phases) * len(shards)
+    assert batched.motion_snapshot() == scalar.motion_snapshot()
+    assert three.motion_snapshot() == scalar.motion_snapshot()
+    for query in probe_queries():
+        args = (query.y1, query.y2, query.t1, query.t2)
+        assert batched.within(*args) == scalar.within(*args)
+        assert three.within(*args) == scalar.within(*args)
+        if keep_history:
+            past = (query.y1, query.y2, 0.0, 3.2)
+            assert batched.query_past(*past) == scalar.query_past(*past)
+
+
+def pure_groups(forest, table):
+    """Pure-kind groups through the forest's batch verbs — loads into
+    an empty and a non-empty forest, updates below, between and above
+    the rebuild threshold, a delete of most of the population, a
+    one-object insert — each as ``(reads, writes, rebuilds so far)``.
+    With ``table`` the forest reads that shared table, written after
+    each call as a shard writes it."""
+    rng = random.Random(3)
+    rebuilds = []
+    rebuild = forest._rebuild
+    forest._rebuild = lambda objs: (rebuilds.append(len(objs)), rebuild(objs))
+    costs = []
+
+    def obj(oid, t):
+        return MobileObject1D(oid, LinearMotion1D(
+            rng.uniform(0, Y_MAX),
+            rng.choice((1, -1)) * rng.uniform(V_MIN, V_MAX), t,
+        ))
+
+    def step(verb, arg, leaving, arriving):
+        before = forest.snapshot()
+        getattr(forest, verb)(arg)
+        if table is not None:
+            kept = {o.oid for o in arriving}
+            table.apply_events([o for o in leaving if o not in kept], arriving)
+        delta = forest.io_delta_since(before)
+        costs.append((delta.reads, delta.writes, len(rebuilds)))
+
+    population = [obj(oid, 0.0) for oid in range(3000)]
+    step("insert_batch", population, [], population)
+    more = [obj(3000 + i, 1.0) for i in range(2500)]
+    step("insert_batch", more, [], more)
+    for t, size in ((1.5, 100), (2.0, 3000), (3.0, 4500)):
+        moved = [obj(oid, t) for oid in rng.sample(range(5500), size)]
+        step("update_batch", moved, [o.oid for o in moved], moved)
+    gone = rng.sample(range(5500), 4800)
+    step("delete_batch", gone, gone, [])
+    one = [obj(9000, 4.0)]
+    step("insert_batch", one, [], one)
+    return costs
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_pure_kind_groups_keep_their_rebuild_decision_and_pages(shared):
+    """Each batch verb is a pure-kind ``apply_group`` and decides as
+    before: an empty forest bulk-loads, inserts and deletes into a
+    non-empty one run, and an update rebuilds from ``REBUILD_MIN_BATCH``
+    and ``REBUILD_FRACTION`` of the population on.  The page counts are
+    those the three verbs had before they were one method."""
+    forest = HoughYForestIndex(PAPER_MODEL, c=4)
+    table = None
+    if shared:
+        table = MotionColumns()
+        forest.share_motions(table)
+    assert pure_groups(forest, table) == [
+        (40, 240, 1), (48, 192, 1), (96, 100, 1), (96, 258, 1),
+        (136, 568, 2), (88, 27515, 2), (0, 4, 2),
+    ]
+
+
+@pytest.mark.chaos
+def test_a_mixed_epoch_past_the_fraction_rebuilds_once():
+    """An epoch of deregisters, reports (some crossing ``v_min``) and
+    registers that updates most of the forest rebuilds it once from the
+    table, fires ``bulk.mid_pack`` between tree packs, leaves the shard
+    as it was when a pack dies, and answers as the scalar loop."""
+    rng = random.Random(48)
+    n = 1200
+    load = [
+        RegisterOp(oid, *draw_motion(rng, 0.0, oid % 10 == 0))
+        for oid in range(n)
+    ]
+    storm = [DeregisterOp(oid) for oid in range(5, n, 30)] + [
+        ReportOp(oid, *draw_motion(rng, 1.0, oid % 10 == 1))
+        for oid in range(n) if oid % 30 != 5
+    ] + [RegisterOp(n + i, *draw_motion(rng, 1.0)) for i in range(40)]
+    rng.shuffle(storm)
+    batched, scalar = (
+        MotionDatabase(Y_MAX, V_MIN, V_MAX) for _ in range(2)
+    )
+    for target in (batched, scalar):
+        assert not any(target.apply_batch(load))
+    forest = batched._index._fast
+    held = len(forest)
+    updates = sum(
+        isinstance(op, ReportOp) and abs(op.v) >= V_MIN
+        and op.oid in forest for op in storm
+    )
+    assert updates >= HoughYForestIndex.REBUILD_FRACTION * held
+    before = {q: batched.within(q.y1, q.y2, q.t1, q.t2)
+              for q in probe_queries()}
+    forest.crash_hook = CrashPointInjector().arm("bulk.mid_pack", at=3)
+    with pytest.raises(SimulatedCrashError):
+        batched.apply_batch(storm)
+    assert forest.crash_hook.fired == [("bulk.mid_pack", 3)]
+    assert len(forest) == held
+    assert {q: batched.within(q.y1, q.y2, q.t1, q.t2)
+            for q in probe_queries()} == before
+    packs = []
+    forest.crash_hook = packs.append
+    got = batched.apply_batch(storm)
+    assert packs == ["bulk.mid_pack"] * len(forest.disks)
+    want = apply_scalar(scalar, storm)
+    assert [str(r) for r in got] == [str(r) for r in want]
+    assert batched.motion_snapshot() == scalar.motion_snapshot()
+    for query in probe_queries():
+        args = (query.y1, query.y2, query.t1, query.t2)
+        assert batched.within(*args) == scalar.within(*args)
+
+
+def test_other_methods_keep_their_pages():
+    """The base class's ``apply_group`` is the three batch verbs in
+    order, so a kd-tree shard's epochs — slow-store crossings included
+    — cost the pages they cost when the engine made the three calls."""
+    rng = random.Random(49)
+    db = MotionDatabase(Y_MAX, V_MIN, V_MAX, method="kdtree")
+    spent = []
+    for ops in epoch_phases(rng, n=600):
+        db.apply_batch(ops)
+        spent.append(pages(db))
+    assert spent == [603, 1803, 3123, 4323]
