@@ -3,6 +3,12 @@
 Every error raised by the library derives from :class:`ReproError` so that
 callers can catch library failures with a single ``except`` clause while
 letting genuine programming errors (``TypeError`` etc.) propagate.
+
+A service shard is up or down, and the faults surface in two places: a
+write no live replica could take raises :class:`ShardUnavailableError`
+(a read degrades instead, with :class:`DegradedResultWarning`), and a
+storage write killed at an armed durability boundary raises
+:class:`SimulatedCrashError`.
 """
 
 from __future__ import annotations
@@ -53,12 +59,6 @@ class ShardUnavailableError(ReproError):
     degrade to a :class:`~repro.service.replication.PartialResult`
     instead (see :class:`DegradedResultWarning`).
     """
-
-
-class InjectedFaultError(ReproError):
-    """A shard crash deliberately injected by the chaos-testing layer
-    (:class:`~repro.service.faults.FaultInjector`); the shard goes down
-    until it is recovered."""
 
 
 class SimulatedCrashError(ReproError):

@@ -10,10 +10,11 @@
   standing ``snapshot``/``within`` queries maintained
   incrementally from boundary-crossing events (Lemma 3's closed-form
   roots) instead of per-tick re-evaluation;
-* :mod:`repro.service.faults` — :class:`FaultInjector`, which crashes
-  a shard on a planned access (a shard is up or down; every fault is
-  a crash), and :class:`CrashPointInjector`, the durability-boundary
-  killer for the :mod:`repro.storage` crash-recovery matrix;
+* :mod:`repro.service.faults` — :class:`CrashPointInjector`, the
+  durability-boundary killer for the :mod:`repro.storage`
+  crash-recovery matrix, and the file corruptors :func:`flip_bit` /
+  :func:`truncate_file` (a shard itself is up or down: every fault is
+  a crash, taken through ``kill_shard``);
 * :mod:`repro.service.wal` — :class:`ShardWAL`, the per-shard
   write-ahead log + checkpoint used for crash recovery;
 * :mod:`repro.service.metrics` — :class:`MetricsRegistry`, counters +
@@ -45,7 +46,6 @@ from repro.service.continuous import (
 from repro.service.faults import (
     CrashPointInjector,
     CrashPointSpec,
-    FaultInjector,
     WRITE_BATCH_CRASH_POINTS,
     flip_bit,
     truncate_file,
@@ -107,7 +107,6 @@ __all__ = [
     "DURABILITY_COUNTERS",
     "DeregisterOp",
     "FRONTEND_COUNTERS",
-    "FaultInjector",
     "FaultTolerantMotionService",
     "FrontendConfig",
     "HashRouter",

@@ -1,26 +1,24 @@
-"""Deterministic fault injection for the sharded service (chaos layer).
+"""Deterministic fault injection for the durability layer (chaos layer).
 
 Distributed moving-object systems treat shard failure as routine
 (MOIST checkpoints index state across worker loss; distributed
 continuous-query processors partition work over fallible nodes).  A
 shard is up or down: every fault is a crash, and a crashed shard stays
-down until it is recovered from its checkpoint + write-ahead log.  To
-crash a shard *inside* one write set or query batch,
-:class:`FaultInjector` counts every guarded access of a
-:class:`~repro.service.replication.FaultTolerantMotionService` shard
-and fails the planned one; the service walks every row of a write
-set through the scalar loop's plan and consults it only while holding
-that shard's lock, so a run replays exactly even though the thread
-pool interleaves shards arbitrarily.
+down until it is recovered from its checkpoint + write-ahead log.  The
+service takes a shard down one way,
+:meth:`~repro.service.replication.FaultTolerantMotionService.kill_shard`
+— an operator's kill, a log ``OSError`` or a pool worker's death — so
+chaos tests fail shards through the same paths: a kill between sets, a
+failing log file inside one.
 
-A second, finer-grained injector targets the durability layer:
-:class:`CrashPointInjector` kills a :mod:`repro.storage` write at an
-exact boundary (mid-record, pre-fsync, post-fsync-pre-rename, ...),
-and :func:`flip_bit` / :func:`truncate_file` corrupt the surviving
-files — together they drive the crash-at-every-boundary recovery
-matrix in ``tests/test_wal_durability.py``.  A rebalance move is an
-ordinary write set, so the same points, armed through the service's
-``wal_crash_hook``, kill one mid-move in
+What this module adds is finer-grained and aimed at the durability
+layer: :class:`CrashPointInjector` kills a :mod:`repro.storage` write
+at an exact boundary (mid-record, pre-fsync, post-fsync-pre-rename,
+...), and :func:`flip_bit` / :func:`truncate_file` corrupt the
+surviving files — together they drive the crash-at-every-boundary
+recovery matrix in ``tests/test_wal_durability.py``.  A rebalance move
+is an ordinary write set, so the same points, armed through the
+service's ``wal_crash_hook``, kill one mid-move in
 ``tests/test_rebalance_chaos.py``.
 """
 
@@ -29,52 +27,10 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Optional
 
-from repro.errors import InjectedFaultError, SimulatedCrashError
+from repro.errors import SimulatedCrashError
 from repro.storage import ALL_CRASH_POINTS
-
-
-class FaultInjector:
-    """One-shot shard crashes at planned operation counts.
-
-    ``crash_on_op`` maps a shard to the (1-based) guarded access on
-    which it crashes.  Each crash fires once: after recovery the shard
-    keeps counting and never re-crashes on the same plan.
-    """
-
-    def __init__(self, crash_on_op: Mapping[int, int]) -> None:
-        for shard, op in crash_on_op.items():
-            if op < 1:
-                raise ValueError(
-                    f"crash_on_op is 1-based, got {op} for shard {shard}"
-                )
-        self._plan: Dict[int, int] = dict(crash_on_op)
-        self._ops: Dict[int, int] = {}
-        self._crashed: List[int] = []
-        self._lock = threading.Lock()
-
-    def on_op(self, shard: int, operation: str) -> None:
-        """Count one access of ``shard``; raise
-        :class:`InjectedFaultError` if it is the planned crash."""
-        with self._lock:
-            count = self._ops.get(shard, 0) + 1
-            self._ops[shard] = count
-            if count != self._plan.get(shard):
-                return  # counts only grow, so a crash fires once
-            self._crashed.append(shard)
-        raise InjectedFaultError(
-            f"injected crash on shard {shard} at op {count} ({operation})"
-        )
-
-    def snapshot(self) -> Dict[str, object]:
-        """The shards crashed so far, in firing order, and each
-        shard's access count."""
-        with self._lock:
-            return {
-                "crashed_shards": list(self._crashed),
-                "ops_per_shard": dict(self._ops),
-            }
 
 
 # -- durability-boundary crash injection ----------------------------------------

@@ -6,32 +6,31 @@ model of distributed moving-object systems (MOIST-style checkpointed
 workers; distributed continuous-range-query processing over fallible
 nodes).  It re-implements no verb and no batch: the base class writes
 every one against three seams, and this class overrides the seams —
-``replica_group``; the guarded shard access (``_guard``,
-``_apply_sub_batch``, ``_stale``, ``_answerable``); and the ``_log`` /
-``_degrade`` pair — plus the kill / recover / restore administration
-(every log write of those seams goes through one helper, ``_logged``):
+``replica_group``; the shard access (``_answerable``,
+``_apply_sub_batch``, ``_stale``); and the ``_log`` / ``_degrade``
+pair — plus the kill / recover / restore administration (every log
+write of those seams goes through one helper, ``_logged``):
 
 * **Replication** — every object lives on ``replication_factor``
   consecutive shards: primary ``p = route(oid)`` plus replicas
   ``(p+1) % k, ...``.  Writes go to every *live* member of the group
   (write-all-live); a write succeeds iff at least one replica applied
   and logged it.  A write set, healthy or not, reaches each shard as
-  the base class's does — the walked steps ``_guard`` admitted and,
-  on a live shard, a batch's plain rows — and is then logged: a
-  batch's group as one grouped commit synced before ``apply_batch``
-  returns, a scalar verb's op as one append under the fsync policy.  A shard whose log raises ``OSError`` — a write set's
+  the base class's does — the steps the shard's up state
+  (``_answerable``) admitted, a batch's plain rows among them — and is
+  then logged: a batch's group as one grouped commit synced before
+  ``apply_batch`` returns, a scalar verb's op as one append under the
+  fsync policy.  A shard whose log raises ``OSError`` — a write set's
   or a band marker's — goes down.  The catalog additionally remembers
   each object's authoritative motion, which is what recovery
   reconciles against.
 * **Fault handling** — a shard is up or down.  Every fault is a
-  crash: an operator :meth:`kill_shard`, a pool worker's death, a log
-  ``OSError``, or an injected crash on a planned access (the optional
-  :class:`~repro.service.faults.FaultInjector`, under which a write
-  set walks every row) takes the shard down, and it stays down —
-  skipped by queries, which its replicas answer, and by writes, which
-  reach every other live replica — until :meth:`recover_shard` or
-  :meth:`restore_from_disk`.  Nothing is retried: a shard that missed
-  a write must not keep serving.
+  crash, and each takes the shard down through :meth:`kill_shard`: an
+  operator's kill, a pool worker's death, or a log ``OSError``.  It
+  stays down — skipped by queries, which its replicas answer, and by
+  writes, which reach every other live replica — until
+  :meth:`recover_shard` or :meth:`restore_from_disk`.  Nothing is
+  retried: a shard that missed a write must not keep serving.
 * **Recovery** — :meth:`recover_shard` rebuilds a dead shard from its
   checkpoint + write-ahead-log tail (byte-identical to its pre-crash
   committed state), then reconciles against the catalog to pick up
@@ -65,12 +64,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.model import LinearMotion1D
 from repro.engine import MotionDatabase
-from repro.errors import (
-    DegradedResultWarning,
-    InjectedFaultError,
-    ShardUnavailableError,
-)
-from repro.service.faults import FaultInjector
+from repro.errors import DegradedResultWarning
 from repro.service.metrics import MetricsRegistry, wal_event_recorder
 from repro.service.service import (
     ShardedMotionService,
@@ -129,7 +123,6 @@ class _ShardNode:
     wal: ShardWAL
     status: str = UP
     down_reason: Optional[str] = None
-    crashes: int = 0
 
     @property
     def up(self) -> bool:
@@ -138,7 +131,6 @@ class _ShardNode:
     def mark_down(self, reason: str) -> None:
         self.status = DOWN
         self.down_reason = reason
-        self.crashes += 1
 
     def mark_up(self) -> None:
         self.status = UP
@@ -153,12 +145,6 @@ class FaultTolerantMotionService(ShardedMotionService):
     replication_factor:
         Copies per object (``1 <= r <= shards``).  ``r=1`` keeps the
         base data layout but still adds WAL recovery and degradation.
-    fault_injector:
-        Optional :class:`~repro.service.faults.FaultInjector` consulted
-        before every shard touch (chaos testing): it crashes a shard on
-        a planned access.  With one, a write set walks every row
-        through the scalar loop's plan.  ``None`` disables injection
-        entirely.
     wal_dir:
         When set, each shard's WAL writes through a durable
         :class:`~repro.storage.backend.FileWALBackend` rooted at
@@ -187,7 +173,6 @@ class FaultTolerantMotionService(ShardedMotionService):
         keep_history: bool = False,
         router: str | ShardRouter = "hash",
         metrics: Optional[MetricsRegistry] = None,
-        fault_injector: Optional[FaultInjector] = None,
         wal_dir: Optional[str] = None,
         wal_fsync: str = "always",
         wal_crash_hook: Optional[Callable[[str], None]] = None,
@@ -213,7 +198,6 @@ class FaultTolerantMotionService(ShardedMotionService):
                 f"{replication_factor}"
             )
         self.replication_factor = replication_factor
-        self._injector = fault_injector
         self.wal_dir = wal_dir
         recorder = wal_event_recorder(self.metrics)
 
@@ -250,30 +234,7 @@ class FaultTolerantMotionService(ShardedMotionService):
             for node in self._nodes
         ]
 
-    # -- guarded shard access --------------------------------------------------
-
-    def _guard(self, shard: int, op_name: str) -> None:
-        """Admit one shard access: the down check, then the injector.
-
-        Raises :class:`ShardUnavailableError` when the shard is down,
-        or when the injector crashes it on this access, which takes it
-        down until recovered.  Without an injector this is the down
-        check alone.
-        """
-        node = self._nodes[shard]
-        if not node.up:
-            raise ShardUnavailableError(
-                f"shard {shard} is down ({node.down_reason})"
-            )
-        if self._injector is None:
-            return
-        try:
-            self._injector.on_op(shard, op_name)
-        except InjectedFaultError as exc:
-            node.mark_down(f"injected crash during {op_name}")
-            raise ShardUnavailableError(
-                f"shard {shard} failed {op_name}: {exc}"
-            ) from exc
+    # -- shard access ----------------------------------------------------------
 
     def _log(self, shard: int, kind: str, **fields: object) -> bool:
         """Append a marker record to a live shard's WAL; ``True`` iff
@@ -312,7 +273,7 @@ class FaultTolerantMotionService(ShardedMotionService):
         return True
 
     def _answerable(self, shard: int) -> bool:
-        """Queries, and a write set's plain rows, skip a down shard."""
+        """Every read and every write set skips a down shard."""
         return self._nodes[shard].up
 
     # -- updates ----------------------------------------------------------------
@@ -429,7 +390,11 @@ class FaultTolerantMotionService(ShardedMotionService):
         return False
 
     def kill_shard(self, shard: int, reason: str = "operator kill") -> None:
-        """Simulate an abrupt shard death (tests and chaos drills).
+        """Take ``shard`` down, as an abrupt death: an operator's kill,
+        and the one down path production takes for a log ``OSError``
+        (:meth:`_stale`) and a pool worker's death
+        (:meth:`_handle_worker_death`).  It stays down until
+        :meth:`recover_shard` or :meth:`restore_from_disk`.
 
         Floors the result cache's write generation: any batch whose
         shard fan-out overlaps the kill may have read this shard
@@ -626,8 +591,8 @@ class FaultTolerantMotionService(ShardedMotionService):
     # -- accounting --------------------------------------------------------------
 
     def service_stats(self) -> Dict[str, object]:
-        """Base snapshot plus the fault-tolerance view (health, WAL
-        and injected-crash accounting)."""
+        """Base snapshot plus the fault-tolerance view (health and WAL
+        accounting)."""
         stats = super().service_stats()
         stats["fault_tolerance"] = {
             "replication_factor": self.replication_factor,
@@ -635,10 +600,5 @@ class FaultTolerantMotionService(ShardedMotionService):
             "recoveries": self._recoveries,
             "down_shards": self.down_shards(),
             "health": self.shard_status(),
-            "faults": (
-                self._injector.snapshot()
-                if self._injector is not None
-                else None
-            ),
         }
         return stats

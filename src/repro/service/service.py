@@ -45,18 +45,15 @@ deregister, on an oid the batch names once) are placed by one column
 pass; every other op is placed by one function,
 :meth:`ShardedMotionService._plan_write`.  Every verb is written once,
 here, against three seams whose forms in this class are trivial:
-``replica_group`` (an object lives on its primary only), the guarded
-shard access ``_guard`` / ``_answerable`` / ``_apply_sub_batch`` /
-``_stale`` (admit everything, call the database, record the I/O;
-every shard takes every write), and the ``_log`` / ``_degrade`` pair
-(no log; answers are always complete).  A walked step passes
-``_guard``; a shard's plain rows are admitted at once by its up state
-(``_answerable``), which no shard changes while a set stages under
-every shard lock.  A service with a fault injector walks every row,
-so an injected crash lands on the access the scalar loop's would.
-Either way a write set or a query set under faults runs the same plan
-as a healthy one, minus the shards the guard refused.  This class is the
-``replication = 1``, no-log, no-fault-guard case of
+``replica_group`` (an object lives on its primary only), the shard
+access ``_answerable`` / ``_apply_sub_batch`` / ``_stale`` (every
+shard is up, call the database, record the I/O; every shard takes
+every write), and the ``_log`` / ``_degrade`` pair (no log; answers
+are always complete).  Every shard access — a walked step, a shard's
+plain rows, a read lane — is admitted by the shard's up state
+(``_answerable``), so a write set or a query set under faults runs
+the same plan as a healthy one, minus the shards that are down.  This
+class is the ``replication = 1``, no-log, never-down case of
 :class:`~repro.service.replication.FaultTolerantMotionService`, which
 overrides exactly those seams.
 
@@ -150,8 +147,8 @@ _Staging = Tuple[
     Optional[np.ndarray],
 ]
 
-#: WriteOp class → the scalar verb (metrics span, fault-injection op
-#: name) that applies it.
+#: WriteOp class → the scalar verb (metrics span, the name a refused
+#: write's error carries) that applies it.
 _VERBS: Dict[type, str] = {
     RegisterOp: "register",
     ReportOp: "report",
@@ -203,7 +200,7 @@ class _Past(Within):
 
 
 #: Read-op class → the scalar verb answering it: the metrics span, the
-#: guard name of a one-op set's shard accesses, the name a degraded
+#: engine verb a one-op set's shard accesses call, the name a degraded
 #: answer's warning carries.  The engine's paged verb of the same name
 #: takes the op's fields, in order, as its arguments.
 _READ_VERBS: Dict[type, str] = {**QUERY_VERBS, _Past: "query_past"}
@@ -259,11 +256,6 @@ class ShardedMotionService:
     #: Measured by ``benchmarks/plan_breakeven.py`` (ratios; re-measure
     #: before moving it).  A one-op set always walks.
     _COLUMNS_MIN_SET = 40
-
-    #: A :class:`~repro.service.faults.FaultInjector` counting guarded
-    #: accesses (the fault-tolerant subclass's); with one, every row of
-    #: a write set is walked.
-    _injector = None
 
     def __init__(
         self,
@@ -545,16 +537,10 @@ class ShardedMotionService:
                 self._locks[shard].release()
 
     def _answerable(self, shard: int) -> bool:
-        """Whether a query should visit ``shard`` at all, and whether a
-        write set's plain rows there are admitted."""
+        """Whether ``shard`` is up: every shard access of every read
+        and of every write set asks it just before it happens, and a
+        down shard is skipped.  In this class every shard is up."""
         return True
-
-    def _guard(self, shard: int, op_name: str) -> None:
-        """Admit one access to ``shard`` before it happens, or raise
-        :class:`ShardUnavailableError`.  Every shard access of every
-        read and every walked step of a write set passes here (a write
-        set's plain rows are admitted by :meth:`_answerable`); in this
-        class every one is admitted."""
 
     def _apply_sub_batch(
         self,
@@ -742,9 +728,7 @@ class ShardedMotionService:
         with self.metrics.span("location_of") as span:
             for shard in group:
                 with self._locks[shard]:
-                    try:
-                        self._guard(shard, "location_of")
-                    except ShardUnavailableError:
+                    if not self._answerable(shard):
                         continue
                     db = self._shards[shard]
                     before = db.io_snapshot()
@@ -788,11 +772,11 @@ class ShardedMotionService:
         (:meth:`_apply_set`), holding only the locks of the shards its
         plan names.  Each planned step is admitted in
         submission order, cleanups after the op's steps: a delete of a
-        copy that never landed is skipped, then :meth:`_guard`
-        decides.  An op none of whose steps is admitted commits
-        nothing and gets :class:`ShardUnavailableError`; each shard
-        then applies exactly the sub-ops it admitted, even if a later
-        op's guard marked it down, which is the record sequence the
+        copy that never landed is skipped, then the shard's up state
+        (:meth:`_answerable`) decides.  An op none of whose steps is
+        admitted commits nothing and gets
+        :class:`ShardUnavailableError`; each shard then applies exactly
+        the sub-ops it admitted, which is the record sequence the
         scalar loop leaves in its log.  The catalog commits an op only
         once a shard took it.
 
@@ -810,9 +794,8 @@ class ShardedMotionService:
         through :meth:`_plan_write` in submission order, merged into
         their shards' rows by row number.  A batch with fewer than
         :data:`_COLUMNS_MIN_SET` ops walks every op: there the column
-        pass costs more than it saves.  So does a batch on a service
-        with a fault injector, whose crashes land on a counted access.
-        A shard takes its sub-ops as the batch's own rows.
+        pass costs more than it saves.  A shard takes its sub-ops as
+        the batch's own rows.
         """
         with self.metrics.span("apply_batch") as span:
             return self._apply_set(WriteColumns(ops), span, per_op=False)
@@ -988,24 +971,21 @@ class ShardedMotionService:
         rejections and commits nothing.  ``None``, with nothing staged,
         if a plan names a shard outside ``held``.
 
-        A batch with at least :data:`_COLUMNS_MIN_SET` ops, on a service
-        without a fault injector, is planned as columns first
-        (:meth:`_plain_rows`): its admission mask, route vector and
-        owner column decide every *plain* row — a new object's admitted
-        register, an admitted report that stays in its replica group, a
-        deregister of a registered object — on an oid the batch names
-        once, and each live shard's plain rows are one array, in
-        submission order, admitted at once.  Without an injector a
-        shard's up state (:meth:`_answerable`) is every guard's verdict
-        there, and no shard goes down or comes up while a set stages
-        under every shard lock.  Every other row — every row of a batch
-        with fewer ops or on a service with an injector, and a one-op
-        set's one op (with ``screen``'s verdict and route) — is
-        *walked*: planned by :meth:`_plan_write` in submission order,
-        with the owner and shard residency the earlier ops of a repeated
-        oid leave, and its steps admitted one :meth:`_guard` call each.
-        That is the scalar loop's plan, so an injected crash lands on
-        the access it would there.
+        A batch with at least :data:`_COLUMNS_MIN_SET` ops is planned
+        as columns first (:meth:`_plain_rows`): its admission mask,
+        route vector and owner column decide every *plain* row — a new
+        object's admitted register, an admitted report that stays in its
+        replica group, a deregister of a registered object — on an oid
+        the batch names once, and each live shard's plain rows are one
+        array, in submission order, admitted at once by the shard's up
+        state (:meth:`_answerable`), which no shard changes while a set
+        stages under every shard lock.  Every other row — every row of
+        a batch with fewer ops, and a one-op set's one op (with
+        ``screen``'s verdict and route) — is *walked*: planned by
+        :meth:`_plan_write` in submission order, with the owner and
+        shard residency the earlier ops of a repeated oid leave, and
+        each of its steps admitted by the same up state.  That is the
+        scalar loop's plan.
 
         Returns per admitting shard the rows of its sub-ops in
         submission order, the sub-ops (``None``: the rows' own ops) and
@@ -1038,7 +1018,7 @@ class ShardedMotionService:
             targets = self.router.route_many(batch.oid, batch.v).astype(
                 np.int64
             )
-            if n < self._COLUMNS_MIN_SET or self._injector is not None:
+            if n < self._COLUMNS_MIN_SET:
                 walked = range(n)
             else:
                 plain, primary, runs = self._plain_rows(
@@ -1053,10 +1033,11 @@ class ShardedMotionService:
         steps_of: Dict[int, Tuple[List[int], List[WriteOp], List[int]]] = {}
         owners: List[Optional[int]] = []
         acked: List[int] = []
-        guard, shards, owner_of = self._guard, self._shards, self._owner.get
+        answerable, shards = self._answerable, self._shards
+        owner_of = self._owner.get
 
         def admit(
-            shard: int, sub_op: WriteOp, name: str, row: int, cleanup: bool
+            shard: int, sub_op: WriteOp, row: int, cleanup: bool
         ) -> bool:
             """Stage one planned step of ``row`` iff it lands."""
             deleting = type(sub_op) is DeregisterOp
@@ -1064,9 +1045,7 @@ class ShardedMotionService:
                 (shard, sub_op.oid), sub_op.oid in shards[shard]
             ):
                 return False  # copy never landed here
-            try:
-                guard(shard, name)
-            except ShardUnavailableError:
+            if not answerable(shard):
                 return False
             if sub_op.oid in repeated and (
                 deleting or type(sub_op) is RegisterOp
@@ -1097,19 +1076,19 @@ class ShardedMotionService:
                 shard for run, _ in steps + cleanup for shard in run
             ):
                 return None
-            name = _VERBS[type(op)]
             landed = False
             for run, sub_op in steps:
                 for shard in run:
-                    landed |= admit(shard, sub_op, name, i, False)
+                    landed |= admit(shard, sub_op, i, False)
             if not landed:
                 outcomes[i] = _no_live_replica(
-                    name, oid, [shard for run, _ in steps for shard in run]
+                    _VERBS[type(op)], oid,
+                    [shard for run, _ in steps for shard in run],
                 )
                 continue
             for run, sub_op in cleanup:
                 for shard in run:
-                    admit(shard, sub_op, name, i, True)
+                    admit(shard, sub_op, i, True)
             if oid in repeated:
                 claims[oid] = owner
             owners.append(owner)
@@ -1325,16 +1304,9 @@ class ShardedMotionService:
         d, t1, t2 = op.d, op.t1, op.t2
 
         def admit(shards: Sequence[int]) -> List[int]:
-            admitted = []
-            for shard in shards:
-                try:
-                    # The fault gate for this shard's whole share of
-                    # the join (self-join + exchanges below).
-                    self._guard(shard, "proximity_pairs")
-                except ShardUnavailableError:
-                    continue
-                admitted.append(shard)
-            return admitted
+            # The up check for each shard's whole share of the join
+            # (self-join + exchanges below).
+            return [shard for shard in shards if self._answerable(shard)]
 
         with self._holding(live):
             answered = sorted(self._ask_cover(live, admit))
@@ -1383,7 +1355,8 @@ class ShardedMotionService:
         The same plan serves a degraded service: the shards answerable
         on entry (:meth:`_answerable`) are the candidates, a cover of
         the replica groups among them is asked (:meth:`_ask_cover`),
-        :meth:`_guard` may refuse some of them, whose groups are asked
+        some of them may be down by the time they are asked
+        (:meth:`_answerable`), whose groups are asked
         of their other candidates, and the lanes that answered are
         merged — each answer with a replica group no member answered
         goes through :meth:`_degrade`, as the scalar verb's does.  The
@@ -1468,34 +1441,26 @@ class ShardedMotionService:
     def _per_shard_answers(
         self, batch: List, live: Sequence[int], span, per_op: bool
     ) -> Dict[int, List]:
-        """The answers to ``batch`` of each ``live`` shard that
-        :meth:`_guard` admits, keyed by shard.
+        """The answers to ``batch`` of each ``live`` shard that is still
+        up when its access comes (:meth:`_answerable`), keyed by shard.
 
-        In-process, each shard is guarded and answered under its lock,
+        In-process, each shard is checked and answered under its lock,
         its I/O booked on ``span``: a one-op set's op (``per_op``) by
         the engine's paged verb of the same name, its fields the
-        arguments, guarded under that name; a batch by one
-        :meth:`MotionDatabase.query_batch`, guarded as ``query_batch``,
+        arguments; a batch by one :meth:`MotionDatabase.query_batch`,
         its kernel time booked as ``query_batch.compute``.  A batch on
-        a worker pool guards every ``live`` shard first and sends each
-        admitted one with a shared segment as one pool task (the same
+        a worker pool checks every ``live`` shard first and sends each
+        up one with a shared segment as one pool task (the same
         ``evaluate_arrays`` dispatch, over a seqlock snapshot); what
         the pool did not answer — no segment, or a lane lost to a
         worker death that :meth:`_handle_worker_death` recomputes — is
-        answered in-process.  A refused shard is absent.
+        answered in-process.  A down shard is absent.
         """
-        name = _READ_VERBS[type(batch[0])] if per_op else "query_batch"
         pooled = not per_op and self._pool is not None
         answers: Dict[int, List] = {}
         lanes = live
         if pooled:
-            lanes = []
-            for s in live:
-                try:
-                    self._guard(s, name)
-                except ShardUnavailableError:
-                    continue
-                lanes.append(s)
+            lanes = [s for s in live if self._answerable(s)]
             tasks = []
             for s in lanes:
                 segment = getattr(self._shards[s].columns, "segment_name",
@@ -1518,16 +1483,14 @@ class ShardedMotionService:
             if s in answers:
                 continue
             with self._locks[s]:
-                if not pooled:
-                    try:
-                        self._guard(s, name)
-                    except ShardUnavailableError:
-                        continue
+                if not pooled and not self._answerable(s):
+                    continue
                 db = self._shards[s]
                 before = db.io_snapshot()
                 if per_op:
                     op, = batch
-                    answers[s] = [getattr(db, name)(*vars(op).values())]
+                    verb = getattr(db, _READ_VERBS[type(op)])
+                    answers[s] = [verb(*vars(op).values())]
                 else:
                     start = time.perf_counter()
                     answers[s] = db.query_batch(batch)
@@ -1546,10 +1509,10 @@ class ShardedMotionService:
         """Who answered, asking ``shards`` — by default the
         :meth:`_cover` of every replica group by the ``live`` shards —
         through ``ask`` (which returns the shards that answered), then
-        each group left dark by a refusal again from the live shards
-        not yet asked, until no group is dark or none is left.  An up
-        shard has applied every write of its groups, so one member a
-        group gives the exact answer."""
+        each group left dark by a shard gone down since the plan again
+        from the live shards not yet asked, until no group is dark or
+        none is left.  An up shard has applied every write of its
+        groups, so one member a group gives the exact answer."""
         who: Set[int] = set()
         asked: Set[int] = set()
         if shards is None:

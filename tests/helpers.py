@@ -7,7 +7,7 @@ import errno
 import random
 from contextlib import contextmanager
 from types import SimpleNamespace
-from typing import List
+from typing import Dict, List
 
 from repro.bptree.tree import INSERT
 from repro.core import (
@@ -56,6 +56,46 @@ class HalfWriteThenENOSPC:
 
     def __getattr__(self, name):
         return getattr(self._real, name)
+
+
+def fail_next_log_write(service, shard: int) -> None:
+    """Make ``shard``'s next log write fail the way a full disk does,
+    once: over a file log, its first ``write`` half-lands and raises
+    ``ENOSPC`` (:class:`HalfWriteThenENOSPC`); over the in-memory log,
+    its next ``ShardWAL.append`` / ``append_batch`` raises ``ENOSPC``
+    before it records anything.  The service takes the shard down, as
+    it does for any log ``OSError``."""
+    wal = service._nodes[shard].wal
+    log = getattr(wal.backend, "_log", None)
+    if log is not None:
+        log._file = HalfWriteThenENOSPC(log._file)
+        return
+
+    def full_disk(entries):
+        del wal.append_batch  # one shot: the class's method is back
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    wal.append_batch = full_disk
+
+
+def kill_on_access(service, *victims: int) -> Dict[int, int]:
+    """Make each of ``victims`` die between a read's plan and its
+    access, as a concurrent ``kill_shard`` would: the first time the
+    service asks whether a victim is up (the plan choosing its shards)
+    it is, the second time (the access) it has just been killed.
+    Returns how often each shard was asked, filled as the service
+    runs."""
+    asked: Dict[int, int] = {}
+    answerable = service._answerable
+
+    def fake(shard: int) -> bool:
+        asked[shard] = asked.get(shard, 0) + 1
+        if shard in victims and asked[shard] == 2:
+            service.kill_shard(shard, reason="killed during a read")
+        return answerable(shard)
+
+    service._answerable = fake
+    return asked
 
 
 def random_objects(

@@ -1,5 +1,6 @@
 """Documentation guards: the shipped snippets must actually run."""
 
+import importlib
 import pathlib
 import re
 
@@ -24,6 +25,40 @@ def test_readme_quickstart_runs():
     assert len(namespace["index"]) == 2
     assert namespace["outcomes"] == [None]
     assert len(namespace["answers"]) == 2
+
+
+#: ``from repro... import a, b`` in a code block, the names in
+#: parentheses over several lines or on the rest of the line.
+REPRO_IMPORT = re.compile(
+    r"^\s*from\s+(repro[\w.]*)\s+import\s+(\([^)]*\)|[^\n]*)", re.M
+)
+
+
+@pytest.mark.parametrize("path", ["docs/api.md", "README.md"])
+def test_every_name_a_doc_imports_from_repro_resolves(path):
+    """Each name a Python block of the doc imports from ``repro``
+    exists, so an example naming a deleted API fails here, even one
+    in a block that does not run as it stands."""
+    imported = []
+    for block in python_blocks(path):
+        for module, listed in REPRO_IMPORT.findall(block):
+            listed = re.sub(r"#[^\n]*", "", listed).strip("()\n ")
+            imported += [(module, item.split(" as ")[0].strip())
+                         for item in listed.split(",") if item.strip()]
+    assert imported, f"{path} imports nothing from repro"
+    missing = []
+    for module, name in imported:
+        try:
+            found = importlib.import_module(module)
+        except ImportError:
+            missing.append(module)
+            continue
+        if not hasattr(found, name):
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ImportError:
+                missing.append(f"{module}.{name}")
+    assert missing == []
 
 
 def test_api_doc_mentions_every_public_index():

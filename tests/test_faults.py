@@ -1,74 +1,22 @@
-"""Units for the chaos layer: the crash injectors and routing.
+"""Units for the chaos layer: the crash-point injector and routing.
 
 The fault machinery must itself be deterministic — a chaos run that
-cannot be replayed cannot be debugged — so these tests pin
-:class:`FaultInjector`'s crash plan (one-shot, 1-based, counted per
-shard), that :class:`CrashPointInjector` arms only the points some
-layer fires, and that a write to an unknown object is rejected per
-operation.
+cannot be replayed cannot be debugged — so these tests pin that
+:class:`CrashPointInjector` arms only the points some layer fires, and
+that a write to an unknown object is rejected per operation.
 """
 
 import pytest
 
-from repro.errors import InjectedFaultError, ObjectNotFoundError
+from repro.errors import ObjectNotFoundError
 from repro.service import (
     CrashPointInjector,
     CrashPointSpec,
     DeregisterOp,
-    FaultInjector,
     ShardedMotionService,
     WRITE_BATCH_CRASH_POINTS,
 )
 from repro.storage import ALL_CRASH_POINTS
-
-
-class TestFaultInjector:
-    def drain(self, injector, shard, ops):
-        """Run ``ops`` accesses of ``shard``, returning each outcome."""
-        outcomes = []
-        for _ in range(ops):
-            try:
-                injector.on_op(shard, "op")
-                outcomes.append("ok")
-            except InjectedFaultError:
-                outcomes.append("crash")
-        return outcomes
-
-    def test_rejects_a_zero_based_plan(self):
-        with pytest.raises(ValueError):
-            FaultInjector({0: 0})
-
-    def test_shards_count_independently(self):
-        injector = FaultInjector({2: 5})
-        assert self.drain(injector, 0, 20) == ["ok"] * 20
-        assert self.drain(injector, 2, 5) == ["ok"] * 4 + ["crash"]
-        assert injector.snapshot()["ops_per_shard"] == {0: 20, 2: 5}
-
-    def test_crash_on_nth_op_fires_once(self):
-        injector = FaultInjector({2: 5})
-        outcomes = self.drain(injector, 2, 5)
-        assert outcomes == ["ok"] * 4 + ["crash"]
-        # One-shot: the same plan does not re-fire after recovery.
-        assert self.drain(injector, 2, 20) == ["ok"] * 20
-        assert injector.snapshot()["crashed_shards"] == [2]
-
-    @pytest.mark.parametrize("crash", [1, 4, 5, 6, 9])
-    @pytest.mark.parametrize("before", [0, 2, 4])
-    def test_a_run_counts_as_its_accesses(self, crash, before):
-        """A run of four accesses after ``before`` others: each is
-        counted, and the planned one — and only it — crashes, once."""
-        injector = FaultInjector({1: crash})
-        assert self.drain(injector, 1, before) == [
-            "crash" if op == crash else "ok" for op in range(1, before + 1)
-        ]
-        assert self.drain(injector, 1, 4) == [
-            "crash" if op == crash else "ok"
-            for op in range(before + 1, before + 5)
-        ]
-        assert injector.snapshot() == {
-            "crashed_shards": [1] if crash <= before + 4 else [],
-            "ops_per_shard": {1: before + 4},
-        }
 
 
 class TestCrashPointInjector:

@@ -259,14 +259,16 @@ def test_an_exception_escaping_the_plan_leaves_the_catalog_as_it_was(
     no shard applied."""
     service = ShardedMotionService(Y_MAX, V_MIN, V_MAX, shards=2)
     service.register(5, 50.0, 1.0, 0.0)
-    guarded = []
+    planned = []
+    plan_write = service._plan_write
 
-    def guard(shard, op_name):
-        guarded.append(shard)
-        if len(guarded) == 2:
-            raise RuntimeError("guard failed")
+    def failing_plan(*args):
+        planned.append(args[0])
+        if len(planned) == 2:
+            raise RuntimeError("plan failed")
+        return plan_write(*args)
 
-    monkeypatch.setattr(service, "_guard", guard)
+    monkeypatch.setattr(service, "_plan_write", failing_plan)
     with pytest.raises(RuntimeError):
         service.apply_batch(
             [RegisterOp(1, 10.0, 1.0, 0.0), RegisterOp(2, 20.0, 1.0, 0.0)]

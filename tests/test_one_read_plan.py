@@ -2,16 +2,16 @@
 
 ``within`` / ``snapshot_at`` / ``nearest`` / ``query_past`` /
 ``proximity_pairs`` run the plan ``query_batch`` runs — candidates
-from ``_answerable``, one ``_guard`` per shard, one shard lock at a
-time, the same merge, ``_degrade`` — with one switch: a verb's set is
-never cached and never pooled, each shard answers through the engine's
-paged verb, and its page I/O lands on the verb's own span.  These
-tests pin that switch on a cached, pooled service; which shards a read
-asks — one member of each replica group, every live shard for history;
-and the fault behaviour of a verb on the fault-tolerant service: an
-injected crash lands on the access it always did, under the verb's
-name, and a degraded verb returns the ``PartialResult`` of the shards
-that answered.
+from ``_answerable``, which each shard's access asks again, one shard
+lock at a time, the same merge, ``_degrade`` — with one switch: a
+verb's set is never cached and never pooled, each shard answers
+through the engine's paged verb, and its page I/O lands on the verb's
+own span.  These tests pin that switch on a cached, pooled service;
+which shards a read asks — one member of each replica group, every
+live shard for history; and the fault behaviour of a verb on the
+fault-tolerant service: a shard killed between the verb's plan and
+its access is skipped there, and a degraded verb returns the
+``PartialResult`` of the shards that answered.
 """
 
 import random
@@ -21,12 +21,13 @@ import pytest
 from repro.engine import MotionDatabase
 from repro.errors import DegradedResultWarning
 from repro.service import (
-    FaultInjector,
     FaultTolerantMotionService,
     PartialResult,
     ShardedMotionService,
 )
 from repro.vector.ops import Nearest, ProximityPairs, SnapshotAt, Within
+
+from .helpers import kill_on_access
 
 Y_MAX, V_MIN, V_MAX = 1000.0, 0.16, 1.66
 
@@ -234,34 +235,23 @@ def survivors_database(service, lost):
 @pytest.mark.chaos
 @pytest.mark.parametrize("verb", PAGED_VERBS + ("proximity_pairs",))
 def test_an_injected_crash_on_a_verb_lands_on_its_access(verb):
-    """Shard 1 crashes on its first read: the verb's own access, named
-    for the verb.  At ``replication = 1`` its group is dark, so the verb
-    returns the ``PartialResult`` of the other shards' objects."""
-
-    def build(injector):
-        service = FaultTolerantMotionService(
-            Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=1,
-            keep_history=True, fault_injector=injector,
-        )
-        populate(service)
-        return service
-
-    probe = build(FaultInjector({}))
-    written = probe._injector.snapshot()["ops_per_shard"]
-    service = build(FaultInjector({1: written[1] + 1}))
+    """Shard 1 is up when the verb plans its read and killed when its
+    access comes (as a concurrent ``kill_shard`` would leave it): the
+    access skips it.  At ``replication = 1`` its group is dark, so the
+    verb returns the ``PartialResult`` of the other shards' objects."""
+    service = FaultTolerantMotionService(
+        Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=1,
+        keep_history=True,
+    )
+    populate(service)
+    asked = kill_on_access(service, 1)
     args = CALLS[verb][0] if verb in CALLS else (4.0, 5.0, 9.0)
     with pytest.warns(DegradedResultWarning, match=verb):
         got = getattr(service, verb)(*args)
     assert service.down_shards() == [1]
-    assert service.shard_status()[1]["reason"] == (
-        f"injected crash during {verb}"
-    )
-    # One access a shard, the crashing one included.
-    faults = service._injector.snapshot()
-    assert faults["crashed_shards"] == [1]
-    assert faults["ops_per_shard"] == {
-        shard: count + 1 for shard, count in written.items()
-    }
+    assert service.shard_status()[1]["reason"] == "killed during a read"
+    # Each shard asked twice: by the plan, then by its one access.
+    assert asked == {0: 2, 1: 2, 2: 2}
     oracle = survivors_database(service, {1})
     assert got == PartialResult(
         value=getattr(oracle, verb)(*args), unavailable_shards=(1,)

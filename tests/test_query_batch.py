@@ -17,7 +17,6 @@ from repro.core import MORQuery1D
 from repro.errors import DegradedResultWarning, InvalidQueryError
 from repro.service import (
     AsyncFrontend,
-    FaultInjector,
     FaultTolerantMotionService,
     FrontendConfig,
     PartialResult,
@@ -33,6 +32,8 @@ from repro.vector.ops import (
     Within,
 )
 from repro import MotionDatabase
+
+from .helpers import kill_on_access
 
 pytestmark = pytest.mark.batch
 
@@ -372,34 +373,22 @@ class TestFaultTolerantBatch:
         stats = service.query_cache.stats()
         assert stats["hits"] == 0 and stats["entries"] == 0
 
-    @pytest.mark.parametrize(
-        "fault", ["shard-down", "injector-armed", "injected-crash"]
-    )
+    @pytest.mark.parametrize("fault", ["shard-down", "injected-crash"])
     def test_degraded_batch_runs_on_the_kernels(self, monkeypatch, fault):
         """A degraded batch is the healthy plan minus the shard that
-        cannot answer: one ``MotionDatabase.query_batch`` per answering
-        shard, no scalar per-shard query, and the scalar verbs' answers
-        — ``PartialResult`` and its unavailable primaries included."""
-
-        def build(injector=None):
-            service = FaultTolerantMotionService(
-                Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=1,
-                fault_injector=injector,
-            )
-            return service, populate(service)
-
-        injector = None
-        if fault == "injector-armed":
-            injector = FaultInjector({})
-        elif fault == "injected-crash":
-            # Shard 1 crashes on its first read: the one after its
-            # population's registers.
-            probe, _ = build()
-            registers = len(probe.shard_populations()[1])
-            injector = FaultInjector({1: registers + 1})
-        service, rng = build(injector)
-        if fault != "injected-crash":
+        cannot answer — killed before the batch, or up when the batch
+        plans and killed when its access comes: one
+        ``MotionDatabase.query_batch`` per answering shard, no scalar
+        per-shard query, and the scalar verbs' answers —
+        ``PartialResult`` and its unavailable primaries included."""
+        service = FaultTolerantMotionService(
+            Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=1,
+        )
+        rng = populate(service)
+        if fault == "shard-down":
             service.kill_shard(1)
+        else:
+            kill_on_access(service, 1)
         ops = mixed_ops(rng)
         kernels, scalars = [], []
         query_batch = MotionDatabase.query_batch

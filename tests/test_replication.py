@@ -3,8 +3,9 @@
 The acceptance criteria of the fault-tolerance work, verified end to
 end:
 
-* with two planned mid-trace crashes and ``replication_factor=2``,
-  the full query menu is *identical* to a faultless single
+* with two mid-trace shard crashes and ``replication_factor=2`` —
+  a shard killed inside a read, or a shard whose log fails inside a
+  write — the full query menu is *identical* to a faultless single
   :class:`MotionDatabase`, and the run replays exactly;
 * with ``replication_factor=1`` and a dead shard, queries degrade to
   :class:`PartialResult` (naming the unavailable shard) instead of
@@ -26,14 +27,11 @@ from repro.errors import (
     ObjectNotFoundError,
     ShardUnavailableError,
 )
-from repro.service import (
-    FaultInjector,
-    FaultTolerantMotionService,
-    PartialResult,
-)
+from repro.service import FaultTolerantMotionService, PartialResult
 from repro.vector.ops import Nearest, SnapshotAt, Within
 from repro.workloads.serialization import population_to_json
 
+from .helpers import fail_next_log_write, kill_on_access
 from .test_one_read_plan import spied
 from .test_service_differential import drive, full_menu_check
 
@@ -43,12 +41,11 @@ pytestmark = [pytest.mark.chaos,
               pytest.mark.usefixtures("short_checkpoint_floor")]
 
 
-def make_service(shards=4, replication=2, injector=None, **kwargs):
+def make_service(shards=4, replication=2, **kwargs):
     return FaultTolerantMotionService(
         Y_MAX, V_MIN, V_MAX,
         shards=shards,
         replication_factor=replication,
-        fault_injector=injector,
         **kwargs,
     )
 
@@ -64,31 +61,6 @@ def seed_population(service, oracle=None, n=60, seed=101):
     return rng
 
 
-class Recorder(FaultInjector):
-    """An injector with no plan that keeps each shard's guarded
-    accesses by name."""
-
-    def __init__(self):
-        super().__init__({})
-        self.names = {}
-
-    def on_op(self, shard, operation):
-        self.names.setdefault(shard, []).append(operation)
-        super().on_op(shard, operation)
-
-
-WRITES = {"register", "report", "deregister"}
-
-
-def crash_point(names, share):
-    """The 1-based access on which a shard whose accesses were
-    ``names`` crashes: its first read at or past ``share`` of them, or
-    the access at ``share`` when no read follows."""
-    start = int(len(names) * share)
-    reads = [n for n in range(start, len(names)) if names[n] not in WRITES]
-    return (reads[0] if reads else start) + 1
-
-
 @pytest.mark.parametrize("seed, fsync", [
     pytest.param(13, None, id="13"),
     pytest.param(14, None, id="14"),
@@ -99,52 +71,67 @@ def crash_point(names, share):
 def test_chaos_r2_matches_faultless_single_database(
     seed, fsync, tmp_path, closing
 ):
-    """Replicated service under injected crashes ≡ faultless oracle.
+    """Replicated service under two shard crashes ≡ faultless oracle.
 
-    The injector crashes two shards that share no replica group, at
-    different points of a faultless run of the same trace: a third and
-    two thirds of the way through each victim's guarded accesses, on
-    the first read from there if one follows.  Seed 14's victims are
-    the shards a read covers, so its crashes land on reads, which the
-    victims' partners answer instead; seeds 13 and 29's are never read
-    while up, so theirs land on writes.  ``replication=2`` means every
-    answer must still come back complete and identical.  Down shards
-    are recovered at every differential checkpoint, so both crashes are
-    also exercised through the recovery path.  The ``file`` legs run
-    the same chaos over the on-disk WAL backend.  A shard is up or
-    down, with no clock in between, so the same trace run twice gives
-    the same per-shard I/O and the same injector accounting.
+    Two shards that share no replica group fail, one at the
+    differential check a third of the way through the trace and one at
+    the check two thirds through, each the way a production shard goes
+    down.  A victim in the read cover ({0, 2}: seed 14's) is up when the
+    check's first read plans and killed when its access comes, and its
+    partners answer in its place.  A victim no read asks while it is up
+    (seeds 13 and 29's) has its log fail on its next write — ``ENOSPC``
+    from the in-memory log, a half-landed write on the ``file`` legs,
+    which run the same chaos over the on-disk WAL backend — and its
+    partners take the write.  ``replication=2`` means every answer must
+    still come back complete and identical.  Down shards are recovered
+    at every differential check, so both crashes are also exercised
+    through the recovery path.  A shard is up or down, with no clock in
+    between, so the same trace run twice gives the same per-shard I/O
+    and the same crashes at the same checks.
     """
     victims = (seed % 4, (seed + 2) % 4)
+    # drive() checks after steps 24, 49, ..., 149 and at the end.
+    armed_at = {1: victims[0], 3: victims[1]}
 
-    def run(leg, injector):
+    def run(leg):
         durable = (
             {} if fsync is None
             else {"wal_dir": str(tmp_path / leg), "wal_fsync": fsync}
         )
         single = MotionDatabase(Y_MAX, V_MIN, V_MAX)
-        service = closing(make_service(
-            shards=4, replication=2, injector=injector, **durable
-        ))
+        service = closing(make_service(shards=4, replication=2, **durable))
+        cover = service._cover(range(4), list(range(4)))
+        crashes = []
+        checks = [0]
 
         def check(single_db, sharded, rng, now):
+            victim = armed_at.get(checks[0])
+            if victim in cover:
+                kill_on_access(sharded, victim)
+            elif victim is not None:
+                fail_next_log_write(sharded, victim)
             full_menu_check(single_db, sharded, rng, now)
             for shard in sharded.down_shards():
+                reason = sharded.shard_status()[shard]["reason"]
+                crashes.append((checks[0], shard, reason))
                 sharded.recover_shard(shard)
+            checks[0] += 1
 
         drive(random.Random(seed), single, service, steps=150, check=check)
         io = [s["io"] for s in service.service_stats()["shard_state"]]
-        return single, service, injector.snapshot(), io
+        return single, service, crashes, io
 
-    faultless = Recorder()
-    run("faultless", faultless)
-    plan = {
-        victim: crash_point(faultless.names[victim], share)
-        for victim, share in zip(victims, (1 / 3, 2 / 3))
-    }
-    single, service, faults, io = run("a", FaultInjector(plan))
-    # Both crashes actually happened and were recovered from.
-    assert sorted(faults["crashed_shards"]) == sorted(victims)
+    single, service, crashes, io = run("a")
+    # Both crashes actually happened, each the planned way, and were
+    # recovered from.
+    assert [shard for _, shard, _ in crashes] == list(victims)
+    for at, shard, reason in crashes:
+        if shard in service._cover(range(4), list(range(4))):
+            assert (at, reason) in {(a, "killed during a read")
+                                    for a in armed_at}
+        else:  # on a write before the next check
+            assert at - 1 in armed_at
+            assert reason.startswith("log write failed: [Errno 28]")
     assert service.service_stats()["fault_tolerance"]["recoveries"] == 2
     assert service.down_shards() == []
     # Nothing lost: the service's object set equals the oracle's.
@@ -160,8 +147,8 @@ def test_chaos_r2_matches_faultless_single_database(
         assert all(b["fsync"] == fsync for b in backends)
         assert stats["metrics"]["counters"]["wal_append"] > 0
         assert stats["metrics"]["counters"]["wal_fsync"] > 0
-    _, _, twin_faults, twin_io = run("b", FaultInjector(plan))
-    assert (twin_faults, twin_io) == (faults, io)
+    _, _, twin_crashes, twin_io = run("b")
+    assert (twin_crashes, twin_io) == (crashes, io)
 
 
 def test_r1_dead_shard_degrades_queries_instead_of_raising():
@@ -278,26 +265,22 @@ def test_a_refused_cover_shard_is_covered_again_by_its_partners(
     monkeypatch, fault, name
 ):
     """Shard 0 is in the read cover {0, 2} of a 4-shard ``r = 2``
-    service.  Killed, the cover of the live shards is {1, 3}; crashing
-    on its read, it leaves the groups of primaries 0 ({0, 1}) and 3
-    ({3, 0}) dark, and shards 1 and 3 are asked for them.  Either way
-    the answer is complete: no warning, no ``PartialResult``, a single
-    database's answer."""
+    service.  Killed before the read, the cover of the live shards is
+    {1, 3}; up when the read plans and killed when its access comes
+    (as a concurrent ``kill_shard`` would leave it), it leaves the
+    groups of primaries 0 ({0, 1}) and 3 ({3, 0}) dark, and shards 1
+    and 3 are asked for them.  Either way the answer is complete: no
+    warning, no ``PartialResult``, a single database's answer."""
     args, _ = READS[name]
     engine = "query_batch" if name == "query_batch" else READS[name][1]
+    service = make_service()
+    oracle = MotionDatabase(Y_MAX, V_MIN, V_MAX)
+    seed_population(service, oracle)
     if fault == "kill":
-        service = make_service()
-        oracle = MotionDatabase(Y_MAX, V_MIN, V_MAX)
-        seed_population(service, oracle)
         service.kill_shard(0)
         expected = [1, 3]
     else:
-        probe = make_service(injector=FaultInjector({}))
-        seed_population(probe)
-        written = probe._injector.snapshot()["ops_per_shard"][0]
-        service = make_service(injector=FaultInjector({0: written + 1}))
-        oracle = MotionDatabase(Y_MAX, V_MIN, V_MAX)
-        seed_population(service, oracle)
+        kill_on_access(service, 0)
         expected = [1, 2, 3]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -335,28 +318,33 @@ def test_overlapping_covers_match_a_single_database(shards, replication):
 
 
 def test_the_cache_keeps_only_answers_every_group_gave():
-    """A batch whose cover shard crashes on its read is covered again,
-    complete, and cached.  One whose crashes darken a group — shard 0
-    on its read, then shard 1 on the re-cover — returns a
-    ``PartialResult`` and caches nothing."""
-    probe = make_service(injector=FaultInjector({}))
-    seed_population(probe)
-    written = probe._injector.snapshot()["ops_per_shard"]
+    """A batch whose cover shard is killed between its plan and its
+    read is covered again and complete, but not cached: the kill
+    overlapped the read.  Run again once the shard is back, it is
+    cached.  One whose kills darken a group — shard 0 on its read,
+    then shard 1 on the re-cover — returns a ``PartialResult`` and
+    caches nothing."""
     op = Within(100.0, 700.0, 2.0, 9.0)
     oracle = MotionDatabase(Y_MAX, V_MIN, V_MAX)
     seed_population(oracle)
     expected = oracle.within(100.0, 700.0, 2.0, 9.0)
 
-    service = make_service(injector=FaultInjector({0: written[0] + 1}))
+    service = make_service()
     seed_population(service)
+    kill_on_access(service, 0)
     assert service.query_batch([op]) == [expected]
     assert service.down_shards() == [0]
+    assert service.query_cache.get(op) == (False, None)
+    # While a shard is down a batch neither reads nor writes the cache.
+    assert service.query_batch([op]) == [expected]
+    assert service.query_cache.get(op) == (False, None)
+    service.recover_shard(0)
+    assert service.query_batch([op]) == [expected]
     assert service.query_cache.get(op) == (True, expected)
 
-    service = make_service(injector=FaultInjector(
-        {0: written[0] + 1, 1: written[1] + 1}
-    ))
+    service = make_service()
     seed_population(service)
+    kill_on_access(service, 0, 1)
     with pytest.warns(DegradedResultWarning):
         got, = service.query_batch([op])
     assert service.down_shards() == [0, 1]

@@ -14,12 +14,13 @@ import pytest
 
 from repro.errors import InvalidMotionError, ObjectNotFoundError, ShardUnavailableError
 from repro.service import (
-    FaultInjector,
     FaultTolerantMotionService,
     PartialResult,
     SubscriptionManager,
     replay_deltas,
 )
+
+from .helpers import fail_next_log_write
 
 pytestmark = [pytest.mark.subscription, pytest.mark.chaos,
               pytest.mark.usefixtures("short_checkpoint_floor")]
@@ -66,14 +67,13 @@ def check_against_oracle(manager, subs, replayed, now):
 
 
 def test_injected_crash_then_wal_recovery_reconciles_with_oracle():
-    """r=2: the injector crashes a shard mid-run; surviving replicas
-    keep acknowledging writes; after ``recover_shard`` the delta
-    streams reconcile exactly with the oracle."""
+    """r=2: a shard's log fails mid-run (``ENOSPC``), which takes it
+    down; surviving replicas keep acknowledging writes; after
+    ``recover_shard`` the delta streams reconcile exactly with the
+    oracle."""
     victim = 1
-    injector = FaultInjector({victim: 50})
     service = FaultTolerantMotionService(
         Y_MAX, V_MIN, V_MAX, shards=3, replication_factor=2,
-        fault_injector=injector,
     )
     rng = random.Random(31)
     for oid in range(N_OBJECTS):
@@ -88,8 +88,10 @@ def test_injected_crash_then_wal_recovery_reconciles_with_oracle():
     crash_seen = False
     recovered = False
     now = 0.0
-    for _ in range(TICKS):
+    for tick in range(TICKS):
         now += 1.0
+        if tick == 2:
+            fail_next_log_write(service, victim)
         for _ in range(UPDATES_PER_TICK):
             oid = rng.randrange(N_OBJECTS)
             y0, v, t0 = random_motion(rng, now)

@@ -29,7 +29,6 @@ from repro.indexes.hybrid import HybridIndex
 from repro.service import (
     BandRouter,
     CrashPointInjector,
-    FaultInjector,
     FaultTolerantMotionService,
     ShardedMotionService,
     ShardWAL,
@@ -39,7 +38,7 @@ from repro.service import (
 from repro.vector.columns import MotionColumns
 from repro.vector.ops import DeregisterOp, RegisterOp, ReportOp
 
-from .helpers import PAPER_MODEL
+from .helpers import PAPER_MODEL, fail_next_log_write
 
 pytestmark = pytest.mark.writebatch
 
@@ -151,6 +150,39 @@ def batch_sizes(own):
     above = (64, 200)
     assert own < ShardedMotionService._COLUMNS_MIN_SET <= min(above)
     return (own,) + above
+
+
+def refusal(outcome):
+    """An outcome's type and message, less the shards a refused write's
+    message names: the scalar loop, its shard killed before the set,
+    names the write's whole replica group; a set whose log failed names
+    the shards that failed to take it."""
+    return type(outcome), str(outcome).split(": no live replica in ")[0]
+
+
+def count_column_passes(monkeypatch, service):
+    """A list that grows by one each time ``service`` runs a write set's
+    column pass (``_plain_rows``)."""
+    passes = []
+    plain_rows = service._plain_rows
+
+    def spy(*args):
+        passes.append(1)
+        return plain_rows(*args)
+
+    monkeypatch.setattr(service, "_plain_rows", spy)
+    return passes
+
+
+def fail_shard(scalar, batched, shard, how):
+    """Take ``shard`` down before ``scalar``'s next set, and on
+    ``batched`` the same way (``"kill"``) or by its log failing inside
+    the next set (``"log"``)."""
+    scalar.kill_shard(shard)
+    if how == "kill":
+        batched.kill_shard(shard)
+    else:
+        fail_next_log_write(batched, shard)
 
 
 def probe_queries():
@@ -402,23 +434,23 @@ class TestWALStreams:
             assert log["synced_bytes"] == log["size_bytes"]
         service.close()
 
-    @pytest.mark.parametrize("degraded", ["shard-down", "injector"])
+    @pytest.mark.parametrize("degraded", ["shard-down", "log-enospc"])
     def test_degraded_batch_syncs_every_touched_shard(self, tmp_path,
                                                       degraded):
-        """A shard down or an injector armed sends ``apply_batch`` down
-        the per-op scalar path, which only appends; the batch must
-        still sync every live shard it wrote before acknowledging."""
-        kwargs = {}
-        if degraded == "injector":
-            kwargs["fault_injector"] = FaultInjector({})
+        """A shard killed before the batch, or one whose log fails
+        inside it (``ENOSPC``), changes which shards take the batch,
+        not how each commits: the batch still syncs every live shard it
+        wrote before acknowledging."""
         service = make_ft(tmp_path, shards=4, replication=2,
-                          fsync="batch:32", **kwargs)
+                          fsync="batch:32")
         registers = [
             RegisterOp(oid, 10.0 * oid + 5.0, 1.0, 0.0) for oid in range(40)
         ]
         assert service.apply_batch(registers) == [None] * len(registers)
         if degraded == "shard-down":
             service.kill_shard(3)
+        else:
+            fail_next_log_write(service, 3)
 
         def logs():
             return [node.wal.backend.stats()["log"] for node in service._nodes]
@@ -428,6 +460,7 @@ class TestWALStreams:
             ReportOp(oid, 10.0 * oid + 8.0, -1.0, 1.0) for oid in range(8)
         ]
         assert service.apply_batch(reports) == [None] * len(reports)
+        assert service.down_shards() == [3]
         live = [
             (shard, was, now)
             for shard, (was, now) in enumerate(zip(before, logs()))
@@ -676,71 +709,94 @@ class TestWriteBatchChaos:
     @pytest.mark.chaos
     @pytest.mark.parametrize("router", ["hash", "velocity"])
     @pytest.mark.parametrize("seed", [2, 19])
-    def test_injector_armed_batches_equal_the_scalar_loop(
-        self, tmp_path, router, seed
+    def test_failing_log_batches_equal_scalar_loop(
+        self, tmp_path, monkeypatch, router, seed
     ):
-        """Under two injected shard crashes the batch admits each
-        planned step through the same guard as the scalar verbs: same
-        outcomes (``ShardUnavailableError`` for a write whose whole
-        group is down), catalog, down shards, fault counts and shard
-        contents — and the same state after ``recover_shard`` and after
-        a cold restore of the directory."""
-        stream = build_stream(random.Random(seed), n=80, rounds=3)
+        """A set in which shard ``s``'s log fails (half the write lands,
+        then ``ENOSPC``) leaves what the scalar loop leaves with
+        ``s`` killed just before that set: same outcomes
+        (``ShardUnavailableError`` for a write whose whole group is
+        down), owner and motion catalogs, down shards and live shards'
+        contents — and the same contents after ``recover_shard`` and
+        after a cold restore of the directory.
 
-        def build(name, directory, injector):
+        Shard 1's log fails in the set holding op 100 of the stream,
+        while every replica group it belongs to has another live member.
+        Shard 2 is killed before the set holding op 220, shard 1 still
+        down, so group ``{1, 2}`` goes dark.  A log that fails while its
+        group has no other live member loses the rows only it took, and
+        the set's later ops on those oids were planned as if the lost
+        ones had landed, which the scalar loop does not do
+        (``test_one_write_plan`` covers that log failure on its own).
+        Every set of at least ``_COLUMNS_MIN_SET`` ops runs the column
+        pass."""
+        stream = build_stream(random.Random(seed), n=80, rounds=3)
+        faults = {100: (1, "log"), 220: (2, "kill")}
+
+        def build(name, directory):
             return make_ft(
                 directory / name, shards=4, replication=2, router=router,
-                fault_injector=injector,
             )
 
-        def injector():
-            return FaultInjector({1: 60, 2: 110})
+        def contents(service, shards=range(4)):
+            return [service._shards[s].motion_snapshot() for s in shards]
 
-        def contents(service):
-            return [db.motion_snapshot() for db in service._shards]
-
-        scalar = build("scalar", tmp_path, injector())
-        want = apply_scalar(scalar, stream)
-        assert ShardUnavailableError in map(type, want)
-        assert {1, 2} <= set(scalar.down_shards())
-        names = [f"batched-{size}" for size in batch_sizes(16)]
-        twins = []
-        for name, batch_size in zip(names, batch_sizes(16)):
-            batched = build(name, tmp_path, injector())
-            got = apply_batched(batched, stream, batch_size=batch_size)
-            assert [(type(o), str(o)) for o in got] == [
-                (type(o), str(o)) for o in want
-            ]
-            assert batched.down_shards() == scalar.down_shards()
-            assert batched.motion_snapshot() == scalar.motion_snapshot()
-            assert (batched._injector.snapshot()
-                    == scalar._injector.snapshot())
+        names = [f"{leg}-{size}" for size in batch_sizes(16)
+                 for leg in ("scalar", "batched")]
+        pairs = []
+        for size in batch_sizes(16):
+            scalar = build(f"scalar-{size}", tmp_path)
+            batched = build(f"batched-{size}", tmp_path)
+            column_passes = count_column_passes(monkeypatch, batched)
+            want, got = [], []
+            for begin in range(0, len(stream), size):
+                ops = stream[begin:begin + size]
+                for at, (shard, how) in faults.items():
+                    if begin <= at < begin + size:
+                        fail_shard(scalar, batched, shard, how)
+                want += apply_scalar(scalar, ops)
+                got += batched.apply_batch(ops)
+                assert batched.down_shards() == scalar.down_shards()
+            assert len(column_passes) == sum(
+                len(stream[begin:begin + size])
+                >= ShardedMotionService._COLUMNS_MIN_SET
+                for begin in range(0, len(stream), size)
+            )
+            assert ShardUnavailableError in map(type, want)
+            assert scalar.down_shards() == [1, 2]
+            assert list(map(refusal, got)) == list(map(refusal, want))
+            assert batched._owner == scalar._owner
+            assert batched._catalog_motion == scalar._catalog_motion
+            assert contents(batched, (0, 3)) == contents(scalar, (0, 3))
+            pairs.append((scalar, batched))
+        for scalar, batched in pairs:
+            for service in (scalar, batched):
+                for shard in service.down_shards():
+                    service.recover_shard(shard)
+                assert service.down_shards() == []
             assert contents(batched) == contents(scalar)
-            twins.append(batched)
-        for service in [scalar] + twins:
-            for shard in service.down_shards():
-                service.recover_shard(shard)
-        for batched in twins:
-            assert batched.down_shards() == []
-            assert contents(batched) == contents(scalar)
-        for service in [scalar] + twins:
-            service.close()
+            scalar.close()
+            batched.close()
 
-        restored = []
-        for name in ["scalar"] + names:
+        restored = {}
+        for name in names:
             shutil.copytree(tmp_path / name, tmp_path / "copy" / name)
-            service = build(name, tmp_path / "copy", None)
+            service = build(name, tmp_path / "copy")
             service.restore_from_disk()
-            restored.append(service)
-        for service in restored[1:]:
-            assert service.motion_snapshot() == restored[0].motion_snapshot()
-            assert contents(service) == contents(restored[0])
-        for service in restored:
+            restored[name] = service
+        for size in batch_sizes(16):
+            scalar = restored[f"scalar-{size}"]
+            batched = restored[f"batched-{size}"]
+            assert batched.motion_snapshot() == scalar.motion_snapshot()
+            assert contents(batched) == contents(scalar)
+        for service in restored.values():
             service.close()
 
     @pytest.mark.chaos
     @pytest.mark.parametrize("seed", [4, 23, 57])
-    def test_plain_and_walked_rows_equal_the_scalar_loop(self, tmp_path, seed):
+    def test_plain_and_walked_rows_equal_the_scalar_loop(
+        self, tmp_path, monkeypatch, seed
+    ):
         """A batch's plan decides its plain rows as columns and walks the
         rest; under a velocity router at ``replication = 2``, with a
         killed shard and the recoveries, sets of every size mixing both
@@ -748,88 +804,112 @@ class TestWriteBatchChaos:
         and message), per-shard log streams, the owner and motion
         catalogs and the shard contents.
 
-        Two legs.  With three injected crashes the set walks every row,
-        and the injector's snapshot equals the scalar loop's exactly —
-        the crash order and each shard's access count, so each crash
-        landed on the same access.  Shard 1 crashes before shard 3 is
-        killed, shard 2 while it is down (its group goes dark) and
-        shard 0 after both recovered.  With no injector the column pass
-        runs under the down shard 3 and still matches."""
+        Two legs, each killing shard 3 a third of the way through and
+        recovering every down shard two thirds through.  The ``faults``
+        leg also fails shards the way production does: shard 1's log in
+        a set before shard 3 is killed; shard 2 by a kill while shard 3
+        is down (its group goes dark); shard 0's log after both
+        recovered.  A set whose shard's log fails is compared with the
+        scalar loop with that shard killed just before the set; a log
+        fails only while the shard's replica groups have another live
+        member, since a lost cross-group move would also down the shards
+        that dropped its old copy.  Every set of at least
+        ``_COLUMNS_MIN_SET`` ops, degraded or not, runs the column pass
+        (:meth:`_plain_rows`)."""
         sets = mixed_sets(random.Random(seed), n=300)
         # Sets on both sides of the size below which every row is walked.
+        cut = ShardedMotionService._COLUMNS_MIN_SET
         sizes = sorted(map(len, sets))
-        assert sizes[0] < ShardedMotionService._COLUMNS_MIN_SET <= sizes[-1]
-        for leg, plan in (("injected", {1: 150, 2: 400, 0: 700}),
-                          ("plain", None)):
+        assert sizes[0] < cut <= sizes[-1]
+
+        def column_set(start):
+            """The first set from ``start`` on that runs the column pass:
+            with that many ops it writes every shard."""
+            return next(i for i in range(start, len(sets))
+                        if len(sets[i]) >= cut)
+
+        third = len(sets) // 3
+        planned = {
+            column_set(third // 2): (1, "log"),
+            (third + 2 * third) // 2: (2, "kill"),
+            column_set(5 * third // 2): (0, "log"),
+        }
+        for leg, faults in (("faults", planned), ("plain", {})):
 
             def build(name):
                 return make_ft(
                     tmp_path / leg / name, shards=4, replication=2,
                     router="velocity",
-                    fault_injector=plan and FaultInjector(plan),
                 )
 
             scalar, batched = build("scalar"), build("batched")
+            column_passes = count_column_passes(monkeypatch, batched)
             want, got = [], []
             for step, ops in enumerate(sets):
-                if step == len(sets) // 3:
+                if step == third:
                     for service in (scalar, batched):
                         service.kill_shard(3)
-                if step == 2 * len(sets) // 3:
+                if step == 2 * third:
                     for service in (scalar, batched):
                         for shard in service.down_shards():
                             service.recover_shard(shard)
+                if step in faults:
+                    fail_shard(scalar, batched, *faults[step])
                 want += apply_scalar(scalar, ops)
                 got += batched.apply_batch(ops)
+                assert batched.down_shards() == scalar.down_shards()
+            assert len(column_passes) == sum(len(ops) >= cut for ops in sets)
             assert [(type(o), str(o)) for o in got] == [
                 (type(o), str(o)) for o in want
             ]
             kinds = set(map(type, want))
             assert {InvalidMotionError, ObjectNotFoundError} <= kinds
-            if plan is not None:
+            if faults:
                 assert ShardUnavailableError in kinds
-                faults = scalar._injector.snapshot()
-                assert faults["crashed_shards"] == [1, 2, 0]
-                assert batched._injector.snapshot() == faults
-            assert batched.down_shards() == scalar.down_shards()
+                assert scalar.down_shards() == [0]
             assert batched._owner == scalar._owner
             assert batched._catalog_motion == scalar._catalog_motion
             assert wal_tails(batched) == wal_tails(scalar)
-            assert [db.motion_snapshot() for db in batched._shards] == [
-                db.motion_snapshot() for db in scalar._shards
+
+            def contents(service):
+                return [db.motion_snapshot() for db in service._shards]
+
+            live = [s for s in range(4) if s not in scalar.down_shards()]
+            assert [contents(batched)[s] for s in live] == [
+                contents(scalar)[s] for s in live
             ]
+            for service in (scalar, batched):
+                for shard in service.down_shards():
+                    service.recover_shard(shard)
+            assert contents(batched) == contents(scalar)
             scalar.close()
             batched.close()
 
     @pytest.mark.chaos
-    def test_an_injector_armed_set_walks_every_row(
-        self, tmp_path, monkeypatch
+    @pytest.mark.parametrize("how", ["kill", "log"])
+    def test_a_degraded_set_runs_the_column_pass(
+        self, tmp_path, monkeypatch, how
     ):
-        """A service with a fault injector never runs the column pass:
-        each row goes through the scalar loop's plan, so a crash lands
-        on a counted access.  A degraded service without one (a shard
-        killed) keeps the column pass for the same set."""
+        """A set of at least ``_COLUMNS_MIN_SET`` ops on a degraded
+        service takes the column pass (:meth:`_plain_rows`), as on a
+        healthy one — with shard 3 killed before the set, and with
+        shard 3's log failing inside it — and leaves what the scalar
+        loop leaves with shard 3 killed before the set."""
         ops = [RegisterOp(oid, 4.0 * oid, 1.0, 0.0) for oid in range(64)]
         assert len(ops) >= ShardedMotionService._COLUMNS_MIN_SET
-        armed = make_ft(tmp_path / "armed", shards=4, replication=2,
-                        fault_injector=FaultInjector({1: 10}))
-        killed = make_ft(tmp_path / "killed", shards=4, replication=2)
-        killed.kill_shard(3)
-        calls = {}
-        for name, service in (("armed", armed), ("killed", killed)):
-
-            def spy(*args, _name=name, _pass=service._plain_rows):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _pass(*args)
-
-            monkeypatch.setattr(service, "_plain_rows", spy)
-        assert armed.apply_batch(ops) == killed.apply_batch(ops)
-        assert calls == {"killed": 1}
-        assert armed.down_shards() == [1]
-        assert killed.down_shards() == [3]
-        assert armed.motion_snapshot() == killed.motion_snapshot()
-        armed.close()
-        killed.close()
+        scalar = make_ft(tmp_path / "scalar", shards=4, replication=2)
+        batched = make_ft(tmp_path / "batched", shards=4, replication=2)
+        fail_shard(scalar, batched, 3, how)
+        column_passes = count_column_passes(monkeypatch, batched)
+        assert batched.apply_batch(ops) == apply_scalar(scalar, ops)
+        assert len(column_passes) == 1
+        assert batched.down_shards() == scalar.down_shards() == [3]
+        assert batched.motion_snapshot() == scalar.motion_snapshot()
+        assert [batched._shards[s].motion_snapshot() for s in range(3)] == [
+            scalar._shards[s].motion_snapshot() for s in range(3)
+        ]
+        scalar.close()
+        batched.close()
 
     @pytest.mark.chaos
     def test_a_deregister_skips_a_replica_its_copy_never_reached(
